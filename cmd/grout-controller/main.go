@@ -62,13 +62,12 @@ func main() {
 	elems := flag.Int("elems", 4096, "options per partition")
 	pipeline := flag.Bool("pipeline", false, "overlap CE dispatch with scheduling (DESIGN.md §5.1)")
 	optWindow := flag.Int("optimize-window", 0, "lookahead optimizer window in CEs (0 = 32 default, negative disables; DESIGN.md §5.6)")
-	wire := flag.String("wire", "framed", "wire protocol: framed (binary, dedicated bulk channel) or gob (legacy, one release)")
 	chunk := flag.Int("chunk", 0, "bulk-transfer chunk bytes (0 = 256 KiB default; clamped to [4 KiB, 64 MiB))")
 	failover := flag.Bool("failover", false, "survive worker failures: reroute CEs and replay lost arrays from lineage (DESIGN.md §5.4)")
 	retries := flag.Int("retries", 0, "retry a transiently-failing worker this many times before writing it off")
 	retryBackoff := flag.Duration("retry-backoff", 0, "base retry delay, doubling per attempt (0 = 50ms default)")
 	dialTimeout := flag.Duration("dial-timeout", 0, "TCP connect deadline (0 = 5s default, negative disables)")
-	callTimeout := flag.Duration("call-timeout", 0, "control round-trip deadline (0 = 30s default, negative disables)")
+	callTimeout := flag.Duration("call-timeout", 0, "control response deadline (0 = 30s default, negative disables)")
 	chunkTimeout := flag.Duration("chunk-timeout", 0, "bulk-transfer per-chunk progress deadline (0 = 30s default, negative disables)")
 	flag.Parse()
 
@@ -79,8 +78,8 @@ func main() {
 	cfg := grout.Config{
 		Policy: *policyName, Level: *level, Pipeline: *pipeline,
 		OptimizeWindow: *optWindow,
-		Wire:           *wire, ChunkBytes: *chunk,
-		Failover: *failover, RetryAttempts: *retries, RetryBackoff: *retryBackoff,
+		ChunkBytes:     *chunk,
+		Failover:       *failover, RetryAttempts: *retries, RetryBackoff: *retryBackoff,
 		DialTimeout: *dialTimeout, CallTimeout: *callTimeout, ChunkTimeout: *chunkTimeout,
 	}
 

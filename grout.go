@@ -109,11 +109,6 @@ type Config struct {
 	// default (DefaultOptimizeWindow); negative disables the window,
 	// restoring per-CE admission.
 	OptimizeWindow int
-	// Wire selects the TCP wire protocol for Connect: "framed" (default —
-	// binary frames with a dedicated bulk channel per worker, DESIGN.md
-	// §5.2) or "gob" (the legacy codec, kept for one release). Ignored by
-	// simulated clusters.
-	Wire string
 	// ChunkBytes is the bulk-transfer chunk size for Connect (default
 	// 256 KiB; clamped to [4 KiB, 64 MiB) and 8-byte aligned). Ignored by
 	// simulated clusters.
@@ -309,12 +304,7 @@ func Connect(workerAddrs []string, cfg Config) (*Remote, error) {
 	if err != nil {
 		return nil, err
 	}
-	wire, err := transport.ParseWire(cfg.Wire)
-	if err != nil {
-		return nil, err
-	}
 	fab, err := transport.DialWith(workerAddrs, transport.DialOptions{
-		Wire:          wire,
 		ChunkBytes:    cfg.ChunkBytes,
 		DialTimeout:   cfg.DialTimeout,
 		CallTimeout:   cfg.CallTimeout,
@@ -397,9 +387,6 @@ func (c Config) Validate() error {
 	if c.Shards > 0 && c.Workers > 0 && c.Shards > c.Workers {
 		return fmt.Errorf("grout: %d shards need at least %d workers, have %d",
 			c.Shards, c.Shards, c.Workers)
-	}
-	if _, err := transport.ParseWire(c.Wire); err != nil {
-		return err
 	}
 	_, err := c.policy()
 	return err

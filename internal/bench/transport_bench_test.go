@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 
 	"grout/internal/cluster"
@@ -13,10 +12,10 @@ import (
 )
 
 // BenchmarkTransportThroughput measures array-shipping throughput over
-// real loopback TCP for both wire protocols, 1 KiB to 256 MiB. The MB/s
-// column is the figure of merit: the framed wire's chunked zero-copy path
-// versus gob's reflection-driven element encoding. Run via
-// scripts/bench.sh, which records the results in BENCH_transport.json.
+// real loopback TCP, 1 KiB to 256 MiB. The MB/s column is the figure of
+// merit for the bulk channel's chunked zero-copy path. Run via
+// scripts/bench.sh, which records the results in BENCH_transport.json
+// (the "framed" name segment is that file's key).
 func BenchmarkTransportThroughput(b *testing.B) {
 	sizes := []struct {
 		name  string
@@ -28,22 +27,20 @@ func BenchmarkTransportThroughput(b *testing.B) {
 		{"16MiB", 16 << 20},
 		{"256MiB", 256 << 20},
 	}
-	for _, wire := range []transport.Wire{transport.WireGob, transport.WireFramed} {
-		for _, sz := range sizes {
-			b.Run(fmt.Sprintf("%v/%s", wire, sz.name), func(b *testing.B) {
-				benchTransfer(b, wire, sz.bytes)
-			})
-		}
+	for _, sz := range sizes {
+		b.Run("framed/"+sz.name, func(b *testing.B) {
+			benchTransfer(b, sz.bytes)
+		})
 	}
 }
 
-func benchTransfer(b *testing.B, wire transport.Wire, bytes int) {
+func benchTransfer(b *testing.B, bytes int) {
 	w, err := transport.NewWorkerServer("127.0.0.1:0", gpusim.OCIWorkerSpec("bench"), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = w.Close() })
-	fab, err := transport.DialWith([]string{w.Addr()}, transport.DialOptions{Wire: wire})
+	fab, err := transport.Dial([]string{w.Addr()})
 	if err != nil {
 		b.Fatal(err)
 	}

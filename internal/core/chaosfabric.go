@@ -56,7 +56,9 @@ type ChaosOptions struct {
 	Seed int64
 }
 
-// ChaosFabric wraps an inner Fabric with the fault schedule.
+// ChaosFabric wraps an inner Fabric with the fault schedule. It does not
+// forward AsyncLauncher: faults are injected per blocking call, so the
+// controller must take the blocking Launch path through it.
 type ChaosFabric struct {
 	inner Fabric
 	opt   ChaosOptions

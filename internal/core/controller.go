@@ -942,7 +942,7 @@ func (c *Controller) submitLocked(inv Invocation) (*Pending, error) {
 		return c.pipe.enqueue(s)
 	}
 	end, err := c.dispatch(s)
-	p := &Pending{done: closedChan, end: end, err: err}
+	p := &Pending{done: closedChan, end: end, err: err, resolved: true}
 	return p, err
 }
 
@@ -983,6 +983,40 @@ type Pending struct {
 	done chan struct{}
 	end  sim.VirtualTime
 	err  error
+	// mu guards resolved and hooks (OnDone may race resolve).
+	mu       sync.Mutex
+	resolved bool
+	hooks    []func(sim.VirtualTime, error)
+}
+
+// resolve is the one way a Pending completes: it records the outcome, runs
+// the OnDone hooks on the calling goroutine, then releases the waiters —
+// so whoever returns from Wait finds every hook's effect in place.
+func (p *Pending) resolve(end sim.VirtualTime, err error) {
+	p.mu.Lock()
+	p.end, p.err, p.resolved = end, err, true
+	hooks := p.hooks
+	p.hooks = nil
+	p.mu.Unlock()
+	for _, fn := range hooks {
+		fn(end, err)
+	}
+	close(p.done)
+}
+
+// OnDone registers fn to run with the CE's outcome when it resolves — on
+// the resolving goroutine (a dispatcher or a fabric reader), or at once on
+// the caller's if it already has. fn must not block.
+func (p *Pending) OnDone(fn func(end sim.VirtualTime, err error)) {
+	p.mu.Lock()
+	if !p.resolved {
+		p.hooks = append(p.hooks, fn)
+		p.mu.Unlock()
+		return
+	}
+	end, err := p.end, p.err
+	p.mu.Unlock()
+	fn(end, err)
 }
 
 // Wait blocks until the CE has dispatched and returns its completion time.
@@ -1123,7 +1157,11 @@ func (c *Controller) retryDelay(n int) time.Duration {
 func (c *Controller) commit(s *scheduled, target cluster.NodeID, ready, end sim.VirtualTime, moved memmodel.Bytes, p2p int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.commitLocked(s, target, ready, end, moved, p2p)
+}
 
+// commitLocked is commit with mu held.
+func (c *Controller) commitLocked(s *scheduled, target cluster.NodeID, ready, end sim.VirtualTime, moved memmodel.Bytes, p2p int) {
 	// Update the data-location registry.
 	outIdx := 0
 	for i, a := range s.inv.Args {
@@ -1223,6 +1261,68 @@ func (c *Controller) waitDeps(s *scheduled) (sim.VirtualTime, error) {
 		}
 	}
 	return depReady, nil
+}
+
+// streamableLocked reports whether s can be started on its target's
+// control stream right now, without waiting for anything (pipeline.go's
+// streamed dispatch): the target is alive, s leads no coalesced prefetch,
+// every DAG ancestor has committed or is itself started on the same target
+// and not yet answered (inflight — the worker runs its channel in order,
+// so it runs first), and the registry holds a copy of every array argument
+// on the target. Caller holds mu.
+//
+// Why that is enough: the registry describes the last committed version.
+// An uncommitted writer of an argument is a RAW/WAW ancestor, so it is
+// either ahead of s on this worker's channel (its commit re-registers the
+// target) or on another worker, which fails the ancestor test; an
+// uncommitted reader elsewhere is a WAR ancestor and fails it too.
+func (c *Controller) streamableLocked(s *scheduled, inflight map[dag.CEID]cluster.NodeID) bool {
+	if c.dead[s.target] || s.prefetch != nil {
+		return false
+	}
+	for _, a := range s.ancestors {
+		if _, ok := c.ceEnd[a.CE.ID]; ok {
+			continue
+		}
+		if w, ok := inflight[a.CE.ID]; !ok || w != s.target {
+			return false
+		}
+	}
+	for i, a := range s.inv.Args {
+		if !a.IsArray {
+			continue
+		}
+		if _, up := s.arrs[i].upToDate[s.target]; !up {
+			return false
+		}
+	}
+	return true
+}
+
+// streamedReadyLocked computes a streamed CE's start bound when its answer
+// arrives — its ancestors' ends and its arguments' copy times, what
+// waitDeps and ensureArgs report on the blocking path. ok is false when an
+// ancestor has not committed: it failed ahead of s on the channel, so s
+// ran without its effect and must not commit. Caller holds mu.
+func (c *Controller) streamedReadyLocked(s *scheduled) (ready sim.VirtualTime, ok bool) {
+	for _, a := range s.ancestors {
+		end, committed := c.ceEnd[a.CE.ID]
+		if !committed {
+			return 0, false
+		}
+		if end > ready {
+			ready = end
+		}
+	}
+	for i, a := range s.inv.Args {
+		if !a.IsArray {
+			continue
+		}
+		if t := s.arrs[i].upToDate[s.target]; t > ready {
+			ready = t
+		}
+	}
+	return ready, true
 }
 
 // waitLocalCopy blocks until the target's copy of arr is valid when the
@@ -1655,13 +1755,11 @@ func (c *Controller) BuildKernel(src, signature string) (*kernels.Def, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, exists := c.reg.Lookup(d.Name); !exists {
-			if err := c.reg.Register(d); err != nil {
-				return nil, err
-			}
+		// Shards share one registry, each under its own submission lock.
+		if def, err = c.reg.LookupOrRegister(d); err != nil {
+			return nil, err
 		}
-		c.reg.CacheSource(key, d.Name)
-		def = d
+		c.reg.CacheSource(key, def.Name)
 	}
 	// Always broadcast, cache hit or not: workers that joined after the
 	// first build still need the kernel propagated.

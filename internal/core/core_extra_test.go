@@ -14,6 +14,7 @@ import (
 	"grout/internal/kernels"
 	"grout/internal/memmodel"
 	"grout/internal/policy"
+	"grout/internal/sim"
 )
 
 func TestBestSourcePrefersP2POverController(t *testing.T) {
@@ -389,5 +390,30 @@ func TestGanttAndDescribe(t *testing.T) {
 	}
 	if !strings.Contains(e.String(), "no CEs") {
 		t.Fatalf("empty gantt output: %q", e.String())
+	}
+}
+
+// A Pending runs each OnDone hook exactly once with the outcome — on the
+// resolver before Wait returns, or at once when registered afterwards.
+func TestPendingOnDone(t *testing.T) {
+	p := &Pending{done: make(chan struct{})}
+	var got []sim.VirtualTime
+	p.OnDone(func(end sim.VirtualTime, err error) {
+		if err != nil {
+			t.Errorf("hook saw error %v", err)
+		}
+		got = append(got, end)
+	})
+	go p.resolve(7, nil)
+	if end, err := p.Wait(); end != 7 || err != nil {
+		t.Fatalf("Wait = %v, %v", end, err)
+	}
+	// The hook ran before Wait was released.
+	if len(got) != 1 || got[0] != 7 {
+		t.Fatalf("hooks before Wait returned: %v", got)
+	}
+	p.OnDone(func(end sim.VirtualTime, _ error) { got = append(got, end+1) })
+	if len(got) != 2 || got[1] != 8 {
+		t.Fatalf("late hook did not run at once: %v", got)
 	}
 }

@@ -116,6 +116,29 @@ type BulkMover interface {
 		bufs []*kernels.Buffer) (sim.VirtualTime, error)
 }
 
+// AsyncLauncher is an optional Fabric extension for fabrics whose worker
+// executes the launches of one control channel strictly in the order they
+// were started (real transports; see pipeline.go's streamed dispatch).
+// StartLaunch queues a launch on worker w without waiting for the answers
+// to the launches started before it and reports its outcome through done:
+// exactly once, from a fabric goroutine, never blocking, and only if
+// StartLaunch returned nil. A started launch runs after every launch
+// started on w before it; when one fails because the channel broke, every
+// launch started behind it fails too. FlushLaunches puts w's queued
+// launches on the wire — callers flush before they wait for an answer.
+// One goroutine at a time starts launches, and it calls the blocking
+// Launch only with nothing in flight.
+//
+// Unlike every other optional interface, a wrapper must NOT forward this
+// one unless it preserves that ordering itself: absence selects the
+// blocking Launch path, which is always correct, so not forwarding is the
+// safe default (lockedFabric, PartitionFabric and ChaosFabric do not).
+type AsyncLauncher interface {
+	StartLaunch(w cluster.NodeID, inv Invocation, ready sim.VirtualTime,
+		done func(end sim.VirtualTime, err error)) error
+	FlushLaunches(w cluster.NodeID)
+}
+
 // LocalFabric runs workers in-process over the cluster simulator.
 // Operations mutate shared virtual timelines and must not be issued
 // concurrently; the controller's pipelined mode sequences them (it does
@@ -377,8 +400,6 @@ func (f *LocalFabric) BuildKernel(src, signature string) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrKernelCompile, err)
 	}
-	if _, exists := f.reg.Lookup(def.Name); exists {
-		return nil
-	}
-	return f.reg.Register(def)
+	_, err = f.reg.LookupOrRegister(def)
+	return err
 }

@@ -34,13 +34,29 @@
 // pipelined schedule — placements, transfers, and virtual times — is
 // identical to the serial one. TestPipelineMatchesSerial checks this
 // property over random DAGs, seeds, and policies.
+//
+// Streamed launches: a concurrent-dispatch fabric that also offers
+// AsyncLauncher (the TCP transport) executes one worker's launches in the
+// order they were started, which is the paper's Local-DAG rule carried by
+// the wire. The batch dispatcher uses it: a CE that streamableLocked
+// accepts is started without waiting for the answer to anything before it,
+// and its answer commits it from the fabric's reader goroutine; any other
+// CE takes the blocking dispatch, after everything in flight has been
+// answered. A started launch that fails is not handled where it failed:
+// it goes on a redo list, the dispatcher stops starting, waits until
+// nothing is in flight and runs the failed CEs through the blocking
+// dispatch in submission order — retry, failover and lineage recovery all
+// stay there. Virtual-time fabrics never take this path.
 package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"grout/internal/cluster"
+	"grout/internal/dag"
 	"grout/internal/sim"
 )
 
@@ -64,26 +80,27 @@ type job struct {
 	// followers are the Pendings of CEs the window optimizer fused into
 	// this one; they resolve with the same end time and error.
 	followers []*Pending
+	// b is the window the job arrived in (nil on the per-worker queues).
+	b *jobBatch
 }
 
 // finish resolves the job's Pending and every follower.
 func (j *job) finish(end sim.VirtualTime, err error) {
-	j.p.end, j.p.err = end, err
-	close(j.p.done)
+	j.p.resolve(end, err)
 	for _, f := range j.followers {
-		f.end, f.err = end, err
-		close(f.done)
+		f.resolve(end, err)
 	}
 }
 
 // jobBatch is one flushed optimizer window in flight to the batch
-// dispatcher. scheds is the jobs' backing slab; the dispatcher recycles
-// it once the whole window has dispatched (nothing retains a *scheduled
-// past dispatch — the serial path's schedBuf reuse relies on the same
-// contract).
+// dispatcher. scheds is the jobs' backing slab, recycled once the last
+// job of the window has resolved — a streamed job's *scheduled lives until
+// its answer arrives, past the dispatcher's loop — and left counts the
+// jobs still unresolved.
 type jobBatch struct {
 	jobs   []job
 	scheds []scheduled
+	left   atomic.Int32
 }
 
 // pipeline is the dispatch engine behind Options.Pipeline.
@@ -99,7 +116,23 @@ type pipeline struct {
 	// against serial on scheduler-bound streams. Jobs inside a batch run
 	// FIFO on that one goroutine; the ticket sequencer still orders them
 	// against any per-worker queue traffic.
-	batch chan jobBatch
+	batch chan *jobBatch
+
+	// Streamed launches (see the package comment). al is the fabric's
+	// AsyncLauncher, nil when launches take the blocking path only; depth
+	// bounds one worker's started-and-unanswered launches. inflight maps
+	// every such CE to its worker, flying[w] counts them per worker, redo
+	// holds the started jobs that failed — all three guarded by c.mu, and
+	// changes are broadcast on c.cond. wake tells an idle dispatcher that
+	// redo is non-empty. unflushed is the dispatcher's own list of workers
+	// with launches still in a write buffer.
+	al        AsyncLauncher
+	depth     int
+	inflight  map[dag.CEID]cluster.NodeID
+	flying    map[cluster.NodeID]int
+	redo      []*job
+	wake      chan struct{}
+	unflushed []cluster.NodeID
 
 	// mu guards the submission/completion counters and closed flag.
 	mu        sync.Mutex
@@ -129,6 +162,12 @@ func newPipeline(c *Controller, depth int) *pipeline {
 	}
 	if cd, ok := c.fabric.(ConcurrentDispatcher); ok && cd.ConcurrentDispatch() {
 		pl.sequenced = false
+		if al, ok := c.fabric.(AsyncLauncher); ok {
+			pl.al, pl.depth = al, depth
+			pl.inflight = make(map[dag.CEID]cluster.NodeID)
+			pl.flying = make(map[cluster.NodeID]int)
+			pl.wake = make(chan struct{}, 1)
+		}
 	}
 	pl.drainCond = sync.NewCond(&pl.mu)
 	pl.seqCond = sync.NewCond(&pl.seqMu)
@@ -138,7 +177,7 @@ func newPipeline(c *Controller, depth int) *pipeline {
 		pl.wg.Add(1)
 		go pl.dispatcher(q)
 	}
-	pl.batch = make(chan jobBatch, depth)
+	pl.batch = make(chan *jobBatch, depth)
 	pl.wg.Add(1)
 	go pl.batchDispatcher()
 	return pl
@@ -171,7 +210,7 @@ func (pl *pipeline) enqueue(s *scheduled) (*Pending, error) {
 // returned them while the CEs were parked); tickets are issued here, in
 // window order, so the sequencer interleaves the batch correctly with
 // any directly enqueued CEs.
-func (pl *pipeline) enqueueBatch(b jobBatch) error {
+func (pl *pipeline) enqueueBatch(b *jobBatch) error {
 	if len(b.jobs) == 0 {
 		return nil
 	}
@@ -208,25 +247,176 @@ func (pl *pipeline) dispatcher(q chan *job) {
 
 // batchDispatcher drains whole optimizer windows. The jobs of one batch
 // carry consecutive tickets, so in sequenced mode waitTurn degenerates
-// to a cheap check after the first job.
+// to a cheap check after the first job. On a streaming fabric a job is
+// started when it can be and dispatched blocking — after everything in
+// flight has been answered — when it cannot.
 func (pl *pipeline) batchDispatcher() {
 	defer pl.wg.Done()
-	for b := range pl.batch {
+	for {
+		var b *jobBatch
+		var ok bool
+		select {
+		case b, ok = <-pl.batch:
+		default:
+			// About to sleep: a started launch left in a write buffer
+			// would never be answered.
+			pl.flushStarts()
+			select {
+			case b, ok = <-pl.batch:
+			case <-pl.wake:
+				pl.quiesce()
+				continue
+			}
+		}
+		if !ok {
+			return
+		}
 		for i := range b.jobs {
 			j := &b.jobs[i]
 			if pl.sequenced {
 				pl.waitTurn(j.seq)
 			}
-			pl.runJob(j)
+			if !pl.tryStart(j) {
+				pl.quiesce()
+				pl.runJob(j)
+				pl.resolved(j)
+			}
 			if pl.sequenced {
 				pl.advance()
 			}
 		}
-		pl.mu.Lock()
-		pl.completed += uint64(len(b.jobs))
-		pl.drainCond.Broadcast()
-		pl.mu.Unlock()
-		pl.c.putSchedSlab(b.scheds)
+	}
+}
+
+// resolved accounts one finished job of a window; the last one completes
+// the window and recycles its slab.
+func (pl *pipeline) resolved(j *job) {
+	b := j.b
+	if b.left.Add(-1) != 0 {
+		return
+	}
+	pl.mu.Lock()
+	pl.completed += uint64(len(b.jobs))
+	pl.drainCond.Broadcast()
+	pl.mu.Unlock()
+	pl.c.putSchedSlab(b.scheds)
+}
+
+// tryStart starts j on its target's stream if streamableLocked allows it
+// and reports whether it did; false sends the caller down the blocking
+// path. A target already at the pipeline depth is waited for (flushed
+// first — the answers being waited for may still be in the write buffer).
+func (pl *pipeline) tryStart(j *job) bool {
+	if pl.al == nil {
+		return false
+	}
+	c, s := pl.c, j.s
+	c.mu.Lock()
+	for {
+		if pl.err != nil || len(pl.redo) > 0 || !c.streamableLocked(s, pl.inflight) {
+			c.mu.Unlock()
+			return false
+		}
+		if pl.flying[s.target] < pl.depth {
+			break
+		}
+		c.mu.Unlock()
+		pl.flushStarts()
+		c.mu.Lock()
+		for pl.flying[s.target] >= pl.depth && len(pl.redo) == 0 {
+			c.cond.Wait()
+		}
+	}
+	pl.inflight[s.ce.ID] = s.target
+	pl.flying[s.target]++
+	c.mu.Unlock()
+	if len(pl.unflushed) == 0 || pl.unflushed[len(pl.unflushed)-1] != s.target {
+		pl.unflushed = append(pl.unflushed, s.target)
+	}
+	err := pl.al.StartLaunch(s.target, s.inv, 0, func(end sim.VirtualTime, err error) {
+		pl.launchDone(j, end, err)
+	})
+	if err != nil {
+		pl.launchDone(j, 0, err)
+	}
+	return true
+}
+
+// flushStarts puts every started launch on the wire. It runs before
+// anything the dispatcher does that can block: sleeping for the next
+// window, waiting out the depth bound, quiescing.
+func (pl *pipeline) flushStarts() {
+	// A worker is listed once per run of consecutive starts; flushing an
+	// empty buffer is a no-op.
+	for _, w := range pl.unflushed {
+		pl.al.FlushLaunches(w)
+	}
+	pl.unflushed = pl.unflushed[:0]
+}
+
+// launchDone receives a started launch's answer on the fabric's reader
+// goroutine. Success commits the CE — no data moved, every replica the
+// window predicted counted as an eliminated move, as ensureArgs would —
+// and resolves it. Failure, or success behind a failed ancestor (the
+// launch ran without its effect), puts the job on the redo list.
+func (pl *pipeline) launchDone(j *job, end sim.VirtualTime, err error) {
+	c, s := pl.c, j.s
+	c.mu.Lock()
+	delete(pl.inflight, s.ce.ID)
+	pl.flying[s.target]--
+	var ready sim.VirtualTime
+	ok := err == nil
+	if ok {
+		ready, ok = c.streamedReadyLocked(s)
+	}
+	if !ok {
+		pl.redo = append(pl.redo, j)
+		c.cond.Broadcast()
+		c.mu.Unlock()
+		select {
+		case pl.wake <- struct{}{}:
+		default: // already signalled
+		}
+		return
+	}
+	c.commitLocked(s, s.target, ready, end, 0, 0)
+	c.mu.Unlock()
+	for i, a := range s.inv.Args {
+		if a.IsArray && s.upAtSched[i] {
+			c.countEliminatedMove(s)
+		}
+	}
+	j.finish(end, nil)
+	pl.resolved(j)
+}
+
+// quiesce flushes, waits until nothing is in flight, and runs every failed
+// start through the blocking dispatch in submission order (a broken
+// channel fails everything behind the first failure, so that is also the
+// order the launches would have run in). It returns with nothing in
+// flight and the redo list empty — the state the blocking path needs.
+func (pl *pipeline) quiesce() {
+	if pl.al == nil {
+		return
+	}
+	c := pl.c
+	for {
+		pl.flushStarts()
+		c.mu.Lock()
+		for len(pl.inflight) > 0 {
+			c.cond.Wait()
+		}
+		redo := pl.redo
+		pl.redo = nil
+		c.mu.Unlock()
+		if len(redo) == 0 {
+			return
+		}
+		sort.Slice(redo, func(a, b int) bool { return redo[a].seq < redo[b].seq })
+		for _, j := range redo {
+			pl.runJob(j)
+			pl.resolved(j)
+		}
 	}
 }
 

@@ -20,8 +20,8 @@ package core
 // with each other — the owner (the gateway's per-session serve
 // goroutine) serializes them. Different sessions over one Controller
 // are safe concurrently; that is the Controller's documented submission
-// contract. The internal mutex exists because Submit's completion
-// watchers fire from dispatcher goroutines.
+// contract. The internal mutex exists because Submit's completion hooks
+// fire from dispatcher and fabric-reader goroutines.
 
 import (
 	"fmt"
@@ -281,8 +281,7 @@ func (s *ControllerSession) Submit(inv Invocation) (*Pending, error) {
 	s.admitted++
 	s.inflight++
 	s.mu.Unlock()
-	go func() {
-		_, werr := p.Wait()
+	p.OnDone(func(_ sim.VirtualTime, werr error) {
 		s.mu.Lock()
 		s.inflight--
 		if werr != nil {
@@ -294,7 +293,7 @@ func (s *ControllerSession) Submit(inv Invocation) (*Pending, error) {
 			s.idle.Broadcast()
 		}
 		s.mu.Unlock()
-	}()
+	})
 	return p, nil
 }
 

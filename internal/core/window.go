@@ -191,11 +191,9 @@ func (c *Controller) parkLocked(inv Invocation, stats *OptCounters, tenant any) 
 // unwind.
 func failWindow(entries []*winEntry, err error) {
 	for _, e := range entries {
-		e.p.err = err
-		close(e.p.done)
+		e.p.resolve(0, err)
 		for _, f := range e.followers {
-			f.err = err
-			close(f.done)
+			f.resolve(0, err)
 		}
 	}
 }
@@ -341,9 +339,10 @@ func (c *Controller) flushWindowLocked() error {
 	c.mu.Unlock()
 
 	if c.pipe != nil {
-		b := jobBatch{jobs: make([]job, n), scheds: scheds}
+		b := &jobBatch{jobs: make([]job, n), scheds: scheds}
+		b.left.Store(int32(n))
 		for i := range ws {
-			b.jobs[i] = job{s: &scheds[i], p: ws[i].p, followers: ws[i].followers}
+			b.jobs[i] = job{s: &scheds[i], p: ws[i].p, followers: ws[i].followers, b: b}
 		}
 		if err := c.pipe.enqueueBatch(b); err != nil {
 			// Closed mid-flush: the CEs are in the DAG but will never
@@ -373,11 +372,9 @@ func (c *Controller) flushWindowLocked() error {
 		} else {
 			c.commitError(s, err)
 		}
-		e.p.end, e.p.err = end, err
-		close(e.p.done)
+		e.p.resolve(end, err)
 		for _, f := range e.followers {
-			f.end, f.err = end, err
-			close(f.done)
+			f.resolve(end, err)
 		}
 	}
 	if firstErr != nil {
@@ -543,13 +540,10 @@ func (c *Controller) compileFused(src string) (*kernels.Def, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, exists := c.reg.Lookup(d.Name); !exists {
-			if err := c.reg.Register(d); err != nil {
-				return nil, err
-			}
+		if def, err = c.reg.LookupOrRegister(d); err != nil {
+			return nil, err
 		}
-		c.reg.CacheSource(key, d.Name)
-		def = d
+		c.reg.CacheSource(key, def.Name)
 	}
 	if kb, ok := c.fabric.(KernelBuilder); ok {
 		if err := kb.BuildKernel(src, ""); err != nil {

@@ -414,14 +414,13 @@ func (r *Runtime) BuildKernel(src, signature string) (*kernels.Def, error) {
 			return def, nil
 		}
 	}
-	def, err := minicuda.Compile(src, signature)
+	compiled, err := minicuda.Compile(src, signature)
 	if err != nil {
 		return nil, err
 	}
-	if _, exists := r.reg.Lookup(def.Name); !exists {
-		if err := r.reg.Register(def); err != nil {
-			return nil, err
-		}
+	def, err := r.reg.LookupOrRegister(compiled)
+	if err != nil {
+		return nil, err
 	}
 	r.reg.CacheSource(key, def.Name)
 	return def, nil

@@ -193,6 +193,24 @@ func (r *Registry) Register(d *Def) error {
 	return nil
 }
 
+// LookupOrRegister returns the definition registered under d.Name, adding
+// d first if there is none — one atomic step, so any number of builders of
+// the same kernel over a shared registry all succeed and all get the same
+// definition. A Lookup followed by a Register is not: two builders both
+// miss, and the second Register fails.
+func (r *Registry) LookupOrRegister(d *Def) (*Def, error) {
+	if d.Name == "" {
+		return nil, fmt.Errorf("kernels: definition with empty name")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if have, ok := r.defs[d.Name]; ok {
+		return have, nil
+	}
+	r.defs[d.Name] = d
+	return d, nil
+}
+
 // Lookup finds a definition by name.
 func (r *Registry) Lookup(name string) (*Def, bool) {
 	r.mu.RLock()

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"grout/internal/core"
+	"grout/internal/sim"
 	"grout/internal/transport"
 )
 
@@ -794,7 +795,8 @@ func (sh *shardState) drainRound(roster []*tenant) {
 }
 
 // submitOne hands one queued launch to the shard's controller on the
-// tenant's behalf and watches its dispatch.
+// tenant's behalf; the launch's completion hook (which runs on whichever
+// goroutine resolves it) returns the in-flight credit and wakes the drain.
 func (sh *shardState) submitOne(t *tenant, q queuedLaunch) {
 	t.mu.Lock()
 	if t.gone || t.sticky != nil {
@@ -827,8 +829,7 @@ func (sh *shardState) submitOne(t *tenant, q queuedLaunch) {
 	sh.mu.Lock()
 	sh.ces++
 	sh.mu.Unlock()
-	go func() {
-		_, werr := p.Wait()
+	p.OnDone(func(_ sim.VirtualTime, werr error) {
 		if werr != nil {
 			t.setSticky(werr)
 		}
@@ -838,5 +839,5 @@ func (sh *shardState) submitOne(t *tenant, q queuedLaunch) {
 		sh.mu.Lock()
 		sh.drainCond.Broadcast()
 		sh.mu.Unlock()
-	}()
+	})
 }

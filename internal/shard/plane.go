@@ -287,7 +287,9 @@ func (p *Plane) Close() error {
 // controllers. The optional fast paths are forwarded (with fallbacks)
 // like PartitionFabric's, and ConcurrentDispatch answers false
 // unconditionally: operation order on the shared timelines is
-// observable, so dispatch must stay serial per controller.
+// observable, so dispatch must stay serial per controller. For the same
+// reason core.AsyncLauncher is not forwarded (its absence selects the
+// blocking Launch path).
 type lockedFabric struct {
 	mu    sync.Mutex
 	inner core.Fabric
@@ -395,7 +397,9 @@ func (f *lockedFabric) BuildKernel(src, signature string) error {
 // a lease replica lives on a foreign worker, and recovery re-ships from
 // it over the same wires. The optional fast-path interfaces are
 // implemented unconditionally with graceful fallbacks, because
-// embedding would hide them from the controller's type assertions.
+// embedding would hide them from the controller's type assertions —
+// except core.AsyncLauncher, which has no fallback that keeps its
+// ordering contract and whose absence is the safe default.
 type PartitionFabric struct {
 	inner   core.Fabric
 	workers []cluster.NodeID

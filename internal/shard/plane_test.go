@@ -12,8 +12,10 @@ import (
 	"grout/internal/cluster"
 	"grout/internal/core"
 	"grout/internal/dag"
+	"grout/internal/kernels"
 	"grout/internal/memmodel"
 	"grout/internal/policy"
+	"grout/internal/sim"
 )
 
 const planeElems = 64
@@ -319,5 +321,34 @@ func TestRestrictedPolicyClamps(t *testing.T) {
 	}
 	if r.NeedsDataView() {
 		t.Fatal("round-robin needs no data view; wrapper must forward that")
+	}
+}
+
+// asyncInner is a fabric that offers core.AsyncLauncher, for checking
+// that the wrappers in this package hide it.
+type asyncInner struct{ *core.LocalFabric }
+
+func (asyncInner) StartLaunch(cluster.NodeID, core.Invocation, sim.VirtualTime,
+	func(sim.VirtualTime, error)) error {
+	return nil
+}
+func (asyncInner) FlushLaunches(cluster.NodeID) {}
+
+// Neither wrapper keeps a control channel's ordering guarantee itself
+// (lockedFabric interleaves shards, PartitionFabric delegates to it), so
+// neither may forward AsyncLauncher: absence selects the blocking path.
+func TestWrappersDoNotForwardAsyncLauncher(t *testing.T) {
+	var inner core.Fabric = asyncInner{core.NewLocalFabric(
+		cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), false)}
+	if _, ok := inner.(core.AsyncLauncher); !ok {
+		t.Fatal("test fabric does not offer AsyncLauncher")
+	}
+	for name, wrapped := range map[string]core.Fabric{
+		"lockedFabric":    &lockedFabric{inner: inner},
+		"PartitionFabric": NewPartitionFabric(inner, inner.Workers()),
+	} {
+		if _, ok := wrapped.(core.AsyncLauncher); ok {
+			t.Errorf("%s forwards AsyncLauncher", name)
+		}
 	}
 }

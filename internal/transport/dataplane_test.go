@@ -1,8 +1,8 @@
 package transport
 
 // Data-plane tests: bulk-channel fault injection and failover, control
-// latency under bulk load, typed errors across the wire, the legacy gob
-// wire end to end, and concurrent interleaved transfers.
+// latency under bulk load, typed errors across the wire, and concurrent
+// interleaved transfers.
 
 import (
 	"errors"
@@ -53,8 +53,8 @@ func (f *failAfterWriter) Write(p []byte) (int, error) {
 func severBulk(t *testing.T, fab *TCPFabric, w cluster.NodeID, afterBytes int) {
 	t.Helper()
 	l, ok := fab.links[w]
-	if !ok || l.bulk == nil {
-		t.Fatalf("no framed bulk link for worker %v", w)
+	if !ok {
+		t.Fatalf("no link for worker %v", w)
 	}
 	fc := l.bulk.fc
 	fc.wmu.Lock()
@@ -152,7 +152,7 @@ func TestPingNotBlockedByBulkTransfer(t *testing.T) {
 	l := fab.links[1]
 	ping := func() time.Duration {
 		start := time.Now()
-		if _, err := l.call(&Request{Kind: MsgPing}); err != nil {
+		if _, err := l.ctrl.call(&Request{Kind: MsgPing}); err != nil {
 			t.Fatalf("ping: %v", err)
 		}
 		return time.Since(start)
@@ -240,86 +240,6 @@ func TestTypedErrorsAcrossWire(t *testing.T) {
 	if !errors.Is(err, core.ErrOOM) {
 		t.Fatalf("oversize ensure-array: %v, want core.ErrOOM", err)
 	}
-}
-
-// The same sentinels must survive the legacy gob wire (Response.Code rides
-// both encodings).
-func TestTypedErrorsAcrossGobWire(t *testing.T) {
-	w, err := NewWorkerServer("127.0.0.1:0", testSpec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = w.Close() })
-	fab, err := DialWith([]string{w.Addr()}, DialOptions{Wire: WireGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = fab.Close() })
-	dst := kernels.NewBuffer(memmodel.Float32, 8)
-	if _, err := fab.MoveArray(dag.ArrayID(999), 1, cluster.ControllerID, 0, nil, dst); !errors.Is(err, core.ErrArrayNotFound) {
-		t.Fatalf("fetch of unknown array over gob: %v, want core.ErrArrayNotFound", err)
-	}
-	if err := fab.BuildKernel("garbage(", ""); !errors.Is(err, core.ErrKernelCompile) {
-		t.Fatalf("garbage kernel over gob: %v, want core.ErrKernelCompile", err)
-	}
-}
-
-// The gob wire stays a fully working deployment mode for one release:
-// an end-to-end workload over WireGob matches expectations bit-exactly.
-func TestGobWireEndToEnd(t *testing.T) {
-	var workers []*WorkerServer
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		w, err := NewWorkerServer("127.0.0.1:0", testSpec(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = w.Close() })
-		workers = append(workers, w)
-		addrs = append(addrs, w.Addr())
-	}
-	fab, err := DialWith(addrs, DialOptions{Wire: WireGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = fab.Close() })
-	if fab.Wire() != WireGob {
-		t.Fatalf("wire = %v, want gob", fab.Wire())
-	}
-	ctl := core.NewController(fab, policy.NewRoundRobin(), core.Options{Numeric: true})
-
-	const n = int64(256)
-	x, _ := ctl.NewArray(memmodel.Float32, n)
-	y, _ := ctl.NewArray(memmodel.Float32, n)
-	for i := 0; i < int(n); i++ {
-		x.Buf.Set(i, float64(i))
-		y.Buf.Set(i, 1)
-	}
-	if _, err := ctl.HostWrite(x.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctl.HostWrite(y.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctl.Launch(core.Invocation{Kernel: "axpy",
-		Args: []core.ArgRef{core.ArrRef(y.ID), core.ArrRef(x.ID),
-			core.ScalarRef(2), core.ScalarRef(float64(n))}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctl.HostRead(y.ID); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < int(n); i++ {
-		if want := 1 + 2*float64(i); y.Buf.At(i) != want {
-			t.Fatalf("y[%d] = %v, want %v", i, y.Buf.At(i), want)
-		}
-	}
-	// P2P over gob still works too.
-	if _, err := ctl.Launch(core.Invocation{Kernel: "relu",
-		Args: []core.ArgRef{core.ArrRef(y.ID), core.ScalarRef(float64(n))}}); err != nil {
-		t.Fatal(err)
-	}
-	_ = workers
 }
 
 // Concurrent transfers of different arrays interleave on one bulk channel

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -15,53 +14,20 @@ import (
 	"grout/internal/sim"
 )
 
-// Wire selects the wire protocol a fabric speaks.
-type Wire int
-
-const (
-	// WireFramed is the length-prefixed binary protocol with the
-	// control/bulk channel split (the default).
-	WireFramed Wire = iota
-	// WireGob is the legacy reflection-driven gob codec over a single
-	// connection per worker; kept for one release behind `-wire gob`.
-	WireGob
-)
-
-// ParseWire maps a flag value to a Wire.
-func ParseWire(name string) (Wire, error) {
-	switch name {
-	case "", "framed":
-		return WireFramed, nil
-	case "gob":
-		return WireGob, nil
-	default:
-		return 0, fmt.Errorf("transport: unknown wire protocol %q (want framed or gob)", name)
-	}
-}
-
-func (w Wire) String() string {
-	if w == WireGob {
-		return "gob"
-	}
-	return "framed"
-}
-
 // DialOptions tune a TCP fabric. For the three timeouts, zero selects the
 // package default and a negative value disables the deadline entirely —
 // so a zero-valued DialOptions behaves safely out of the box.
 type DialOptions struct {
-	// Wire selects the protocol (default WireFramed).
-	Wire Wire
 	// ChunkBytes is the bulk-transfer chunk size (default
 	// DefaultChunkBytes; clamped to [4 KiB, 64 MiB) and 8-byte aligned).
 	ChunkBytes int
-	// DialTimeout bounds connection establishment on both wires (default
-	// DefaultDialTimeout — previously the gob path hard-coded 5 s and the
-	// framed path had none).
+	// DialTimeout bounds connection establishment (default
+	// DefaultDialTimeout).
 	DialTimeout time.Duration
-	// CallTimeout bounds one control round trip — ping, launch, ensure,
-	// build, free (default DefaultCallTimeout). A worker that accepts TCP
-	// but never answers surfaces as core.ErrTimeout instead of a hang.
+	// CallTimeout bounds the wait for the next control response — ping,
+	// launch, ensure, build, free — while any request is outstanding
+	// (default DefaultCallTimeout). A worker that accepts TCP but never
+	// answers surfaces as core.ErrTimeout instead of a hang.
 	CallTimeout time.Duration
 	// ChunkTimeout bounds *progress* on incoming bulk data: each chunk of
 	// a fetch must arrive within the window (default DefaultChunkTimeout).
@@ -77,35 +43,19 @@ type DialOptions struct {
 	RetryBackoff time.Duration
 }
 
-// link is one worker's connection set: either a framed control+bulk pair
-// or a single legacy gob connection.
+// link is one worker's connection set: a control channel and a bulk
+// channel.
 type link struct {
-	ctrl *ctrlConn   // framed control channel
-	bulk *bulkClient // framed bulk channel
-	gob  *conn       // legacy wire (nil when framed)
+	ctrl *ctrlConn
+	bulk *bulkClient
 }
 
-// call performs a control round trip.
-func (l *link) call(req *Request) (*Response, error) {
-	if l.gob != nil {
-		return l.gob.call(req)
-	}
-	return l.ctrl.call(req)
-}
-
-// broken reports whether either framed channel recorded a fatal error (the
-// gob wire tracks none; it never reports broken).
+// broken reports whether either channel recorded a fatal error.
 func (l *link) broken() bool {
-	if l.gob != nil {
-		return false
-	}
 	return l.ctrl.fc.brokenErr() != nil || l.bulk.broken() != nil
 }
 
 func (l *link) close() error {
-	if l.gob != nil {
-		return l.gob.close()
-	}
 	err := l.ctrl.close()
 	if berr := l.bulk.close(); err == nil {
 		err = berr
@@ -114,8 +64,8 @@ func (l *link) close() error {
 }
 
 // TCPFabric implements core.Fabric over real sockets: worker i+1 is the
-// process listening at addrs[i]. On the framed wire each worker gets a
-// dedicated bulk channel, so array transfers — streamed in chunks and
+// process listening at addrs[i]. Each worker gets a dedicated bulk
+// channel, so array transfers — streamed in chunks and
 // interleaved by request ID — never head-of-line-block pings, launches or
 // failover probes on the control channel, and bulk operations on
 // different arrays run concurrently (the core.Fabric concurrent-bulk
@@ -124,10 +74,15 @@ type TCPFabric struct {
 	addrs []string
 	// lmu guards links: redial (RetryAttempts > 0) replaces entries at
 	// runtime while concurrent dispatchers read them.
-	lmu     sync.RWMutex
-	links   map[cluster.NodeID]*link
+	lmu   sync.RWMutex
+	links map[cluster.NodeID]*link
+	// stream[w] is the link StartLaunch writes worker w's launches to. A
+	// streamed launch may rest on the launches ahead of it on its channel,
+	// so the stream stays on one link even after a redial replaced it in
+	// links (a dead stream link fails every start); only a blocking Launch
+	// that succeeded — its caller has nothing in flight — moves it.
+	stream  map[cluster.NodeID]*link
 	started time.Time
-	wire    Wire
 	chunk   int
 	// Resolved timeouts/retry policy (see DialOptions).
 	dialTimeout  time.Duration
@@ -141,13 +96,12 @@ type TCPFabric struct {
 	AssumedBandwidth float64
 }
 
-// Dial connects to every worker over the framed wire and verifies
-// liveness.
+// Dial connects to every worker and verifies liveness.
 func Dial(addrs []string) (*TCPFabric, error) {
 	return DialWith(addrs, DialOptions{})
 }
 
-// DialWith is Dial with explicit wire/chunking options.
+// DialWith is Dial with explicit options.
 func DialWith(addrs []string, opts DialOptions) (*TCPFabric, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("transport: no worker addresses")
@@ -159,8 +113,8 @@ func DialWith(addrs []string, opts DialOptions) (*TCPFabric, error) {
 	f := &TCPFabric{
 		addrs:            addrs,
 		links:            make(map[cluster.NodeID]*link),
+		stream:           make(map[cluster.NodeID]*link),
 		started:          time.Now(),
-		wire:             opts.Wire,
 		chunk:            normalizeChunk(opts.ChunkBytes),
 		dialTimeout:      pickTimeout(opts.DialTimeout, DefaultDialTimeout),
 		callTimeout:      pickTimeout(opts.CallTimeout, DefaultCallTimeout),
@@ -176,33 +130,13 @@ func DialWith(addrs []string, opts DialOptions) (*TCPFabric, error) {
 			return nil, fmt.Errorf("transport: worker %d at %s: %w", i+1, addr, err)
 		}
 		f.links[cluster.NodeID(i+1)] = l
+		f.stream[cluster.NodeID(i+1)] = l
 	}
 	return f, nil
 }
 
-// dialWorker opens one worker's connection set and pings it. Both wires
-// share the fabric's dial timeout (the gob path's former hard-coded 5 s).
+// dialWorker opens one worker's connection set and pings it.
 func (f *TCPFabric) dialWorker(addr string) (*link, error) {
-	if f.wire == WireGob {
-		var raw net.Conn
-		var err error
-		if f.dialTimeout > 0 {
-			raw, err = net.DialTimeout("tcp", addr, f.dialTimeout)
-		} else {
-			raw, err = net.Dial("tcp", addr)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dial: %w", wrapNetErr(err))
-		}
-		c := newConn(raw)
-		c.timeout = f.callTimeout
-		l := &link{gob: c}
-		if _, err := l.call(&Request{Kind: MsgPing}); err != nil {
-			_ = l.close()
-			return nil, fmt.Errorf("ping: %w", err)
-		}
-		return l, nil
-	}
 	ctrlFC, err := dialFramed(addr, helloControl, f.dialTimeout)
 	if err != nil {
 		return nil, err
@@ -214,26 +148,22 @@ func (f *TCPFabric) dialWorker(addr string) (*link, error) {
 	}
 	ctrlFC.writeTimeout = f.callTimeout
 	bulkFC.writeTimeout = f.chunkTimeout
-	cc := newCtrlConn(ctrlFC)
-	cc.timeout = f.callTimeout
 	bc := newBulkClient(bulkFC, f.chunk)
 	bc.chunkTimeout = f.chunkTimeout
-	l := &link{ctrl: cc, bulk: bc}
-	if _, err := l.call(&Request{Kind: MsgPing}); err != nil {
+	l := &link{ctrl: newCtrlConn(ctrlFC, f.callTimeout), bulk: bc}
+	if _, err := l.ctrl.call(&Request{Kind: MsgPing}); err != nil {
 		_ = l.close()
 		return nil, fmt.Errorf("ping: %w", err)
 	}
 	return l, nil
 }
 
-// Wire reports the protocol this fabric speaks.
-func (f *TCPFabric) Wire() Wire { return f.wire }
-
 // Close closes all worker connections.
 func (f *TCPFabric) Close() error {
 	f.lmu.Lock()
 	links := f.links
 	f.links = make(map[cluster.NodeID]*link)
+	f.stream = make(map[cluster.NodeID]*link)
 	f.lmu.Unlock()
 	var firstErr error
 	for _, l := range links {
@@ -253,7 +183,7 @@ func (f *TCPFabric) Shutdown() error {
 	}
 	f.lmu.RUnlock()
 	for _, l := range links {
-		_, _ = l.call(&Request{Kind: MsgShutdown})
+		_, _ = l.ctrl.call(&Request{Kind: MsgShutdown})
 	}
 	return f.Close()
 }
@@ -336,14 +266,14 @@ func (f *TCPFabric) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) error {
 	if err != nil {
 		return err
 	}
-	_, err = l.call(&Request{Kind: MsgEnsureArray, Meta: meta})
+	_, err = l.ctrl.call(&Request{Kind: MsgEnsureArray, Meta: meta})
 	return err
 }
 
 // MoveArray implements core.Fabric: controller->worker ships srcBuf,
 // worker->controller fetches into dstBuf, worker->worker triggers a direct
-// P2P push. On the framed wire all three travel the bulk channel in
-// chunks; concurrent moves of different arrays interleave.
+// P2P push. All three travel the bulk channel in chunks; concurrent moves
+// of different arrays interleave.
 func (f *TCPFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 	_ sim.VirtualTime, srcBuf, dstBuf *kernels.Buffer) (sim.VirtualTime, error) {
 	if src == dst {
@@ -354,12 +284,6 @@ func (f *TCPFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 		l, err := f.worker(dst)
 		if err != nil {
 			return 0, err
-		}
-		if l.gob != nil {
-			if _, err := l.gob.call(&Request{Kind: MsgReceiveArray, ArrayID: id, Data: srcBuf}); err != nil {
-				return 0, err
-			}
-			break
 		}
 		meta := grcuda.ArrayMeta{ID: id}
 		if srcBuf != nil {
@@ -374,22 +298,6 @@ func (f *TCPFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 		if err != nil {
 			return 0, err
 		}
-		if l.gob != nil {
-			resp, err := l.gob.call(&Request{Kind: MsgFetchArray, ArrayID: id})
-			if err != nil {
-				return 0, err
-			}
-			if resp.Data != nil && dstBuf != nil {
-				n := dstBuf.Len()
-				if resp.Data.Len() < n {
-					n = resp.Data.Len()
-				}
-				for i := 0; i < n; i++ {
-					dstBuf.Set(i, resp.Data.At(i))
-				}
-			}
-			break
-		}
 		if err := l.bulk.fetchArray(id, dstBuf); err != nil {
 			return 0, err
 		}
@@ -397,12 +305,6 @@ func (f *TCPFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 		l, err := f.worker(src)
 		if err != nil {
 			return 0, err
-		}
-		if l.gob != nil {
-			if _, err := l.gob.call(&Request{Kind: MsgPushTo, ArrayID: id, PeerAddr: f.addrs[dst-1]}); err != nil {
-				return 0, err
-			}
-			break
 		}
 		if err := l.bulk.pushTo(id, f.addrs[dst-1]); err != nil {
 			return 0, err
@@ -417,14 +319,58 @@ func (f *TCPFabric) Launch(w cluster.NodeID, inv core.Invocation, _ sim.VirtualT
 	if err != nil {
 		return 0, err
 	}
-	if _, err := l.call(&Request{Kind: MsgLaunch, Inv: inv}); err != nil {
+	if _, err := l.ctrl.call(&Request{Kind: MsgLaunch, Inv: inv}); err != nil {
 		return 0, err
+	}
+	if f.streamLink(w) != l {
+		f.lmu.Lock()
+		f.stream[w] = l
+		f.lmu.Unlock()
 	}
 	return f.now(), nil
 }
 
+// streamLink returns the link worker w's streamed launches travel on.
+func (f *TCPFabric) streamLink(w cluster.NodeID) *link {
+	f.lmu.RLock()
+	defer f.lmu.RUnlock()
+	return f.stream[w]
+}
+
+// StartLaunch implements core.AsyncLauncher: the launch is queued on
+// worker w's control channel without waiting for the answers to the
+// launches ahead of it — the worker serves the channel strictly in order,
+// so it runs after them. done runs on the channel's reader goroutine.
+// StartLaunch never redials: the ordering holds per connection, so a
+// broken stream link fails the start and the caller's blocking path
+// (Launch) re-establishes the worker.
+func (f *TCPFabric) StartLaunch(w cluster.NodeID, inv core.Invocation, _ sim.VirtualTime,
+	done func(end sim.VirtualTime, err error)) error {
+	l := f.streamLink(w)
+	if l == nil {
+		return fmt.Errorf("transport: unknown worker %v", w)
+	}
+	return l.ctrl.start(&Request{Kind: MsgLaunch, Inv: inv}, func(resp *Response, err error) {
+		if err == nil {
+			err = resp.ok()
+		}
+		if err != nil {
+			done(0, err)
+			return
+		}
+		done(f.now(), nil)
+	})
+}
+
+// FlushLaunches implements core.AsyncLauncher.
+func (f *TCPFabric) FlushLaunches(w cluster.NodeID) {
+	if l := f.streamLink(w); l != nil {
+		l.ctrl.flush()
+	}
+}
+
 // ConcurrentDispatch implements core.ConcurrentDispatcher: operations are
-// real I/O — control round trips serialize per connection, bulk transfers
+// real I/O — control requests queue in order per connection, bulk transfers
 // interleave on each worker's dedicated bulk channel — and times are
 // wall-clock, not shared virtual timelines, so the pipelined controller
 // may dispatch to different workers concurrently without the global
@@ -445,7 +391,7 @@ func (f *TCPFabric) FreeArray(w cluster.NodeID, id dag.ArrayID) error {
 	if err != nil {
 		return err
 	}
-	_, err = l.call(&Request{Kind: MsgFreeArray, ArrayID: id})
+	_, err = l.ctrl.call(&Request{Kind: MsgFreeArray, ArrayID: id})
 	return err
 }
 
@@ -459,10 +405,10 @@ func (f *TCPFabric) Healthy(w cluster.NodeID) bool {
 	if err != nil {
 		return false
 	}
-	if l.bulk != nil && l.bulk.broken() != nil {
+	if l.bulk.broken() != nil {
 		return false
 	}
-	_, err = l.call(&Request{Kind: MsgPing})
+	_, err = l.ctrl.call(&Request{Kind: MsgPing})
 	return err == nil
 }
 
@@ -474,7 +420,7 @@ func (f *TCPFabric) BuildKernel(src, signature string) error {
 		if err != nil {
 			return err
 		}
-		if _, err := l.call(&Request{Kind: MsgBuildKernel, Src: src, Signature: signature}); err != nil {
+		if _, err := l.ctrl.call(&Request{Kind: MsgBuildKernel, Src: src, Signature: signature}); err != nil {
 			return err
 		}
 	}
@@ -494,7 +440,7 @@ func (f *TCPFabric) Stats(w cluster.NodeID) (WorkerStats, error) {
 	if err != nil {
 		return WorkerStats{}, err
 	}
-	resp, err := l.call(&Request{Kind: MsgStats})
+	resp, err := l.ctrl.call(&Request{Kind: MsgStats})
 	if err != nil {
 		return WorkerStats{}, err
 	}
@@ -508,3 +454,4 @@ func (f *TCPFabric) Stats(w cluster.NodeID) (WorkerStats, error) {
 var _ core.Fabric = (*TCPFabric)(nil)
 var _ core.KernelBuilder = (*TCPFabric)(nil)
 var _ core.ConcurrentDispatcher = (*TCPFabric)(nil)
+var _ core.AsyncLauncher = (*TCPFabric)(nil)

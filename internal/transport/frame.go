@@ -1,10 +1,9 @@
 package transport
 
-// frame.go is the framed protocol's transport layer: length-prefixed
-// frames over TCP, preceded by a 6-byte connection hello that names the
-// channel (control or bulk). The worker sniffs the hello's magic to tell
-// framed clients from legacy gob clients, so one listener serves both
-// wires during the migration release.
+// frame.go is the protocol's transport layer: length-prefixed frames over
+// TCP, preceded by a 6-byte connection hello that names the channel
+// (control, bulk or session). A connection that does not open with the
+// hello magic is closed.
 //
 // Frame layout (little-endian):
 //
@@ -32,9 +31,7 @@ import (
 	"grout/internal/core"
 )
 
-// helloMagic opens every framed connection. The first byte (0x47, "G")
-// can never open a legitimate gob stream's type definition, so sniffing
-// four bytes is unambiguous in practice.
+// helloMagic opens every connection.
 const helloMagic = "GRT\x01" // magic + wire version 1
 
 const (
@@ -77,8 +74,7 @@ const DefaultChunkBytes = 256 << 10
 // while staying far above any legitimate latency. All are configurable
 // (DialOptions / ServerOptions); negative disables.
 const (
-	// DefaultDialTimeout bounds connection establishment (both wires; the
-	// gob path's old hard-coded 5 s now comes from here too).
+	// DefaultDialTimeout bounds connection establishment.
 	DefaultDialTimeout = 5 * time.Second
 	// DefaultCallTimeout bounds one control round trip (ping, launch,
 	// build, ensure, free).
@@ -152,7 +148,9 @@ func putFrameBuf(b *[]byte) { *b = (*b)[:0]; framePool.Put(b) }
 // framedConn is one framed channel. Writes take wmu and go out with a
 // single writev (net.Buffers), so a frame is never torn; reads are owned
 // by a single reader (the demux goroutine on clients, the serve loop on
-// workers) and need no locking.
+// workers) and need no locking. Control channels write through bw instead
+// (bufferFrame / flushFrames), so a burst of small frames costs one write;
+// a connection uses one of the two write paths, never both.
 type framedConn struct {
 	raw net.Conn
 	r   *bufio.Reader
@@ -162,6 +160,7 @@ type framedConn struct {
 	iov   [2][]byte // scratch backing for writev, reused under wmu
 	wbufs net.Buffers
 	whdr  [frameHeaderLen + chunkOffsetLen]byte
+	bw    *bufio.Writer // control channels only; made on first use, under wmu
 
 	// rbuf is reader-side scratch for frame headers and chunk offsets; the
 	// single reader goroutine owns it. A field rather than a local because
@@ -295,6 +294,61 @@ func (c *framedConn) writeFrame(ftype byte, reqID uint64, p []byte) error {
 	return nil
 }
 
+// ctrlWriteBuffer sizes a control channel's write buffer: a full default
+// pipeline (64 launch frames of ~150 bytes) fits, so a burst is one write.
+const ctrlWriteBuffer = 16 << 10
+
+// frameSink is where a control channel's write buffer drains: each flush
+// arms the write deadline and goes to c.w (read at write time, so a
+// test's substituted writer sees it). Runs under wmu.
+type frameSink struct{ c *framedConn }
+
+func (s frameSink) Write(p []byte) (int, error) {
+	s.c.armWrite()
+	return s.c.w.Write(p)
+}
+
+// bufferFrame appends one frame to the connection's write buffer; it
+// reaches the wire on flushFrames, or earlier if the buffer fills.
+func (c *framedConn) bufferFrame(ftype byte, reqID uint64, p []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if err := c.brokenErr(); err != nil {
+		return err
+	}
+	if c.bw == nil {
+		c.bw = bufio.NewWriterSize(frameSink{c}, ctrlWriteBuffer)
+	}
+	hdr := c.whdr[:frameHeaderLen]
+	binary.LittleEndian.PutUint32(hdr, uint32(len(p)))
+	hdr[4] = ftype
+	binary.LittleEndian.PutUint64(hdr[5:], reqID)
+	_, err := c.bw.Write(hdr)
+	if err == nil {
+		_, err = c.bw.Write(p)
+	}
+	if err != nil {
+		return c.fail(fmt.Errorf("transport: write frame: %w", wrapNetErr(err)))
+	}
+	return nil
+}
+
+// flushFrames sends whatever bufferFrame has collected.
+func (c *framedConn) flushFrames() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.bw == nil || c.bw.Buffered() == 0 {
+		return nil
+	}
+	if err := c.brokenErr(); err != nil {
+		return err
+	}
+	if err := c.bw.Flush(); err != nil {
+		return c.fail(fmt.Errorf("transport: write frame: %w", wrapNetErr(err)))
+	}
+	return nil
+}
+
 // writev sends hdr then p as one gather write (a single syscall on TCP
 // conns). The net.Buffers header lives on the connection — WriteTo
 // consumes the slice, so it is rebuilt from the iov backing each call
@@ -401,6 +455,15 @@ func (c *framedConn) sendRequest(reqID uint64, req *Request) error {
 	bp := getFrameBuf()
 	*bp = appendRequest(*bp, req)
 	err := c.writeFrame(frameRequest, reqID, *bp)
+	putFrameBuf(bp)
+	return err
+}
+
+// bufferResponse encodes resp into the write buffer (control channels).
+func (c *framedConn) bufferResponse(reqID uint64, resp *Response) error {
+	bp := getFrameBuf()
+	*bp = appendResponse(*bp, resp)
+	err := c.bufferFrame(frameResponse, reqID, *bp)
 	putFrameBuf(bp)
 	return err
 }

@@ -6,17 +6,13 @@
 // the worker, and peer-to-peer transfers open direct worker-to-worker
 // connections, as in the paper's architecture (Figure 3).
 //
-// Two wire protocols are supported (DESIGN.md §5.2):
-//
-//   - WireFramed (default): a length-prefixed binary protocol with
-//     explicit little-endian encoding and a per-worker channel split — a
-//     low-latency control channel for pings/launches/builds and a bulk
-//     channel that streams array payloads in fixed-size chunks, multiple
-//     transfers interleaved by request ID. A multi-GiB transfer no longer
-//     head-of-line-blocks health probes or kernel launches.
-//   - WireGob: the original reflection-driven gob codec over a single
-//     mutex-serialized connection, kept for one release behind
-//     `-wire gob`. Workers sniff the connection hello and serve both.
+// The wire is a length-prefixed binary protocol with explicit
+// little-endian encoding and a per-worker channel split (DESIGN.md §5.2):
+// a low-latency control channel for pings/launches/builds — a FIFO
+// pipeline, so launches stream without a round trip each — and a bulk
+// channel that streams array payloads in fixed-size chunks, multiple
+// transfers interleaved by request ID. A multi-GiB transfer never
+// head-of-line-blocks health probes or kernel launches.
 //
 // In this mode time is wall-clock: the sim.VirtualTime values returned by
 // fabric operations are nanoseconds since the fabric connected. The
@@ -26,11 +22,8 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"time"
 
@@ -49,10 +42,11 @@ const (
 	MsgPing MsgKind = iota
 	// MsgEnsureArray mirrors array metadata on the worker.
 	MsgEnsureArray
-	// MsgReceiveArray delivers array contents to the worker.
+	// MsgReceiveArray delivers array contents to the worker (bulk
+	// channel: the payload follows as chunk frames).
 	MsgReceiveArray
 	// MsgFetchArray pulls array contents from the worker (flushing GPU
-	// state first).
+	// state first; bulk channel).
 	MsgFetchArray
 	// MsgLaunch executes a kernel CE.
 	MsgLaunch
@@ -86,7 +80,6 @@ type Request struct {
 	Kind      MsgKind
 	Meta      grcuda.ArrayMeta
 	ArrayID   dag.ArrayID
-	Data      *kernels.Buffer
 	Inv       core.Invocation
 	Src       string // kernel source for MsgBuildKernel
 	Signature string
@@ -173,10 +166,9 @@ func (c ErrCode) sentinel() error {
 type Response struct {
 	Err     string
 	Code    ErrCode // sentinel classification of Err
-	Data    *kernels.Buffer
-	Kernels int   // MsgStats: kernels executed
-	Arrays  int   // MsgStats: arrays resident
-	Elapsed int64 // MsgStats: worker-simulated busy nanoseconds
+	Kernels int     // MsgStats: kernels executed
+	Arrays  int     // MsgStats: arrays resident
+	Elapsed int64   // MsgStats: worker-simulated busy nanoseconds
 }
 
 // setErr records err (with its wire code) on the response.
@@ -200,140 +192,206 @@ func (r *Response) ok() error {
 	return fmt.Errorf("transport: remote error: %s", r.Err)
 }
 
-// --- legacy gob wire -------------------------------------------------------
-
-// conn wraps a TCP connection with gob codecs: the legacy single-channel
-// wire, kept behind WireGob for one release. mu serializes request/
-// response round trips so the pipelined controller's per-worker dispatch
-// goroutines can share connections (a move between two workers uses the
-// source worker's conn, which that worker's own dispatcher may be using).
-type conn struct {
-	mu  sync.Mutex
-	raw net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
-	// timeout, when > 0, bounds one call's full round trip via a
-	// connection deadline, so the legacy wire gets the same hung-worker
-	// protection as the framed one.
-	timeout time.Duration
-}
-
-func newConn(raw net.Conn) *conn {
-	return &conn{raw: raw, enc: gob.NewEncoder(raw), dec: gob.NewDecoder(raw)}
-}
-
-// newConnReader builds a gob conn reading from r (the worker's sniffing
-// buffered reader) and writing to raw.
-func newConnReader(r io.Reader, raw net.Conn) *conn {
-	return &conn{raw: raw, enc: gob.NewEncoder(raw), dec: gob.NewDecoder(r)}
-}
-
-func (c *conn) send(req *Request) error { return c.enc.Encode(req) }
-
-func (c *conn) recv() (*Request, error) {
-	var req Request
-	if err := c.dec.Decode(&req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-func (c *conn) reply(resp *Response) error { return c.enc.Encode(resp) }
-
-func (c *conn) await() (*Response, error) {
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("transport: connection closed by peer")
-		}
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (c *conn) close() error { return c.raw.Close() }
-
-// Close implements io.Closer (the worker's connection tracking).
-func (c *conn) Close() error { return c.close() }
-
-// call performs one request/response round trip. Round trips are atomic
-// with respect to each other; concurrent callers queue on the connection.
-func (c *conn) call(req *Request) (*Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.timeout > 0 {
-		_ = c.raw.SetDeadline(time.Now().Add(c.timeout))
-		defer func() { _ = c.raw.SetDeadline(time.Time{}) }()
-	}
-	if err := c.send(req); err != nil {
-		return nil, fmt.Errorf("transport: send %v: %w", req.Kind, wrapNetErr(err))
-	}
-	resp, err := c.await()
-	if err != nil {
-		return nil, fmt.Errorf("transport: await %v: %w", req.Kind, wrapNetErr(err))
-	}
-	if err := resp.ok(); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
 // --- framed control channel ------------------------------------------------
 
-// ctrlConn is the framed control channel: strict request/response round
-// trips for the small, latency-sensitive messages (ping, launch, build,
-// ensure, free, stats, shutdown). Round trips serialize on mu — they are
-// all sub-millisecond, and bulk payloads never travel here.
-type ctrlConn struct {
-	mu  sync.Mutex
-	fc  *framedConn
-	seq uint64
-	// timeout, when > 0, bounds one round trip: armed as a read deadline
-	// before the await (writes carry the framedConn's own write
-	// deadline), cleared afterwards.
-	timeout time.Duration
+// ctrlPending is one control request awaiting its answer.
+type ctrlPending struct {
+	id   uint64
+	kind MsgKind
+	done func(*Response, error)
 }
 
-func newCtrlConn(fc *framedConn) *ctrlConn { return &ctrlConn{fc: fc} }
+// ctrlConn is the framed control channel: a FIFO-pipelined stream for the
+// small, latency-sensitive messages (ping, launch, build, ensure, free,
+// stats, shutdown). The worker serves a control channel strictly in
+// order, so outstanding requests are a ring, not a map: start appends a
+// request to the ring and to the connection's write buffer, flush puts the
+// buffered frames on the wire, and one reader goroutine pops the ring head
+// for every response and runs its done inline. Any number of requests may
+// be outstanding; call is start + flush + wait.
+//
+// A channel that fails — peer gone, corrupt stream, read deadline — fails
+// every outstanding request in ring order and every later start.
+type ctrlConn struct {
+	fc *framedConn
+	// timeout, when > 0, bounds the wait for the next response while any
+	// request is outstanding (writes carry the framedConn's own write
+	// deadline). An idle channel never times out.
+	timeout time.Duration
 
+	// smu orders starts: a request takes its ring slot and its place in the
+	// write buffer under one hold, so ring order is wire order. The reader
+	// never takes it — a start blocked on a full socket must not stop the
+	// reader from draining the responses the peer is blocked on.
+	smu sync.Mutex
+	seq uint64
+
+	// mu guards the ring and the read deadline: armed when the ring
+	// becomes non-empty, re-armed per response, cleared when it empties.
+	// Arming outside mu could let the reader's clear erase a deadline a
+	// concurrent start just set, and a hung worker would then hang forever.
+	mu   sync.Mutex
+	ring []ctrlPending // outstanding requests are ring[head:]
+	head int
+	dead error
+}
+
+func newCtrlConn(fc *framedConn, timeout time.Duration) *ctrlConn {
+	c := &ctrlConn{fc: fc, timeout: timeout}
+	go c.readLoop()
+	return c
+}
+
+// close tears the channel down; the reader fails whatever is outstanding
+// and exits.
 func (c *ctrlConn) close() error { return c.fc.close() }
 
-// call performs one control round trip.
-func (c *ctrlConn) call(req *Request) (*Response, error) {
+// start queues one request: done runs exactly once, on the reader
+// goroutine, with the response (valid only during the call) or the
+// channel's failure, and must not block. A non-nil return means the
+// request was not queued and done will not run. The frame goes out on the
+// next flush (or when the write buffer fills).
+func (c *ctrlConn) start(req *Request, done func(*Response, error)) error {
+	bp := getFrameBuf()
+	*bp = appendRequest(*bp, req)
+	c.smu.Lock()
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	if c.dead != nil {
+		err := c.dead
+		c.mu.Unlock()
+		c.smu.Unlock()
+		putFrameBuf(bp)
+		return err
+	}
 	c.seq++
 	id := c.seq
-	if err := c.fc.sendRequest(id, req); err != nil {
-		return nil, fmt.Errorf("transport: send %v: %w", req.Kind, err)
-	}
-	if c.timeout > 0 {
+	if c.head == len(c.ring) && c.timeout > 0 {
 		c.fc.armRead(c.timeout)
-		defer c.fc.armRead(0)
 	}
-	h, err := c.fc.readHeader()
-	if err != nil {
-		return nil, c.fc.fail(fmt.Errorf("transport: await %v: %w", req.Kind, wrapNetErr(err)))
+	if c.head > 0 && len(c.ring) == cap(c.ring) {
+		n := copy(c.ring, c.ring[c.head:])
+		clear(c.ring[n:])
+		c.ring, c.head = c.ring[:n], 0
 	}
-	if h.ftype != frameResponse || h.reqID != id {
-		// A control channel carries nothing else; anything different
-		// marks a corrupt stream.
-		return nil, c.fc.fail(fmt.Errorf("transport: await %v: unexpected frame type %d id %d",
-			req.Kind, h.ftype, h.reqID))
-	}
-	bp, err := c.fc.readPayload(h.n)
-	if err != nil {
-		return nil, c.fc.fail(fmt.Errorf("transport: await %v: %w", req.Kind, wrapNetErr(err)))
-	}
-	resp, perr := parseResponse(*bp)
+	c.ring = append(c.ring, ctrlPending{id: id, kind: req.Kind, done: done})
+	c.mu.Unlock()
+	// The entry is in the ring before its frame is written, and mu is not
+	// held across the write. A failed write tears the connection down, so
+	// the reader fails the ring — this request included.
+	_ = c.fc.bufferFrame(frameRequest, id, *bp)
+	c.smu.Unlock()
 	putFrameBuf(bp)
-	if perr != nil {
-		return nil, c.fc.fail(fmt.Errorf("transport: await %v: %w", req.Kind, perr))
+	return nil
+}
+
+// flush puts every buffered request on the wire. Callers flush before
+// they wait for an answer; a failure surfaces through the done callbacks.
+func (c *ctrlConn) flush() { _ = c.fc.flushFrames() }
+
+// ctrlWaiter is call's rendezvous with the reader goroutine.
+type ctrlWaiter struct {
+	resp Response
+	err  error
+	ch   chan struct{}
+	fn   func(*Response, error)
+}
+
+var ctrlWaiterPool = sync.Pool{New: func() any {
+	w := &ctrlWaiter{ch: make(chan struct{}, 1)}
+	w.fn = func(resp *Response, err error) {
+		if resp != nil {
+			w.resp = *resp
+		}
+		w.err = err
+		w.ch <- struct{}{}
 	}
-	if err := resp.ok(); err != nil {
-		return nil, err
+	return w
+}}
+
+// call performs one blocking control round trip.
+func (c *ctrlConn) call(req *Request) (Response, error) {
+	w := ctrlWaiterPool.Get().(*ctrlWaiter)
+	if err := c.start(req, w.fn); err != nil {
+		ctrlWaiterPool.Put(w)
+		return Response{}, fmt.Errorf("transport: send %v: %w", req.Kind, err)
 	}
-	return resp, nil
+	c.flush()
+	<-w.ch
+	resp, err := w.resp, w.err
+	w.resp, w.err = Response{}, nil
+	ctrlWaiterPool.Put(w)
+	if err == nil {
+		err = resp.ok()
+	}
+	return resp, err
+}
+
+// readLoop answers the ring in order until the channel dies.
+func (c *ctrlConn) readLoop() {
+	var resp Response
+	for {
+		h, err := c.fc.readHeader()
+		if err != nil {
+			c.failAll(wrapNetErr(err))
+			return
+		}
+		if h.ftype != frameResponse {
+			// A control channel carries nothing else; anything different
+			// marks a corrupt stream.
+			c.failAll(fmt.Errorf("unexpected frame type %d id %d", h.ftype, h.reqID))
+			return
+		}
+		bp, err := c.fc.readPayload(h.n)
+		if err != nil {
+			c.failAll(wrapNetErr(err))
+			return
+		}
+		perr := parseResponseInto(*bp, &resp)
+		putFrameBuf(bp)
+		if perr != nil {
+			c.failAll(perr)
+			return
+		}
+		c.mu.Lock()
+		if c.head == len(c.ring) || c.ring[c.head].id != h.reqID {
+			c.mu.Unlock()
+			c.failAll(fmt.Errorf("response %d answers no outstanding request", h.reqID))
+			return
+		}
+		p := c.ring[c.head]
+		c.ring[c.head] = ctrlPending{}
+		c.head++
+		if c.head == len(c.ring) {
+			c.ring, c.head = c.ring[:0], 0
+		}
+		if c.timeout > 0 {
+			if c.head == len(c.ring) {
+				c.fc.armRead(0)
+			} else {
+				c.fc.armRead(c.timeout)
+			}
+		}
+		c.mu.Unlock()
+		p.done(&resp, nil)
+	}
+}
+
+// failAll marks the channel dead and fails every outstanding request, in
+// ring order, with the connection's first fatal error (a write failure
+// that tore the connection down takes precedence over the reader's
+// less specific view of the teardown).
+func (c *ctrlConn) failAll(err error) {
+	err = c.fc.fail(err)
+	c.mu.Lock()
+	if c.dead == nil {
+		c.dead = err
+	}
+	pend := c.ring[c.head:]
+	c.ring, c.head = nil, 0
+	c.mu.Unlock()
+	for _, p := range pend {
+		p.done(nil, fmt.Errorf("transport: await %v: %w", p.kind, err))
+	}
 }
 
 // --- framed bulk channel ---------------------------------------------------

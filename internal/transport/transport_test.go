@@ -1,14 +1,11 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"net"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"grout/internal/cluster"
 	"grout/internal/core"
@@ -254,7 +251,7 @@ func TestWorkerSurvivesGarbageBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw.Write([]byte("\x00\xffnot gob at all\n\x01\x02\x03")); err != nil {
+	if _, err := raw.Write([]byte("\x00\xffnot a hello at all\n\x01\x02\x03")); err != nil {
 		t.Fatal(err)
 	}
 	_ = raw.Close()
@@ -277,24 +274,21 @@ func TestWorkerSurvivesTruncatedMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	// Send the first bytes of a legitimate gob stream, then cut.
-	legit, err := net.Dial("tcp", w.Addr())
+	// One legitimate control request, then half a frame header and a
+	// slammed connection.
+	fc, err := dialFramed(w.Addr(), helloControl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newConn(legit)
-	if err := c.send(&Request{Kind: MsgEnsureArray,
+	c := newCtrlConn(fc, 0)
+	if _, err := c.call(&Request{Kind: MsgEnsureArray,
 		Meta: grcuda.ArrayMeta{ID: 1, Kind: memmodel.Float32, Len: 1 << 20}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.await(); err != nil {
+	if _, err := fc.raw.Write([]byte{0x2a, 0x01}); err != nil {
 		t.Fatal(err)
 	}
-	// Now write half a message and slam the connection.
-	if _, err := legit.Write([]byte{0x2a, 0x01}); err != nil {
-		t.Fatal(err)
-	}
-	_ = legit.Close()
+	_ = c.close()
 
 	fab, err := Dial([]string{w.Addr()})
 	if err != nil {
@@ -307,51 +301,6 @@ func TestWorkerSurvivesTruncatedMessage(t *testing.T) {
 	}
 	if st.Arrays != 1 {
 		t.Fatalf("array state lost after truncated peer: %+v", st)
-	}
-}
-
-// Property: protocol messages survive a gob round trip bit-exactly.
-func TestProtocolGobRoundTripProperty(t *testing.T) {
-	f := func(kind uint8, id int64, scalar float64, src, sig string, vals []float32) bool {
-		buf := kernels.NewBuffer(memmodel.Float32, len(vals))
-		for i, v := range vals {
-			buf.Set(i, float64(v))
-		}
-		req := &Request{
-			Kind:      MsgKind(kind % 10),
-			Meta:      grcuda.ArrayMeta{ID: dag.ArrayID(id), Kind: memmodel.Float32, Len: int64(len(vals))},
-			ArrayID:   dag.ArrayID(id),
-			Data:      buf,
-			Src:       src,
-			Signature: sig,
-			Inv: core.Invocation{Kernel: "k", Grid: 2, Block: 3,
-				Args: []core.ArgRef{core.ArrRef(dag.ArrayID(id)), core.ScalarRef(scalar)}},
-		}
-		var wire bytes.Buffer
-		if err := gob.NewEncoder(&wire).Encode(req); err != nil {
-			return false
-		}
-		var got Request
-		if err := gob.NewDecoder(&wire).Decode(&got); err != nil {
-			return false
-		}
-		if got.Kind != req.Kind || got.ArrayID != req.ArrayID ||
-			got.Src != req.Src || got.Signature != req.Signature ||
-			got.Inv.Kernel != req.Inv.Kernel || len(got.Inv.Args) != 2 {
-			return false
-		}
-		if len(vals) > 0 {
-			if got.Data == nil || got.Data.Len() != len(vals) {
-				return false
-			}
-			if got.Data.MaxAbsDiff(req.Data) != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -537,12 +486,12 @@ func TestWorkerConcurrentClients(t *testing.T) {
 	errs := make(chan error, clients)
 	for cidx := 0; cidx < clients; cidx++ {
 		go func(cidx int) {
-			raw, err := net.Dial("tcp", w.Addr())
+			fc, err := dialFramed(w.Addr(), helloControl, 0)
 			if err != nil {
 				errs <- err
 				return
 			}
-			c := newConn(raw)
+			c := newCtrlConn(fc, 0)
 			defer c.close()
 			id := dag.ArrayID(cidx + 1)
 			if _, err := c.call(&Request{Kind: MsgEnsureArray,

@@ -1,8 +1,8 @@
 package transport
 
-// wire.go is the framed protocol's payload codec: explicit little-endian
-// encode/decode of Request and Response, replacing gob's reflection-driven
-// encoding on the data plane's hot path. Buffers ride as raw typed-slice
+// wire.go is the protocol's payload codec: explicit little-endian
+// encode/decode of Request and Response. Buffers (session frames only —
+// worker array payloads travel as bulk chunks) ride as raw typed-slice
 // bytes (kernels.Buffer.RawBytes — zero copy on LE hosts); everything else
 // is fixed-width fields and length-prefixed strings. Decoders are written
 // against adversarial input: every read is bounds-checked and a malformed
@@ -159,7 +159,6 @@ func (r *wireReader) done() bool { return !r.bad && r.off == len(r.p) }
 //	str src       str signature  str peerAddr
 //	str inv.kernel  i64 grid  i64 block  u32 nargs
 //	  per arg: u8 isArray  i64 array  f64 scalar
-//	buffer data (present flag, kind, elems, raw bytes)
 func appendRequest(dst []byte, req *Request) []byte {
 	dst = appendU8(dst, uint8(req.Kind))
 	dst = appendI64(dst, int64(req.Meta.ID))
@@ -182,7 +181,7 @@ func appendRequest(dst []byte, req *Request) []byte {
 		dst = appendI64(dst, int64(a.Array))
 		dst = appendF64(dst, a.Scalar)
 	}
-	return appendBuffer(dst, req.Data)
+	return dst
 }
 
 // wireMaxArgs bounds decoded invocation arity.
@@ -199,8 +198,8 @@ func parseRequest(p []byte) (*Request, error) {
 
 // parseRequestInto decodes into a caller-owned Request, so serve loops can
 // reuse one struct per connection instead of allocating per message. The
-// request is fully reset first; slice and buffer fields end up freshly
-// allocated per parse, never aliased into the payload or a prior message.
+// request is fully reset first; slice fields end up freshly allocated per
+// parse, never aliased into the payload or a prior message.
 func parseRequestInto(p []byte, req *Request) error {
 	r := wireReader{p: p}
 	*req = Request{}
@@ -231,7 +230,6 @@ func parseRequestInto(p []byte, req *Request) error {
 			}
 		}
 	}
-	req.Data = r.buffer()
 	if !r.done() {
 		return errMalformed
 	}
@@ -244,14 +242,12 @@ func parseRequestInto(p []byte, req *Request) error {
 //
 //	u8 code   str err
 //	i64 kernels  i64 arrays  i64 elapsed
-//	buffer data
 func appendResponse(dst []byte, resp *Response) []byte {
 	dst = appendU8(dst, uint8(resp.Code))
 	dst = appendString(dst, resp.Err)
 	dst = appendI64(dst, int64(resp.Kernels))
 	dst = appendI64(dst, int64(resp.Arrays))
-	dst = appendI64(dst, resp.Elapsed)
-	return appendBuffer(dst, resp.Data)
+	return appendI64(dst, resp.Elapsed)
 }
 
 // parseResponse decodes a Response payload produced by appendResponse.
@@ -273,7 +269,6 @@ func parseResponseInto(p []byte, resp *Response) error {
 	resp.Kernels = int(r.i64())
 	resp.Arrays = int(r.i64())
 	resp.Elapsed = r.i64()
-	resp.Data = r.buffer()
 	if !r.done() {
 		return errMalformed
 	}
@@ -297,7 +292,7 @@ func requestEq(a, b *Request) bool {
 			return false
 		}
 	}
-	return bufferEq(a.Data, b.Data)
+	return true
 }
 
 func bufferEq(a, b *kernels.Buffer) bool {

@@ -20,16 +20,13 @@ import (
 // half of the paper's Figure 3. It executes kernels numerically and keeps
 // its embedded UVM simulator's accounting for statistics.
 //
-// One listener serves both wires: framed connections open with the
-// protocol hello (control or bulk channel), legacy gob connections don't —
-// the server sniffs the first bytes and dispatches accordingly, so mixed
-// fleets keep working during the gob deprecation release.
+// Every connection opens with the protocol hello naming its channel
+// (control or bulk); anything else is closed.
 type WorkerServer struct {
 	mu        sync.Mutex
 	rt        *grcuda.Runtime
 	listener  net.Listener
 	log       *log.Logger
-	done      chan struct{}
 	closed    bool
 	active    map[io.Closer]struct{}
 	pushChunk int
@@ -85,7 +82,6 @@ func NewWorkerServerOpts(addr string, spec gpusim.NodeSpec, logger *log.Logger, 
 		rt:           grcuda.NewRuntime(node, kernels.StdRegistry(), grcuda.Options{ExecuteNumeric: true}),
 		listener:     ln,
 		log:          logger,
-		done:         make(chan struct{}),
 		active:       make(map[io.Closer]struct{}),
 		pushChunk:    normalizeChunk(opts.ChunkBytes),
 		dialTimeout:  pickTimeout(opts.DialTimeout, DefaultDialTimeout),
@@ -113,7 +109,6 @@ func (w *WorkerServer) Close() error {
 		return nil
 	}
 	w.closed = true
-	close(w.done)
 	conns := make([]io.Closer, 0, len(w.active))
 	for c := range w.active {
 		conns = append(conns, c)
@@ -122,7 +117,11 @@ func (w *WorkerServer) Close() error {
 	for _, c := range conns {
 		_ = c.Close()
 	}
-	return w.listener.Close()
+	// A shutdown request has already closed the listener.
+	if err := w.listener.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 // track registers a live connection for teardown on Close; it reports
@@ -147,34 +146,26 @@ func (w *WorkerServer) acceptLoop() {
 	for {
 		raw, err := w.listener.Accept()
 		if err != nil {
-			select {
-			case <-w.done:
-				return
-			default:
+			// A shutdown request closes the listener before Close runs.
+			if !errors.Is(err, net.ErrClosed) {
 				w.log.Printf("worker accept: %v", err)
-				return
 			}
+			return
 		}
-		go w.sniffAndServe(raw)
+		go w.serveConn(raw)
 	}
 }
 
-// sniffAndServe decides the wire by peeking the connection's first bytes:
-// the framed hello magic selects the framed channels, anything else falls
-// back to the legacy gob loop.
-func (w *WorkerServer) sniffAndServe(raw net.Conn) {
+// serveConn reads the connection hello and serves the channel it names.
+func (w *WorkerServer) serveConn(raw net.Conn) {
 	br := bufio.NewReaderSize(raw, 64<<10)
-	magic, err := br.Peek(len(helloMagic))
-	if err != nil {
+	var hello [helloLen]byte
+	if _, err := io.ReadFull(br, hello[:]); err != nil {
 		_ = raw.Close()
 		return
 	}
-	if string(magic) != helloMagic {
-		w.serveGob(raw, br)
-		return
-	}
-	var hello [helloLen]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
+	if string(hello[:len(helloMagic)]) != helloMagic {
+		w.log.Printf("worker: connection from %s does not speak the protocol", raw.RemoteAddr())
 		_ = raw.Close()
 		return
 	}
@@ -190,41 +181,16 @@ func (w *WorkerServer) sniffAndServe(raw net.Conn) {
 	}
 }
 
-// --- legacy gob serving ----------------------------------------------------
-
-// serveGob handles one legacy gob connection until it closes.
-func (w *WorkerServer) serveGob(raw net.Conn, br *bufio.Reader) {
-	c := newConnReader(br, raw)
-	if !w.track(c) {
-		_ = c.close()
-		return
-	}
-	defer func() {
-		w.untrack(c)
-		_ = c.close()
-	}()
-	for {
-		req, err := c.recv()
-		if err != nil {
-			return // connection closed
-		}
-		resp := w.handle(req)
-		if err := c.reply(resp); err != nil {
-			w.log.Printf("worker reply: %v", err)
-			return
-		}
-		if req.Kind == MsgShutdown {
-			_ = w.Close()
-			return
-		}
-	}
-}
-
 // --- framed control serving ------------------------------------------------
 
-// serveControl handles one framed control channel: strict request frame →
-// response frame, in order. Bulk kinds are rejected here — array payloads
-// belong on the bulk channel.
+// serveControl handles one framed control channel: requests are executed
+// and answered strictly in arrival order — the ordering guarantee the
+// controller's streamed launches rest on (a launch queued behind another
+// on this channel runs after it, the Local-DAG rule carried by the wire).
+// Responses collect in the write buffer and go out when no further request
+// is already waiting in the read buffer: one write per burst under load,
+// one per request at depth 1. Bulk kinds are rejected here — array
+// payloads belong on the bulk channel.
 func (w *WorkerServer) serveControl(fc *framedConn) {
 	if !w.track(fc) {
 		_ = fc.close()
@@ -232,6 +198,7 @@ func (w *WorkerServer) serveControl(fc *framedConn) {
 	}
 	defer func() {
 		w.untrack(fc)
+		_ = fc.flushFrames() // answers to requests served before the stream broke
 		_ = fc.close()
 	}()
 	// req is this connection's decode scratch: one Request reused across
@@ -265,7 +232,16 @@ func (w *WorkerServer) serveControl(fc *framedConn) {
 		default:
 			resp = w.handle(&req)
 		}
-		if err := fc.sendResponse(h.reqID, resp); err != nil {
+		if req.Kind == MsgShutdown {
+			// Stop accepting before the answer leaves: a dial the client
+			// makes after its shutdown call returned must not get in.
+			_ = w.listener.Close()
+		}
+		err = fc.bufferResponse(h.reqID, resp)
+		if err == nil && (fc.r.Buffered() == 0 || req.Kind == MsgShutdown) {
+			err = fc.flushFrames()
+		}
+		if err != nil {
 			w.log.Printf("worker reply: %v", err)
 			return
 		}
@@ -498,7 +474,7 @@ func (w *WorkerServer) serveFetch(fc *framedConn, reqID uint64, req *Request) {
 }
 
 // servePush ships an array to a peer worker over a fresh framed bulk
-// connection (the peer sniffs the hello like any client). Pushes to
+// connection (the peer serves it like any client's). Pushes to
 // different peers run concurrently.
 func (w *WorkerServer) servePush(fc *framedConn, reqID uint64, req *Request) {
 	resp := &Response{}
@@ -506,17 +482,9 @@ func (w *WorkerServer) servePush(fc *framedConn, reqID uint64, req *Request) {
 	_ = fc.sendResponse(reqID, resp)
 }
 
-// handle executes one request under the runtime lock. P2P pushes are the
-// exception: the blocking round trip to the peer happens outside the lock
-// (a snapshot is taken under it), otherwise a cycle of concurrent pushes
-// between workers would deadlock — each one holding its runtime lock while
-// the peer's receive handler waits for that same lock.
+// handle executes one control request under the runtime lock.
 func (w *WorkerServer) handle(req *Request) *Response {
 	resp := &Response{}
-	if req.Kind == MsgPushTo {
-		resp.setErr(w.pushTo(req))
-		return resp
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	resp.setErr(w.apply(req, resp))
@@ -524,7 +492,10 @@ func (w *WorkerServer) handle(req *Request) *Response {
 }
 
 // pushTo ships an array to a peer worker: flush and snapshot under the
-// runtime lock, then perform the network round trip without it.
+// runtime lock, then perform the network round trip without it —
+// otherwise a cycle of concurrent pushes between workers would deadlock,
+// each one holding its runtime lock while the peer's receive handler waits
+// for that same lock.
 func (w *WorkerServer) pushTo(req *Request) error {
 	w.mu.Lock()
 	arr := w.rt.Array(req.ArrayID)
@@ -565,37 +536,6 @@ func (w *WorkerServer) apply(req *Request, resp *Response) error {
 		}
 		return err
 
-	case MsgReceiveArray:
-		// Legacy gob path: the payload rides inline in req.Data.
-		arr := w.rt.Array(req.ArrayID)
-		if arr == nil {
-			return fmt.Errorf("receive of unknown array %d: %w", req.ArrayID, core.ErrArrayNotFound)
-		}
-		if err := w.rt.Node().Invalidate(arr.Alloc); err != nil {
-			return err
-		}
-		if req.Data != nil && arr.Buf != nil {
-			n := arr.Buf.Len()
-			if req.Data.Len() < n {
-				n = req.Data.Len()
-			}
-			for i := 0; i < n; i++ {
-				arr.Buf.Set(i, req.Data.At(i))
-			}
-		}
-		return nil
-
-	case MsgFetchArray:
-		arr := w.rt.Array(req.ArrayID)
-		if arr == nil {
-			return fmt.Errorf("fetch of unknown array %d: %w", req.ArrayID, core.ErrArrayNotFound)
-		}
-		if _, err := w.rt.Node().FlushForSend(arr.Alloc, w.rt.Elapsed()); err != nil {
-			return err
-		}
-		resp.Data = arr.Buf
-		return nil
-
 	case MsgLaunch:
 		vals := make([]grcuda.Value, len(req.Inv.Args))
 		for i, a := range req.Inv.Args {
@@ -628,10 +568,6 @@ func (w *WorkerServer) apply(req *Request, resp *Response) error {
 			return nil
 		}
 		return w.rt.FreeArray(req.ArrayID)
-
-	case MsgPushTo:
-		// Handled without the runtime lock in pushTo (see handle).
-		return errors.New("push-to must not reach apply")
 
 	case MsgStats:
 		resp.Kernels = len(w.rt.Records())

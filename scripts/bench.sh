@@ -102,13 +102,12 @@ print(f'wrote {out}')
 EOF
 
 # --- transport data-plane benchmarks (DESIGN.md §5.2) ----------------------
-# Runs every wire (gob and framed) over the size ladder and records MB/s,
-# B/op and allocs/op per point, plus framed-vs-gob ratios. The largest
-# size (256MiB) is skipped here to keep the script fast; run it manually
-# for the head-of-line-blocking sweep.
+# Runs the bulk channel over the size ladder and records MB/s, B/op and
+# allocs/op per point. The largest size (256MiB) is skipped here to keep
+# the script fast; run it manually for the head-of-line-blocking sweep.
 
 echo "== transport benchmarks (-benchtime=$BENCHTIME)"
-go test -run '^$' -bench 'BenchmarkTransportThroughput/(gob|framed)/(1KiB|64KiB|1MiB|16MiB)' \
+go test -run '^$' -bench 'BenchmarkTransportThroughput/framed/(1KiB|64KiB|1MiB|16MiB)' \
     -benchtime="$BENCHTIME" -benchmem ./internal/bench/ | tee "$TRAW"
 
 python3 - "$TRAW" BENCH_transport.json <<'EOF'
@@ -131,25 +130,11 @@ for line in open(raw):
         'allocs_per_op': int(m.group(6)),
     }
 
-ratios = {}
-for size, fr in current.get('framed', {}).items():
-    gb = current.get('gob', {}).get(size)
-    if not gb or not gb['mb_per_s']:
-        continue
-    ratios[size] = {
-        'throughput_speedup': round(fr['mb_per_s'] / gb['mb_per_s'], 2),
-        'alloc_reduction': round(
-            gb['allocs_per_op'] / max(fr['allocs_per_op'], 1), 2),
-        'bytes_reduction': round(
-            gb['bytes_per_op'] / max(fr['bytes_per_op'], 1), 1),
-    }
-
 doc = {
     'description': 'Data-plane wire benchmarks: one MoveArray (controller '
                    'host -> worker) per op over a loopback TCP worker, per '
-                   'wire protocol and array size.',
+                   'array size.',
     'current': current,
-    'framed_vs_gob': ratios,
 }
 json.dump(doc, open(out, 'w'), indent=2)
 print(f'wrote {out}')

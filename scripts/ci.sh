@@ -14,8 +14,12 @@
 #      streams, failover teardown — and the parallel kernel engine's
 #      block-partitioned executor + atomicAdd CAS loop run under the
 #      race detector; this sweep includes the chaos-fabric recovery
-#      suite, re-run explicitly in 4b so a rename can't silently drop
-#      it from the race gate; the multi-tenant gateway suite —
+#      suite and the streamed-launch suite (pipelined control channel:
+#      streamed-vs-serial property over real sockets, worker kill and
+#      link sever with launches in flight, ring deadline, write
+#      coalescing, wrapper fidelity), re-run explicitly in 4b so a
+#      rename can't silently drop them from the race gate; the
+#      multi-tenant gateway suite —
 #      concurrent tenants over real TCP, chaos failover, disconnect
 #      teardown — rides in the same sweep via internal/server; the
 #      sharded control plane — per-shard drain goroutines, the
@@ -35,6 +39,9 @@
 #      fleet size) and the gateway dial-churn pair (they must still
 #      compile and complete, not regress — use scripts/bench.sh for
 #      numbers)
+#   7. the repository benchmark's launch-stream workload at a tenth of a
+#      second, untraced: its output check (bit-identical replay) must
+#      hold through the streamed dispatch path
 #
 # Run from the repo root: ./scripts/ci.sh
 set -euo pipefail
@@ -58,9 +65,9 @@ go test -race ./internal/core/... ./internal/dag/... ./internal/transport/... \
 echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos)"
 go test -race -run 'TestShardDifferential' ./internal/workloads/
 
-echo "== go test -race chaos/recovery suite (lineage replay, deadlines, write-off)"
-go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout' \
-    ./internal/core/ ./internal/transport/ ./internal/bench/
+echo "== go test -race chaos/recovery + streamed-launch suite (lineage replay, deadlines, write-off, stream replay)"
+go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ControlChannelCoalesces|WrappersDoNotForward|SharedRegistry' \
+    ./internal/core/ ./internal/transport/ ./internal/shard/ ./internal/bench/
 
 echo "== differential fuzz (compiled engine vs interpreter, 10s)"
 go test -run FuzzDifferential -fuzz FuzzDifferential -fuzztime 10s \
@@ -82,7 +89,7 @@ echo "== micro-benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench 'BenchmarkControllerSubmitThroughput|BenchmarkSchedulingOnly' \
     -benchtime=1x ./internal/bench/
 go test -run '^$' -bench 'BenchmarkDAGAdd' -benchtime=1x ./internal/dag/
-go test -run '^$' -bench 'BenchmarkTransportThroughput/(gob|framed)/1MiB' \
+go test -run '^$' -bench 'BenchmarkTransportThroughput/framed/1MiB' \
     -benchtime=1x ./internal/bench/
 go test -run '^$' -bench 'BenchmarkKernelExec/compiled|BenchmarkKernelBuild' \
     -benchtime=1x ./internal/bench/
@@ -100,5 +107,8 @@ go test -run '^$' -bench 'BenchmarkOversubSweep/sequential/(eager\+lru|stride\+l
 # size — the full sweep lives in scripts/bench.sh.
 go test -run '^$' -bench 'BenchmarkUVMBench/(spmv|kmeans)/eager\+lru/(1|2|4)w/x(0.5|2.0)' \
     -benchtime=1x ./internal/bench/
+
+echo "== repository benchmark smoke (launch-stream, output-checked)"
+go run ./benchmark --workload launch-stream --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
 echo "CI OK"
