@@ -355,13 +355,23 @@ func (c *Cluster) Close() error {
 // GatewayClient is one tenant session on a multi-tenant gateway
 // (cmd/grout-gateway). It implements the workloads.Session surface, so
 // programs written against it run unchanged in-process or remotely.
+// Launches are asynchronous: Launch returning nil means "accepted for
+// sending", a refusal is reported by the next call that observes it,
+// and every call but Launch synchronizes (DESIGN.md §5.5).
 type GatewayClient = server.Client
 
+// ShedError is how a GatewayClient reports launches the gateway shed:
+// it wraps core.ErrShedded and says how many launches since the previous
+// synchronizing call ran before the first shed one.
+type ShedError = server.ShedError
+
 // Backpressure is the gateway's per-tenant flow-control advisory: queue
-// fill plus a suggested pause. Dialed clients honor advisories by
-// default, adaptively pacing their launches instead of filling the
-// bounded queue and blocking on the socket;
-// GatewayClient.SetHonorBackpressure(false) opts out.
+// fill and capacity — the capacity is also the client's launch window,
+// the most launches it may have unacknowledged — plus, for a
+// rate-limited tenant out-running its token bucket, a suggested pause.
+// Dialed clients honor the pause by default, adaptively pacing their
+// launches; GatewayClient.SetHonorBackpressure(false) opts out of the
+// pacing, never of the window.
 type Backpressure = transport.Backpressure
 
 // Dial opens a tenant session on the multi-tenant gateway at addr.

@@ -89,6 +89,15 @@ var (
 	canonNaN64 = math.Float64frombits(0x7fffffffffffffff)
 )
 
+// canon32 rounds v to single precision as Set does for a Float32 buffer:
+// any NaN becomes the canonical quiet NaN.
+func canon32(v float64) float32 {
+	if v != v {
+		return canonNaN32
+	}
+	return float32(v)
+}
+
 // Set stores v into element i, converting to the buffer's kind.
 func (b *Buffer) Set(i int, v float64) {
 	if v != v {

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -447,5 +448,109 @@ func TestBiasRelu(t *testing.T) {
 	}
 	if x.At(0) != 0 || math.Abs(x.At(1)-0.05) > 1e-6 || math.Abs(x.At(2)-2.1) > 1e-6 {
 		t.Fatalf("bias_relu = [%v %v %v]", x.At(0), x.At(1), x.At(2))
+	}
+}
+
+// The elementwise stdlib kernels loop over typed slices; the reference is
+// the Buffer.At/Set formulation they replaced. Results must agree bit for
+// bit — NaN canonicalization, ±Inf, denormals and float32 rounding of the
+// float64 intermediate included — for n below, at and above the buffer.
+func TestElementwiseKernelsMatchAtSet(t *testing.T) {
+	ref := map[string]func(a []Arg, n int){
+		"relu": func(a []Arg, n int) {
+			for i := 0; i < n; i++ {
+				if a[0].Buf.At(i) < 0 {
+					a[0].Buf.Set(i, 0)
+				}
+			}
+		},
+		"copy": func(a []Arg, n int) {
+			for i := 0; i < n; i++ {
+				a[0].Buf.Set(i, a[1].Buf.At(i))
+			}
+		},
+		"scale": func(a []Arg, n int) {
+			for i := 0; i < n; i++ {
+				a[0].Buf.Set(i, a[2].Scalar*a[1].Buf.At(i))
+			}
+		},
+		"axpy": func(a []Arg, n int) {
+			for i := 0; i < n; i++ {
+				a[0].Buf.Set(i, a[0].Buf.At(i)+a[2].Scalar*a[1].Buf.At(i))
+			}
+		},
+	}
+	special := []uint32{
+		0x7fc00000, 0xffc00001, 0x7f800001, 0x7fffffff, // quiet, negative, signaling, canonical NaN
+		0x7f800000, 0xff800000, // ±Inf
+		0x00000001, 0x80000001, 0x007fffff, // denormals
+		0x00000000, 0x80000000, // ±0
+		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+	}
+	const size = 64
+	rng := rand.New(rand.NewSource(7))
+	fill := func() *Buffer {
+		b := NewBuffer(memmodel.Float32, size)
+		for i := range b.F32 {
+			switch {
+			case i < len(special):
+				b.F32[i] = math.Float32frombits(special[i])
+			case i%3 == 0:
+				b.F32[i] = math.Float32frombits(rng.Uint32())
+			default:
+				b.F32[i] = float32(rng.NormFloat64() * 100)
+			}
+		}
+		rng.Shuffle(size, func(i, j int) { b.F32[i], b.F32[j] = b.F32[j], b.F32[i] })
+		return b
+	}
+	reg := StdRegistry()
+	alphas := []float64{0.5, -1.25, 0, 1e-40, 3e38, math.Inf(1), math.NaN()}
+	for name, want := range ref {
+		def, ok := reg.Lookup(name)
+		if !ok {
+			t.Fatalf("no %s kernel", name)
+		}
+		for _, n := range []int{-1, 0, 1, size - 5, size, size + 1} {
+			for _, alpha := range alphas {
+				y, x := fill(), fill()
+				args := func(y, x *Buffer) []Arg {
+					switch name {
+					case "relu":
+						return []Arg{BufArg(y), ScalarArg(float64(n))}
+					case "copy":
+						return []Arg{BufArg(y), BufArg(x), ScalarArg(float64(n))}
+					default:
+						return []Arg{BufArg(y), BufArg(x), ScalarArg(alpha), ScalarArg(float64(n))}
+					}
+				}
+				got, exp := args(y, x), args(y.Clone(), x.Clone())
+				if n > size {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("%s n=%d past a %d-element buffer did not panic", name, n, size)
+							}
+						}()
+						_ = def.Execute(got)
+					}()
+					continue
+				}
+				if err := def.Execute(got); err != nil {
+					t.Fatalf("%s n=%d: %v", name, n, err)
+				}
+				want(exp, n)
+				for k := range got {
+					if got[k].Buf == nil {
+						continue
+					}
+					for i, v := range got[k].Buf.F32 {
+						if g, w := math.Float32bits(v), math.Float32bits(exp[k].Buf.F32[i]); g != w {
+							t.Fatalf("%s n=%d alpha=%v arg %d elem %d: %#08x, At/Set gives %#08x", name, n, alpha, k, i, g, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }

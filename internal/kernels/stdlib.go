@@ -349,6 +349,22 @@ func fillDef() *Def {
 	}
 }
 
+// The four elementwise kernels below (copy, axpy, scale, relu) loop over
+// their typed slices directly: Sig.Validate has already pinned every
+// pointer argument to Float32, and Buffer.At/Set would redo that kind
+// dispatch per element. The arithmetic keeps At/Set's shape — computed in
+// float64, rounded once by canon32 — so results are bit-identical to it.
+// An n beyond a buffer panics, as indexing did.
+
+// f32Prefix is b's first n elements, the range a loop `for i := 0; i < n;
+// i++` over b.F32[i] touches: empty for n <= 0, a panic for n > len.
+func f32Prefix(b *Buffer, n int) []float32 {
+	if n < 0 {
+		n = 0
+	}
+	return b.F32[:n:len(b.F32)]
+}
+
 // copy(dst, src, n): dst[i] = src[i].
 func copyDef() *Def {
 	return &Def{
@@ -365,8 +381,9 @@ func copyDef() *Def {
 		},
 		Run: func(a []Arg) error {
 			n := a[2].Int()
-			for i := 0; i < n; i++ {
-				a[0].Buf.Set(i, a[1].Buf.At(i))
+			dst, src := f32Prefix(a[0].Buf, n), f32Prefix(a[1].Buf, n)
+			for i, v := range src {
+				dst[i] = canon32(float64(v))
 			}
 			return nil
 		},
@@ -389,8 +406,9 @@ func axpyDef() *Def {
 		},
 		Run: func(a []Arg) error {
 			n, alpha := a[3].Int(), a[2].Scalar
-			for i := 0; i < n; i++ {
-				a[0].Buf.Set(i, a[0].Buf.At(i)+alpha*a[1].Buf.At(i))
+			y, x := f32Prefix(a[0].Buf, n), f32Prefix(a[1].Buf, n)
+			for i, v := range x {
+				y[i] = canon32(float64(y[i]) + alpha*float64(v))
 			}
 			return nil
 		},
@@ -413,8 +431,9 @@ func scaleDef() *Def {
 		},
 		Run: func(a []Arg) error {
 			n, alpha := a[3].Int(), a[2].Scalar
-			for i := 0; i < n; i++ {
-				a[0].Buf.Set(i, alpha*a[1].Buf.At(i))
+			y, x := f32Prefix(a[0].Buf, n), f32Prefix(a[1].Buf, n)
+			for i, v := range x {
+				y[i] = canon32(alpha * float64(v))
 			}
 			return nil
 		},
@@ -571,10 +590,10 @@ func reluDef() *Def {
 			return []memmodel.Access{acc(0, memmodel.ReadWrite, memmodel.Sequential, 1, 1)}
 		},
 		Run: func(a []Arg) error {
-			n := a[1].Int()
-			for i := 0; i < n; i++ {
-				if a[0].Buf.At(i) < 0 {
-					a[0].Buf.Set(i, 0)
+			x := f32Prefix(a[0].Buf, a[1].Int())
+			for i, v := range x {
+				if v < 0 {
+					x[i] = 0
 				}
 			}
 			return nil

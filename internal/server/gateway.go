@@ -18,6 +18,12 @@
 // free, build, elapsed) run on the serve goroutine after the tenant's
 // queue has flushed, so each session observes its own program order.
 //
+// The session channel is a FIFO pipeline (DESIGN.md §5.5): a client
+// streams launches without waiting for their acks, up to QueueDepth
+// unacknowledged, and the serve loop answers into a write buffer it
+// flushes when no further request is already waiting — or before it is
+// about to block.
+//
 // Error model: launch submission is asynchronous, so a launch that
 // fails after its enqueue turns into a per-session sticky error — every
 // later operation of that session reports it, like a poisoned CUDA
@@ -25,6 +31,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -49,16 +56,20 @@ type Options struct {
 	// the second return is true. Lets one gateway give different rate,
 	// quota, weight or class to different tenants.
 	LimitsFor func(tenant string) (core.SessionLimits, bool)
-	// QueueDepth bounds each session's launch queue; a tenant that
-	// outruns the drain loop blocks on its own socket, nobody else's.
+	// QueueDepth bounds each session's launch queue, and is announced to
+	// the client as its launch window; a tenant that outruns the drain
+	// loop blocks on its own socket, nobody else's.
 	// 0 means DefaultQueueDepth, negative means 1.
 	QueueDepth int
 	// ShedDepth enables class-based load shedding: when a shard's
 	// aggregate queued-launch backlog reaches ShedDepth*(class+1), new
 	// launches from tenants of that priority class are refused with
 	// core.ErrShedded instead of enqueued — lowest class first, each
-	// higher class tolerating one more ShedDepth of backlog. Shedding is
-	// retryable overload, not a sticky error. 0 disables shedding.
+	// higher class tolerating one more ShedDepth of backlog — and so is
+	// every launch of that session behind a shed one, until the session's
+	// next non-launch request, so what ran is a prefix of what the tenant
+	// issued. Shedding is retryable overload, not a sticky error. 0
+	// disables shedding.
 	ShedDepth int
 	// HandshakeTimeout bounds the protocol hello on accept. 0 means
 	// transport.DefaultDialTimeout, negative disables.
@@ -83,127 +94,7 @@ type Options struct {
 // (shard.Plane.Route).
 type RouteFunc func(tenant string, loads []int) int
 
-// queuedLaunch is one launch waiting in a tenant's queue.
-type queuedLaunch struct {
-	inv core.Invocation
-	at  time.Time
-}
-
-// tenant is the gateway's per-connection state around a controller
-// session.
-type tenant struct {
-	id    uint64
-	name  string
-	sess  *core.ControllerSession
-	conn  *transport.SessionConn
-	shard *shardState
-
-	queue chan queuedLaunch
-
-	mu       sync.Mutex
-	flushed  sync.Cond // signaled when queued drops to 0
-	queued   int       // enqueued but not yet handed to the controller
-	inflight int       // submitted but not yet dispatched (drain-loop view)
-	sticky   error     // first asynchronous launch failure; poisons the session
-	dropped  int64     // launches discarded (teardown or poisoned session)
-	gone     bool      // torn down; the drain loop must not submit for it
-
-	// Token bucket (SessionLimits.RatePerSec/Burst): tokens is the
-	// current allowance, refilled lazily from the wall clock at each
-	// check — no timer goroutine per tenant. Guarded by mu.
-	tokens     float64
-	lastRefill time.Time
-}
-
-// rateRoomLocked refills the token bucket from the wall clock and
-// reports whether an admission token is available; when not, the second
-// return is how long until one refills. Caller holds t.mu. Unlimited
-// sessions (RatePerSec <= 0) always have room.
-func (t *tenant) rateRoomLocked(now time.Time) (bool, time.Duration) {
-	lim := t.sess.Limits()
-	if lim.RatePerSec <= 0 {
-		return true, 0
-	}
-	burst := float64(lim.Burst)
-	if burst < 1 {
-		burst = 1
-	}
-	t.tokens += now.Sub(t.lastRefill).Seconds() * lim.RatePerSec
-	t.lastRefill = now
-	if t.tokens > burst {
-		t.tokens = burst
-	}
-	if t.tokens >= 1 {
-		return true, 0
-	}
-	return false, time.Duration((1 - t.tokens) / lim.RatePerSec * float64(time.Second))
-}
-
-// takeTokenLocked charges one admission against the bucket. Caller
-// holds t.mu and has seen rateRoomLocked return true this round.
-func (t *tenant) takeTokenLocked() {
-	if t.sess.Limits().RatePerSec > 0 {
-		t.tokens--
-	}
-}
-
-// fillPauseMax scales the queue-fill component of a backpressure
-// advisory: a completely full queue suggests this much pause.
-const fillPauseMax = 5 * time.Millisecond
-
-// maxAdvisoryPause caps any single suggested pause so a stale advisory
-// cannot park a well-behaved client for long.
-const maxAdvisoryPause = time.Second
-
-// advisoryLocked builds the tenant's backpressure advisory, or nil when
-// the tenant needs none (shallow queue, no token deficit). The pause is
-// the larger of two estimates: how long the token bucket needs to cover
-// the current backlog, and a queue-fill ramp that reaches fillPauseMax
-// at a full queue. Caller holds t.mu.
-func (t *tenant) advisoryLocked(qcap int, now time.Time) *transport.Backpressure {
-	var pause time.Duration
-	if lim := t.sess.Limits(); lim.RatePerSec > 0 {
-		// Refill first so the deficit reflects this instant.
-		t.rateRoomLocked(now)
-		if deficit := float64(t.queued) - t.tokens; deficit > 0 {
-			pause = time.Duration(deficit / lim.RatePerSec * float64(time.Second))
-		}
-	}
-	if qcap > 0 && 2*t.queued >= qcap {
-		fill := time.Duration(float64(fillPauseMax) * (2*float64(t.queued)/float64(qcap) - 1))
-		if fill > pause {
-			pause = fill
-		}
-	}
-	if pause <= 0 {
-		return nil
-	}
-	if pause > maxAdvisoryPause {
-		pause = maxAdvisoryPause
-	}
-	return &transport.Backpressure{Queued: t.queued, QueueCap: qcap, Pause: pause}
-}
-
-// setSticky records the session's first asynchronous failure.
-func (t *tenant) setSticky(err error) {
-	t.mu.Lock()
-	if t.sticky == nil {
-		t.sticky = err
-	}
-	t.mu.Unlock()
-}
-
-// flush blocks until every queued launch has been handed to the
-// controller, then reports the session's sticky error, if any. Sync ops
-// call it first so each session observes its own program order.
-func (t *tenant) flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for t.queued > 0 {
-		t.flushed.Wait()
-	}
-	return t.sticky
-}
+var errShutDown = errors.New("server: gateway is shut down")
 
 // shardState is one controller shard's slice of the gateway: its
 // sessions, its drain goroutine's condvar and rotation cursor, and its
@@ -216,6 +107,7 @@ type shardState struct {
 	mu        sync.Mutex
 	drainCond sync.Cond // wakes this shard's drain loop: enqueue, completion, teardown
 	sessions  map[uint64]*tenant
+	roster    []*tenant     // sessions as a slice, nil when sessions changed; never edited in place
 	rr        int           // round-robin rotation cursor
 	ces       int64         // launches this shard's drain handed to its controller
 	sheds     map[int]int64 // launches refused with ErrShedded, by priority class
@@ -336,6 +228,10 @@ func (g *Gateway) Close() error {
 		sh.mu.Lock()
 		for _, t := range sh.sessions {
 			conns = append(conns, t.conn)
+			// The drains stop here; release sync ops parked behind them.
+			t.mu.Lock()
+			t.flushed.Broadcast()
+			t.mu.Unlock()
 		}
 		sh.drainCond.Broadcast()
 		sh.mu.Unlock()
@@ -385,7 +281,7 @@ func (g *Gateway) register(conn *transport.SessionConn, name string) (*tenant, e
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		return nil, fmt.Errorf("server: gateway is shut down")
+		return nil, errShutDown
 	}
 	g.nextID++
 	g.total++
@@ -411,6 +307,7 @@ func (g *Gateway) register(conn *transport.SessionConn, name string) (*tenant, e
 		sess:  core.NewControllerSession(sh.ctl, name, lim),
 		conn:  conn,
 		shard: sh,
+		done:  g.done,
 		queue: make(chan queuedLaunch, g.opt.QueueDepth),
 	}
 	t.flushed.L = &t.mu
@@ -424,6 +321,7 @@ func (g *Gateway) register(conn *transport.SessionConn, name string) (*tenant, e
 	}
 	sh.mu.Lock()
 	sh.sessions[t.id] = t
+	sh.roster = nil
 	sh.mu.Unlock()
 	return t, nil
 }
@@ -435,30 +333,22 @@ func (g *Gateway) teardown(t *tenant) {
 	sh := t.shard
 	sh.mu.Lock()
 	delete(sh.sessions, t.id)
+	sh.roster = nil
 	sh.drainCond.Broadcast()
 	sh.mu.Unlock()
-	t.mu.Lock()
-	t.gone = true
-	t.mu.Unlock()
 	// Drain the queue ourselves; the drain loop may race us for items,
 	// but it drops a gone tenant's pops, so either way nothing more is
 	// submitted. Then wait for pops still mid-flight in the drain loop.
-	for {
+	t.mu.Lock()
+	t.gone = true
+	for drained := false; !drained; {
 		select {
 		case <-t.queue:
-			t.mu.Lock()
-			t.queued--
-			t.dropped++
-			if t.queued == 0 {
-				t.flushed.Broadcast()
-			}
-			t.mu.Unlock()
-			continue
+			t.dropLocked()
 		default:
+			drained = true
 		}
-		break
 	}
-	t.mu.Lock()
 	for t.queued > 0 {
 		t.flushed.Wait()
 	}
@@ -469,44 +359,59 @@ func (g *Gateway) teardown(t *tenant) {
 }
 
 // serve runs one tenant's request loop. The first frame must be
-// SessOpen; every later frame is answered in order.
+// SessOpen; every later frame is answered in order. Answers collect in
+// the connection's write buffer and leave when no further request is
+// already waiting in the read buffer — one write per burst from a
+// pipelined client, one per request from a blocking one — and before
+// anything that can block: a non-launch request (it parks in
+// tenant.flush until the queue drains) and a launch that finds the
+// tenant's queue full (handleLaunch). Held back across a block, acks
+// the client's launch window is waiting for would never leave.
 func (g *Gateway) serve(conn *transport.SessionConn) {
+	defer conn.Close()
 	req := &transport.SessionRequest{}
 	reqID, err := conn.ReadRequest(req)
 	if err != nil {
-		_ = conn.Close()
 		return
 	}
 	resp := &transport.SessionResponse{}
 	if req.Kind != transport.SessOpen {
 		resp.SetErr(fmt.Errorf("server: expected open, got %v", req.Kind))
 		_ = conn.Reply(reqID, resp)
-		_ = conn.Close()
 		return
 	}
 	t, err := g.register(conn, req.Name)
 	if err != nil {
 		resp.SetErr(err)
 		_ = conn.Reply(reqID, resp)
-		_ = conn.Close()
 		return
 	}
 	resp.Name = t.name
 	resp.Shard = t.shard.idx
 	resp.ShardCount = len(g.shards)
+	// QueueCap is the client's launch window.
+	resp.BP = &transport.Backpressure{QueueCap: g.opt.QueueDepth}
 	if err := conn.Reply(reqID, resp); err != nil {
 		g.teardown(t)
-		_ = conn.Close()
 		return
 	}
 	g.log.Printf("server: session %q open from %s on shard %d", t.name, conn.RemoteAddr(), t.shard.idx)
+	// shedding: once a launch of this session is shed, so is every launch
+	// behind it until the session's next non-launch request — a pipelined
+	// client has launches in flight past the shed one, and what ran must
+	// stay a prefix of what it issued.
+	shedding := false
 	for {
-		reqID, err := conn.ReadRequest(req)
-		if err != nil {
+		if reqID, err = conn.ReadRequest(req); err != nil {
 			break // disconnect: tear the session down below
 		}
 		resp := &transport.SessionResponse{}
-		stop := false
+		if req.Kind != transport.SessLaunch {
+			shedding = false
+			if err := conn.Flush(); err != nil {
+				break
+			}
+		}
 		switch req.Kind {
 		case transport.SessPing:
 			// nothing: the empty OK response is the answer
@@ -522,120 +427,99 @@ func (g *Gateway) serve(conn *transport.SessionConn) {
 			}
 			t.mu.Unlock()
 		case transport.SessLaunch:
-			g.handleLaunch(t, req, resp)
-		case transport.SessNewArray:
+			shedding = g.handleLaunch(t, req, resp, shedding)
+		case transport.SessNewArray, transport.SessHostWrite, transport.SessHostRead,
+			transport.SessFree, transport.SessBuildKernel, transport.SessElapsed:
 			if err := t.flush(); err != nil {
 				resp.SetErr(err)
 				break
 			}
-			id, err := t.sess.NewArray(req.Elem, req.Len)
-			resp.Array = id
-			resp.SetErr(err)
-		case transport.SessHostWrite:
-			if err := t.flush(); err != nil {
-				resp.SetErr(err)
-				break
-			}
-			_, err := t.sess.HostWrite(req.Array, req.Data)
-			resp.SetErr(err)
-		case transport.SessHostRead:
-			if err := t.flush(); err != nil {
-				resp.SetErr(err)
-				break
-			}
-			buf, _, err := t.sess.HostRead(req.Array)
-			resp.Data = buf
-			resp.SetErr(err)
-		case transport.SessFree:
-			if err := t.flush(); err != nil {
-				resp.SetErr(err)
-				break
-			}
-			resp.SetErr(t.sess.Free(req.Array))
-		case transport.SessBuildKernel:
-			if err := t.flush(); err != nil {
-				resp.SetErr(err)
-				break
-			}
-			def, err := t.sess.BuildKernel(req.Src, req.Signature)
-			if err == nil {
-				resp.Name = def.Name
-			}
-			resp.SetErr(err)
-		case transport.SessElapsed:
-			if err := t.flush(); err != nil {
-				resp.SetErr(err)
-				break
-			}
-			resp.Elapsed = int64(t.sess.Elapsed())
+			t.syncOp(req, resp)
 		case transport.SessClose:
-			stop = true
+			// The empty OK is the goodbye; the loop ends once it is sent.
 		case transport.SessOpen:
 			resp.SetErr(fmt.Errorf("server: session %q is already open", t.name))
 		default:
 			resp.SetErr(fmt.Errorf("server: unknown request %v", req.Kind))
 		}
-		if err := conn.Reply(reqID, resp); err != nil || stop {
+		if err := conn.BufferReply(reqID, resp); err != nil {
+			break
+		}
+		closing := req.Kind == transport.SessClose
+		if closing || !conn.RequestWaiting() {
+			if err := conn.Flush(); err != nil {
+				break
+			}
+		}
+		if closing {
 			break
 		}
 	}
 	g.teardown(t)
-	_ = conn.Close()
 	g.log.Printf("server: session %q closed", t.name)
 }
 
 // handleLaunch enqueues one launch on the tenant's queue. The reply
-// acknowledges the enqueue and, when the tenant's backlog runs hot,
-// piggybacks a backpressure advisory; submission failures surface as
-// the session's sticky error. With shedding enabled, a launch that
-// finds the shard's aggregate backlog over the tenant class's threshold
-// is refused with core.ErrShedded instead of enqueued — a retryable
-// refusal, not a sticky one.
-func (g *Gateway) handleLaunch(t *tenant, req *transport.SessionRequest, resp *transport.SessionResponse) {
-	t.mu.Lock()
-	if t.sticky != nil {
-		err := t.sticky
-		t.mu.Unlock()
-		resp.SetErr(err)
-		return
-	}
-	t.mu.Unlock()
-	if g.opt.ShedDepth > 0 {
-		class := t.sess.Limits().Class
-		if class < 0 {
-			class = 0
-		}
-		if backlog := t.shard.queuedTotal(); backlog >= g.opt.ShedDepth*(class+1) {
-			t.sess.NoteShed()
-			t.shard.noteShed(class)
-			resp.SetErr(fmt.Errorf("%w: shard %d backlog %d over class-%d threshold %d",
-				core.ErrShedded, t.shard.idx, backlog, class, g.opt.ShedDepth*(class+1)))
-			return
+// acknowledges the enqueue and, for a rate-limited tenant out-running its
+// token bucket, piggybacks a backpressure advisory; submission failures
+// surface as the session's sticky error. With shedding enabled, a launch
+// that finds the shard's aggregate backlog over the tenant class's
+// threshold — or that follows a shed launch of its session (shedding) —
+// is refused with core.ErrShedded instead of enqueued: a retryable
+// refusal, not a sticky one. It reports whether the launch was shed.
+func (g *Gateway) handleLaunch(t *tenant, req *transport.SessionRequest, resp *transport.SessionResponse, shedding bool) bool {
+	sh := t.shard
+	class := max(t.sess.Limits().Class, 0)
+	var shed error
+	if threshold := g.opt.ShedDepth * (class + 1); shedding {
+		shed = fmt.Errorf("%w: shard %d refuses launches behind a shed one until the session synchronizes",
+			core.ErrShedded, sh.idx)
+	} else if threshold > 0 {
+		if backlog := sh.queuedTotal(); backlog >= threshold {
+			shed = fmt.Errorf("%w: shard %d backlog %d over class-%d threshold %d",
+				core.ErrShedded, sh.idx, backlog, class, threshold)
 		}
 	}
+	now := time.Now()
 	t.mu.Lock()
-	t.queued++
+	sticky := t.sticky // a poisoned session says so, overloaded shard or not
+	if sticky == nil && shed == nil {
+		t.queued++
+		resp.BP = t.advisoryLocked(g.opt.QueueDepth, now)
+	}
 	t.mu.Unlock()
-	q := queuedLaunch{inv: req.Inv, at: time.Now()}
+	if sticky != nil {
+		resp.SetErr(sticky)
+		return false
+	}
+	if shed != nil {
+		t.sess.NoteShed()
+		sh.noteShed(class)
+		resp.SetErr(shed)
+		return true
+	}
+	q := queuedLaunch{inv: req.Inv, at: now}
 	select {
 	case t.queue <- q:
-		sh := t.shard
-		sh.mu.Lock()
-		sh.drainCond.Broadcast()
-		sh.mu.Unlock()
-		t.mu.Lock()
-		resp.BP = t.advisoryLocked(g.opt.QueueDepth, time.Now())
-		t.mu.Unlock()
-	case <-g.done:
-		t.mu.Lock()
-		t.queued--
-		t.dropped++
-		if t.queued == 0 {
-			t.flushed.Broadcast()
+	default:
+		// Full: this waits for the drain, and the client may be waiting
+		// for the acks buffered so far. A failed flush shows on the reply.
+		_ = t.conn.Flush()
+		select {
+		case t.queue <- q:
+		case <-g.done:
+			t.mu.Lock()
+			t.dropLocked()
+			t.mu.Unlock()
+			resp.BP = nil
+			resp.SetErr(errShutDown)
+			return false
 		}
-		t.mu.Unlock()
-		resp.SetErr(fmt.Errorf("server: gateway is shut down"))
 	}
+	sh.mu.Lock()
+	sh.drainCond.Broadcast()
+	sh.mu.Unlock()
+	return false
 }
 
 // queuedTotal sums the shard's tenants' queued launches: the aggregate
@@ -696,18 +580,21 @@ func (g *Gateway) drainLoop(sh *shardState) {
 			sh.mu.Unlock()
 			return
 		}
-		roster := make([]*tenant, 0, len(sh.sessions))
-		for _, t := range sh.sessions {
-			roster = append(roster, t)
+		if sh.roster == nil {
+			sh.roster = make([]*tenant, 0, len(sh.sessions))
+			for _, t := range sh.sessions {
+				sh.roster = append(sh.roster, t)
+			}
 		}
+		roster := sh.roster
 		// Rotate the starting tenant so map-order ties don't favor
 		// anyone across rounds.
 		if n := len(roster); n > 1 {
 			sh.rr = (sh.rr + 1) % n
-			roster = append(roster[sh.rr:], roster[:sh.rr]...)
 		}
+		start := sh.rr
 		sh.mu.Unlock()
-		sh.drainRound(roster)
+		sh.drainRound(roster, start)
 		// The round's submissions are this shard's cross-tenant
 		// optimizer batch: flush so tenant streams shorter than the
 		// lookahead window dispatch now instead of waiting for an
@@ -756,18 +643,14 @@ func (sh *shardState) workReadyLocked(now time.Time) (bool, time.Duration) {
 	return false, retry
 }
 
-// capRoomLocked reports whether the tenant is under its in-flight cap.
-func (t *tenant) capRoomLocked() bool {
-	cap := t.sess.Limits().MaxInflightCEs
-	return cap <= 0 || t.inflight < cap
-}
-
-// drainRound makes weighted passes over the shard's roster until no
-// tenant can submit anything more right now.
-func (sh *shardState) drainRound(roster []*tenant) {
+// drainRound makes weighted passes over the shard's roster, each
+// beginning at tenant start, until no tenant can submit anything more
+// right now.
+func (sh *shardState) drainRound(roster []*tenant, start int) {
 	for progress := true; progress; {
 		progress = false
-		for _, t := range roster {
+		for k := range roster {
+			t := roster[(start+k)%len(roster)]
 			for credits := t.sess.Limits().Weight; credits > 0; credits-- {
 				t.mu.Lock()
 				rateOK, _ := t.rateRoomLocked(time.Now())
@@ -800,11 +683,7 @@ func (sh *shardState) drainRound(roster []*tenant) {
 func (sh *shardState) submitOne(t *tenant, q queuedLaunch) {
 	t.mu.Lock()
 	if t.gone || t.sticky != nil {
-		t.queued--
-		t.dropped++
-		if t.queued == 0 {
-			t.flushed.Broadcast()
-		}
+		t.dropLocked()
 		t.mu.Unlock()
 		return
 	}

@@ -183,7 +183,9 @@ func TestGatewayTenantsBitIdentical(t *testing.T) {
 	want := soloBaselines(t, tenants, iters)
 	g := gwStart(t, gwSystem(t, nil), Options{})
 	runTenants(t, g, want, iters)
-	if st := g.Snapshot(); st.Total != int64(tenants) || st.Active != 0 {
+	// A session's goodbye is answered before its teardown runs.
+	eventually(t, 5*time.Second, "sessions torn down", func() bool { return g.Snapshot().Active == 0 })
+	if st := g.Snapshot(); st.Total != int64(tenants) {
 		t.Fatalf("lifecycle counters off after runs: %+v", st)
 	}
 }
@@ -479,18 +481,7 @@ func TestGatewayMetrics(t *testing.T) {
 // tenantSession digs a tenant's controller session out of the gateway.
 func tenantSession(t *testing.T, g *Gateway, name string) *core.ControllerSession {
 	t.Helper()
-	for _, sh := range g.shards {
-		sh.mu.Lock()
-		for _, tn := range sh.sessions {
-			if tn.name == name {
-				sh.mu.Unlock()
-				return tn.sess
-			}
-		}
-		sh.mu.Unlock()
-	}
-	t.Fatalf("no tenant %q", name)
-	return nil
+	return gwTenant(t, g, name).sess
 }
 
 const gwProdSrc = `__global__ void gwmul(float *s, const float *x, float a, int n) {

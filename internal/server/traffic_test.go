@@ -16,12 +16,9 @@ import (
 	"testing"
 	"time"
 
-	"grout/internal/cluster"
 	"grout/internal/core"
 	"grout/internal/dag"
-	"grout/internal/kernels"
 	"grout/internal/memmodel"
-	"grout/internal/policy"
 )
 
 // trafficArray allocates and host-writes one array so launches on it
@@ -85,7 +82,11 @@ func TestGatewayBackpressurePacesClient(t *testing.T) {
 		}
 	}
 	// With one token and a 50/s refill, the backlog outruns the bucket
-	// and the launch acks must have carried pause advisories.
+	// and the launch acks must have carried pause advisories — once the
+	// acks are in, which any synchronizing call guarantees.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	if c.Pace() == 0 {
 		t.Fatal("client pace is 0 after out-running its token bucket")
 	}
@@ -108,6 +109,9 @@ func TestGatewayBackpressurePacesClient(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := hostile.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	if hostile.Pace() != 0 {
 		t.Fatalf("opted-out client paced itself to %v", hostile.Pace())
 	}
@@ -117,20 +121,16 @@ func TestGatewayBackpressurePacesClient(t *testing.T) {
 }
 
 // Shedding refuses lowest classes first when the shard backlog
-// saturates, the refusal is errors.Is-able as core.ErrShedded through
-// the wire, it is retryable (never sticky), and the per-class shed
-// series reach /metrics.
+// saturates; a pipelined client has launches in flight past the shed one,
+// so the gateway refuses those too and what ran is a prefix of what was
+// issued; the refusal is errors.Is-able as core.ErrShedded through the
+// wire and says how long the prefix is; it is retryable (never sticky);
+// and the per-class shed series reach /metrics.
 func TestGatewayShedsByClass(t *testing.T) {
-	// A gated, non-pipelined controller: the drain's Submit blocks inside
-	// the fabric, so the backlog builds deterministically.
-	gate := make(chan struct{})
-	clu := cluster.New(cluster.PaperSpec(2))
-	var fab core.Fabric = &gatedFabric{
-		Fabric: core.NewLocalFabric(clu, kernels.StdRegistry(), true),
-		gate:   gate,
-	}
-	ctl := core.NewController(fab, policy.NewRoundRobin(), core.Options{Numeric: true})
-	t.Cleanup(func() { ctl.Close() })
+	// The drain's Submit blocks inside the fabric, so the backlog builds
+	// deterministically.
+	ctl, open := gatedSystem(t)
+	defer open()
 	g := gwStart(t, ctl, Options{
 		ShedDepth: 2,
 		LimitsFor: func(tenant string) (core.SessionLimits, bool) {
@@ -140,46 +140,70 @@ func TestGatewayShedsByClass(t *testing.T) {
 			return core.SessionLimits{}, false // class 0
 		},
 	})
-	gateOpen := false
-	defer func() {
-		if !gateOpen {
-			close(gate)
-		}
-	}()
-
 	// All controller-touching setup happens BEFORE the launch storm: the
 	// gated controller's non-pipelined Submit blocks holding its lock,
 	// so once the drain wedges, only enqueue-side paths stay responsive.
 	low := gwDial(t, g, "steerage")
-	la := trafficArray(t, low)
+	la := trafficArray(t, low) // all ones
+	acc, err := low.NewArray(memmodel.Float32, gwElems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := low.HostWrite(acc); err != nil {
+		t.Fatal(err)
+	}
 	vip := gwDial(t, g, "vip")
 	va := trafficArray(t, vip)
 
-	// Build backlog until class 0 sheds: threshold is ShedDepth*(0+1)=2,
-	// and the drain is wedged in the gate, so this happens within a few
-	// launches.
+	// Launch i adds 2^i to acc, so acc spells out which launches ran. The
+	// class-0 threshold is ShedDepth*(0+1)=2 and the drain is wedged in
+	// the gate: launches 0 and 1 queue, launch 2 is shed, and so is
+	// everything the client has in flight behind it.
+	const storm = 10
 	var shedErr error
-	for i := 0; i < 10 && shedErr == nil; i++ {
-		shedErr = low.Launch("relu", 0, 0, core.ArrRef(la), core.ScalarRef(gwElems))
+	issued := 0
+	for ; issued < storm && shedErr == nil; issued++ {
+		shedErr = low.Launch("axpy", 0, 0, core.ArrRef(acc), core.ArrRef(la),
+			core.ScalarRef(float64(int(1)<<issued)), core.ScalarRef(gwElems))
 	}
-	if !errors.Is(shedErr, core.ErrShedded) {
-		t.Fatalf("class-0 launch storm got %v, want ErrShedded", shedErr)
+	acked := func(c *Client) func() bool {
+		return func() bool { unacked, _ := c.inFlight(); return unacked == 0 }
 	}
-	// Class 1 tolerates twice the backlog (threshold 4 > the <=3 backlog
-	// that shed class 0): its launch is still admitted.
+	eventually(t, 5*time.Second, "the gateway answers the whole storm", acked(low))
+	// Class 1 tolerates twice the backlog (threshold 4 > the 2 that shed
+	// class 0): its launch is admitted, as its Sync below confirms.
 	if err := vip.Launch("relu", 0, 0, core.ArrRef(va), core.ScalarRef(gwElems)); err != nil {
-		t.Fatalf("class-1 launch refused while only class 0 should shed: %v", err)
+		t.Fatal(err)
 	}
+	eventually(t, 5*time.Second, "the gateway answers the class-1 launch", acked(vip))
 
-	// Unwedge the drain; the shed counters are cumulative, so the
-	// accounting checks below still see the storm.
-	close(gate)
-	gateOpen = true
-	if err := low.Sync(); err != nil {
+	// Only now unwedge the drain — a launch returning says nothing about
+	// the gateway having seen it. The shed counters are cumulative, so
+	// the accounting checks below still see the storm. One synchronizing
+	// call reports whatever refusals no Launch got to report, and ends
+	// the shedding.
+	open()
+	if err := low.Sync(); shedErr == nil {
+		shedErr = err
+	} else if err != nil && !errors.Is(err, core.ErrShedded) {
 		t.Fatalf("sync after shed: %v (shed must not poison the session)", err)
 	}
+	var shed *ShedError
+	if !errors.Is(shedErr, core.ErrShedded) || !errors.As(shedErr, &shed) {
+		t.Fatalf("class-0 launch storm got %v, want a ShedError wrapping ErrShedded", shedErr)
+	}
+	if shed.Accepted != 2 {
+		t.Fatalf("shed error counts %d accepted launches, want 2: %v", shed.Accepted, shedErr)
+	}
+	if err := low.HostRead(acc); err != nil {
+		t.Fatalf("read after shed: %v (one synchronizing call must clear the shedding)", err)
+	}
+	if got, want := low.Buffer(acc).At(0), float64(int(1)<<shed.Accepted-1); got != want {
+		t.Fatalf("acc = %v after %d launches with %d accepted, want %v: what ran is not the accepted prefix",
+			got, issued, shed.Accepted, want)
+	}
 	if err := vip.Sync(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("class-1 launch refused while only class 0 should shed: %v", err)
 	}
 
 	// Per-class accounting: class 0 shed, class 1 clean.

@@ -148,9 +148,9 @@ func putFrameBuf(b *[]byte) { *b = (*b)[:0]; framePool.Put(b) }
 // framedConn is one framed channel. Writes take wmu and go out with a
 // single writev (net.Buffers), so a frame is never torn; reads are owned
 // by a single reader (the demux goroutine on clients, the serve loop on
-// workers) and need no locking. Control channels write through bw instead
-// (bufferFrame / flushFrames), so a burst of small frames costs one write;
-// a connection uses one of the two write paths, never both.
+// workers) and need no locking. Control and session channels write through
+// bw instead (bufferFrame / flushFrames), so a burst of small frames costs
+// one write; a connection uses one of the two write paths, never both.
 type framedConn struct {
 	raw net.Conn
 	r   *bufio.Reader
@@ -160,7 +160,7 @@ type framedConn struct {
 	iov   [2][]byte // scratch backing for writev, reused under wmu
 	wbufs net.Buffers
 	whdr  [frameHeaderLen + chunkOffsetLen]byte
-	bw    *bufio.Writer // control channels only; made on first use, under wmu
+	bw    *bufio.Writer // control and session channels; made on first use, under wmu
 
 	// rbuf is reader-side scratch for frame headers and chunk offsets; the
 	// single reader goroutine owns it. A field rather than a local because
@@ -294,11 +294,12 @@ func (c *framedConn) writeFrame(ftype byte, reqID uint64, p []byte) error {
 	return nil
 }
 
-// ctrlWriteBuffer sizes a control channel's write buffer: a full default
-// pipeline (64 launch frames of ~150 bytes) fits, so a burst is one write.
+// ctrlWriteBuffer sizes a control or session channel's write buffer: a
+// full default pipeline (64 launch frames of ~150 bytes) fits, so a burst
+// is one write.
 const ctrlWriteBuffer = 16 << 10
 
-// frameSink is where a control channel's write buffer drains: each flush
+// frameSink is where a connection's write buffer drains: each flush
 // arms the write deadline and goes to c.w (read at write time, so a
 // test's substituted writer sees it). Runs under wmu.
 type frameSink struct{ c *framedConn }
@@ -309,7 +310,13 @@ func (s frameSink) Write(p []byte) (int, error) {
 }
 
 // bufferFrame appends one frame to the connection's write buffer; it
-// reaches the wire on flushFrames, or earlier if the buffer fills.
+// reaches the wire on flushFrames, or earlier when the buffer has no room
+// for the next frame — but never in pieces: the buffer is flushed before a
+// frame that does not fit, and a frame larger than the whole buffer goes
+// out on its own. A write that ended inside a frame would leave the peer
+// holding its answers back for the rest of it (SessionConn.RequestWaiting,
+// serveControl) while this side may be holding that rest back for those
+// answers.
 func (c *framedConn) bufferFrame(ftype byte, reqID uint64, p []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -323,9 +330,20 @@ func (c *framedConn) bufferFrame(ftype byte, reqID uint64, p []byte) error {
 	binary.LittleEndian.PutUint32(hdr, uint32(len(p)))
 	hdr[4] = ftype
 	binary.LittleEndian.PutUint64(hdr[5:], reqID)
-	_, err := c.bw.Write(hdr)
-	if err == nil {
-		_, err = c.bw.Write(p)
+	var err error
+	n := frameHeaderLen + len(p)
+	if n > c.bw.Available() {
+		err = c.bw.Flush()
+	}
+	switch {
+	case err != nil:
+	case n > c.bw.Size():
+		c.armWrite()
+		err = c.writev(hdr, p)
+	default:
+		if _, err = c.bw.Write(hdr); err == nil {
+			_, err = c.bw.Write(p)
+		}
 	}
 	if err != nil {
 		return c.fail(fmt.Errorf("transport: write frame: %w", wrapNetErr(err)))

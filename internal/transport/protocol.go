@@ -194,204 +194,33 @@ func (r *Response) ok() error {
 
 // --- framed control channel ------------------------------------------------
 
-// ctrlPending is one control request awaiting its answer.
-type ctrlPending struct {
-	id   uint64
-	kind MsgKind
-	done func(*Response, error)
+// ctrlWire is the control channel's payload codec.
+var ctrlWire = wireCodec[Request, Response]{
+	kind:   func(req *Request) string { return req.Kind.String() },
+	encode: appendRequest,
+	decode: parseResponseInto,
 }
 
-// ctrlConn is the framed control channel: a FIFO-pipelined stream for the
-// small, latency-sensitive messages (ping, launch, build, ensure, free,
-// stats, shutdown). The worker serves a control channel strictly in
-// order, so outstanding requests are a ring, not a map: start appends a
-// request to the ring and to the connection's write buffer, flush puts the
-// buffered frames on the wire, and one reader goroutine pops the ring head
-// for every response and runs its done inline. Any number of requests may
-// be outstanding; call is start + flush + wait.
-//
-// A channel that fails — peer gone, corrupt stream, read deadline — fails
-// every outstanding request in ring order and every later start.
+// ctrlConn is the framed control channel: the FIFO pipeline (pipeline.go)
+// over the small, latency-sensitive messages (ping, launch, build, ensure,
+// free, stats, shutdown). The worker serves a control channel strictly in
+// order, which is what lets launches stream without a round trip each.
 type ctrlConn struct {
-	fc *framedConn
-	// timeout, when > 0, bounds the wait for the next response while any
-	// request is outstanding (writes carry the framedConn's own write
-	// deadline). An idle channel never times out.
-	timeout time.Duration
-
-	// smu orders starts: a request takes its ring slot and its place in the
-	// write buffer under one hold, so ring order is wire order. The reader
-	// never takes it — a start blocked on a full socket must not stop the
-	// reader from draining the responses the peer is blocked on.
-	smu sync.Mutex
-	seq uint64
-
-	// mu guards the ring and the read deadline: armed when the ring
-	// becomes non-empty, re-armed per response, cleared when it empties.
-	// Arming outside mu could let the reader's clear erase a deadline a
-	// concurrent start just set, and a hung worker would then hang forever.
-	mu   sync.Mutex
-	ring []ctrlPending // outstanding requests are ring[head:]
-	head int
-	dead error
+	*pipeline[Request, Response]
 }
 
 func newCtrlConn(fc *framedConn, timeout time.Duration) *ctrlConn {
-	c := &ctrlConn{fc: fc, timeout: timeout}
-	go c.readLoop()
-	return c
+	return &ctrlConn{newPipeline(fc, &ctrlWire, timeout)}
 }
 
-// close tears the channel down; the reader fails whatever is outstanding
-// and exits.
-func (c *ctrlConn) close() error { return c.fc.close() }
-
-// start queues one request: done runs exactly once, on the reader
-// goroutine, with the response (valid only during the call) or the
-// channel's failure, and must not block. A non-nil return means the
-// request was not queued and done will not run. The frame goes out on the
-// next flush (or when the write buffer fills).
-func (c *ctrlConn) start(req *Request, done func(*Response, error)) error {
-	bp := getFrameBuf()
-	*bp = appendRequest(*bp, req)
-	c.smu.Lock()
-	c.mu.Lock()
-	if c.dead != nil {
-		err := c.dead
-		c.mu.Unlock()
-		c.smu.Unlock()
-		putFrameBuf(bp)
-		return err
-	}
-	c.seq++
-	id := c.seq
-	if c.head == len(c.ring) && c.timeout > 0 {
-		c.fc.armRead(c.timeout)
-	}
-	if c.head > 0 && len(c.ring) == cap(c.ring) {
-		n := copy(c.ring, c.ring[c.head:])
-		clear(c.ring[n:])
-		c.ring, c.head = c.ring[:n], 0
-	}
-	c.ring = append(c.ring, ctrlPending{id: id, kind: req.Kind, done: done})
-	c.mu.Unlock()
-	// The entry is in the ring before its frame is written, and mu is not
-	// held across the write. A failed write tears the connection down, so
-	// the reader fails the ring — this request included.
-	_ = c.fc.bufferFrame(frameRequest, id, *bp)
-	c.smu.Unlock()
-	putFrameBuf(bp)
-	return nil
-}
-
-// flush puts every buffered request on the wire. Callers flush before
-// they wait for an answer; a failure surfaces through the done callbacks.
-func (c *ctrlConn) flush() { _ = c.fc.flushFrames() }
-
-// ctrlWaiter is call's rendezvous with the reader goroutine.
-type ctrlWaiter struct {
-	resp Response
-	err  error
-	ch   chan struct{}
-	fn   func(*Response, error)
-}
-
-var ctrlWaiterPool = sync.Pool{New: func() any {
-	w := &ctrlWaiter{ch: make(chan struct{}, 1)}
-	w.fn = func(resp *Response, err error) {
-		if resp != nil {
-			w.resp = *resp
-		}
-		w.err = err
-		w.ch <- struct{}{}
-	}
-	return w
-}}
-
-// call performs one blocking control round trip.
+// call performs one blocking control round trip; a remote failure comes
+// back as the error.
 func (c *ctrlConn) call(req *Request) (Response, error) {
-	w := ctrlWaiterPool.Get().(*ctrlWaiter)
-	if err := c.start(req, w.fn); err != nil {
-		ctrlWaiterPool.Put(w)
-		return Response{}, fmt.Errorf("transport: send %v: %w", req.Kind, err)
-	}
-	c.flush()
-	<-w.ch
-	resp, err := w.resp, w.err
-	w.resp, w.err = Response{}, nil
-	ctrlWaiterPool.Put(w)
+	resp, err := c.pipeline.call(req)
 	if err == nil {
 		err = resp.ok()
 	}
 	return resp, err
-}
-
-// readLoop answers the ring in order until the channel dies.
-func (c *ctrlConn) readLoop() {
-	var resp Response
-	for {
-		h, err := c.fc.readHeader()
-		if err != nil {
-			c.failAll(wrapNetErr(err))
-			return
-		}
-		if h.ftype != frameResponse {
-			// A control channel carries nothing else; anything different
-			// marks a corrupt stream.
-			c.failAll(fmt.Errorf("unexpected frame type %d id %d", h.ftype, h.reqID))
-			return
-		}
-		bp, err := c.fc.readPayload(h.n)
-		if err != nil {
-			c.failAll(wrapNetErr(err))
-			return
-		}
-		perr := parseResponseInto(*bp, &resp)
-		putFrameBuf(bp)
-		if perr != nil {
-			c.failAll(perr)
-			return
-		}
-		c.mu.Lock()
-		if c.head == len(c.ring) || c.ring[c.head].id != h.reqID {
-			c.mu.Unlock()
-			c.failAll(fmt.Errorf("response %d answers no outstanding request", h.reqID))
-			return
-		}
-		p := c.ring[c.head]
-		c.ring[c.head] = ctrlPending{}
-		c.head++
-		if c.head == len(c.ring) {
-			c.ring, c.head = c.ring[:0], 0
-		}
-		if c.timeout > 0 {
-			if c.head == len(c.ring) {
-				c.fc.armRead(0)
-			} else {
-				c.fc.armRead(c.timeout)
-			}
-		}
-		c.mu.Unlock()
-		p.done(&resp, nil)
-	}
-}
-
-// failAll marks the channel dead and fails every outstanding request, in
-// ring order, with the connection's first fatal error (a write failure
-// that tore the connection down takes precedence over the reader's
-// less specific view of the teardown).
-func (c *ctrlConn) failAll(err error) {
-	err = c.fc.fail(err)
-	c.mu.Lock()
-	if c.dead == nil {
-		c.dead = err
-	}
-	pend := c.ring[c.head:]
-	c.ring, c.head = nil, 0
-	c.mu.Unlock()
-	for _, p := range pend {
-		p.done(nil, fmt.Errorf("transport: await %v: %w", p.kind, err))
-	}
 }
 
 // --- framed bulk channel ---------------------------------------------------

@@ -16,7 +16,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"sync"
 	"time"
 
 	"grout/internal/core"
@@ -38,7 +37,8 @@ const (
 	SessNewArray
 	// SessLaunch submits a kernel CE (Inv with session-local array IDs).
 	// The gateway acknowledges admission; dispatch errors surface on the
-	// next synchronizing operation.
+	// next synchronizing operation. A client may stream launches without
+	// waiting for the acks, up to the window the open reply announced.
 	SessLaunch
 	// SessHostRead synchronizes an array and returns its contents.
 	SessHostRead
@@ -60,8 +60,8 @@ const (
 	// SessBackpressure polls the gateway's flow-control advisory for this
 	// tenant: the response's BP frame carries the launch-queue fill and a
 	// suggested pause. The gateway also piggybacks the same frame on
-	// SessLaunch acks when the queue runs hot, so a steadily launching
-	// client rarely needs to poll (DESIGN.md §5.9).
+	// SessLaunch acks when the tenant out-runs its token bucket, so a
+	// steadily launching client rarely needs to poll (DESIGN.md §5.9).
 	SessBackpressure
 )
 
@@ -112,24 +112,27 @@ type SessionResponse struct {
 	// serving this tenant and the plane's shard count.
 	Shard, ShardCount int
 	// BP is the gateway's flow-control advisory: always present on a
-	// SessBackpressure answer, piggybacked on SessLaunch acks when the
-	// tenant's queue runs hot, nil otherwise.
+	// SessBackpressure answer and (as the launch window) on the SessOpen
+	// answer, piggybacked on SessLaunch acks when the tenant out-runs its
+	// token bucket, nil otherwise.
 	BP *Backpressure
 	// Data is the SessHostRead payload.
 	Data *kernels.Buffer
 }
 
 // Backpressure is the gateway's per-tenant flow-control advisory
-// (DESIGN.md §5.9). It is advisory, not a protocol obligation: a client
-// that ignores it still makes progress, but fills its bounded launch
-// queue and ends up blocking on its own socket instead.
+// (DESIGN.md §5.9). The pause is advisory, not a protocol obligation: a
+// client that ignores it still makes progress, but leaves the gateway's
+// queue bound and token bucket to do all the throttling.
 type Backpressure struct {
 	// Queued and QueueCap report the tenant's launch-queue fill at the
-	// moment the advisory was built.
+	// moment the advisory was built. On the SessOpen reply QueueCap is
+	// the client's launch window: how many launches it may have
+	// unacknowledged (DESIGN.md §5.5).
 	Queued, QueueCap int
 	// Pause is the suggested client-side pause before the next launch:
-	// the gateway's estimate of how long the tenant's backlog (token
-	// deficit plus queue fill) takes to clear.
+	// the gateway's estimate of how long the tenant's token deficit
+	// takes to clear.
 	Pause time.Duration
 }
 
@@ -308,35 +311,41 @@ func parseSessionResponseInto(p []byte, resp *SessionResponse) error {
 
 // --- session channel ---------------------------------------------------------
 
-// SessionConn is one tenant channel: the client side performs strict
-// request/response round trips (Call); the gateway side reads requests and
-// replies by ID (ReadRequest / Reply). Both ends share the framed
-// transport's atomic frame writes.
+// sessionWire is the session channel's payload codec.
+var sessionWire = wireCodec[SessionRequest, SessionResponse]{
+	noun:   "session ",
+	kind:   func(req *SessionRequest) string { return req.Kind.String() },
+	encode: appendSessionRequest,
+	decode: parseSessionResponseInto,
+}
+
+// SessionConn is one tenant channel. The client side is the same FIFO
+// pipeline as the worker control channel (pipeline.go): Start queues a
+// request without waiting for the answers ahead of it, Flush puts queued
+// frames on the wire, Call is Start + Flush + wait. The gateway side reads
+// requests and answers them in order (ReadRequest, then Reply or
+// BufferReply + Flush). Every write of either side goes through the
+// connection's write buffer, so a burst of small frames costs one write.
 type SessionConn struct {
 	fc *framedConn
-
-	// mu serializes client round trips; the session protocol is strictly
-	// sequential per connection.
-	mu  sync.Mutex
-	seq uint64
-	// timeout, when > 0, bounds one client round trip.
-	timeout time.Duration
+	// pipe is the client side's request pipeline; nil on the gateway side.
+	pipe *pipeline[SessionRequest, SessionResponse]
 }
 
 // DialSession opens a session channel to a gateway. dialTimeout bounds
 // the TCP connect + hello (0 = 5s default, negative disables);
-// callTimeout bounds each round trip (0 disables — session operations
-// like HostRead legitimately wait on global synchronization).
+// callTimeout bounds the wait for the next response while any request is
+// outstanding (0 disables — session operations like HostRead legitimately
+// wait on global synchronization); an idle channel never times out.
 func DialSession(addr string, dialTimeout, callTimeout time.Duration) (*SessionConn, error) {
 	fc, err := dialFramed(addr, helloSession, pickTimeout(dialTimeout, DefaultDialTimeout))
 	if err != nil {
 		return nil, err
 	}
-	c := &SessionConn{fc: fc}
-	if callTimeout > 0 {
-		c.timeout = callTimeout
+	if callTimeout < 0 {
+		callTimeout = 0
 	}
-	return c, nil
+	return &SessionConn{fc: fc, pipe: newPipeline(fc, &sessionWire, callTimeout)}, nil
 }
 
 // AcceptSession validates the hello on an accepted gateway connection and
@@ -358,50 +367,45 @@ func AcceptSession(raw net.Conn, hsTimeout time.Duration) (*SessionConn, error) 
 	return &SessionConn{fc: newFramedConn(raw, nil)}, nil
 }
 
-// Close tears the channel down; safe to call twice.
-func (c *SessionConn) Close() error { return c.fc.close() }
+// Close tears the channel down; safe to call twice. On the client side it
+// returns once the reader goroutine has exited — every outstanding done
+// has run by then — so it must not be called from a done callback.
+func (c *SessionConn) Close() error {
+	err := c.fc.close()
+	if c.pipe != nil {
+		<-c.pipe.exited
+	}
+	return err
+}
 
 // RemoteAddr names the peer (gateway logs).
 func (c *SessionConn) RemoteAddr() net.Addr { return c.fc.raw.RemoteAddr() }
 
-// Call performs one client round trip. Remote errors come back via
+// Start queues one client request without waiting for its answer: done
+// runs exactly once, on the connection's reader goroutine, with the
+// response (valid only during the call) or the channel's failure, and must
+// not block on anything but a short lock. Responses arrive in request
+// order. req is encoded before Start returns, so the caller may reuse it;
+// the frame leaves on the next Flush or Call. A non-nil return means the
+// request was not queued and done will not run.
+func (c *SessionConn) Start(req *SessionRequest, done func(*SessionResponse, error)) error {
+	return c.pipe.start(req, done)
+}
+
+// Flush puts every buffered frame — client requests or gateway replies —
+// on the wire.
+func (c *SessionConn) Flush() error { return c.fc.flushFrames() }
+
+// Call performs one client round trip; every request started earlier has
+// been answered when it returns. Remote errors come back via
 // SessionResponse.Ok (sentinel-wrapped); transport errors kill the
 // connection.
 func (c *SessionConn) Call(req *SessionRequest) (*SessionResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	id := c.seq
-	bp := getFrameBuf()
-	*bp = appendSessionRequest(*bp, req)
-	err := c.fc.writeFrame(frameRequest, id, *bp)
-	putFrameBuf(bp)
+	resp, err := c.pipe.call(req)
 	if err != nil {
-		return nil, fmt.Errorf("transport: send session %v: %w", req.Kind, err)
+		return nil, err
 	}
-	if c.timeout > 0 {
-		c.fc.armRead(c.timeout)
-		defer c.fc.armRead(0)
-	}
-	h, err := c.fc.readHeader()
-	if err != nil {
-		return nil, c.fc.fail(fmt.Errorf("transport: await session %v: %w", req.Kind, wrapNetErr(err)))
-	}
-	if h.ftype != frameResponse || h.reqID != id {
-		return nil, c.fc.fail(fmt.Errorf("transport: await session %v: unexpected frame type %d id %d",
-			req.Kind, h.ftype, h.reqID))
-	}
-	pb, err := c.fc.readPayload(h.n)
-	if err != nil {
-		return nil, c.fc.fail(fmt.Errorf("transport: await session %v: %w", req.Kind, wrapNetErr(err)))
-	}
-	resp := &SessionResponse{}
-	perr := parseSessionResponseInto(*pb, resp)
-	putFrameBuf(pb)
-	if perr != nil {
-		return nil, c.fc.fail(fmt.Errorf("transport: await session %v: %w", req.Kind, perr))
-	}
-	return resp, nil
+	return &resp, nil
 }
 
 // ReadRequest reads the next client request into req (gateway serve
@@ -426,13 +430,30 @@ func (c *SessionConn) ReadRequest(req *SessionRequest) (uint64, error) {
 	return h.reqID, nil
 }
 
-// Reply answers one request (gateway serve loop).
-func (c *SessionConn) Reply(reqID uint64, resp *SessionResponse) error {
+// RequestWaiting reports whether bytes of a further request are already
+// in the read buffer: the gateway holds its buffered replies back while
+// one is, and flushes when none is. A client never ends a write inside a
+// frame (bufferFrame), so the rest of a request only partly buffered here
+// is already on its way and reading it waits on nothing the held-back
+// replies would release.
+func (c *SessionConn) RequestWaiting() bool { return c.fc.r.Buffered() > 0 }
+
+// BufferReply answers one request into the write buffer; it reaches the
+// wire on the next Flush or Reply (or earlier if the buffer fills).
+func (c *SessionConn) BufferReply(reqID uint64, resp *SessionResponse) error {
 	bp := getFrameBuf()
 	*bp = appendSessionResponse(*bp, resp)
-	err := c.fc.writeFrame(frameResponse, reqID, *bp)
+	err := c.fc.bufferFrame(frameResponse, reqID, *bp)
 	putFrameBuf(bp)
 	return err
+}
+
+// Reply answers one request; it is on the wire when Reply returns.
+func (c *SessionConn) Reply(reqID uint64, resp *SessionResponse) error {
+	if err := c.BufferReply(reqID, resp); err != nil {
+		return err
+	}
+	return c.Flush()
 }
 
 // sessionRequestEq reports deep equality (fuzz round trips; floats

@@ -17,9 +17,13 @@
 #      suite and the streamed-launch suite (pipelined control channel:
 #      streamed-vs-serial property over real sockets, worker kill and
 #      link sever with launches in flight, ring deadline, write
-#      coalescing, wrapper fidelity), re-run explicitly in 4b so a
-#      rename can't silently drop them from the race gate; the
-#      multi-tenant gateway suite —
+#      coalescing, wrapper fidelity) and the pipelined tenant-session
+#      suite (streamed-vs-synced bit identity, quiet client at the
+#      default and at a deep queue, launch window, write coalescing and
+#      whole-frame writes, deferred errors, shed prefix, severed
+#      connection, call timeout, Close behind a parked sync), re-run
+#      explicitly in 4b so a rename can't silently drop them from the
+#      race gate; the multi-tenant gateway suite —
 #      concurrent tenants over real TCP, chaos failover, disconnect
 #      teardown — rides in the same sweep via internal/server; the
 #      sharded control plane — per-shard drain goroutines, the
@@ -39,9 +43,10 @@
 #      fleet size) and the gateway dial-churn pair (they must still
 #      compile and complete, not regress — use scripts/bench.sh for
 #      numbers)
-#   7. the repository benchmark's launch-stream workload at a tenth of a
-#      second, untraced: its output check (bit-identical replay) must
-#      hold through the streamed dispatch path
+#   7. the repository benchmark's launch-stream and launch-sync
+#      workloads at a tenth of a second, untraced: their output check
+#      (bit-identical replay) must hold through the streamed dispatch
+#      path at depth 64 and at depth 1
 #
 # Run from the repo root: ./scripts/ci.sh
 set -euo pipefail
@@ -65,9 +70,9 @@ go test -race ./internal/core/... ./internal/dag/... ./internal/transport/... \
 echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos)"
 go test -race -run 'TestShardDifferential' ./internal/workloads/
 
-echo "== go test -race chaos/recovery + streamed-launch suite (lineage replay, deadlines, write-off, stream replay)"
-go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ControlChannelCoalesces|WrappersDoNotForward|SharedRegistry' \
-    ./internal/core/ ./internal/transport/ ./internal/shard/ ./internal/bench/
+echo "== go test -race chaos/recovery + streamed-launch + pipelined-session suite (lineage replay, deadlines, write-off, stream replay, session stream)"
+go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue' \
+    ./internal/core/ ./internal/transport/ ./internal/shard/ ./internal/bench/ ./internal/server/
 
 echo "== differential fuzz (compiled engine vs interpreter, 10s)"
 go test -run FuzzDifferential -fuzz FuzzDifferential -fuzztime 10s \
@@ -108,7 +113,8 @@ go test -run '^$' -bench 'BenchmarkOversubSweep/sequential/(eager\+lru|stride\+l
 go test -run '^$' -bench 'BenchmarkUVMBench/(spmv|kmeans)/eager\+lru/(1|2|4)w/x(0.5|2.0)' \
     -benchtime=1x ./internal/bench/
 
-echo "== repository benchmark smoke (launch-stream, output-checked)"
+echo "== repository benchmark smoke (launch-stream and launch-sync, output-checked)"
 go run ./benchmark --workload launch-stream --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
+go run ./benchmark --workload launch-sync --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
 echo "CI OK"
