@@ -41,7 +41,10 @@ import (
 
 // Re-exported types: the public names a downstream user needs.
 type (
-	// Controller is GrOUT's scheduling front end (paper Algorithm 1).
+	// Controller is GrOUT's scheduling front end (paper Algorithm 1). Its
+	// per-CE state is bounded: Traces, WriteChromeTrace and WriteGantt
+	// show the most recent 4096 CEs, while Elapsed, MovedBytes and the
+	// other totals cover the whole run (DESIGN.md §5.1, "State lifetime").
 	Controller = core.Controller
 	// Context is the polyglot evaluation context (paper Listing 1).
 	Context = polyglot.Context

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"grout/internal/cluster"
@@ -16,6 +17,7 @@ import (
 	"grout/internal/minicuda"
 	"grout/internal/optimizer"
 	"grout/internal/policy"
+	"grout/internal/ring"
 	"grout/internal/sim"
 )
 
@@ -179,15 +181,25 @@ type Options struct {
 	// without colliding with an ID that shard allocated itself. Zero
 	// keeps the default namespace (IDs from 1).
 	ArrayIDBase dag.ArrayID
-	// TraceCapacity preallocates the per-CE trace buffer for long
-	// streams (a hint; the buffer still grows past it).
-	TraceCapacity int
-	// DisableTraces stops per-CE trace accumulation entirely so
-	// long-running production streams do not grow memory linearly.
-	// Aggregate counters (Elapsed, MovedBytes, scheduling overhead)
-	// still update; Traces() returns nil and trace export is empty.
-	DisableTraces bool
 }
+
+// traceRing is how many per-CE trace entries a controller keeps: Traces,
+// WriteChromeTrace and WriteGantt show the most recent traceRing CEs.
+// Totals (Elapsed, MovedBytes, scheduling overhead) are separate counters
+// and cover the whole run.
+const traceRing = 4096
+
+// ceState is the controller's record of one CE, hung on the CE's Payload so
+// that it lives exactly as long as the CE's Global-DAG vertex. Guarded by
+// mu.
+type ceState struct {
+	// end is the CE's completion time, final once done is set: the CE
+	// committed, or failed terminally (end 0) so dependents stop waiting.
+	end  sim.VirtualTime
+	done bool
+}
+
+func stateOf(ce *dag.CE) *ceState { return ce.Payload.(*ceState) }
 
 // RetryPolicy shapes transient-failure retries: capped exponential
 // backoff with optional deterministic jitter.
@@ -274,15 +286,21 @@ type Controller struct {
 	// take only mu.
 	subMu sync.Mutex
 
-	// mu guards the dispatch-shared state below (ceEnd, array registry
-	// times, totals, traces, dead set, policy, the arrays map). cond is
-	// broadcast whenever a dispatch commit publishes new state.
+	// mu guards the dispatch-shared state below (every CE's ceState, array
+	// registry times, totals, traces, dead set, policy, the arrays map).
+	// cond is broadcast whenever a dispatch commit publishes new state.
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	ceEnd   map[dag.CEID]sim.VirtualTime
-	traces  []CETrace
-	noTrace bool
+	// finished lists the CEs completed since the submission side last
+	// looked. A commit runs under mu alone and the graph belongs to subMu,
+	// so it cannot retire anything itself: it queues the CE here and
+	// retireLocked hands the batch to the graph.
+	finished []*dag.CE
+	// liveCEs mirrors graph.Live() as of the last retireLocked, for
+	// readers that must not wait for subMu (/metrics).
+	liveCEs atomic.Int64
+	traces  ring.Ring[CETrace]
 	elapsed sim.VirtualTime
 
 	// dead records workers the controller has written off (Failover);
@@ -306,6 +324,8 @@ type Controller struct {
 	// metasBuf is validate's argument-metadata scratch (kernel Access
 	// hooks must not retain it).
 	metasBuf []kernels.ArgMeta
+	// dagAccs is admitCE's access-list scratch (the graph copies it).
+	dagAccs []dag.Access
 	// schedBuf is the serial path's reusable scheduled record; the
 	// pipelined path allocates per CE since dispatch outlives Submit.
 	schedBuf scheduled
@@ -372,10 +392,9 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 		graph:    dag.New(),
 		arrays:   make(map[dag.ArrayID]*GlobalArray),
 		nextArr:  1,
-		ceEnd:    make(map[dag.CEID]sim.VirtualTime),
+		traces:   ring.New[CETrace](traceRing),
 		dead:     make(map[cluster.NodeID]bool),
 		deadGen:  1,
-		noTrace:  opts.DisableTraces,
 		retry:    opts.Retry,
 	}
 	if opts.ArrayIDBase > 0 {
@@ -403,9 +422,6 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 		c.retryRng = rand.New(rand.NewSource(seed))
 	}
 	c.cond = sync.NewCond(&c.mu)
-	if opts.TraceCapacity > 0 && !opts.DisableTraces {
-		c.traces = make([]CETrace, 0, opts.TraceCapacity)
-	}
 	if opts.Pipeline {
 		c.pipe = newPipeline(c, opts.PipelineDepth)
 	}
@@ -419,11 +435,15 @@ func (c *Controller) Close() error {
 	c.subMu.Lock()
 	ferr := c.flushWindowLocked()
 	c.subMu.Unlock()
-	if c.pipe == nil {
-		return ferr
+	var perr error
+	if c.pipe != nil {
+		perr = c.pipe.close()
 	}
-	if err := c.pipe.close(); err != nil {
-		return err
+	c.subMu.Lock()
+	c.sweepLocked()
+	c.subMu.Unlock()
+	if perr != nil {
+		return perr
 	}
 	return ferr
 }
@@ -526,18 +546,25 @@ func (c *Controller) SetPolicy(p policy.Policy) {
 	c.mu.Unlock()
 }
 
-// Graph exposes the Global DAG.
+// Graph exposes the Global DAG. It belongs to the submission side: read it
+// between submissions (tests, reports), not beside them.
 func (c *Controller) Graph() *dag.Graph { return c.graph }
+
+// LiveCEs reports how many CEs the Global DAG held at the last admission or
+// synchronising point (dag.Graph.Live) — the quantity that must stay flat
+// under an endless stream. Safe from any goroutine; never blocks.
+func (c *Controller) LiveCEs() int { return int(c.liveCEs.Load()) }
 
 // Registry exposes the kernel registry.
 func (c *Controller) Registry() *kernels.Registry { return c.reg }
 
-// Traces returns the per-CE schedule trace (nil with DisableTraces).
+// Traces returns the per-CE schedule trace: the most recent traceRing
+// (4096) CEs, oldest first, as a copy.
 func (c *Controller) Traces() []CETrace {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
 	c.drainLocked()
-	return c.traces
+	return c.traces.Slice()
 }
 
 // Elapsed reports the workload makespan in virtual time.
@@ -644,6 +671,11 @@ func (c *Controller) FreeArray(id dag.ArrayID) error {
 	}
 	c.mu.Lock()
 	delete(c.arrays, id)
+	// Array IDs are never reused and validate refuses unknown ones, so no
+	// later CE can name the array: its last writer and readers leave the
+	// frontier instead of staying on it for the life of the process.
+	c.graph.DropArray(id)
+	c.retireLocked()
 	c.mu.Unlock()
 	return nil
 }
@@ -798,14 +830,7 @@ func (c *Controller) schedule(inv Invocation, accs []memmodel.Access, s *schedul
 	schedStart := time.Now()
 
 	// Add CE to the Global DAG's frontier.
-	var dagAccs []dag.Access
-	for i, a := range inv.Args {
-		if a.IsArray {
-			dagAccs = append(dagAccs, dag.Access{Array: a.Array, Mode: accs[i].Mode})
-		}
-	}
-	ce := c.graph.NewCE(inv.Kernel, dagAccs, nil)
-	ancestors := c.graph.Add(ce)
+	ce, ancestors := c.admitCE(inv, accs)
 
 	// Apply the node-level scheduling policy.
 	req := c.buildRequest(ce, inv.Args, accs)
@@ -818,6 +843,57 @@ func (c *Controller) schedule(inv Invocation, accs []memmodel.Access, s *schedul
 	s.schedDur = time.Since(schedStart)
 	c.schedTime += s.schedDur
 	c.schedCEs++
+}
+
+// admitCE enters a kernel CE into the Global DAG and returns it with its
+// ancestors. Caller holds subMu and mu.
+func (c *Controller) admitCE(inv Invocation, accs []memmodel.Access) (*dag.CE, []*dag.Vertex) {
+	c.dagAccs = c.dagAccs[:0]
+	for i, a := range inv.Args {
+		if a.IsArray {
+			c.dagAccs = append(c.dagAccs, dag.Access{Array: a.Array, Mode: accs[i].Mode})
+		}
+	}
+	return c.addCE(inv.Kernel, c.dagAccs)
+}
+
+// addCE is the one way a CE enters the Global DAG: it first hands the graph
+// the CEs finished since the last admission (amortised O(1) per CE — the
+// whole of retirement's submission-side cost), then adds the new CE with a
+// fresh ceState. Caller holds subMu, and mu unless the pipeline is drained.
+func (c *Controller) addCE(label string, accs []dag.Access) (*dag.CE, []*dag.Vertex) {
+	c.retireLocked()
+	ce := c.graph.NewCE(label, accs, nil)
+	dag.Record[ceState](ce)
+	return ce, c.graph.Add(ce)
+}
+
+// finishLocked publishes a CE's end time to its dependents and queues the
+// CE for the graph. Caller holds mu.
+func (c *Controller) finishLocked(ce *dag.CE, end sim.VirtualTime) {
+	st := stateOf(ce)
+	st.end, st.done = end, true
+	c.finished = append(c.finished, ce)
+}
+
+// retireLocked reports every finished CE to the graph, which retires what
+// nothing can depend on any more. Caller holds subMu (the graph's lock) and
+// mu (the queue's), or subMu with the pipeline drained.
+func (c *Controller) retireLocked() {
+	for i, ce := range c.finished {
+		c.graph.Complete(ce)
+		c.finished[i] = nil
+	}
+	c.finished = c.finished[:0]
+	c.liveCEs.Store(int64(c.graph.Live()))
+}
+
+// sweepLocked is retireLocked at a synchronising point (a drain, a window
+// flush, Close), where no admission is about to do it. Caller holds subMu.
+func (c *Controller) sweepLocked() {
+	c.mu.Lock()
+	c.retireLocked()
+	c.mu.Unlock()
 }
 
 // predictMembership applies the CE's effect on the data-location
@@ -1194,19 +1270,17 @@ func (c *Controller) commitLocked(s *scheduled, target cluster.NodeID, ready, en
 		}
 	}
 
-	c.ceEnd[s.ce.ID] = end
+	c.finishLocked(s.ce, end)
 	if end > c.elapsed {
 		c.elapsed = end
 	}
 	c.movedBytes += moved
 	c.p2pMoves += p2p
-	if !c.noTrace {
-		c.traces = append(c.traces, CETrace{
-			CE: s.ce.ID, Label: s.inv.Kernel, Node: target,
-			Start: ready, End: end, MovedBytes: moved, P2PMoves: p2p,
-			SchedOverhd: s.schedDur,
-		})
-	}
+	c.traces.Push(CETrace{
+		CE: s.ce.ID, Label: s.inv.Kernel, Node: target,
+		Start: ready, End: end, MovedBytes: moved, P2PMoves: p2p,
+		SchedOverhd: s.schedDur,
+	})
 	c.cond.Broadcast()
 }
 
@@ -1216,8 +1290,8 @@ func (c *Controller) commitLocked(s *scheduled, target cluster.NodeID, ready, en
 func (c *Controller) commitError(s *scheduled, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.ceEnd[s.ce.ID]; !ok {
-		c.ceEnd[s.ce.ID] = 0
+	if !stateOf(s.ce).done {
+		c.finishLocked(s.ce, 0)
 	}
 	c.cond.Broadcast()
 }
@@ -1243,9 +1317,9 @@ func (c *Controller) waitDeps(s *scheduled) (sim.VirtualTime, error) {
 	defer c.mu.Unlock()
 	for _, a := range s.ancestors {
 		for {
-			if end, ok := c.ceEnd[a.CE.ID]; ok {
-				if end > depReady {
-					depReady = end
+			if st := stateOf(a.CE); st.done {
+				if st.end > depReady {
+					depReady = st.end
 				}
 				break
 			}
@@ -1281,7 +1355,7 @@ func (c *Controller) streamableLocked(s *scheduled, inflight map[dag.CEID]cluste
 		return false
 	}
 	for _, a := range s.ancestors {
-		if _, ok := c.ceEnd[a.CE.ID]; ok {
+		if stateOf(a.CE).done {
 			continue
 		}
 		if w, ok := inflight[a.CE.ID]; !ok || w != s.target {
@@ -1306,12 +1380,12 @@ func (c *Controller) streamableLocked(s *scheduled, inflight map[dag.CEID]cluste
 // ran without its effect and must not commit. Caller holds mu.
 func (c *Controller) streamedReadyLocked(s *scheduled) (ready sim.VirtualTime, ok bool) {
 	for _, a := range s.ancestors {
-		end, committed := c.ceEnd[a.CE.ID]
-		if !committed {
+		st := stateOf(a.CE)
+		if !st.done {
 			return 0, false
 		}
-		if end > ready {
-			ready = end
+		if st.end > ready {
+			ready = st.end
 		}
 	}
 	for i, a := range s.inv.Args {
@@ -1632,14 +1706,7 @@ func (c *Controller) HostRead(id dag.ArrayID) (sim.VirtualTime, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: host read of unknown array %d", id)
 	}
-	ce := c.graph.NewCE("host-read", []dag.Access{{Array: id, Mode: memmodel.Read}}, nil)
-	ancestors := c.graph.Add(ce)
-	depReady := sim.VirtualTime(0)
-	for _, a := range ancestors {
-		if end := c.ceEnd[a.CE.ID]; end > depReady {
-			depReady = end
-		}
-	}
+	ce, depReady := c.addHostCE("host-read", dag.Access{Array: id, Mode: memmodel.Read})
 	end := depReady
 	if _, up := arr.upToDate[cluster.ControllerID]; !up {
 		if len(arr.upToDate) == 0 {
@@ -1672,15 +1739,30 @@ func (c *Controller) HostRead(id dag.ArrayID) (sim.VirtualTime, error) {
 	} else if t := arr.upToDate[cluster.ControllerID]; t > end {
 		end = t
 	}
-	c.ceEnd[ce.ID] = end
+	stateOf(ce).end = end
 	if end > c.elapsed {
 		c.elapsed = end
 	}
-	if !c.noTrace {
-		c.traces = append(c.traces, CETrace{CE: ce.ID, Label: "host-read",
-			Node: cluster.ControllerID, Start: depReady, End: end})
-	}
+	c.traces.Push(CETrace{CE: ce.ID, Label: "host-read",
+		Node: cluster.ControllerID, Start: depReady, End: end})
 	return end, nil
+}
+
+// addHostCE enters a host read or write into the Global DAG and returns it
+// with the latest end time among its ancestors. The pipeline is drained, so
+// every ancestor is done; the CE itself is finished at once — a host op
+// completes inside the call that makes it, also when that call fails —
+// with end depReady until the caller knows better. Caller holds subMu.
+func (c *Controller) addHostCE(label string, acc dag.Access) (ce *dag.CE, depReady sim.VirtualTime) {
+	c.dagAccs = append(c.dagAccs[:0], acc)
+	ce, ancestors := c.addCE(label, c.dagAccs)
+	for _, a := range ancestors {
+		if end := stateOf(a.CE).end; end > depReady {
+			depReady = end
+		}
+	}
+	c.finishLocked(ce, depReady)
+	return ce, depReady
 }
 
 // HostWrite marks an array as (re)initialized by the controller's host
@@ -1699,14 +1781,7 @@ func (c *Controller) HostWrite(id dag.ArrayID) (sim.VirtualTime, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: host write of unknown array %d", id)
 	}
-	ce := c.graph.NewCE("host-write", []dag.Access{{Array: id, Mode: memmodel.Write}}, nil)
-	ancestors := c.graph.Add(ce)
-	depReady := sim.VirtualTime(0)
-	for _, a := range ancestors {
-		if end := c.ceEnd[a.CE.ID]; end > depReady {
-			depReady = end
-		}
-	}
+	ce, depReady := c.addHostCE("host-write", dag.Access{Array: id, Mode: memmodel.Write})
 	clear(arr.upToDate)
 	arr.upToDate[cluster.ControllerID] = depReady
 	clear(arr.member)
@@ -1722,14 +1797,11 @@ func (c *Controller) HostWrite(id dag.ArrayID) (sim.VirtualTime, error) {
 	arr.ver++
 	arr.cver = arr.ver
 	arr.hostVer = arr.ver
-	c.ceEnd[ce.ID] = depReady
 	if depReady > c.elapsed {
 		c.elapsed = depReady
 	}
-	if !c.noTrace {
-		c.traces = append(c.traces, CETrace{CE: ce.ID, Label: "host-write",
-			Node: cluster.ControllerID, Start: depReady, End: depReady})
-	}
+	c.traces.Push(CETrace{CE: ce.ID, Label: "host-write",
+		Node: cluster.ControllerID, Start: depReady, End: depReady})
 	return depReady, nil
 }
 

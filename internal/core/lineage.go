@@ -51,9 +51,10 @@ type lineageKey struct {
 // producerRec is the replayable record of the CE that produced one or more
 // array versions. One record serves every array the CE wrote.
 type producerRec struct {
-	// ce is the retained Global-DAG vertex payload; recovery reuses it
-	// for the policy's placement request, like any reschedule.
-	ce *dag.CE
+	// ce is a private copy of the producer's identity: recovery hands it
+	// to the policy's placement request, like any reschedule, long after
+	// the Global DAG has retired the vertex and reused its own CE.
+	ce dag.CE
 	// inv is the invocation with its argument slice deep-copied: callers
 	// may reuse their Args backing across launches.
 	inv Invocation
@@ -79,7 +80,7 @@ func (c *Controller) recordLineage(s *scheduled) {
 	if c.lineage != nil {
 		for i, a := range s.inv.Args {
 			if a.IsArray && s.accs[i].Mode.Writes() {
-				rec = &producerRec{ce: s.ce, inv: s.inv, accs: s.accs}
+				rec = &producerRec{ce: dag.CE{ID: s.ce.ID, Label: s.ce.Label}, inv: s.inv, accs: s.accs}
 				rec.inv.Args = append([]ArgRef(nil), s.inv.Args...)
 				break
 			}
@@ -318,7 +319,7 @@ func (c *Controller) replayStep(rec *producerRec, locs map[dag.ArrayID]planLoc) 
 			c.mu.Unlock()
 			return fmt.Errorf("core: no workers left to replay CE %d: %w", rec.ce.ID, ErrDataLost)
 		}
-		req := c.buildRequest(rec.ce, rec.inv.Args, rec.accs)
+		req := c.buildRequest(&rec.ce, rec.inv.Args, rec.accs)
 		target := c.pol.Assign(req)
 
 		var moves []pendingMove
@@ -417,12 +418,10 @@ func (c *Controller) replayStep(rec *producerRec, locs map[dag.ArrayID]planLoc) 
 			c.mu.Lock()
 			c.movedBytes += moved
 			c.p2pMoves += p2p
-			if !c.noTrace {
-				c.traces = append(c.traces, CETrace{
-					CE: rec.ce.ID, Label: "recover:" + rec.inv.Kernel, Node: target,
-					Start: ready, End: end, MovedBytes: moved, P2PMoves: p2p,
-				})
-			}
+			c.traces.Push(CETrace{
+				CE: rec.ce.ID, Label: "recover:" + rec.inv.Kernel, Node: target,
+				Start: ready, End: end, MovedBytes: moved, P2PMoves: p2p,
+			})
 			c.mu.Unlock()
 			return nil
 		}()

@@ -444,45 +444,64 @@ func TestPipelineCloseSemantics(t *testing.T) {
 	}
 }
 
-// TestTraceOptions: DisableTraces stops accumulation but keeps aggregate
-// counters; TraceCapacity preallocates.
-func TestTraceOptions(t *testing.T) {
+// TestTraceRing pins the trace log as a ring: Traces returns the most
+// recent traceRing entries in CE order, host ops included, and wrapping
+// around leaves every total (makespan, bytes moved, scheduling overhead,
+// CE count) covering the whole run.
+func TestTraceRing(t *testing.T) {
 	clu := cluster.New(cluster.PaperSpec(2))
 	fab := NewLocalFabric(clu, kernels.StdRegistry(), false)
-	ctl := NewController(fab, policy.NewRoundRobin(), Options{DisableTraces: true})
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{})
 	arr, err := ctl.NewArray(memmodel.Float32, ppElems)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if _, err := ctl.Launch(Invocation{Kernel: "relu",
-			Args: []ArgRef{ArrRef(arr.ID), ScalarRef(float64(ppElems))}}); err != nil {
-			t.Fatal(err)
+	relu := Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(arr.ID), ScalarRef(float64(ppElems))}}
+	launch := func(n int) (last sim.VirtualTime) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if last, err = ctl.Launch(relu); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return last
 	}
-	if got := ctl.Traces(); got != nil {
-		t.Fatalf("traces with DisableTraces = %d entries", len(got))
-	}
-	if ctl.Elapsed() == 0 || ctl.MeanSchedulingOverhead() == 0 {
-		t.Fatalf("aggregate counters stopped with traces disabled")
-	}
+
+	launch(10)
 	if _, err := ctl.HostRead(arr.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctl.Traces(); got != nil {
-		t.Fatalf("host ops traced with DisableTraces")
+	tr := ctl.Traces()
+	if len(tr) != 11 || tr[0].CE != 1 || tr[10].Label != "host-read" {
+		t.Fatalf("before wrap-around: %d traces, first CE %d, last %q; want 11, 1, host-read",
+			len(tr), tr[0].CE, tr[len(tr)-1].Label)
+	}
+	movedBefore := ctl.MovedBytes()
+	if movedBefore == 0 {
+		t.Fatal("round-robin relu stream moved nothing; the totals check below would be vacuous")
 	}
 
-	ctl2 := NewController(fab, policy.NewRoundRobin(), Options{TraceCapacity: 128})
-	arr2, err := ctl2.NewArray(memmodel.Float32, ppElems)
-	if err != nil {
-		t.Fatal(err)
+	end := launch(traceRing + 500)
+	total := dag.CEID(11 + traceRing + 500)
+	tr = ctl.Traces()
+	if len(tr) != traceRing {
+		t.Fatalf("after wrap-around: %d traces, want the ring's %d", len(tr), traceRing)
 	}
-	if _, err := ctl2.Launch(Invocation{Kernel: "relu",
-		Args: []ArgRef{ArrRef(arr2.ID), ScalarRef(float64(ppElems))}}); err != nil {
-		t.Fatal(err)
+	for i, e := range tr {
+		if want := total - dag.CEID(traceRing) + 1 + dag.CEID(i); e.CE != want {
+			t.Fatalf("trace %d is CE %d, want %d (most recent entries, in order)", i, e.CE, want)
+		}
 	}
-	if len(ctl2.Traces()) != 1 {
-		t.Fatalf("traces = %d, want 1", len(ctl2.Traces()))
+	if got := ctl.Elapsed(); got != end {
+		t.Fatalf("Elapsed = %v, want the last CE's end %v", got, end)
+	}
+	if got := ctl.MovedBytes(); got <= movedBefore {
+		t.Fatalf("MovedBytes = %v did not advance past %v across the wrap", got, movedBefore)
+	}
+	if ctl.MeanSchedulingOverhead() == 0 {
+		t.Fatal("scheduling overhead lost")
+	}
+	if got := ctl.Graph().Size(); got != int(total) {
+		t.Fatalf("Graph().Size() = %d, want %d CEs ever added", got, total)
 	}
 }

@@ -32,16 +32,17 @@ type chromeMeta struct {
 	Args map[string]any `json:"args"`
 }
 
-// WriteChromeTrace exports the controller's CE schedule as Chrome
-// trace-viewer JSON: one process per node, CE intervals as complete
-// events. Load the output in chrome://tracing or https://ui.perfetto.dev
-// to inspect a placement visually.
+// WriteChromeTrace exports the controller's CE schedule — the most recent
+// traceRing CEs — as Chrome trace-viewer JSON: one process per node, CE
+// intervals as complete events. Load the output in chrome://tracing or
+// https://ui.perfetto.dev to inspect a placement visually.
 func (c *Controller) WriteChromeTrace(w io.Writer) error {
 	var events []any
+	traces := c.traces.Slice()
 
 	// Name the processes (one per node seen in the trace).
 	nodes := map[int]bool{}
-	for _, tr := range c.traces {
+	for _, tr := range traces {
 		nodes[int(tr.Node)] = true
 	}
 	ids := make([]int, 0, len(nodes))
@@ -60,7 +61,7 @@ func (c *Controller) WriteChromeTrace(w io.Writer) error {
 		})
 	}
 
-	for _, tr := range c.traces {
+	for _, tr := range traces {
 		dur := float64(tr.End-tr.Start) / 1e3
 		if dur <= 0 {
 			dur = 0.001 // zero-width events are invisible in the viewer
@@ -88,14 +89,15 @@ func (c *Controller) WriteChromeTrace(w io.Writer) error {
 	})
 }
 
-// WriteGantt renders the CE schedule as an ASCII Gantt chart, one row per
-// node, time flowing left to right over the given width — the quick-look
-// companion to WriteChromeTrace.
+// WriteGantt renders the CE schedule (the most recent traceRing CEs) as an
+// ASCII Gantt chart, one row per node, time flowing left to right over the
+// given width — the quick-look companion to WriteChromeTrace.
 func (c *Controller) WriteGantt(w io.Writer, width int) error {
 	if width < 20 {
 		width = 80
 	}
-	if len(c.traces) == 0 {
+	traces := c.traces.Slice()
+	if len(traces) == 0 {
 		_, err := fmt.Fprintln(w, "(no CEs scheduled)")
 		return err
 	}
@@ -104,7 +106,7 @@ func (c *Controller) WriteGantt(w io.Writer, width int) error {
 		horizon = 1
 	}
 	nodes := map[int]bool{}
-	for _, tr := range c.traces {
+	for _, tr := range traces {
 		nodes[int(tr.Node)] = true
 	}
 	ids := make([]int, 0, len(nodes))
@@ -121,7 +123,7 @@ func (c *Controller) WriteGantt(w io.Writer, width int) error {
 		for i := range row {
 			row[i] = '.'
 		}
-		for _, tr := range c.traces {
+		for _, tr := range traces {
 			if int(tr.Node) != id {
 				continue
 			}
@@ -146,16 +148,16 @@ func (c *Controller) WriteGantt(w io.Writer, width int) error {
 	}
 	// Legend for the first few CEs.
 	fmt.Fprint(w, "legend: ")
-	max := len(c.traces)
+	max := len(traces)
 	if max > 12 {
 		max = 12
 	}
 	for i := 0; i < max; i++ {
-		tr := c.traces[i]
+		tr := traces[i]
 		fmt.Fprintf(w, "%c=%s#%d ", glyphs[int(tr.CE-1)%len(glyphs)], tr.Label, tr.CE)
 	}
-	if len(c.traces) > max {
-		fmt.Fprintf(w, "... (%d more)", len(c.traces)-max)
+	if len(traces) > max {
+		fmt.Fprintf(w, "... (%d more)", len(traces)-max)
 	}
 	_, err := fmt.Fprintln(w)
 	return err
@@ -165,7 +167,7 @@ func (c *Controller) WriteGantt(w io.Writer, width int) error {
 // data-location registry, totals and failover status.
 func (c *Controller) Describe(w io.Writer) {
 	fmt.Fprintf(w, "GrOUT controller: %d CEs scheduled, makespan %v\n",
-		len(c.traces), c.elapsed)
+		c.graph.Size(), c.elapsed)
 	fmt.Fprintf(w, "  policy %s; moved %v over the network (%d P2P); mean scheduling %v/CE\n",
 		c.pol.Name(), c.movedBytes, c.p2pMoves, c.MeanSchedulingOverhead())
 	if len(c.dead) > 0 {

@@ -141,12 +141,14 @@ func (c *Controller) SubmitTagged(inv Invocation, stats *OptCounters, tenant any
 func (c *Controller) FlushWindow() error {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
+	defer c.sweepLocked()
 	return c.flushWindowLocked()
 }
 
 // drainLocked flushes the window and waits out the dispatch pipeline.
 // Caller holds subMu.
 func (c *Controller) drainLocked() error {
+	defer c.sweepLocked()
 	ferr := c.flushWindowLocked()
 	if c.pipe != nil {
 		if err := c.pipe.drain(); err != nil {
@@ -255,15 +257,7 @@ func (c *Controller) flushWindowLocked() error {
 	// Phase A: DAG admission in window order.
 	for i, e := range ws {
 		s := &scheds[i]
-		var dagAccs []dag.Access
-		for k, a := range e.inv.Args {
-			if a.IsArray {
-				dagAccs = append(dagAccs, dag.Access{Array: a.Array, Mode: e.accs[k].Mode})
-			}
-		}
-		ce := c.graph.NewCE(e.inv.Kernel, dagAccs, nil)
-		s.ce = ce
-		s.ancestors = c.graph.Add(ce)
+		s.ce, s.ancestors = c.admitCE(e.inv, e.accs)
 		s.inv, s.accs = e.inv, e.accs
 		s.windowed = true
 		s.stats = e.stats

@@ -15,10 +15,20 @@
 // epoch-stamped marks on the vertices plus reusable scratch buffers
 // instead of per-call maps, and redundancy is resolved with one shared
 // backward traversal per Add rather than one DFS per candidate pair.
+//
+// The graph holds a CE only while something can still depend on it. Its
+// owner reports each CE complete (Complete); a complete vertex that is off
+// every array's frontier and whose children are all complete is retired:
+// spliced out of its neighbours' adjacency lists and recycled (DESIGN.md
+// §5.1, "State lifetime"). Add's answers are unaffected, and the read-side
+// helpers (Vertex, TopoOrder, Roots, MaxDepth, DOT) describe the vertices
+// still held.
 package dag
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,13 +49,20 @@ type Access struct {
 }
 
 // CE is a Computational Element: the unit the scheduler places on nodes
-// and streams. Payload carries runtime-specific data (kernel invocation,
-// host-op descriptor) opaque to the graph.
+// and streams. Payload carries the owner's per-CE record (completion time,
+// placement), opaque to the graph; it lives exactly as long as the CE's
+// vertex does.
+//
+// A CE belongs to the graph that made it: once its vertex retires the
+// struct is reused by a later NewCE, so an owner must not keep the pointer
+// past the point where it reports the CE complete.
 type CE struct {
 	ID       CEID
 	Label    string
 	Accesses []Access
 	Payload  any
+
+	v *Vertex // set by NewCE or Add
 }
 
 func (ce *CE) String() string {
@@ -66,6 +83,19 @@ type Vertex struct {
 	// the Add in progress.
 	candMark uint64
 	seenMark uint64
+
+	// own backs CE for CEs made by NewCE: one allocation per CE, and one
+	// object to recycle.
+	own CE
+
+	// Retirement state. refs counts the frontier slots naming the vertex
+	// (lastWriter or readers entry, per array); pending counts its children
+	// not yet complete. A vertex is retirable — and queued, once — when it
+	// is complete with both at zero; none of the three can be undone.
+	complete bool
+	queued   bool
+	refs     int32
+	pending  int32
 }
 
 // Parents returns a copy of the vertex's direct ancestors, sorted by CE
@@ -121,15 +151,36 @@ func sortedVertices(m map[CEID]*Vertex) []*Vertex {
 // with.
 type arrayState struct {
 	lastWriter *Vertex
-	readers    map[CEID]*Vertex
+	readers    []*Vertex
 }
+
+// RetireHorizon is how many retirable vertices the graph keeps before it
+// starts dropping the oldest: small programs (the paper's Figure 5 DAGs,
+// every shape test) stay fully inspectable, a long stream holds its
+// frontier, its in-flight CEs and at most this many more. A constant, not a
+// setting: nothing depends on its value but how much history can be looked
+// at.
+const RetireHorizon = 4096
+
+// maxPooledEdges caps the adjacency capacity a recycled vertex keeps, so
+// one wide fan-out does not pin its slices in the free list.
+const maxPooledEdges = 64
 
 // Graph is the CE dependency DAG. The zero value is not usable; call New.
 type Graph struct {
 	vertices map[CEID]*Vertex
 	arrays   map[ArrayID]*arrayState
 	nextID   CEID
+	added    int
 	edges    int
+
+	// retirable[rhead:] queues the vertices nothing can depend on again,
+	// oldest first; sweep retires those beyond horizon (RetireHorizon,
+	// except in tests). free holds retired vertices for NewCE to reuse.
+	retirable []*Vertex
+	rhead     int
+	horizon   int
+	free      []*Vertex
 
 	// epoch validates the vertices' candMark/seenMark stamps; it advances
 	// once per Add, implicitly clearing every mark in O(1).
@@ -138,6 +189,8 @@ type Graph struct {
 	// path performs no per-call slice or map allocation.
 	scratchCands []*Vertex
 	scratchStack []*Vertex
+	// scratchSplice is retire's merge buffer.
+	scratchSplice []*Vertex
 }
 
 // New returns an empty graph.
@@ -146,17 +199,23 @@ func New() *Graph {
 		vertices: make(map[CEID]*Vertex),
 		arrays:   make(map[ArrayID]*arrayState),
 		nextID:   1,
+		horizon:  RetireHorizon,
 	}
 }
 
-// Size reports the number of CEs in the graph.
-func (g *Graph) Size() int { return len(g.vertices) }
+// Size reports the number of CEs ever added to the graph.
+func (g *Graph) Size() int { return g.added }
 
-// Edges reports the number of dependency edges (after redundancy
-// filtering).
+// Live reports the number of CEs the graph currently holds: the frontier,
+// the CEs something may still depend on, and up to RetireHorizon more.
+func (g *Graph) Live() int { return len(g.vertices) }
+
+// Edges reports the number of dependency edges ever added (after
+// redundancy filtering).
 func (g *Graph) Edges() int { return g.edges }
 
-// Vertex returns the vertex for a CE ID, or nil.
+// Vertex returns the vertex for a CE ID, or nil if the graph never held or
+// no longer holds it.
 func (g *Graph) Vertex(id CEID) *Vertex { return g.vertices[id] }
 
 // LastWriter returns the CE that most recently wrote the array, or nil if
@@ -169,12 +228,44 @@ func (g *Graph) LastWriter(id ArrayID) *CE {
 	return nil
 }
 
-// NewCE allocates a CE with the next submission ID. The CE is not yet in
-// the graph; pass it to Add.
+// NewCE returns a CE with the next submission ID. The CE is not yet in
+// the graph; pass it to Add. accesses is copied, so the caller may reuse
+// its slice.
+//
+// The CE may be a retired one, reused. With a nil payload it then still
+// carries the Payload of its previous life, so an owner that hangs a record
+// there can reuse the record instead of allocating one per CE (see Record).
 func (g *Graph) NewCE(label string, accesses []Access, payload any) *CE {
-	ce := &CE{ID: g.nextID, Label: label, Accesses: accesses, Payload: payload}
+	var v *Vertex
+	if n := len(g.free); n > 0 {
+		v, g.free[n-1] = g.free[n-1], nil
+		g.free = g.free[:n-1]
+	} else {
+		v = new(Vertex)
+	}
+	ce := &v.own
+	v.CE, ce.v = ce, v
+	ce.ID, ce.Label = g.nextID, label
+	ce.Accesses = append(ce.Accesses[:0], accesses...)
+	if payload != nil {
+		ce.Payload = payload
+	}
 	g.nextID++
 	return ce
+}
+
+// Record returns the owner's per-CE record of type T for a CE fresh from
+// NewCE, zeroed: the one a recycled CE still carries, or a new one, which it
+// hangs on ce.Payload. Read it back with ce.Payload.(*T).
+func Record[T any](ce *CE) *T {
+	rec, ok := ce.Payload.(*T)
+	if ok {
+		*rec = *new(T)
+	} else {
+		rec = new(T)
+		ce.Payload = rec
+	}
+	return rec
 }
 
 // Add inserts a CE into the graph, computes its dependencies against the
@@ -183,12 +274,17 @@ func (g *Graph) NewCE(label string, accesses []Access, payload any) *CE {
 // ancestors after filtering, sorted by ID.
 //
 // The returned slice is the vertex's own parent list: callers must treat
-// it as read-only. It stays valid across later Adds.
+// it as read-only. It stays valid, across later Adds, until the CE is
+// reported complete.
 func (g *Graph) Add(ce *CE) []*Vertex {
 	if _, dup := g.vertices[ce.ID]; dup {
 		panic(fmt.Sprintf("dag: duplicate CE %d", ce.ID))
 	}
-	v := &Vertex{CE: ce}
+	v := ce.v
+	if v == nil { // a CE built by hand rather than by NewCE
+		v = &Vertex{CE: ce}
+		ce.v = v
+	}
 	g.epoch++
 
 	// Gather candidate ancestors from per-array live accessors,
@@ -217,7 +313,7 @@ func (g *Graph) Add(ce *CE) []*Vertex {
 			}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].CE.ID < cands[j].CE.ID })
+	slices.SortFunc(cands, func(a, b *Vertex) int { return cmp.Compare(a.CE.ID, b.CE.ID) })
 
 	// filterRedundant: drop any candidate reachable from another
 	// candidate (paper: "A and B have dependencies against a new CE
@@ -260,33 +356,183 @@ func (g *Graph) Add(ce *CE) []*Vertex {
 	// addEdges: the filtered candidates become the vertex's parent list
 	// (already sorted ascending).
 	if len(cands) > 0 {
-		v.parents = make([]*Vertex, len(cands))
-		copy(v.parents, cands)
+		v.parents = append(v.parents[:0], cands...)
 		for _, p := range cands {
 			p.children = append(p.children, v)
+			p.pending++
 		}
 		g.edges += len(cands)
 	}
 	g.scratchCands = cands[:0]
 	g.vertices[ce.ID] = v
+	g.added++
 
-	// updateFrontier: refresh per-array live accessors.
+	// updateFrontier: refresh per-array live accessors. A vertex a write
+	// displaces loses that frontier slot and may become retirable.
 	for _, acc := range ce.Accesses {
 		st := g.arrays[acc.Array]
 		if st == nil {
-			st = &arrayState{readers: make(map[CEID]*Vertex)}
+			st = new(arrayState)
 			g.arrays[acc.Array] = st
 		}
 		if acc.Mode.Writes() {
-			st.lastWriter = v
-			clear(st.readers)
-		}
-		if acc.Mode.Reads() && !acc.Mode.Writes() {
-			st.readers[ce.ID] = v
+			g.releaseReaders(st)
+			if st.lastWriter != v {
+				g.release(st.lastWriter)
+				st.lastWriter = v
+				v.refs++
+			}
+		} else if acc.Mode.Reads() {
+			// Only v is appended during this Add, so a second read of
+			// the same array can only find v as the last entry.
+			if n := len(st.readers); n == 0 || st.readers[n-1] != v {
+				st.readers = append(st.readers, v)
+				v.refs++
+			}
 		}
 	}
+	g.sweep()
 
 	return v.parents
+}
+
+// release takes one frontier slot away from v (nil is a no-op).
+func (g *Graph) release(v *Vertex) {
+	if v != nil {
+		v.refs--
+		g.maybeRetire(v)
+	}
+}
+
+func (g *Graph) releaseReaders(st *arrayState) {
+	for i, r := range st.readers {
+		st.readers[i] = nil
+		g.release(r)
+	}
+	st.readers = st.readers[:0]
+}
+
+// DropArray forgets a freed array: its last writer and readers leave the
+// frontier. The caller guarantees no later CE names the array (array IDs
+// are never reused).
+func (g *Graph) DropArray(id ArrayID) {
+	st := g.arrays[id]
+	if st == nil {
+		return
+	}
+	delete(g.arrays, id)
+	g.releaseReaders(st)
+	g.release(st.lastWriter)
+	g.sweep()
+}
+
+// Complete records that ce has finished: its owner will not ask for it by
+// pointer again except as the parent of a CE that is not itself complete.
+// That is what lets the graph retire it. Completing a CE twice is harmless.
+func (g *Graph) Complete(ce *CE) {
+	v := ce.v
+	if v == nil || v.CE != ce || v.complete {
+		return
+	}
+	v.complete = true
+	for _, p := range v.parents {
+		p.pending--
+		g.maybeRetire(p)
+	}
+	g.maybeRetire(v)
+	g.sweep()
+}
+
+// maybeRetire queues v once nothing can depend on it again: it is complete
+// (nobody waits for it), off every array's frontier (no later Add can pick
+// it as a candidate, so its child set is final) and all its children are
+// complete (nobody will read its record, or its children's parent lists,
+// again). Queuing changes no adjacency list, so callers may be walking one.
+func (g *Graph) maybeRetire(v *Vertex) {
+	if v.complete && v.refs == 0 && v.pending == 0 && !v.queued {
+		v.queued = true
+		g.retirable = append(g.retirable, v)
+	}
+}
+
+// sweep retires the queued vertices beyond the horizon, oldest first. It
+// runs at the end of every operation that can queue one.
+func (g *Graph) sweep() {
+	for len(g.retirable)-g.rhead > g.horizon {
+		v := g.retirable[g.rhead]
+		g.retirable[g.rhead] = nil
+		g.rhead++
+		g.retire(v)
+	}
+	// Slide the queue back once the dead prefix is as long as the queue
+	// may get: amortised O(1) per retirement, storage at most 2× horizon.
+	if g.rhead > g.horizon {
+		n := copy(g.retirable, g.retirable[g.rhead:])
+		clear(g.retirable[n:])
+		g.retirable, g.rhead = g.retirable[:n], 0
+	}
+}
+
+// retire contracts v out of the graph: every child gets v's parents in
+// v's place and every parent v's children, so any two remaining vertices
+// are connected exactly when they were before — which is all Add's
+// redundant-edge filter ever asks of the structure. The vertex and its CE
+// then go to the free list.
+func (g *Graph) retire(v *Vertex) {
+	for _, c := range v.children {
+		c.parents = g.splice(c.parents, v, v.parents)
+	}
+	for _, p := range v.parents {
+		p.children = g.splice(p.children, v, v.children)
+	}
+	delete(g.vertices, v.CE.ID)
+	if len(g.free) == RetireHorizon {
+		return // a burst retired more than a stream will reuse; let it go
+	}
+	accs, payload := v.own.Accesses, v.own.Payload
+	*v = Vertex{parents: pooled(v.parents), children: pooled(v.children)}
+	v.own.Accesses, v.own.Payload = accs[:0], payload
+	g.free = append(g.free, v)
+}
+
+// pooled empties an adjacency list for reuse, dropping outsized storage.
+func pooled(list []*Vertex) []*Vertex {
+	if cap(list) > maxPooledEdges {
+		return nil
+	}
+	clear(list)
+	return list[:0]
+}
+
+// splice returns list without drop and with every vertex of add merged in,
+// in ascending CE-ID order without duplicates. list and add are sorted;
+// the result reuses list's storage.
+func (g *Graph) splice(list []*Vertex, drop *Vertex, add []*Vertex) []*Vertex {
+	out := g.scratchSplice[:0]
+	i, j := 0, 0
+	for i < len(list) || j < len(add) {
+		switch {
+		case i < len(list) && list[i] == drop:
+			i++
+		case j == len(add) || (i < len(list) && list[i].CE.ID < add[j].CE.ID):
+			out = append(out, list[i])
+			i++
+		case i == len(list) || add[j].CE.ID < list[i].CE.ID:
+			out = append(out, add[j])
+			j++
+		default: // on both sides
+			out = append(out, list[i])
+			i++
+			j++
+		}
+	}
+	g.scratchSplice = out[:0]
+	n := len(list)
+	list = append(list[:0], out...)
+	if len(list) < n {
+		clear(list[len(list):n])
+	}
+	return list
 }
 
 // reaches reports whether target is an ancestor of (reachable backwards
@@ -325,15 +571,16 @@ func (g *Graph) Frontier() []*Vertex {
 		if st.lastWriter != nil {
 			set[st.lastWriter.CE.ID] = st.lastWriter
 		}
-		for id, r := range st.readers {
-			set[id] = r
+		for _, r := range st.readers {
+			set[r.CE.ID] = r
 		}
 	}
 	return sortedVertices(set)
 }
 
-// TopoOrder returns all CEs in a topological order (submission-ID order is
-// one, since edges only point forward; this validates that invariant).
+// TopoOrder returns the held CEs in a topological order (submission-ID
+// order is one, since edges only point forward; this validates that
+// invariant).
 func (g *Graph) TopoOrder() ([]*CE, error) {
 	ids := make([]CEID, 0, len(g.vertices))
 	for id := range g.vertices {
@@ -353,7 +600,7 @@ func (g *Graph) TopoOrder() ([]*CE, error) {
 	return out, nil
 }
 
-// Roots returns CEs with no parents, sorted by ID.
+// Roots returns the held CEs with no (held) parents, sorted by ID.
 func (g *Graph) Roots() []*Vertex {
 	set := make(map[CEID]*Vertex)
 	for id, v := range g.vertices {
@@ -365,7 +612,8 @@ func (g *Graph) Roots() []*Vertex {
 }
 
 // MaxDepth returns the length (in vertices) of the longest dependency
-// chain — the critical path of the workload's structure.
+// chain among the held CEs — the critical path of the workload's
+// structure.
 func (g *Graph) MaxDepth() int {
 	depth := make(map[CEID]int, len(g.vertices))
 	ids := make([]CEID, 0, len(g.vertices))
@@ -390,9 +638,9 @@ func (g *Graph) MaxDepth() int {
 	return max
 }
 
-// DOT renders the graph in Graphviz format (the paper's Figure 5 shows
-// exactly these CE-dependency DAGs). Vertices are labelled with their CE
-// label and ID.
+// DOT renders the held graph in Graphviz format (the paper's Figure 5
+// shows exactly these CE-dependency DAGs). Vertices are labelled with
+// their CE label and ID.
 func (g *Graph) DOT(name string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n  node [shape=circle fontsize=10];\n", name)

@@ -14,6 +14,7 @@ import (
 	"grout/internal/kernels"
 	"grout/internal/memmodel"
 	"grout/internal/minicuda"
+	"grout/internal/ring"
 	"grout/internal/sim"
 )
 
@@ -83,24 +84,35 @@ type CERecord struct {
 	Regime gpusim.Regime
 }
 
+// recordRing is how many execution records a runtime keeps: Records
+// returns the most recent recordRing CEs.
+const recordRing = 4096
+
+// ceState is the runtime's record of one CE — its completion time and, for
+// a kernel that ran, its placement (stream reuse) — hung on the CE's
+// Payload so that it lives exactly as long as the CE's Local-DAG vertex.
+type ceState struct {
+	end         sim.VirtualTime
+	dev, stream int // -1 for host ops and failed launches
+}
+
+func stateOf(ce *dag.CE) *ceState { return ce.Payload.(*ceState) }
+
 // Runtime is a single-node GrCUDA engine.
 type Runtime struct {
-	node    *gpusim.Node
-	reg     *kernels.Registry
-	opts    Options
-	graph   *dag.Graph
-	arrays  map[dag.ArrayID]*Array
-	nextArr dag.ArrayID
-	// ceEnd maps each CE to its completion time; ceDev/ceStream record
-	// placement for stream reuse.
-	ceEnd    map[dag.CEID]sim.VirtualTime
-	ceDev    map[dag.CEID]int
-	ceStream map[dag.CEID]int
-	records  []CERecord
+	node     *gpusim.Node
+	reg      *kernels.Registry
+	opts     Options
+	graph    *dag.Graph
+	arrays   map[dag.ArrayID]*Array
+	nextArr  dag.ArrayID
+	records  ring.Ring[CERecord]
+	launches int
 	elapsed  sim.VirtualTime
 	// per-Submit scratch buffers (the runtime is single-goroutine).
 	metasBuf    []kernels.ArgMeta
 	bindingsBuf []gpusim.ArgBinding
+	dagAccs     []dag.Access
 }
 
 // NewRuntime builds a runtime over a simulated node and kernel registry.
@@ -109,15 +121,13 @@ func NewRuntime(node *gpusim.Node, reg *kernels.Registry, opts Options) *Runtime
 		opts.MaxStreamsPerDevice = 16
 	}
 	return &Runtime{
-		node:     node,
-		reg:      reg,
-		opts:     opts,
-		graph:    dag.New(),
-		arrays:   make(map[dag.ArrayID]*Array),
-		nextArr:  1,
-		ceEnd:    make(map[dag.CEID]sim.VirtualTime),
-		ceDev:    make(map[dag.CEID]int),
-		ceStream: make(map[dag.CEID]int),
+		node:    node,
+		reg:     reg,
+		opts:    opts,
+		graph:   dag.New(),
+		arrays:  make(map[dag.ArrayID]*Array),
+		nextArr: 1,
+		records: ring.New[CERecord](recordRing),
 	}
 }
 
@@ -130,8 +140,12 @@ func (r *Runtime) Graph() *dag.Graph { return r.graph }
 // Registry exposes the kernel registry.
 func (r *Runtime) Registry() *kernels.Registry { return r.reg }
 
-// Records returns the per-CE execution trace.
-func (r *Runtime) Records() []CERecord { return r.records }
+// Records returns the per-CE execution trace: the most recent recordRing
+// (4096) CEs, oldest first, as a copy.
+func (r *Runtime) Records() []CERecord { return r.records.Slice() }
+
+// Launches reports how many kernel launches the runtime has executed.
+func (r *Runtime) Launches() int { return r.launches }
 
 // Elapsed reports the makespan: the completion time of the latest CE.
 func (r *Runtime) Elapsed() sim.VirtualTime { return r.elapsed }
@@ -180,6 +194,10 @@ func (r *Runtime) FreeArray(id dag.ArrayID) error {
 		return err
 	}
 	delete(r.arrays, id)
+	// The array's last writer and readers leave the frontier: no later CE
+	// can depend on them through freed memory (an array created later under
+	// the same ID is a fresh allocation).
+	r.graph.DropArray(id)
 	return nil
 }
 
@@ -230,22 +248,17 @@ func (r *Runtime) Submit(inv Invocation, ready sim.VirtualTime) (sim.VirtualTime
 	accs := def.Access(metas)
 
 	// Build the CE and resolve dependencies (Local DAG).
-	var dagAccs []dag.Access
+	r.dagAccs = r.dagAccs[:0]
 	for i, v := range inv.Args {
 		if v.Arr == nil {
 			continue
 		}
-		dagAccs = append(dagAccs, dag.Access{Array: v.Arr.ID, Mode: accs[i].Mode})
+		r.dagAccs = append(r.dagAccs, dag.Access{Array: v.Arr.ID, Mode: accs[i].Mode})
 	}
-	ce := r.graph.NewCE(inv.Kernel, dagAccs, nil)
-	ancestors := r.graph.Add(ce)
-
-	depReady := ready
-	for _, a := range ancestors {
-		if end := r.ceEnd[a.CE.ID]; end > depReady {
-			depReady = end
-		}
-	}
+	ce, ancestors, depReady := r.addCE(inv.Kernel, r.dagAccs, ready)
+	// The runtime is synchronous in virtual time: the CE is over, one way
+	// or the other, when Submit returns.
+	defer r.graph.Complete(ce)
 
 	dev := r.pickDevice(inv.Args)
 	stream := r.pickStream(dev, ancestors, depReady)
@@ -270,13 +283,12 @@ func (r *Runtime) Submit(inv Invocation, ready sim.VirtualTime) (sim.VirtualTime
 		return 0, err
 	}
 
-	r.ceEnd[ce.ID] = res.Interval.End
-	r.ceDev[ce.ID] = dev
-	r.ceStream[ce.ID] = stream
+	*stateOf(ce) = ceState{end: res.Interval.End, dev: dev, stream: stream}
 	if res.Interval.End > r.elapsed {
 		r.elapsed = res.Interval.End
 	}
-	r.records = append(r.records, CERecord{
+	r.launches++
+	r.records.Push(CERecord{
 		CE: ce.ID, Label: inv.Kernel, Device: dev, Stream: stream,
 		Start: res.Interval.Start, End: res.Interval.End, Regime: res.Regime,
 	})
@@ -287,6 +299,21 @@ func (r *Runtime) Submit(inv Invocation, ready sim.VirtualTime) (sim.VirtualTime
 		}
 	}
 	return res.Interval.End, nil
+}
+
+// addCE enters a CE into the Local DAG with a fresh ceState and returns it,
+// its ancestors, and the time its dependencies allow it to start: the
+// latest of ready and the ancestors' ends.
+func (r *Runtime) addCE(label string, accs []dag.Access, ready sim.VirtualTime) (*dag.CE, []*dag.Vertex, sim.VirtualTime) {
+	ce := r.graph.NewCE(label, accs, nil)
+	*dag.Record[ceState](ce) = ceState{dev: -1, stream: -1}
+	ancestors := r.graph.Add(ce)
+	for _, a := range ancestors {
+		if end := stateOf(a.CE).end; end > ready {
+			ready = end
+		}
+	}
+	return ce, ancestors, ready
 }
 
 // executeNumeric runs the kernel's host implementation on the arrays'
@@ -334,9 +361,8 @@ func (r *Runtime) pickDevice(args []Value) int {
 // the cap allows.
 func (r *Runtime) pickStream(dev int, ancestors []*dag.Vertex, depReady sim.VirtualTime) int {
 	if len(ancestors) == 1 {
-		aid := ancestors[0].CE.ID
-		if d, ok := r.ceDev[aid]; ok && d == dev {
-			return r.ceStream[aid]
+		if st := stateOf(ancestors[0].CE); st.dev == dev {
+			return st.stream
 		}
 	}
 	device := r.node.Device(dev)
@@ -369,14 +395,9 @@ func (r *Runtime) hostOp(id dag.ArrayID, mode memmodel.AccessMode, ready sim.Vir
 	if mode.Writes() {
 		label = "host-write"
 	}
-	ce := r.graph.NewCE(label, []dag.Access{{Array: id, Mode: mode}}, nil)
-	ancestors := r.graph.Add(ce)
-	depReady := ready
-	for _, a := range ancestors {
-		if end := r.ceEnd[a.CE.ID]; end > depReady {
-			depReady = end
-		}
-	}
+	r.dagAccs = append(r.dagAccs[:0], dag.Access{Array: id, Mode: mode})
+	ce, _, depReady := r.addCE(label, r.dagAccs, ready)
+	defer r.graph.Complete(ce)
 	var end sim.VirtualTime
 	if mode.Writes() {
 		// Overwrite: stale device pages are dropped, no write-back.
@@ -391,17 +412,23 @@ func (r *Runtime) hostOp(id dag.ArrayID, mode memmodel.AccessMode, ready sim.Vir
 		}
 		end = iv.End
 	}
-	r.ceEnd[ce.ID] = end
+	stateOf(ce).end = end
 	if end > r.elapsed {
 		r.elapsed = end
 	}
-	r.records = append(r.records, CERecord{CE: ce.ID, Label: label, Device: -1, Stream: -1,
+	r.records.Push(CERecord{CE: ce.ID, Label: label, Device: -1, Stream: -1,
 		Start: depReady, End: end})
 	return end, nil
 }
 
-// CEEnd reports the completion time of a CE (0 if unknown).
-func (r *Runtime) CEEnd(id dag.CEID) sim.VirtualTime { return r.ceEnd[id] }
+// CEEnd reports the completion time of a CE the Local DAG still holds (0 if
+// it is unknown or has been retired).
+func (r *Runtime) CEEnd(id dag.CEID) sim.VirtualTime {
+	if v := r.graph.Vertex(id); v != nil {
+		return stateOf(v.CE).end
+	}
+	return 0
+}
 
 // BuildKernel compiles a mini-CUDA kernel from source (the NVRTC path of
 // GrCUDA's buildkernel) and registers it with the runtime. Repeated builds

@@ -449,6 +449,7 @@ func TestGatewayMetrics(t *testing.T) {
 		"grout_gateway_sessions_active 1",
 		"grout_gateway_sessions_total 1",
 		"grout_gateway_failovers_total 0",
+		`grout_shard_dag_live_ces{shard="0"} `,
 		`grout_gateway_ces_admitted_total{tenant="metered",shard="0"}`,
 		`grout_gateway_ces_completed_total{tenant="metered",shard="0"}`,
 		`grout_gateway_array_bytes{tenant="metered",shard="0"} 768`,

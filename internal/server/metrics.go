@@ -48,6 +48,10 @@ type ShardStats struct {
 	QueueDepth int
 	// Failovers counts workers this shard's controller wrote off.
 	Failovers int
+	// LiveCEs is how many CEs the shard controller's Global DAG holds:
+	// its frontier, what is in flight and a fixed horizon — flat under an
+	// endless stream, whatever CEs says.
+	LiveCEs int
 }
 
 // ClassStats aggregates one load-shedding priority class across the
@@ -99,6 +103,7 @@ func (g *Gateway) Snapshot() Stats {
 		}
 		sh.mu.Unlock()
 		ss.Failovers = sh.ctl.Failovers()
+		ss.LiveCEs = sh.ctl.LiveCEs()
 		for _, t := range tenants {
 			ts := TenantStats{Name: t.name, Shard: sh.idx,
 				Class: t.sess.Limits().Class, SessionStats: t.sess.Stats()}
@@ -169,6 +174,11 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 	fmt.Fprintln(w, "# TYPE grout_shard_queue_depth gauge")
 	for _, s := range st.Shards {
 		fmt.Fprintf(w, "grout_shard_queue_depth{shard=\"%d\"} %d\n", s.Shard, s.QueueDepth)
+	}
+	fmt.Fprintln(w, "# HELP grout_shard_dag_live_ces CEs each shard controller's dependency graph currently holds (bounded; completed CEs retire).")
+	fmt.Fprintln(w, "# TYPE grout_shard_dag_live_ces gauge")
+	for _, s := range st.Shards {
+		fmt.Fprintf(w, "grout_shard_dag_live_ces{shard=\"%d\"} %d\n", s.Shard, s.LiveCEs)
 	}
 
 	perTenant := []struct {

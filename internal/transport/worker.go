@@ -101,6 +101,14 @@ func (w *WorkerServer) Addr() string { return w.listener.Addr().String() }
 // Runtime exposes the embedded runtime (tests).
 func (w *WorkerServer) Runtime() *grcuda.Runtime { return w.rt }
 
+// LiveCEs reports how many CEs the worker's Local DAG currently holds
+// (dag.Graph.Live): bounded under an endless launch stream.
+func (w *WorkerServer) LiveCEs() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.rt.Graph().Live()
+}
+
 // Close stops the server and drops every established connection.
 func (w *WorkerServer) Close() error {
 	w.mu.Lock()
@@ -570,7 +578,7 @@ func (w *WorkerServer) apply(req *Request, resp *Response) error {
 		return w.rt.FreeArray(req.ArrayID)
 
 	case MsgStats:
-		resp.Kernels = len(w.rt.Records())
+		resp.Kernels = w.rt.Launches()
 		resp.Arrays = w.rt.ArrayCount()
 		resp.Elapsed = int64(w.rt.Elapsed())
 		return nil

@@ -5,6 +5,7 @@
 #   2. go build ./...
 #   3. go test ./...                                   (full suite)
 #   4. go test -race ./internal/core/... ./internal/dag/...
+#                    ./internal/grcuda/... ./internal/ring/...
 #                    ./internal/transport/... ./internal/minicuda/...
 #                    ./internal/kernels/... ./internal/server/...
 #                    ./internal/optimizer/... ./internal/gpusim/...
@@ -23,7 +24,15 @@
 #      whole-frame writes, deferred errors, shed prefix, severed
 #      connection, call timeout, Close behind a parked sync), re-run
 #      explicitly in 4b so a rename can't silently drop them from the
-#      race gate; the multi-tenant gateway suite —
+#      race gate; the bounded-state suite rides the same sweep: the
+#      retiring DAG against its never-retiring reference graph
+#      (internal/dag TestRetireOracle, hazard case by name), the
+#      50 000-CE runtime stream pinned to pre-retirement values
+#      (internal/grcuda TestLongStreamPinned), the alloc/launch/free
+#      loops, and the 50 000-CE pipelined TCP stream with a worker
+#      killed in flight (internal/transport
+#      TestRetireLongRunSurvivesWorkerKill; internal/grcuda joins the
+#      sweep for it); the multi-tenant gateway suite —
 #      concurrent tenants over real TCP, chaos failover, disconnect
 #      teardown — rides in the same sweep via internal/server; the
 #      sharded control plane — per-shard drain goroutines, the
@@ -47,6 +56,13 @@
 #      workloads at a tenth of a second, untraced: their output check
 #      (bit-identical replay) must hold through the streamed dispatch
 #      path at depth 64 and at depth 1
+#   8. the soak (ROADMAP 4c, not under the race detector, ~10 s): a
+#      million CEs from two Dial tenants through the gateway to two TCP
+#      workers; after a forced GC at 25/50/75/100 % of the stream
+#      HeapInuse and the goroutine count stay within 20 % of the 25 %
+#      reading and no graph holds more than the retirement horizon plus
+#      its frontier. A benchmark so that plain `go test ./...` skips it;
+#      it fails like a test.
 #
 # Run from the repo root: ./scripts/ci.sh
 set -euo pipefail
@@ -61,8 +77,9 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (core, dag, transport, minicuda, kernels, server, optimizer, gpusim, policy, shard)"
-go test -race ./internal/core/... ./internal/dag/... ./internal/transport/... \
+echo "== go test -race (core, dag, grcuda, ring, transport, minicuda, kernels, server, optimizer, gpusim, policy, shard)"
+go test -race ./internal/core/... ./internal/dag/... ./internal/grcuda/... \
+    ./internal/ring/... ./internal/transport/... \
     ./internal/minicuda/... ./internal/kernels/... ./internal/server/... \
     ./internal/optimizer/... ./internal/gpusim/... ./internal/policy/... \
     ./internal/shard/...
@@ -116,5 +133,8 @@ go test -run '^$' -bench 'BenchmarkUVMBench/(spmv|kmeans)/eager\+lru/(1|2|4)w/x(
 echo "== repository benchmark smoke (launch-stream and launch-sync, output-checked)"
 go run ./benchmark --workload launch-stream --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
 go run ./benchmark --workload launch-sync --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
+
+echo "== soak: 1M CEs through the gateway, heap/goroutines/live CEs flat (not under -race)"
+go test -run '^$' -bench 'BenchmarkSoakBoundedState' -benchtime=1x .
 
 echo "CI OK"
