@@ -29,7 +29,7 @@ func main() {
 	name := flag.String("name", "worker", "node name in logs")
 	chunk := flag.Int("chunk", 0, "chunk bytes for outgoing bulk streams (0 = 256 KiB default; clamped to [4 KiB, 64 MiB))")
 	dialTimeout := flag.Duration("dial-timeout", 0, "deadline for dialing peer workers on push transfers (0 = 5s default, negative disables)")
-	chunkTimeout := flag.Duration("chunk-timeout", 0, "per-chunk write deadline on outgoing bulk streams (0 = 30s default, negative disables)")
+	chunkTimeout := flag.Duration("chunk-timeout", 0, "per-chunk write deadline on outgoing bulk streams, and the wait for a pushed array's acknowledgement (0 = 30s default, negative disables)")
 	prefetch := flag.String("prefetch", "", "UVM prefetch policy: "+strings.Join(gpusim.PrefetchPolicyNames(), ", ")+" (empty = eager)")
 	evict := flag.String("evict", "", "UVM eviction policy: "+strings.Join(gpusim.EvictionPolicyNames(), ", ")+" (empty = lru)")
 	flag.Parse()

@@ -29,9 +29,10 @@ type DialOptions struct {
 	// (default DefaultCallTimeout). A worker that accepts TCP but never
 	// answers surfaces as core.ErrTimeout instead of a hang.
 	CallTimeout time.Duration
-	// ChunkTimeout bounds *progress* on incoming bulk data: each chunk of
-	// a fetch must arrive within the window (default DefaultChunkTimeout).
-	// Total transfer time stays unbounded.
+	// ChunkTimeout bounds *progress* on the bulk channel: each chunk of a
+	// fetch, and the acknowledgement of a sent array, must arrive within
+	// the window (default DefaultChunkTimeout). Total transfer time stays
+	// unbounded.
 	ChunkTimeout time.Duration
 	// RetryAttempts, when > 0, lets the fabric redial a worker whose
 	// connections broke (a transient network drop, not a dead process):
@@ -48,6 +49,14 @@ type DialOptions struct {
 type link struct {
 	ctrl *ctrlConn
 	bulk *bulkClient
+
+	// ensured remembers the array metadata this link has mirrored on its
+	// worker, so EnsureArray sends each array once per link instead of
+	// once per launch. It may assume only what this link has seen
+	// acknowledged: FreeArray forgets the entry, and a redial makes a new
+	// link with an empty set (the worker may have restarted empty).
+	emu     sync.Mutex
+	ensured map[dag.ArrayID]grcuda.ArrayMeta
 }
 
 // broken reports whether either channel recorded a fatal error.
@@ -150,7 +159,8 @@ func (f *TCPFabric) dialWorker(addr string) (*link, error) {
 	bulkFC.writeTimeout = f.chunkTimeout
 	bc := newBulkClient(bulkFC, f.chunk)
 	bc.chunkTimeout = f.chunkTimeout
-	l := &link{ctrl: newCtrlConn(ctrlFC, f.callTimeout), bulk: bc}
+	l := &link{ctrl: newCtrlConn(ctrlFC, f.callTimeout), bulk: bc,
+		ensured: make(map[dag.ArrayID]grcuda.ArrayMeta)}
 	if _, err := l.ctrl.call(&Request{Kind: MsgPing}); err != nil {
 		_ = l.close()
 		return nil, fmt.Errorf("ping: %w", err)
@@ -266,8 +276,19 @@ func (f *TCPFabric) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) error {
 	if err != nil {
 		return err
 	}
-	_, err = l.ctrl.call(&Request{Kind: MsgEnsureArray, Meta: meta})
-	return err
+	l.emu.Lock()
+	got, ok := l.ensured[meta.ID]
+	l.emu.Unlock()
+	if ok && got == meta {
+		return nil
+	}
+	if _, err := l.ctrl.call(&Request{Kind: MsgEnsureArray, Meta: meta}); err != nil {
+		return err
+	}
+	l.emu.Lock()
+	l.ensured[meta.ID] = meta
+	l.emu.Unlock()
+	return nil
 }
 
 // MoveArray implements core.Fabric: controller->worker ships srcBuf,
@@ -286,11 +307,13 @@ func (f *TCPFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 			return 0, err
 		}
 		meta := grcuda.ArrayMeta{ID: id}
+		var raw []byte
 		if srcBuf != nil {
 			meta.Kind = srcBuf.Kind
 			meta.Len = int64(srcBuf.Len())
+			raw = srcBuf.RawBytes()
 		}
-		if err := l.bulk.receiveArray(id, meta, srcBuf); err != nil {
+		if err := l.bulk.receiveArray(id, meta, raw, nil); err != nil {
 			return 0, err
 		}
 	case dst == cluster.ControllerID:
@@ -391,6 +414,9 @@ func (f *TCPFabric) FreeArray(w cluster.NodeID, id dag.ArrayID) error {
 	if err != nil {
 		return err
 	}
+	l.emu.Lock()
+	delete(l.ensured, id)
+	l.emu.Unlock()
 	_, err = l.ctrl.call(&Request{Kind: MsgFreeArray, ArrayID: id})
 	return err
 }

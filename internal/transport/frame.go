@@ -145,6 +145,24 @@ var framePool = sync.Pool{
 func getFrameBuf() *[]byte  { return framePool.Get().(*[]byte) }
 func putFrameBuf(b *[]byte) { *b = (*b)[:0]; framePool.Put(b) }
 
+// chunkPool recycles bulk-chunk scratch (a worker's incoming chunks and
+// the snapshots it sends) apart from framePool, so chunk-sized buffers do
+// not displace the 4 KiB ones every control frame draws.
+var chunkPool sync.Pool
+
+// getChunkBuf returns pooled scratch of length n.
+func getChunkBuf(n int) *[]byte {
+	bp, _ := chunkPool.Get().(*[]byte)
+	if bp == nil || cap(*bp) < n {
+		b := make([]byte, n)
+		bp = &b
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
+func putChunkBuf(b *[]byte) { chunkPool.Put(b) }
+
 // framedConn is one framed channel. Writes take wmu and go out with a
 // single writev (net.Buffers), so a frame is never torn; reads are owned
 // by a single reader (the demux goroutine on clients, the serve loop on
@@ -157,10 +175,10 @@ type framedConn struct {
 
 	wmu   sync.Mutex
 	w     io.Writer // == raw normally; tests substitute fault injectors
-	iov   [2][]byte // scratch backing for writev, reused under wmu
+	iov   [4][]byte // scratch backing for writev, reused under wmu
 	wbufs net.Buffers
-	whdr  [frameHeaderLen + chunkOffsetLen]byte
-	bw    *bufio.Writer // control and session channels; made on first use, under wmu
+	whdr  [2*frameHeaderLen + chunkOffsetLen]byte // a request header and a chunk header
+	bw    *bufio.Writer                           // control and session channels; made on first use, under wmu
 
 	// rbuf is reader-side scratch for frame headers and chunk offsets; the
 	// single reader goroutine owns it. A field rather than a local because
@@ -283,15 +301,20 @@ func (c *framedConn) writeFrame(ftype byte, reqID uint64, p []byte) error {
 	if err := c.brokenErr(); err != nil {
 		return err
 	}
-	hdr := c.whdr[:frameHeaderLen]
-	binary.LittleEndian.PutUint32(hdr, uint32(len(p)))
-	hdr[4] = ftype
-	binary.LittleEndian.PutUint64(hdr[5:], reqID)
+	hdr := putFrameHeader(c.whdr[:frameHeaderLen], len(p), ftype, reqID)
 	c.armWrite()
 	if err := c.writev(hdr, p); err != nil {
 		return c.fail(fmt.Errorf("transport: write frame: %w", wrapNetErr(err)))
 	}
 	return nil
+}
+
+// putFrameHeader encodes a frame header for an n-byte payload into hdr.
+func putFrameHeader(hdr []byte, n int, ftype byte, reqID uint64) []byte {
+	binary.LittleEndian.PutUint32(hdr, uint32(n))
+	hdr[4] = ftype
+	binary.LittleEndian.PutUint64(hdr[5:], reqID)
+	return hdr
 }
 
 // ctrlWriteBuffer sizes a control or session channel's write buffer: a
@@ -326,10 +349,7 @@ func (c *framedConn) bufferFrame(ftype byte, reqID uint64, p []byte) error {
 	if c.bw == nil {
 		c.bw = bufio.NewWriterSize(frameSink{c}, ctrlWriteBuffer)
 	}
-	hdr := c.whdr[:frameHeaderLen]
-	binary.LittleEndian.PutUint32(hdr, uint32(len(p)))
-	hdr[4] = ftype
-	binary.LittleEndian.PutUint64(hdr[5:], reqID)
+	hdr := putFrameHeader(c.whdr[:frameHeaderLen], len(p), ftype, reqID)
 	var err error
 	n := frameHeaderLen + len(p)
 	if n > c.bw.Available() {
@@ -367,34 +387,44 @@ func (c *framedConn) flushFrames() error {
 	return nil
 }
 
-// writev sends hdr then p as one gather write (a single syscall on TCP
-// conns). The net.Buffers header lives on the connection — WriteTo
-// consumes the slice, so it is rebuilt from the iov backing each call
-// without allocating. Callers hold wmu.
-func (c *framedConn) writev(hdr, p []byte) error {
-	c.iov[0], c.iov[1] = hdr, p
-	c.wbufs = c.iov[:]
+// writev sends bufs (at most len(c.iov)) in order as one gather write (a
+// single syscall on TCP conns). The net.Buffers header lives on the
+// connection — WriteTo consumes the slice, so it is rebuilt from the iov
+// backing each call without allocating. Callers hold wmu.
+func (c *framedConn) writev(bufs ...[]byte) error {
+	c.wbufs = c.iov[:copy(c.iov[:], bufs)]
 	_, err := c.wbufs.WriteTo(c.w)
 	c.wbufs = nil
-	c.iov[0], c.iov[1] = nil, nil
+	clear(c.iov[:])
 	return err
 }
 
-// writeChunk sends one bulk chunk: data (which aliases buffer storage —
+// writeChunk sends one bulk chunk: data (which may alias buffer storage —
 // zero copy) at byte offset off of the transfer reqID.
 func (c *framedConn) writeChunk(reqID, off uint64, data []byte) error {
+	return c.writeChunkAfter(reqID, nil, off, data)
+}
+
+// writeChunkAfter sends a chunk; a non-nil req is the transfer's encoded
+// request and leaves in a frame of its own ahead of the chunk, in the same
+// gather write — a transfer that fits one chunk costs one write, and the
+// write never ends inside a frame.
+func (c *framedConn) writeChunkAfter(reqID uint64, req []byte, off uint64, data []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err := c.brokenErr(); err != nil {
 		return err
 	}
-	hdr := c.whdr[:frameHeaderLen+chunkOffsetLen]
-	binary.LittleEndian.PutUint32(hdr, uint32(chunkOffsetLen+len(data)))
-	hdr[4] = frameChunk
-	binary.LittleEndian.PutUint64(hdr[5:], reqID)
+	hdr := putFrameHeader(c.whdr[frameHeaderLen:], chunkOffsetLen+len(data), frameChunk, reqID)
 	binary.LittleEndian.PutUint64(hdr[frameHeaderLen:], off)
 	c.armWrite()
-	if err := c.writev(hdr, data); err != nil {
+	var err error
+	if req == nil {
+		err = c.writev(hdr, data)
+	} else {
+		err = c.writev(putFrameHeader(c.whdr[:frameHeaderLen], len(req), frameRequest, reqID), req, hdr, data)
+	}
+	if err != nil {
 		return c.fail(fmt.Errorf("transport: write chunk: %w", wrapNetErr(err)))
 	}
 	return nil

@@ -244,6 +244,10 @@ type bulkResult struct {
 type bulkPending struct {
 	dst  *kernels.Buffer
 	done chan bulkResult
+	// timed marks an operation the peer owes a frame right now: a fetch
+	// from the moment it is sent, an array send once its last chunk has
+	// left. Guarded by the client's mu.
+	timed bool
 }
 
 var bulkPendingPool = sync.Pool{
@@ -286,20 +290,20 @@ type bulkClient struct {
 	fc    *framedConn
 	chunk int
 	// chunkTimeout, when > 0, is the *progress* deadline for incoming
-	// data: while at least one pending has a destination buffer (a fetch
-	// expecting chunk frames), each read must complete within the window.
-	// It is never armed otherwise — a pushTo legitimately produces no
-	// frames for as long as the peer-to-peer transfer runs, and must not
-	// be mistaken for a hang.
+	// frames: while at least one pending is timed (a fetch expecting
+	// chunks, a sent array awaiting its acknowledgement), each read must
+	// complete within the window. It is never armed otherwise — a pushTo
+	// legitimately produces no frames for as long as the peer-to-peer
+	// transfer runs, and must not be mistaken for a hang.
 	chunkTimeout time.Duration
 
 	mu      sync.Mutex
 	seq     uint64
 	pending map[uint64]*bulkPending
-	// fetchers counts pendings with a destination buffer; the read
-	// deadline is armed exactly while it is nonzero.
-	fetchers int
-	dead     error
+	// timed counts the timed pendings; the read deadline is armed exactly
+	// while it is nonzero.
+	timed int
+	dead  error
 }
 
 func newBulkClient(fc *framedConn, chunk int) *bulkClient {
@@ -308,15 +312,15 @@ func newBulkClient(fc *framedConn, chunk int) *bulkClient {
 	return b
 }
 
-// rearm points the read deadline at the current fetcher population:
-// armed while any fetch awaits chunks, cleared otherwise. Called with
-// b.mu held whenever fetchers changes, and by the read loop after every
+// rearm points the read deadline at the current timed population: armed
+// while any operation is owed a frame, cleared otherwise. Called with
+// b.mu held whenever timed changes, and by the read loop after every
 // frame (each arrival restarts the progress window).
 func (b *bulkClient) rearm() {
 	if b.chunkTimeout <= 0 {
 		return
 	}
-	if b.fetchers > 0 {
+	if b.timed > 0 {
 		b.fc.armRead(b.chunkTimeout)
 	} else {
 		b.fc.armRead(0)
@@ -353,11 +357,29 @@ func (b *bulkClient) register(dst *kernels.Buffer) (uint64, *bulkPending, error)
 	b.pending[b.seq] = p
 	id := b.seq
 	if dst != nil {
-		b.fetchers++
-		b.rearm()
+		b.setTimed(p)
 	}
 	b.mu.Unlock()
 	return id, p, nil
+}
+
+// setTimed starts the progress window for p. Called with b.mu held.
+func (b *bulkClient) setTimed(p *bulkPending) {
+	p.timed = true
+	b.timed++
+	b.rearm()
+}
+
+// awaitAck bounds the wait for the acknowledgement of an array whose last
+// chunk has left: a peer that takes every byte and never answers costs one
+// progress window instead of hanging this send and every operation queued
+// behind it on the channel.
+func (b *bulkClient) awaitAck(id uint64, p *bulkPending) {
+	b.mu.Lock()
+	if b.pending[id] == p { // not answered yet
+		b.setTimed(p)
+	}
+	b.mu.Unlock()
 }
 
 // release recycles a pending whose one result has been consumed.
@@ -365,15 +387,15 @@ func (b *bulkClient) release(id uint64, p *bulkPending) {
 	b.mu.Lock()
 	if _, still := b.pending[id]; still {
 		// Failed locally before the demux resolved it (send error): the
-		// fetcher accounting the demux would have done happens here.
+		// timed accounting the demux would have done happens here.
 		delete(b.pending, id)
-		if p.dst != nil {
-			b.fetchers--
+		if p.timed {
+			b.timed--
 			b.rearm()
 		}
 	}
 	b.mu.Unlock()
-	p.dst = nil
+	p.dst, p.timed = nil, false
 	bulkPendingPool.Put(p)
 }
 
@@ -387,7 +409,7 @@ func (b *bulkClient) failAll(err error) {
 	}
 	pend := b.pending
 	b.pending = make(map[uint64]*bulkPending)
-	b.fetchers = 0
+	b.timed = 0
 	b.mu.Unlock()
 	for _, p := range pend {
 		p.done <- bulkResult{err: err}
@@ -424,8 +446,8 @@ func (b *bulkClient) readLoop() {
 			b.mu.Lock()
 			p := b.pending[h.reqID]
 			delete(b.pending, h.reqID)
-			if p != nil && p.dst != nil {
-				b.fetchers--
+			if p != nil && p.timed {
+				b.timed--
 			}
 			b.rearm()
 			b.mu.Unlock()
@@ -474,53 +496,74 @@ func (b *bulkClient) readChunk(h frameHeader) error {
 	return b.fc.readInto(dst)
 }
 
-// receiveArray streams src's contents to the remote array id in chunks.
-// Multiple receiveArray/fetchArray calls interleave on the channel.
+// receiveArray streams raw, an array's wire bytes, to the remote array id
+// in chunks; the request leaves in the same write as the first chunk.
+// Multiple receiveArray/fetchArray calls interleave on the channel. A nil
+// snap means nothing writes raw during the call and chunks go out straight
+// from it; otherwise raw is live storage written under snap (a worker's
+// array), and each chunk is copied out under it and sent without it
+// (snapshot).
 //
 // Once register succeeds the pending is owed exactly one result: a send
 // failure here kills the connection, which fires failAll. Every path
 // consumes that result before releasing the pending; a local write error
 // takes precedence over the (less specific) teardown error.
-func (b *bulkClient) receiveArray(id dag.ArrayID, meta grcuda.ArrayMeta, src *kernels.Buffer) error {
+func (b *bulkClient) receiveArray(id dag.ArrayID, meta grcuda.ArrayMeta, raw []byte, snap sync.Locker) error {
 	reqID, p, err := b.register(nil)
 	if err != nil {
 		return err
 	}
-	req := &Request{Kind: MsgReceiveArray, ArrayID: id, Meta: meta}
+	rp := getFrameBuf()
+	defer putFrameBuf(rp)
+	*rp = appendRequest(*rp, &Request{Kind: MsgReceiveArray, ArrayID: id, Meta: meta})
+	req := *rp // nil once sent
 	var werr error
-	if err := b.fc.sendRequest(reqID, req); err != nil {
-		werr = fmt.Errorf("transport: send %v: %w", req.Kind, err)
-	} else {
-		var raw []byte
-		if src != nil {
-			raw = src.RawBytes()
+	var scratch []byte
+	if len(raw) == 0 {
+		werr = b.fc.writeFrame(frameRequest, reqID, req)
+	} else if snap != nil {
+		sp := getChunkBuf(min(b.chunk, len(raw)))
+		defer putChunkBuf(sp)
+		scratch = *sp
+	}
+stream:
+	for off := 0; off < len(raw) && werr == nil; off += b.chunk {
+		select {
+		case res := <-p.done:
+			// An early error response (unknown array, size mismatch)
+			// aborts the stream instead of shipping the remaining chunks;
+			// it goes back for the wait below to consume.
+			p.done <- res
+			break stream
+		default:
 		}
-		for off := 0; off < len(raw); off += b.chunk {
-			// An early error response (unknown array, kind mismatch)
-			// aborts the stream instead of shipping the remaining chunks.
-			select {
-			case res := <-p.done:
-				b.release(reqID, p)
-				return res.consume()
-			default:
-			}
-			end := off + b.chunk
-			if end > len(raw) {
-				end = len(raw)
-			}
-			if err := b.fc.writeChunk(reqID, uint64(off), raw[off:end]); err != nil {
-				werr = fmt.Errorf("transport: stream %v: %w", req.Kind, err)
-				break
-			}
+		data := raw[off:min(off+b.chunk, len(raw))]
+		if snap != nil {
+			data = snapshot(snap, scratch, data)
 		}
+		werr = b.fc.writeChunkAfter(reqID, req, uint64(off), data)
+		req = nil
+	}
+	if werr == nil {
+		b.awaitAck(reqID, p)
 	}
 	res := <-p.done
 	b.release(reqID, p)
 	if werr != nil {
 		putResponse(res.resp)
-		return werr
+		return fmt.Errorf("transport: stream %v: %w", MsgReceiveArray, werr)
 	}
 	return res.consume()
+}
+
+// snapshot copies src, a span of live array storage, into dst under mu,
+// the lock the array's writers hold. The caller sends the copy without the
+// lock: a slow peer never stalls whoever else needs it.
+func snapshot(mu sync.Locker, dst, src []byte) []byte {
+	mu.Lock()
+	n := copy(dst, src)
+	mu.Unlock()
+	return dst[:n]
 }
 
 // fetchArray pulls the remote array id into dst; incoming chunks are

@@ -30,9 +30,23 @@ type WorkerServer struct {
 	closed    bool
 	active    map[io.Closer]struct{}
 	pushChunk int
+	// peers holds this worker's persistent bulk link to each peer it has
+	// pushed to, by address: at most one entry per worker of the fleet.
+	peers map[string]*peerLink
 	// P2P push deadlines (resolved from ServerOptions).
 	dialTimeout  time.Duration
 	chunkTimeout time.Duration
+}
+
+// peerLink is the pushing side of one worker→worker bulk channel. The
+// link is dialed by the first push to the peer and shared by every later
+// and every concurrent one (the bulk protocol interleaves transfers by
+// request ID); it lives until it breaks — the next push redials — or the
+// server closes. mu serializes dials to this one peer and is never held
+// together with the server's lock or across a transfer.
+type peerLink struct {
+	mu sync.Mutex
+	bc *bulkClient
 }
 
 // ServerOptions tune a WorkerServer beyond the node spec.
@@ -40,12 +54,12 @@ type ServerOptions struct {
 	// ChunkBytes is the chunk size for outgoing bulk streams (P2P pushes
 	// and fetch responses). 0 means DefaultChunkBytes.
 	ChunkBytes int
-	// DialTimeout bounds the worker→worker dial a P2P push opens (zero
-	// means DefaultDialTimeout, negative disables) — previously this dial
-	// had no deadline, so a peer that died between the controller's
-	// command and the push hung the pushing worker.
+	// DialTimeout bounds a worker→worker dial: the first P2P push to a
+	// peer and every redial of a broken peer link (zero means
+	// DefaultDialTimeout, negative disables).
 	DialTimeout time.Duration
-	// ChunkTimeout bounds each outgoing P2P chunk write (zero means
+	// ChunkTimeout bounds each outgoing P2P chunk write and the wait for
+	// the peer's acknowledgement after the last one (zero means
 	// DefaultChunkTimeout, negative disables).
 	ChunkTimeout time.Duration
 	// Prefetch and Evict select the node's UVM memory policies by name
@@ -83,6 +97,7 @@ func NewWorkerServerOpts(addr string, spec gpusim.NodeSpec, logger *log.Logger, 
 		listener:     ln,
 		log:          logger,
 		active:       make(map[io.Closer]struct{}),
+		peers:        make(map[string]*peerLink),
 		pushChunk:    normalizeChunk(opts.ChunkBytes),
 		dialTimeout:  pickTimeout(opts.DialTimeout, DefaultDialTimeout),
 		chunkTimeout: pickTimeout(opts.ChunkTimeout, DefaultChunkTimeout),
@@ -109,7 +124,8 @@ func (w *WorkerServer) LiveCEs() int {
 	return w.rt.Graph().Live()
 }
 
-// Close stops the server and drops every established connection.
+// Close stops the server and drops every established connection, the
+// peer links this worker dialed included.
 func (w *WorkerServer) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -404,14 +420,14 @@ func (w *WorkerServer) bulkChunk(fc *framedConn, h frameHeader, recv map[uint64]
 	// socket read may block on a slow sender), then land it under the
 	// lock: launches on other arrays interleave between chunks, and the
 	// lock edge orders the buffer write against later launches reading it.
-	bp, err := fc.readPayload(n)
-	if err != nil {
+	bp := getChunkBuf(n)
+	defer putChunkBuf(bp)
+	if err := fc.readInto(*bp); err != nil {
 		return err
 	}
 	w.mu.Lock()
 	err = st.buf.SetRawBytes(off, *bp)
 	w.mu.Unlock()
-	putFrameBuf(bp)
 	if err != nil {
 		return err
 	}
@@ -443,47 +459,25 @@ func (w *WorkerServer) serveFetch(fc *framedConn, reqID uint64, req *Request) {
 		_ = fc.sendResponse(reqID, resp)
 		return
 	}
-	buf := arr.Buf
-	total := int(buf.Bytes())
+	raw := arr.Buf.RawBytes()
 	w.mu.Unlock()
 
 	// Each chunk is snapshotted into pooled scratch under the runtime lock
 	// (ordering the reads against concurrent launches), then written
 	// without it so a slow peer never stalls kernel execution.
-	bp := getFrameBuf()
-	defer putFrameBuf(bp)
-	for off := 0; off < total; off += w.pushChunk {
-		end := off + w.pushChunk
-		if end > total {
-			end = total
-		}
-		n := end - off
-		if cap(*bp) < n {
-			*bp = make([]byte, n)
-		}
-		*bp = (*bp)[:n]
-		w.mu.Lock()
-		span, err := buf.RawSpan(off, n)
-		if err == nil {
-			copy(*bp, span)
-		}
-		w.mu.Unlock()
-		if err != nil {
-			resp := &Response{}
-			resp.setErr(err)
-			_ = fc.sendResponse(reqID, resp)
-			return
-		}
-		if err := fc.writeChunk(reqID, uint64(off), *bp); err != nil {
+	bp := getChunkBuf(min(w.pushChunk, len(raw)))
+	defer putChunkBuf(bp)
+	for off := 0; off < len(raw); off += w.pushChunk {
+		data := snapshot(&w.mu, *bp, raw[off:min(off+w.pushChunk, len(raw))])
+		if err := fc.writeChunk(reqID, uint64(off), data); err != nil {
 			return // channel dead; requester sees the broken conn
 		}
 	}
 	_ = fc.sendResponse(reqID, &Response{})
 }
 
-// servePush ships an array to a peer worker over a fresh framed bulk
-// connection (the peer serves it like any client's). Pushes to
-// different peers run concurrently.
+// servePush ships an array to a peer worker over this worker's link to
+// it. Pushes run concurrently, to one peer or several.
 func (w *WorkerServer) servePush(fc *framedConn, reqID uint64, req *Request) {
 	resp := &Response{}
 	resp.setErr(w.pushTo(req))
@@ -499,11 +493,19 @@ func (w *WorkerServer) handle(req *Request) *Response {
 	return resp
 }
 
-// pushTo ships an array to a peer worker: flush and snapshot under the
-// runtime lock, then perform the network round trip without it —
-// otherwise a cycle of concurrent pushes between workers would deadlock,
-// each one holding its runtime lock while the peer's receive handler waits
-// for that same lock.
+// pushTo ships an array to a peer worker. The runtime lock is taken to
+// flush the array and then once per chunk, to copy the chunk out; it is
+// never held across network I/O — otherwise a cycle of concurrent pushes
+// between workers would deadlock, each one holding its runtime lock while
+// the peer's receive handler waits for that same lock. No whole-array
+// snapshot is needed: the controller orders any launch that writes the
+// array after the move that reads it (the DAG's WAR edge), the rule
+// serveFetch rests on too.
+//
+// A cached link can be dead without having noticed (the peer restarted on
+// its address, a half-open socket), so a transfer that breaks a reused
+// link is retried once on a fresh one — a receive is idempotent. An error
+// the peer answered with leaves the link intact and is returned as is.
 func (w *WorkerServer) pushTo(req *Request) error {
 	w.mu.Lock()
 	arr := w.rt.Array(req.ArrayID)
@@ -515,18 +517,53 @@ func (w *WorkerServer) pushTo(req *Request) error {
 		w.mu.Unlock()
 		return err
 	}
-	snap := arr.Buf.Clone()
-	meta := arr.ArrayMeta
+	raw, meta := arr.Buf.RawBytes(), arr.ArrayMeta
+	pl := w.peers[req.PeerAddr]
+	if pl == nil {
+		pl = &peerLink{}
+		w.peers[req.PeerAddr] = pl
+	}
 	w.mu.Unlock()
 
-	fc, err := dialFramed(req.PeerAddr, helloBulk, w.dialTimeout)
+	for retried := false; ; retried = true {
+		bc, fresh, err := w.peerClient(pl, req.PeerAddr)
+		if err != nil {
+			return err
+		}
+		err = bc.receiveArray(req.ArrayID, meta, raw, &w.mu)
+		if err == nil || fresh || retried || bc.broken() == nil {
+			return err
+		}
+	}
+}
+
+// peerClient returns pl's live bulk client, dialing the peer at addr when
+// there is none or the last one broke; fresh reports a link dialed by this
+// call. The client is tracked like an accepted connection, so Close (and
+// MsgShutdown) closes it and a closed server dials no more.
+func (w *WorkerServer) peerClient(pl *peerLink, addr string) (bc *bulkClient, fresh bool, err error) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if pl.bc != nil {
+		if pl.bc.broken() == nil {
+			return pl.bc, false, nil
+		}
+		w.untrack(pl.bc.fc)
+		_ = pl.bc.close()
+		pl.bc = nil
+	}
+	fc, err := dialFramed(addr, helloBulk, w.dialTimeout)
 	if err != nil {
-		return fmt.Errorf("p2p dial %s: %w", req.PeerAddr, err)
+		return nil, false, fmt.Errorf("p2p dial %s: %w", addr, err)
+	}
+	if !w.track(fc) {
+		_ = fc.close()
+		return nil, false, fmt.Errorf("p2p push to %s: this worker is closed: %w", addr, core.ErrTransient)
 	}
 	fc.writeTimeout = w.chunkTimeout
-	bc := newBulkClient(fc, w.pushChunk)
-	defer bc.close()
-	return bc.receiveArray(req.ArrayID, meta, snap)
+	pl.bc = newBulkClient(fc, w.pushChunk)
+	pl.bc.chunkTimeout = w.chunkTimeout
+	return pl.bc, true, nil
 }
 
 func (w *WorkerServer) apply(req *Request, resp *Response) error {

@@ -22,9 +22,15 @@
 #      suite (streamed-vs-synced bit identity, quiet client at the
 #      default and at a deep queue, launch window, write coalescing and
 #      whole-frame writes, deferred errors, shed prefix, severed
-#      connection, call timeout, Close behind a parked sync), re-run
-#      explicitly in 4b so a rename can't silently drop them from the
-#      race gate; the bounded-state suite rides the same sweep: the
+#      connection, call timeout, Close behind a parked sync) and the
+#      worker→worker suite (peer links dialed once and shared by
+#      concurrent pushes, push cycle, peer killed between pushes and
+#      mid-push, stale-link retry, teardown back to the goroutine and fd
+#      baseline, receive-ack deadline, one write per one-chunk transfer,
+#      ensure memo; round-robin moves pinned in the streamed
+#      differential), re-run explicitly in 4b so a rename can't silently
+#      drop them from the race gate; the bounded-state suite rides the
+#      same sweep: the
 #      retiring DAG against its never-retiring reference graph
 #      (internal/dag TestRetireOracle, hazard case by name), the
 #      50 000-CE runtime stream pinned to pre-retirement values
@@ -52,10 +58,13 @@
 #      fleet size) and the gateway dial-churn pair (they must still
 #      compile and complete, not regress — use scripts/bench.sh for
 #      numbers)
-#   7. the repository benchmark's launch-stream and launch-sync
-#      workloads at a tenth of a second, untraced: their output check
-#      (bit-identical replay) must hold through the streamed dispatch
-#      path at depth 64 and at depth 1
+#   7. the repository benchmark's launch-stream, launch-sync and
+#      bulk-move workloads at a tenth of a second, untraced: their
+#      output checks must hold — bit-identical replay through the
+#      streamed dispatch path at depth 64 and at depth 1, and every
+#      round's payload checksum through host→worker, worker→worker and
+#      worker→host moves on real sockets (bulk-move is the only workload
+#      that pushes peer to peer)
 #   8. the soak (ROADMAP 4c, not under the race detector, ~10 s): a
 #      million CEs from two Dial tenants through the gateway to two TCP
 #      workers; after a forced GC at 25/50/75/100 % of the stream
@@ -87,8 +96,8 @@ go test -race ./internal/core/... ./internal/dag/... ./internal/grcuda/... \
 echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos)"
 go test -race -run 'TestShardDifferential' ./internal/workloads/
 
-echo "== go test -race chaos/recovery + streamed-launch + pipelined-session suite (lineage replay, deadlines, write-off, stream replay, session stream)"
-go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue' \
+echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + worker-to-worker suite (lineage replay, deadlines, write-off, stream replay, session stream, peer links)"
+go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck' \
     ./internal/core/ ./internal/transport/ ./internal/shard/ ./internal/bench/ ./internal/server/
 
 echo "== differential fuzz (compiled engine vs interpreter, 10s)"
@@ -130,9 +139,10 @@ go test -run '^$' -bench 'BenchmarkOversubSweep/sequential/(eager\+lru|stride\+l
 go test -run '^$' -bench 'BenchmarkUVMBench/(spmv|kmeans)/eager\+lru/(1|2|4)w/x(0.5|2.0)' \
     -benchtime=1x ./internal/bench/
 
-echo "== repository benchmark smoke (launch-stream and launch-sync, output-checked)"
+echo "== repository benchmark smoke (launch-stream, launch-sync and bulk-move, output-checked)"
 go run ./benchmark --workload launch-stream --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
 go run ./benchmark --workload launch-sync --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
+go run ./benchmark --workload bulk-move --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
 
 echo "== soak: 1M CEs through the gateway, heap/goroutines/live CEs flat (not under -race)"
 go test -run '^$' -bench 'BenchmarkSoakBoundedState' -benchtime=1x .
