@@ -60,7 +60,6 @@ func main() {
 	class := flag.Int("class", 0, "session priority class for load shedding (higher classes shed later)")
 	shedDepth := flag.Int("shed-depth", 0, "class-0 shed threshold in queued launches per shard (0 disables shedding)")
 	queueDepth := flag.Int("queue-depth", 0, "per-session launch queue depth (0 = 64 default, negative = 1)")
-	acceptLoops := flag.Int("accept-loops", 1, "concurrent accept goroutines on the listener (raise for dial bursts)")
 	failover := flag.Bool("failover", true, "survive worker failures via lineage recovery")
 	optWindow := flag.Int("optimize-window", 0, "lookahead optimizer window in CEs (0 = 32 default, negative disables; DESIGN.md §5.6)")
 	flag.Parse()
@@ -97,10 +96,9 @@ func main() {
 			Burst:          *burst,
 			Class:          *class,
 		},
-		QueueDepth:  *queueDepth,
-		ShedDepth:   *shedDepth,
-		AcceptLoops: *acceptLoops,
-		Logger:      logger,
+		QueueDepth: *queueDepth,
+		ShedDepth:  *shedDepth,
+		Logger:     logger,
 	}
 	var g *server.Gateway
 	var cleanup func()

@@ -237,55 +237,49 @@ func BenchmarkGatewayShards(b *testing.B) {
 
 // BenchmarkGatewayDialChurn measures session open latency under dial
 // churn: each iteration fires a 32-way concurrent burst of
-// dial+ping+close against the gateway (the fleet-reconnect shape). The
-// 1loop row is the pre-sharding accept path — one goroutine pulling
-// handshakes off the listener — and the 4loops row runs
-// Options.AcceptLoops accept goroutines. dial_p99_us is the burst's
-// worst observed dial+handshake latency; scripts/bench.sh records the
-// 1loop/4loops pair into BENCH_server.json as the dial-churn row.
+// dial+ping+close against the gateway (the fleet-reconnect shape).
+// dial_p99_us is the burst's worst observed dial+handshake latency;
+// scripts/bench.sh records it into BENCH_server.json as the dial-churn
+// row.
 func BenchmarkGatewayDialChurn(b *testing.B) {
 	const burst = 32
-	for _, loops := range []int{1, 4} {
-		b.Run(fmt.Sprintf("%dloops", loops), func(b *testing.B) {
-			g, stop := gatewayBenchSystem(b, server.Options{AcceptLoops: loops})
-			defer stop()
-			var worst time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lats := make([]time.Duration, burst)
-				var wg sync.WaitGroup
-				errs := make(chan error, burst)
-				for k := 0; k < burst; k++ {
-					wg.Add(1)
-					go func(k int) {
-						defer wg.Done()
-						t0 := time.Now()
-						c, err := server.Dial(g.Addr(), fmt.Sprintf("churn-%02d", k), 0, 0)
-						if err != nil {
-							errs <- err
-							return
-						}
-						err = c.Ping()
-						lats[k] = time.Since(t0)
-						_ = c.Close()
-						errs <- err
-					}(k)
+	g, stop := gatewayBenchSystem(b, server.Options{})
+	defer stop()
+	var worst time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lats := make([]time.Duration, burst)
+		var wg sync.WaitGroup
+		errs := make(chan error, burst)
+		for k := 0; k < burst; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				t0 := time.Now()
+				c, err := server.Dial(g.Addr(), fmt.Sprintf("churn-%02d", k), 0, 0)
+				if err != nil {
+					errs <- err
+					return
 				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, l := range lats {
-					if l > worst {
-						worst = l
-					}
-				}
+				err = c.Ping()
+				lats[k] = time.Since(t0)
+				_ = c.Close()
+				errs <- err
+			}(k)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(worst.Microseconds()), "dial_p99_us")
-		})
+		}
+		for _, l := range lats {
+			if l > worst {
+				worst = l
+			}
+		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(worst.Microseconds()), "dial_p99_us")
 }

@@ -251,10 +251,12 @@ func (p RetryPolicy) delay(n int, rng *rand.Rand) time.Duration {
 // submission order (the order that defines the schedule). Dispatch-side
 // state is guarded separately by mu; with Options.Pipeline the dispatch
 // stage runs concurrently behind the submission lock. Synchronizing
-// operations (HostRead, HostWrite, FreeArray, SetPolicy, BuildKernel)
-// drain the pipeline and therefore act as global barriers across all
-// submitting goroutines. TestConcurrentSubmitters exercises this contract
-// under the race detector.
+// operations (HostRead, HostWrite, FreeArray, SetPolicy, BuildKernel,
+// Drain and the drained readers) drain the pipeline under subMu and
+// therefore act as global barriers across all submitting goroutines; a
+// submitter that wants to wait for its own CEs only waits on their
+// Pendings, as ControllerSession.Elapsed does. TestConcurrentSubmitters
+// exercises this contract under the race detector.
 type Controller struct {
 	fabric   Fabric
 	pol      policy.Policy
@@ -534,6 +536,21 @@ func (c *Controller) DeadWorkers() []cluster.NodeID {
 
 // Policy returns the active inter-node policy.
 func (c *Controller) Policy() policy.Policy { return c.pol }
+
+// Pipelined reports whether Submit only schedules, leaving dispatch to the
+// pipeline's goroutines (Options.Pipeline). On a serial controller Submit
+// dispatches on its caller and returns when the CE has run.
+func (c *Controller) Pipelined() bool { return c.pipe != nil }
+
+// DispatcherJobs counts the window CEs left to the batch dispatcher
+// goroutine: all of them on a sequenced fabric, on a streaming one those
+// the goroutine that flushed their window could not start itself.
+func (c *Controller) DispatcherJobs() int {
+	if c.pipe == nil {
+		return 0
+	}
+	return int(c.pipe.handed.Load())
+}
 
 // SetPolicy swaps the inter-node policy (between workloads). It drains
 // the pipeline, so no in-flight CE sees the swap.

@@ -1,0 +1,323 @@
+package core
+
+// Tests for the two hand-offs a depth-1 step no longer takes in this
+// package (DESIGN.md §5.5, §5.11): a session's Elapsed synchronizes that
+// session only, and the goroutine that flushes a window starts its
+// launches itself while the batch dispatcher is idle — and only then.
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"grout/internal/cluster"
+	"grout/internal/dag"
+	"grout/internal/kernels"
+	"grout/internal/memmodel"
+	"grout/internal/policy"
+	"grout/internal/sim"
+)
+
+// heldFabric is a LocalFabric (sequenced: no ConcurrentDispatcher behind
+// the embedded interfaces) whose launches of one kernel wait for the gate.
+type heldFabric struct {
+	Fabric
+	KernelBuilder
+	kernel  string
+	arrived chan struct{} // one send per held launch, as it arrives
+	gate    chan struct{}
+}
+
+func (f *heldFabric) Launch(w cluster.NodeID, inv Invocation, ready sim.VirtualTime) (sim.VirtualTime, error) {
+	if inv.Kernel == f.kernel {
+		f.arrived <- struct{}{}
+		<-f.gate
+	}
+	return f.Fabric.Launch(w, inv, ready)
+}
+
+// returnsWithin reports whether fn returns within d.
+func returnsWithin(d time.Duration, fn func()) bool {
+	done := make(chan struct{})
+	go func() { fn(); close(done) }()
+	select {
+	case <-done:
+		return true
+	case <-time.After(d):
+		return false
+	}
+}
+
+// settleDispatcher launches relu on id, which must be resident on its
+// worker, until a launch is started by its submitter. A blocking launch
+// resolves a moment before the batch dispatcher lets go of its window, so
+// the launch right behind one may still be handed to it; once one is not,
+// the dispatcher is idle and stays so until it is handed something.
+func settleDispatcher(t *testing.T, ctl *Controller, id dag.ArrayID) {
+	t.Helper()
+	for i := 0; i < 100; i++ {
+		before := ctl.DispatcherJobs()
+		if _, err := ctl.Launch(Invocation{Kernel: "relu",
+			Args: []ArgRef{ArrRef(id), ScalarRef(float64(ppElems))}}); err != nil {
+			t.Fatal(err)
+		}
+		if ctl.DispatcherJobs() == before {
+			return
+		}
+	}
+	t.Fatal("the batch dispatcher never went idle")
+}
+
+// TestSessionScopedSync: a session's Elapsed returns while another
+// session's CE is stuck in the fabric — Controller.Elapsed, which it used
+// to be, does not — yet waits for every CE of its own: one dispatching
+// behind the stuck CE, one still parked in the optimizer window, and a
+// producer fused away into its consumer.
+func TestSessionScopedSync(t *testing.T) {
+	const n = 64
+	local := NewLocalFabric(cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), true)
+	fab := &heldFabric{
+		Fabric: local, KernelBuilder: local,
+		kernel:  "fill",
+		arrived: make(chan struct{}, 1),
+		gate:    make(chan struct{}),
+	}
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true, Pipeline: true, OptimizeWindow: 8})
+	var open sync.Once
+	release := func() { open.Do(func() { close(fab.gate) }) }
+	t.Cleanup(func() { release(); _ = ctl.Close() })
+	for _, src := range []string{winProdSrc, winConsSrc} {
+		if _, err := ctl.BuildKernel(src, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := NewControllerSession(ctl, "a", SessionLimits{})
+	b := NewControllerSession(ctl, "b", SessionLimits{})
+	alloc := func(s *ControllerSession) dag.ArrayID {
+		t.Helper()
+		id, err := s.NewArray(memmodel.Float32, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := kernels.NewBuffer(memmodel.Float32, n)
+		for i := 0; i < n; i++ {
+			buf.Set(i, float64(i%7)-3)
+		}
+		if _, err := s.HostWrite(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	submit := func(s *ControllerSession, inv Invocation) {
+		t.Helper()
+		if _, err := s.Submit(inv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ax, as, ao, bx := alloc(a), alloc(a), alloc(a), alloc(b)
+	nArg := ScalarRef(n)
+
+	submit(a, Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(ax), nArg}})
+	a.Elapsed()
+	submit(b, Invocation{Kernel: "fill", Args: []ArgRef{ArrRef(bx), ScalarRef(1), nArg}})
+	if err := ctl.FlushWindow(); err != nil {
+		t.Fatal(err)
+	}
+	<-fab.arrived // b's CE is in the fabric, and stays there
+
+	if !returnsWithin(5*time.Second, func() { a.Elapsed() }) {
+		t.Fatal("session a's Elapsed waits for session b's CE")
+	}
+	if b.Inflight() != 1 {
+		t.Fatal("session b's CE got past the gate")
+	}
+
+	// a's own: a fused pair and a third CE, all parked in the window when
+	// Elapsed is called, all dispatching behind b's stuck CE (sequenced).
+	submit(a, Invocation{Kernel: "wmul", Grid: 1, Block: n,
+		Args: []ArgRef{ArrRef(as), ArrRef(ax), ScalarRef(2.5), nArg}})
+	submit(a, Invocation{Kernel: "wmadd", Grid: 1, Block: n,
+		Args: []ArgRef{ArrRef(ao), ArrRef(as), ArrRef(ax), ScalarRef(0.75), nArg}})
+	submit(a, Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(ao), nArg}})
+	synced := make(chan struct{})
+	go func() { a.Elapsed(); close(synced) }()
+	select {
+	case <-synced:
+		t.Fatal("session a's Elapsed returned with its own CEs behind a stuck one")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case <-synced:
+	case <-time.After(5 * time.Second):
+		t.Fatal("session a's Elapsed never returned")
+	}
+	if err := a.Err(); err != nil {
+		t.Fatal(err)
+	}
+	st := a.Stats()
+	if st.Inflight != 0 || st.Completed != 4 || st.FusedCEs != 1 {
+		t.Fatalf("after Elapsed: %d in flight, %d of 4 completed, %d fused (want 0, 4, 1)",
+			st.Inflight, st.Completed, st.FusedCEs)
+	}
+}
+
+// TestInlineStartDepthOne: with the dispatcher idle, the goroutine that
+// flushes a window starts its launches itself — two sessions' depth-1
+// Submit+Elapsed steps over a streaming fabric never reach the batch
+// dispatcher — and a sequenced fabric never starts anything that way.
+func TestInlineStartDepthOne(t *testing.T) {
+	const steps = 200
+	pin := func() policy.Policy {
+		p, err := policy.NewVectorStep([]int{1 << 20}) // everything on the first worker
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ctl, fab, ids := newStreamSystem(t, pin(), Options{Pipeline: true, OptimizeWindow: 32})
+	nArg := ScalarRef(float64(ppElems))
+	for _, id := range ids[:2] { // resident on the worker, by the blocking path
+		if _, err := ctl.Launch(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(id), nArg}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settleDispatcher(t, ctl, ids[0])
+	before := ctl.DispatcherJobs()
+	fab.mu.Lock()
+	streamedBefore := fab.starts
+	fab.mu.Unlock()
+	var wg sync.WaitGroup
+	for k := 0; k < 2; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			s := NewControllerSession(ctl, "t", SessionLimits{})
+			s.arrays[1] = ctl.Array(ids[k]) // adopt a resident array
+			for i := 0; i < steps; i++ {
+				if _, err := s.Submit(Invocation{Kernel: "scale",
+					Args: []ArgRef{ArrRef(1), ArrRef(1), ScalarRef(-1), nArg}}); err != nil {
+					t.Error(err)
+					return
+				}
+				s.Elapsed()
+			}
+			if st := s.Stats(); st.Completed != steps {
+				t.Errorf("session %d completed %d of %d", k, st.Completed, steps)
+			}
+		}(k)
+	}
+	wg.Wait()
+	if got := ctl.DispatcherJobs() - before; got != 0 {
+		t.Fatalf("the batch dispatcher was handed %d of %d depth-1 launches, want 0", got, 2*steps)
+	}
+	fab.mu.Lock()
+	streamed := fab.starts - streamedBefore
+	fab.mu.Unlock()
+	if streamed != 2*steps {
+		t.Fatalf("%d launches streamed, want %d", streamed, 2*steps)
+	}
+
+	seq := newWindowSystem(t, 2, 32, true)
+	defer seq.Close()
+	arr, err := seq.NewArray(memmodel.Float32, ppElems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := seq.Submit(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(arr.ID), nArg}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := seq.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := seq.DispatcherJobs(); got != 10 {
+		t.Fatalf("sequenced fabric: dispatcher handled %d of 10 launches, want all", got)
+	}
+}
+
+// TestInlineStartHandsRemainderInOrder: a window whose tail hits the depth
+// bound is started up to the bound by its submitter and handed over from
+// there, and while the dispatcher holds that remainder a later window
+// queues behind it even though its own launch could start at once.
+func TestInlineStartHandsRemainderInOrder(t *testing.T) {
+	const depth, chain = 2, 5
+	pin, err := policy.NewVectorStep([]int{1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, fab, ids := newStreamSystem(t, pin, Options{Pipeline: true, PipelineDepth: depth, OptimizeWindow: 8})
+	nArg := ScalarRef(float64(ppElems))
+	for _, id := range ids[:2] {
+		if _, err := ctl.Launch(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(id), nArg}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setHold := func(h bool) {
+		fab.mu.Lock()
+		fab.hold = h
+		fab.starts, fab.order = 0, nil
+		fab.cond.Broadcast()
+		fab.mu.Unlock()
+	}
+	started := func() int {
+		fab.mu.Lock()
+		defer fab.mu.Unlock()
+		return fab.starts
+	}
+	settleDispatcher(t, ctl, ids[1])
+	setHold(true)
+	defer setHold(false) // a failed check must not leave Close draining a held worker
+	before := ctl.DispatcherJobs()
+	var pend []*Pending
+	for i := 0; i < chain; i++ {
+		p, err := ctl.Submit(Invocation{Kernel: "scale",
+			Args: []ArgRef{ArrRef(ids[0]), ArrRef(ids[0]), ScalarRef(-1.5), nArg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pend = append(pend, p)
+	}
+	if err := ctl.FlushWindow(); err != nil {
+		t.Fatal(err)
+	}
+	// The submitter started up to the depth bound before FlushWindow returned.
+	if n := started(); n != depth {
+		t.Fatalf("%d launches started by the flushing goroutine, want the depth bound %d", n, depth)
+	}
+	p, err := ctl.Submit(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(ids[1]), nArg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pend = append(pend, p)
+	if err := ctl.FlushWindow(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // an overtaking start would have happened by now
+	if n := started(); n != depth {
+		t.Fatalf("%d launches started with the worker held at depth %d: a later window overtook the remainder", n, depth)
+	}
+	fab.mu.Lock()
+	fab.hold = false
+	fab.cond.Broadcast()
+	fab.mu.Unlock()
+	if err := ctl.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pend {
+		if _, err := p.Wait(); err != nil {
+			t.Fatalf("launch %d: %v", i, err)
+		}
+	}
+	fab.mu.Lock()
+	order := append([]dag.ArrayID(nil), fab.order...)
+	fab.mu.Unlock()
+	if len(order) != chain+1 || order[chain] != ids[1] {
+		t.Fatalf("start order %v: want %d launches on array %d, then the later window's on array %d",
+			order, chain, ids[0], ids[1])
+	}
+	if got := ctl.DispatcherJobs() - before; got != chain-depth+1 {
+		t.Fatalf("dispatcher handed %d jobs, want the remainder %d and the later window's 1", got, chain-depth)
+	}
+}

@@ -47,6 +47,14 @@
 // nothing is in flight and runs the failed CEs through the blocking
 // dispatch in submission order — retry, failover and lineage recovery all
 // stay there. Virtual-time fabrics never take this path.
+//
+// Who starts a launch: whoever flushes the window, when it can. With the
+// dispatcher idle — no window queued or being worked through, nothing to
+// redo — enqueueBatch starts the longest startable prefix on the
+// submitter's goroutine and puts it on the wire; the first job that would
+// have to wait for anything goes to the dispatcher with everything behind
+// it, and while the dispatcher has work every later window queues behind
+// it. The work lock keeps that one starter at a time (AsyncLauncher's rule).
 package core
 
 import (
@@ -101,6 +109,9 @@ type jobBatch struct {
 	jobs   []job
 	scheds []scheduled
 	left   atomic.Int32
+	// from is the first job left to the batch dispatcher; the submitter
+	// started the ones before it (enqueueBatch).
+	from int
 }
 
 // pipeline is the dispatch engine behind Options.Pipeline.
@@ -133,6 +144,16 @@ type pipeline struct {
 	redo      []*job
 	wake      chan struct{}
 	unflushed []cluster.NodeID
+
+	// work is held by whoever is starting or dispatching window jobs: the
+	// batch dispatcher while it works through a window or the redo list, a
+	// submitter (by try-lock, never waiting) while it starts a window's
+	// prefix itself. It guards unflushed. queued counts the windows given
+	// to the dispatcher and not yet worked through; handed, all the jobs it
+	// was ever given (Controller.DispatcherJobs).
+	work   sync.Mutex
+	queued atomic.Int32
+	handed atomic.Int64
 
 	// mu guards the submission/completion counters and closed flag.
 	mu        sync.Mutex
@@ -224,6 +245,22 @@ func (pl *pipeline) enqueueBatch(b *jobBatch) error {
 		pl.submitted++
 	}
 	pl.mu.Unlock()
+	// With the dispatcher idle, start what can be started from here (see the
+	// package comment). queued is read under the lock: a dispatcher that has
+	// taken a window off the channel but not the lock yet still counts.
+	if pl.al != nil && pl.work.TryLock() {
+		if pl.queued.Load() == 0 {
+			for b.from < len(b.jobs) && pl.tryStart(&b.jobs[b.from], false) {
+				b.from++
+			}
+			pl.flushStarts()
+		}
+		pl.work.Unlock()
+		if b.from == len(b.jobs) {
+			return nil
+		}
+	}
+	pl.queued.Add(1)
 	pl.batch <- b
 	return nil
 }
@@ -245,45 +282,46 @@ func (pl *pipeline) dispatcher(q chan *job) {
 	}
 }
 
-// batchDispatcher drains whole optimizer windows. The jobs of one batch
-// carry consecutive tickets, so in sequenced mode waitTurn degenerates
-// to a cheap check after the first job. On a streaming fabric a job is
-// started when it can be and dispatched blocking — after everything in
-// flight has been answered — when it cannot.
+// batchDispatcher drains whole optimizer windows, each from the job its
+// submitter stopped at. The jobs of one batch carry consecutive tickets,
+// so in sequenced mode waitTurn degenerates to a cheap check after the
+// first job. On a streaming fabric a job is started when it can be and
+// dispatched blocking — after everything in flight has been answered —
+// when it cannot.
 func (pl *pipeline) batchDispatcher() {
 	defer pl.wg.Done()
 	for {
-		var b *jobBatch
-		var ok bool
 		select {
-		case b, ok = <-pl.batch:
-		default:
-			// About to sleep: a started launch left in a write buffer
-			// would never be answered.
-			pl.flushStarts()
-			select {
-			case b, ok = <-pl.batch:
-			case <-pl.wake:
-				pl.quiesce()
-				continue
+		case b, ok := <-pl.batch:
+			if !ok {
+				return
 			}
-		}
-		if !ok {
-			return
-		}
-		for i := range b.jobs {
-			j := &b.jobs[i]
-			if pl.sequenced {
-				pl.waitTurn(j.seq)
+			pl.work.Lock()
+			pl.handed.Add(int64(len(b.jobs) - b.from))
+			for i := b.from; i < len(b.jobs); i++ {
+				j := &b.jobs[i]
+				if pl.sequenced {
+					pl.waitTurn(j.seq)
+				}
+				if !pl.tryStart(j, true) {
+					pl.quiesce()
+					pl.runJob(j)
+					pl.resolved(j)
+				}
+				if pl.sequenced {
+					pl.advance()
+				}
 			}
-			if !pl.tryStart(j) {
-				pl.quiesce()
-				pl.runJob(j)
-				pl.resolved(j)
+			// No further window queued, so about to sleep: a started launch
+			// left in a write buffer would never be answered.
+			if pl.queued.Add(-1) == 0 {
+				pl.flushStarts()
 			}
-			if pl.sequenced {
-				pl.advance()
-			}
+			pl.work.Unlock()
+		case <-pl.wake:
+			pl.work.Lock()
+			pl.quiesce()
+			pl.work.Unlock()
 		}
 	}
 }
@@ -303,10 +341,11 @@ func (pl *pipeline) resolved(j *job) {
 }
 
 // tryStart starts j on its target's stream if streamableLocked allows it
-// and reports whether it did; false sends the caller down the blocking
-// path. A target already at the pipeline depth is waited for (flushed
-// first — the answers being waited for may still be in the write buffer).
-func (pl *pipeline) tryStart(j *job) bool {
+// and reports whether it did; false sends the dispatcher down the blocking
+// path. With wait, a target already at the pipeline depth is waited for
+// (flushed first — the answers being waited for may still be in the write
+// buffer); without, it is one more reason not to start. Caller holds work.
+func (pl *pipeline) tryStart(j *job, wait bool) bool {
 	if pl.al == nil {
 		return false
 	}
@@ -321,6 +360,9 @@ func (pl *pipeline) tryStart(j *job) bool {
 			break
 		}
 		c.mu.Unlock()
+		if !wait {
+			return false
+		}
 		pl.flushStarts()
 		c.mu.Lock()
 		for pl.flying[s.target] >= pl.depth && len(pl.redo) == 0 {
@@ -343,8 +385,9 @@ func (pl *pipeline) tryStart(j *job) bool {
 }
 
 // flushStarts puts every started launch on the wire. It runs before
-// anything the dispatcher does that can block: sleeping for the next
-// window, waiting out the depth bound, quiescing.
+// anything the dispatcher does that can block — sleeping for the next
+// window, waiting out the depth bound, quiescing — and when a submitter is
+// done starting. Caller holds work.
 func (pl *pipeline) flushStarts() {
 	// A worker is listed once per run of consecutive starts; flushing an
 	// empty buffer is a no-op.

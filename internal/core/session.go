@@ -40,8 +40,8 @@ import (
 // the gateway applies its own defaults before constructing the session.
 type SessionLimits struct {
 	// MaxInflightCEs caps how many of the session's CEs may be admitted
-	// but not yet dispatched. Enforced by the gateway's drain loop, not
-	// by Submit itself.
+	// but not yet dispatched. Enforced by the gateway where it admits
+	// (a serve goroutine or the drain loop), not by Submit itself.
 	MaxInflightCEs int
 	// MaxArrayBytes caps the sum of the session's live array sizes.
 	MaxArrayBytes memmodel.Bytes
@@ -49,7 +49,7 @@ type SessionLimits struct {
 	// round-robin drain; values < 1 are treated as 1.
 	Weight int
 	// RatePerSec caps the session's sustained admission rate in launches
-	// per second via a token bucket the gateway's drain loop consults
+	// per second via a token bucket the gateway consults at admission
 	// (refilled lazily from the wall clock — no timer goroutine). Zero or
 	// negative means unlimited.
 	RatePerSec float64
@@ -118,7 +118,10 @@ type ControllerSession struct {
 	admSeen    int64
 	admRng     *rand.Rand
 	shed       int64
-	closed     bool
+	// err is the first failure of a launch of this session (Err), set
+	// before idle is signaled so whoever WaitIdle releases sees it.
+	err    error
+	closed bool
 
 	// opt aggregates the optimizer window's per-tenant counters; the
 	// session pointer doubles as the tenant tag fusion isolates on. Not
@@ -260,13 +263,17 @@ func (s *ControllerSession) translate(inv Invocation) (Invocation, error) {
 
 // Submit translates and submits one CE on the tenant's behalf and
 // tracks it until its dispatch finishes. The returned Pending reports
-// the CE's completion exactly as Controller.Submit's does.
+// the CE's completion exactly as Controller.Submit's does. A failure —
+// here or later, at dispatch — is also kept as the session's Err.
 func (s *ControllerSession) Submit(inv Invocation) (*Pending, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, err
 	}
 	tinv, err := s.translate(inv)
 	if err != nil {
+		s.mu.Lock()
+		s.failLocked(err)
+		s.mu.Unlock()
 		return nil, err
 	}
 	p, err := s.ctl.SubmitTagged(tinv, &s.opt, s)
@@ -274,6 +281,7 @@ func (s *ControllerSession) Submit(inv Invocation) (*Pending, error) {
 		s.mu.Lock()
 		s.admitted++
 		s.aborted++
+		s.failLocked(err)
 		s.mu.Unlock()
 		return nil, err
 	}
@@ -286,6 +294,7 @@ func (s *ControllerSession) Submit(inv Invocation) (*Pending, error) {
 		s.inflight--
 		if werr != nil {
 			s.aborted++
+			s.failLocked(werr)
 		} else {
 			s.completed++
 		}
@@ -295,6 +304,24 @@ func (s *ControllerSession) Submit(inv Invocation) (*Pending, error) {
 		s.mu.Unlock()
 	})
 	return p, nil
+}
+
+// failLocked keeps the session's first launch failure. Caller holds mu.
+func (s *ControllerSession) failLocked(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+}
+
+// Err reports the first failure of a launch this session submitted (the
+// gateway's sticky error: it poisons the session like a CUDA stream), nil
+// while there has been none. A dispatch failure is recorded before the CE
+// stops counting as in flight, so after WaitIdle or Elapsed Err covers
+// every launch waited for.
+func (s *ControllerSession) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // NoteAdmissionWait records time a launch spent queued before Submit.
@@ -458,10 +485,18 @@ func (s *ControllerSession) BuildKernel(src, signature string) (*kernels.Def, er
 	return s.ctl.BuildKernel(src, signature)
 }
 
-// Elapsed reports the shared cluster's virtual clock (a global barrier,
-// like Controller.Elapsed).
+// Elapsed waits until every CE this session submitted has dispatched —
+// the optimizer window is flushed first, so parked and fused ones count —
+// and reports the shared cluster's virtual clock as of then. It is the
+// session's synchronization point, not the fleet's: unlike
+// Controller.Elapsed it neither waits for other sessions' CEs nor holds
+// the submission lock while it waits. The clock itself is fleet-wide.
 func (s *ControllerSession) Elapsed() sim.VirtualTime {
-	return s.ctl.Elapsed()
+	_ = s.ctl.FlushWindow() // failures surface on the CEs' Pendings, and so in Err
+	s.WaitIdle()
+	s.ctl.mu.Lock()
+	defer s.ctl.mu.Unlock()
+	return s.ctl.elapsed
 }
 
 // Close tears the session down: waits out in-flight CEs, then frees

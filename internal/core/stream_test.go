@@ -46,6 +46,11 @@ type streamFabric struct {
 
 	starts      int
 	maxInFlight int
+	// hold stops the workers from taking wired launches (set it under mu,
+	// broadcast cond when clearing it); order logs the first array of every
+	// started launch, in start order.
+	hold  bool
+	order []dag.ArrayID
 	// breakAt[w] = n breaks w's channel when its n-th started launch
 	// (1-based) reaches the worker: that launch and everything queued
 	// behind it fail with a transient error, none of them having run.
@@ -85,7 +90,7 @@ func (f *streamFabric) serve(w cluster.NodeID, q *streamQueue) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for {
-		for len(q.wired) == 0 && !f.stop {
+		for (len(q.wired) == 0 || f.hold) && !f.stop {
 			f.cond.Wait()
 		}
 		if f.stop {
@@ -126,6 +131,12 @@ func (f *streamFabric) StartLaunch(w cluster.NodeID, inv Invocation, _ sim.Virtu
 		return fmt.Errorf("unknown worker %v", w)
 	}
 	f.starts++
+	for _, a := range inv.Args {
+		if a.IsArray {
+			f.order = append(f.order, a.Array)
+			break
+		}
+	}
 	q.buffered = append(q.buffered, queuedLaunch{inv, done})
 	n := len(q.buffered) + len(q.wired)
 	if q.running {

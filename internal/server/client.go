@@ -390,10 +390,12 @@ func (c *Client) Free(id dag.ArrayID) error {
 	return nil
 }
 
-// Elapsed implements workloads.Session. It is a synchronization point:
-// the gateway flushes the session's queue and drains the controller to
-// time-stamp it, so an error-free return also means every prior launch
-// dispatched cleanly. The interface gives Elapsed no error return, so a
+// Elapsed implements workloads.Session. It is the session's
+// synchronization point: the gateway waits until every launch this session
+// submitted has dispatched — not for other tenants' — and reports the
+// shared fleet's virtual clock as of then, so an error-free return also
+// means every prior launch of the session dispatched cleanly. The
+// interface gives Elapsed no error return, so a
 // failed round trip (sticky session poison, transport loss) yields 0 —
 // but the error is retained and reported by the next Sync. Callers
 // recording makespans must pair Elapsed with Sync to tell a genuine
@@ -410,8 +412,10 @@ func (c *Client) Elapsed() sim.VirtualTime {
 }
 
 // Sync waits until every launch the session submitted has dispatched,
-// reporting the session's sticky error, if any — including one a prior
-// Elapsed had to swallow.
+// reporting the session's sticky error, if any — the failure of a launch
+// it waited for included, and one a prior Elapsed had to swallow. It is
+// scoped to the session: other tenants' launches are neither waited for
+// nor held up (core.ControllerSession.Elapsed).
 func (c *Client) Sync() error {
 	if err := c.deferred; err != nil {
 		c.deferred = nil

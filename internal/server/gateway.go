@@ -7,22 +7,27 @@
 // a private array namespace, an array-byte quota, and per-tenant
 // counters. Routing is pluggable (RouteFunc); the sharded plane
 // (internal/shard) supplies a seeded consistent-hash ring so a
-// restarted gateway routes identically. Launches are not submitted
-// inline: the serve goroutine enqueues them on the tenant's bounded
-// queue and the owning shard's weighted-round-robin drain goroutine
-// feeds that shard's controller, so one chatty tenant cannot starve the
-// rest, and a tenant at its in-flight cap simply waits its turn. Each
-// shard drains independently — no lock, condvar or credit pool is
-// shared between drains, which is what makes aggregate admission scale
-// with the shard count. Synchronous operations (allocate, read, write,
-// free, build, elapsed) run on the serve goroutine after the tenant's
-// queue has flushed, so each session observes its own program order.
+// restarted gateway routes identically. Who admits a launch (DESIGN.md
+// §5.5): the tenant's own serve goroutine, when nobody on the shard is
+// waiting for admission — the tenant has nothing queued, the shard has no
+// backlog, the tenant is under its in-flight cap and holds a rate token,
+// and the controller is pipelined, so Submit only schedules. Otherwise the
+// serve goroutine enqueues the launch on the tenant's bounded queue and
+// the owning shard's weighted-round-robin drain goroutine feeds that
+// shard's controller, so one chatty tenant cannot starve the rest, and a
+// tenant at its in-flight cap simply waits its turn. Each shard drains
+// independently — no lock, condvar or credit pool is shared between
+// drains, which is what makes aggregate admission scale with the shard
+// count. Synchronous operations (allocate, read, write, free, build,
+// elapsed) run on the serve goroutine after the tenant's queue has
+// flushed, so each session observes its own program order.
 //
 // The session channel is a FIFO pipeline (DESIGN.md §5.5): a client
 // streams launches without waiting for their acks, up to QueueDepth
 // unacknowledged, and the serve loop answers into a write buffer it
-// flushes when no further request is already waiting — or before it is
-// about to block.
+// flushes when no further request is already waiting, or when a launch
+// must wait for queue room. Before it blocks on anything it also flushes
+// what its own admissions left parked in the optimizer window.
 //
 // Error model: launch submission is asynchronous, so a launch that
 // fails after its enqueue turns into a per-session sticky error — every
@@ -36,6 +41,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"grout/internal/core"
@@ -74,15 +80,6 @@ type Options struct {
 	// HandshakeTimeout bounds the protocol hello on accept. 0 means
 	// transport.DefaultDialTimeout, negative disables.
 	HandshakeTimeout time.Duration
-	// AcceptLoops is the number of goroutines blocked in Accept on the
-	// shared listener. One loop serializes the accept+handshake
-	// hand-off, so a dial burst (a fleet of clients reconnecting after a
-	// gateway restart) queues behind the kernel's accept backlog; N
-	// loops pull from it concurrently, the accept-side analog of the
-	// per-shard drains. 0 or 1 means one loop; values above the shard
-	// count are fine — loops are cheap (a goroutine apiece) and the
-	// kernel serializes Accept itself.
-	AcceptLoops int
 	// Logger, optional.
 	Logger *log.Logger
 }
@@ -103,13 +100,23 @@ var errShutDown = errors.New("server: gateway is shut down")
 type shardState struct {
 	idx int
 	ctl *core.Controller
+	// inline allows admission on serve goroutines: the controller is
+	// pipelined, so Submit only schedules. A serial controller dispatches on
+	// its caller, and every launch goes through the queue.
+	inline bool
+	// backlog counts launches queued or mid-admission in the drain loop,
+	// summed over the shard's tenants (each tenant's share is its queued):
+	// what the shed thresholds compare against, and zero when nobody is
+	// waiting for the drain loop's arbitration. drained counts the launches
+	// that loop has admitted; a serve goroutine admitted the rest of ces.
+	backlog, drained atomic.Int64
 
 	mu        sync.Mutex
 	drainCond sync.Cond // wakes this shard's drain loop: enqueue, completion, teardown
 	sessions  map[uint64]*tenant
 	roster    []*tenant     // sessions as a slice, nil when sessions changed; never edited in place
 	rr        int           // round-robin rotation cursor
-	ces       int64         // launches this shard's drain handed to its controller
+	ces       int64         // launches handed to this shard's controller
 	sheds     map[int]int64 // launches refused with ErrShedded, by priority class
 }
 
@@ -171,18 +178,12 @@ func NewSharded(ctls []*core.Controller, route RouteFunc, addr string, opt Optio
 		done:  make(chan struct{}),
 	}
 	for i, ctl := range ctls {
-		sh := &shardState{idx: i, ctl: ctl, sessions: make(map[uint64]*tenant)}
+		sh := &shardState{idx: i, ctl: ctl, inline: ctl.Pipelined(), sessions: make(map[uint64]*tenant)}
 		sh.drainCond.L = &sh.mu
 		g.shards = append(g.shards, sh)
 	}
-	accepts := opt.AcceptLoops
-	if accepts < 1 {
-		accepts = 1
-	}
-	g.wg.Add(accepts + len(g.shards))
-	for i := 0; i < accepts; i++ {
-		go g.acceptLoop()
-	}
+	g.wg.Add(1 + len(g.shards))
+	go g.acceptLoop()
 	for _, sh := range g.shards {
 		go g.drainLoop(sh)
 	}
@@ -362,11 +363,15 @@ func (g *Gateway) teardown(t *tenant) {
 // SessOpen; every later frame is answered in order. Answers collect in
 // the connection's write buffer and leave when no further request is
 // already waiting in the read buffer — one write per burst from a
-// pipelined client, one per request from a blocking one — and before
-// anything that can block: a non-launch request (it parks in
-// tenant.flush until the queue drains) and a launch that finds the
-// tenant's queue full (handleLaunch). Held back across a block, acks
-// the client's launch window is waiting for would never leave.
+// pipelined client, one per request from a blocking one — or when a
+// launch finds the tenant's queue full (handleLaunch): held back across
+// that wait, acks the client's launch window is waiting for would never
+// leave. A non-launch request needs no flush ahead of it: its client is
+// waiting for its answer, and the acks sit before that answer in the same
+// buffer. The other flush is the optimizer window's: before this goroutine
+// blocks — on the next read, in tenant.flush, on a full queue — or leaves
+// a launch to the drain loop, it dispatches what its own admissions
+// parked there (tenant.flushParked).
 func (g *Gateway) serve(conn *transport.SessionConn) {
 	defer conn.Close()
 	req := &transport.SessionRequest{}
@@ -408,9 +413,7 @@ func (g *Gateway) serve(conn *transport.SessionConn) {
 		resp := &transport.SessionResponse{}
 		if req.Kind != transport.SessLaunch {
 			shedding = false
-			if err := conn.Flush(); err != nil {
-				break
-			}
+			t.flushParked()
 		}
 		switch req.Kind {
 		case transport.SessPing:
@@ -447,6 +450,7 @@ func (g *Gateway) serve(conn *transport.SessionConn) {
 		}
 		closing := req.Kind == transport.SessClose
 		if closing || !conn.RequestWaiting() {
+			t.flushParked()
 			if err := conn.Flush(); err != nil {
 				break
 			}
@@ -459,14 +463,19 @@ func (g *Gateway) serve(conn *transport.SessionConn) {
 	g.log.Printf("server: session %q closed", t.name)
 }
 
-// handleLaunch enqueues one launch on the tenant's queue. The reply
-// acknowledges the enqueue and, for a rate-limited tenant out-running its
-// token bucket, piggybacks a backpressure advisory; submission failures
-// surface as the session's sticky error. With shedding enabled, a launch
-// that finds the shard's aggregate backlog over the tenant class's
-// threshold — or that follows a shed launch of its session (shedding) —
-// is refused with core.ErrShedded instead of enqueued: a retryable
-// refusal, not a sticky one. It reports whether the launch was shed.
+// handleLaunch admits one launch, or enqueues it for the drain loop to
+// admit. It admits when there is nothing to arbitrate: the tenant has no
+// launch queued or mid-admission (so issue order holds), no tenant of the
+// shard has, the tenant is under its in-flight cap and holds a rate token,
+// and the controller is pipelined. Every other launch takes the queue, as
+// if nothing were ever admitted here. The reply acknowledges
+// the launch and, for a rate-limited tenant out-running its token bucket,
+// piggybacks a backpressure advisory; submission failures surface as the
+// session's sticky error. With shedding enabled, a launch that finds the
+// shard's aggregate backlog over the tenant class's threshold — or that
+// follows a shed launch of its session (shedding) — is refused with
+// core.ErrShedded instead of enqueued: a retryable refusal, not a sticky
+// one. It reports whether the launch was shed.
 func (g *Gateway) handleLaunch(t *tenant, req *transport.SessionRequest, resp *transport.SessionResponse, shedding bool) bool {
 	sh := t.shard
 	class := max(t.sess.Limits().Class, 0)
@@ -475,19 +484,13 @@ func (g *Gateway) handleLaunch(t *tenant, req *transport.SessionRequest, resp *t
 		shed = fmt.Errorf("%w: shard %d refuses launches behind a shed one until the session synchronizes",
 			core.ErrShedded, sh.idx)
 	} else if threshold > 0 {
-		if backlog := sh.queuedTotal(); backlog >= threshold {
+		if backlog := int(sh.backlog.Load()); backlog >= threshold {
 			shed = fmt.Errorf("%w: shard %d backlog %d over class-%d threshold %d",
 				core.ErrShedded, sh.idx, backlog, class, threshold)
 		}
 	}
 	now := time.Now()
-	t.mu.Lock()
-	sticky := t.sticky // a poisoned session says so, overloaded shard or not
-	if sticky == nil && shed == nil {
-		t.queued++
-		resp.BP = t.advisoryLocked(g.opt.QueueDepth, now)
-	}
-	t.mu.Unlock()
+	sticky := t.sess.Err() // a poisoned session says so, overloaded shard or not
 	if sticky != nil {
 		resp.SetErr(sticky)
 		return false
@@ -498,7 +501,29 @@ func (g *Gateway) handleLaunch(t *tenant, req *transport.SessionRequest, resp *t
 		resp.SetErr(shed)
 		return true
 	}
+	inline := false
+	t.mu.Lock()
+	if sh.inline && t.queued == 0 && sh.backlog.Load() == 0 && t.capRoomLocked() {
+		if inline, _ = t.rateRoomLocked(now); inline {
+			t.takeTokenLocked()
+		}
+	}
+	if !inline {
+		t.queued++
+		sh.backlog.Add(1)
+	}
+	resp.BP = t.advisoryLocked(g.opt.QueueDepth, now)
+	t.mu.Unlock()
 	q := queuedLaunch{inv: req.Inv, at: now}
+	if inline {
+		sh.admit(t, q)
+		t.parked = true
+		return false
+	}
+	// At its in-flight cap behind a launch of its own still parked in the
+	// window, the tenant would wait for ever: the drain loop flushes only
+	// after a round that admitted something.
+	t.flushParked()
 	select {
 	case t.queue <- q:
 	default:
@@ -520,20 +545,6 @@ func (g *Gateway) handleLaunch(t *tenant, req *transport.SessionRequest, resp *t
 	sh.drainCond.Broadcast()
 	sh.mu.Unlock()
 	return false
-}
-
-// queuedTotal sums the shard's tenants' queued launches: the aggregate
-// admission backlog the shed thresholds compare against.
-func (sh *shardState) queuedTotal() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	total := 0
-	for _, t := range sh.sessions {
-		t.mu.Lock()
-		total += t.queued
-		t.mu.Unlock()
-	}
-	return total
 }
 
 // noteShed bumps the shard's per-class shed counter.
@@ -677,46 +688,57 @@ func (sh *shardState) drainRound(roster []*tenant, start int) {
 	}
 }
 
-// submitOne hands one queued launch to the shard's controller on the
-// tenant's behalf; the launch's completion hook (which runs on whichever
-// goroutine resolves it) returns the in-flight credit and wakes the drain.
+// submitOne is the drain loop's admission of one launch it popped: it
+// drops the launch of a gone or poisoned session, admits any other, and
+// gives the queue slot back.
 func (sh *shardState) submitOne(t *tenant, q queuedLaunch) {
 	t.mu.Lock()
-	if t.gone || t.sticky != nil {
+	if t.gone || t.sess.Err() != nil {
 		t.dropLocked()
 		t.mu.Unlock()
 		return
 	}
 	t.mu.Unlock()
-	t.sess.NoteAdmissionWait(time.Since(q.at))
-	p, err := t.sess.Submit(q.inv)
+	if sh.admit(t, q) {
+		sh.drained.Add(1)
+	}
 	t.mu.Lock()
 	t.queued--
-	if err != nil && t.sticky == nil {
-		t.sticky = err
-	}
-	if err == nil {
-		t.inflight++
-	}
+	sh.backlog.Add(-1)
 	if t.queued == 0 {
 		t.flushed.Broadcast()
 	}
 	t.mu.Unlock()
+}
+
+// admit hands one launch to the shard's controller on the tenant's behalf,
+// from the drain loop or from the tenant's serve goroutine, and reports
+// whether the controller took it; a failure is kept by the session as its
+// sticky error (ControllerSession.Err). The launch's completion hook (it
+// runs on whichever goroutine resolves it) returns the in-flight credit and
+// wakes the drain loop if the tenant has launches waiting for that credit.
+func (sh *shardState) admit(t *tenant, q queuedLaunch) bool {
+	t.sess.NoteAdmissionWait(time.Since(q.at))
+	p, err := t.sess.Submit(q.inv)
 	if err != nil {
-		return
+		return false
 	}
+	t.mu.Lock()
+	t.inflight++
+	t.mu.Unlock()
 	sh.mu.Lock()
 	sh.ces++
 	sh.mu.Unlock()
-	p.OnDone(func(_ sim.VirtualTime, werr error) {
-		if werr != nil {
-			t.setSticky(werr)
-		}
+	p.OnDone(func(sim.VirtualTime, error) {
 		t.mu.Lock()
 		t.inflight--
+		waiting := t.queued > 0
 		t.mu.Unlock()
-		sh.mu.Lock()
-		sh.drainCond.Broadcast()
-		sh.mu.Unlock()
+		if waiting {
+			sh.mu.Lock()
+			sh.drainCond.Broadcast()
+			sh.mu.Unlock()
+		}
 	})
+	return true
 }

@@ -676,70 +676,3 @@ func TestGatewayNamespaceTranslation(t *testing.T) {
 		t.Fatal("launch against an unknown array survived the sync point")
 	}
 }
-
-// TestGatewayAcceptLoopsConcurrentDials exercises the sharded accept
-// path: four goroutines blocked in Accept on the shared listener, hit
-// by a burst of concurrent dials (the fleet-reconnect-after-restart
-// shape). Every session must open, answer a ping, and run a tiny
-// program correctly; Close must then reap all accept loops without
-// leaking (the deferred Close hangs if the waitgroup miscounts).
-func TestGatewayAcceptLoopsConcurrentDials(t *testing.T) {
-	ctl := gwSystem(t, nil)
-	g := gwStart(t, ctl, Options{AcceptLoops: 4})
-	const burst = 24
-	var wg sync.WaitGroup
-	errs := make(chan error, burst)
-	for k := 0; k < burst; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			c, err := Dial(g.Addr(), fmt.Sprintf("burst-%02d", k), 0, 0)
-			if err != nil {
-				errs <- fmt.Errorf("dial %d: %w", k, err)
-				return
-			}
-			defer c.Close()
-			if err := c.Ping(); err != nil {
-				errs <- fmt.Errorf("ping %d: %w", k, err)
-				return
-			}
-			a, err := c.NewArray(memmodel.Float32, 16)
-			if err != nil {
-				errs <- fmt.Errorf("alloc %d: %w", k, err)
-				return
-			}
-			c.Buffer(a).Fill(float64(k) - 8)
-			if err := c.HostWrite(a); err != nil {
-				errs <- fmt.Errorf("write %d: %w", k, err)
-				return
-			}
-			if err := c.Launch("relu", 0, 0, core.ArrRef(a), core.ScalarRef(16)); err != nil {
-				errs <- fmt.Errorf("launch %d: %w", k, err)
-				return
-			}
-			if err := c.HostRead(a); err != nil {
-				errs <- fmt.Errorf("read %d: %w", k, err)
-				return
-			}
-			want := float64(k) - 8
-			if want < 0 {
-				want = 0
-			}
-			if got := c.Buffer(a).At(3); got != want {
-				errs <- fmt.Errorf("tenant %d: relu gave %g, want %g", k, got, want)
-				return
-			}
-			errs <- nil
-		}(k)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := g.Snapshot().Total; got != burst {
-		t.Fatalf("sessions opened = %d, want %d", got, burst)
-	}
-}

@@ -34,10 +34,13 @@ type tenant struct {
 	mu       sync.Mutex
 	flushed  sync.Cond // signaled when queued drops to 0
 	queued   int       // enqueued but not yet handed to the controller
-	inflight int       // submitted but not yet dispatched (drain-loop view)
-	sticky   error     // first asynchronous launch failure; poisons the session
+	inflight int       // submitted but not yet dispatched (what the cap counts)
 	dropped  int64     // launches discarded (teardown or poisoned session)
 	gone     bool      // torn down; the drain loop must not submit for it
+
+	// parked is the serve goroutine's own: it has admitted launches that may
+	// still sit in the controller's optimizer window (flushParked).
+	parked bool
 
 	// Token bucket (SessionLimits.RatePerSec/Burst): tokens is the
 	// current allowance, refilled lazily from the wall clock at each
@@ -108,23 +111,28 @@ func (t *tenant) advisoryLocked(qcap int, now time.Time) *transport.Backpressure
 // dropLocked discards one queued launch. Caller holds t.mu.
 func (t *tenant) dropLocked() {
 	t.queued--
+	t.shard.backlog.Add(-1)
 	t.dropped++
 	if t.queued == 0 {
 		t.flushed.Broadcast()
 	}
 }
 
-// setSticky records the session's first asynchronous failure.
-func (t *tenant) setSticky(err error) {
-	t.mu.Lock()
-	if t.sticky == nil {
-		t.sticky = err
+// flushParked dispatches what the serve goroutine's own admissions left
+// in the optimizer window. The drain loop flushes after every round; a
+// serve goroutine parks launch after launch while more requests wait in
+// its read buffer, and calls this before it blocks on anything or hands a
+// launch to the drain loop. Errors surface on the launches' Pendings.
+func (t *tenant) flushParked() {
+	if t.parked {
+		t.parked = false
+		_ = t.shard.ctl.FlushWindow()
 	}
-	t.mu.Unlock()
 }
 
 // flush blocks until every queued launch has been handed to the
-// controller, then reports the session's sticky error, if any. Sync ops
+// controller, then reports the session's sticky error — the first failure
+// of one of its launches, which poisons it — if any. Sync ops
 // call it first so each session observes its own program order. A
 // gateway shutting down stops draining, so flush gives up then (Close
 // broadcasts flushed after closing done).
@@ -139,7 +147,7 @@ func (t *tenant) flush() error {
 		}
 		t.flushed.Wait()
 	}
-	return t.sticky
+	return t.sess.Err()
 }
 
 // capRoomLocked reports whether the tenant is under its in-flight cap.
@@ -167,6 +175,9 @@ func (t *tenant) syncOp(req *transport.SessionRequest, resp *transport.SessionRe
 		}
 	case transport.SessElapsed:
 		resp.Elapsed = int64(t.sess.Elapsed())
+		// A launch that failed at dispatch failed during that wait, after
+		// flush sampled the sticky error.
+		err = t.sess.Err()
 	}
 	resp.SetErr(err)
 }

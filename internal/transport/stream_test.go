@@ -7,6 +7,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"sync"
@@ -218,7 +219,10 @@ func streamPolicies() map[string]func() policy.Policy {
 // Round-robin forces worker→worker moves; its bytes and P2P counts per seed
 // are pinned to the values measured when every push dialed its own
 // connection and cloned the array: how a push travels may change, what is
-// moved may not.
+// moved may not. The streamed run repeats at pipeline depths 1 and 2, where
+// the goroutine that flushes a window starts only its head and nearly every
+// window is split between it and the batch dispatcher (core's
+// TestInlineStartHandsRemainderInOrder pins the hand-over itself).
 func TestStreamedMatchesSerialAndBlocking(t *testing.T) {
 	const nArr, nOps, workers = 5, 90, 3
 	type moves struct {
@@ -239,14 +243,16 @@ func TestStreamedMatchesSerialAndBlocking(t *testing.T) {
 				t.Fatalf("%s seed %d serial: %v", name, seed, err)
 			}
 
-			tcpRun := func(wrap func(*TCPFabric) core.Fabric) ([][]float64, memmodel.Bytes, int) {
+			tcpRun := func(wrap func(*TCPFabric) core.Fabric, depth int) ([][]float64, memmodel.Bytes, int) {
 				_, addrs := startWorkers(t, workers)
 				fab, err := Dial(addrs)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer fab.Close()
-				ctl := core.NewController(wrap(fab), mk(), windowed)
+				opts := windowed
+				opts.PipelineDepth = depth
+				ctl := core.NewController(wrap(fab), mk(), opts)
 				defer ctl.Close()
 				got, err := runStream(ctl, nArr, ops)
 				if err != nil {
@@ -254,23 +260,25 @@ func TestStreamedMatchesSerialAndBlocking(t *testing.T) {
 				}
 				return got, ctl.MovedBytes(), ctl.P2PMoves()
 			}
-			blocking, bMoved, bP2P := tcpRun(hideStream)
-			var cs *countedStream
-			stream, sMoved, sP2P := tcpRun(func(f *TCPFabric) core.Fabric {
-				cs = &countedStream{TCPFabric: f}
-				return cs
-			})
-			streamed += cs.starts.Load()
-
+			blocking, bMoved, bP2P := tcpRun(hideStream, 0)
 			sameArrays(t, name+" blocking tcp vs serial", blocking, want)
-			sameArrays(t, name+" streamed tcp vs serial", stream, want)
-			if sMoved != bMoved || sP2P != bP2P {
-				t.Fatalf("%s seed %d: streamed moved %d B / %d p2p, blocking %d B / %d p2p",
-					name, seed, sMoved, sP2P, bMoved, bP2P)
-			}
-			if pin := roundRobin[seed]; name == "round-robin" && (sMoved != pin.bytes || sP2P != pin.p2p) {
-				t.Fatalf("round-robin seed %d moved %d B / %d p2p, pinned %d B / %d p2p",
-					seed, sMoved, sP2P, pin.bytes, pin.p2p)
+			for _, depth := range []int{0, 1, 2} { // 0 is the default, 64
+				var cs *countedStream
+				stream, sMoved, sP2P := tcpRun(func(f *TCPFabric) core.Fabric {
+					cs = &countedStream{TCPFabric: f}
+					return cs
+				}, depth)
+				streamed += cs.starts.Load()
+
+				sameArrays(t, fmt.Sprintf("%s streamed tcp (depth %d) vs serial", name, depth), stream, want)
+				if sMoved != bMoved || sP2P != bP2P {
+					t.Fatalf("%s seed %d depth %d: streamed moved %d B / %d p2p, blocking %d B / %d p2p",
+						name, seed, depth, sMoved, sP2P, bMoved, bP2P)
+				}
+				if pin := roundRobin[seed]; name == "round-robin" && (sMoved != pin.bytes || sP2P != pin.p2p) {
+					t.Fatalf("round-robin seed %d depth %d moved %d B / %d p2p, pinned %d B / %d p2p",
+						seed, depth, sMoved, sP2P, pin.bytes, pin.p2p)
+				}
 			}
 		}
 	}

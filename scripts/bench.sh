@@ -219,7 +219,7 @@ go test -run '^$' -bench 'BenchmarkGatewayTenants' \
 echo "== gateway shard-sweep benchmarks (-benchtime=$BENCHTIME)"
 go test -run '^$' -bench 'BenchmarkGatewayShards' \
     -benchtime="$BENCHTIME" ./internal/bench/ | tee -a "$SRAW"
-echo "== gateway dial-churn benchmarks (-benchtime=$BENCHTIME)"
+echo "== gateway dial-churn benchmark (-benchtime=$BENCHTIME)"
 go test -run '^$' -bench 'BenchmarkGatewayDialChurn' \
     -benchtime="$BENCHTIME" ./internal/bench/ | tee -a "$SRAW"
 
@@ -240,7 +240,7 @@ spat = re.compile(
     r'^BenchmarkGatewayShards/(\d+)shards(?:-\d+)?\s+\d+\s+([\d.]+) ns/op'
     r'\s+([\d.]+) ce_per_s\s+([\d.]+) p99adm_us')
 dpat = re.compile(
-    r'^BenchmarkGatewayDialChurn/(\d+)loops(?:-\d+)?\s+\d+\s+([\d.]+) ns/op'
+    r'^BenchmarkGatewayDialChurn(?:-\d+)?\s+\d+\s+([\d.]+) ns/op'
     r'\s+([\d.]+) dial_p99_us')
 churn = {}
 for line in open(raw):
@@ -276,10 +276,9 @@ for line in open(raw):
         continue
     m = dpat.match(line)
     if m:
-        churn[m.group(1) + 'loops'] = {
-            'accept_loops': int(m.group(1)),
-            'ns_per_burst': float(m.group(2)),
-            'worst_dial_us': float(m.group(3)),
+        churn = {
+            'ns_per_burst': float(m.group(1)),
+            'worst_dial_us': float(m.group(2)),
         }
 
 doc = {
@@ -318,21 +317,9 @@ for name, row in sorted(shards.items(), key=lambda kv: kv[1]['shards']):
     if sone and row['shards'] > 1:
         doc.setdefault('shard_scaling_vs_1shard', {})[name] = round(
             row['ce_per_s_aggregate'] / sone, 2)
-# Dial latency under churn: a 32-way concurrent dial burst per op, one
-# accept goroutine vs Options.AcceptLoops=4 pulling handshakes off the
-# shared listener.
+# Dial latency under churn: a 32-way concurrent dial burst per op.
 if churn:
     doc['dial_churn'] = churn
-    one_l = churn.get('1loops', {}).get('worst_dial_us')
-    four_l = churn.get('4loops', {}).get('worst_dial_us')
-    if one_l and four_l:
-        doc['dial_churn']['worst_dial_speedup_4loops'] = round(one_l / four_l, 2)
-    if nproc == 1:
-        doc['dial_churn']['note'] = (
-            'GOMAXPROCS=1 on this machine: the accept loops time-slice '
-            'one core, so no concurrent-handshake speedup is observable '
-            'here; the row tracks that the sharded accept path keeps '
-            'completing.')
 if sone and nproc == 1:
     doc['shard_scaling_note'] = (
         'GOMAXPROCS=1 on this machine: all shard drain goroutines '

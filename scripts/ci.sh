@@ -28,8 +28,14 @@
 #      mid-push, stale-link retry, teardown back to the goroutine and fd
 #      baseline, receive-ack deadline, one write per one-chunk transfer,
 #      ensure memo; round-robin moves pinned in the streamed
-#      differential), re-run explicitly in 4b so a rename can't silently
-#      drop them from the race gate; the bounded-state suite rides the
+#      differential) and the depth-1 suite (a session-scoped Sync past a
+#      CE held in the fabric, launches admitted on the serve goroutine and
+#      started by it with the drain loop and the batch dispatcher handed
+#      none, the window's remainder handed over in order, a launch parked
+#      in the window behind an in-flight cap, admission flipping between
+#      inline and queued mid-stream, the Sync that waited for a failed
+#      launch reporting it), re-run explicitly in 4b so a rename can't
+#      silently drop them from the race gate; the bounded-state suite rides the
 #      same sweep: the
 #      retiring DAG against its never-retiring reference graph
 #      (internal/dag TestRetireOracle, hazard case by name), the
@@ -55,7 +61,7 @@
 #   6. the controller/DAG/transport/kernel/oversubscription
 #      micro-benchmarks with -benchtime=1x as a smoke gate, plus a
 #      UVMBench workload-sweep smoke row (spmv + kmeans at 0.5x/2x per
-#      fleet size) and the gateway dial-churn pair (they must still
+#      fleet size) and the gateway dial-churn row (they must still
 #      compile and complete, not regress — use scripts/bench.sh for
 #      numbers)
 #   7. the repository benchmark's launch-stream, launch-sync and
@@ -96,8 +102,8 @@ go test -race ./internal/core/... ./internal/dag/... ./internal/grcuda/... \
 echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos)"
 go test -race -run 'TestShardDifferential' ./internal/workloads/
 
-echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + worker-to-worker suite (lineage replay, deadlines, write-off, stream replay, session stream, peer links)"
-go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck' \
+echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + worker-to-worker + depth-1 suite (lineage replay, deadlines, write-off, stream replay, session stream, peer links, inline admission and start)"
+go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|ParkedWindow|SyncReportsDispatchFailure' \
     ./internal/core/ ./internal/transport/ ./internal/shard/ ./internal/bench/ ./internal/server/
 
 echo "== differential fuzz (compiled engine vs interpreter, 10s)"
