@@ -99,7 +99,7 @@ type Config struct {
 	// programs; disable for large cost-model-only sweeps.
 	Numeric bool
 	// Pipeline overlaps CE dispatch with scheduling: Submit returns after
-	// the scheduling decision and per-worker goroutines issue data
+	// the scheduling decision and a dispatcher goroutine issues data
 	// movements and launches in the background (results identical to the
 	// serial schedule; see DESIGN.md §5.1). Launch/HostRead/HostWrite
 	// still synchronize where required.
@@ -109,8 +109,8 @@ type Config struct {
 	// synchronization point flushes it), then the whole batch runs
 	// through kernel fusion, transfer coalescing, redundant-move
 	// elimination, and one batched policy evaluation. 0 picks the
-	// default (DefaultOptimizeWindow); negative disables the window,
-	// restoring per-CE admission.
+	// default (DefaultOptimizeWindow); negative turns the passes off and
+	// admits every CE by itself (a window of one).
 	OptimizeWindow int
 	// ChunkBytes is the bulk-transfer chunk size for Connect (default
 	// 256 KiB; clamped to [4 KiB, 64 MiB) and 8-byte aligned). Ignored by

@@ -190,10 +190,20 @@ func TestFig8PolicyFindings(t *testing.T) {
 }
 
 func TestFig9OverheadShape(t *testing.T) {
-	series := Fig9(128)
+	// Wall-clock microseconds on a shared box: each point is the best of
+	// three runs, so one descheduled run cannot fail the bounds below.
 	byName := map[string][]Point{}
-	for _, s := range series {
-		byName[s.Name] = s.Points
+	for run := 0; run < 3; run++ {
+		for _, s := range Fig9(128) {
+			best, seen := byName[s.Name]
+			if !seen {
+				byName[s.Name] = s.Points
+				continue
+			}
+			for i, p := range s.Points {
+				best[i].Value = min(best[i].Value, p.Value)
+			}
+		}
 	}
 	last := len(Fig9NodeCounts) - 1
 	// Static policies stay cheap even at 256 nodes (paper: < 30 µs).

@@ -7,9 +7,9 @@
 // recovery, and retry/backoff paths are testable in-process, without real
 // sockets and without flaky timing. ChaosFabric deliberately does NOT
 // implement ConcurrentDispatcher even when its inner fabric does: the
-// pipelined controller then sequences every fabric call, which makes the
-// injection counters (and therefore each run's fault schedule) exactly
-// reproducible.
+// controller then streams nothing and issues every fabric call in
+// submission order, which makes the injection counters (and therefore each
+// run's fault schedule) exactly reproducible.
 package core
 
 import (

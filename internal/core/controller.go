@@ -34,10 +34,10 @@ type GlobalArray struct {
 	// authoritative registry, written as CEs actually dispatch.
 	upToDate map[cluster.NodeID]sim.VirtualTime
 	// member is the scheduler's membership view of upToDate: the same
-	// key set, but updated at scheduling time. In serial mode the two
-	// always agree; under pipelined dispatch member runs ahead,
-	// reflecting the post-dispatch locations of every CE already
-	// admitted — exactly the view the next scheduling decision needs.
+	// key set, but updated at scheduling time. It runs ahead of upToDate
+	// by the CEs admitted and not yet dispatched, reflecting their
+	// post-dispatch locations — exactly the view the next scheduling
+	// decision needs.
 	member map[cluster.NodeID]struct{}
 	// mask mirrors member as a NodeID-indexed bitmap so the O(workers)
 	// scheduling loop avoids per-cell map lookups.
@@ -152,21 +152,24 @@ type Options struct {
 	// writes the worker off. The zero value disables retries.
 	Retry RetryPolicy
 	// Pipeline decouples the timed scheduling section from data movement
-	// and launch: Submit admits CEs while per-worker dispatch goroutines
-	// issue transfers and launches in the background. Virtual-time
-	// results are identical to the serial path (see pipeline.go). Call
-	// Close when done to stop the dispatchers.
+	// and launch: Submit admits CEs and returns, and one dispatcher
+	// goroutine issues the transfers and launches the submitter did not
+	// start itself. Without it Submit returns when the CE has run. The
+	// schedule is the same either way (see pipeline.go). Call Close when
+	// done to stop the dispatcher.
 	Pipeline bool
-	// PipelineDepth bounds each worker's dispatch queue (default 64).
+	// PipelineDepth bounds the launches one worker may have started and
+	// not yet answered on a streaming fabric, and the admitted windows
+	// queued for the dispatcher before a submitter waits (default 64).
 	PipelineDepth int
 	// OptimizeWindow, when positive, parks up to that many admitted CEs
 	// in a lookahead window and runs the optimizer passes — kernel
 	// fusion, transfer coalescing, redundant-move elimination, batched
 	// policy evaluation — over the whole batch before dispatch (see
 	// window.go and DESIGN.md §5.6). Zero or negative disables the
-	// window. Synchronization points (Drain, HostRead/HostWrite,
-	// FreeArray, SetPolicy, BuildKernel, Close, FlushWindow) flush a
-	// partial window.
+	// passes: every CE is admitted and dispatched by itself, a window of
+	// one. Synchronization points (Drain, HostRead/HostWrite, FreeArray,
+	// SetPolicy, BuildKernel, Close, FlushWindow) flush a partial window.
 	OptimizeWindow int
 	// Workers, when non-nil, restricts the controller's initial scheduling
 	// membership to this subset of the fabric's fleet; the rest of the
@@ -284,13 +287,14 @@ type Controller struct {
 	// subMu serializes the submission side: Submit/Launch admissions,
 	// array allocation and release, host reads/writes, policy swaps and
 	// kernel builds. It establishes the total submission order the
-	// schedule is defined by. Lock order: subMu before mu; dispatchers
-	// take only mu.
+	// schedule is defined by. Lock order: subMu, then pipeline.work, then
+	// mu; the dispatch side never takes subMu.
 	subMu sync.Mutex
 
 	// mu guards the dispatch-shared state below (every CE's ceState, array
 	// registry times, totals, traces, dead set, policy, the arrays map).
-	// cond is broadcast whenever a dispatch commit publishes new state.
+	// cond is broadcast whenever a started launch is answered
+	// (pipeline.launchDone): the depth bound and quiesce wait on it.
 	mu   sync.Mutex
 	cond *sync.Cond
 
@@ -328,20 +332,20 @@ type Controller struct {
 	metasBuf []kernels.ArgMeta
 	// dagAccs is admitCE's access-list scratch (the graph copies it).
 	dagAccs []dag.Access
-	// schedBuf is the serial path's reusable scheduled record; the
-	// pipelined path allocates per CE since dispatch outlives Submit.
-	schedBuf scheduled
 
-	// pipe is the pipelined dispatch engine (nil in serial mode).
+	// pipe is the dispatch engine (pipeline.go).
 	pipe *pipeline
 
-	// Lookahead optimizer window (window.go). optWindow > 0 enables it;
-	// win holds parked entries and winErr the sticky flush error, both
-	// guarded by subMu. bulkMover caches the fabric's optional coalescing
-	// interface; optStats aggregates controller-wide optimizer counters.
+	// The window (window.go): win holds the parked entries, at most
+	// optWindow ≥ 1 of them (guarded by subMu); windowed records that
+	// Options.OptimizeWindow asked for the optimizer passes — of which
+	// only pass 3, trusting the membership prediction to skip an argument's
+	// fabric round trip, could otherwise act on a window of one. bulkMover
+	// caches the fabric's optional coalescing interface; optStats
+	// aggregates controller-wide optimizer counters.
 	optWindow int
+	windowed  bool
 	win       []*winEntry
-	winErr    error
 	bulkMover BulkMover
 	// stallPred caches the fabric's optional oversubscription predictor;
 	// nil when the fabric cannot see into worker memory (TCP transport),
@@ -359,10 +363,9 @@ type Controller struct {
 	// winViews dedupes identical data views within one window's batched
 	// policy evaluation: view-key → first window index (guarded by mu).
 	winViews map[uint64]int
-	// schedSlabs recycles the window's scheduled slabs: the batch
-	// dispatcher (or the serial flush path) returns a slab once its whole
-	// window has dispatched. Own mutex — recycling must not contend with
-	// the scheduling stage's locks.
+	// schedSlabs recycles the window's scheduled slabs: whoever resolves a
+	// window's last job returns its slab. Own mutex — recycling must not
+	// contend with the scheduling stage's locks.
 	schedSlabMu sync.Mutex
 	schedSlabs  [][]scheduled
 
@@ -411,9 +414,7 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 	if opts.Failover {
 		c.lineage = make(map[lineageKey]*producerRec)
 	}
-	if opts.OptimizeWindow > 0 {
-		c.optWindow = opts.OptimizeWindow
-	}
+	c.optWindow, c.windowed = max(1, opts.OptimizeWindow), opts.OptimizeWindow > 0
 	c.bulkMover, _ = fabric.(BulkMover)
 	c.stallPred, _ = fabric.(StallPredictor)
 	if opts.Retry.Jitter > 0 {
@@ -424,30 +425,19 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 		c.retryRng = rand.New(rand.NewSource(seed))
 	}
 	c.cond = sync.NewCond(&c.mu)
-	if opts.Pipeline {
-		c.pipe = newPipeline(c, opts.PipelineDepth)
-	}
+	c.pipe = newPipeline(c, opts.Pipeline, opts.PipelineDepth)
 	return c
 }
 
-// Close stops the pipelined dispatchers after draining in-flight CEs
-// (flushing the optimizer window first, so parked CEs still run). It is
-// a no-op for serial controllers without a window and is idempotent.
+// Close drains — the window is flushed first, so parked CEs still run —
+// stops the dispatcher and reports the first terminal error, if any. Later
+// submissions fail. Idempotent.
 func (c *Controller) Close() error {
 	c.subMu.Lock()
-	ferr := c.flushWindowLocked()
-	c.subMu.Unlock()
-	var perr error
-	if c.pipe != nil {
-		perr = c.pipe.close()
-	}
-	c.subMu.Lock()
-	c.sweepLocked()
-	c.subMu.Unlock()
-	if perr != nil {
-		return perr
-	}
-	return ferr
+	defer c.subMu.Unlock()
+	err := c.drainLocked()
+	c.pipe.close()
+	return err
 }
 
 // Drain flushes the optimizer window, waits until every submitted CE has
@@ -497,7 +487,6 @@ func (c *Controller) markDead(w cluster.NodeID) {
 			arr.gen++
 		}
 	}
-	c.cond.Broadcast()
 }
 
 // Failovers reports how many workers the controller has written off.
@@ -537,20 +526,16 @@ func (c *Controller) DeadWorkers() []cluster.NodeID {
 // Policy returns the active inter-node policy.
 func (c *Controller) Policy() policy.Policy { return c.pol }
 
-// Pipelined reports whether Submit only schedules, leaving dispatch to the
-// pipeline's goroutines (Options.Pipeline). On a serial controller Submit
-// dispatches on its caller and returns when the CE has run.
-func (c *Controller) Pipelined() bool { return c.pipe != nil }
+// Pipelined reports whether Submit only schedules, leaving what it does
+// not start itself to the dispatcher goroutine (Options.Pipeline). On a
+// serial controller Submit dispatches on its caller and returns when the CE
+// has run.
+func (c *Controller) Pipelined() bool { return c.pipe.fifo != nil }
 
-// DispatcherJobs counts the window CEs left to the batch dispatcher
-// goroutine: all of them on a sequenced fabric, on a streaming one those
-// the goroutine that flushed their window could not start itself.
-func (c *Controller) DispatcherJobs() int {
-	if c.pipe == nil {
-		return 0
-	}
-	return int(c.pipe.handed.Load())
-}
+// DispatcherJobs counts the CEs left to the dispatcher goroutine: all of
+// them on a fabric without AsyncLauncher, on a streaming one those the
+// goroutine that flushed their window could not start itself.
+func (c *Controller) DispatcherJobs() int { return int(c.pipe.handed.Load()) }
 
 // SetPolicy swaps the inter-node policy (between workloads). It drains
 // the pipeline, so no in-flight CE sees the swap.
@@ -788,9 +773,6 @@ type scheduled struct {
 	// scalars), captured at admission under mu so the dispatch stage
 	// never reads the arrays map unlocked.
 	arrs []*GlobalArray
-	// windowed marks CEs admitted through the optimizer window: their
-	// membership predictions are trusted for the pass-3 replica check.
-	windowed bool
 	// stats is the submitting session's optimizer counter block (nil for
 	// the direct client); prefetch, if set, is the transfer-coalescing
 	// plan this CE leads (window.go).
@@ -837,29 +819,6 @@ func (c *Controller) validate(inv Invocation) (*kernels.Def, []memmodel.Access, 
 // write-only full overwrite.
 func skipOldBytes(accs []memmodel.Access, i int) bool {
 	return accs[i].Mode == memmodel.Write && accs[i].Fraction >= 1
-}
-
-// schedule runs the timed scheduling section (the paper's Figure 9
-// overhead): DAG insertion, the policy's placement decision, and the
-// membership prediction that lets the next CE be admitted before this one
-// has dispatched. It fills s in place. Caller holds mu.
-func (c *Controller) schedule(inv Invocation, accs []memmodel.Access, s *scheduled) {
-	schedStart := time.Now()
-
-	// Add CE to the Global DAG's frontier.
-	ce, ancestors := c.admitCE(inv, accs)
-
-	// Apply the node-level scheduling policy.
-	req := c.buildRequest(ce, inv.Args, accs)
-	target := c.pol.Assign(req)
-
-	s.ce, s.ancestors, s.inv, s.accs, s.target = ce, ancestors, inv, accs, target
-	c.recordLineage(s)
-	c.predictMembership(s)
-
-	s.schedDur = time.Since(schedStart)
-	c.schedTime += s.schedDur
-	c.schedCEs++
 }
 
 // admitCE enters a kernel CE into the Global DAG and returns it with its
@@ -915,8 +874,8 @@ func (c *Controller) sweepLocked() {
 
 // predictMembership applies the CE's effect on the data-location
 // membership view at admission time: moved arrays gain the target, written
-// arrays collapse to it. This is what keeps scheduling decisions identical
-// to the serial schedule while dispatch lags behind.
+// arrays collapse to it. This is what keeps scheduling decisions the same
+// however far dispatch lags behind.
 func (c *Controller) predictMembership(s *scheduled) {
 	if cap(s.upAtSched) < len(s.inv.Args) {
 		s.upAtSched = make([]bool, len(s.inv.Args))
@@ -943,27 +902,15 @@ func (c *Controller) predictMembership(s *scheduled) {
 			arr.gen++
 		}
 	}
-	evicted := false
 	for i, a := range s.inv.Args {
 		if a.IsArray && s.accs[i].Mode.Writes() {
 			arr := c.arrays[a.Array]
-			if _, only := arr.member[s.target]; !only || len(arr.member) > 1 {
-				evicted = true
-			}
 			clear(arr.member)
 			arr.maskClearAll()
 			arr.member[s.target] = struct{}{}
 			arr.maskSet(s.target)
 			arr.gen++
 		}
-	}
-	// A write collapse can void an earlier CE's admission-time expectation:
-	// a waitLocalCopy waiter sleeping on a node this collapse just evicted
-	// would otherwise only be woken by a commit, and in sequenced dispatch
-	// no later ticket can commit past it. Wake waiters so they recheck
-	// membership and fall back to a fresh move.
-	if evicted {
-		c.cond.Broadcast()
 	}
 }
 
@@ -972,37 +919,15 @@ func (c *Controller) predictMembership(s *scheduled) {
 // movements are issued (controller→worker or P2P), and the CE is forwarded
 // to the Worker's intra-node scheduler. Returns the CE's completion time.
 //
-// With Options.Pipeline, Launch still blocks until the CE completes; use
-// Submit to overlap scheduling with dispatch.
+// Launch is a synchronous call, so there is nothing to look ahead at: it
+// flushes the window it parked in. Use Submit to overlap scheduling with
+// dispatch.
 func (c *Controller) Launch(inv Invocation) (sim.VirtualTime, error) {
-	if c.optWindow > 0 {
-		// Window mode: park, then flush immediately — Launch is a
-		// synchronous call, so there is nothing to look ahead at.
-		c.subMu.Lock()
-		p, err := c.parkLocked(inv, nil, nil)
-		if err == nil {
-			c.flushWindowLocked()
-		}
-		c.subMu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-		return p.Wait()
-	}
-	if c.pipe == nil {
-		// Serial fast path: reuse the controller's scheduled record,
-		// skip the Pending. The whole admit+dispatch runs under the
-		// submission lock, so concurrent callers interleave whole CEs.
-		c.subMu.Lock()
-		defer c.subMu.Unlock()
-		s, err := c.admit(inv, &c.schedBuf)
-		if err != nil {
-			return 0, err
-		}
-		return c.dispatch(s)
-	}
 	c.subMu.Lock()
-	p, err := c.submitLocked(inv)
+	p, err := c.parkLocked(inv, nil, nil)
+	if err == nil {
+		c.flushWindowLocked()
+	}
 	c.subMu.Unlock()
 	if err != nil {
 		return 0, err
@@ -1010,66 +935,17 @@ func (c *Controller) Launch(inv Invocation) (sim.VirtualTime, error) {
 	return p.Wait()
 }
 
-// Submit admits a kernel CE. In serial mode it schedules and dispatches
-// synchronously; with Options.Pipeline it returns as soon as the
-// scheduling decision is made, leaving data movement and launch to the
-// per-worker dispatchers. Validation errors surface here; dispatch errors
-// surface on the returned Pending (and on Drain).
+// Submit admits a kernel CE: it validates and parks it, and a full window
+// is admitted and handed to the dispatch engine (pipeline.go). With
+// Options.Pipeline it returns as soon as that is done; without, a Submit
+// that fills the window returns when the window has run. Validation errors
+// surface here; dispatch errors surface on the returned Pending (and on
+// Drain), and without Options.Pipeline also on the Submit that ran them.
 func (c *Controller) Submit(inv Invocation) (*Pending, error) {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
-	return c.submitLocked(inv)
+	return c.parkLocked(inv, nil, nil)
 }
-
-// submitLocked is Submit under subMu (Launch shares it without
-// re-locking).
-func (c *Controller) submitLocked(inv Invocation) (*Pending, error) {
-	if c.optWindow > 0 {
-		return c.parkLocked(inv, nil, nil)
-	}
-	s, err := c.admit(inv, nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.pipe != nil {
-		return c.pipe.enqueue(s)
-	}
-	end, err := c.dispatch(s)
-	p := &Pending{done: closedChan, end: end, err: err, resolved: true}
-	return p, err
-}
-
-// admit validates an invocation and runs the scheduling stage, filling
-// into (or allocating, when into is nil) the scheduled record.
-func (c *Controller) admit(inv Invocation, into *scheduled) (*scheduled, error) {
-	_, accs, err := c.validate(inv)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pipe != nil {
-		if err := c.pipe.err; err != nil {
-			return nil, err
-		}
-	}
-	if len(c.aliveWorkers()) == 0 {
-		return nil, fmt.Errorf("core: no workers available")
-	}
-	if into == nil {
-		into = new(scheduled)
-	}
-	c.schedule(inv, accs, into)
-	return into, nil
-}
-
-// closedChan is the pre-closed done channel shared by already-completed
-// Pendings.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // Pending is a submitted CE whose dispatch may still be in flight.
 type Pending struct {
@@ -1121,15 +997,13 @@ func (p *Pending) Wait() (sim.VirtualTime, error) {
 // Done returns a channel closed when the CE has dispatched.
 func (p *Pending) Done() <-chan struct{} { return p.done }
 
-// dispatch runs the untimed half of Algorithm 1 for a scheduled CE: wait
-// for dependencies, issue the data movements, forward the CE, and commit
-// the results. Under Failover a failing worker is written off and the CE
-// rescheduled on survivors.
+// dispatch runs the untimed half of Algorithm 1 for a scheduled CE: issue
+// the data movements, forward the CE, and commit the results. Its one
+// caller (pipeline.runJob) has quiesced, so every earlier CE has committed
+// or failed and nothing here waits for another CE. Under Failover a failing
+// worker is written off and the CE rescheduled on survivors.
 func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
-	depReady, err := c.waitDeps(s)
-	if err != nil {
-		return 0, err
-	}
+	depReady := c.depReady(s)
 
 	target := s.target
 	firstTry := true
@@ -1152,9 +1026,8 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 		if c.dead[target] {
 			if len(c.aliveWorkers()) == 0 {
 				c.mu.Unlock()
-				err := fmt.Errorf("core: no workers left after failover")
-				c.commitError(s, err)
-				return 0, err
+				c.commitError(s)
+				return 0, fmt.Errorf("core: no workers left after failover")
 			}
 			req := c.buildRequest(s.ce, s.inv.Args, s.accs)
 			target = c.pol.Assign(req)
@@ -1194,11 +1067,11 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 					err = rerr
 				}
 			}
-			c.commitError(s, err)
+			c.commitError(s)
 			return 0, err
 		}
 		if !c.failover {
-			c.commitError(s, err)
+			c.commitError(s)
 			return 0, err
 		}
 		// Identify which worker actually died (the error may come from
@@ -1213,14 +1086,13 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 		}
 		if !anyDead && !c.dead[target] {
 			c.mu.Unlock()
-			c.commitError(s, err)
+			c.commitError(s)
 			return 0, err // not a worker failure; don't spin
 		}
 		if len(c.aliveWorkers()) == 0 {
 			c.mu.Unlock()
-			err = fmt.Errorf("core: no workers left after failover: %w", err)
-			c.commitError(s, err)
-			return 0, err
+			c.commitError(s)
+			return 0, fmt.Errorf("core: no workers left after failover: %w", err)
 		}
 		// Reschedule on the survivors. After a failover the schedule-time
 		// membership prediction is void; the retry works from the
@@ -1231,7 +1103,9 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 		firstTry = false
 	}
 
-	c.commit(s, target, ready, end, moved+pfMoved, p2p)
+	c.mu.Lock()
+	c.commitLocked(s, target, ready, end, moved+pfMoved, p2p)
+	c.mu.Unlock()
 	return end, nil
 }
 
@@ -1246,14 +1120,7 @@ func (c *Controller) retryDelay(n int) time.Duration {
 	return c.retry.delay(n, c.retryRng)
 }
 
-// commit publishes a dispatched CE's results under mu.
-func (c *Controller) commit(s *scheduled, target cluster.NodeID, ready, end sim.VirtualTime, moved memmodel.Bytes, p2p int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.commitLocked(s, target, ready, end, moved, p2p)
-}
-
-// commitLocked is commit with mu held.
+// commitLocked publishes a dispatched CE's results. Caller holds mu.
 func (c *Controller) commitLocked(s *scheduled, target cluster.NodeID, ready, end sim.VirtualTime, moved memmodel.Bytes, p2p int) {
 	// Update the data-location registry.
 	outIdx := 0
@@ -1298,19 +1165,17 @@ func (c *Controller) commitLocked(s *scheduled, target cluster.NodeID, ready, en
 		Start: ready, End: end, MovedBytes: moved, P2PMoves: p2p,
 		SchedOverhd: s.schedDur,
 	})
-	c.cond.Broadcast()
 }
 
-// commitError records a terminally failed CE so dependents stop waiting on
-// it (its end time is its dependencies' ready time; the error itself is
-// propagated by the pipeline's sticky error).
-func (c *Controller) commitError(s *scheduled, err error) {
+// commitError records a terminally failed CE as finished, with end time 0,
+// so its dependents find it done and the graph can retire it (the error
+// itself travels on the Pending and, when it sticks, in pipeline.err).
+func (c *Controller) commitError(s *scheduled) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !stateOf(s.ce).done {
 		c.finishLocked(s.ce, 0)
 	}
-	c.cond.Broadcast()
 }
 
 // registerCopy records in the authoritative view that node holds a valid
@@ -1325,33 +1190,23 @@ func (c *Controller) registerCopy(arr *GlobalArray, node cluster.NodeID, t sim.V
 	}
 }
 
-// waitDeps blocks until every DAG ancestor of the CE has dispatched and
-// returns the latest ancestor end time. In serial mode ancestors have
-// always already dispatched and this never blocks.
-func (c *Controller) waitDeps(s *scheduled) (sim.VirtualTime, error) {
+// depReady returns the latest end time among the CE's DAG ancestors. They
+// are all finished: ancestors were submitted earlier, dispatch runs after
+// quiesce, and a host CE finishes inside the call that makes it.
+func (c *Controller) depReady(s *scheduled) sim.VirtualTime {
 	depReady := sim.VirtualTime(0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, a := range s.ancestors {
-		for {
-			if st := stateOf(a.CE); st.done {
-				if st.end > depReady {
-					depReady = st.end
-				}
-				break
-			}
-			if c.pipe == nil {
-				// Serial dispatch runs in submission order; a missing
-				// ancestor end is a scheduler bug.
-				panic(fmt.Sprintf("core: serial dispatch missing ancestor CE %d", a.CE.ID))
-			}
-			if err := c.pipe.err; err != nil {
-				return 0, err
-			}
-			c.cond.Wait()
+		st := stateOf(a.CE)
+		if !st.done {
+			panic(fmt.Sprintf("core: CE %d dispatched before its ancestor CE %d finished", s.ce.ID, a.CE.ID))
+		}
+		if st.end > depReady {
+			depReady = st.end
 		}
 	}
-	return depReady, nil
+	return depReady
 }
 
 // streamableLocked reports whether s can be started on its target's
@@ -1392,7 +1247,7 @@ func (c *Controller) streamableLocked(s *scheduled, inflight map[dag.CEID]cluste
 
 // streamedReadyLocked computes a streamed CE's start bound when its answer
 // arrives — its ancestors' ends and its arguments' copy times, what
-// waitDeps and ensureArgs report on the blocking path. ok is false when an
+// depReady and ensureArgs report on the blocking path. ok is false when an
 // ancestor has not committed: it failed ahead of s on the channel, so s
 // ran without its effect and must not commit. Caller holds mu.
 func (c *Controller) streamedReadyLocked(s *scheduled) (ready sim.VirtualTime, ok bool) {
@@ -1416,88 +1271,41 @@ func (c *Controller) streamedReadyLocked(s *scheduled) (ready sim.VirtualTime, o
 	return ready, true
 }
 
-// waitLocalCopy blocks until the target's copy of arr is valid when the
-// scheduler predicted one would appear (expected), returning its ready
-// time. Returns ok=false when no copy is expected or the expectation was
-// voided (the producer's worker died).
-func (c *Controller) waitLocalCopy(arr *GlobalArray, target cluster.NodeID, expected bool) (sim.VirtualTime, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if t, ok := arr.upToDate[target]; ok {
-			return t, true, nil
-		}
-		if !expected {
-			return 0, false, nil
-		}
-		if c.pipe == nil {
-			// Serial mode keeps member and upToDate in lockstep.
-			return 0, false, nil
-		}
-		if c.pipe.sequenced {
-			// Sequenced dispatch: every earlier ticket has fully
-			// committed before this dispatch runs, so a predicted copy
-			// that is absent now can never arrive — the delivery was
-			// rerouted by a dead-worker redispatch or lineage recovery.
-			// Fall back to a fresh move from the survivors.
-			return 0, false, nil
-		}
-		if err := c.pipe.err; err != nil {
-			return 0, false, err
-		}
-		if _, stillMember := arr.member[target]; !stillMember || c.dead[target] {
-			// The predicted producer was written off; fall back to a
-			// fresh move from the survivors.
-			return 0, false, nil
-		}
-		c.cond.Wait()
-	}
-}
-
 // ensureArgs issues the data movements Algorithm 1 requires: every array
 // parameter that is not up to date on the target is shipped from its best
 // source. Write-only full overwrites skip the transfer but still allocate.
-// usePrediction selects whether the schedule-time membership prediction
-// gates waiting for in-flight producer CEs (first dispatch attempt only).
+// usePrediction (first dispatch attempt only) lets the schedule-time
+// membership prediction stand in for the per-argument fabric round trip
+// where the registry confirms it. The registry is final for this CE: every
+// earlier CE has committed or failed, so a copy that is absent now — the
+// delivery was rerouted by a dead-worker redispatch or lineage recovery —
+// never arrives, and a fresh move from the survivors replaces it.
 func (c *Controller) ensureArgs(target cluster.NodeID, s *scheduled, usePrediction bool) (ready sim.VirtualTime, moved memmodel.Bytes, p2p int, err error) {
 	for i, a := range s.inv.Args {
 		if !a.IsArray {
 			continue
 		}
 		arr := s.arrs[i] // resolved at admission; no unlocked map read
-		expected := usePrediction && s.upAtSched[i]
-		if s.windowed && expected && target == s.target {
-			// Pass 3: the window predicted a fresh replica here; when the
-			// authoritative registry confirms it, the whole per-argument
-			// fabric round trip (EnsureArray + move) is redundant. A
-			// worker only ever appears in upToDate after an EnsureArray
-			// reached it, so skipping the allocation call is safe.
-			c.mu.Lock()
-			t, up := arr.upToDate[target]
-			c.mu.Unlock()
-			if up {
-				if t > ready {
-					ready = t
-				}
-				c.countEliminatedMove(s)
-				continue
-			}
+		c.mu.Lock()
+		t, up := arr.upToDate[target]
+		c.mu.Unlock()
+		if up && t > ready {
+			ready = t
+		}
+		if up && c.windowed && usePrediction && s.upAtSched[i] && target == s.target {
+			// Pass 3: the window predicted a fresh replica here and the
+			// authoritative registry confirms it, so the per-argument
+			// fabric round trip is redundant. A worker only ever appears in
+			// upToDate after an EnsureArray reached it, so skipping the
+			// allocation call is safe.
+			c.countEliminatedMove(s)
+			continue
 		}
 		if err := c.fabric.EnsureArray(target, arr.ArrayMeta); err != nil {
 			return 0, 0, 0, err
 		}
-		t, ok, werr := c.waitLocalCopy(arr, target, expected)
-		if werr != nil {
-			return 0, 0, 0, werr
-		}
-		if ok {
-			if t > ready {
-				ready = t
-			}
-			continue
-		}
-		if skipOldBytes(s.accs, i) {
-			continue // full overwrite: old contents don't matter
+		if up || skipOldBytes(s.accs, i) {
+			continue // resident, or a full overwrite: old contents don't matter
 		}
 
 		c.mu.Lock()
@@ -1520,7 +1328,6 @@ func (c *Controller) ensureArgs(target cluster.NodeID, s *scheduled, usePredicti
 		if arrival > c.elapsed {
 			c.elapsed = arrival
 		}
-		c.cond.Broadcast()
 		c.mu.Unlock()
 
 		moved += arr.size
@@ -1535,7 +1342,7 @@ func (c *Controller) ensureArgs(target cluster.NodeID, s *scheduled, usePredicti
 }
 
 // errDataLoss marks a lost array: the only valid copy died with its
-// worker. With failover the dispatcher tries lineage recovery first; the
+// worker. With failover dispatch tries lineage recovery first; the
 // error is terminal only when the producer chain cannot be replayed.
 type errDataLoss struct {
 	id dag.ArrayID
@@ -1714,7 +1521,7 @@ func (c *Controller) bestSource(arr *GlobalArray, target cluster.NodeID) cluster
 func (c *Controller) HostRead(id dag.ArrayID) (sim.VirtualTime, error) {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
-	// After the drain the dispatchers are quiescent and subMu excludes
+	// After the drain the dispatch side is quiescent and subMu excludes
 	// new submissions, so the body below owns every structure it touches.
 	if err := c.drainLocked(); err != nil {
 		return 0, err

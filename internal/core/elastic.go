@@ -3,8 +3,7 @@ package core
 // Fleet elasticity: workers join and leave a RUNNING controller.
 //
 // The fabric's worker set stays fixed at construction (the cluster's
-// bandwidth matrix and the pipeline's per-worker dispatchers are sized
-// then), so elasticity is a membership overlay: Options.Workers seeds a
+// bandwidth matrix is sized then), so elasticity is a membership overlay: Options.Workers seeds a
 // roster of active members, the rest of the fleet idles as a standby
 // pool, and AddWorker/RetireWorker move nodes between the two while
 // CEs stream.
@@ -78,7 +77,6 @@ func (c *Controller) AddWorker(w cluster.NodeID) error {
 	// alive list and every per-array transfer-estimate vector.
 	c.deadGen++
 	c.alive = nil
-	c.cond.Broadcast()
 	return nil
 }
 
@@ -169,7 +167,7 @@ func (c *Controller) RetireWorker(w cluster.NodeID) error {
 
 	// Execute the moves off the controller locks (fabric calls may be
 	// slow RPCs). subMu is still held, so no submission races us, and
-	// the drained pipeline means no dispatcher does either. This is the
+	// the drained pipeline means no dispatch does either. This is the
 	// lineage replayer's worker→worker move idiom: nil buffers, the
 	// fabric ships P2P from the source runtime.
 	var lost []dag.ArrayID
@@ -229,7 +227,6 @@ func (c *Controller) RetireWorker(w cluster.NodeID) error {
 	delete(c.roster, w)
 	c.deadGen++
 	c.alive = nil
-	c.cond.Broadcast()
 	c.mu.Unlock()
 
 	if len(lost) > 0 {

@@ -141,8 +141,9 @@ type AsyncLauncher interface {
 
 // LocalFabric runs workers in-process over the cluster simulator.
 // Operations mutate shared virtual timelines and must not be issued
-// concurrently; the controller's pipelined mode sequences them (it does
-// not implement ConcurrentDispatcher).
+// concurrently; the controller issues them one at a time, in submission
+// order (it does not implement ConcurrentDispatcher, so nothing is
+// streamed).
 type LocalFabric struct {
 	clu     *cluster.Cluster
 	reg     *kernels.Registry

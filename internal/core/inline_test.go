@@ -18,8 +18,9 @@ import (
 	"grout/internal/sim"
 )
 
-// heldFabric is a LocalFabric (sequenced: no ConcurrentDispatcher behind
-// the embedded interfaces) whose launches of one kernel wait for the gate.
+// heldFabric is a LocalFabric (no ConcurrentDispatcher behind the embedded
+// interfaces, so no launch stream) whose launches of one kernel wait for the
+// gate.
 type heldFabric struct {
 	Fabric
 	KernelBuilder
@@ -133,7 +134,7 @@ func TestSessionScopedSync(t *testing.T) {
 	}
 
 	// a's own: a fused pair and a third CE, all parked in the window when
-	// Elapsed is called, all dispatching behind b's stuck CE (sequenced).
+	// Elapsed is called, all dispatching behind b's stuck CE (one FIFO).
 	submit(a, Invocation{Kernel: "wmul", Grid: 1, Block: n,
 		Args: []ArgRef{ArrRef(as), ArrRef(ax), ScalarRef(2.5), nArg}})
 	submit(a, Invocation{Kernel: "wmadd", Grid: 1, Block: n,
@@ -165,7 +166,8 @@ func TestSessionScopedSync(t *testing.T) {
 // TestInlineStartDepthOne: with the dispatcher idle, the goroutine that
 // flushes a window starts its launches itself — two sessions' depth-1
 // Submit+Elapsed steps over a streaming fabric never reach the batch
-// dispatcher — and a sequenced fabric never starts anything that way.
+// dispatcher — and a fabric without a launch stream never starts anything
+// that way.
 func TestInlineStartDepthOne(t *testing.T) {
 	const steps = 200
 	pin := func() policy.Policy {
@@ -233,7 +235,7 @@ func TestInlineStartDepthOne(t *testing.T) {
 		}
 	}
 	if got := seq.DispatcherJobs(); got != 10 {
-		t.Fatalf("sequenced fabric: dispatcher handled %d of 10 launches, want all", got)
+		t.Fatalf("no launch stream: dispatcher handled %d of 10 launches, want all", got)
 	}
 }
 

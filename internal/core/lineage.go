@@ -21,11 +21,11 @@
 //
 // Replayed CEs bypass the Global DAG and the dispatch pipeline entirely:
 // inserting them would create WAR edges from the very CE whose dispatch is
-// blocked on the loss, deadlocking waitDeps. Instead the executor drives
-// the fabric directly — policy placement, input shipping, launch — under
-// the recovery mutex, and keeps intermediate versions out of the public
-// registry so concurrent dispatchers never mistake a half-replayed buffer
-// for current data.
+// blocked on the loss, which could then never run. Instead the executor
+// drives the fabric directly — policy placement, input shipping, launch —
+// under the recovery mutex, and keeps intermediate versions out of the
+// public registry so nothing mistakes a half-replayed buffer for current
+// data.
 package core
 
 import (
@@ -152,8 +152,6 @@ func (c *Controller) recoverArrays(ids []dag.ArrayID) error {
 				arr.gen++
 			}
 			c.recoveries++
-			// Waiters blocked on the array's registry state must re-check.
-			c.cond.Broadcast()
 			continue
 		}
 		lost = append(lost, id)
@@ -297,7 +295,6 @@ func (c *Controller) executeRecovery(plan *recoveryPlan) error {
 		}
 		c.recoveries++
 	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	return nil
 }

@@ -1,56 +1,40 @@
-// Pipelined CE dispatch.
+// The dispatch engine (DESIGN.md §5.1, "The dispatch engine").
 //
-// With Options.Pipeline the controller's per-CE work splits in two:
+// Every kernel CE takes one path. Submit validates it and parks it in the
+// window (window.go); a full window — or a synchronization point — is
+// admitted as a whole by flushWindowLocked on the submitter's goroutine:
+// DAG insertion, the policy decision and the membership prediction, the
+// timed section the paper's Figure 9 measures, which never blocks on data
+// movement. The admitted window is a jobBatch, and batches are worked
+// through strictly first in, first out, one job at a time (runBatch):
 //
-//   - The scheduling stage (Submit) runs on the caller's goroutine: DAG
-//     insertion, the policy decision, and the membership prediction. This
-//     is the timed section the paper's Figure 9 measures, and it never
-//     blocks on data movement.
-//   - The dispatch stage runs on per-worker dispatcher goroutines fed by
-//     bounded queues: waiting for DAG ancestors, issuing EnsureArray /
-//     MoveArray / Launch, and committing results to the authoritative
-//     registry.
+//   - a job that streamableLocked accepts is started on its worker's
+//     stream (AsyncLauncher: real transports run one worker's launches in
+//     start order, the paper's Local-DAG rule carried by the wire) without
+//     waiting for the answer to anything before it; its answer commits it
+//     from the fabric's reader goroutine (launchDone);
+//   - any other job is dispatched blocking by runJob — the only caller of
+//     Controller.dispatch — after quiesce: every started launch has been
+//     answered, and every one that failed has been redone through the
+//     blocking dispatch in submission order, so retry, failover and lineage
+//     recovery live in one place.
 //
-// Ordering is enforced by dependencies, not by serializing the stages:
-// a dispatcher blocks until (a) every DAG ancestor of its CE has
-// committed (waitDeps) and (b) every array copy the scheduler predicted
-// for its target has been published by the producing CE (waitLocalCopy).
-// Both waits are keyed to earlier-submitted CEs only, so the
-// submission order is a topological order of the wait graph and no
-// deadlock is possible.
+// FIFO on one goroutine at a time is submission order, so when a job is
+// dispatched blocking every earlier CE has committed or failed: dispatch
+// waits for nothing, fabric operations reach a virtual-time fabric
+// (LocalFabric mutates shared NIC timelines in call order) in submission
+// order, and the membership prediction (predictMembership) gives every
+// placement decision the data-location view it would have had had each CE
+// run before the next was admitted. Schedules — placements, transfers,
+// virtual times — therefore do not depend on who works through the FIFO;
+// TestPipelineMatchesSerial checks that over random DAGs and policies.
 //
-// Virtual-time determinism: fabrics that simulate time (LocalFabric)
-// mutate shared NIC timelines in call order, so bit-identical virtual
-// times additionally require fabric operations to be issued in
-// submission order. The pipeline therefore runs a ticket sequencer —
-// dispatcher i may only touch the fabric when every earlier ticket has
-// finished — unless the fabric declares itself safe for concurrent
-// dispatch via ConcurrentDispatcher. Scheduling still overlaps dispatch
-// either way; the sequencer only orders the dispatch stage itself, and
-// subsumes the two dependency waits (an ancestor always holds an
-// earlier ticket). The scheduler's membership prediction
-// (predictMembership) guarantees every placement decision sees exactly
-// the data-location view the serial controller would have had, so the
-// pipelined schedule — placements, transfers, and virtual times — is
-// identical to the serial one. TestPipelineMatchesSerial checks this
-// property over random DAGs, seeds, and policies.
-//
-// Streamed launches: a concurrent-dispatch fabric that also offers
-// AsyncLauncher (the TCP transport) executes one worker's launches in the
-// order they were started, which is the paper's Local-DAG rule carried by
-// the wire. The batch dispatcher uses it: a CE that streamableLocked
-// accepts is started without waiting for the answer to anything before it,
-// and its answer commits it from the fabric's reader goroutine; any other
-// CE takes the blocking dispatch, after everything in flight has been
-// answered. A started launch that fails is not handled where it failed:
-// it goes on a redo list, the dispatcher stops starting, waits until
-// nothing is in flight and runs the failed CEs through the blocking
-// dispatch in submission order — retry, failover and lineage recovery all
-// stay there. Virtual-time fabrics never take this path.
-//
-// Who starts a launch: whoever flushes the window, when it can. With the
-// dispatcher idle — no window queued or being worked through, nothing to
-// redo — enqueueBatch starts the longest startable prefix on the
+// Who works through it is all Options.Pipeline decides. Without it the
+// submitter runs its own window under the work lock before
+// flushWindowLocked returns, so Submit returns a resolved Pending. With it
+// a dispatcher goroutine takes what the submitter does not start itself:
+// with the dispatcher idle — no window queued or being worked through,
+// nothing to redo — enqueueBatch starts the longest startable prefix on the
 // submitter's goroutine and puts it on the wire; the first job that would
 // have to wait for anything goes to the dispatcher with everything behind
 // it, and while the dispatcher has work every later window queues behind
@@ -58,7 +42,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,8 +59,9 @@ type ConcurrentDispatcher interface {
 	ConcurrentDispatch() bool
 }
 
-// defaultPipelineDepth bounds each worker's dispatch queue when
-// Options.PipelineDepth is zero.
+// defaultPipelineDepth is Options.PipelineDepth's zero value: how many
+// launches one worker may have started and unanswered, and how many windows
+// the FIFO holds before a submitter waits.
 const defaultPipelineDepth = 64
 
 // job is one scheduled CE traveling through the dispatch stage.
@@ -88,7 +72,7 @@ type job struct {
 	// followers are the Pendings of CEs the window optimizer fused into
 	// this one; they resolve with the same end time and error.
 	followers []*Pending
-	// b is the window the job arrived in (nil on the per-worker queues).
+	// b is the window the job arrived in.
 	b *jobBatch
 }
 
@@ -100,43 +84,37 @@ func (j *job) finish(end sim.VirtualTime, err error) {
 	}
 }
 
-// jobBatch is one flushed optimizer window in flight to the batch
-// dispatcher. scheds is the jobs' backing slab, recycled once the last
-// job of the window has resolved — a streamed job's *scheduled lives until
-// its answer arrives, past the dispatcher's loop — and left counts the
-// jobs still unresolved.
+// jobBatch is one admitted window on its way through the FIFO. scheds is
+// the jobs' backing slab, recycled once the last job of the window has
+// resolved — a streamed job's *scheduled lives until its answer arrives,
+// past runBatch's loop — and left counts the jobs still unresolved.
 type jobBatch struct {
 	jobs   []job
 	scheds []scheduled
 	left   atomic.Int32
-	// from is the first job left to the batch dispatcher; the submitter
+	// from is the first job left to the dispatcher goroutine; the submitter
 	// started the ones before it (enqueueBatch).
 	from int
 }
 
-// pipeline is the dispatch engine behind Options.Pipeline.
+// pipeline is the controller's dispatch engine (see the package comment).
 type pipeline struct {
-	c         *Controller
-	queues    map[cluster.NodeID]chan *job
-	wg        sync.WaitGroup
-	sequenced bool
+	c *Controller
 
-	// batch feeds whole optimizer windows to a single dispatcher
-	// goroutine: one channel handoff per window instead of one ticket
-	// hand-over per CE, which is where the pipelined submit path loses
-	// against serial on scheduler-bound streams. Jobs inside a batch run
-	// FIFO on that one goroutine; the ticket sequencer still orders them
-	// against any per-worker queue traffic.
-	batch chan *jobBatch
+	// fifo carries admitted windows to the dispatcher goroutine, one channel
+	// hand-off per window; nil without Options.Pipeline, when every window is
+	// worked through by its submitter. wg waits for that goroutine.
+	fifo chan *jobBatch
+	wg   sync.WaitGroup
 
-	// Streamed launches (see the package comment). al is the fabric's
-	// AsyncLauncher, nil when launches take the blocking path only; depth
-	// bounds one worker's started-and-unanswered launches. inflight maps
-	// every such CE to its worker, flying[w] counts them per worker, redo
-	// holds the started jobs that failed — all three guarded by c.mu, and
-	// changes are broadcast on c.cond. wake tells an idle dispatcher that
-	// redo is non-empty. unflushed is the dispatcher's own list of workers
-	// with launches still in a write buffer.
+	// Streamed launches. al is the fabric's AsyncLauncher, nil when launches
+	// take the blocking path only; depth bounds one worker's
+	// started-and-unanswered launches. inflight maps every such CE to its
+	// worker, flying[w] counts them per worker, redo holds the started jobs
+	// that failed — all three guarded by c.mu, and launchDone broadcasts
+	// every change on c.cond. wake tells an idle dispatcher that redo is
+	// non-empty. unflushed lists the workers with launches still in a write
+	// buffer.
 	al        AsyncLauncher
 	depth     int
 	inflight  map[dag.CEID]cluster.NodeID
@@ -145,44 +123,35 @@ type pipeline struct {
 	wake      chan struct{}
 	unflushed []cluster.NodeID
 
-	// work is held by whoever is starting or dispatching window jobs: the
-	// batch dispatcher while it works through a window or the redo list, a
-	// submitter (by try-lock, never waiting) while it starts a window's
-	// prefix itself. It guards unflushed. queued counts the windows given
-	// to the dispatcher and not yet worked through; handed, all the jobs it
-	// was ever given (Controller.DispatcherJobs).
+	// work is held by whoever is working through a window or the redo list:
+	// the dispatcher goroutine, a submitter without one, or a submitter (by
+	// try-lock, never waiting) while it starts a window's prefix itself. It
+	// guards unflushed. queued counts the windows given to the dispatcher
+	// and not yet worked through; handed, all the jobs it was ever given
+	// (Controller.DispatcherJobs).
 	work   sync.Mutex
 	queued atomic.Int32
 	handed atomic.Int64
 
-	// mu guards the submission/completion counters and closed flag.
+	// mu guards the submission/completion counters.
 	mu        sync.Mutex
 	drainCond *sync.Cond
 	submitted uint64
 	completed uint64
-	closed    bool
+	// closed is set by Controller.Close; guarded by subMu.
+	closed bool
 
-	// err is the sticky first terminal error; guarded by c.mu so the
-	// controller's wait loops can check it under their own lock.
+	// err is the sticky first terminal error (see fail); guarded by c.mu.
 	err error
-
-	// ticket sequencer (virtual-time fabrics only).
-	seqMu   sync.Mutex
-	seqCond *sync.Cond
-	next    uint64
 }
 
-func newPipeline(c *Controller, depth int) *pipeline {
+func newPipeline(c *Controller, async bool, depth int) *pipeline {
 	if depth <= 0 {
 		depth = defaultPipelineDepth
 	}
-	pl := &pipeline{
-		c:         c,
-		queues:    make(map[cluster.NodeID]chan *job),
-		sequenced: true,
-	}
+	pl := &pipeline{c: c}
+	pl.drainCond = sync.NewCond(&pl.mu)
 	if cd, ok := c.fabric.(ConcurrentDispatcher); ok && cd.ConcurrentDispatch() {
-		pl.sequenced = false
 		if al, ok := c.fabric.(AsyncLauncher); ok {
 			pl.al, pl.depth = al, depth
 			pl.inflight = make(map[dag.CEID]cluster.NodeID)
@@ -190,61 +159,43 @@ func newPipeline(c *Controller, depth int) *pipeline {
 			pl.wake = make(chan struct{}, 1)
 		}
 	}
-	pl.drainCond = sync.NewCond(&pl.mu)
-	pl.seqCond = sync.NewCond(&pl.seqMu)
-	for _, w := range c.fabric.Workers() {
-		q := make(chan *job, depth)
-		pl.queues[w] = q
+	if async {
+		// depth windows of backlog before a submitter waits: backpressure on
+		// the scheduling stage.
+		pl.fifo = make(chan *jobBatch, depth)
 		pl.wg.Add(1)
-		go pl.dispatcher(q)
+		go pl.batchDispatcher()
 	}
-	pl.batch = make(chan *jobBatch, depth)
-	pl.wg.Add(1)
-	go pl.batchDispatcher()
 	return pl
 }
 
-// enqueue hands a scheduled CE to its target's dispatcher, blocking when
-// the queue is full (backpressure on the scheduling stage). Tickets are
-// issued in call order, which — scheduling methods being single-goroutine
-// by contract — is the schedule order.
-func (pl *pipeline) enqueue(s *scheduled) (*Pending, error) {
-	q, ok := pl.queues[s.target]
-	if !ok {
-		return nil, fmt.Errorf("core: policy assigned unknown worker %v", s.target)
-	}
-	j := &job{s: s, p: &Pending{done: make(chan struct{})}}
-	pl.mu.Lock()
-	if pl.closed {
-		pl.mu.Unlock()
-		return nil, fmt.Errorf("core: controller closed")
-	}
-	j.seq = pl.submitted
-	pl.submitted++
-	pl.mu.Unlock()
-	q <- j
-	return j.p, nil
-}
-
-// enqueueBatch hands a flushed optimizer window to the batch dispatcher
-// in one operation. Jobs arrive with their Pendings already made (Submit
-// returned them while the CEs were parked); tickets are issued here, in
-// window order, so the sequencer interleaves the batch correctly with
-// any directly enqueued CEs.
+// enqueueBatch puts an admitted window into the FIFO. Jobs arrive with
+// their Pendings already made (Submit returned them while the CEs were
+// parked); sequence numbers are issued here, in window order. Without a
+// dispatcher goroutine the window has been worked through when this
+// returns, and the result is its first failure.
 func (pl *pipeline) enqueueBatch(b *jobBatch) error {
-	if len(b.jobs) == 0 {
-		return nil
-	}
 	pl.mu.Lock()
-	if pl.closed {
-		pl.mu.Unlock()
-		return fmt.Errorf("core: controller closed")
-	}
 	for i := range b.jobs {
 		b.jobs[i].seq = pl.submitted
 		pl.submitted++
 	}
 	pl.mu.Unlock()
+	if pl.fifo == nil {
+		pl.work.Lock()
+		pl.runBatch(b)
+		pl.quiesce()
+		pl.work.Unlock()
+		// A started launch resolves on the fabric's reader goroutine, a
+		// moment after quiesce has seen its answer.
+		var first error
+		for i := range b.jobs {
+			if _, err := b.jobs[i].p.Wait(); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
 	// With the dispatcher idle, start what can be started from here (see the
 	// package comment). queued is read under the lock: a dispatcher that has
 	// taken a window off the channel but not the lock yet still counts.
@@ -261,57 +212,24 @@ func (pl *pipeline) enqueueBatch(b *jobBatch) error {
 		}
 	}
 	pl.queued.Add(1)
-	pl.batch <- b
+	pl.fifo <- b
 	return nil
 }
 
-func (pl *pipeline) dispatcher(q chan *job) {
-	defer pl.wg.Done()
-	for j := range q {
-		if pl.sequenced {
-			pl.waitTurn(j.seq)
-		}
-		pl.runJob(j)
-		if pl.sequenced {
-			pl.advance()
-		}
-		pl.mu.Lock()
-		pl.completed++
-		pl.drainCond.Broadcast()
-		pl.mu.Unlock()
-	}
-}
-
-// batchDispatcher drains whole optimizer windows, each from the job its
-// submitter stopped at. The jobs of one batch carry consecutive tickets,
-// so in sequenced mode waitTurn degenerates to a cheap check after the
-// first job. On a streaming fabric a job is started when it can be and
-// dispatched blocking — after everything in flight has been answered —
-// when it cannot.
+// batchDispatcher is the goroutine behind Options.Pipeline: it works through
+// the windows in the FIFO, each from the job its submitter stopped at, and
+// through the redo list when a started launch fails with no window queued.
 func (pl *pipeline) batchDispatcher() {
 	defer pl.wg.Done()
 	for {
 		select {
-		case b, ok := <-pl.batch:
+		case b, ok := <-pl.fifo:
 			if !ok {
 				return
 			}
 			pl.work.Lock()
 			pl.handed.Add(int64(len(b.jobs) - b.from))
-			for i := b.from; i < len(b.jobs); i++ {
-				j := &b.jobs[i]
-				if pl.sequenced {
-					pl.waitTurn(j.seq)
-				}
-				if !pl.tryStart(j, true) {
-					pl.quiesce()
-					pl.runJob(j)
-					pl.resolved(j)
-				}
-				if pl.sequenced {
-					pl.advance()
-				}
-			}
+			pl.runBatch(b)
 			// No further window queued, so about to sleep: a started launch
 			// left in a write buffer would never be answered.
 			if pl.queued.Add(-1) == 0 {
@@ -322,6 +240,20 @@ func (pl *pipeline) batchDispatcher() {
 			pl.work.Lock()
 			pl.quiesce()
 			pl.work.Unlock()
+		}
+	}
+}
+
+// runBatch works through b from b.from on: a job is started when it can
+// be and dispatched blocking — after everything in flight has been
+// answered — when it cannot. Caller holds work.
+func (pl *pipeline) runBatch(b *jobBatch) {
+	for i := b.from; i < len(b.jobs); i++ {
+		j := &b.jobs[i]
+		if !pl.tryStart(j, true) {
+			pl.quiesce()
+			pl.runJob(j)
+			pl.resolved(j)
 		}
 	}
 }
@@ -341,7 +273,7 @@ func (pl *pipeline) resolved(j *job) {
 }
 
 // tryStart starts j on its target's stream if streamableLocked allows it
-// and reports whether it did; false sends the dispatcher down the blocking
+// and reports whether it did; false sends the caller down the blocking
 // path. With wait, a target already at the pipeline depth is waited for
 // (flushed first — the answers being waited for may still be in the write
 // buffer); without, it is one more reason not to start. Caller holds work.
@@ -385,9 +317,9 @@ func (pl *pipeline) tryStart(j *job, wait bool) bool {
 }
 
 // flushStarts puts every started launch on the wire. It runs before
-// anything the dispatcher does that can block — sleeping for the next
-// window, waiting out the depth bound, quiescing — and when a submitter is
-// done starting. Caller holds work.
+// anything that can block — the dispatcher sleeping for the next window,
+// waiting out the depth bound, quiescing — and when a submitter is done
+// starting. Caller holds work.
 func (pl *pipeline) flushStarts() {
 	// A worker is listed once per run of consecutive starts; flushing an
 	// empty buffer is a no-op.
@@ -407,6 +339,7 @@ func (pl *pipeline) launchDone(j *job, end sim.VirtualTime, err error) {
 	c.mu.Lock()
 	delete(pl.inflight, s.ce.ID)
 	pl.flying[s.target]--
+	c.cond.Broadcast()
 	var ready sim.VirtualTime
 	ok := err == nil
 	if ok {
@@ -414,7 +347,6 @@ func (pl *pipeline) launchDone(j *job, end sim.VirtualTime, err error) {
 	}
 	if !ok {
 		pl.redo = append(pl.redo, j)
-		c.cond.Broadcast()
 		c.mu.Unlock()
 		select {
 		case pl.wake <- struct{}{}:
@@ -424,9 +356,11 @@ func (pl *pipeline) launchDone(j *job, end sim.VirtualTime, err error) {
 	}
 	c.commitLocked(s, s.target, ready, end, 0, 0)
 	c.mu.Unlock()
-	for i, a := range s.inv.Args {
-		if a.IsArray && s.upAtSched[i] {
-			c.countEliminatedMove(s)
+	if c.windowed {
+		for i, a := range s.inv.Args {
+			if a.IsArray && s.upAtSched[i] {
+				c.countEliminatedMove(s)
+			}
 		}
 	}
 	j.finish(end, nil)
@@ -463,8 +397,10 @@ func (pl *pipeline) quiesce() {
 	}
 }
 
-// runJob dispatches one CE (or records the sticky failure) and resolves
-// its Pending and any fusion followers.
+// runJob dispatches one CE blocking (or fails it with the sticky error)
+// and resolves its Pending and any fusion followers. Everything before it
+// in the FIFO has committed or failed: the caller holds work and has
+// quiesced.
 func (pl *pipeline) runJob(j *job) {
 	err := pl.sticky()
 	var end = j.p.end
@@ -474,9 +410,9 @@ func (pl *pipeline) runJob(j *job) {
 			pl.fail(err)
 		}
 	} else {
-		// A prior CE failed terminally; record this one as failed
-		// too so dependents stop waiting on it.
-		pl.c.commitError(j.s, err)
+		// A prior CE failed terminally; record this one as failed too so
+		// it counts as finished.
+		pl.c.commitError(j.s)
 	}
 	j.finish(end, err)
 }
@@ -488,30 +424,23 @@ func (pl *pipeline) sticky() error {
 	return pl.err
 }
 
-// fail records the first terminal error and wakes every wait loop.
+// fail records a terminal error. Whether it sticks — fails every CE after
+// it, refuses new ones and is what Drain and Close report — is decided
+// here and nowhere else: it does iff some Submit may already have returned
+// a Pending this error cannot reach any more, which takes a window of more
+// than one CE or a dispatcher goroutine. A window of 1 worked through by
+// its own submitter reports to that caller, who decides what happens next;
+// the controller stays usable (overwriting an array after data loss,
+// TestChaosUnrecoverableRoot).
 func (pl *pipeline) fail(err error) {
+	if pl.fifo == nil && pl.c.optWindow == 1 {
+		return
+	}
 	pl.c.mu.Lock()
 	if pl.err == nil {
 		pl.err = err
 	}
-	pl.c.cond.Broadcast()
 	pl.c.mu.Unlock()
-}
-
-// waitTurn blocks until every earlier ticket has finished dispatching.
-func (pl *pipeline) waitTurn(seq uint64) {
-	pl.seqMu.Lock()
-	for pl.next != seq {
-		pl.seqCond.Wait()
-	}
-	pl.seqMu.Unlock()
-}
-
-func (pl *pipeline) advance() {
-	pl.seqMu.Lock()
-	pl.next++
-	pl.seqCond.Broadcast()
-	pl.seqMu.Unlock()
 }
 
 // drain blocks until every submitted CE has dispatched and returns the
@@ -526,21 +455,16 @@ func (pl *pipeline) drain() error {
 	return pl.sticky()
 }
 
-// close drains, stops the dispatchers, and makes further submissions
-// fail. Idempotent.
-func (pl *pipeline) close() error {
-	err := pl.drain()
-	pl.mu.Lock()
+// close stops the dispatcher goroutine, if there is one, and makes further
+// submissions fail (parkLocked). The caller holds subMu and has drained.
+// Idempotent.
+func (pl *pipeline) close() {
 	if pl.closed {
-		pl.mu.Unlock()
-		return err
+		return
 	}
 	pl.closed = true
-	pl.mu.Unlock()
-	for _, q := range pl.queues {
-		close(q)
+	if pl.fifo != nil {
+		close(pl.fifo)
+		pl.wg.Wait()
 	}
-	close(pl.batch)
-	pl.wg.Wait()
-	return err
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -38,8 +40,11 @@ func ppPolicies() map[string]func() policy.Policy {
 
 // ppSystem builds a 4-worker numeric system with 6 arrays.
 func ppSystem(pol policy.Policy, opts Options) (*Controller, []dag.ArrayID) {
-	clu := cluster.New(cluster.PaperSpec(4))
-	fab := NewLocalFabric(clu, kernels.StdRegistry(), true)
+	return ppSystemOn(NewLocalFabric(cluster.New(cluster.PaperSpec(4)), kernels.StdRegistry(), true), pol, opts)
+}
+
+// ppSystemOn is ppSystem over a given 4-worker numeric fabric.
+func ppSystemOn(fab Fabric, pol policy.Policy, opts Options) (*Controller, []dag.ArrayID) {
 	opts.Numeric = true
 	ctl := NewController(fab, pol, opts)
 	ids := make([]dag.ArrayID, 6)
@@ -121,69 +126,114 @@ func ppRun(ctl *Controller, ids []dag.ArrayID, ops []ppOp) ([]CETrace, error) {
 	return traces, nil
 }
 
+// ensureCounter is a LocalFabric (embedded, so every optional interface
+// still answers) that counts EnsureArray calls.
+type ensureCounter struct {
+	*LocalFabric
+	ensures int
+}
+
+func (f *ensureCounter) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) error {
+	f.ensures++
+	return f.LocalFabric.EnsureArray(w, meta)
+}
+
 // TestPipelineMatchesSerial is the determinism property: for random CE
-// streams, seeds, and all four policies, the pipelined controller yields
-// bit-identical virtual-time traces and numerical outputs to the serial
-// one. Run under -race this also exercises the pipeline's locking.
+// streams, seeds, and all four policies, every way of working through the
+// engine's FIFO — the submitter itself or the dispatcher goroutine, with
+// Options.OptimizeWindow -1, 0 or 1, all of them a window of one CE — yields
+// bit-identical placements, virtual-time traces, move totals and numerical
+// outputs. Without the optimizer passes (window ≤ 0) every array argument
+// of every launch costs one EnsureArray and no move is counted as
+// eliminated; with them (window 1) each argument is one or the other. Run
+// under -race this also exercises the engine's locking.
 func TestPipelineMatchesSerial(t *testing.T) {
+	type variant struct {
+		name string
+		opts Options
+	}
+	var variants []variant // variants[0], serial at -1, is the reference
+	for _, pipelined := range []bool{false, true} {
+		for _, window := range []int{-1, 0, 1} {
+			name := fmt.Sprintf("serial/window=%d", window)
+			if pipelined {
+				name = fmt.Sprintf("pipelined/window=%d", window)
+			}
+			variants = append(variants, variant{name,
+				Options{Pipeline: pipelined, PipelineDepth: 8, OptimizeWindow: window}})
+		}
+	}
 	polNames := ppPolicies()
 	f := func(seed int64) bool {
 		for name, mk := range polNames {
-			serial, sIDs := ppSystem(mk(), Options{})
-			piped, pIDs := ppSystem(mk(), Options{Pipeline: true, PipelineDepth: 8})
-			ops := ppStream(seed, sIDs, 60)
-			sTr, err := ppRun(serial, sIDs, ops)
-			if err != nil {
-				t.Logf("%s serial: %v", name, err)
-				return false
+			// What one run leaves behind, everything wall-clock zeroed.
+			type outcome struct {
+				traces  []CETrace
+				elapsed sim.VirtualTime
+				moved   memmodel.Bytes
+				p2p     int
+				arrays  [][]float64
 			}
-			pTr, err := ppRun(piped, pIDs, ops)
-			if err != nil {
-				t.Logf("%s pipelined: %v", name, err)
-				return false
-			}
-			if len(sTr) != len(pTr) {
-				t.Logf("%s: trace count %d vs %d", name, len(sTr), len(pTr))
-				return false
-			}
-			for i := range sTr {
-				if sTr[i] != pTr[i] {
-					t.Logf("%s seed %d: trace %d differs:\nserial    %+v\npipelined %+v",
-						name, seed, i, sTr[i], pTr[i])
+			var ref outcome
+			for vi, v := range variants {
+				fab := &ensureCounter{LocalFabric: NewLocalFabric(cluster.New(cluster.PaperSpec(4)), kernels.StdRegistry(), true)}
+				ctl, ids := ppSystemOn(fab, mk(), v.opts)
+				ops := ppStream(seed, ids, 60)
+				tr, err := ppRun(ctl, ids, ops)
+				if err != nil {
+					t.Logf("%s %s: %v", name, v.name, err)
 					return false
 				}
-			}
-			if serial.Elapsed() != piped.Elapsed() ||
-				serial.MovedBytes() != piped.MovedBytes() ||
-				serial.P2PMoves() != piped.P2PMoves() {
-				t.Logf("%s: totals differ (%v/%v, %v/%v, %d/%d)", name,
-					serial.Elapsed(), piped.Elapsed(),
-					serial.MovedBytes(), piped.MovedBytes(),
-					serial.P2PMoves(), piped.P2PMoves())
-				return false
-			}
-			// Numerical outputs must agree bit for bit.
-			for i := range sIDs {
-				if _, err := serial.HostRead(sIDs[i]); err != nil {
-					t.Logf("serial host read: %v", err)
+				arrayArgs := 0
+				for _, op := range ops {
+					for _, a := range op.inv.Args {
+						if a.IsArray {
+							arrayArgs++
+						}
+					}
+				}
+				elim := int(ctl.OptStats().EliminatedMoves)
+				if fab.ensures+elim != arrayArgs || (v.opts.OptimizeWindow <= 0 && elim != 0) {
+					t.Logf("%s seed %d %s: %d EnsureArray calls + %d eliminated moves for %d array arguments",
+						name, seed, v.name, fab.ensures, elim, arrayArgs)
 					return false
 				}
-				if _, err := piped.HostRead(pIDs[i]); err != nil {
-					t.Logf("pipelined host read: %v", err)
+				got := outcome{traces: tr, elapsed: ctl.Elapsed(), moved: ctl.MovedBytes(), p2p: ctl.P2PMoves()}
+				got.arrays = readAll(t, ctl, ids) // after the totals: a host read moves bytes
+				if err := ctl.Close(); err != nil {
+					t.Logf("%s %s close: %v", name, v.name, err)
 					return false
 				}
-				sb, pb := serial.Array(sIDs[i]).Buf, piped.Array(pIDs[i]).Buf
-				for j := 0; j < ppElems; j++ {
-					if sb.At(j) != pb.At(j) {
-						t.Logf("%s seed %d: array %d elem %d: %v vs %v",
-							name, seed, sIDs[i], j, sb.At(j), pb.At(j))
+				if vi == 0 {
+					ref = got
+					continue
+				}
+				if len(ref.traces) != len(got.traces) {
+					t.Logf("%s %s: trace count %d vs %d", name, v.name, len(ref.traces), len(got.traces))
+					return false
+				}
+				for i := range ref.traces {
+					if ref.traces[i] != got.traces[i] { // Node is the placement; Start/End the virtual times
+						t.Logf("%s seed %d: trace %d differs:\n%s %+v\n%s %+v",
+							name, seed, i, variants[0].name, ref.traces[i], v.name, got.traces[i])
 						return false
 					}
 				}
-			}
-			if err := piped.Close(); err != nil {
-				t.Logf("%s close: %v", name, err)
-				return false
+				if ref.elapsed != got.elapsed || ref.moved != got.moved || ref.p2p != got.p2p {
+					t.Logf("%s %s: totals differ (%v/%v, %v/%v, %d/%d)", name, v.name,
+						ref.elapsed, got.elapsed, ref.moved, got.moved, ref.p2p, got.p2p)
+					return false
+				}
+				// Numerical outputs must agree bit for bit.
+				for i := range ref.arrays {
+					for j := range ref.arrays[i] {
+						if ref.arrays[i][j] != got.arrays[i][j] {
+							t.Logf("%s seed %d %s: array %d elem %d: %v vs %v",
+								name, seed, v.name, i, j, ref.arrays[i][j], got.arrays[i][j])
+							return false
+						}
+					}
+				}
 			}
 		}
 		return true
@@ -250,15 +300,30 @@ func (f *concFabric) EstimateTransfer(src, dst cluster.NodeID, n memmodel.Bytes)
 	return 5
 }
 
-// TestConcurrentFabricOrdering checks the unsequenced mode: with a fabric
-// that allows concurrent dispatch, DAG dependencies alone enforce order —
-// a read-write chain on one array launches strictly in submission order,
-// while independent chains actually overlap across dispatchers.
+// TestConcurrentFabricOrdering: four interleaved read-write chains, one per
+// array, round-robin over four workers. On a concurrent fabric without a
+// launch stream every launch is dispatched blocking, once per CE and — the
+// engine being one FIFO — in submission order, so each chain runs in order
+// and nothing overlaps. Overlap across workers is what a launch stream is
+// for: on the streaming fake the same program has launches started and
+// unanswered on at least two workers at once.
 func TestConcurrentFabricOrdering(t *testing.T) {
+	const rounds = 12
+	program := func(ctl *Controller, arrs []dag.ArrayID, from, to int) {
+		t.Helper()
+		for r := from; r < to; r++ {
+			for _, id := range arrs {
+				if _, err := ctl.Submit(Invocation{Kernel: "relu",
+					Args: []ArgRef{ArrRef(id), ScalarRef(float64(ppElems))}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
 	fab := newConcFabric(4)
 	ctl := NewController(fab, policy.NewRoundRobin(), Options{Pipeline: true})
 	defer ctl.Close()
-
 	arrs := make([]dag.ArrayID, 4)
 	for i := range arrs {
 		arr, err := ctl.NewArray(memmodel.Float32, ppElems)
@@ -267,41 +332,55 @@ func TestConcurrentFabricOrdering(t *testing.T) {
 		}
 		arrs[i] = arr.ID
 	}
-	// Interleave four independent relu chains, one per array.
-	const rounds = 12
-	for r := 0; r < rounds; r++ {
-		for _, id := range arrs {
-			if _, err := ctl.Submit(Invocation{Kernel: "relu",
-				Args: []ArgRef{ArrRef(id), ScalarRef(float64(ppElems))}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	program(ctl, arrs, 0, rounds)
 	if err := ctl.Drain(); err != nil {
 		t.Fatal(err)
 	}
-
 	fab.mu.Lock()
-	defer fab.mu.Unlock()
-	if fab.launches != rounds*len(arrs) {
-		t.Fatalf("launches = %d, want %d", fab.launches, rounds*len(arrs))
+	if fab.launches != rounds*len(arrs) || fab.maxSeen != 1 {
+		t.Fatalf("%d launches, at most %d at once; want %d, one at a time",
+			fab.launches, fab.maxSeen, rounds*len(arrs))
 	}
-	// Per-array launch order must be the submission order (the DAG chain).
-	pos := map[dag.ArrayID]int{}
-	for _, id := range fab.order {
-		pos[id]++
-	}
-	for _, id := range arrs {
-		if pos[id] != rounds {
-			t.Fatalf("array %d launched %d times, want %d", id, pos[id], rounds)
+	for i, id := range fab.order { // submission order: the arrays in turn
+		if id != arrs[i%len(arrs)] {
+			t.Fatalf("launch %d is on array %d, want %d (submission order)", i, id, arrs[i%len(arrs)])
 		}
 	}
-	// A strict chain cannot reorder: within each array the recorded
-	// sequence is trivially ordered (same dispatcher or ancestor waits);
-	// verify cross-array overlap actually happened — otherwise the
-	// "concurrent" mode silently serialized.
-	if fab.maxSeen < 2 {
-		t.Fatalf("no dispatch overlap observed (max in-flight %d)", fab.maxSeen)
+	fab.mu.Unlock()
+
+	// The streaming fake. The first round ships each array to its worker
+	// through the blocking path; with the workers held, every later launch
+	// is started behind its chain's previous one and stays unanswered.
+	sctl, sfab, ids := newStreamSystem(t, policy.NewRoundRobin(), Options{Pipeline: true})
+	program(sctl, ids[:4], 0, 1)
+	if err := sctl.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	sfab.mu.Lock()
+	sfab.hold = true
+	sfab.mu.Unlock()
+	program(sctl, ids[:4], 1, rounds)
+	if !returnsWithin(5*time.Second, func() {
+		sfab.mu.Lock()
+		for sfab.maxBusy < 2 && !sfab.stop {
+			sfab.cond.Wait()
+		}
+		sfab.mu.Unlock()
+	}) {
+		t.Error("launches never in flight on two workers at once")
+	}
+	sfab.mu.Lock()
+	sfab.hold = false
+	sfab.cond.Broadcast()
+	sfab.mu.Unlock()
+	if err := sctl.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	sfab.mu.Lock()
+	defer sfab.mu.Unlock()
+	if sfab.starts != (rounds-1)*4 || sfab.maxBusy < 2 {
+		t.Fatalf("%d launches streamed, on at most %d workers at once; want %d, on at least 2",
+			sfab.starts, sfab.maxBusy, (rounds-1)*4)
 	}
 }
 
@@ -409,6 +488,93 @@ func TestPipelineFailover(t *testing.T) {
 	}
 	if sawVictimLate {
 		t.Fatalf("dead worker still scheduled after failover")
+	}
+}
+
+// refusingFabric is a LocalFabric that refuses to launch one kernel.
+type refusingFabric struct {
+	*LocalFabric
+	kernel string
+}
+
+var errRefused = errors.New("launch refused")
+
+func (f *refusingFabric) Launch(w cluster.NodeID, inv Invocation, ready sim.VirtualTime) (sim.VirtualTime, error) {
+	if inv.Kernel == f.kernel {
+		return 0, errRefused
+	}
+	return f.LocalFabric.Launch(w, inv, ready)
+}
+
+// TestErrorStickiness pins pipeline.fail's rule over every way of running
+// the engine: a failed CE poisons the controller — the next Launch is
+// refused and Drain reports the failure — iff some Submit could already
+// have returned an unresolved Pending, which takes a window of more than
+// one CE or a dispatcher goroutine. A window of 1 run by its own submitter
+// reports the failure to that caller and stays usable.
+func TestErrorStickiness(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		for _, window := range []int{-1, 1, 8} {
+			sticks := pipelined || window > 1
+			t.Run(fmt.Sprintf("pipelined=%v/window=%d", pipelined, window), func(t *testing.T) {
+				fab := &refusingFabric{
+					LocalFabric: NewLocalFabric(cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), false),
+					kernel:      "fill",
+				}
+				ctl := NewController(fab, policy.NewRoundRobin(), Options{Pipeline: pipelined, OptimizeWindow: window})
+				arr, err := ctl.NewArray(memmodel.Float32, ppElems)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nArg := ScalarRef(float64(ppElems))
+				relu := Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(arr.ID), nArg}}
+				if _, err := ctl.Launch(relu); err != nil {
+					t.Fatal(err)
+				}
+				_, err = ctl.Launch(Invocation{Kernel: "fill", Args: []ArgRef{ArrRef(arr.ID), ScalarRef(1), nArg}})
+				if !errors.Is(err, errRefused) {
+					t.Fatalf("refused launch returned %v", err)
+				}
+				_, next := ctl.Launch(relu)
+				drain := ctl.Drain()
+				if sticks && (!errors.Is(next, errRefused) || !errors.Is(drain, errRefused)) {
+					t.Fatalf("after a failed CE: next Launch %v, Drain %v; want both the failure", next, drain)
+				}
+				if !sticks && (next != nil || drain != nil) {
+					t.Fatalf("after a failed CE: next Launch %v, Drain %v; want the controller usable", next, drain)
+				}
+				if err := ctl.Close(); !errors.Is(err, drain) {
+					t.Fatalf("Close returned %v, Drain %v", err, drain)
+				}
+			})
+		}
+	}
+}
+
+// TestGoroutineBudget: the engine costs one goroutine with Options.Pipeline,
+// whatever the fleet size, and none without; Close gives it back.
+func TestGoroutineBudget(t *testing.T) {
+	fab := NewLocalFabric(cluster.New(cluster.PaperSpec(256)), kernels.StdRegistry(), false)
+	base := runtime.NumGoroutine()
+	serial := NewController(fab, policy.NewRoundRobin(), Options{})
+	if got := runtime.NumGoroutine() - base; got != 0 {
+		t.Fatalf("a serial controller started %d goroutines, want 0", got)
+	}
+	piped := NewController(fab, policy.NewRoundRobin(), Options{Pipeline: true})
+	if got := runtime.NumGoroutine() - base; got != 1 {
+		t.Fatalf("a pipelined controller over 256 workers started %d goroutines, want 1", got)
+	}
+	for _, ctl := range []*Controller{serial, piped} {
+		if err := ctl.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Close waits for the dispatcher to return, not for the runtime to
+	// stop counting it.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != base; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the controllers", runtime.NumGoroutine(), base)
+		}
 	}
 }
 

@@ -46,6 +46,9 @@ type streamFabric struct {
 
 	starts      int
 	maxInFlight int
+	// maxBusy is the most workers seen with a launch started and unanswered
+	// at the same moment.
+	maxBusy int
 	// hold stops the workers from taking wired launches (set it under mu,
 	// broadcast cond when clearing it); order logs the first array of every
 	// started launch, in start order.
@@ -145,6 +148,16 @@ func (f *streamFabric) StartLaunch(w cluster.NodeID, inv Invocation, _ sim.Virtu
 	if n > f.maxInFlight {
 		f.maxInFlight = n
 	}
+	busy := 0
+	for _, wq := range f.q {
+		if len(wq.buffered)+len(wq.wired) > 0 || wq.running {
+			busy++
+		}
+	}
+	if busy > f.maxBusy {
+		f.maxBusy = busy
+		f.cond.Broadcast() // a test may be waiting for it
+	}
 	return nil
 }
 
@@ -225,66 +238,57 @@ func readAll(t *testing.T, ctl *Controller, ids []dag.ArrayID) [][]float64 {
 func newStreamSystem(t *testing.T, pol policy.Policy, opts Options) (*Controller, *streamFabric, []dag.ArrayID) {
 	t.Helper()
 	fab := newStreamFabric(4)
-	opts.Numeric = true
-	ctl := NewController(fab, pol, opts)
+	ctl, ids := ppSystemOn(fab, pol, opts)
 	t.Cleanup(func() {
 		_ = ctl.Close()
 		fab.close()
 	})
-	ids := make([]dag.ArrayID, 6)
-	for i := range ids {
-		arr, err := ctl.NewArray(memmodel.Float32, ppElems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < ppElems; j++ {
-			arr.Buf.Set(j, float64(i+1)*float64(j%17)-8)
-		}
-		ids[i] = arr.ID
-	}
 	return ctl, fab, ids
 }
 
 // TestStreamedDispatchMatchesSerial: random programs through the window
-// and the streamed dispatcher — at a pipeline depth small enough that the
-// depth wait and its flush run constantly — leave every array identical
-// to the serial controller's, never exceed the depth per worker, and never
+// and the streamed engine — worked through by the dispatcher goroutine and
+// by the submitter itself, at a pipeline depth small enough that the depth
+// wait and its flush run constantly — leave every array identical to the
+// in-process controller's, never exceed the depth per worker, and never
 // call the blocking Launch with a stream busy.
 func TestStreamedDispatchMatchesSerial(t *testing.T) {
 	const depth = 3
-	starts := 0
-	for seed := int64(1); seed <= 6; seed++ {
-		for name, mk := range ppPolicies() {
-			serial, sIDs := ppSystem(mk(), Options{})
-			ops := ppStream(seed, sIDs, 80)
-			if _, err := ppRun(serial, sIDs, ops); err != nil {
-				t.Fatalf("%s seed %d serial: %v", name, seed, err)
-			}
-			ctl, fab, ids := newStreamSystem(t, mk(),
-				Options{Pipeline: true, PipelineDepth: depth, OptimizeWindow: 16})
-			if _, err := ppRun(ctl, ids, ops); err != nil {
-				t.Fatalf("%s seed %d streamed: %v", name, seed, err)
-			}
-			want, got := readAll(t, serial, sIDs), readAll(t, ctl, ids)
-			for i := range want {
-				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("%s seed %d: array %d elem %d = %v, want %v",
-							name, seed, i, j, got[i][j], want[i][j])
+	for _, pipelined := range []bool{true, false} {
+		starts := 0
+		for seed := int64(1); seed <= 6; seed++ {
+			for name, mk := range ppPolicies() {
+				serial, sIDs := ppSystem(mk(), Options{})
+				ops := ppStream(seed, sIDs, 80)
+				if _, err := ppRun(serial, sIDs, ops); err != nil {
+					t.Fatalf("%s seed %d serial: %v", name, seed, err)
+				}
+				ctl, fab, ids := newStreamSystem(t, mk(),
+					Options{Pipeline: pipelined, PipelineDepth: depth, OptimizeWindow: 16})
+				if _, err := ppRun(ctl, ids, ops); err != nil {
+					t.Fatalf("%s seed %d streamed (pipelined=%v): %v", name, seed, pipelined, err)
+				}
+				want, got := readAll(t, serial, sIDs), readAll(t, ctl, ids)
+				for i := range want {
+					for j := range want[i] {
+						if got[i][j] != want[i][j] {
+							t.Fatalf("%s seed %d (pipelined=%v): array %d elem %d = %v, want %v",
+								name, seed, pipelined, i, j, got[i][j], want[i][j])
+						}
 					}
 				}
+				fab.mu.Lock()
+				if fab.maxInFlight > depth {
+					t.Fatalf("%s seed %d (pipelined=%v): %d launches in flight on one worker, depth %d",
+						name, seed, pipelined, fab.maxInFlight, depth)
+				}
+				starts += fab.starts
+				fab.mu.Unlock()
 			}
-			fab.mu.Lock()
-			if fab.maxInFlight > depth {
-				t.Fatalf("%s seed %d: %d launches in flight on one worker, depth %d",
-					name, seed, fab.maxInFlight, depth)
-			}
-			starts += fab.starts
-			fab.mu.Unlock()
 		}
-	}
-	if starts == 0 {
-		t.Fatal("nothing was streamed: the property held vacuously")
+		if starts == 0 {
+			t.Fatalf("pipelined=%v: nothing was streamed: the property held vacuously", pipelined)
+		}
 	}
 }
 

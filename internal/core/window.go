@@ -1,9 +1,11 @@
-// The lookahead optimizer window (DESIGN.md §5.6).
+// The window (DESIGN.md §5.6): where every kernel CE waits to be admitted.
 //
-// With Options.OptimizeWindow > 0 the controller stops admitting CEs one
-// by one: Submit validates the invocation and parks it, and only when
-// the window fills (or a synchronization point flushes it) does the
-// whole batch run through the optimizer passes and the scheduling stage:
+// Submit validates the invocation and parks it; when the window fills (or
+// a synchronization point flushes it) the whole batch is admitted by
+// flushWindowLocked — the one scheduling stage — and handed to the dispatch
+// engine (pipeline.go). The window holds max(1, Options.OptimizeWindow)
+// CEs. With Options.OptimizeWindow > 0 the batch also runs through the
+// optimizer passes:
 //
 //  1. Kernel fusion (internal/optimizer.FusePass): elementwise
 //     producer→consumer chains collapse into one fused CE before the DAG
@@ -19,21 +21,24 @@
 //  4. Batched policy evaluation: every window CE's placement request is
 //     built against one frozen membership snapshot, so the per-array
 //     transfer-estimate vectors refresh at most once per window instead
-//     of once per CE — the serial-vs-pipelined mtt regression this PR
-//     targets.
+//     of once per CE.
 //
-// Serial equivalence: all rewrites happen before the batch is admitted
-// to the DAG and before the pipeline's ticket sequencer assigns an
-// order, so the guarantee of pipeline.go — at any CE's dispatch time all
-// earlier tickets have fully committed — carries over to the rewritten
-// window unchanged. Within the window, fusion legality (optimizer
-// package) proves the fused CE equivalent to its parts, and phases A–C
-// below apply lineage and membership prediction in window order exactly
-// as serial admission would. Only the *policy inputs* differ: phase B
-// deliberately evaluates every placement against the pre-window
-// membership view (the snapshot), so placements may differ from the
-// serial schedule — outputs never do, because dispatch re-validates
-// every move against authoritative replica state.
+// A window of one has nothing to fuse, coalesce or batch: phases A–C below
+// are then exactly Algorithm 1's per-CE admission, and without
+// Options.OptimizeWindow pass 3 is off too.
+//
+// Equivalence to one-by-one admission: all rewrites happen before the
+// batch is admitted to the DAG and before it enters the engine's FIFO, so
+// the guarantee of pipeline.go — when a CE is dispatched every earlier one
+// has committed or failed — carries over to the rewritten window
+// unchanged. Within the window, fusion legality (optimizer package) proves
+// the fused CE equivalent to its parts, and phases A–C apply lineage and
+// membership prediction in window order exactly as one-by-one admission
+// would. Only the *policy inputs* differ: phase B deliberately evaluates
+// every placement against the pre-window membership view (the snapshot),
+// so placements may differ from a window of one's — outputs never do,
+// because dispatch re-validates every move against authoritative replica
+// state.
 //
 // Tenancy: fusion never crosses a tenant tag (optimizer.FusePass), but
 // placement packs CEs from different tenants onto shared workers under
@@ -58,7 +63,7 @@ import (
 // OptCounters aggregates the optimizer's work. Sessions pass one to
 // SubmitTagged for per-tenant accounting; the controller keeps a global
 // one. Atomics, because dispatch-side passes (coalescing, move
-// elimination) bump them from dispatcher goroutines.
+// elimination) bump them off the submitter's goroutine.
 type OptCounters struct {
 	// FusedCEs counts producer CEs absorbed into fused kernels.
 	FusedCEs atomic.Int64
@@ -123,15 +128,11 @@ type prefetchPlan struct {
 }
 
 // SubmitTagged is Submit carrying a tenant tag and a per-tenant counter
-// block for the optimizer window. With the window disabled it behaves
-// exactly like Submit.
+// block for the optimizer passes.
 func (c *Controller) SubmitTagged(inv Invocation, stats *OptCounters, tenant any) (*Pending, error) {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
-	if c.optWindow > 0 {
-		return c.parkLocked(inv, stats, tenant)
-	}
-	return c.submitLocked(inv)
+	return c.parkLocked(inv, stats, tenant)
 }
 
 // FlushWindow forces the parked window to admit and dispatch without
@@ -145,15 +146,13 @@ func (c *Controller) FlushWindow() error {
 	return c.flushWindowLocked()
 }
 
-// drainLocked flushes the window and waits out the dispatch pipeline.
-// Caller holds subMu.
+// drainLocked flushes the window and waits until every submitted CE has
+// dispatched. Caller holds subMu.
 func (c *Controller) drainLocked() error {
 	defer c.sweepLocked()
 	ferr := c.flushWindowLocked()
-	if c.pipe != nil {
-		if err := c.pipe.drain(); err != nil {
-			return err
-		}
+	if err := c.pipe.drain(); err != nil {
+		return err
 	}
 	return ferr
 }
@@ -161,13 +160,11 @@ func (c *Controller) drainLocked() error {
 // parkLocked validates an invocation and parks it in the window,
 // flushing when full. Caller holds subMu.
 func (c *Controller) parkLocked(inv Invocation, stats *OptCounters, tenant any) (*Pending, error) {
-	if c.winErr != nil {
-		return nil, c.winErr
+	if c.pipe.closed {
+		return nil, fmt.Errorf("core: controller closed")
 	}
-	if c.pipe != nil {
-		if err := c.pipe.sticky(); err != nil {
-			return nil, err
-		}
+	if err := c.pipe.sticky(); err != nil {
+		return nil, err
 	}
 	def, accs, err := c.validate(inv)
 	if err != nil {
@@ -200,23 +197,20 @@ func failWindow(entries []*winEntry, err error) {
 	}
 }
 
-// flushWindowLocked runs the optimizer passes over the parked window and
-// admits the rewritten batch: phase A inserts every CE into the DAG,
-// phase B evaluates the policy for all of them against the frozen
-// membership snapshot, phase C applies lineage and membership prediction
-// in window order. Caller holds subMu. The returned error is the sticky
-// window error, admission failure, or (serial mode) the first dispatch
-// error; pipelined dispatch errors surface on Pendings and Drain as
-// usual.
+// flushWindowLocked admits the parked window — the scheduling stage, the
+// timed section of the paper's Figure 9 — and hands it to the dispatch
+// engine: the optimizer passes rewrite the batch, phase A inserts every CE
+// into the DAG, phase B evaluates the policy for all of them against the
+// frozen membership snapshot, phase C applies lineage and membership
+// prediction in window order. Caller holds subMu. The returned error is
+// the sticky error, an admission failure, or — without Options.Pipeline,
+// when the window has run by the time this returns — its first dispatch
+// error; otherwise dispatch errors surface on Pendings and Drain.
 func (c *Controller) flushWindowLocked() error {
 	entries := c.win
 	c.win = nil
 	if len(entries) == 0 {
-		return c.winErr
-	}
-	if c.winErr != nil {
-		failWindow(entries, c.winErr)
-		return c.winErr
+		return nil
 	}
 
 	// Pass 1: kernel fusion. Worth attempting only when at least two
@@ -235,18 +229,14 @@ func (c *Controller) flushWindowLocked() error {
 	n := len(ws)
 
 	c.mu.Lock()
-	if c.pipe != nil {
-		if err := c.pipe.err; err != nil {
-			c.mu.Unlock()
-			failWindow(ws, err)
-			return err
-		}
-	}
+	err := c.pipe.err
 	workers := c.aliveWorkers()
-	if len(workers) == 0 {
-		err := fmt.Errorf("core: no workers available")
-		c.winErr = err
+	if err == nil && len(workers) == 0 {
+		err = fmt.Errorf("core: no workers available")
+	}
+	if err != nil {
 		c.mu.Unlock()
+		c.pipe.fail(err) // no-op when err is the sticky error already
 		failWindow(ws, err)
 		return err
 	}
@@ -259,7 +249,6 @@ func (c *Controller) flushWindowLocked() error {
 		s := &scheds[i]
 		s.ce, s.ancestors = c.admitCE(e.inv, e.accs)
 		s.inv, s.accs = e.inv, e.accs
-		s.windowed = true
 		s.stats = e.stats
 	}
 
@@ -311,7 +300,7 @@ func (c *Controller) flushWindowLocked() error {
 
 	// Phase C: lineage and membership prediction, in window order, so
 	// dispatch-correctness state (upAtSched, versions) is exactly what
-	// per-CE admission would have produced for these placements.
+	// one-by-one admission would have produced for these placements.
 	for i := range ws {
 		s := &scheds[i]
 		c.recordLineage(s)
@@ -332,50 +321,12 @@ func (c *Controller) flushWindowLocked() error {
 	}
 	c.mu.Unlock()
 
-	if c.pipe != nil {
-		b := &jobBatch{jobs: make([]job, n), scheds: scheds}
-		b.left.Store(int32(n))
-		for i := range ws {
-			b.jobs[i] = job{s: &scheds[i], p: ws[i].p, followers: ws[i].followers, b: b}
-		}
-		if err := c.pipe.enqueueBatch(b); err != nil {
-			// Closed mid-flush: the CEs are in the DAG but will never
-			// dispatch — exactly the post-Close behavior of enqueue.
-			c.winErr = err
-			failWindow(ws, err)
-			c.putSchedSlab(scheds)
-			return err
-		}
-		return nil
-	}
-
-	// Serial mode: dispatch inline, in window order. The first terminal
-	// error sticks — parked submissions have already returned, so later
-	// errors can only surface on Pendings and Drain, like the pipeline.
-	var firstErr error
+	b := &jobBatch{jobs: make([]job, n), scheds: scheds}
+	b.left.Store(int32(n))
 	for i := range ws {
-		s := &scheds[i]
-		e := ws[i]
-		var end sim.VirtualTime
-		err := firstErr
-		if err == nil {
-			end, err = c.dispatch(s)
-			if err != nil {
-				firstErr = err
-			}
-		} else {
-			c.commitError(s, err)
-		}
-		e.p.resolve(end, err)
-		for _, f := range e.followers {
-			f.resolve(end, err)
-		}
+		b.jobs[i] = job{s: &scheds[i], p: ws[i].p, followers: ws[i].followers, b: b}
 	}
-	if firstErr != nil {
-		c.winErr = firstErr
-	}
-	c.putSchedSlab(scheds)
-	return firstErr
+	return c.pipe.enqueueBatch(b)
 }
 
 // dataViewKey hashes (FNV-1a) the sequence of array arguments that
@@ -432,11 +383,10 @@ func (c *Controller) getSchedSlab(n int) []scheduled {
 }
 
 // putSchedSlab resets a fully dispatched slab and parks it for reuse.
-// The reset happens here — on the dispatcher, off the scheduling stage's
-// critical path — and keeps the per-CE scratch slices' capacity (the
-// same reuse the serial path's schedBuf gets), while zeroing every other
-// field so flushWindowLocked's conditional writes (prefetch above all)
-// can't see stale state.
+// The reset happens here — where the window's last job resolved, off the
+// scheduling stage's critical path — and keeps the per-CE scratch slices'
+// capacity, while zeroing every other field so flushWindowLocked's
+// conditional writes (prefetch above all) can't see stale state.
 func (c *Controller) putSchedSlab(s []scheduled) {
 	for i := range s {
 		sc := &s[i]
@@ -655,11 +605,8 @@ func (c *Controller) bulkPrefetch(s *scheduled) memmodel.Bytes {
 			shipped++
 			moved += arr.size
 		}
-		if shipped > 0 {
-			if arrival > c.elapsed {
-				c.elapsed = arrival
-			}
-			c.cond.Broadcast()
+		if shipped > 0 && arrival > c.elapsed {
+			c.elapsed = arrival
 		}
 	}
 	c.mu.Unlock()

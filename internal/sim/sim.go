@@ -1,23 +1,18 @@
-// Package sim provides the discrete-event timing substrate used by the
+// Package sim provides the virtual-time substrate used by the
 // GPU, network and cluster simulators. All simulated durations are
 // expressed as virtual nanoseconds (VirtualTime); nothing in this package
 // ever sleeps or reads the wall clock.
 //
-// The two building blocks are:
-//
-//   - Timeline: a single serially-occupied resource (a CUDA stream, a copy
-//     engine, a NIC link). Work is "reserved" on a timeline: the caller
-//     states the earliest time the work may start and its duration, and the
-//     timeline returns the actual [start, end) interval after queueing
-//     behind previously reserved work.
-//
-//   - EventQueue: a priority queue of timestamped events, for simulations
-//     that need explicit event interleaving (the UVM fault engine uses it
-//     to batch page faults).
+// The building block is the Timeline: a single serially-occupied resource
+// (a CUDA stream, a copy engine, a NIC link). Work is "reserved" on a
+// timeline: the caller states the earliest time the work may start and its
+// duration, and the timeline returns the actual [start, end) interval after
+// queueing behind previously reserved work. There is no event queue: the
+// simulators (internal/cluster's links, internal/gpusim's devices and its
+// UVM fault model) compute each operation's duration and reserve it.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -141,90 +136,3 @@ func (tl *Timeline) Utilization() float64 {
 	}
 	return float64(tl.busy) / float64(tl.freeAt)
 }
-
-// Event is a timestamped occurrence in an EventQueue.
-type Event struct {
-	At      VirtualTime
-	Seq     int64 // tie-break: FIFO among equal timestamps
-	Payload any
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].Seq < h[j].Seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
-}
-
-// EventQueue is a min-heap of events ordered by timestamp, FIFO among ties.
-// The zero value is ready to use.
-type EventQueue struct {
-	h   eventHeap
-	seq int64
-}
-
-// Push enqueues a payload at virtual time t.
-func (q *EventQueue) Push(t VirtualTime, payload any) {
-	q.seq++
-	heap.Push(&q.h, &Event{At: t, Seq: q.seq, Payload: payload})
-}
-
-// Pop removes and returns the earliest event, or nil if the queue is empty.
-func (q *EventQueue) Pop() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*Event)
-}
-
-// Peek returns the earliest event without removing it, or nil if empty.
-func (q *EventQueue) Peek() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-
-// Len reports the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
-
-// Clock tracks the current virtual time of a simulation. The zero value
-// starts at time zero.
-type Clock struct {
-	now VirtualTime
-}
-
-// Now returns the current virtual time.
-func (c *Clock) Now() VirtualTime { return c.now }
-
-// AdvanceTo moves the clock forward to t. Moving backwards is a programming
-// error and panics: discrete-event time is monotonic.
-func (c *Clock) AdvanceTo(t VirtualTime) {
-	if t < c.now {
-		panic(fmt.Sprintf("sim: clock moved backwards: %s -> %s", c.now, t))
-	}
-	c.now = t
-}
-
-// Advance moves the clock forward by d (negative d panics).
-func (c *Clock) Advance(d VirtualTime) {
-	if d < 0 {
-		panic("sim: negative clock advance")
-	}
-	c.now += d
-}
-
-// Reset returns the clock to time zero.
-func (c *Clock) Reset() { c.now = 0 }

@@ -90,103 +90,6 @@ func TestTimelineNoOverlapProperty(t *testing.T) {
 	}
 }
 
-func TestEventQueueOrdering(t *testing.T) {
-	var q EventQueue
-	q.Push(30, "c")
-	q.Push(10, "a")
-	q.Push(20, "b")
-	q.Push(10, "a2") // FIFO among ties
-	want := []string{"a", "a2", "b", "c"}
-	for i, w := range want {
-		ev := q.Pop()
-		if ev == nil || ev.Payload.(string) != w {
-			t.Fatalf("pop %d = %v, want %q", i, ev, w)
-		}
-	}
-	if q.Pop() != nil {
-		t.Fatalf("pop of empty queue != nil")
-	}
-}
-
-func TestEventQueuePeekLen(t *testing.T) {
-	var q EventQueue
-	if q.Peek() != nil || q.Len() != 0 {
-		t.Fatalf("empty queue peek/len wrong")
-	}
-	q.Push(5, 1)
-	q.Push(3, 2)
-	if q.Peek().At != 3 || q.Len() != 2 {
-		t.Fatalf("peek = %v len = %d", q.Peek(), q.Len())
-	}
-	q.Pop()
-	if q.Len() != 1 {
-		t.Fatalf("len after pop = %d", q.Len())
-	}
-}
-
-// Property: events always pop in nondecreasing timestamp order.
-func TestEventQueueOrderProperty(t *testing.T) {
-	f := func(stamps []int16) bool {
-		var q EventQueue
-		for _, s := range stamps {
-			v := VirtualTime(s)
-			if v < 0 {
-				v = -v
-			}
-			q.Push(v, s)
-		}
-		last := VirtualTime(-1)
-		for q.Len() > 0 {
-			ev := q.Pop()
-			if ev.At < last {
-				return false
-			}
-			last = ev.At
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestClock(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Fatalf("fresh clock != 0")
-	}
-	c.Advance(100)
-	c.AdvanceTo(150)
-	if c.Now() != 150 {
-		t.Fatalf("clock = %v, want 150", c.Now())
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("reset clock != 0")
-	}
-}
-
-func TestClockBackwardsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("AdvanceTo backwards did not panic")
-		}
-	}()
-	var c Clock
-	c.Advance(10)
-	c.AdvanceTo(5)
-}
-
-func TestClockNegativeAdvancePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("negative Advance did not panic")
-		}
-	}()
-	var c Clock
-	c.Advance(-1)
-}
-
 func TestVirtualTimeHelpers(t *testing.T) {
 	if Max(3, 5) != 5 || Max(5, 3) != 5 {
 		t.Fatalf("Max wrong")

@@ -34,7 +34,12 @@
 #      none, the window's remainder handed over in order, a launch parked
 #      in the window behind an in-flight cap, admission flipping between
 #      inline and queued mid-stream, the Sync that waited for a failed
-#      launch reporting it), re-run explicitly in 4b so a rename can't
+#      launch reporting it) and the one-engine suite (submitter vs
+#      dispatcher goroutine at windows -1/0/1 bit-identical with the
+#      EnsureArray/eliminated-move accounting, submission order on a
+#      concurrent fabric and overlap on a streaming one, the error
+#      stickiness table, one goroutine per pipelined controller at 256
+#      workers), re-run explicitly in 4b so a rename can't
 #      silently drop them from the race gate; the bounded-state suite rides the
 #      same sweep: the
 #      retiring DAG against its never-retiring reference graph
@@ -102,8 +107,8 @@ go test -race ./internal/core/... ./internal/dag/... ./internal/grcuda/... \
 echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos)"
 go test -race -run 'TestShardDifferential' ./internal/workloads/
 
-echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + worker-to-worker + depth-1 suite (lineage replay, deadlines, write-off, stream replay, session stream, peer links, inline admission and start)"
-go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|ParkedWindow|SyncReportsDispatchFailure' \
+echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + worker-to-worker + depth-1 + one-engine suite (lineage replay, deadlines, write-off, stream replay, session stream, peer links, inline admission and start, window-of-1 equivalence, stickiness, goroutine budget)"
+go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|ParkedWindow|SyncReportsDispatchFailure|PipelineMatchesSerial|ConcurrentFabricOrdering|ErrorStickiness|GoroutineBudget' \
     ./internal/core/ ./internal/transport/ ./internal/shard/ ./internal/bench/ ./internal/server/
 
 echo "== differential fuzz (compiled engine vs interpreter, 10s)"
