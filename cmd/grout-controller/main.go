@@ -62,7 +62,6 @@ func main() {
 	elems := flag.Int("elems", 4096, "options per partition")
 	pipeline := flag.Bool("pipeline", false, "return from Submit after scheduling; one dispatcher goroutine moves data and launches behind it (DESIGN.md §5.1)")
 	optWindow := flag.Int("optimize-window", 0, "lookahead optimizer window in CEs (0 = 32 default; negative = passes off, every CE admitted by itself; DESIGN.md §5.6)")
-	chunk := flag.Int("chunk", 0, "bulk-transfer chunk bytes (0 = 256 KiB default; clamped to [4 KiB, 64 MiB))")
 	failover := flag.Bool("failover", false, "survive worker failures: reroute CEs and replay lost arrays from lineage (DESIGN.md §5.4)")
 	retries := flag.Int("retries", 0, "retry a transiently-failing worker this many times before writing it off")
 	retryBackoff := flag.Duration("retry-backoff", 0, "base retry delay, doubling per attempt (0 = 50ms default)")
@@ -78,7 +77,6 @@ func main() {
 	cfg := grout.Config{
 		Policy: *policyName, Level: *level, Pipeline: *pipeline,
 		OptimizeWindow: *optWindow,
-		ChunkBytes:     *chunk,
 		Failover:       *failover, RetryAttempts: *retries, RetryBackoff: *retryBackoff,
 		DialTimeout: *dialTimeout, CallTimeout: *callTimeout, ChunkTimeout: *chunkTimeout,
 	}

@@ -27,7 +27,6 @@ func main() {
 	gpuMem := flag.Int("gpu-mem", 16, "GiB of memory per simulated GPU")
 	hostMem := flag.Int("host-mem", 180, "GiB of host memory")
 	name := flag.String("name", "worker", "node name in logs")
-	chunk := flag.Int("chunk", 0, "chunk bytes for outgoing bulk streams (0 = 256 KiB default; clamped to [4 KiB, 64 MiB))")
 	dialTimeout := flag.Duration("dial-timeout", 0, "deadline for dialing peer workers on push transfers (0 = 5s default, negative disables)")
 	chunkTimeout := flag.Duration("chunk-timeout", 0, "per-chunk write deadline on outgoing bulk streams, and the wait for a pushed array's acknowledgement (0 = 30s default, negative disables)")
 	prefetch := flag.String("prefetch", "", "UVM prefetch policy: "+strings.Join(gpusim.PrefetchPolicyNames(), ", ")+" (empty = eager)")
@@ -50,7 +49,6 @@ func main() {
 	logger := log.New(os.Stderr, "grout-worker: ", log.LstdFlags)
 	srv, err := transport.NewWorkerServerOpts(*listen, spec, logger,
 		transport.ServerOptions{
-			ChunkBytes:   *chunk,
 			DialTimeout:  *dialTimeout,
 			ChunkTimeout: *chunkTimeout,
 			Prefetch:     *prefetch,

@@ -112,10 +112,6 @@ type Config struct {
 	// default (DefaultOptimizeWindow); negative turns the passes off and
 	// admits every CE by itself (a window of one).
 	OptimizeWindow int
-	// ChunkBytes is the bulk-transfer chunk size for Connect (default
-	// 256 KiB; clamped to [4 KiB, 64 MiB) and 8-byte aligned). Ignored by
-	// simulated clusters.
-	ChunkBytes int
 	// Failover makes the Controller survive worker failures: failed CEs
 	// reroute to survivors, and arrays whose only copy died are
 	// recomputed from lineage (DESIGN.md §5.4). ErrDataLost only
@@ -308,7 +304,6 @@ func Connect(workerAddrs []string, cfg Config) (*Remote, error) {
 		return nil, err
 	}
 	fab, err := transport.DialWith(workerAddrs, transport.DialOptions{
-		ChunkBytes:    cfg.ChunkBytes,
 		DialTimeout:   cfg.DialTimeout,
 		CallTimeout:   cfg.CallTimeout,
 		ChunkTimeout:  cfg.ChunkTimeout,

@@ -62,8 +62,9 @@ type Fabric interface {
 	// Concurrent-bulk contract: a fabric that declares
 	// ConcurrentDispatcher must accept MoveArray calls for *different*
 	// arrays concurrently — with each other and with Launch/EnsureArray/
-	// Healthy on any worker — without blocking small control operations
-	// behind a large payload. Concurrent moves of the same array are the
+	// Healthy on any worker — and may serve them in order per link, but
+	// never ahead of control traffic: a large payload must not block small
+	// control operations. Concurrent moves of the same array are the
 	// Controller's responsibility to order (the DAG serializes them).
 	MoveArray(id dag.ArrayID, src, dst cluster.NodeID, srcReady sim.VirtualTime,
 		srcBuf, dstBuf *kernels.Buffer) (sim.VirtualTime, error)

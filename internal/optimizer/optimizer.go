@@ -2,9 +2,9 @@
 // undispatched CEs: elementwise kernel fusion, transfer coalescing, and
 // redundant-move planning (DESIGN.md §5.6). The controller parks window
 // entries at admission, runs the passes, then admits the rewritten
-// window in one batch — so every rewrite happens before the ticket
-// sequencer assigns an order, and the serial-equivalence guarantee of
-// pipelined dispatch carries over unchanged.
+// window in one batch — so every rewrite happens before the CEs enter the
+// dispatch FIFO, and the serial-equivalence guarantee of pipelined
+// dispatch carries over unchanged.
 //
 // The package is deliberately state-free: it sees plain Op descriptors
 // (kernel def, launch config, argument bindings, tenant tag) and returns

@@ -1,12 +1,14 @@
 package transport
 
 // Data-plane tests: bulk-channel fault injection and failover, control
-// latency under bulk load, typed errors across the wire, and concurrent
-// interleaved transfers.
+// latency under bulk load, typed errors across the wire, concurrent
+// transfers serialised on one bulk channel, and chunk-stream validation.
 
 import (
 	"errors"
 	"io"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -93,7 +95,7 @@ func TestBulkSeverMidChunkFailover(t *testing.T) {
 	}
 	// Let the request frame and the first chunk through, then cut the link
 	// inside the second chunk.
-	severBulk(t, fab, 1, DefaultChunkBytes+4096)
+	severBulk(t, fab, 1, chunkBytes+4096)
 	// The first CE round-robins onto worker 1, whose bulk channel dies
 	// mid-transfer; failover must reship from the controller's replica and
 	// run on worker 2.
@@ -242,21 +244,24 @@ func TestTypedErrorsAcrossWire(t *testing.T) {
 	}
 }
 
-// Concurrent transfers of different arrays interleave on one bulk channel
-// and arrive bit-exact in both directions.
-func TestConcurrentBulkTransfersInterleave(t *testing.T) {
+// Concurrent transfers of different arrays, started by six callers at
+// once, serialise on one bulk channel and arrive bit-exact in both
+// directions.
+func TestConcurrentBulkTransfersSerialise(t *testing.T) {
 	w, err := NewWorkerServer("127.0.0.1:0", testSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = w.Close() })
-	// A small chunk size forces many chunks per transfer, maximizing
-	// interleaving on the shared channel.
-	fab, err := DialWith([]string{w.Addr()}, DialOptions{ChunkBytes: 8 << 10})
+	fab, err := Dial([]string{w.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = fab.Close() })
+	// A small chunk size makes every transfer many chunks long, so a
+	// caller that cut into another's stream would corrupt both.
+	fab.chunk = 8 << 10
+	smallChunks([]*WorkerServer{w}, 8<<10)
 
 	const arrays = 6
 	const elems = 1 << 16 // 256 KiB each at float32: 32 chunks
@@ -309,5 +314,186 @@ func TestConcurrentBulkTransfersInterleave(t *testing.T) {
 		if d := srcs[a].MaxAbsDiff(dsts[a]); d != 0 {
 			t.Fatalf("array %d: max abs diff %v after round trip", a+1, d)
 		}
+	}
+}
+
+// TestChunkStreamValidation: chunk frames must continue the receive they
+// belong to — right request ID, offset where the last chunk ended, never
+// past the declared length — and arrive only inside one. A worker fed
+// anything else closes the channel without acknowledging, stays up for
+// other clients, and a fabric dialed afterwards works. On the client side,
+// a fetch answered OK after fewer bytes than its destination holds fails.
+func TestChunkStreamValidation(t *testing.T) {
+	const elems, half = 2048, 4 << 10 // array 1: 8 KiB of float32, two 4 KiB chunks
+	w, err := NewWorkerServer("127.0.0.1:0", testSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = w.Close() })
+	setup, err := Dial([]string{w.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.EnsureArray(1, grcuda.ArrayMeta{ID: 1, Kind: memmodel.Float32, Len: elems}); err != nil {
+		t.Fatal(err)
+	}
+	_ = setup.Close()
+
+	receive := func(id dag.ArrayID) []byte {
+		return appendRequest(nil, &Request{Kind: MsgReceiveArray, ArrayID: id,
+			Meta: grcuda.ArrayMeta{ID: id, Kind: memmodel.Float32, Len: elems}})
+	}
+	ping := appendRequest(nil, &Request{Kind: MsgPing})
+	data := make([]byte, 2*half+8)
+	type frame struct {
+		ftype    byte
+		id       uint64
+		off, n   int
+		reqBytes []byte
+	}
+	req := func(id uint64, p []byte) frame { return frame{ftype: frameRequest, id: id, reqBytes: p} }
+	chunk := func(id uint64, off, n int) frame { return frame{ftype: frameChunk, id: id, off: off, n: n} }
+	for _, tc := range []struct {
+		name   string
+		frames []frame
+	}{
+		{"repeated offset", []frame{req(1, receive(1)), chunk(1, 0, half), chunk(1, 0, half)}},
+		{"gap", []frame{req(1, receive(1)), chunk(1, half, half)}},
+		{"past the declared length", []frame{req(1, receive(1)), chunk(1, 0, 2*half+8)}},
+		{"another request's id", []frame{req(1, receive(1)), chunk(2, 0, half)}},
+		{"request inside the chunks", []frame{req(1, receive(1)), chunk(1, 0, half), req(2, ping)}},
+		{"chunk outside a receive", []frame{chunk(1, 0, half)}},
+		{"refused receive, repeated offset", []frame{req(1, receive(9)), chunk(1, 0, half), chunk(1, 0, half)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fc, err := dialFramed(w.Addr(), helloBulk, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fc.close()
+			for _, f := range tc.frames {
+				if f.ftype == frameRequest {
+					err = fc.bufferFrame(frameRequest, f.id, f.reqBytes)
+				} else {
+					err = fc.writeChunk(f.id, f.off, data[:f.n])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fc.flushFrames(); err != nil {
+				t.Fatal(err)
+			}
+			fc.armRead(5 * time.Second)
+			if h, err := fc.readHeader(); err == nil {
+				t.Fatalf("worker answered with a frame of type %d instead of closing the channel", h.ftype)
+			} else if errors.Is(wrapNetErr(err), core.ErrTimeout) {
+				t.Fatal("worker kept the channel open")
+			}
+		})
+	}
+	t.Run("short fetch", func(t *testing.T) {
+		// A fake worker answers a fetch of 8 KiB OK after one 4 KiB chunk.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			raw, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer raw.Close()
+			fc := newFramedConn(raw, nil)
+			var hello [helloLen]byte
+			if _, err := io.ReadFull(fc.r, hello[:]); err != nil {
+				return
+			}
+			h, err := fc.readHeader()
+			if err != nil || fc.discardPayload(h.n) != nil {
+				return
+			}
+			if fc.writeChunk(h.reqID, 0, data[:half]) != nil ||
+				fc.bufferFrame(frameResponse, h.reqID, appendResponse(nil, &Response{})) != nil {
+				return
+			}
+			_ = fc.flushFrames()
+			_, _ = io.Copy(io.Discard, raw)
+		}()
+		fc, err := dialFramed(ln.Addr().String(), helloBulk, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newRPCConn(fc, 5*time.Second)
+		defer c.close()
+		err = c.fetchArray(1, make([]byte, 2*half))
+		if err == nil || !strings.Contains(err.Error(), "4096 of 8192 bytes") {
+			t.Fatalf("short fetch = %v, want an error naming 4096 of 8192 bytes", err)
+		}
+	})
+
+	fab, err := Dial([]string{w.Addr()})
+	if err != nil {
+		t.Fatalf("worker wedged after corrupt chunk streams: %v", err)
+	}
+	defer fab.Close()
+	src := kernels.NewBuffer(memmodel.Float32, elems)
+	for i := 0; i < elems; i++ {
+		src.Set(i, float64(i))
+	}
+	dst := kernels.NewBuffer(memmodel.Float32, elems)
+	if _, err := fab.MoveArray(1, cluster.ControllerID, 1, 0, src, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fab.MoveArray(1, 1, cluster.ControllerID, 0, nil, dst); err != nil {
+		t.Fatal(err)
+	}
+	if d := src.MaxAbsDiff(dst); d != 0 {
+		t.Fatalf("round trip after corrupt streams: max abs diff %v", d)
+	}
+}
+
+// TestRejectedReceiveKeepsStreamInSync: a receive the worker refuses — an
+// unknown array, a wrongly sized one — gets its typed error after its
+// chunks are consumed, and the fetch queued behind both on the same bulk
+// connection gets the right bytes.
+func TestRejectedReceiveKeepsStreamInSync(t *testing.T) {
+	const elems, chunk = 4096, 4 << 10 // 16 KiB of float32: four chunks
+	_, fab, workers := startCluster(t, 1)
+	want := kernels.NewBuffer(memmodel.Float32, elems)
+	for i := 0; i < elems; i++ {
+		want.Set(i, float64(i%251)-125)
+	}
+	if err := fab.EnsureArray(1, grcuda.ArrayMeta{ID: 1, Kind: memmodel.Float32, Len: elems}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fab.MoveArray(1, cluster.ControllerID, 1, 0, want, nil); err != nil {
+		t.Fatal(err)
+	}
+	fc, err := dialFramed(workers[0].Addr(), helloBulk, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newRPCConn(fc, 5*time.Second)
+	defer b.close()
+	raw := want.RawBytes()
+	err = b.sendArray(99, grcuda.ArrayMeta{ID: 99, Kind: memmodel.Float32, Len: elems}, raw, chunk, nil)
+	if !errors.Is(err, core.ErrArrayNotFound) {
+		t.Fatalf("receive into an unknown array = %v, want core.ErrArrayNotFound", err)
+	}
+	err = b.sendArray(1, grcuda.ArrayMeta{ID: 1, Kind: memmodel.Float32, Len: elems / 2}, raw[:len(raw)/2], chunk, nil)
+	if err == nil || !strings.Contains(err.Error(), "sent bytes") {
+		t.Fatalf("receive of the wrong size = %v, want a size mismatch", err)
+	}
+	got := kernels.NewBuffer(memmodel.Float32, elems)
+	if err := b.fetchArray(1, got.RawBytes()); err != nil {
+		t.Fatalf("fetch behind two refused receives: %v", err)
+	}
+	if d := want.MaxAbsDiff(got); d != 0 {
+		t.Fatalf("fetch behind two refused receives: max abs diff %v", d)
+	}
+	if err := b.broken(); err != nil {
+		t.Fatalf("refused receives broke the channel: %v", err)
 	}
 }

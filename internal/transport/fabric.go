@@ -18,9 +18,6 @@ import (
 // package default and a negative value disables the deadline entirely —
 // so a zero-valued DialOptions behaves safely out of the box.
 type DialOptions struct {
-	// ChunkBytes is the bulk-transfer chunk size (default
-	// DefaultChunkBytes; clamped to [4 KiB, 64 MiB) and 8-byte aligned).
-	ChunkBytes int
 	// DialTimeout bounds connection establishment (default
 	// DefaultDialTimeout).
 	DialTimeout time.Duration
@@ -32,7 +29,7 @@ type DialOptions struct {
 	// ChunkTimeout bounds *progress* on the bulk channel: each chunk of a
 	// fetch, and the acknowledgement of a sent array, must arrive within
 	// the window (default DefaultChunkTimeout). Total transfer time stays
-	// unbounded.
+	// unbounded, and so does the wait for a P2P push command.
 	ChunkTimeout time.Duration
 	// RetryAttempts, when > 0, lets the fabric redial a worker whose
 	// connections broke (a transient network drop, not a dead process):
@@ -47,8 +44,7 @@ type DialOptions struct {
 // link is one worker's connection set: a control channel and a bulk
 // channel.
 type link struct {
-	ctrl *ctrlConn
-	bulk *bulkClient
+	ctrl, bulk *rpcConn
 
 	// ensured remembers the array metadata this link has mirrored on its
 	// worker, so EnsureArray sends each array once per link instead of
@@ -61,7 +57,7 @@ type link struct {
 
 // broken reports whether either channel recorded a fatal error.
 func (l *link) broken() bool {
-	return l.ctrl.fc.brokenErr() != nil || l.bulk.broken() != nil
+	return l.ctrl.broken() != nil || l.bulk.broken() != nil
 }
 
 func (l *link) close() error {
@@ -74,10 +70,10 @@ func (l *link) close() error {
 
 // TCPFabric implements core.Fabric over real sockets: worker i+1 is the
 // process listening at addrs[i]. Each worker gets a dedicated bulk
-// channel, so array transfers — streamed in chunks and
-// interleaved by request ID — never head-of-line-block pings, launches or
-// failover probes on the control channel, and bulk operations on
-// different arrays run concurrently (the core.Fabric concurrent-bulk
+// channel, so array transfers — streamed in chunks, one behind the other —
+// never head-of-line-block pings, launches or failover probes on the
+// control channel. Concurrent MoveArray calls queue on their worker's bulk
+// channel in the order they started (the core.Fabric concurrent-bulk
 // contract). Returned times are wall-clock nanoseconds since Dial.
 type TCPFabric struct {
 	addrs []string
@@ -92,7 +88,9 @@ type TCPFabric struct {
 	// that succeeded — its caller has nothing in flight — moves it.
 	stream  map[cluster.NodeID]*link
 	started time.Time
-	chunk   int
+	// chunk is the outgoing chunk size: chunkBytes, smaller in tests that
+	// need many chunks.
+	chunk int
 	// Resolved timeouts/retry policy (see DialOptions).
 	dialTimeout  time.Duration
 	callTimeout  time.Duration
@@ -124,7 +122,7 @@ func DialWith(addrs []string, opts DialOptions) (*TCPFabric, error) {
 		links:            make(map[cluster.NodeID]*link),
 		stream:           make(map[cluster.NodeID]*link),
 		started:          time.Now(),
-		chunk:            normalizeChunk(opts.ChunkBytes),
+		chunk:            chunkBytes,
 		dialTimeout:      pickTimeout(opts.DialTimeout, DefaultDialTimeout),
 		callTimeout:      pickTimeout(opts.CallTimeout, DefaultCallTimeout),
 		chunkTimeout:     pickTimeout(opts.ChunkTimeout, DefaultChunkTimeout),
@@ -157,9 +155,7 @@ func (f *TCPFabric) dialWorker(addr string) (*link, error) {
 	}
 	ctrlFC.writeTimeout = f.callTimeout
 	bulkFC.writeTimeout = f.chunkTimeout
-	bc := newBulkClient(bulkFC, f.chunk)
-	bc.chunkTimeout = f.chunkTimeout
-	l := &link{ctrl: newCtrlConn(ctrlFC, f.callTimeout), bulk: bc,
+	l := &link{ctrl: newRPCConn(ctrlFC, f.callTimeout), bulk: newRPCConn(bulkFC, f.chunkTimeout),
 		ensured: make(map[dag.ArrayID]grcuda.ArrayMeta)}
 	if _, err := l.ctrl.call(&Request{Kind: MsgPing}); err != nil {
 		_ = l.close()
@@ -292,9 +288,10 @@ func (f *TCPFabric) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) error {
 }
 
 // MoveArray implements core.Fabric: controller->worker ships srcBuf,
-// worker->controller fetches into dstBuf, worker->worker triggers a direct
-// P2P push. All three travel the bulk channel in chunks; concurrent moves
-// of different arrays interleave.
+// worker->controller fetches into dstBuf (a nil dstBuf takes nothing, so
+// nothing crosses the wire), worker->worker triggers a direct P2P push.
+// All three travel the bulk channel in chunks; concurrent moves queue on
+// it in order.
 func (f *TCPFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 	_ sim.VirtualTime, srcBuf, dstBuf *kernels.Buffer) (sim.VirtualTime, error) {
 	if src == dst {
@@ -313,15 +310,18 @@ func (f *TCPFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 			meta.Len = int64(srcBuf.Len())
 			raw = srcBuf.RawBytes()
 		}
-		if err := l.bulk.receiveArray(id, meta, raw, nil); err != nil {
+		if err := l.bulk.sendArray(id, meta, raw, f.chunk, nil); err != nil {
 			return 0, err
 		}
 	case dst == cluster.ControllerID:
+		if dstBuf == nil {
+			break
+		}
 		l, err := f.worker(src)
 		if err != nil {
 			return 0, err
 		}
-		if err := l.bulk.fetchArray(id, dstBuf); err != nil {
+		if err := l.bulk.fetchArray(id, dstBuf.RawBytes()); err != nil {
 			return 0, err
 		}
 	default: // worker -> worker P2P
@@ -373,7 +373,7 @@ func (f *TCPFabric) StartLaunch(w cluster.NodeID, inv core.Invocation, _ sim.Vir
 	if l == nil {
 		return fmt.Errorf("transport: unknown worker %v", w)
 	}
-	return l.ctrl.start(&Request{Kind: MsgLaunch, Inv: inv}, func(resp *Response, err error) {
+	return l.ctrl.start(&Request{Kind: MsgLaunch, Inv: inv}, nil, func(resp *Response, err error) {
 		if err == nil {
 			err = resp.ok()
 		}
@@ -393,11 +393,9 @@ func (f *TCPFabric) FlushLaunches(w cluster.NodeID) {
 }
 
 // ConcurrentDispatch implements core.ConcurrentDispatcher: operations are
-// real I/O — control requests queue in order per connection, bulk transfers
-// interleave on each worker's dedicated bulk channel — and times are
-// wall-clock, not shared virtual timelines, so the pipelined controller
-// may dispatch to different workers concurrently without the global
-// ticket sequencer.
+// real I/O that queue in order per connection, and times are wall-clock,
+// not shared virtual timelines, so the controller may stream launches
+// (core.AsyncLauncher) instead of waiting for each one.
 func (f *TCPFabric) ConcurrentDispatch() bool { return true }
 
 // EstimateTransfer implements core.Fabric using the assumed NIC bandwidth.

@@ -14,9 +14,11 @@ package transport
 //
 // Chunk frames additionally open their payload with a u64 byte offset;
 // the remaining bytes are raw array data, written straight out of (and
-// read straight into) kernels.Buffer storage. Frame writes are atomic
-// under a per-connection mutex, so chunks of concurrent transfers
-// interleave on the bulk channel instead of queuing whole-payload.
+// read straight into) kernels.Buffer storage. A request's chunk frames
+// carry its request id and follow its request frame (outgoing payload) or
+// precede its response frame (incoming payload) back to back: the bulk
+// channel is FIFO like every other, and frames of two transfers never
+// interleave.
 
 import (
 	"bufio"
@@ -64,10 +66,11 @@ const frameMaxPayload = 64 << 20
 // chunkOffsetLen is the u64 byte-offset prefix of a chunk frame payload.
 const chunkOffsetLen = 8
 
-// DefaultChunkBytes is the default bulk-transfer chunk size. 256 KiB is
-// large enough to amortize per-frame overhead to <0.01% and small enough
-// that interleaved transfers get scheduled fairly.
-const DefaultChunkBytes = 256 << 10
+// chunkBytes is the size of the chunk frames outgoing payloads are cut
+// into: large enough to amortize per-frame overhead to <0.01%, small
+// enough that the receiver's scratch and each progress window stay short.
+// Receivers accept any chunk length up to frameMaxPayload.
+const chunkBytes = 256 << 10
 
 // Default deadlines. A worker that accepts TCP but never replies must not
 // stall the controller forever; these bound every phase of a conversation
@@ -117,22 +120,6 @@ func wrapNetErr(err error) error {
 	return fmt.Errorf("%w: %v", core.ErrTransient, err)
 }
 
-// normalizeChunk clamps a configured chunk size to a sane, 8-byte-aligned
-// value (alignment keeps chunk boundaries on element boundaries for every
-// element kind).
-func normalizeChunk(n int) int {
-	if n <= 0 {
-		n = DefaultChunkBytes
-	}
-	if n < 4<<10 {
-		n = 4 << 10
-	}
-	if n > frameMaxPayload-chunkOffsetLen {
-		n = frameMaxPayload - chunkOffsetLen
-	}
-	return n &^ 7
-}
-
 // framePool recycles frame scratch buffers (headers + encoded payloads)
 // across sends and receives.
 var framePool = sync.Pool{
@@ -163,32 +150,32 @@ func getChunkBuf(n int) *[]byte {
 
 func putChunkBuf(b *[]byte) { chunkPool.Put(b) }
 
-// framedConn is one framed channel. Writes take wmu and go out with a
-// single writev (net.Buffers), so a frame is never torn; reads are owned
-// by a single reader (the demux goroutine on clients, the serve loop on
-// workers) and need no locking. Control and session channels write through
-// bw instead (bufferFrame / flushFrames), so a burst of small frames costs
-// one write; a connection uses one of the two write paths, never both.
+// framedConn is one framed channel. Frames collect in a write buffer
+// (bufferFrame) and leave on flushFrames, so a burst of small frames costs
+// one write; chunk frames are never copied into it but go out from where
+// they lie, gathered behind the buffered bytes into one writev
+// (writeChunk). Writes take wmu, and no write ends inside a frame. Reads
+// are owned by a single reader (the pipeline's reader goroutine on
+// clients, the serve loop on workers) and need no locking.
 type framedConn struct {
 	raw net.Conn
 	r   *bufio.Reader
 
 	wmu   sync.Mutex
 	w     io.Writer // == raw normally; tests substitute fault injectors
-	iov   [4][]byte // scratch backing for writev, reused under wmu
+	wbuf  []byte    // buffered frames; made on first use, under wmu
+	iov   [3][]byte // scratch backing for writev, reused under wmu
 	wbufs net.Buffers
-	whdr  [2*frameHeaderLen + chunkOffsetLen]byte // a request header and a chunk header
-	bw    *bufio.Writer                           // control and session channels; made on first use, under wmu
+	whdr  [frameHeaderLen + chunkOffsetLen]byte
 
 	// rbuf is reader-side scratch for frame headers and chunk offsets; the
 	// single reader goroutine owns it. A field rather than a local because
 	// locals passed to io.ReadFull escape — one heap allocation per frame.
 	rbuf [frameHeaderLen]byte
 
-	// writeTimeout, when > 0, arms a write deadline before every frame so
-	// a peer that stops draining its socket cannot block a sender
-	// forever. Read deadlines are the reader's business: the control
-	// channel arms per round trip, the bulk channel per progress window.
+	// writeTimeout, when > 0, arms a write deadline before every write so
+	// a peer that stops draining its socket cannot block a sender forever.
+	// Read deadlines are the reader's business (pipeline.timeout).
 	writeTimeout time.Duration
 
 	cmu    sync.Mutex
@@ -249,14 +236,6 @@ func (c *framedConn) armRead(d time.Duration) {
 	}
 }
 
-// armWrite arms the per-frame write deadline, if configured. Callers hold
-// wmu.
-func (c *framedConn) armWrite() {
-	if c.writeTimeout > 0 {
-		_ = c.raw.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-	}
-}
-
 // fail records the first fatal error and tears the connection down so the
 // peer's reader unblocks.
 func (c *framedConn) fail(err error) error {
@@ -294,21 +273,6 @@ func (c *framedConn) close() error {
 	return c.raw.Close()
 }
 
-// writeFrame sends one frame whose payload is entirely in p.
-func (c *framedConn) writeFrame(ftype byte, reqID uint64, p []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.brokenErr(); err != nil {
-		return err
-	}
-	hdr := putFrameHeader(c.whdr[:frameHeaderLen], len(p), ftype, reqID)
-	c.armWrite()
-	if err := c.writev(hdr, p); err != nil {
-		return c.fail(fmt.Errorf("transport: write frame: %w", wrapNetErr(err)))
-	}
-	return nil
-}
-
 // putFrameHeader encodes a frame header for an n-byte payload into hdr.
 func putFrameHeader(hdr []byte, n int, ftype byte, reqID uint64) []byte {
 	binary.LittleEndian.PutUint32(hdr, uint32(n))
@@ -317,53 +281,38 @@ func putFrameHeader(hdr []byte, n int, ftype byte, reqID uint64) []byte {
 	return hdr
 }
 
-// ctrlWriteBuffer sizes a control or session channel's write buffer: a
-// full default pipeline (64 launch frames of ~150 bytes) fits, so a burst
-// is one write.
+// ctrlWriteBuffer sizes a connection's write buffer: a full default
+// pipeline (64 launch frames of ~150 bytes) fits, so a burst is one write.
 const ctrlWriteBuffer = 16 << 10
-
-// frameSink is where a connection's write buffer drains: each flush
-// arms the write deadline and goes to c.w (read at write time, so a
-// test's substituted writer sees it). Runs under wmu.
-type frameSink struct{ c *framedConn }
-
-func (s frameSink) Write(p []byte) (int, error) {
-	s.c.armWrite()
-	return s.c.w.Write(p)
-}
 
 // bufferFrame appends one frame to the connection's write buffer; it
 // reaches the wire on flushFrames, or earlier when the buffer has no room
 // for the next frame — but never in pieces: the buffer is flushed before a
 // frame that does not fit, and a frame larger than the whole buffer goes
-// out on its own. A write that ended inside a frame would leave the peer
-// holding its answers back for the rest of it (SessionConn.RequestWaiting,
-// serveControl) while this side may be holding that rest back for those
-// answers.
+// out behind the buffered ones in one gather write. A write that ended
+// inside a frame would leave the peer holding its answers back for the
+// rest of it (SessionConn.RequestWaiting, WorkerServer.serveConn) while
+// this side may be holding that rest back for those answers.
 func (c *framedConn) bufferFrame(ftype byte, reqID uint64, p []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err := c.brokenErr(); err != nil {
 		return err
 	}
-	if c.bw == nil {
-		c.bw = bufio.NewWriterSize(frameSink{c}, ctrlWriteBuffer)
+	if c.wbuf == nil {
+		c.wbuf = make([]byte, 0, ctrlWriteBuffer)
 	}
 	hdr := putFrameHeader(c.whdr[:frameHeaderLen], len(p), ftype, reqID)
 	var err error
-	n := frameHeaderLen + len(p)
-	if n > c.bw.Available() {
-		err = c.bw.Flush()
-	}
-	switch {
-	case err != nil:
-	case n > c.bw.Size():
-		c.armWrite()
+	switch n := frameHeaderLen + len(p); {
+	case n > cap(c.wbuf):
 		err = c.writev(hdr, p)
-	default:
-		if _, err = c.bw.Write(hdr); err == nil {
-			_, err = c.bw.Write(p)
+	case n > cap(c.wbuf)-len(c.wbuf):
+		if err = c.writev(); err == nil {
+			c.wbuf = append(append(c.wbuf, hdr...), p...)
 		}
+	default:
+		c.wbuf = append(append(c.wbuf, hdr...), p...)
 	}
 	if err != nil {
 		return c.fail(fmt.Errorf("transport: write frame: %w", wrapNetErr(err)))
@@ -375,59 +324,81 @@ func (c *framedConn) bufferFrame(ftype byte, reqID uint64, p []byte) error {
 func (c *framedConn) flushFrames() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.bw == nil || c.bw.Buffered() == 0 {
+	if len(c.wbuf) == 0 {
 		return nil
 	}
 	if err := c.brokenErr(); err != nil {
 		return err
 	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.writev(); err != nil {
 		return c.fail(fmt.Errorf("transport: write frame: %w", wrapNetErr(err)))
 	}
 	return nil
 }
 
-// writev sends bufs (at most len(c.iov)) in order as one gather write (a
-// single syscall on TCP conns). The net.Buffers header lives on the
-// connection — WriteTo consumes the slice, so it is rebuilt from the iov
-// backing each call without allocating. Callers hold wmu.
-func (c *framedConn) writev(bufs ...[]byte) error {
-	c.wbufs = c.iov[:copy(c.iov[:], bufs)]
-	_, err := c.wbufs.WriteTo(c.w)
-	c.wbufs = nil
-	clear(c.iov[:])
-	return err
-}
-
-// writeChunk sends one bulk chunk: data (which may alias buffer storage —
-// zero copy) at byte offset off of the transfer reqID.
-func (c *framedConn) writeChunk(reqID, off uint64, data []byte) error {
-	return c.writeChunkAfter(reqID, nil, off, data)
-}
-
-// writeChunkAfter sends a chunk; a non-nil req is the transfer's encoded
-// request and leaves in a frame of its own ahead of the chunk, in the same
-// gather write — a transfer that fits one chunk costs one write, and the
-// write never ends inside a frame.
-func (c *framedConn) writeChunkAfter(reqID uint64, req []byte, off uint64, data []byte) error {
+// writeChunk sends one chunk frame — data, at byte offset off of request
+// reqID's payload, straight from where it lies — behind the buffered
+// frames in one gather write: a request and its single chunk cost one
+// write.
+func (c *framedConn) writeChunk(reqID uint64, off int, data []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err := c.brokenErr(); err != nil {
 		return err
 	}
-	hdr := putFrameHeader(c.whdr[frameHeaderLen:], chunkOffsetLen+len(data), frameChunk, reqID)
-	binary.LittleEndian.PutUint64(hdr[frameHeaderLen:], off)
-	c.armWrite()
-	var err error
-	if req == nil {
-		err = c.writev(hdr, data)
-	} else {
-		err = c.writev(putFrameHeader(c.whdr[:frameHeaderLen], len(req), frameRequest, reqID), req, hdr, data)
-	}
-	if err != nil {
+	hdr := putFrameHeader(c.whdr[:], chunkOffsetLen+len(data), frameChunk, reqID)
+	binary.LittleEndian.PutUint64(hdr[frameHeaderLen:], uint64(off))
+	if err := c.writev(hdr, data); err != nil {
 		return c.fail(fmt.Errorf("transport: write chunk: %w", wrapNetErr(err)))
 	}
 	return nil
+}
+
+// writeChunks streams data as request reqID's chunk frames, chunk bytes
+// each. A nil lock means nothing writes data meanwhile and chunks go out
+// straight from it; otherwise data is live storage its writers update
+// under lock (a worker's array), and each chunk is copied out under it and
+// sent without it, so a slow peer never stalls them.
+func (c *framedConn) writeChunks(reqID uint64, data []byte, chunk int, lock sync.Locker) error {
+	var scratch []byte
+	if lock != nil {
+		sp := getChunkBuf(min(chunk, len(data)))
+		defer putChunkBuf(sp)
+		scratch = *sp
+	}
+	for off := 0; off < len(data); off += chunk {
+		part := data[off:min(off+chunk, len(data))]
+		if lock != nil {
+			lock.Lock()
+			part = scratch[:copy(scratch, part)]
+			lock.Unlock()
+		}
+		if err := c.writeChunk(reqID, off, part); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writev sends the buffered frames, then bufs, as one gather write (a
+// single syscall on TCP conns) under the write deadline, and empties the
+// buffer. The net.Buffers header lives on the connection — WriteTo
+// consumes the slice, so it is rebuilt from the iov backing each call
+// without allocating. Callers hold wmu.
+func (c *framedConn) writev(bufs ...[]byte) error {
+	iov := c.iov[:0]
+	if len(c.wbuf) > 0 {
+		iov = append(iov, c.wbuf)
+	}
+	c.wbufs = append(iov, bufs...)
+	if c.writeTimeout > 0 {
+		_ = c.raw.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	}
+	_, err := c.wbufs.WriteTo(c.w)
+	c.wbufs = nil
+	clear(c.iov[:])
+	c.wbuf = c.wbuf[:0]
+	return err
 }
 
 // frameHeader is one decoded frame header.
@@ -498,29 +469,11 @@ func (c *framedConn) discardPayload(n int) error {
 	return err
 }
 
-// sendRequest encodes req and sends it as a request frame.
-func (c *framedConn) sendRequest(reqID uint64, req *Request) error {
-	bp := getFrameBuf()
-	*bp = appendRequest(*bp, req)
-	err := c.writeFrame(frameRequest, reqID, *bp)
-	putFrameBuf(bp)
-	return err
-}
-
 // bufferResponse encodes resp into the write buffer (control channels).
 func (c *framedConn) bufferResponse(reqID uint64, resp *Response) error {
 	bp := getFrameBuf()
 	*bp = appendResponse(*bp, resp)
 	err := c.bufferFrame(frameResponse, reqID, *bp)
-	putFrameBuf(bp)
-	return err
-}
-
-// sendResponse encodes resp and sends it as a response frame.
-func (c *framedConn) sendResponse(reqID uint64, resp *Response) error {
-	bp := getFrameBuf()
-	*bp = appendResponse(*bp, resp)
-	err := c.writeFrame(frameResponse, reqID, *bp)
 	putFrameBuf(bp)
 	return err
 }

@@ -1,14 +1,18 @@
 package transport
 
-// Fuzz and adversarial-input tests for the framed wire codec: decoding
-// must never panic, valid payloads must round-trip bit-exactly, and
-// corrupt or truncated frames must be rejected at the frame layer.
+// Fuzz and adversarial-input tests for the framed wire codec and the
+// worker's serve loop: decoding must never panic, valid payloads must
+// round-trip bit-exactly, and corrupt or truncated frames must be rejected
+// at the frame layer.
 
 import (
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"net"
 	"testing"
+	"time"
 
 	"grout/internal/core"
 	"grout/internal/grcuda"
@@ -142,7 +146,9 @@ func TestFramedRoundTripOverPipe(t *testing.T) {
 	reqs := sampleRequests()
 	want := reqs[len(reqs)-1] // the launch with NaN/Inf scalars
 	go func() {
-		_ = client.sendRequest(99, want)
+		if client.bufferFrame(frameRequest, 99, appendRequest(nil, want)) == nil {
+			_ = client.flushFrames()
+		}
 	}()
 	h, err := server.readHeader()
 	if err != nil {
@@ -209,21 +215,6 @@ func TestFrameRejectsCorruptHeaders(t *testing.T) {
 	})
 }
 
-func TestNormalizeChunk(t *testing.T) {
-	if got := normalizeChunk(0); got != DefaultChunkBytes {
-		t.Fatalf("normalizeChunk(0) = %d", got)
-	}
-	if got := normalizeChunk(1); got != 4<<10 {
-		t.Fatalf("normalizeChunk(1) = %d", got)
-	}
-	if got := normalizeChunk(1 << 30); got > frameMaxPayload-chunkOffsetLen {
-		t.Fatalf("normalizeChunk(1GiB) = %d exceeds frame limit", got)
-	}
-	if got := normalizeChunk(12345); got%8 != 0 {
-		t.Fatalf("normalizeChunk(12345) = %d not 8-byte aligned", got)
-	}
-}
-
 // A garbage hello that happens to carry the magic but an unknown channel
 // byte must be dropped cleanly.
 func TestWorkerRejectsUnknownChannelHello(t *testing.T) {
@@ -256,4 +247,53 @@ func TestWorkerRejectsUnknownChannelHello(t *testing.T) {
 		t.Fatalf("worker wedged after bad hello: %v", err)
 	}
 	defer fab.Close()
+}
+
+// FuzzWorkerServe feeds arbitrary bytes after a bulk hello into a worker's
+// serve loop over an in-memory pipe: it must never panic, and it must
+// return once the input ends. The worker holds no arrays, so no input can
+// make it dial a peer.
+func FuzzWorkerServe(f *testing.F) {
+	w, err := NewWorkerServer("127.0.0.1:0", testSpec(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = w.Close() })
+	frame := func(dst []byte, ftype byte, id uint64, p []byte) []byte {
+		var hdr [frameHeaderLen]byte
+		return append(append(dst, putFrameHeader(hdr[:], len(p), ftype, id)...), p...)
+	}
+	chunk := func(dst []byte, id uint64, off int, n int) []byte {
+		p := binary.LittleEndian.AppendUint64(nil, uint64(off))
+		return frame(dst, frameChunk, id, append(p, make([]byte, n)...))
+	}
+	recv := appendRequest(nil, &Request{Kind: MsgReceiveArray, ArrayID: 1,
+		Meta: grcuda.ArrayMeta{ID: 1, Kind: memmodel.Float32, Len: 4}})
+	f.Add(chunk(frame(nil, frameRequest, 1, recv), 1, 0, 16))
+	f.Add(chunk(chunk(frame(nil, frameRequest, 1, recv), 1, 0, 8), 1, 0, 8))
+	f.Add(frame(nil, frameRequest, 1, appendRequest(nil, &Request{Kind: MsgFetchArray, ArrayID: 1})))
+	f.Add(frame(nil, frameRequest, 1, appendRequest(nil, &Request{Kind: MsgPushTo, ArrayID: 1, PeerAddr: "127.0.0.1:1"})))
+	f.Add(frame(frame(nil, frameRequest, 1, appendRequest(nil, &Request{Kind: MsgPing})), frameRequest, 2,
+		appendRequest(nil, &Request{Kind: MsgLaunch})))
+	f.Add(chunk(nil, 7, 0, 16))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		client, server := net.Pipe()
+		go func() { _, _ = io.Copy(io.Discard, client) }()
+		done := make(chan struct{})
+		go func() {
+			w.serveConn(server)
+			close(done)
+		}()
+		hello := append([]byte(helloMagic), helloBulk, 0)
+		if _, err := client.Write(append(hello, data...)); err != nil && !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatal(err)
+		}
+		_ = client.Close()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("serve loop still running after its input ended")
+		}
+	})
 }

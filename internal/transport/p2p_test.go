@@ -251,8 +251,18 @@ func push(fab *TCPFabric, id dag.ArrayID, src, dst cluster.NodeID) error {
 	return err
 }
 
-// peerBC returns the bulk client w currently holds for the peer at addr.
-func peerBC(w *WorkerServer, addr string) *bulkClient {
+// smallChunks makes every worker cut its fetch streams and pushes into
+// n-byte chunks.
+func smallChunks(workers []*WorkerServer, n int) {
+	for _, w := range workers {
+		w.mu.Lock()
+		w.chunk = n
+		w.mu.Unlock()
+	}
+}
+
+// peerBC returns the peer pipeline w currently holds for the peer at addr.
+func peerBC(w *WorkerServer, addr string) *rpcConn {
 	w.mu.Lock()
 	pl := w.peers[addr]
 	w.mu.Unlock()
@@ -292,11 +302,12 @@ func TestP2PDialOnce(t *testing.T) {
 }
 
 // TestP2PConcurrentPushesOneLink: eight pushes of different arrays, small
-// and many-chunk, run at once over the one link to their peer and arrive
-// bit-identical.
+// and many-chunk, started at once, queue on the one link to their peer and
+// arrive bit-identical.
 func TestP2PConcurrentPushesOneLink(t *testing.T) {
 	const arrays, rounds = 8, 4
-	_, taps, fab := tappedFleet(t, 2, ServerOptions{ChunkBytes: 4 << 10}, DialOptions{})
+	workers, taps, fab := tappedFleet(t, 2, ServerOptions{}, DialOptions{})
+	smallChunks(workers, 4<<10)
 	size := func(i int) int {
 		if i%2 == 0 {
 			return 4 << 10
@@ -341,7 +352,8 @@ func TestP2PConcurrentPushesOneLink(t *testing.T) {
 // worker's runtime lock across the network.
 func TestP2PPushCycleNoDeadlock(t *testing.T) {
 	const rounds, nbytes = 12, 1 << 20
-	_, _, fab := tappedFleet(t, 2, ServerOptions{ChunkBytes: 4 << 10}, DialOptions{})
+	workers, _, fab := tappedFleet(t, 2, ServerOptions{}, DialOptions{})
+	smallChunks(workers, 4<<10)
 	// Arrays 1 and 3 live on w1; 2 and 4 are moved to w2. 1 and 2 are
 	// pushed across, 3 and 4 are launched on in place.
 	for id := dag.ArrayID(1); id <= 4; id++ {
@@ -447,7 +459,8 @@ func TestP2PPeerKilledFailover(t *testing.T) {
 
 	for _, mode := range []string{"between pushes", "mid-push"} {
 		t.Run(mode, func(t *testing.T) {
-			workers, taps, fab := tappedFleet(t, 3, ServerOptions{ChunkBytes: 4 << 10}, DialOptions{})
+			workers, taps, fab := tappedFleet(t, 3, ServerOptions{}, DialOptions{})
+			smallChunks(workers, 4<<10)
 			ctl := core.NewController(fab, policy.NewRoundRobin(), core.Options{Numeric: true, Failover: true})
 			defer ctl.Close()
 			got := run(t, ctl, func() {
@@ -585,7 +598,7 @@ func TestReceiveAckTimeout(t *testing.T) {
 	workers, _, fab := tappedFleet(t, 2, ServerOptions{ChunkTimeout: window}, DialOptions{ChunkTimeout: window / 3})
 	seedArray(t, fab, 1, 64<<10, 1)
 	silent := &Request{Kind: MsgPushTo, ArrayID: 1, PeerAddr: hungListener(t)}
-	var last *bulkClient
+	var last *rpcConn
 	for attempt := 1; attempt <= 2; attempt++ {
 		start := time.Now()
 		err := workers[0].pushTo(silent)

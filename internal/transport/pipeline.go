@@ -1,11 +1,12 @@
 package transport
 
-// pipeline.go is the FIFO-pipelined RPC machine both request/response
-// wires run on: the worker control channel (ctrlConn, protocol.go) and the
-// client side of the tenant session channel (SessionConn, session.go). The
-// two differ only in their frames' payload codecs (wireCodec); the ring,
-// the reader goroutine, the read deadline and the failure fan-out exist
-// once, here.
+// pipeline.go is the FIFO-pipelined RPC machine every request/response
+// wire runs on: the worker control and bulk channels and the worker→worker
+// peer links (rpcConn, protocol.go), and the client side of the tenant
+// session channel (SessionConn, session.go). They differ only in their
+// frames' payload codecs (wireCodec) and in the array bytes a bulk request
+// moves (transfer); the ring, the reader goroutine, the read deadline and
+// the failure fan-out exist once, here.
 
 import (
 	"fmt"
@@ -23,11 +24,34 @@ type wireCodec[Req, Resp any] struct {
 	decode func(p []byte, resp *Resp) error
 }
 
+// transfer is the array payload a bulk request moves besides its own
+// frame. The peer serves the connection in order, so payloads never
+// interleave: a request's outgoing chunks follow its frame back to back,
+// and the chunks streamed toward it arrive right before its answer.
+type transfer struct {
+	// send leaves as chunk frames of chunk bytes right behind the request
+	// (see framedConn.writeChunks for lock).
+	send  []byte
+	chunk int
+	lock  sync.Locker
+	// recv takes the chunk frames the peer streams before its answer, in
+	// order; an answer after fewer bytes than recv holds fails the request.
+	recv []byte
+	// untimed marks a request whose answer may take as long as the work it
+	// commands (a P2P push): no read deadline runs while it is the oldest
+	// outstanding.
+	untimed bool
+}
+
 // pending is one request awaiting its answer.
 type pending[Resp any] struct {
 	id   uint64
 	kind string
 	done func(*Resp, error)
+	recv []byte
+	// owed marks a request the peer owes a frame now: from its start, or
+	// from its last chunk when it carries a payload, unless untimed.
+	owed bool
 }
 
 // pipeline is a FIFO-pipelined request/response stream over one framed
@@ -43,22 +67,24 @@ type pending[Resp any] struct {
 type pipeline[Req, Resp any] struct {
 	fc   *framedConn
 	wire *wireCodec[Req, Resp]
-	// timeout, when > 0, bounds the wait for the next response while any
-	// request is outstanding (writes carry the framedConn's own write
-	// deadline). An idle pipeline never times out.
+	// timeout, when > 0, bounds the wait for the next frame while the ring
+	// head is owed one (writes carry the framedConn's own write deadline).
+	// An idle pipeline, or one whose head is untimed, never times out.
 	timeout time.Duration
 
-	// smu orders starts: a request takes its ring slot and its place in the
-	// write buffer under one hold, so ring order is wire order. The reader
-	// never takes it — a start blocked on a full socket must not stop the
-	// reader from draining the responses the peer is blocked on.
+	// smu orders starts: a request takes its ring slot and its place on the
+	// wire — its payload included — under one hold, so ring order is wire
+	// order. The reader never takes it — a start blocked on a full socket
+	// must not stop the reader from draining the responses the peer is
+	// blocked on.
 	smu sync.Mutex
 	seq uint64
 
-	// mu guards the ring and the read deadline: armed when the ring
-	// becomes non-empty, re-armed per response, cleared when it empties.
-	// Arming outside mu could let the reader's clear erase a deadline a
-	// concurrent start just set, and a hung peer would then hang forever.
+	// mu guards the ring and the read deadline, which follows the ring
+	// head: armed while the peer owes the head a frame, re-armed per frame,
+	// cleared otherwise. Arming outside mu could let the reader's clear
+	// erase a deadline a concurrent start just set, and a hung peer would
+	// then hang forever.
 	mu   sync.Mutex
 	ring []pending[Resp] // outstanding requests are ring[head:]
 	head int
@@ -91,27 +117,34 @@ func newPipeline[Req, Resp any](fc *framedConn, wire *wireCodec[Req, Resp], time
 // and exits.
 func (c *pipeline[Req, Resp]) close() error { return c.fc.close() }
 
-// start queues one request: done runs exactly once, on the reader
-// goroutine, with the response (valid only during the call) or the
-// pipeline's failure, and must not block. A non-nil return means the
-// request was not queued and done will not run. The request is encoded
-// before start returns; its frame goes out on the next flush (or when the
-// write buffer fills).
-func (c *pipeline[Req, Resp]) start(req *Req, done func(*Resp, error)) error {
+// broken reports the connection's fatal error, if any. A write failure
+// records it synchronously, before the reader notices the teardown.
+func (c *pipeline[Req, Resp]) broken() error { return c.fc.brokenErr() }
+
+// start queues one request, moving x's payload when x is non-nil: done
+// runs exactly once, on the reader goroutine, with the response (valid only
+// during the call) or the pipeline's failure, and must not block. A non-nil
+// return means the request was not queued and done will not run. The
+// request is encoded before start returns; its frame goes out on the next
+// flush (or when the write buffer fills), or with its first chunk.
+func (c *pipeline[Req, Resp]) start(req *Req, x *transfer, done func(*Resp, error)) error {
 	bp := getFrameBuf()
+	defer putFrameBuf(bp)
 	*bp = c.wire.encode(*bp, req)
+	p := pending[Resp]{kind: c.wire.kind(req), done: done, owed: true}
+	if x != nil {
+		p.recv, p.owed = x.recv, !x.untimed && len(x.send) == 0
+	}
 	c.smu.Lock()
+	defer c.smu.Unlock()
 	c.mu.Lock()
 	if c.dead != nil {
-		err := c.dead
 		c.mu.Unlock()
-		c.smu.Unlock()
-		putFrameBuf(bp)
-		return err
+		return c.dead
 	}
 	c.seq++
-	id := c.seq
-	if c.head == len(c.ring) && c.timeout > 0 {
+	p.id = c.seq
+	if c.head == len(c.ring) && p.owed && c.timeout > 0 {
 		c.fc.armRead(c.timeout)
 	}
 	if c.head > 0 && len(c.ring) == cap(c.ring) {
@@ -119,14 +152,25 @@ func (c *pipeline[Req, Resp]) start(req *Req, done func(*Resp, error)) error {
 		clear(c.ring[n:])
 		c.ring, c.head = c.ring[:n], 0
 	}
-	c.ring = append(c.ring, pending[Resp]{id: id, kind: c.wire.kind(req), done: done})
+	c.ring = append(c.ring, p)
 	c.mu.Unlock()
-	// The entry is in the ring before its frame is written, and mu is not
-	// held across the write. A failed write tears the connection down, so
+	// The entry is in the ring before its frames are written, and mu is not
+	// held across the writes. A failed write tears the connection down, so
 	// the reader fails the ring — this request included.
-	_ = c.fc.bufferFrame(frameRequest, id, *bp)
-	c.smu.Unlock()
-	putFrameBuf(bp)
+	if c.fc.bufferFrame(frameRequest, p.id, *bp) != nil || x == nil || len(x.send) == 0 {
+		return nil
+	}
+	if c.fc.writeChunks(p.id, x.send, x.chunk, x.lock) == nil && !x.untimed {
+		// The last chunk is out: from here the peer owes the answer.
+		c.mu.Lock()
+		if last := len(c.ring) - 1; last >= c.head && c.ring[last].id == p.id {
+			c.ring[last].owed = true
+			if last == c.head && c.timeout > 0 {
+				c.fc.armRead(c.timeout)
+			}
+		}
+		c.mu.Unlock()
+	}
 	return nil
 }
 
@@ -142,12 +186,13 @@ type waiter[Resp any] struct {
 	fn   func(*Resp, error)
 }
 
-// call performs one blocking round trip. The error is the transport's
-// only; a remote failure travels inside the response.
-func (c *pipeline[Req, Resp]) call(req *Req) (Resp, error) {
+// call performs one blocking round trip, moving x's payload when x is
+// non-nil. The error is the transport's only; a remote failure travels
+// inside the response, which a short incoming stream's error accompanies.
+func (c *pipeline[Req, Resp]) call(req *Req, x *transfer) (Resp, error) {
 	var zero Resp
 	w := c.waiters.Get().(*waiter[Resp])
-	if err := c.start(req, w.fn); err != nil {
+	if err := c.start(req, x, w.fn); err != nil {
 		c.waiters.Put(w)
 		return zero, fmt.Errorf("transport: send %s%s: %w", c.wire.noun, c.wire.kind(req), err)
 	}
@@ -159,15 +204,24 @@ func (c *pipeline[Req, Resp]) call(req *Req) (Resp, error) {
 	return resp, err
 }
 
-// readLoop answers the ring in order until the pipeline dies.
+// readLoop answers the ring in order until the pipeline dies: chunk frames
+// land in the ring head's recv, a response pops the head.
 func (c *pipeline[Req, Resp]) readLoop() {
 	defer close(c.exited)
 	var resp Resp
+	got := 0 // chunk bytes the ring head has received
 	for {
 		h, err := c.fc.readHeader()
 		if err != nil {
 			c.failAll(wrapNetErr(err))
 			return
+		}
+		if h.ftype == frameChunk {
+			if got, err = c.readChunk(h, got); err != nil {
+				c.failAll(err)
+				return
+			}
+			continue
 		}
 		if h.ftype != frameResponse {
 			// The client end of a request/response wire receives nothing
@@ -199,15 +253,51 @@ func (c *pipeline[Req, Resp]) readLoop() {
 			c.ring, c.head = c.ring[:0], 0
 		}
 		if c.timeout > 0 {
-			if c.head == len(c.ring) {
+			if c.head == len(c.ring) || !c.ring[c.head].owed {
 				c.fc.armRead(0)
 			} else {
 				c.fc.armRead(c.timeout)
 			}
 		}
 		c.mu.Unlock()
-		p.done(&resp, nil)
+		if got < len(p.recv) {
+			err = fmt.Errorf("transport: %s%s answered after %d of %d bytes", c.wire.noun, p.kind, got, len(p.recv))
+		}
+		got = 0
+		p.done(&resp, err)
 	}
+}
+
+// readChunk lands one chunk frame in the ring head's recv, where the last
+// one ended, and restarts the head's progress window; it returns the
+// head's byte count. A chunk for another request, out of order or past the
+// end of recv marks a corrupt stream.
+func (c *pipeline[Req, Resp]) readChunk(h frameHeader, got int) (int, error) {
+	c.mu.Lock()
+	var recv []byte
+	ok := c.head < len(c.ring) && c.ring[c.head].id == h.reqID
+	if ok {
+		recv = c.ring[c.head].recv
+		if c.ring[c.head].owed && c.timeout > 0 {
+			c.fc.armRead(c.timeout)
+		}
+	}
+	c.mu.Unlock()
+	if !ok || h.n < chunkOffsetLen {
+		return 0, fmt.Errorf("chunk frame of %d bytes for request %d, not the oldest outstanding", h.n, h.reqID)
+	}
+	off, err := c.fc.readChunkOffset()
+	if err != nil {
+		return 0, wrapNetErr(err)
+	}
+	n := h.n - chunkOffsetLen
+	if off != got || n > len(recv)-got {
+		return 0, fmt.Errorf("chunk [%d, %d) of request %d: %d of %d bytes received", off, off+n, h.reqID, got, len(recv))
+	}
+	if err := c.fc.readInto(recv[got : got+n]); err != nil {
+		return 0, wrapNetErr(err)
+	}
+	return got + n, nil
 }
 
 // failAll marks the pipeline dead and fails every outstanding request, in

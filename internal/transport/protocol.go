@@ -8,11 +8,12 @@
 //
 // The wire is a length-prefixed binary protocol with explicit
 // little-endian encoding and a per-worker channel split (DESIGN.md §5.2):
-// a low-latency control channel for pings/launches/builds — a FIFO
-// pipeline, so launches stream without a round trip each — and a bulk
-// channel that streams array payloads in fixed-size chunks, multiple
-// transfers interleaved by request ID. A multi-GiB transfer never
-// head-of-line-blocks health probes or kernel launches.
+// a low-latency control channel for pings/launches/builds and a bulk
+// channel that streams array payloads in fixed-size chunks. Both are FIFO
+// pipelines, so launches stream without a round trip each and transfers
+// queue one behind the other; a multi-GiB transfer never
+// head-of-line-blocks health probes or kernel launches, which travel on
+// their own connection.
 //
 // In this mode time is wall-clock: the sim.VirtualTime values returned by
 // fabric operations are nanoseconds since the fabric connected. The
@@ -31,7 +32,6 @@ import (
 	"grout/internal/dag"
 	"grout/internal/gpusim"
 	"grout/internal/grcuda"
-	"grout/internal/kernels"
 )
 
 // MsgKind enumerates protocol requests.
@@ -192,410 +192,62 @@ func (r *Response) ok() error {
 	return fmt.Errorf("transport: remote error: %s", r.Err)
 }
 
-// --- framed control channel ------------------------------------------------
+// --- worker channels ---------------------------------------------------------
 
-// ctrlWire is the control channel's payload codec.
+// ctrlWire is the worker channels' payload codec.
 var ctrlWire = wireCodec[Request, Response]{
 	kind:   func(req *Request) string { return req.Kind.String() },
 	encode: appendRequest,
 	decode: parseResponseInto,
 }
 
-// ctrlConn is the framed control channel: the FIFO pipeline (pipeline.go)
-// over the small, latency-sensitive messages (ping, launch, build, ensure,
-// free, stats, shutdown). The worker serves a control channel strictly in
-// order, which is what lets launches stream without a round trip each.
-type ctrlConn struct {
+// rpcConn is one worker channel — control, bulk, or a worker→worker peer
+// link, which is a bulk channel — as the FIFO pipeline (pipeline.go) over
+// the Request/Response codec. The worker serves each connection strictly
+// in order: a launch queued behind another runs after it, and a transfer
+// queued behind another starts when that one is done.
+type rpcConn struct {
 	*pipeline[Request, Response]
 }
 
-func newCtrlConn(fc *framedConn, timeout time.Duration) *ctrlConn {
-	return &ctrlConn{newPipeline(fc, &ctrlWire, timeout)}
+func newRPCConn(fc *framedConn, timeout time.Duration) *rpcConn {
+	return &rpcConn{newPipeline(fc, &ctrlWire, timeout)}
 }
 
-// call performs one blocking control round trip; a remote failure comes
-// back as the error.
-func (c *ctrlConn) call(req *Request) (Response, error) {
-	resp, err := c.pipeline.call(req)
-	if err == nil {
-		err = resp.ok()
+// call performs one blocking round trip; a remote failure comes back as
+// the error.
+func (c *rpcConn) call(req *Request) (Response, error) { return c.move(req, nil) }
+
+// move is call for a request that moves x's array bytes. A remote failure
+// takes precedence over the short incoming stream it explains.
+func (c *rpcConn) move(req *Request, x *transfer) (Response, error) {
+	resp, err := c.pipeline.call(req, x)
+	if rerr := resp.ok(); rerr != nil {
+		err = rerr
 	}
 	return resp, err
 }
 
-// --- framed bulk channel ---------------------------------------------------
-
-// bulkResult resolves one bulk operation.
-type bulkResult struct {
-	resp *Response
-	err  error
-}
-
-// bulkPending is one in-flight bulk operation awaiting its response; dst,
-// when non-nil, receives incoming chunk payloads directly (zero copy into
-// the buffer's storage).
-//
-// Pendings are pooled. The invariant that makes recycling safe: every
-// registered pending is sent exactly one result — by the demux loop
-// (which removes it from the map before sending) or by failAll (which
-// fires whenever the connection dies) — and the operation consumes that
-// one result before release. The channel is therefore always empty when a
-// pending returns to the pool.
-type bulkPending struct {
-	dst  *kernels.Buffer
-	done chan bulkResult
-	// timed marks an operation the peer owes a frame right now: a fetch
-	// from the moment it is sent, an array send once its last chunk has
-	// left. Guarded by the client's mu.
-	timed bool
-}
-
-var bulkPendingPool = sync.Pool{
-	New: func() any { return &bulkPending{done: make(chan bulkResult, 1)} },
-}
-
-// responsePool recycles the bulk read loop's decoded Responses — the last
-// per-operation allocation on the bulk path. Ownership: the demux hands a
-// pooled response to exactly one pending; the consumer returns it via
-// putResponse after extracting the outcome (failAll sends resp == nil, so
-// consumers guard for that).
-var responsePool = sync.Pool{New: func() any { return &Response{} }}
-
-func getResponse() *Response { return responsePool.Get().(*Response) }
-
-func putResponse(r *Response) {
-	if r == nil {
-		return
-	}
-	*r = Response{}
-	responsePool.Put(r)
-}
-
-// consume extracts a bulk result's outcome and recycles its response.
-func (res bulkResult) consume() error {
-	if res.err != nil {
-		putResponse(res.resp)
-		return res.err
-	}
-	err := res.resp.ok()
-	putResponse(res.resp)
+// sendArray streams raw, an array's wire bytes, to the remote array id as
+// chunk frames right behind the request (see framedConn.writeChunks for
+// lock). The worker answers once every chunk has landed.
+func (c *rpcConn) sendArray(id dag.ArrayID, meta grcuda.ArrayMeta, raw []byte, chunk int, lock sync.Locker) error {
+	_, err := c.move(&Request{Kind: MsgReceiveArray, ArrayID: id, Meta: meta},
+		&transfer{send: raw, chunk: chunk, lock: lock})
 	return err
 }
 
-// bulkClient multiplexes concurrent bulk operations (array sends, fetches
-// and P2P push commands) over one framed channel. Writers interleave
-// chunk frames under the connection's write mutex; a reader goroutine
-// demultiplexes responses and incoming chunks by request ID.
-type bulkClient struct {
-	fc    *framedConn
-	chunk int
-	// chunkTimeout, when > 0, is the *progress* deadline for incoming
-	// frames: while at least one pending is timed (a fetch expecting
-	// chunks, a sent array awaiting its acknowledgement), each read must
-	// complete within the window. It is never armed otherwise — a pushTo
-	// legitimately produces no frames for as long as the peer-to-peer
-	// transfer runs, and must not be mistaken for a hang.
-	chunkTimeout time.Duration
-
-	mu      sync.Mutex
-	seq     uint64
-	pending map[uint64]*bulkPending
-	// timed counts the timed pendings; the read deadline is armed exactly
-	// while it is nonzero.
-	timed int
-	dead  error
-}
-
-func newBulkClient(fc *framedConn, chunk int) *bulkClient {
-	b := &bulkClient{fc: fc, chunk: normalizeChunk(chunk), pending: make(map[uint64]*bulkPending)}
-	go b.readLoop()
-	return b
-}
-
-// rearm points the read deadline at the current timed population: armed
-// while any operation is owed a frame, cleared otherwise. Called with
-// b.mu held whenever timed changes, and by the read loop after every
-// frame (each arrival restarts the progress window).
-func (b *bulkClient) rearm() {
-	if b.chunkTimeout <= 0 {
-		return
-	}
-	if b.timed > 0 {
-		b.fc.armRead(b.chunkTimeout)
-	} else {
-		b.fc.armRead(0)
-	}
-}
-
-func (b *bulkClient) close() error { return b.fc.close() }
-
-// broken reports the channel's fatal error, if any; the fabric's Healthy
-// folds it in so a severed bulk channel triggers failover even while the
-// control channel still answers pings. The connection-level error is
-// consulted too: a write-side failure records it synchronously, before the
-// read loop notices the teardown.
-func (b *bulkClient) broken() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.dead != nil {
-		return b.dead
-	}
-	return b.fc.brokenErr()
-}
-
-// register enlists a new operation and returns its request ID.
-func (b *bulkClient) register(dst *kernels.Buffer) (uint64, *bulkPending, error) {
-	p := bulkPendingPool.Get().(*bulkPending)
-	p.dst = dst
-	b.mu.Lock()
-	if b.dead != nil {
-		b.mu.Unlock()
-		bulkPendingPool.Put(p)
-		return 0, nil, b.dead
-	}
-	b.seq++
-	b.pending[b.seq] = p
-	id := b.seq
-	if dst != nil {
-		b.setTimed(p)
-	}
-	b.mu.Unlock()
-	return id, p, nil
-}
-
-// setTimed starts the progress window for p. Called with b.mu held.
-func (b *bulkClient) setTimed(p *bulkPending) {
-	p.timed = true
-	b.timed++
-	b.rearm()
-}
-
-// awaitAck bounds the wait for the acknowledgement of an array whose last
-// chunk has left: a peer that takes every byte and never answers costs one
-// progress window instead of hanging this send and every operation queued
-// behind it on the channel.
-func (b *bulkClient) awaitAck(id uint64, p *bulkPending) {
-	b.mu.Lock()
-	if b.pending[id] == p { // not answered yet
-		b.setTimed(p)
-	}
-	b.mu.Unlock()
-}
-
-// release recycles a pending whose one result has been consumed.
-func (b *bulkClient) release(id uint64, p *bulkPending) {
-	b.mu.Lock()
-	if _, still := b.pending[id]; still {
-		// Failed locally before the demux resolved it (send error): the
-		// timed accounting the demux would have done happens here.
-		delete(b.pending, id)
-		if p.timed {
-			b.timed--
-			b.rearm()
-		}
-	}
-	b.mu.Unlock()
-	p.dst, p.timed = nil, false
-	bulkPendingPool.Put(p)
-}
-
-// failAll marks the channel dead and resolves every in-flight operation
-// with err.
-func (b *bulkClient) failAll(err error) {
-	err = b.fc.fail(err)
-	b.mu.Lock()
-	if b.dead == nil {
-		b.dead = err
-	}
-	pend := b.pending
-	b.pending = make(map[uint64]*bulkPending)
-	b.timed = 0
-	b.mu.Unlock()
-	for _, p := range pend {
-		p.done <- bulkResult{err: err}
-	}
-}
-
-// readLoop demultiplexes incoming frames: responses resolve their pending
-// operation; chunk frames land directly in the operation's destination
-// buffer. Stream-level corruption kills the channel (the fabric's
-// failover handles the rest); chunks for unknown IDs — an operation that
-// already failed — are discarded.
-func (b *bulkClient) readLoop() {
-	for {
-		h, err := b.fc.readHeader()
-		if err != nil {
-			b.failAll(fmt.Errorf("transport: bulk channel: %w", wrapNetErr(err)))
-			return
-		}
-		switch h.ftype {
-		case frameResponse:
-			bp, err := b.fc.readPayload(h.n)
-			if err != nil {
-				b.failAll(fmt.Errorf("transport: bulk channel: %w", wrapNetErr(err)))
-				return
-			}
-			resp := getResponse()
-			perr := parseResponseInto(*bp, resp)
-			putFrameBuf(bp)
-			if perr != nil {
-				putResponse(resp)
-				b.failAll(fmt.Errorf("transport: bulk channel: %w", perr))
-				return
-			}
-			b.mu.Lock()
-			p := b.pending[h.reqID]
-			delete(b.pending, h.reqID)
-			if p != nil && p.timed {
-				b.timed--
-			}
-			b.rearm()
-			b.mu.Unlock()
-			if p != nil {
-				p.done <- bulkResult{resp: resp}
-			} else {
-				// The operation already failed locally; nobody will consume.
-				putResponse(resp)
-			}
-		case frameChunk:
-			if err := b.readChunk(h); err != nil {
-				b.failAll(fmt.Errorf("transport: bulk channel: %w", wrapNetErr(err)))
-				return
-			}
-			b.mu.Lock()
-			b.rearm()
-			b.mu.Unlock()
-		default:
-			b.failAll(fmt.Errorf("transport: bulk channel: unexpected frame type %d", h.ftype))
-			return
-		}
-	}
-}
-
-// readChunk lands one incoming chunk in its transfer's destination.
-func (b *bulkClient) readChunk(h frameHeader) error {
-	if h.n < chunkOffsetLen {
-		return fmt.Errorf("chunk frame of %d bytes", h.n)
-	}
-	off, err := b.fc.readChunkOffset()
-	if err != nil {
-		return err
-	}
-	n := h.n - chunkOffsetLen
-	b.mu.Lock()
-	p := b.pending[h.reqID]
-	b.mu.Unlock()
-	if p == nil || p.dst == nil {
-		return b.fc.discardPayload(n)
-	}
-	dst, err := p.dst.RawSpan(off, n)
-	if err != nil {
-		// The worker sent an out-of-range chunk: protocol violation.
-		return err
-	}
-	return b.fc.readInto(dst)
-}
-
-// receiveArray streams raw, an array's wire bytes, to the remote array id
-// in chunks; the request leaves in the same write as the first chunk.
-// Multiple receiveArray/fetchArray calls interleave on the channel. A nil
-// snap means nothing writes raw during the call and chunks go out straight
-// from it; otherwise raw is live storage written under snap (a worker's
-// array), and each chunk is copied out under it and sent without it
-// (snapshot).
-//
-// Once register succeeds the pending is owed exactly one result: a send
-// failure here kills the connection, which fires failAll. Every path
-// consumes that result before releasing the pending; a local write error
-// takes precedence over the (less specific) teardown error.
-func (b *bulkClient) receiveArray(id dag.ArrayID, meta grcuda.ArrayMeta, raw []byte, snap sync.Locker) error {
-	reqID, p, err := b.register(nil)
-	if err != nil {
-		return err
-	}
-	rp := getFrameBuf()
-	defer putFrameBuf(rp)
-	*rp = appendRequest(*rp, &Request{Kind: MsgReceiveArray, ArrayID: id, Meta: meta})
-	req := *rp // nil once sent
-	var werr error
-	var scratch []byte
-	if len(raw) == 0 {
-		werr = b.fc.writeFrame(frameRequest, reqID, req)
-	} else if snap != nil {
-		sp := getChunkBuf(min(b.chunk, len(raw)))
-		defer putChunkBuf(sp)
-		scratch = *sp
-	}
-stream:
-	for off := 0; off < len(raw) && werr == nil; off += b.chunk {
-		select {
-		case res := <-p.done:
-			// An early error response (unknown array, size mismatch)
-			// aborts the stream instead of shipping the remaining chunks;
-			// it goes back for the wait below to consume.
-			p.done <- res
-			break stream
-		default:
-		}
-		data := raw[off:min(off+b.chunk, len(raw))]
-		if snap != nil {
-			data = snapshot(snap, scratch, data)
-		}
-		werr = b.fc.writeChunkAfter(reqID, req, uint64(off), data)
-		req = nil
-	}
-	if werr == nil {
-		b.awaitAck(reqID, p)
-	}
-	res := <-p.done
-	b.release(reqID, p)
-	if werr != nil {
-		putResponse(res.resp)
-		return fmt.Errorf("transport: stream %v: %w", MsgReceiveArray, werr)
-	}
-	return res.consume()
-}
-
-// snapshot copies src, a span of live array storage, into dst under mu,
-// the lock the array's writers hold. The caller sends the copy without the
-// lock: a slow peer never stalls whoever else needs it.
-func snapshot(mu sync.Locker, dst, src []byte) []byte {
-	mu.Lock()
-	n := copy(dst, src)
-	mu.Unlock()
-	return dst[:n]
-}
-
-// fetchArray pulls the remote array id into dst; incoming chunks are
-// written straight into dst's storage by the read loop.
-func (b *bulkClient) fetchArray(id dag.ArrayID, dst *kernels.Buffer) error {
-	return b.roundTrip(dst, &Request{Kind: MsgFetchArray, ArrayID: id})
+// fetchArray pulls the remote array id into dst; the reader lands its
+// chunks there straight off the socket.
+func (c *rpcConn) fetchArray(id dag.ArrayID, dst []byte) error {
+	_, err := c.move(&Request{Kind: MsgFetchArray, ArrayID: id}, &transfer{recv: dst})
+	return err
 }
 
 // pushTo commands the worker to ship array id directly to the peer at
-// addr (P2P). The round trip resolves when the peer acknowledged the
-// data; concurrent pushes to different peers proceed in parallel.
-func (b *bulkClient) pushTo(id dag.ArrayID, addr string) error {
-	return b.roundTrip(nil, &Request{Kind: MsgPushTo, ArrayID: id, PeerAddr: addr})
-}
-
-// roundTrip performs one chunkless bulk operation (the payload, if any,
-// streams toward the caller). The pending's one guaranteed result is
-// always consumed before release — see receiveArray.
-func (b *bulkClient) roundTrip(dst *kernels.Buffer, req *Request) error {
-	reqID, p, err := b.register(dst)
-	if err != nil {
-		return err
-	}
-	var werr error
-	if err := b.fc.sendRequest(reqID, req); err != nil {
-		werr = fmt.Errorf("transport: send %v: %w", req.Kind, err)
-	}
-	res := <-p.done
-	b.release(reqID, p)
-	if werr != nil {
-		putResponse(res.resp)
-		return werr
-	}
-	return res.consume()
+// addr (P2P). The answer comes when the peer acknowledged the data, however
+// long the transfer takes.
+func (c *rpcConn) pushTo(id dag.ArrayID, addr string) error {
+	_, err := c.move(&Request{Kind: MsgPushTo, ArrayID: id, PeerAddr: addr}, &transfer{untimed: true})
+	return err
 }

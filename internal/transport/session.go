@@ -389,7 +389,7 @@ func (c *SessionConn) RemoteAddr() net.Addr { return c.fc.raw.RemoteAddr() }
 // the frame leaves on the next Flush or Call. A non-nil return means the
 // request was not queued and done will not run.
 func (c *SessionConn) Start(req *SessionRequest, done func(*SessionResponse, error)) error {
-	return c.pipe.start(req, done)
+	return c.pipe.start(req, nil, done)
 }
 
 // Flush puts every buffered frame — client requests or gateway replies —
@@ -401,7 +401,7 @@ func (c *SessionConn) Flush() error { return c.fc.flushFrames() }
 // SessionResponse.Ok (sentinel-wrapped); transport errors kill the
 // connection.
 func (c *SessionConn) Call(req *SessionRequest) (*SessionResponse, error) {
-	resp, err := c.pipe.call(req)
+	resp, err := c.pipe.call(req, nil)
 	if err != nil {
 		return nil, err
 	}

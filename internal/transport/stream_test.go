@@ -77,7 +77,7 @@ func (firstAlive) NeedsDataView() bool                      { return false }
 func (firstAlive) Assign(req policy.Request) cluster.NodeID { return req.Nodes[0].ID }
 
 // outstanding reports how many control requests await their answer.
-func (c *ctrlConn) outstanding() int {
+func (c *rpcConn) outstanding() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.ring) - c.head

@@ -280,7 +280,7 @@ func TestWorkerSurvivesTruncatedMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newCtrlConn(fc, 0)
+	c := newRPCConn(fc, 0)
 	if _, err := c.call(&Request{Kind: MsgEnsureArray,
 		Meta: grcuda.ArrayMeta{ID: 1, Kind: memmodel.Float32, Len: 1 << 20}}); err != nil {
 		t.Fatal(err)
@@ -491,7 +491,7 @@ func TestWorkerConcurrentClients(t *testing.T) {
 				errs <- err
 				return
 			}
-			c := newCtrlConn(fc, 0)
+			c := newRPCConn(fc, 0)
 			defer c.close()
 			id := dag.ArrayID(cidx + 1)
 			if _, err := c.call(&Request{Kind: MsgEnsureArray,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"grout/internal/core"
+	"grout/internal/dag"
 	"grout/internal/gpusim"
 	"grout/internal/grcuda"
 	"grout/internal/kernels"
@@ -23,13 +24,15 @@ import (
 // Every connection opens with the protocol hello naming its channel
 // (control or bulk); anything else is closed.
 type WorkerServer struct {
-	mu        sync.Mutex
-	rt        *grcuda.Runtime
-	listener  net.Listener
-	log       *log.Logger
-	closed    bool
-	active    map[io.Closer]struct{}
-	pushChunk int
+	mu       sync.Mutex
+	rt       *grcuda.Runtime
+	listener net.Listener
+	log      *log.Logger
+	closed   bool
+	active   map[io.Closer]struct{}
+	// chunk is the chunk size of fetch streams and pushes: chunkBytes,
+	// smaller in tests that need many chunks. Guarded by mu.
+	chunk int
 	// peers holds this worker's persistent bulk link to each peer it has
 	// pushed to, by address: at most one entry per worker of the fleet.
 	peers map[string]*peerLink
@@ -40,20 +43,17 @@ type WorkerServer struct {
 
 // peerLink is the pushing side of one worker→worker bulk channel. The
 // link is dialed by the first push to the peer and shared by every later
-// and every concurrent one (the bulk protocol interleaves transfers by
-// request ID); it lives until it breaks — the next push redials — or the
-// server closes. mu serializes dials to this one peer and is never held
-// together with the server's lock or across a transfer.
+// one (pushes to one peer queue on it in order); it lives until it breaks
+// — the next push redials — or the server closes. mu serializes dials to
+// this one peer and is never held together with the server's lock or
+// across a transfer.
 type peerLink struct {
 	mu sync.Mutex
-	bc *bulkClient
+	bc *rpcConn
 }
 
 // ServerOptions tune a WorkerServer beyond the node spec.
 type ServerOptions struct {
-	// ChunkBytes is the chunk size for outgoing bulk streams (P2P pushes
-	// and fetch responses). 0 means DefaultChunkBytes.
-	ChunkBytes int
 	// DialTimeout bounds a worker→worker dial: the first P2P push to a
 	// peer and every redial of a broken peer link (zero means
 	// DefaultDialTimeout, negative disables).
@@ -98,7 +98,7 @@ func NewWorkerServerOpts(addr string, spec gpusim.NodeSpec, logger *log.Logger, 
 		log:          logger,
 		active:       make(map[io.Closer]struct{}),
 		peers:        make(map[string]*peerLink),
-		pushChunk:    normalizeChunk(opts.ChunkBytes),
+		chunk:        chunkBytes,
 		dialTimeout:  pickTimeout(opts.DialTimeout, DefaultDialTimeout),
 		chunkTimeout: pickTimeout(opts.ChunkTimeout, DefaultChunkTimeout),
 	}
@@ -180,7 +180,13 @@ func (w *WorkerServer) acceptLoop() {
 	}
 }
 
-// serveConn reads the connection hello and serves the channel it names.
+// serveConn reads the connection hello and serves the channel it names,
+// strictly in arrival order: a control channel's launches run one behind
+// the other — the ordering the controller's streamed launches rest on —
+// and a bulk channel's transfers do too, each consuming or producing its
+// chunks before the next request is read. Answers collect in the write
+// buffer and go out when no further request is already waiting in the
+// read buffer: one write per burst under load, one per request at depth 1.
 func (w *WorkerServer) serveConn(raw net.Conn) {
 	br := bufio.NewReaderSize(raw, 64<<10)
 	var hello [helloLen]byte
@@ -193,29 +199,13 @@ func (w *WorkerServer) serveConn(raw net.Conn) {
 		_ = raw.Close()
 		return
 	}
-	fc := newFramedConn(raw, br)
-	switch hello[4] {
-	case helloControl:
-		w.serveControl(fc)
-	case helloBulk:
-		w.serveBulk(fc)
-	default:
+	bulk := hello[4] == helloBulk
+	if !bulk && hello[4] != helloControl {
 		w.log.Printf("worker: unknown channel %d in hello", hello[4])
-		_ = fc.close()
+		_ = raw.Close()
+		return
 	}
-}
-
-// --- framed control serving ------------------------------------------------
-
-// serveControl handles one framed control channel: requests are executed
-// and answered strictly in arrival order — the ordering guarantee the
-// controller's streamed launches rest on (a launch queued behind another
-// on this channel runs after it, the Local-DAG rule carried by the wire).
-// Responses collect in the write buffer and go out when no further request
-// is already waiting in the read buffer: one write per burst under load,
-// one per request at depth 1. Bulk kinds are rejected here — array
-// payloads belong on the bulk channel.
-func (w *WorkerServer) serveControl(fc *framedConn) {
+	fc := newFramedConn(raw, br)
 	if !w.track(fc) {
 		_ = fc.close()
 		return
@@ -235,7 +225,7 @@ func (w *WorkerServer) serveControl(fc *framedConn) {
 			return // connection closed (or corrupt stream)
 		}
 		if h.ftype != frameRequest {
-			w.log.Printf("worker control: unexpected frame type %d", h.ftype)
+			w.log.Printf("worker: unexpected frame type %d", h.ftype)
 			return
 		}
 		bp, err := fc.readPayload(h.n)
@@ -245,16 +235,13 @@ func (w *WorkerServer) serveControl(fc *framedConn) {
 		perr := parseRequestInto(*bp, &req)
 		putFrameBuf(bp)
 		if perr != nil {
-			w.log.Printf("worker control: %v", perr)
+			w.log.Printf("worker: %v", perr)
 			return
 		}
-		var resp *Response
-		switch req.Kind {
-		case MsgReceiveArray, MsgFetchArray, MsgPushTo:
-			resp = &Response{}
-			resp.setErr(fmt.Errorf("bulk operation %v on control channel", req.Kind))
-		default:
-			resp = w.handle(&req)
+		resp, err := w.serve(fc, bulk, h.reqID, &req)
+		if err != nil {
+			w.log.Printf("worker: %v", err)
+			return
 		}
 		if req.Kind == MsgShutdown {
 			// Stop accepting before the answer leaves: a dial the client
@@ -276,231 +263,153 @@ func (w *WorkerServer) serveControl(fc *framedConn) {
 	}
 }
 
-// --- framed bulk serving ---------------------------------------------------
-
-// inflightRecv tracks one chunked array receive on a bulk channel.
-type inflightRecv struct {
-	buf   *kernels.Buffer
-	got   int
-	total int
+// serve executes request id, arrived on a bulk or a control channel. Array
+// payloads belong on a bulk channel (a peer link is one), everything else
+// on a control channel, and a ping is welcome on both. A non-nil error
+// means the stream is corrupt and the channel must close.
+func (w *WorkerServer) serve(fc *framedConn, bulk bool, id uint64, req *Request) (*Response, error) {
+	resp := &Response{}
+	payload := req.Kind == MsgReceiveArray || req.Kind == MsgFetchArray || req.Kind == MsgPushTo
+	var err error
+	switch {
+	case payload != bulk && req.Kind != MsgPing:
+		ch := "control"
+		if bulk {
+			ch = "bulk"
+		}
+		err = fmt.Errorf("request %v not valid on the %s channel", req.Kind, ch)
+	case req.Kind == MsgReceiveArray:
+		refused, serr := w.receive(fc, id, req)
+		if serr != nil {
+			return nil, serr
+		}
+		err = refused
+	case req.Kind == MsgFetchArray:
+		err = w.fetch(fc, id, req)
+	case req.Kind == MsgPushTo:
+		err = w.pushTo(req)
+	default:
+		w.mu.Lock()
+		err = w.apply(req, resp)
+		w.mu.Unlock()
+	}
+	resp.setErr(err)
+	return resp, nil
 }
 
-// serveBulk handles one framed bulk channel: receive streams land chunk
-// by chunk directly in array storage; fetches and P2P pushes run in their
-// own goroutines so a slow peer never stalls the channel's reader, and
-// concurrent operations interleave by request ID.
-func (w *WorkerServer) serveBulk(fc *framedConn) {
-	if !w.track(fc) {
-		_ = fc.close()
-		return
+// receive lands the chunk frames behind receive request id in the array it
+// names. Each chunk is read off the socket without the runtime lock (a slow
+// sender must not stall launches on other arrays) and applied under it
+// (ordering the write before later launches that read the array). Chunks
+// must continue one another and add up to exactly the length the request
+// declares. A receive the worker refuses — unknown array, wrong size —
+// still consumes its chunks, so the next request starts where it should,
+// and the refusal is its answer; err reports a stream out of sync.
+func (w *WorkerServer) receive(fc *framedConn, id uint64, req *Request) (refused, err error) {
+	total := 0
+	if req.Meta.Len > 0 {
+		total = int(grcuda.ArrayMeta{Kind: req.Meta.Kind, Len: req.Meta.Len}.Bytes())
 	}
-	defer func() {
-		w.untrack(fc)
-		_ = fc.close()
-	}()
-	// recv is owned by this goroutine; no lock needed.
-	recv := make(map[uint64]*inflightRecv)
-	// req is this connection's decode scratch (see serveControl); paths
-	// that outlive the loop iteration (fetch/push goroutines) copy it.
-	var req Request
-	for {
+	buf, refused := w.beginReceive(req, total)
+	for got := 0; got < total; {
 		h, err := fc.readHeader()
 		if err != nil {
-			return
+			return nil, err
 		}
-		switch h.ftype {
-		case frameRequest:
-			bp, err := fc.readPayload(h.n)
-			if err != nil {
-				return
-			}
-			perr := parseRequestInto(*bp, &req)
-			putFrameBuf(bp)
-			if perr != nil {
-				w.log.Printf("worker bulk: %v", perr)
-				return
-			}
-			if !w.bulkRequest(fc, h.reqID, &req, recv) {
-				return
-			}
-		case frameChunk:
-			if err := w.bulkChunk(fc, h, recv); err != nil {
-				w.log.Printf("worker bulk: %v", err)
-				return
-			}
-		default:
-			w.log.Printf("worker bulk: unexpected frame type %d", h.ftype)
-			return
+		if h.ftype != frameChunk || h.reqID != id || h.n < chunkOffsetLen {
+			return nil, fmt.Errorf("frame type %d id %d inside the chunks of receive %d", h.ftype, h.reqID, id)
 		}
-	}
-}
-
-// bulkRequest opens one bulk operation; it reports false when the channel
-// must close.
-func (w *WorkerServer) bulkRequest(fc *framedConn, reqID uint64, req *Request,
-	recv map[uint64]*inflightRecv) bool {
-	switch req.Kind {
-	case MsgReceiveArray:
-		st, err := w.beginReceive(req)
+		off, err := fc.readChunkOffset()
 		if err != nil {
-			resp := &Response{}
-			resp.setErr(err)
-			return fc.sendResponse(reqID, resp) == nil
+			return nil, err
 		}
-		if st.total == 0 {
-			// Zero-length array: nothing will stream.
-			return fc.sendResponse(reqID, &Response{}) == nil
+		n := h.n - chunkOffsetLen
+		if off != got || n > total-got {
+			return nil, fmt.Errorf("chunk [%d, %d) of receive %d: %d of %d bytes received", off, off+n, id, got, total)
 		}
-		recv[reqID] = st
-		return true
-	case MsgFetchArray:
-		// req is the serve loop's scratch and will be overwritten by the
-		// next frame; the goroutine gets its own shallow copy (safe: every
-		// parse allocates fresh slice fields, never aliases prior ones).
-		r := *req
-		go w.serveFetch(fc, reqID, &r)
-		return true
-	case MsgPushTo:
-		r := *req
-		go w.servePush(fc, reqID, &r)
-		return true
-	case MsgPing:
-		// Harmless on bulk (used by channel health probes).
-		return fc.sendResponse(reqID, &Response{}) == nil
-	default:
-		resp := &Response{}
-		resp.setErr(fmt.Errorf("request %v not valid on bulk channel", req.Kind))
-		return fc.sendResponse(reqID, resp) == nil
+		if refused != nil {
+			err = fc.discardPayload(n)
+		} else {
+			err = w.landChunk(fc, buf, off, n)
+		}
+		if err != nil {
+			return nil, err
+		}
+		got += n
 	}
+	return refused, nil
 }
 
-// beginReceive validates an incoming array stream and invalidates stale
-// device pages; chunks will land directly in the array's host buffer.
-func (w *WorkerServer) beginReceive(req *Request) (*inflightRecv, error) {
+// beginReceive checks an incoming array stream of sent bytes against the
+// local replica and invalidates its stale device pages; chunks will land
+// directly in the array's host buffer.
+func (w *WorkerServer) beginReceive(req *Request, sent int) (*kernels.Buffer, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	arr := w.rt.Array(req.ArrayID)
 	if arr == nil {
 		return nil, fmt.Errorf("receive of unknown array %d: %w", req.ArrayID, core.ErrArrayNotFound)
 	}
+	// The sender names how many bytes it will stream; a mismatch against
+	// the local replica is a protocol-level bug, not data to truncate.
+	if local := int(arr.Bytes()); req.Meta.Len > 0 && sent != local {
+		return nil, fmt.Errorf("receive of array %d: %d sent bytes vs %d local", req.ArrayID, sent, local)
+	}
 	if err := w.rt.Node().Invalidate(arr.Alloc); err != nil {
 		return nil, err
 	}
-	// The sender names how many bytes it will stream; a mismatch against
-	// the local replica is a protocol-level bug, not data to truncate.
-	var sent int
-	if req.Meta.Len > 0 {
-		sent = int(grcuda.ArrayMeta{Kind: req.Meta.Kind, Len: req.Meta.Len}.Bytes())
-		if local := int(arr.Bytes()); sent != local {
-			return nil, fmt.Errorf("receive of array %d: %d sent bytes vs %d local", req.ArrayID, sent, local)
-		}
-	}
-	return &inflightRecv{buf: arr.Buf, total: sent}, nil
+	return arr.Buf, nil
 }
 
-// bulkChunk applies one incoming chunk; unknown request IDs (an aborted
-// or rejected transfer) are discarded.
-func (w *WorkerServer) bulkChunk(fc *framedConn, h frameHeader, recv map[uint64]*inflightRecv) error {
-	if h.n < chunkOffsetLen {
-		return fmt.Errorf("chunk frame of %d bytes", h.n)
-	}
-	off, err := fc.readChunkOffset()
-	if err != nil {
-		return err
-	}
-	n := h.n - chunkOffsetLen
-	st, ok := recv[h.reqID]
-	if !ok || st.buf == nil {
-		return fc.discardPayload(n)
-	}
-	if _, err := st.buf.RawSpan(off, n); err != nil {
-		return err // protocol violation: kill the channel
-	}
-	// Pull the payload into pooled scratch without the runtime lock (the
-	// socket read may block on a slow sender), then land it under the
-	// lock: launches on other arrays interleave between chunks, and the
-	// lock edge orders the buffer write against later launches reading it.
+// landChunk reads the n-byte payload of a chunk at byte offset off into
+// pooled scratch, then copies it into buf under the runtime lock.
+func (w *WorkerServer) landChunk(fc *framedConn, buf *kernels.Buffer, off, n int) error {
 	bp := getChunkBuf(n)
 	defer putChunkBuf(bp)
 	if err := fc.readInto(*bp); err != nil {
 		return err
 	}
 	w.mu.Lock()
-	err = st.buf.SetRawBytes(off, *bp)
+	defer w.mu.Unlock()
+	return buf.SetRawBytes(off, *bp)
+}
+
+// fetch streams array req.ArrayID back as chunk frames of request id, each
+// copied out under the runtime lock and written without it. A write that
+// fails breaks the connection, which ends the serve loop at the answer.
+func (w *WorkerServer) fetch(fc *framedConn, id uint64, req *Request) error {
+	w.mu.Lock()
+	raw, _, err := w.sendable("fetch", req.ArrayID)
+	chunk := w.chunk
 	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	st.got += n
-	if st.got >= st.total {
-		delete(recv, h.reqID)
-		return fc.sendResponse(h.reqID, &Response{})
-	}
+	_ = fc.writeChunks(id, raw, chunk, &w.mu)
 	return nil
 }
 
-// serveFetch streams an array's contents back to the requester in chunks,
-// then the response. Runs in its own goroutine; chunk writes interleave
-// with other operations under the connection's write mutex.
-func (w *WorkerServer) serveFetch(fc *framedConn, reqID uint64, req *Request) {
-	w.mu.Lock()
-	arr := w.rt.Array(req.ArrayID)
+// sendable looks array id up for a fetch or a push, flushes its device
+// pages to its host buffer and returns that buffer's bytes. Called with
+// w.mu held.
+func (w *WorkerServer) sendable(op string, id dag.ArrayID) ([]byte, grcuda.ArrayMeta, error) {
+	arr := w.rt.Array(id)
 	if arr == nil {
-		w.mu.Unlock()
-		resp := &Response{}
-		resp.setErr(fmt.Errorf("fetch of unknown array %d: %w", req.ArrayID, core.ErrArrayNotFound))
-		_ = fc.sendResponse(reqID, resp)
-		return
+		return nil, grcuda.ArrayMeta{}, fmt.Errorf("%s of unknown array %d: %w", op, id, core.ErrArrayNotFound)
 	}
 	if _, err := w.rt.Node().FlushForSend(arr.Alloc, w.rt.Elapsed()); err != nil {
-		w.mu.Unlock()
-		resp := &Response{}
-		resp.setErr(err)
-		_ = fc.sendResponse(reqID, resp)
-		return
+		return nil, grcuda.ArrayMeta{}, err
 	}
-	raw := arr.Buf.RawBytes()
-	w.mu.Unlock()
-
-	// Each chunk is snapshotted into pooled scratch under the runtime lock
-	// (ordering the reads against concurrent launches), then written
-	// without it so a slow peer never stalls kernel execution.
-	bp := getChunkBuf(min(w.pushChunk, len(raw)))
-	defer putChunkBuf(bp)
-	for off := 0; off < len(raw); off += w.pushChunk {
-		data := snapshot(&w.mu, *bp, raw[off:min(off+w.pushChunk, len(raw))])
-		if err := fc.writeChunk(reqID, uint64(off), data); err != nil {
-			return // channel dead; requester sees the broken conn
-		}
-	}
-	_ = fc.sendResponse(reqID, &Response{})
-}
-
-// servePush ships an array to a peer worker over this worker's link to
-// it. Pushes run concurrently, to one peer or several.
-func (w *WorkerServer) servePush(fc *framedConn, reqID uint64, req *Request) {
-	resp := &Response{}
-	resp.setErr(w.pushTo(req))
-	_ = fc.sendResponse(reqID, resp)
-}
-
-// handle executes one control request under the runtime lock.
-func (w *WorkerServer) handle(req *Request) *Response {
-	resp := &Response{}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	resp.setErr(w.apply(req, resp))
-	return resp
+	return arr.Buf.RawBytes(), arr.ArrayMeta, nil
 }
 
 // pushTo ships an array to a peer worker. The runtime lock is taken to
 // flush the array and then once per chunk, to copy the chunk out; it is
-// never held across network I/O — otherwise a cycle of concurrent pushes
-// between workers would deadlock, each one holding its runtime lock while
-// the peer's receive handler waits for that same lock. No whole-array
-// snapshot is needed: the controller orders any launch that writes the
-// array after the move that reads it (the DAG's WAR edge), the rule
-// serveFetch rests on too.
+// never held across network I/O — otherwise a cycle of pushes between
+// workers would deadlock, each one holding its runtime lock while the
+// peer's receive waits for that same lock. No whole-array snapshot is
+// needed: the controller orders any launch that writes the array after
+// the move that reads it (the DAG's WAR edge), the rule fetch rests on too.
 //
 // A cached link can be dead without having noticed (the peer restarted on
 // its address, a half-open socket), so a transfer that breaks a reused
@@ -508,16 +417,12 @@ func (w *WorkerServer) handle(req *Request) *Response {
 // the peer answered with leaves the link intact and is returned as is.
 func (w *WorkerServer) pushTo(req *Request) error {
 	w.mu.Lock()
-	arr := w.rt.Array(req.ArrayID)
-	if arr == nil {
-		w.mu.Unlock()
-		return fmt.Errorf("push of unknown array %d: %w", req.ArrayID, core.ErrArrayNotFound)
-	}
-	if _, err := w.rt.Node().FlushForSend(arr.Alloc, w.rt.Elapsed()); err != nil {
+	raw, meta, err := w.sendable("push", req.ArrayID)
+	if err != nil {
 		w.mu.Unlock()
 		return err
 	}
-	raw, meta := arr.Buf.RawBytes(), arr.ArrayMeta
+	chunk := w.chunk
 	pl := w.peers[req.PeerAddr]
 	if pl == nil {
 		pl = &peerLink{}
@@ -530,18 +435,18 @@ func (w *WorkerServer) pushTo(req *Request) error {
 		if err != nil {
 			return err
 		}
-		err = bc.receiveArray(req.ArrayID, meta, raw, &w.mu)
+		err = bc.sendArray(req.ArrayID, meta, raw, chunk, &w.mu)
 		if err == nil || fresh || retried || bc.broken() == nil {
 			return err
 		}
 	}
 }
 
-// peerClient returns pl's live bulk client, dialing the peer at addr when
-// there is none or the last one broke; fresh reports a link dialed by this
-// call. The client is tracked like an accepted connection, so Close (and
+// peerClient returns pl's live link, dialing the peer at addr when there
+// is none or the last one broke; fresh reports a link dialed by this call.
+// The link is tracked like an accepted connection, so Close (and
 // MsgShutdown) closes it and a closed server dials no more.
-func (w *WorkerServer) peerClient(pl *peerLink, addr string) (bc *bulkClient, fresh bool, err error) {
+func (w *WorkerServer) peerClient(pl *peerLink, addr string) (bc *rpcConn, fresh bool, err error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	if pl.bc != nil {
@@ -561,8 +466,7 @@ func (w *WorkerServer) peerClient(pl *peerLink, addr string) (bc *bulkClient, fr
 		return nil, false, fmt.Errorf("p2p push to %s: this worker is closed: %w", addr, core.ErrTransient)
 	}
 	fc.writeTimeout = w.chunkTimeout
-	pl.bc = newBulkClient(fc, w.pushChunk)
-	pl.bc.chunkTimeout = w.chunkTimeout
+	pl.bc = newRPCConn(fc, w.chunkTimeout)
 	return pl.bc, true, nil
 }
 

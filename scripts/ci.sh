@@ -11,8 +11,10 @@
 #                    ./internal/optimizer/... ./internal/gpusim/...
 #                    ./internal/policy/...
 #      (the pipelined controller's determinism property test, the DAG
-#      fast path, the framed-wire data plane — concurrent bulk
-#      streams, failover teardown — and the parallel kernel engine's
+#      fast path, the framed-wire data plane — concurrent transfers
+#      serialised on one FIFO bulk channel, chunk-stream validation, a
+#      refused receive keeping the stream in sync, failover teardown —
+#      and the parallel kernel engine's
 #      block-partitioned executor + atomicAdd CAS loop run under the
 #      race detector; this sweep includes the chaos-fabric recovery
 #      suite and the streamed-launch suite (pipelined control channel:
@@ -62,7 +64,9 @@
 #      the separate producer/consumer launches bit-for-bit (10s), and
 #      the session-frame codec must round-trip and never panic on
 #      adversarial payloads (5s each direction, plus 5s on the
-#      backpressure-frame payload codec; corpora persist)
+#      backpressure-frame payload codec; corpora persist), and the
+#      worker's serve loop must never panic and must return when a bulk
+#      channel's arbitrary input ends (5s)
 #   6. the controller/DAG/transport/kernel/oversubscription
 #      micro-benchmarks with -benchtime=1x as a smoke gate, plus a
 #      UVMBench workload-sweep smoke row (spmv + kmeans at 0.5x/2x per
@@ -107,8 +111,8 @@ go test -race ./internal/core/... ./internal/dag/... ./internal/grcuda/... \
 echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos)"
 go test -race -run 'TestShardDifferential' ./internal/workloads/
 
-echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + worker-to-worker + depth-1 + one-engine suite (lineage replay, deadlines, write-off, stream replay, session stream, peer links, inline admission and start, window-of-1 equivalence, stickiness, goroutine budget)"
-go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|ParkedWindow|SyncReportsDispatchFailure|PipelineMatchesSerial|ConcurrentFabricOrdering|ErrorStickiness|GoroutineBudget' \
+echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + worker-to-worker + depth-1 + one-engine + FIFO bulk suite (lineage replay, deadlines, write-off, stream replay, session stream, peer links, inline admission and start, window-of-1 equivalence, stickiness, goroutine budget, serialised transfers, chunk-stream validation)"
+go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|ParkedWindow|SyncReportsDispatchFailure|PipelineMatchesSerial|ConcurrentFabricOrdering|ErrorStickiness|GoroutineBudget|ConcurrentBulkTransfersSerialise|ChunkStreamValidation|RejectedReceiveKeepsStreamInSync|BulkSever|PingNotBlocked' \
     ./internal/core/ ./internal/transport/ ./internal/shard/ ./internal/bench/ ./internal/server/
 
 echo "== differential fuzz (compiled engine vs interpreter, 10s)"
@@ -126,6 +130,9 @@ go test -run '^$' -fuzz FuzzSessionBackpressure -fuzztime 5s ./internal/transpor
 
 echo "== shard-lease frame fuzz (5s)"
 go test -run '^$' -fuzz FuzzLeaseGrant -fuzztime 5s ./internal/transport/
+
+echo "== worker serve-loop fuzz (5s)"
+go test -run '^$' -fuzz FuzzWorkerServe -fuzztime 5s ./internal/transport/
 
 echo "== micro-benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench 'BenchmarkControllerSubmitThroughput|BenchmarkSchedulingOnly' \
