@@ -23,48 +23,57 @@ import (
 func (b *Buffer) AtomicAdd(i int, v float64) float64 {
 	switch b.Kind {
 	case memmodel.Float32:
-		addr := (*uint32)(unsafe.Pointer(&b.F32[i]))
-		for {
-			oldBits := atomic.LoadUint32(addr)
-			old := float64(math.Float32frombits(oldBits))
-			sum := float32(old + v)
-			if sum != sum {
-				sum = canonNaN32 // same canonical quiet NaN as Buffer.Set
-			}
-			if atomic.CompareAndSwapUint32(addr, oldBits, math.Float32bits(sum)) {
-				return old
-			}
-		}
+		return AtomicAddFloat32(&b.F32[i], v)
 	case memmodel.Float64:
-		addr := (*uint64)(unsafe.Pointer(&b.F64[i]))
-		for {
-			oldBits := atomic.LoadUint64(addr)
-			old := math.Float64frombits(oldBits)
-			sum := old + v
-			if sum != sum {
-				sum = canonNaN64
-			}
-			if atomic.CompareAndSwapUint64(addr, oldBits, math.Float64bits(sum)) {
-				return old
-			}
-		}
+		return AtomicAddFloat64(&b.F64[i], v)
 	case memmodel.Int32:
-		addr := &b.I32[i]
-		for {
-			old := atomic.LoadInt32(addr)
-			next := int32(float64(old) + v)
-			if atomic.CompareAndSwapInt32(addr, old, next) {
-				return float64(old)
-			}
-		}
+		return AtomicAddInt32(&b.I32[i], v)
 	default:
-		addr := &b.I64[i]
-		for {
-			old := atomic.LoadInt64(addr)
-			next := int64(float64(old) + v)
-			if atomic.CompareAndSwapInt64(addr, old, next) {
-				return float64(old)
-			}
+		return AtomicAddInt64(&b.I64[i], v)
+	}
+}
+
+// AtomicAddFloat32 is AtomicAdd on one float32 element: the sum is
+// rounded by Canon32, as a store would.
+func AtomicAddFloat32(p *float32, v float64) float64 {
+	addr := (*uint32)(unsafe.Pointer(p))
+	for {
+		oldBits := atomic.LoadUint32(addr)
+		old := float64(math.Float32frombits(oldBits))
+		if atomic.CompareAndSwapUint32(addr, oldBits, math.Float32bits(Canon32(old+v))) {
+			return old
+		}
+	}
+}
+
+// AtomicAddFloat64 is AtomicAdd on one float64 element.
+func AtomicAddFloat64(p *float64, v float64) float64 {
+	addr := (*uint64)(unsafe.Pointer(p))
+	for {
+		oldBits := atomic.LoadUint64(addr)
+		old := math.Float64frombits(oldBits)
+		if atomic.CompareAndSwapUint64(addr, oldBits, math.Float64bits(Canon64(old+v))) {
+			return old
+		}
+	}
+}
+
+// AtomicAddInt32 is AtomicAdd on one int32 element.
+func AtomicAddInt32(p *int32, v float64) float64 {
+	for {
+		old := atomic.LoadInt32(p)
+		if atomic.CompareAndSwapInt32(p, old, int32(float64(old)+v)) {
+			return float64(old)
+		}
+	}
+}
+
+// AtomicAddInt64 is AtomicAdd on one int64 element.
+func AtomicAddInt64(p *int64, v float64) float64 {
+	for {
+		old := atomic.LoadInt64(p)
+		if atomic.CompareAndSwapInt64(p, old, int64(float64(old)+v)) {
+			return float64(old)
 		}
 	}
 }

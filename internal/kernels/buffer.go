@@ -89,32 +89,32 @@ var (
 	canonNaN64 = math.Float64frombits(0x7fffffffffffffff)
 )
 
-// canon32 rounds v to single precision as Set does for a Float32 buffer:
-// any NaN becomes the canonical quiet NaN.
-func canon32(v float64) float32 {
+// Canon32 rounds v to single precision as Set does for a Float32 buffer:
+// any NaN becomes the canonical quiet NaN. Every store into float32
+// element storage goes through it.
+func Canon32(v float64) float32 {
 	if v != v {
 		return canonNaN32
 	}
 	return float32(v)
 }
 
+// Canon64 is Canon32's double-precision twin: any NaN becomes the
+// canonical quiet NaN, every other value passes through.
+func Canon64(v float64) float64 {
+	if v != v {
+		return canonNaN64
+	}
+	return v
+}
+
 // Set stores v into element i, converting to the buffer's kind.
 func (b *Buffer) Set(i int, v float64) {
-	if v != v {
-		switch b.Kind {
-		case memmodel.Float32:
-			b.F32[i] = canonNaN32
-			return
-		case memmodel.Float64:
-			b.F64[i] = canonNaN64
-			return
-		}
-	}
 	switch b.Kind {
 	case memmodel.Float32:
-		b.F32[i] = float32(v)
+		b.F32[i] = Canon32(v)
 	case memmodel.Float64:
-		b.F64[i] = v
+		b.F64[i] = Canon64(v)
 	case memmodel.Int32:
 		b.I32[i] = int32(v)
 	default:

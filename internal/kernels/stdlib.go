@@ -353,7 +353,7 @@ func fillDef() *Def {
 // their typed slices directly: Sig.Validate has already pinned every
 // pointer argument to Float32, and Buffer.At/Set would redo that kind
 // dispatch per element. The arithmetic keeps At/Set's shape — computed in
-// float64, rounded once by canon32 — so results are bit-identical to it.
+// float64, rounded once by Canon32 — so results are bit-identical to it.
 // An n beyond a buffer panics, as indexing did.
 
 // f32Prefix is b's first n elements, the range a loop `for i := 0; i < n;
@@ -383,7 +383,7 @@ func copyDef() *Def {
 			n := a[2].Int()
 			dst, src := f32Prefix(a[0].Buf, n), f32Prefix(a[1].Buf, n)
 			for i, v := range src {
-				dst[i] = canon32(float64(v))
+				dst[i] = Canon32(float64(v))
 			}
 			return nil
 		},
@@ -408,7 +408,7 @@ func axpyDef() *Def {
 			n, alpha := a[3].Int(), a[2].Scalar
 			y, x := f32Prefix(a[0].Buf, n), f32Prefix(a[1].Buf, n)
 			for i, v := range x {
-				y[i] = canon32(float64(y[i]) + alpha*float64(v))
+				y[i] = Canon32(float64(y[i]) + alpha*float64(v))
 			}
 			return nil
 		},
@@ -433,7 +433,7 @@ func scaleDef() *Def {
 			n, alpha := a[3].Int(), a[2].Scalar
 			y, x := f32Prefix(a[0].Buf, n), f32Prefix(a[1].Buf, n)
 			for i, v := range x {
-				y[i] = canon32(alpha * float64(v))
+				y[i] = Canon32(alpha * float64(v))
 			}
 			return nil
 		},

@@ -63,8 +63,9 @@ func CompileOpts(src, signature string, opts EngineOpts) (*kernels.Def, error) {
 // is touched only at the thread's own global id (or through atomicAdd),
 // so block partitions may execute concurrently. orderSensitive reports
 // an atomicAdd accumulation whose interleaving changes the result (a
-// non-integer added value), which also forces serial execution unless
-// RelaxedAtomics is set. A kernel failing either check still executes
+// non-integer value or buffer, or a returned old value that is read),
+// which also forces serial execution unless RelaxedAtomics is set. A
+// kernel failing either check still executes
 // correctly — it runs on the deterministic serial path, never
 // miscompiled. Workload tests use this probe to pin which path each
 // kernel takes.
@@ -80,7 +81,7 @@ func RaceAnalysis(src string) (parallelSafe, orderSensitive bool, err error) {
 	if err != nil {
 		return false, false, err
 	}
-	return p.parallelSafe, p.hasAtomic && !p.atomicValInt, nil
+	return p.parallelSafe, p.orderSensitive(), nil
 }
 
 func compileUncached(src, signature string, opts EngineOpts) (*kernels.Def, error) {

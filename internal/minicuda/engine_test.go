@@ -104,7 +104,7 @@ func runDifferential(t *testing.T, k *Kernel, grid, block, n, maxSteps int) {
 	}
 	buffersBitEqual(t, k.Name, argsI, argsC)
 
-	if prog.parallelSafe && !prog.orderSensitive(base) {
+	if prog.parallelSafe && !prog.orderSensitive() {
 		argsP := cloneArgs(base)
 		if err := prog.launch(grid, block, argsP, EngineOpts{Workers: 4, MaxThreadSteps: maxSteps}); err != nil {
 			t.Fatalf("%s: parallel run failed: %v", k.Name, err)
@@ -442,16 +442,13 @@ func TestFloatAtomicsDefaultSerial(t *testing.T) {
 	if !prog.parallelSafe || !prog.hasAtomic {
 		t.Fatalf("analysis wrong: safe=%v atomic=%v", prog.parallelSafe, prog.hasAtomic)
 	}
-	out := kernels.NewBuffer(memmodel.Float32, 1)
-	x := kernels.NewBuffer(memmodel.Float32, 8)
-	args := []kernels.Arg{kernels.BufArg(out), kernels.BufArg(x), kernels.ScalarArg(8)}
-	if !prog.orderSensitive(args) {
+	if !prog.orderSensitive() {
 		t.Fatalf("float accumulation not flagged order-sensitive")
 	}
-	if w := prog.workers(32, args, EngineOpts{}); w != 1 {
+	if w := prog.workers(32, EngineOpts{}); w != 1 {
 		t.Fatalf("order-sensitive kernel got %d workers, want 1", w)
 	}
-	if w := prog.workers(32, args, EngineOpts{Workers: 8, RelaxedAtomics: true}); w != 8 {
+	if w := prog.workers(32, EngineOpts{Workers: 8, RelaxedAtomics: true}); w != 8 {
 		t.Fatalf("relaxed atomics ignored: got %d workers", w)
 	}
 }
@@ -475,8 +472,7 @@ __global__ void rev(float *y, const float *x, int n) {
 	if prog.parallelSafe {
 		t.Fatalf("reverse-scatter kernel wrongly proven parallel-safe")
 	}
-	args := diffArgs(ks[0], 8)
-	if w := prog.workers(32, args, EngineOpts{Workers: 8}); w != 1 {
+	if w := prog.workers(32, EngineOpts{Workers: 8}); w != 1 {
 		t.Fatalf("unsafe kernel got %d workers, want 1", w)
 	}
 }
@@ -496,7 +492,7 @@ func TestGidAliasRecognized(t *testing.T) {
 	if !prog.parallelSafe {
 		t.Fatalf("saxpy not proven parallel-safe")
 	}
-	if w := prog.workers(1024, diffArgs(ks[0], 16), EngineOpts{}); w != runtime.GOMAXPROCS(0) {
+	if w := prog.workers(1024, EngineOpts{}); w != runtime.GOMAXPROCS(0) {
 		t.Fatalf("default workers = %d, want GOMAXPROCS (%d)", w, runtime.GOMAXPROCS(0))
 	}
 }

@@ -81,17 +81,31 @@ const maxLaunchThreads = int64(1) << 31
 // exceeds maxLaunchThreads. Matched with errors.Is.
 var ErrLaunchTooLarge = errors.New("launch exceeds the thread-count limit")
 
-// validateLaunch checks a launch configuration; shared by both engines.
-func validateLaunch(name string, grid, block int, nargs, nparams int) error {
+// validateLaunch checks a launch configuration and its arguments against
+// the kernel's parameters; shared by both engines. A pointer parameter
+// needs a buffer of exactly its element kind — the compiled engine indexes
+// that kind's typed slice directly.
+func validateLaunch(k *Kernel, grid, block int, args []kernels.Arg) error {
 	if grid < 1 || block < 1 {
-		return fmt.Errorf("minicuda: %s: invalid launch configuration %dx%d", name, grid, block)
+		return fmt.Errorf("minicuda: %s: invalid launch configuration %dx%d", k.Name, grid, block)
 	}
 	if total := int64(grid) * int64(block); total > maxLaunchThreads {
 		return fmt.Errorf("minicuda: %s: %dx%d launch is %d threads (limit %d): %w",
-			name, grid, block, total, maxLaunchThreads, ErrLaunchTooLarge)
+			k.Name, grid, block, total, maxLaunchThreads, ErrLaunchTooLarge)
 	}
-	if nargs != nparams {
-		return fmt.Errorf("minicuda: %s: got %d arguments, want %d", name, nargs, nparams)
+	if len(args) != len(k.Params) {
+		return fmt.Errorf("minicuda: %s: got %d arguments, want %d", k.Name, len(args), len(k.Params))
+	}
+	for i, prm := range k.Params {
+		buf := args[i].Buf
+		switch {
+		case prm.Pointer && buf == nil:
+			return fmt.Errorf("minicuda: %s: parameter %s needs a device array", k.Name, prm.Name)
+		case !prm.Pointer && buf != nil:
+			return fmt.Errorf("minicuda: %s: parameter %s is a scalar", k.Name, prm.Name)
+		case prm.Pointer && buf.Kind != prm.Kind:
+			return fmt.Errorf("minicuda: %s: parameter %s needs a %v array, got %v", k.Name, prm.Name, prm.Kind, buf.Kind)
+		}
 	}
 	return nil
 }
@@ -133,18 +147,12 @@ const (
 // runLaunch interprets the kernel over a 1-D grid of grid×block threads.
 // maxSteps bounds per-thread statement execution (0 means the default).
 func runLaunch(k *Kernel, grid, block int, args []kernels.Arg, maxSteps int) error {
-	if err := validateLaunch(k.Name, grid, block, len(args), len(k.Params)); err != nil {
+	if err := validateLaunch(k, grid, block, args); err != nil {
 		return err
 	}
 	paramIdx := make(map[string]int, len(k.Params))
 	for i, prm := range k.Params {
 		paramIdx[prm.Name] = i
-		if prm.Pointer && args[i].Buf == nil {
-			return fmt.Errorf("minicuda: %s: parameter %s needs a device array", k.Name, prm.Name)
-		}
-		if !prm.Pointer && args[i].Buf != nil {
-			return fmt.Errorf("minicuda: %s: parameter %s is a scalar", k.Name, prm.Name)
-		}
 	}
 	if maxSteps <= 0 {
 		maxSteps = maxThreadSteps

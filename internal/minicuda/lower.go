@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"grout/internal/kernels"
 	"grout/internal/memmodel"
 )
 
@@ -156,12 +157,12 @@ type program struct {
 	// pointer parameter is read-only, touched only at the thread's own
 	// global id, or touched only through atomicAdd).
 	parallelSafe bool
-	// hasAtomic / atomicParams / atomicValInt drive the launch-time
-	// decision of whether parallel atomicAdd reordering can change the
-	// result (float accumulation, or fractional adds into int buffers).
-	hasAtomic    bool
-	atomicParams []int
-	atomicValInt bool
+	// hasAtomic / atomicsCommute drive the launch-time decision of whether
+	// parallel atomicAdd reordering can change the result: the adds
+	// commute exactly when every one adds an int value into an int buffer
+	// and discards the returned old value.
+	hasAtomic      bool
+	atomicsCommute bool
 }
 
 // bailErr aborts lowering; the Def falls back to the interpreter.
@@ -187,7 +188,7 @@ func lowerProgram(k *Kernel) (p *program, err error) {
 		}
 	}()
 	lw := &lowerer{k: k, fns: make(map[string]*cfunc)}
-	lw.prog = &program{k: k, atomicValInt: true}
+	lw.prog = &program{k: k, atomicsCommute: true}
 
 	pre := prepass(k.Body)
 	for _, prm := range k.Params {
@@ -371,6 +372,9 @@ type scope struct {
 	// declarations still execute (one budget step) but store nothing, and
 	// every dominated read folds.
 	consts map[string]value
+	// discarded is the call an expression statement is lowering: its
+	// value, if it is an atomicAdd, is never read.
+	discarded *CallExpr
 }
 
 func (sc *scope) slotFor(name string) int {
@@ -418,6 +422,85 @@ func runStmts(e *env, fns []stmtFn) ctrl {
 		}
 	}
 	return ctrlNone
+}
+
+// local resolves x to the register of a definitely declared, non-constant
+// local, with the local's static type.
+func (sc *scope) local(x Expr) (slot int, typ etype, ok bool) {
+	if id, isID := x.(*IdentExpr); isID && sc.definite[id.Name] {
+		if _, isConst := sc.consts[id.Name]; !isConst {
+			return sc.slotFor(id.Name), sc.typs[id.Name], true
+		}
+	}
+	return 0, tDyn, false
+}
+
+// counted describes for (...; v < bound; v++) over an int local v: the
+// induction register, and the bound's register (bslot >= 0) or constant.
+type counted struct {
+	iv, bslot int
+	limit     float64
+	incPos    Pos
+}
+
+// lowerForCond lowers a for loop's condition. A counted loop returns a nil
+// condition and its shape; anything else returns the generic condition.
+// The comparison's operands are lowered exactly once either way.
+func (sc *scope) lowerForCond(st *ForStmt) (func(*env) bool, counted) {
+	c, ok := st.Cond.(*BinaryExpr)
+	if !ok || c.Op != "<" {
+		return sc.lowerExpr(st.Cond).boolFn(), counted{}
+	}
+	l, r := sc.lowerExpr(c.L), sc.lowerExpr(c.R)
+	inc, isInc := st.Post.(*IncStmt)
+	id, isID := c.L.(*IdentExpr)
+	if isInc && isID && !inc.Decr && isIdent(inc.Target, id.Name) && l.isSlot && (r.isSlot || r.cv != nil) {
+		if slot, typ, ok := sc.local(c.L); ok && typ == tInt {
+			cl := counted{iv: slot, bslot: -1, incPos: inc.Pos}
+			if r.isSlot {
+				cl.bslot = r.slot
+			} else {
+				cl.limit = r.cv.f
+			}
+			return nil, cl
+		}
+	}
+	return lowerBinop(c.Op, l, r, c.Pos).boolFn(), counted{}
+}
+
+// arith applies one of + - * / to two floats.
+func arith(op byte, a, b float64) float64 {
+	switch op {
+	case '+':
+		return a + b
+	case '-':
+		return a - b
+	case '*':
+		return a * b
+	}
+	return a / b
+}
+
+// compound compiles the read-modify half of a compound assignment: the
+// value, then the target's current value (an indexed target's index is
+// evaluated again by the store), then the operator — the interpreter's
+// order. +, - and * give the same f field whatever the operands' int-ness
+// and / is a float division once either side is statically float, so
+// those take one direct op; int / and % go through binop.
+func compound(op string, t, r cexpr, pos Pos) func(*env) float64 {
+	if op == "+" || op == "-" || op == "*" || op == "/" && (t.typ == tFloat || r.typ == tFloat) {
+		o, tf, rf := op[0], t.floatFn(), r.floatFn()
+		return func(e *env) float64 { v := rf(e); return arith(o, tf(e), v) }
+	}
+	tfn, rfn := t.fn, r.fn
+	return func(e *env) float64 {
+		v := rfn(e)
+		res, err := binop(op, tfn(e), v, pos)
+		if err != nil {
+			panic(err)
+		}
+		return res.f
+	}
 }
 
 func (sc *scope) lowerStmt(s Stmt) stmtFn {
@@ -490,59 +573,38 @@ func (sc *scope) lowerStmt(s Stmt) stmtFn {
 		if st.Op == "=" {
 			valFn = sc.lowerExpr(st.Value).floatFn()
 		} else {
-			// Compound assignment: the interpreter evaluates the value,
-			// then reads the target (index expressions are evaluated
-			// again by the store), then applies the base operator.
-			rfn := sc.lowerExpr(st.Value).fn
-			tfn := sc.lowerExpr(st.Target).fn
 			op := st.Op[:1]
-			valFn = func(e *env) float64 {
-				r := rfn(e)
-				cur := tfn(e)
-				v, err := binop(op, cur, r, pos)
-				if err != nil {
-					panic(err)
-				}
-				return v.f
-			}
-		}
-		// Fused fast paths: the store target is re-resolved inline so the
-		// whole statement is one closure. Semantics match the generic
-		// path exactly — value first, then the index (compound targets
-		// evaluate their index twice, once in valFn's target read and
-		// once here, as in the interpreter).
-		if id, ok := st.Target.(*IdentExpr); ok && sc.definite[id.Name] {
-			if _, isConst := sc.consts[id.Name]; !isConst {
-				slot := sc.slotFor(id.Name)
-				switch sc.typs[id.Name] {
-				case tInt:
-					return func(e *env) ctrl {
-						e.step(pos)
-						e.regs[e.base+slot] = value{f: float64(int64(valFn(e))), isInt: true}
-						return ctrlNone
-					}
-				case tFloat:
-					return func(e *env) ctrl {
-						e.step(pos)
-						e.regs[e.base+slot] = value{f: valFn(e)}
-						return ctrlNone
-					}
-				}
-			}
-		}
-		if ix, ok := st.Target.(*IndexExpr); ok && sc.kernel {
-			if pi, pok := sc.paramIdx[ix.Base]; pok && sc.lw.k.Params[pi].Pointer {
-				idxFn := sc.indexOf(ix.Idx)
-				base, ipos := ix.Base, ix.Pos
+			r := sc.lowerExpr(st.Value)
+			// op= on a float local: one op on the register in place,
+			// addressed after the value runs (a __device__ call in it may
+			// grow the register file). Float % errors; it stays generic.
+			if slot, typ, ok := sc.local(st.Target); ok && typ == tFloat && op != "%" {
+				o, vf := op[0], r.floatFn()
 				return func(e *env) ctrl {
 					e.step(pos)
-					f := valFn(e)
-					idx := idxFn(e)
-					buf := e.args[pi].Buf
-					if idx < 0 || idx >= buf.Len() {
-						panic(errf(ipos, "index %d out of range for %s (length %d)", idx, base, buf.Len()))
-					}
-					buf.Set(idx, f)
+					v := vf(e)
+					reg := &e.regs[e.base+slot]
+					*reg = value{f: arith(o, reg.f, v)}
+					return ctrlNone
+				}
+			}
+			valFn = compound(op, sc.lowerExpr(st.Target), r, pos)
+		}
+		// Fused fast path: a store to a statically typed local is one
+		// closure. Semantics match the generic path exactly — value first,
+		// then the store.
+		if slot, typ, ok := sc.local(st.Target); ok {
+			switch typ {
+			case tInt:
+				return func(e *env) ctrl {
+					e.step(pos)
+					e.regs[e.base+slot] = value{f: float64(int64(valFn(e))), isInt: true}
+					return ctrlNone
+				}
+			case tFloat:
+				return func(e *env) ctrl {
+					e.step(pos)
+					e.regs[e.base+slot] = value{f: valFn(e)}
 					return ctrlNone
 				}
 			}
@@ -560,23 +622,20 @@ func (sc *scope) lowerStmt(s Stmt) stmtFn {
 		if st.Decr {
 			d = -1
 		}
-		if id, ok := st.Target.(*IdentExpr); ok && sc.definite[id.Name] {
-			if _, isConst := sc.consts[id.Name]; !isConst {
-				slot := sc.slotFor(id.Name)
-				switch sc.typs[id.Name] {
-				case tInt:
-					return func(e *env) ctrl {
-						e.step(pos)
-						r := &e.regs[e.base+slot]
-						r.f = float64(int64(r.f + d))
-						return ctrlNone
-					}
-				case tFloat:
-					return func(e *env) ctrl {
-						e.step(pos)
-						e.regs[e.base+slot].f += d
-						return ctrlNone
-					}
+		if slot, typ, ok := sc.local(st.Target); ok {
+			switch typ {
+			case tInt:
+				return func(e *env) ctrl {
+					e.step(pos)
+					r := &e.regs[e.base+slot]
+					r.f = float64(int64(r.f + d))
+					return ctrlNone
+				}
+			case tFloat:
+				return func(e *env) ctrl {
+					e.step(pos)
+					e.regs[e.base+slot].f += d
+					return ctrlNone
 				}
 			}
 		}
@@ -617,15 +676,20 @@ func (sc *scope) lowerStmt(s Stmt) stmtFn {
 		// everything after the loop — see only the definite set from
 		// before the body.
 		condSet := copySet(sc.definite)
-		cfn := sc.lowerExpr(st.Cond).boolFn()
+		cfn, cl := sc.lowerForCond(st)
 		sc.definite = copySet(condSet)
 		bodyFns := sc.lowerStmts(st.Body)
 		var postFn stmtFn
-		if st.Post != nil {
+		if st.Post != nil && cfn != nil {
 			sc.definite = copySet(condSet)
 			postFn = sc.lowerStmt(st.Post)
 		}
 		sc.definite = condSet
+		// A counted loop (cfn == nil) inlines its compare and increment
+		// but charges the same steps and re-reads both registers every
+		// iteration, so a body that writes the induction variable or the
+		// bound behaves exactly as on the generic path.
+		iv, bslot, limit, incPos := cl.iv, cl.bslot, cl.limit, cl.incPos
 		return func(e *env) ctrl {
 			if initFn != nil {
 				if c := initFn(e); c != ctrlNone {
@@ -634,8 +698,18 @@ func (sc *scope) lowerStmt(s Stmt) stmtFn {
 			}
 			for {
 				e.step(pos)
-				if !cfn(e) {
-					return ctrlNone
+				if cfn != nil {
+					if !cfn(e) {
+						return ctrlNone
+					}
+				} else {
+					bound := limit
+					if bslot >= 0 {
+						bound = e.regs[e.base+bslot].f
+					}
+					if !(e.regs[e.base+iv].f < bound) {
+						return ctrlNone
+					}
 				}
 				c := runStmts(e, bodyFns)
 				if c == ctrlReturn {
@@ -644,7 +718,11 @@ func (sc *scope) lowerStmt(s Stmt) stmtFn {
 				if c == ctrlBreak {
 					return ctrlNone
 				}
-				if postFn != nil {
+				if cfn == nil {
+					e.step(incPos)
+					r := &e.regs[e.base+iv]
+					r.f = float64(int64(r.f + 1))
+				} else if postFn != nil {
 					if c := postFn(e); c != ctrlNone {
 						return c
 					}
@@ -702,6 +780,7 @@ func (sc *scope) lowerStmt(s Stmt) stmtFn {
 
 	case *ExprStmt:
 		pos := st.Pos
+		sc.discarded, _ = st.X.(*CallExpr)
 		fn := sc.lowerExpr(st.X).fn
 		return func(e *env) ctrl {
 			e.step(pos)
@@ -729,24 +808,15 @@ func (sc *scope) lowerStore(target Expr) func(*env, float64) {
 				// miscompile.
 				panic(bailErr{fmt.Sprintf("store to constant local %s", name)})
 			}
+			// Statically typed locals never get here: assignments and
+			// increments store to them inline.
 			slot := sc.slotFor(name)
-			switch sc.typs[name] {
-			case tInt:
-				return func(e *env, f float64) {
-					e.regs[e.base+slot] = value{f: float64(int64(f)), isInt: true}
-				}
-			case tFloat:
-				return func(e *env, f float64) {
-					e.regs[e.base+slot] = value{f: f}
-				}
-			default:
-				return func(e *env, f float64) {
-					cur := &e.regs[e.base+slot]
-					if cur.isInt {
-						cur.f = float64(int64(f))
-					} else {
-						cur.f = f
-					}
+			return func(e *env, f float64) {
+				cur := &e.regs[e.base+slot]
+				if cur.isInt {
+					cur.f = float64(int64(f))
+				} else {
+					cur.f = f
 				}
 			}
 		}
@@ -770,44 +840,244 @@ func (sc *scope) lowerStore(target Expr) func(*env, float64) {
 		return func(*env, float64) { panic(err) }
 
 	case *IndexExpr:
-		pi, ok := -1, false
-		if sc.kernel {
-			pi, ok = sc.paramIdx[t.Base]
-		}
-		if !ok || !sc.lw.k.Params[pi].Pointer {
-			err := errf(t.Pos, "%s is not a pointer parameter", t.Base)
+		el, err := sc.element(t)
+		if err != nil {
 			return func(*env, float64) { panic(err) }
 		}
-		base, pos := t.Base, t.Pos
-		idxFn := sc.indexOf(t.Idx)
-		return func(e *env, f float64) {
-			idx := idxFn(e)
-			buf := e.args[pi].Buf
-			if idx < 0 || idx >= buf.Len() {
-				panic(errf(pos, "index %d out of range for %s (length %d)", idx, base, buf.Len()))
-			}
-			buf.Set(idx, f)
-		}
+		return el.store()
 	}
 	panic(bailErr{fmt.Sprintf("bad assignment target %T", target)})
 }
 
 // ---- expressions ----
 
-// indexOf compiles an index expression to a direct int function. The
-// overwhelmingly common index — a plain local like the i of x[i] — is
-// fused into the parent closure (one register read) instead of paying a
-// closure call per buffer access. Identifier reads have no side effects,
-// so fusion cannot reorder anything.
-func (sc *scope) indexOf(x Expr) func(*env) int {
-	if id, ok := x.(*IdentExpr); ok && sc.definite[id.Name] {
-		if _, isConst := sc.consts[id.Name]; !isConst {
-			slot := sc.slotFor(id.Name)
-			return func(e *env) int { return int(e.regs[e.base+slot].f) }
+// index is a compiled element index. A plain register read — the i of
+// x[i] — is inlined into the access closure; any other index runs ff.
+type index struct {
+	ff   func(*env) float64
+	slot int
+}
+
+func (ix index) at(e *env) int {
+	if ix.ff == nil {
+		return int(e.regs[e.base+ix.slot].f)
+	}
+	return int(ix.ff(e))
+}
+
+// indexOf compiles an index expression. Beyond the plain register read,
+// the affine shapes of array indexing — a±b, a±c and a*b+d over registers
+// a, b, d and a constant c — compile to one closure. Their operands are
+// pure, so fusing cannot reorder side effects; + and * compute the same f
+// field whatever the operands' int-ness. The product is rounded by an
+// explicit conversion before the add: Go may otherwise fuse a*b+d into an
+// FMA, which the separate rail closures never do. Every subexpression is
+// lowered exactly once, matched shape or not.
+func (sc *scope) indexOf(x Expr) index {
+	var c cexpr
+	if b, ok := x.(*BinaryExpr); ok && (b.Op == "+" || b.Op == "-") && !isGidExpr(b) {
+		var l, ml, mr cexpr
+		m, mul := b.L.(*BinaryExpr)
+		if mul = mul && m.Op == "*" && b.Op == "+"; mul {
+			ml, mr = sc.lowerExpr(m.L), sc.lowerExpr(m.R)
+			l = lowerBinop("*", ml, mr, m.Pos)
+		} else {
+			l = sc.lowerExpr(b.L)
+		}
+		r := sc.lowerExpr(b.R)
+		if ff := fuseAffine(b.Op, l, r, ml, mr, mul); ff != nil {
+			return index{ff: ff}
+		}
+		c = lowerBinop(b.Op, l, r, b.Pos)
+	} else {
+		c = sc.lowerExpr(x)
+	}
+	if c.isSlot {
+		return index{slot: c.slot}
+	}
+	return index{ff: c.floatFn()}
+}
+
+// fuseAffine returns the one-closure form of l op r (l = ml*mr when mul),
+// or nil when an operand is not a register read or constant of the shape.
+// a-b runs as a+(-1*b) and a-c as a+(-c): IEEE subtraction is exactly the
+// addition of the negation.
+func fuseAffine(op string, l, r, ml, mr cexpr, mul bool) func(*env) float64 {
+	sgn := 1.0
+	if op == "-" {
+		sgn = -1
+	}
+	switch {
+	case mul:
+		if ml.isSlot && mr.isSlot && r.isSlot {
+			a, b, d := ml.slot, mr.slot, r.slot
+			return func(e *env) float64 {
+				return float64(e.regs[e.base+a].f*e.regs[e.base+b].f) + e.regs[e.base+d].f
+			}
+		}
+	case l.isSlot && r.isSlot:
+		a, b := l.slot, r.slot
+		return func(e *env) float64 { return e.regs[e.base+a].f + float64(sgn*e.regs[e.base+b].f) }
+	case l.isSlot && r.cv != nil:
+		a, k := l.slot, sgn*r.cv.f
+		return func(e *env) float64 { return e.regs[e.base+a].f + k }
+	}
+	return nil
+}
+
+// element is a compiled access to one pointer parameter: its position,
+// its element kind — static, because validateLaunch refuses a buffer of
+// any other kind — and the compiled index.
+type element struct {
+	pi   int
+	kind memmodel.ElemKind
+	ix   index
+	pos  Pos
+	base string
+}
+
+// element resolves base[idx] to a pointer parameter and compiles the
+// index, or returns the error every access to a non-pointer base raises.
+func (sc *scope) element(x *IndexExpr) (element, *Error) {
+	pi, ok := -1, false
+	if sc.kernel {
+		pi, ok = sc.paramIdx[x.Base]
+	}
+	if !ok || !sc.lw.k.Params[pi].Pointer {
+		return element{}, errf(x.Pos, "%s is not a pointer parameter", x.Base)
+	}
+	return element{pi: pi, kind: sc.lw.k.Params[pi].Kind, ix: sc.indexOf(x.Idx), pos: x.Pos, base: x.Base}, nil
+}
+
+// check panics unless idx indexes an n-element view. The error is built
+// out of line so check inlines into the accessors.
+func (el *element) check(idx, n int) {
+	if uint(idx) >= uint(n) {
+		panic(el.oob(idx, n))
+	}
+}
+
+func (el *element) oob(idx, n int) *Error {
+	return errf(el.pos, "index %d out of range for %s (length %d)", idx, el.base, n)
+}
+
+// load compiles a bounds-checked read of the element as float64.
+func (el element) load() func(*env) float64 {
+	pi, ix := el.pi, el.ix
+	switch el.kind {
+	case memmodel.Float32:
+		return func(e *env) float64 {
+			idx, s := ix.at(e), e.views[pi].f32
+			el.check(idx, len(s))
+			return float64(s[idx])
+		}
+	case memmodel.Float64:
+		return func(e *env) float64 {
+			idx, s := ix.at(e), e.views[pi].f64
+			el.check(idx, len(s))
+			return s[idx]
+		}
+	case memmodel.Int32:
+		return func(e *env) float64 {
+			idx, s := ix.at(e), e.views[pi].i32
+			el.check(idx, len(s))
+			return float64(s[idx])
 		}
 	}
-	f := sc.lowerExpr(x).floatFn()
-	return func(e *env) int { return int(f(e)) }
+	return func(e *env) float64 {
+		idx, s := ix.at(e), e.views[pi].i64
+		el.check(idx, len(s))
+		return float64(s[idx])
+	}
+}
+
+// store compiles a bounds-checked write of an already evaluated value,
+// converted as Buffer.Set converts it (floats through the canonical-NaN
+// rounding).
+func (el element) store() func(*env, float64) {
+	pi, ix := el.pi, el.ix
+	switch el.kind {
+	case memmodel.Float32:
+		return func(e *env, f float64) {
+			idx, s := ix.at(e), e.views[pi].f32
+			el.check(idx, len(s))
+			s[idx] = kernels.Canon32(f)
+		}
+	case memmodel.Float64:
+		return func(e *env, f float64) {
+			idx, s := ix.at(e), e.views[pi].f64
+			el.check(idx, len(s))
+			s[idx] = kernels.Canon64(f)
+		}
+	case memmodel.Int32:
+		return func(e *env, f float64) {
+			idx, s := ix.at(e), e.views[pi].i32
+			el.check(idx, len(s))
+			s[idx] = int32(f)
+		}
+	}
+	return func(e *env, f float64) {
+		idx, s := ix.at(e), e.views[pi].i64
+		el.check(idx, len(s))
+		s[idx] = int64(f)
+	}
+}
+
+// atomicAdd compiles atomicAdd(&element, value): the index and its bounds
+// check, then the value, then the read — the interpreter's order. A
+// serial launch keeps the interpreter's plain read-modify-write; a
+// partitioned one takes the CAS loop. Both round the sum as a store does.
+func (el element) atomicAdd(vf func(*env) float64) func(*env) float64 {
+	pi, ix := el.pi, el.ix
+	switch el.kind {
+	case memmodel.Float32:
+		return func(e *env) float64 {
+			idx, s := ix.at(e), e.views[pi].f32
+			el.check(idx, len(s))
+			v := vf(e)
+			if e.par {
+				return kernels.AtomicAddFloat32(&s[idx], v)
+			}
+			old := float64(s[idx])
+			s[idx] = kernels.Canon32(old + v)
+			return old
+		}
+	case memmodel.Float64:
+		return func(e *env) float64 {
+			idx, s := ix.at(e), e.views[pi].f64
+			el.check(idx, len(s))
+			v := vf(e)
+			if e.par {
+				return kernels.AtomicAddFloat64(&s[idx], v)
+			}
+			old := s[idx]
+			s[idx] = kernels.Canon64(old + v)
+			return old
+		}
+	case memmodel.Int32:
+		return func(e *env) float64 {
+			idx, s := ix.at(e), e.views[pi].i32
+			el.check(idx, len(s))
+			v := vf(e)
+			if e.par {
+				return kernels.AtomicAddInt32(&s[idx], v)
+			}
+			old := float64(s[idx])
+			s[idx] = int32(old + v)
+			return old
+		}
+	}
+	return func(e *env) float64 {
+		idx, s := ix.at(e), e.views[pi].i64
+		el.check(idx, len(s))
+		v := vf(e)
+		if e.par {
+			return kernels.AtomicAddInt64(&s[idx], v)
+		}
+		old := float64(s[idx])
+		s[idx] = int64(old + v)
+		return old
+	}
 }
 
 func (sc *scope) lowerExpr(e Expr) cexpr {
@@ -850,37 +1120,11 @@ func (sc *scope) lowerExpr(e Expr) cexpr {
 		return errExpr(errf(x.Pos, "undefined variable %s", name))
 
 	case *IndexExpr:
-		pi, ok := -1, false
-		if sc.kernel {
-			pi, ok = sc.paramIdx[x.Base]
+		el, err := sc.element(x)
+		if err != nil {
+			return errExpr(err)
 		}
-		if !ok || !sc.lw.k.Params[pi].Pointer {
-			return errExpr(errf(x.Pos, "%s is not a pointer parameter", x.Base))
-		}
-		base, pos := x.Base, x.Pos
-		idxFn := sc.indexOf(x.Idx)
-		// The element's int-ness follows the buffer actually passed at
-		// launch, as in the interpreter, so the static type is unknown —
-		// but the f field is the element either way, so the float rail
-		// carries reads that feed float contexts without boxing.
-		return cexpr{
-			fn: func(e *env) value {
-				idx := idxFn(e)
-				buf := e.args[pi].Buf
-				if idx < 0 || idx >= buf.Len() {
-					panic(errf(pos, "index %d out of range for %s (length %d)", idx, base, buf.Len()))
-				}
-				return value{f: buf.At(idx), isInt: kindIsInt(buf.Kind)}
-			},
-			ff: func(e *env) float64 {
-				idx := idxFn(e)
-				buf := e.args[pi].Buf
-				if idx < 0 || idx >= buf.Len() {
-					panic(errf(pos, "index %d out of range for %s (length %d)", idx, base, buf.Len()))
-				}
-				return buf.At(idx)
-			},
-		}
+		return railRes(kindType(el.kind), el.load())
 
 	case *MemberExpr:
 		dim := 0
@@ -1040,33 +1284,58 @@ func (sc *scope) lowerExpr(e Expr) cexpr {
 	panic(bailErr{fmt.Sprintf("unknown expression %T", e)})
 }
 
-// lowerLogic compiles && and || with short-circuit evaluation. A constant
-// left side that decides the result skips lowering the right side
-// entirely — the interpreter would never evaluate it either.
+// lowerLogic compiles && and || with short-circuit evaluation. A run of
+// the same operator (a && b && c ...) becomes one operand list walked by a
+// single loop, not a closure per nesting level. A constant operand that
+// cannot decide the result is dropped; one that decides it ends the chain
+// — the operands after it never run, so they are not even lowered.
 func (sc *scope) lowerLogic(x *BinaryExpr) cexpr {
 	and := x.Op == "&&"
-	l := sc.lowerExpr(x.L)
-	if l.cv != nil {
-		if l.cv.truthy() != and {
-			// false && _  /  true || _
-			return constExpr(boolVal(!and))
-		}
-		r := sc.lowerExpr(x.R)
-		if r.cv != nil {
-			return constExpr(boolVal(r.cv.truthy()))
-		}
-		rb := r.boolFn()
-		return cexpr{fn: func(e *env) value { return boolVal(rb(e)) }, typ: tInt, bf: rb}
+	var chain []Expr // right to left
+	e := Expr(x)
+	for b, ok := x, true; ok && b.Op == x.Op; b, ok = e.(*BinaryExpr) {
+		chain = append(chain, b.R)
+		e = b.L
 	}
-	lb := l.boolFn()
-	rb := sc.lowerExpr(x.R).boolFn()
+	chain = append(chain, e)
+	// tail is the result once every operand ran without deciding it.
+	var ops []func(*env) bool
+	tail := and
+	for i := len(chain) - 1; i >= 0; i-- {
+		c := sc.lowerExpr(chain[i])
+		if c.cv == nil {
+			ops = append(ops, c.boolFn())
+		} else if c.cv.truthy() != and {
+			tail = !and
+			break
+		}
+	}
 	var bf func(*env) bool
-	if and {
-		bf = func(e *env) bool { return lb(e) && rb(e) }
-	} else {
-		bf = func(e *env) bool { return lb(e) || rb(e) }
+	switch {
+	case len(ops) == 0:
+		return constExpr(boolVal(tail))
+	case len(ops) == 1 && tail == and:
+		bf = ops[0]
+	case and:
+		bf = func(e *env) bool {
+			for _, op := range ops {
+				if !op(e) {
+					return false
+				}
+			}
+			return tail
+		}
+	default:
+		bf = func(e *env) bool {
+			for _, op := range ops {
+				if op(e) {
+					return true
+				}
+			}
+			return tail
+		}
 	}
-	return cexpr{fn: func(e *env) value { return boolVal(bf(e)) }, typ: tInt, bf: bf}
+	return cmpRes(bf)
 }
 
 func arithType(a, b etype) etype {
@@ -1365,17 +1634,9 @@ func railDiv(l, r cexpr) func(*env) float64 {
 
 // The comparison constructors evaluate the left operand first, exactly
 // like the interpreter — a flipped-operand encoding of > as < would
-// reorder side effects.
+// reorder side effects. A constant left operand (0 < x) is rare in
+// kernels and takes the general path.
 func railLT(l, r cexpr) func(*env) bool {
-	if l.cv != nil {
-		c := l.cv.f
-		if r.isSlot {
-			s := r.slot
-			return func(e *env) bool { return c < e.regs[e.base+s].f }
-		}
-		rf := r.floatFn()
-		return func(e *env) bool { return c < rf(e) }
-	}
 	if r.cv != nil {
 		c := r.cv.f
 		if l.isSlot {
@@ -1402,15 +1663,6 @@ func railLT(l, r cexpr) func(*env) bool {
 }
 
 func railLE(l, r cexpr) func(*env) bool {
-	if l.cv != nil {
-		c := l.cv.f
-		if r.isSlot {
-			s := r.slot
-			return func(e *env) bool { return c <= e.regs[e.base+s].f }
-		}
-		rf := r.floatFn()
-		return func(e *env) bool { return c <= rf(e) }
-	}
 	if r.cv != nil {
 		c := r.cv.f
 		if l.isSlot {
@@ -1437,15 +1689,6 @@ func railLE(l, r cexpr) func(*env) bool {
 }
 
 func railGT(l, r cexpr) func(*env) bool {
-	if l.cv != nil {
-		c := l.cv.f
-		if r.isSlot {
-			s := r.slot
-			return func(e *env) bool { return c > e.regs[e.base+s].f }
-		}
-		rf := r.floatFn()
-		return func(e *env) bool { return c > rf(e) }
-	}
 	if r.cv != nil {
 		c := r.cv.f
 		if l.isSlot {
@@ -1472,15 +1715,6 @@ func railGT(l, r cexpr) func(*env) bool {
 }
 
 func railGE(l, r cexpr) func(*env) bool {
-	if l.cv != nil {
-		c := l.cv.f
-		if r.isSlot {
-			s := r.slot
-			return func(e *env) bool { return c >= e.regs[e.base+s].f }
-		}
-		rf := r.floatFn()
-		return func(e *env) bool { return c >= rf(e) }
-	}
 	if r.cv != nil {
 		c := r.cv.f
 		if l.isSlot {
@@ -1507,15 +1741,6 @@ func railGE(l, r cexpr) func(*env) bool {
 }
 
 func railEQ(l, r cexpr) func(*env) bool {
-	if l.cv != nil {
-		c := l.cv.f
-		if r.isSlot {
-			s := r.slot
-			return func(e *env) bool { return c == e.regs[e.base+s].f }
-		}
-		rf := r.floatFn()
-		return func(e *env) bool { return c == rf(e) }
-	}
 	if r.cv != nil {
 		c := r.cv.f
 		if l.isSlot {
@@ -1542,15 +1767,6 @@ func railEQ(l, r cexpr) func(*env) bool {
 }
 
 func railNE(l, r cexpr) func(*env) bool {
-	if l.cv != nil {
-		c := l.cv.f
-		if r.isSlot {
-			s := r.slot
-			return func(e *env) bool { return c != e.regs[e.base+s].f }
-		}
-		rf := r.floatFn()
-		return func(e *env) bool { return c != rf(e) }
-	}
 	if r.cv != nil {
 		c := r.cv.f
 		if l.isSlot {
@@ -1726,50 +1942,22 @@ func (sc *scope) lowerAtomicAdd(x *CallExpr) cexpr {
 	if !ok {
 		return errExpr(errf(x.Pos, "atomicAdd's first argument must be &array[index]"))
 	}
-	ix := addr.X
-	pi, pok := -1, false
-	if sc.kernel {
-		pi, pok = sc.paramIdx[ix.Base]
+	el, err := sc.element(addr.X)
+	if err != nil {
+		return errExpr(err)
 	}
-	if !pok || !sc.lw.k.Params[pi].Pointer {
-		return errExpr(errf(ix.Pos, "%s is not a pointer parameter", ix.Base))
-	}
-	idxFn := sc.indexOf(ix.Idx)
 	val := sc.lowerExpr(x.Args[1])
-	valFn := val.floatFn()
-	base, pos := ix.Base, ix.Pos
 
 	prog := sc.lw.prog
 	prog.hasAtomic = true
-	prog.atomicParams = appendUnique(prog.atomicParams, pi)
-	if val.typ != tInt {
-		prog.atomicValInt = false
+	// Float sums round per add, and fractional adds into int buffers
+	// truncate per add; integer adds commute, but the old value each add
+	// returns depends on the interleaving once anything reads it.
+	if val.typ != tInt || !kindIsInt(el.kind) || x != sc.discarded {
+		prog.atomicsCommute = false
 	}
-
-	ff := func(e *env) float64 {
-		idx := idxFn(e)
-		buf := e.args[pi].Buf
-		if idx < 0 || idx >= buf.Len() {
-			panic(errf(pos, "index %d out of range for %s (length %d)", idx, base, buf.Len()))
-		}
-		v := valFn(e)
-		if e.par {
-			return buf.AtomicAdd(idx, v)
-		}
-		old := buf.At(idx)
-		buf.Set(idx, old+v)
-		return old
-	}
+	ff := el.atomicAdd(val.floatFn())
 	return cexpr{fn: wrapFloat(ff), typ: tFloat, ff: ff}
-}
-
-func appendUnique(s []int, v int) []int {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
 }
 
 // ---- parallel-safety analysis ----

@@ -16,9 +16,11 @@ import (
 // the parallel-safety analysis (lower.go) guarantees those are touched
 // without conflicts.
 type env struct {
-	args []kernels.Arg
-	regs []value
-	base int
+	// views holds each pointer argument's typed element slice, indexed
+	// like the parameters.
+	views []view
+	regs  []value
+	base  int
 
 	tid, bid   int
 	bdim, gdim int
@@ -50,6 +52,16 @@ func (e *env) stepFail(pos Pos) {
 	panic(errf(pos, "execution exceeded %d steps (infinite loop?)", e.maxSteps))
 }
 
+// view is one pointer argument's element storage. validateLaunch pins
+// the buffer's kind to the parameter's, so the lowered accessors index
+// the one field of that kind and never consult the buffer's Kind.
+type view struct {
+	f32 []float32
+	f64 []float64
+	i32 []int32
+	i64 []int64
+}
+
 // seedEntry reseeds one scalar-parameter slot at each thread start:
 // scalar-parameter assignments are thread-local, as in CUDA, so every
 // thread begins from the launch arguments.
@@ -66,16 +78,8 @@ type seedEntry struct {
 // order-insensitive (integer) or the caller opts into RelaxedAtomics.
 func (p *program) launch(grid, block int, args []kernels.Arg, opts EngineOpts) error {
 	k := p.k
-	if err := validateLaunch(k.Name, grid, block, len(args), len(k.Params)); err != nil {
+	if err := validateLaunch(k, grid, block, args); err != nil {
 		return err
-	}
-	for i, prm := range k.Params {
-		if prm.Pointer && args[i].Buf == nil {
-			return fmt.Errorf("minicuda: %s: parameter %s needs a device array", k.Name, prm.Name)
-		}
-		if !prm.Pointer && args[i].Buf != nil {
-			return fmt.Errorf("minicuda: %s: parameter %s is a scalar", k.Name, prm.Name)
-		}
 	}
 	maxSteps := opts.MaxThreadSteps
 	if maxSteps <= 0 {
@@ -88,7 +92,7 @@ func (p *program) launch(grid, block int, args []kernels.Arg, opts EngineOpts) e
 		}
 	}
 
-	workers := p.workers(grid, args, opts)
+	workers := p.workers(grid, opts)
 	if workers <= 1 {
 		if err := p.runBlocks(0, grid, grid, block, args, seeds, maxSteps, false); err != nil {
 			return fmt.Errorf("minicuda: %s: %w", k.Name, err)
@@ -122,7 +126,7 @@ func (p *program) launch(grid, block int, args []kernels.Arg, opts EngineOpts) e
 // workers picks the partition count for a launch. Workers==1 forces the
 // serial engine; 0 means GOMAXPROCS. Unsafe kernels always run serial, as
 // do order-sensitive atomic accumulations unless RelaxedAtomics is set.
-func (p *program) workers(grid int, args []kernels.Arg, opts EngineOpts) int {
+func (p *program) workers(grid int, opts EngineOpts) int {
 	w := opts.Workers
 	if w == 1 {
 		return 1
@@ -130,7 +134,7 @@ func (p *program) workers(grid int, args []kernels.Arg, opts EngineOpts) int {
 	if !p.parallelSafe {
 		return 1
 	}
-	if p.orderSensitive(args) && !opts.RelaxedAtomics {
+	if p.orderSensitive() && !opts.RelaxedAtomics {
 		return 1
 	}
 	if w <= 0 {
@@ -146,22 +150,9 @@ func (p *program) workers(grid int, args []kernels.Arg, opts EngineOpts) int {
 }
 
 // orderSensitive reports whether concurrent atomicAdd interleavings could
-// change the numeric result: float accumulation rounds per-operation, and
-// fractional adds into integer buffers truncate per-operation. Pure
-// integer adds into integer buffers commute exactly.
-func (p *program) orderSensitive(args []kernels.Arg) bool {
-	if !p.hasAtomic {
-		return false
-	}
-	if !p.atomicValInt {
-		return true
-	}
-	for _, pi := range p.atomicParams {
-		if buf := args[pi].Buf; buf != nil && !kindIsInt(buf.Kind) {
-			return true
-		}
-	}
-	return false
+// change the numeric result (see program.atomicsCommute).
+func (p *program) orderSensitive() bool {
+	return p.hasAtomic && !p.atomicsCommute
 }
 
 // runBlocks executes the contiguous block range [b0, b1) on one goroutine,
@@ -177,8 +168,14 @@ func (p *program) runBlocks(b0, b1, grid, block int, args []kernels.Arg, seeds [
 			panic(r)
 		}
 	}()
+	views := make([]view, len(args))
+	for i, a := range args {
+		if b := a.Buf; b != nil {
+			views[i] = view{f32: b.F32, f64: b.F64, i32: b.I32, i64: b.I64}
+		}
+	}
 	e := &env{
-		args:     args,
+		views:    views,
 		regs:     make([]value, p.nslots, p.nslots+16),
 		bdim:     block,
 		gdim:     grid,
