@@ -56,9 +56,11 @@ type ChaosOptions struct {
 	Seed int64
 }
 
-// ChaosFabric wraps an inner Fabric with the fault schedule. It does not
-// forward AsyncLauncher: faults are injected per blocking call, so the
-// controller must take the blocking Launch path through it.
+// ChaosFabric wraps an inner Fabric with the fault schedule. It follows
+// Fabric's wrapper rule: the four fast paths forward through their
+// helpers, so a fault-free ChaosFabric is the inner fabric's program, and
+// AsyncLauncher is not forwarded — faults are injected per blocking call,
+// so the controller must take the blocking Launch path through it.
 type ChaosFabric struct {
 	inner Fabric
 	opt   ChaosOptions
@@ -144,22 +146,29 @@ func (f *ChaosFabric) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) error
 	return f.inner.EnsureArray(w, meta)
 }
 
-// MoveArray implements Fabric. Severed moves fail before any data flows,
-// so a retry or a reroute observes a clean source.
-func (f *ChaosFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
-	srcReady sim.VirtualTime, srcBuf, dstBuf *kernels.Buffer) (sim.VirtualTime, error) {
+// nextMove charges one wire operation: the SlowLink delay and one count
+// against the sever schedule. It reports whether this operation is
+// severed.
+func (f *ChaosFabric) nextMove() bool {
 	if f.opt.SlowLink > 0 {
 		time.Sleep(f.opt.SlowLink)
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.moves++
 	severed := f.sever[f.moves]
 	if severed {
 		delete(f.sever, f.moves)
 		f.injected++
 	}
-	f.mu.Unlock()
-	if severed {
+	return severed
+}
+
+// MoveArray implements Fabric. Severed moves fail before any data flows,
+// so a retry or a reroute observes a clean source.
+func (f *ChaosFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
+	srcReady sim.VirtualTime, srcBuf, dstBuf *kernels.Buffer) (sim.VirtualTime, error) {
+	if f.nextMove() {
 		return 0, fmt.Errorf("chaos: transfer of array %d severed mid-chunk: %w", id, ErrTransient)
 	}
 	if err := f.checkWorker(src); err != nil {
@@ -171,35 +180,18 @@ func (f *ChaosFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 	return f.inner.MoveArray(id, src, dst, srcReady, srcBuf, dstBuf)
 }
 
-// MoveArrays implements BulkMover when the inner fabric does: the bulk
-// frame counts as one move against the sever schedule and one SlowLink
-// delay, like the single wire operation it models. With a plain inner
-// fabric the assertion fails and the controller never sees a BulkMover,
-// so coalescing silently degrades to per-array moves.
+// MoveArrays implements BulkMover: the bulk frame counts as one move
+// against the sever schedule and one SlowLink delay, like the single wire
+// operation it models, whether or not the inner fabric coalesces it.
 func (f *ChaosFabric) MoveArrays(dst cluster.NodeID, ids []dag.ArrayID,
 	srcReady sim.VirtualTime, bufs []*kernels.Buffer) (sim.VirtualTime, error) {
-	bm, ok := f.inner.(BulkMover)
-	if !ok {
-		return 0, fmt.Errorf("chaos: inner fabric cannot bulk-move arrays")
-	}
-	if f.opt.SlowLink > 0 {
-		time.Sleep(f.opt.SlowLink)
-	}
-	f.mu.Lock()
-	f.moves++
-	severed := f.sever[f.moves]
-	if severed {
-		delete(f.sever, f.moves)
-		f.injected++
-	}
-	f.mu.Unlock()
-	if severed {
+	if f.nextMove() {
 		return 0, fmt.Errorf("chaos: bulk transfer of %d arrays severed mid-chunk: %w", len(ids), ErrTransient)
 	}
 	if err := f.checkWorker(dst); err != nil {
 		return 0, err
 	}
-	return bm.MoveArrays(dst, ids, srcReady, bufs)
+	return MoveArrays(f.inner, dst, ids, srcReady, bufs)
 }
 
 // Launch implements Fabric and is where kill/hang schedules trigger.
@@ -235,16 +227,16 @@ func (f *ChaosFabric) EstimateTransfer(src, dst cluster.NodeID, n memmodel.Bytes
 	return f.inner.EstimateTransfer(src, dst, n)
 }
 
-// EstimateTransferAll implements BulkEstimator when the inner fabric does.
+// EstimateTransferAll implements BulkEstimator; estimates never fault.
 func (f *ChaosFabric) EstimateTransferAll(src cluster.NodeID, n memmodel.Bytes,
 	dsts []cluster.NodeID, out []sim.VirtualTime) {
-	if be, ok := f.inner.(BulkEstimator); ok {
-		be.EstimateTransferAll(src, n, dsts, out)
-		return
-	}
-	for _, d := range dsts {
-		out[d] = f.inner.EstimateTransfer(src, d, n)
-	}
+	EstimateTransferAll(f.inner, src, n, dsts, out)
+}
+
+// PredictStall implements StallPredictor; predictions never fault.
+func (f *ChaosFabric) PredictStall(w cluster.NodeID, add, working memmodel.Bytes,
+	pattern memmodel.Pattern) sim.VirtualTime {
+	return PredictStall(f.inner, w, add, working, pattern)
 }
 
 // FreeArray implements Fabric. Freeing a replica on a dead or hung worker
@@ -276,10 +268,7 @@ func (f *ChaosFabric) Healthy(w cluster.NodeID) bool {
 	return f.inner.Healthy(w)
 }
 
-// BuildKernel implements KernelBuilder when the inner fabric does.
+// BuildKernel implements KernelBuilder.
 func (f *ChaosFabric) BuildKernel(src, signature string) error {
-	if kb, ok := f.inner.(KernelBuilder); ok {
-		return kb.BuildKernel(src, signature)
-	}
-	return fmt.Errorf("chaos: inner fabric cannot build kernels: %w", ErrKernelCompile)
+	return BuildKernel(f.inner, src, signature)
 }

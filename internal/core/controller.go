@@ -707,7 +707,7 @@ func (c *Controller) refreshEst(arr *GlobalArray, workers []cluster.NodeID) {
 	scratch := c.estScratch[:maxID+1]
 
 	merge := func(src cluster.NodeID) {
-		c.bulkEstimate(src, arr.size, workers, scratch)
+		EstimateTransferAll(c.fabric, src, arr.size, workers, scratch)
 		for _, w := range workers {
 			if scratch[w] < est[w] {
 				est[w] = scratch[w]
@@ -735,19 +735,6 @@ func (c *Controller) refreshEst(arr *GlobalArray, workers []cluster.NodeID) {
 		merge(cluster.ControllerID)
 	}
 	arr.estAgen, arr.estDgen = arr.gen, c.deadGen
-}
-
-// bulkEstimate fills out[w] for every worker with the idle-network
-// estimate for shipping n bytes from src, using the fabric's bulk path
-// when it has one.
-func (c *Controller) bulkEstimate(src cluster.NodeID, n memmodel.Bytes, workers []cluster.NodeID, out []sim.VirtualTime) {
-	if be, ok := c.fabric.(BulkEstimator); ok {
-		be.EstimateTransferAll(src, n, workers, out)
-		return
-	}
-	for _, w := range workers {
-		out[w] = c.fabric.EstimateTransfer(src, w, n)
-	}
 }
 
 // scheduled is the outcome of the timed scheduling section: everything
@@ -1659,10 +1646,8 @@ func (c *Controller) BuildKernel(src, signature string) (*kernels.Def, error) {
 	}
 	// Always broadcast, cache hit or not: workers that joined after the
 	// first build still need the kernel propagated.
-	if kb, ok := c.fabric.(KernelBuilder); ok {
-		if err := kb.BuildKernel(src, signature); err != nil {
-			return nil, err
-		}
+	if err := BuildKernel(c.fabric, src, signature); err != nil {
+		return nil, err
 	}
 	return def, nil
 }

@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"grout/internal/cluster"
 	"grout/internal/dag"
@@ -47,6 +48,15 @@ type Invocation struct {
 }
 
 // Fabric is the Controller's view of the worker fleet and interconnect.
+//
+// The optional fast paths BulkEstimator, StallPredictor, BulkMover and
+// KernelBuilder each have one default, written once in the helpers of the
+// same names below (EstimateTransferAll, PredictStall, MoveArrays,
+// BuildKernel); callers go through a helper rather than asserting the
+// interface. The wrapper rule: a fabric that wraps another implements all
+// four and forwards each through its helper, so wrapping never changes
+// what the controller sees, and forwards neither ConcurrentDispatcher nor
+// AsyncLauncher, whose absence selects the serial, blocking path.
 type Fabric interface {
 	// Workers lists the worker node IDs.
 	Workers() []cluster.NodeID
@@ -109,9 +119,9 @@ type StallPredictor interface {
 // individual moves. bufs[i] is the controller payload for ids[i] (nil in
 // cost-only mode). Every array must already be ensured on dst. The move
 // may not start before srcReady; the returned time is when the whole
-// bulk frame has arrived. Fabrics that cannot do better than a per-array
-// loop should not implement this — the controller falls back to
-// MoveArray and loses nothing.
+// bulk frame has arrived. A bare fabric that cannot do better than a
+// per-array loop should not implement this — the controller then plans no
+// coalescing — while a wrapper always does, forwarding through MoveArrays.
 type BulkMover interface {
 	MoveArrays(dst cluster.NodeID, ids []dag.ArrayID, srcReady sim.VirtualTime,
 		bufs []*kernels.Buffer) (sim.VirtualTime, error)
@@ -130,28 +140,32 @@ type BulkMover interface {
 // One goroutine at a time starts launches, and it calls the blocking
 // Launch only with nothing in flight.
 //
-// Unlike every other optional interface, a wrapper must NOT forward this
-// one unless it preserves that ordering itself: absence selects the
-// blocking Launch path, which is always correct, so not forwarding is the
-// safe default (lockedFabric, PartitionFabric and ChaosFabric do not).
+// Unlike the optional fast paths, a wrapper does NOT forward this one
+// (see Fabric's wrapper rule): absence selects the blocking Launch path,
+// which is always correct, and a wrapper that forwarded it would have to
+// keep the ordering itself. PartitionFabric and ChaosFabric do not.
 type AsyncLauncher interface {
 	StartLaunch(w cluster.NodeID, inv Invocation, ready sim.VirtualTime,
 		done func(end sim.VirtualTime, err error)) error
 	FlushLaunches(w cluster.NodeID)
 }
 
-// LocalFabric runs workers in-process over the cluster simulator.
-// Operations mutate shared virtual timelines and must not be issued
-// concurrently; the controller issues them one at a time, in submission
-// order (it does not implement ConcurrentDispatcher, so nothing is
-// streamed).
+// LocalFabric runs workers in-process over the cluster simulator. It is
+// safe for concurrent use: every call that touches the shared virtual
+// timelines, a worker runtime or the launch scratch holds mu, so sharded
+// controllers and a pipelined controller's scheduler and dispatcher can
+// share one fleet. Order is still observable, so it does not implement
+// ConcurrentDispatcher and each controller issues its calls in
+// submission order. Workers, Healthy and the transfer estimates read
+// immutable spec data and take no lock.
 type LocalFabric struct {
 	clu     *cluster.Cluster
 	reg     *kernels.Registry
 	numeric bool
 	workers map[cluster.NodeID]*grcuda.Runtime
-	// valsBuf is Launch's argument scratch; safe because operations are
-	// never concurrent (see above).
+
+	mu sync.Mutex
+	// valsBuf is Launch's argument scratch, guarded by mu.
 	valsBuf []grcuda.Value
 }
 
@@ -182,6 +196,8 @@ func (f *LocalFabric) Workers() []cluster.NodeID { return f.clu.Workers() }
 
 // EnsureArray implements Fabric.
 func (f *LocalFabric) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	rt, ok := f.workers[w]
 	if !ok {
 		return fmt.Errorf("core: unknown worker %v", w)
@@ -199,6 +215,8 @@ func (f *LocalFabric) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) error
 // MoveArray implements Fabric.
 func (f *LocalFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 	srcReady sim.VirtualTime, srcBuf, dstBuf *kernels.Buffer) (sim.VirtualTime, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if src == dst {
 		return srcReady, nil
 	}
@@ -267,6 +285,8 @@ func (f *LocalFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 // array — the coalescing win the window optimizer plans for.
 func (f *LocalFabric) MoveArrays(dst cluster.NodeID, ids []dag.ArrayID,
 	srcReady sim.VirtualTime, bufs []*kernels.Buffer) (sim.VirtualTime, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	rt, ok := f.workers[dst]
 	if !ok {
 		return 0, fmt.Errorf("core: unknown destination worker %v", dst)
@@ -306,6 +326,8 @@ func copyBuffer(dst, src *kernels.Buffer) {
 
 // Launch implements Fabric.
 func (f *LocalFabric) Launch(w cluster.NodeID, inv Invocation, ready sim.VirtualTime) (sim.VirtualTime, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	rt, ok := f.workers[w]
 	if !ok {
 		return 0, fmt.Errorf("core: unknown worker %v", w)
@@ -340,6 +362,8 @@ func (f *LocalFabric) EstimateTransfer(src, dst cluster.NodeID, n memmodel.Bytes
 // and the installed prefetch policy.
 func (f *LocalFabric) PredictStall(w cluster.NodeID, add, working memmodel.Bytes,
 	pattern memmodel.Pattern) sim.VirtualTime {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	rt, ok := f.workers[w]
 	if !ok {
 		return 0
@@ -355,6 +379,8 @@ func (f *LocalFabric) EstimateTransferAll(src cluster.NodeID, n memmodel.Bytes,
 
 // FreeArray implements Fabric.
 func (f *LocalFabric) FreeArray(w cluster.NodeID, id dag.ArrayID) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	rt, ok := f.workers[w]
 	if !ok {
 		return fmt.Errorf("core: unknown worker %v", w)
@@ -373,6 +399,8 @@ func (f *LocalFabric) Healthy(w cluster.NodeID) bool {
 
 // WorkerStats aggregates a worker's device counters for reports.
 func (f *LocalFabric) WorkerStats(w cluster.NodeID) []gpusim.Stats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	rt, ok := f.workers[w]
 	if !ok {
 		return nil
@@ -404,4 +432,55 @@ func (f *LocalFabric) BuildKernel(src, signature string) error {
 	}
 	_, err = f.reg.LookupOrRegister(def)
 	return err
+}
+
+// EstimateTransferAll fills out[d] for every d in dsts through f's
+// BulkEstimator, or with one EstimateTransfer per destination.
+func EstimateTransferAll(f Fabric, src cluster.NodeID, n memmodel.Bytes,
+	dsts []cluster.NodeID, out []sim.VirtualTime) {
+	if be, ok := f.(BulkEstimator); ok {
+		be.EstimateTransferAll(src, n, dsts, out)
+		return
+	}
+	for _, d := range dsts {
+		out[d] = f.EstimateTransfer(src, d, n)
+	}
+}
+
+// PredictStall asks f's StallPredictor; a fabric without one is
+// stall-free.
+func PredictStall(f Fabric, w cluster.NodeID, add, working memmodel.Bytes,
+	pattern memmodel.Pattern) sim.VirtualTime {
+	if sp, ok := f.(StallPredictor); ok {
+		return sp.PredictStall(w, add, working, pattern)
+	}
+	return 0
+}
+
+// MoveArrays ships ids from the controller to dst as f's BulkMover frame,
+// or as one MoveArray per array, returning the latest arrival.
+func MoveArrays(f Fabric, dst cluster.NodeID, ids []dag.ArrayID,
+	srcReady sim.VirtualTime, bufs []*kernels.Buffer) (sim.VirtualTime, error) {
+	if bm, ok := f.(BulkMover); ok {
+		return bm.MoveArrays(dst, ids, srcReady, bufs)
+	}
+	var at sim.VirtualTime
+	for i, id := range ids {
+		t, err := f.MoveArray(id, cluster.ControllerID, dst, srcReady, bufs[i], nil)
+		if err != nil {
+			return 0, err
+		}
+		at = max(at, t)
+	}
+	return at, nil
+}
+
+// BuildKernel broadcasts a runtime-compiled kernel through f's
+// KernelBuilder. A fabric without one has no worker-side registry to
+// tell, so there is nothing to do.
+func BuildKernel(f Fabric, src, signature string) error {
+	if kb, ok := f.(KernelBuilder); ok {
+		return kb.BuildKernel(src, signature)
+	}
+	return nil
 }

@@ -489,10 +489,8 @@ func (c *Controller) compileFused(src string) (*kernels.Def, error) {
 		}
 		c.reg.CacheSource(key, def.Name)
 	}
-	if kb, ok := c.fabric.(KernelBuilder); ok {
-		if err := kb.BuildKernel(src, ""); err != nil {
-			return nil, err
-		}
+	if err := BuildKernel(c.fabric, src, ""); err != nil {
+		return nil, err
 	}
 	return def, nil
 }

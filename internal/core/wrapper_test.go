@@ -1,0 +1,94 @@
+package core_test
+
+import (
+	"fmt"
+	"testing"
+
+	"grout/internal/cluster"
+	"grout/internal/core"
+	"grout/internal/kernels"
+	"grout/internal/memmodel"
+	"grout/internal/policy"
+	"grout/internal/shard"
+)
+
+// fleetWrappers builds the two wrappers a fleet runs behind, each with
+// nothing to add: no faults, and the whole fleet as the partition.
+var fleetWrappers = map[string]func(core.Fabric) core.Fabric{
+	"ChaosFabric": func(f core.Fabric) core.Fabric {
+		return core.NewChaosFabric(f, core.ChaosOptions{})
+	},
+	"PartitionFabric": func(f core.Fabric) core.Fabric {
+		return shard.NewPartitionFabric(f, f.Workers())
+	},
+}
+
+// TestWrapperFidelity: a wrapper that adds nothing must leave the
+// controller's program unchanged. Over a LocalFabric it keeps the
+// stall-aware pick and the optimizer counters, per CE and through the
+// window; over a fabric that cannot broadcast kernels it builds and runs
+// a kernel exactly as the bare controller does.
+func TestWrapperFidelity(t *testing.T) {
+	for _, opts := range []core.Options{{}, {OptimizeWindow: 4}} {
+		want, wantStats := core.RunSteeringScenario(t, policy.NewMinStallTime(), opts, nil)
+		if want != 2 {
+			t.Fatalf("window %d: bare min-stall-time pick = %v, want worker 2", opts.OptimizeWindow, want)
+		}
+		for name, wrap := range fleetWrappers {
+			got, stats := core.RunSteeringScenario(t, policy.NewMinStallTime(), opts, wrap)
+			if got != want || stats != wantStats {
+				t.Errorf("window %d, %s: pick %v, %+v; bare fabric %v, %+v",
+					opts.OptimizeWindow, name, got, stats, want, wantStats)
+			}
+		}
+	}
+
+	want := buildAndRun(t, nil)
+	for name, wrap := range fleetWrappers {
+		if got := buildAndRun(t, wrap); got != want {
+			t.Errorf("%s over a fabric without KernelBuilder: %v, bare fabric %v", name, got, want)
+		}
+	}
+}
+
+// buildAndRun builds a runtime-compiled kernel through a controller over
+// a LocalFabric stripped of every optional interface (wrapped by wrap
+// when non-nil), launches it, and reports the outcome.
+func buildAndRun(t *testing.T, wrap func(core.Fabric) core.Fabric) string {
+	t.Helper()
+	reg := kernels.NewRegistry()
+	var fab core.Fabric = struct{ core.Fabric }{
+		core.NewLocalFabric(cluster.New(cluster.PaperSpec(2)), reg, true)}
+	if wrap != nil {
+		fab = wrap(fab)
+	}
+	ctl := core.NewController(fab, policy.NewRoundRobin(), core.Options{Numeric: true, Registry: reg})
+	defer ctl.Close()
+	const src = `
+extern "C" __global__ void triple(float *x, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) { x[i] = 3.0 * x[i]; }
+}`
+	def, err := ctl.BuildKernel(src, "pointer float, sint32")
+	if err != nil {
+		return "build: " + err.Error()
+	}
+	x, err := ctl.NewArray(memmodel.Float32, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		x.Buf.Set(i, float64(i+1))
+	}
+	if _, err := ctl.HostWrite(x.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.Launch(core.Invocation{Kernel: def.Name, Grid: 1, Block: 4,
+		Args: []core.ArgRef{core.ArrRef(x.ID), core.ScalarRef(4)}}); err != nil {
+		return "launch: " + err.Error()
+	}
+	if _, err := ctl.HostRead(x.ID); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprint(def.Name, " ", []float64{x.Buf.At(0), x.Buf.At(1), x.Buf.At(2), x.Buf.At(3)})
+}

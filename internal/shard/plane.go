@@ -6,7 +6,10 @@ package shard
 // export an array replica to a foreign shard's worker over the shared
 // fabric (core.Controller.LeaseArray). The gateway (internal/server)
 // holds a Plane and routes tenants with Route; everything here is also
-// usable directly from tests and benchmarks.
+// usable directly from tests and benchmarks. The shards share the
+// fleet's core.LocalFabric (or its fault-injection wrapper) directly: the
+// fabric serialises its own data-path calls, which models one shared
+// physical interconnect under a scaled-out control plane.
 
 import (
 	"fmt"
@@ -16,7 +19,6 @@ import (
 	"grout/internal/cluster"
 	"grout/internal/core"
 	"grout/internal/dag"
-	"grout/internal/grcuda"
 	"grout/internal/kernels"
 	"grout/internal/memmodel"
 	"grout/internal/policy"
@@ -131,12 +133,6 @@ func New(opts Options) (*Plane, error) {
 	if opts.Wrap != nil {
 		full = opts.Wrap(full)
 	}
-	// The shards schedule and admit concurrently, but the simulated
-	// fleet's virtual timelines are shared mutable state (LocalFabric
-	// must not see concurrent operations), so data-path calls from all
-	// shards serialize on one fabric lock — the model of one shared
-	// physical interconnect under a scaled-out control plane.
-	full = &lockedFabric{inner: full}
 	workers := append([]cluster.NodeID(nil), full.Workers()...)
 	sort.Slice(workers, func(i, j int) bool { return workers[i] < workers[j] })
 
@@ -282,184 +278,31 @@ func (p *Plane) Close() error {
 	return err
 }
 
-// lockedFabric serializes every operation on an inner fabric with one
-// mutex, making a virtual-time fabric safe to share between shard
-// controllers. The optional fast paths are forwarded (with fallbacks)
-// like PartitionFabric's, and ConcurrentDispatch answers false
-// unconditionally: operation order on the shared timelines is
-// observable, so dispatch must stay serial per controller. For the same
-// reason core.AsyncLauncher is not forwarded (its absence selects the
-// blocking Launch path).
-type lockedFabric struct {
-	mu    sync.Mutex
-	inner core.Fabric
-}
-
-func (f *lockedFabric) Workers() []cluster.NodeID {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.inner.Workers()
-}
-
-func (f *lockedFabric) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.inner.EnsureArray(w, meta)
-}
-
-func (f *lockedFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
-	srcReady sim.VirtualTime, srcBuf, dstBuf *kernels.Buffer) (sim.VirtualTime, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.inner.MoveArray(id, src, dst, srcReady, srcBuf, dstBuf)
-}
-
-func (f *lockedFabric) Launch(w cluster.NodeID, inv core.Invocation,
-	ready sim.VirtualTime) (sim.VirtualTime, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.inner.Launch(w, inv, ready)
-}
-
-func (f *lockedFabric) EstimateTransfer(src, dst cluster.NodeID, n memmodel.Bytes) sim.VirtualTime {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.inner.EstimateTransfer(src, dst, n)
-}
-
-func (f *lockedFabric) FreeArray(w cluster.NodeID, id dag.ArrayID) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.inner.FreeArray(w, id)
-}
-
-func (f *lockedFabric) Healthy(w cluster.NodeID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.inner.Healthy(w)
-}
-
-func (f *lockedFabric) EstimateTransferAll(src cluster.NodeID, n memmodel.Bytes,
-	dsts []cluster.NodeID, out []sim.VirtualTime) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if be, ok := f.inner.(core.BulkEstimator); ok {
-		be.EstimateTransferAll(src, n, dsts, out)
-		return
-	}
-	for _, d := range dsts {
-		out[d] = f.inner.EstimateTransfer(src, d, n)
-	}
-}
-
-func (f *lockedFabric) PredictStall(w cluster.NodeID, add, working memmodel.Bytes,
-	pattern memmodel.Pattern) sim.VirtualTime {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if sp, ok := f.inner.(core.StallPredictor); ok {
-		return sp.PredictStall(w, add, working, pattern)
-	}
-	return 0
-}
-
-func (f *lockedFabric) MoveArrays(dst cluster.NodeID, ids []dag.ArrayID,
-	srcReady sim.VirtualTime, bufs []*kernels.Buffer) (sim.VirtualTime, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if bm, ok := f.inner.(core.BulkMover); ok {
-		return bm.MoveArrays(dst, ids, srcReady, bufs)
-	}
-	var at sim.VirtualTime
-	for i, id := range ids {
-		t, err := f.inner.MoveArray(id, cluster.ControllerID, dst, srcReady, bufs[i], nil)
-		if err != nil {
-			return 0, err
-		}
-		if t > at {
-			at = t
-		}
-	}
-	return at, nil
-}
-
-func (f *lockedFabric) BuildKernel(src, signature string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if kb, ok := f.inner.(core.KernelBuilder); ok {
-		return kb.BuildKernel(src, signature)
-	}
-	return fmt.Errorf("shard: inner fabric cannot build kernels")
-}
-
 // PartitionFabric restricts a full-fleet fabric to one shard's worker
 // partition: Workers (the placement universe) reports only the
-// partition, while data-path operations delegate to the inner fabric —
+// partition, while data-path operations go to the embedded fleet fabric —
 // a lease replica lives on a foreign worker, and recovery re-ships from
-// it over the same wires. The optional fast-path interfaces are
-// implemented unconditionally with graceful fallbacks, because
-// embedding would hide them from the controller's type assertions —
-// except core.AsyncLauncher, which has no fallback that keeps its
-// ordering contract and whose absence is the safe default.
+// it over the same wires. It follows core.Fabric's wrapper rule: the four
+// fast paths forward through their core helpers, and neither
+// core.ConcurrentDispatcher nor core.AsyncLauncher is forwarded.
 type PartitionFabric struct {
-	inner   core.Fabric
+	core.Fabric
 	workers []cluster.NodeID
 	// retired, when set (sharded planes), is the plane-wide drained-
 	// worker set: Healthy must answer false for a retired node even
 	// though the node's runtime still responds, or a shard could
 	// schedule lease traffic against a worker another shard drained.
 	retired *retiredSet
-
-	bulkEst core.BulkEstimator
-	stall   core.StallPredictor
-	bulk    core.BulkMover
-	kb      core.KernelBuilder
-	cd      core.ConcurrentDispatcher
 }
 
 // NewPartitionFabric wraps inner, exposing only workers as the
 // placement universe.
 func NewPartitionFabric(inner core.Fabric, workers []cluster.NodeID) *PartitionFabric {
-	f := &PartitionFabric{
-		inner:   inner,
-		workers: append([]cluster.NodeID(nil), workers...),
-	}
-	f.bulkEst, _ = inner.(core.BulkEstimator)
-	f.stall, _ = inner.(core.StallPredictor)
-	f.bulk, _ = inner.(core.BulkMover)
-	f.kb, _ = inner.(core.KernelBuilder)
-	f.cd, _ = inner.(core.ConcurrentDispatcher)
-	return f
+	return &PartitionFabric{Fabric: inner, workers: append([]cluster.NodeID(nil), workers...)}
 }
 
 // Workers implements core.Fabric: the shard's partition only.
 func (f *PartitionFabric) Workers() []cluster.NodeID { return f.workers }
-
-// EnsureArray implements core.Fabric.
-func (f *PartitionFabric) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) error {
-	return f.inner.EnsureArray(w, meta)
-}
-
-// MoveArray implements core.Fabric.
-func (f *PartitionFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
-	srcReady sim.VirtualTime, srcBuf, dstBuf *kernels.Buffer) (sim.VirtualTime, error) {
-	return f.inner.MoveArray(id, src, dst, srcReady, srcBuf, dstBuf)
-}
-
-// Launch implements core.Fabric.
-func (f *PartitionFabric) Launch(w cluster.NodeID, inv core.Invocation,
-	ready sim.VirtualTime) (sim.VirtualTime, error) {
-	return f.inner.Launch(w, inv, ready)
-}
-
-// EstimateTransfer implements core.Fabric.
-func (f *PartitionFabric) EstimateTransfer(src, dst cluster.NodeID, n memmodel.Bytes) sim.VirtualTime {
-	return f.inner.EstimateTransfer(src, dst, n)
-}
-
-// FreeArray implements core.Fabric.
-func (f *PartitionFabric) FreeArray(w cluster.NodeID, id dag.ArrayID) error {
-	return f.inner.FreeArray(w, id)
-}
 
 // Healthy implements core.Fabric. It answers for any fleet node, not
 // just the partition — lineage recovery probes the lease node's health —
@@ -468,62 +311,28 @@ func (f *PartitionFabric) FreeArray(w cluster.NodeID, id dag.ArrayID) error {
 // drained node's runtime still responds, yet no shard may schedule
 // against it.
 func (f *PartitionFabric) Healthy(w cluster.NodeID) bool {
-	return !f.retired.has(w) && f.inner.Healthy(w)
+	return !f.retired.has(w) && f.Fabric.Healthy(w)
 }
 
-// EstimateTransferAll implements core.BulkEstimator, looping over
-// EstimateTransfer when the inner fabric lacks the fast path.
+// EstimateTransferAll implements core.BulkEstimator.
 func (f *PartitionFabric) EstimateTransferAll(src cluster.NodeID, n memmodel.Bytes,
 	dsts []cluster.NodeID, out []sim.VirtualTime) {
-	if f.bulkEst != nil {
-		f.bulkEst.EstimateTransferAll(src, n, dsts, out)
-		return
-	}
-	for _, d := range dsts {
-		out[d] = f.inner.EstimateTransfer(src, d, n)
-	}
+	core.EstimateTransferAll(f.Fabric, src, n, dsts, out)
 }
 
-// PredictStall implements core.StallPredictor; fabrics without the
-// extension are stall-free.
+// PredictStall implements core.StallPredictor.
 func (f *PartitionFabric) PredictStall(w cluster.NodeID, add, working memmodel.Bytes,
 	pattern memmodel.Pattern) sim.VirtualTime {
-	if f.stall != nil {
-		return f.stall.PredictStall(w, add, working, pattern)
-	}
-	return 0
+	return core.PredictStall(f.Fabric, w, add, working, pattern)
 }
 
-// MoveArrays implements core.BulkMover, degrading to per-array moves
-// when the inner fabric lacks coalescing.
+// MoveArrays implements core.BulkMover.
 func (f *PartitionFabric) MoveArrays(dst cluster.NodeID, ids []dag.ArrayID,
 	srcReady sim.VirtualTime, bufs []*kernels.Buffer) (sim.VirtualTime, error) {
-	if f.bulk != nil {
-		return f.bulk.MoveArrays(dst, ids, srcReady, bufs)
-	}
-	var at sim.VirtualTime
-	for i, id := range ids {
-		t, err := f.inner.MoveArray(id, cluster.ControllerID, dst, srcReady, bufs[i], nil)
-		if err != nil {
-			return 0, err
-		}
-		if t > at {
-			at = t
-		}
-	}
-	return at, nil
+	return core.MoveArrays(f.Fabric, dst, ids, srcReady, bufs)
 }
 
-// BuildKernel implements core.KernelBuilder when the inner fabric does.
+// BuildKernel implements core.KernelBuilder.
 func (f *PartitionFabric) BuildKernel(src, signature string) error {
-	if f.kb != nil {
-		return f.kb.BuildKernel(src, signature)
-	}
-	return fmt.Errorf("shard: inner fabric cannot build kernels")
-}
-
-// ConcurrentDispatch implements core.ConcurrentDispatcher, forwarding
-// the inner fabric's answer (false for virtual-time fabrics).
-func (f *PartitionFabric) ConcurrentDispatch() bool {
-	return f.cd != nil && f.cd.ConcurrentDispatch()
+	return core.BuildKernel(f.Fabric, src, signature)
 }

@@ -334,9 +334,10 @@ func (asyncInner) StartLaunch(cluster.NodeID, core.Invocation, sim.VirtualTime,
 }
 func (asyncInner) FlushLaunches(cluster.NodeID) {}
 
-// Neither wrapper keeps a control channel's ordering guarantee itself
-// (lockedFabric interleaves shards, PartitionFabric delegates to it), so
-// neither may forward AsyncLauncher: absence selects the blocking path.
+// Neither wrapper a plane's fleet runs behind keeps a control channel's
+// ordering guarantee itself, so neither may forward AsyncLauncher
+// (core.Fabric's wrapper rule): absence selects the blocking path.
+// core's TestWrapperFidelity checks that they forward everything else.
 func TestWrappersDoNotForwardAsyncLauncher(t *testing.T) {
 	var inner core.Fabric = asyncInner{core.NewLocalFabric(
 		cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), false)}
@@ -344,7 +345,7 @@ func TestWrappersDoNotForwardAsyncLauncher(t *testing.T) {
 		t.Fatal("test fabric does not offer AsyncLauncher")
 	}
 	for name, wrapped := range map[string]core.Fabric{
-		"lockedFabric":    &lockedFabric{inner: inner},
+		"ChaosFabric":     core.NewChaosFabric(inner, core.ChaosOptions{}),
 		"PartitionFabric": NewPartitionFabric(inner, inner.Workers()),
 	} {
 		if _, ok := wrapped.(core.AsyncLauncher); ok {

@@ -30,11 +30,11 @@ const (
 // Ring is a seeded consistent-hash ring over shard indices. It is
 // immutable after construction and safe for concurrent readers.
 type Ring struct {
-	shards  int
-	eps     float64
-	seed    uint64
-	hashes  []uint64 // sorted vnode positions
-	owners  []int    // owners[i] = shard owning hashes[i]
+	shards int
+	eps    float64
+	seed   uint64
+	hashes []uint64 // sorted vnode positions
+	owners []int    // owners[i] = shard owning hashes[i]
 }
 
 // NewRing builds a ring of n shards with vnodes virtual nodes per shard

@@ -143,10 +143,14 @@ func TestP2PPushOverTCP(t *testing.T) {
 	if ctl.P2PMoves() != 1 {
 		t.Fatalf("p2p moves = %d, want 1", ctl.P2PMoves())
 	}
-	// The data physically reached worker 2.
-	w2 := workers[1].Runtime()
-	arr := w2.Array(x.ID)
-	if arr == nil || arr.Buf.At(0) != 0 {
+	// The data physically reached worker 2. Read it under the worker's
+	// lock: the socket reply orders the write before this read, but the
+	// race detector cannot see that.
+	workers[1].mu.Lock()
+	arr := workers[1].Runtime().Array(x.ID)
+	ok := arr != nil && arr.Buf.At(0) == 0
+	workers[1].mu.Unlock()
+	if !ok {
 		t.Fatalf("worker 2 replica wrong")
 	}
 }
