@@ -60,7 +60,6 @@ func main() {
 	level := flag.String("level", "medium", "exploration level for online policies")
 	partitions := flag.Int("partitions", 4, "portfolio partitions (CEs)")
 	elems := flag.Int("elems", 4096, "options per partition")
-	pipeline := flag.Bool("pipeline", false, "return from Submit after scheduling; one dispatcher goroutine moves data and launches behind it (DESIGN.md §5.1)")
 	optWindow := flag.Int("optimize-window", 0, "lookahead optimizer window in CEs (0 = 32 default; negative = passes off, every CE admitted by itself; DESIGN.md §5.6)")
 	failover := flag.Bool("failover", false, "survive worker failures: reroute CEs and replay lost arrays from lineage (DESIGN.md §5.4)")
 	retries := flag.Int("retries", 0, "retry a transiently-failing worker this many times before writing it off")
@@ -75,7 +74,7 @@ func main() {
 		log.Fatalf("-shards %d needs between 1 and %d (the worker count)", *shards, len(addrs))
 	}
 	cfg := grout.Config{
-		Policy: *policyName, Level: *level, Pipeline: *pipeline,
+		Policy: *policyName, Level: *level,
 		OptimizeWindow: *optWindow,
 		Failover:       *failover, RetryAttempts: *retries, RetryBackoff: *retryBackoff,
 		DialTimeout: *dialTimeout, CallTimeout: *callTimeout, ChunkTimeout: *chunkTimeout,

@@ -76,7 +76,6 @@ func main() {
 		Policy:         *pol,
 		Level:          *level,
 		Numeric:        true,
-		Pipeline:       true,
 		Failover:       *failover,
 		OptimizeWindow: *optWindow,
 	}

@@ -258,6 +258,7 @@ func runOne(workload, sizeStr string, workers int, polName, levelName, prefetch,
 		}
 	}
 	ctl := core.NewController(fab, pol, core.Options{})
+	defer ctl.Close()
 	s := &workloads.Grout{Ctl: ctl}
 	if err := w.Build(s, p); err != nil {
 		return err

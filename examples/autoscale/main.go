@@ -47,7 +47,6 @@ func scaleOut() {
 		Workers:       maxFleet,
 		ActiveWorkers: 1,
 		Policy:        "round-robin",
-		Pipeline:      true,
 	})
 	if err != nil {
 		panic(err)
@@ -126,7 +125,7 @@ func scaleIn() {
 	const elems = 1 << 16
 	run := func(retireMid bool) *kernels.Buffer {
 		clu, err := grout.NewSimulatedCluster(grout.Config{
-			Workers: 4, Policy: "round-robin", Numeric: true, Pipeline: true,
+			Workers: 4, Policy: "round-robin", Numeric: true,
 		})
 		if err != nil {
 			panic(err)

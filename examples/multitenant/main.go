@@ -46,7 +46,7 @@ func run(s workloads.Session, name string) (map[int64][]float64, error) {
 // soloRun executes the workload on a private in-process fleet.
 func soloRun(name string) (map[int64][]float64, error) {
 	clu, err := grout.NewSimulatedCluster(grout.Config{
-		Workers: 4, Policy: "round-robin", Numeric: true, Pipeline: true})
+		Workers: 4, Policy: "round-robin", Numeric: true})
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func main() {
 
 	// One shared fleet behind a gateway; both tenants at once over TCP.
 	clu, err := grout.NewSimulatedCluster(grout.Config{
-		Workers: 4, Policy: "round-robin", Numeric: true, Pipeline: true})
+		Workers: 4, Policy: "round-robin", Numeric: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -98,11 +98,9 @@ type Config struct {
 	// and transfers ship buffer contents. Use for correctness-sensitive
 	// programs; disable for large cost-model-only sweeps.
 	Numeric bool
-	// Pipeline overlaps CE dispatch with scheduling: Submit returns after
-	// the scheduling decision and a dispatcher goroutine issues data
-	// movements and launches in the background (results identical to the
-	// serial schedule; see DESIGN.md §5.1). Launch/HostRead/HostWrite
-	// still synchronize where required.
+	// Deprecated: ignored; every controller pipelines. Submit returns
+	// after the scheduling decision, and Launch, HostRead and HostWrite
+	// wait where required (DESIGN.md §5.1).
 	Pipeline bool
 	// OptimizeWindow sizes the controller's lookahead optimizer window
 	// (DESIGN.md §5.6): submissions park until the window fills (or a
@@ -160,7 +158,6 @@ func (c Config) optimizeWindow() int {
 func (c Config) coreOptions(numeric bool) core.Options {
 	opts := core.Options{
 		Numeric:        numeric,
-		Pipeline:       c.Pipeline,
 		OptimizeWindow: c.optimizeWindow(),
 		Failover:       c.Failover,
 		Retry: core.RetryPolicy{

@@ -147,7 +147,7 @@ func TestCloseIdempotentAndNilSafe(t *testing.T) {
 		t.Fatalf("zero Remote Close: %v", cerr)
 	}
 
-	c, err := NewSimulatedCluster(Config{Pipeline: true, Numeric: true})
+	c, err := NewSimulatedCluster(Config{Numeric: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestCloseIdempotentAndNilSafe(t *testing.T) {
 
 // Dial gives a workloads.Session view onto a multi-tenant gateway.
 func TestDialGateway(t *testing.T) {
-	c, err := NewSimulatedCluster(Config{Workers: 2, Policy: "round-robin", Numeric: true, Pipeline: true})
+	c, err := NewSimulatedCluster(Config{Workers: 2, Policy: "round-robin", Numeric: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,6 +114,7 @@ func RunGrout(name string, p workloads.Params, workers int, pol policy.Policy) R
 	clu := cluster.New(cluster.PaperSpec(workers))
 	fab := core.NewLocalFabric(clu, kernels.StdRegistry(), false)
 	ctl := core.NewController(fab, pol, core.Options{})
+	defer ctl.Close()
 	s := &workloads.Grout{Ctl: ctl}
 	res := Result{
 		Workload:  name,
@@ -319,7 +320,7 @@ func Fig9(cesPerRun int) []Series {
 // Fig9Compare contrasts the submission paths on the Figure 9 synthetic
 // stream: for each policy and node count, the wall-clock time the CE
 // stream is blocked per submission — Launch for the serial path
-// (scheduling + dispatch inline), Submit for the pipelined one
+// (scheduling + dispatch on the caller), Submit for the pipelined one
 // (scheduling only; dispatch overlaps with later admissions), and Submit
 // behind the lookahead optimizer window (batched scheduling, fusion,
 // transfer coalescing). Three series per policy — "<policy>/serial",
@@ -339,18 +340,19 @@ func Fig9Compare(cesPerRun int) []Series {
 	}
 	modes := []struct {
 		suffix string
-		opts   core.Options
+		window int
+		launch bool
 	}{
-		{"/serial", core.Options{}},
-		{"/pipelined", core.Options{Pipeline: true}},
-		{"/pipelined+opt", core.Options{Pipeline: true, OptimizeWindow: 32}},
+		{"/serial", 0, true},
+		{"/pipelined", 0, false},
+		{"/pipelined+opt", 32, false},
 	}
 	var out []Series
 	for _, name := range names {
 		for _, mode := range modes {
 			s := Series{Name: name + mode.suffix}
 			for _, nodes := range Fig9NodeCounts {
-				us := submitWallClockProbe(nodes, cesPerRun, mk(name), mode.opts)
+				us := submitWallClockProbe(nodes, cesPerRun, mk(name), mode.window, mode.launch)
 				s.Points = append(s.Points, Point{X: float64(nodes), Value: us})
 			}
 			out = append(out, s)
@@ -361,11 +363,12 @@ func Fig9Compare(cesPerRun int) []Series {
 
 // submitWallClockProbe measures the wall-clock microseconds per CE the
 // caller is blocked submitting the Fig. 9 stream (the final drain is not
-// part of the per-CE admission cost and is excluded).
-func submitWallClockProbe(nodes, ces int, pol policy.Policy, opts core.Options) float64 {
+// part of the per-CE admission cost and is excluded): by Launch, which
+// waits for each CE, or by Submit, which does not.
+func submitWallClockProbe(nodes, ces int, pol policy.Policy, window int, launch bool) float64 {
 	clu := cluster.New(cluster.PaperSpec(nodes))
 	fab := core.NewLocalFabric(clu, kernels.StdRegistry(), false)
-	ctl := core.NewController(fab, pol, opts)
+	ctl := core.NewController(fab, pol, core.Options{OptimizeWindow: window})
 	defer ctl.Close()
 	const arrays = 16
 	ids := make([]core.ArgRef, arrays)
@@ -384,10 +387,10 @@ func submitWallClockProbe(nodes, ces int, pol policy.Policy, opts core.Options) 
 			Args:   []core.ArgRef{ids[i%arrays], core.ScalarRef(float64(elems))},
 		}
 		var err error
-		if opts.Pipeline || opts.OptimizeWindow > 0 {
-			_, err = ctl.Submit(inv)
-		} else {
+		if launch {
 			_, err = ctl.Launch(inv)
+		} else {
+			_, err = ctl.Submit(inv)
 		}
 		if err != nil {
 			panic(err)
@@ -407,6 +410,7 @@ func schedulingOverheadProbe(nodes, ces int, pol policy.Policy) float64 {
 	clu := cluster.New(cluster.PaperSpec(nodes))
 	fab := core.NewLocalFabric(clu, kernels.StdRegistry(), false)
 	ctl := core.NewController(fab, pol, core.Options{})
+	defer ctl.Close()
 	const arrays = 16
 	ids := make([]core.ArgRef, arrays)
 	const elems = int64(16 * memmodel.MiB / 4)

@@ -73,12 +73,19 @@ func BenchmarkControllerSubmitThroughput(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if i > 0 && i%resetEvery == 0 {
 					b.StopTimer()
+					if err := ctl.Close(); err != nil {
+						b.Fatal(err)
+					}
 					ctl, ids = streamController(tc.nodes, tc.pol())
 					b.StartTimer()
 				}
 				if _, err := ctl.Launch(fig9Invocation(ids, i)); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.StopTimer()
+			if err := ctl.Close(); err != nil {
+				b.Fatal(err)
 			}
 		})
 		// pipelined admission alone, and pipelined admission behind the
@@ -87,8 +94,8 @@ func BenchmarkControllerSubmitThroughput(b *testing.B) {
 			name string
 			opts core.Options
 		}{
-			{"pipelined", core.Options{Pipeline: true}},
-			{"pipelined+opt", core.Options{Pipeline: true, OptimizeWindow: 32}},
+			{"pipelined", core.Options{}},
+			{"pipelined+opt", core.Options{OptimizeWindow: 32}},
 		}
 		for _, po := range pipeOpts {
 			opts := po.opts

@@ -99,6 +99,7 @@ func recoveryRun(ces, killAt int) ([]float64, time.Duration, *core.Controller, e
 	}
 	ctl := core.NewController(fab, policy.NewRoundRobin(),
 		core.Options{Numeric: true, Failover: true})
+	defer ctl.Close() // its counters stay readable
 
 	start := time.Now()
 	n := recoveryElems

@@ -31,7 +31,7 @@ func gatewayBenchSystem(b *testing.B, opt server.Options) (*server.Gateway, func
 	b.Helper()
 	clu := cluster.New(cluster.PaperSpec(4))
 	fab := core.NewLocalFabric(clu, kernels.StdRegistry(), false)
-	ctl := core.NewController(fab, policy.NewRoundRobin(), core.Options{Pipeline: true})
+	ctl := core.NewController(fab, policy.NewRoundRobin(), core.Options{})
 	g, err := server.New(ctl, "127.0.0.1:0", opt)
 	if err != nil {
 		b.Fatal(err)
@@ -162,7 +162,7 @@ func BenchmarkGatewayShards(b *testing.B) {
 			p, err := shard.New(shard.Options{
 				Shards:  shards,
 				Workers: 16,
-				Core:    core.Options{Pipeline: true},
+				Core:    core.Options{},
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -5,8 +5,10 @@ package core
 // goroutines, serializing on the submission lock. Each goroutine plays an
 // independent tenant — its own arrays, its own CE chain, its own
 // synchronization points — over one shared controller, and its results
-// must be bit-identical to the same chain mirrored on host buffers.
-// Run with -race (ci.sh's core sweep does).
+// must be bit-identical to the same chain mirrored on host buffers. The
+// tenants launch by Launch (serial: each caller works through its own
+// windows) or by Submit (pipelined: the dispatcher goroutine does). Run
+// with -race (ci.sh's core sweep does).
 
 import (
 	"fmt"
@@ -23,7 +25,15 @@ const ccElems = 128
 
 // ccProgram drives one tenant's CE chain against the shared controller
 // and checks the outcome against a host-side mirror of the same ops.
-func ccProgram(ctl *Controller, tenant int) error {
+func ccProgram(ctl *Controller, tenant int, launch bool) error {
+	submit := func(inv Invocation) (err error) {
+		if launch {
+			_, err = ctl.Launch(inv)
+		} else {
+			_, err = ctl.Submit(inv)
+		}
+		return err
+	}
 	a, err := ctl.NewArray(memmodel.Float32, ccElems)
 	if err != nil {
 		return err
@@ -50,7 +60,7 @@ func ccProgram(ctl *Controller, tenant int) error {
 	}
 	nArg := ScalarRef(float64(ccElems))
 	for i := 0; i < 24; i++ {
-		if _, err := ctl.Submit(Invocation{Kernel: "axpy",
+		if err := submit(Invocation{Kernel: "axpy",
 			Args: []ArgRef{ArrRef(a.ID), ArrRef(b.ID), ScalarRef(0.5), nArg}}); err != nil {
 			return err
 		}
@@ -58,7 +68,7 @@ func ccProgram(ctl *Controller, tenant int) error {
 			ma.Set(j, ma.At(j)+0.5*mb.At(j))
 		}
 		if i%5 == 2 {
-			if _, err := ctl.Submit(Invocation{Kernel: "relu",
+			if err := submit(Invocation{Kernel: "relu",
 				Args: []ArgRef{ArrRef(a.ID), nArg}}); err != nil {
 				return err
 			}
@@ -92,14 +102,13 @@ func ccProgram(ctl *Controller, tenant int) error {
 
 func TestConcurrentSubmitters(t *testing.T) {
 	for _, mode := range []struct {
-		name     string
-		pipeline bool
-	}{{"serial", false}, {"pipelined", true}} {
+		name   string
+		launch bool
+	}{{"serial", true}, {"pipelined", false}} {
 		t.Run(mode.name, func(t *testing.T) {
 			clu := cluster.New(cluster.PaperSpec(4))
 			fab := NewLocalFabric(clu, kernels.StdRegistry(), true)
-			ctl := NewController(fab, policy.NewRoundRobin(),
-				Options{Numeric: true, Pipeline: mode.pipeline})
+			ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true})
 			defer ctl.Close()
 
 			const tenants = 4
@@ -109,7 +118,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					errs <- ccProgram(ctl, g)
+					errs <- ccProgram(ctl, g, mode.launch)
 				}(g)
 			}
 			wg.Wait()

@@ -151,12 +151,9 @@ type Options struct {
 	// (timeouts, severed connections) before the failover machinery
 	// writes the worker off. The zero value disables retries.
 	Retry RetryPolicy
-	// Pipeline decouples the timed scheduling section from data movement
-	// and launch: Submit admits CEs and returns, and one dispatcher
-	// goroutine issues the transfers and launches the submitter did not
-	// start itself. Without it Submit returns when the CE has run. The
-	// schedule is the same either way (see pipeline.go). Call Close when
-	// done to stop the dispatcher.
+	// Deprecated: ignored; every controller pipelines. Submit admits CEs
+	// and returns, Launch waits, and who works through the dispatch FIFO
+	// follows from that (pipeline.go).
 	Pipeline bool
 	// PipelineDepth bounds the launches one worker may have started and
 	// not yet answered on a streaming fabric, and the admitted windows
@@ -252,14 +249,16 @@ func (p RetryPolicy) delay(n int, rng *rand.Rand) time.Duration {
 // to call from multiple goroutines — they serialize on subMu, so
 // interleaved submissions from concurrent clients observe a single total
 // submission order (the order that defines the schedule). Dispatch-side
-// state is guarded separately by mu; with Options.Pipeline the dispatch
-// stage runs concurrently behind the submission lock. Synchronizing
-// operations (HostRead, HostWrite, FreeArray, SetPolicy, BuildKernel,
-// Drain and the drained readers) drain the pipeline under subMu and
-// therefore act as global barriers across all submitting goroutines; a
-// submitter that wants to wait for its own CEs only waits on their
-// Pendings, as ControllerSession.Elapsed does. TestConcurrentSubmitters
-// exercises this contract under the race detector.
+// state is guarded separately by mu: the dispatch stage — the controller's
+// one dispatcher goroutine, which Close stops, or a Launch working through
+// its own window — runs concurrently behind the submission lock.
+// Synchronizing operations (HostRead, HostWrite, FreeArray, SetPolicy,
+// BuildKernel, Drain and the drained readers) drain the pipeline under
+// subMu and therefore act as global barriers across all submitting
+// goroutines; a submitter that wants to wait for its own CEs only waits on
+// their Pendings, as ControllerSession.Elapsed does.
+// TestConcurrentSubmitters exercises this contract under the race
+// detector.
 type Controller struct {
 	fabric   Fabric
 	pol      policy.Policy
@@ -425,7 +424,7 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 		c.retryRng = rand.New(rand.NewSource(seed))
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.pipe = newPipeline(c, opts.Pipeline, opts.PipelineDepth)
+	c.pipe = newPipeline(c, opts.PipelineDepth)
 	return c
 }
 
@@ -526,15 +525,9 @@ func (c *Controller) DeadWorkers() []cluster.NodeID {
 // Policy returns the active inter-node policy.
 func (c *Controller) Policy() policy.Policy { return c.pol }
 
-// Pipelined reports whether Submit only schedules, leaving what it does
-// not start itself to the dispatcher goroutine (Options.Pipeline). On a
-// serial controller Submit dispatches on its caller and returns when the CE
-// has run.
-func (c *Controller) Pipelined() bool { return c.pipe.fifo != nil }
-
-// DispatcherJobs counts the CEs left to the dispatcher goroutine: all of
-// them on a fabric without AsyncLauncher, on a streaming one those the
-// goroutine that flushed their window could not start itself.
+// DispatcherJobs counts the CEs left to the dispatcher goroutine: those
+// the caller that admitted their window did not work through itself — on a
+// fabric without AsyncLauncher every CE of a window nobody waited for.
 func (c *Controller) DispatcherJobs() int { return int(c.pipe.handed.Load()) }
 
 // SetPolicy swaps the inter-node policy (between workloads). It drains
@@ -907,14 +900,12 @@ func (c *Controller) predictMembership(s *scheduled) {
 // to the Worker's intra-node scheduler. Returns the CE's completion time.
 //
 // Launch is a synchronous call, so there is nothing to look ahead at: it
-// flushes the window it parked in. Use Submit to overlap scheduling with
-// dispatch.
+// flushes the window it parked in and, with the dispatcher idle, works
+// through that window on its own goroutine. Use Submit to overlap
+// scheduling with dispatch.
 func (c *Controller) Launch(inv Invocation) (sim.VirtualTime, error) {
 	c.subMu.Lock()
-	p, err := c.parkLocked(inv, nil, nil)
-	if err == nil {
-		c.flushWindowLocked()
-	}
+	p, err := c.parkLocked(inv, nil, nil, true)
 	c.subMu.Unlock()
 	if err != nil {
 		return 0, err
@@ -923,15 +914,14 @@ func (c *Controller) Launch(inv Invocation) (sim.VirtualTime, error) {
 }
 
 // Submit admits a kernel CE: it validates and parks it, and a full window
-// is admitted and handed to the dispatch engine (pipeline.go). With
-// Options.Pipeline it returns as soon as that is done; without, a Submit
-// that fills the window returns when the window has run. Validation errors
-// surface here; dispatch errors surface on the returned Pending (and on
-// Drain), and without Options.Pipeline also on the Submit that ran them.
+// is admitted and handed to the dispatch engine (pipeline.go). It returns
+// as soon as that is done, having started what it could start at once.
+// Validation errors surface here; dispatch errors surface on the returned
+// Pending (and on Drain).
 func (c *Controller) Submit(inv Invocation) (*Pending, error) {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
-	return c.parkLocked(inv, nil, nil)
+	return c.parkLocked(inv, nil, nil, false)
 }
 
 // Pending is a submitted CE whose dispatch may still be in flight.

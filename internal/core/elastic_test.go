@@ -62,9 +62,8 @@ func TestElasticAddWorkerGrowsPlacement(t *testing.T) {
 	clu := cluster.New(cluster.PaperSpec(4))
 	fab := NewLocalFabric(clu, kernels.StdRegistry(), true)
 	ctl := NewController(fab, policy.NewRoundRobin(), Options{
-		Numeric:  true,
-		Pipeline: true,
-		Workers:  []cluster.NodeID{1, 2},
+		Numeric: true,
+		Workers: []cluster.NodeID{1, 2},
 	})
 	t.Cleanup(func() { ctl.Close() })
 	s := NewControllerSession(ctl, "elastic-add", SessionLimits{})
@@ -184,7 +183,7 @@ func TestElasticRetireMidWorkloadBitIdentical(t *testing.T) {
 	run := func(retire bool) *kernels.Buffer {
 		clu := cluster.New(cluster.PaperSpec(4))
 		fab := NewLocalFabric(clu, kernels.StdRegistry(), true)
-		ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true, Pipeline: true})
+		ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true})
 		defer ctl.Close()
 		s := NewControllerSession(ctl, "mid", SessionLimits{})
 		a, err := s.NewArray(memmodel.Float32, n)

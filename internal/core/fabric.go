@@ -153,8 +153,8 @@ type AsyncLauncher interface {
 // LocalFabric runs workers in-process over the cluster simulator. It is
 // safe for concurrent use: every call that touches the shared virtual
 // timelines, a worker runtime or the launch scratch holds mu, so sharded
-// controllers and a pipelined controller's scheduler and dispatcher can
-// share one fleet. Order is still observable, so it does not implement
+// controllers, and a controller's submitters and its dispatcher goroutine,
+// can share one fleet. Order is still observable, so it does not implement
 // ConcurrentDispatcher and each controller issues its calls in
 // submission order. Workers, Healthy and the transfer estimates read
 // immutable spec data and take no lock.

@@ -83,7 +83,7 @@ func TestSessionScopedSync(t *testing.T) {
 		arrived: make(chan struct{}, 1),
 		gate:    make(chan struct{}),
 	}
-	ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true, Pipeline: true, OptimizeWindow: 8})
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true, OptimizeWindow: 8})
 	var open sync.Once
 	release := func() { open.Do(func() { close(fab.gate) }) }
 	t.Cleanup(func() { release(); _ = ctl.Close() })
@@ -166,8 +166,8 @@ func TestSessionScopedSync(t *testing.T) {
 // TestInlineStartDepthOne: with the dispatcher idle, the goroutine that
 // flushes a window starts its launches itself — two sessions' depth-1
 // Submit+Elapsed steps over a streaming fabric never reach the batch
-// dispatcher — and a fabric without a launch stream never starts anything
-// that way.
+// dispatcher — and on a fabric without a launch stream a window nobody
+// waits for (Submit, FlushWindow) goes to the dispatcher whole.
 func TestInlineStartDepthOne(t *testing.T) {
 	const steps = 200
 	pin := func() policy.Policy {
@@ -177,7 +177,7 @@ func TestInlineStartDepthOne(t *testing.T) {
 		}
 		return p
 	}
-	ctl, fab, ids := newStreamSystem(t, pin(), Options{Pipeline: true, OptimizeWindow: 32})
+	ctl, fab, ids := newStreamSystem(t, pin(), Options{OptimizeWindow: 32})
 	nArg := ScalarRef(float64(ppElems))
 	for _, id := range ids[:2] { // resident on the worker, by the blocking path
 		if _, err := ctl.Launch(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(id), nArg}}); err != nil {
@@ -220,7 +220,7 @@ func TestInlineStartDepthOne(t *testing.T) {
 		t.Fatalf("%d launches streamed, want %d", streamed, 2*steps)
 	}
 
-	seq := newWindowSystem(t, 2, 32, true)
+	seq := newWindowSystem(t, 2, 32)
 	defer seq.Close()
 	arr, err := seq.NewArray(memmodel.Float32, ppElems)
 	if err != nil {
@@ -230,9 +230,12 @@ func TestInlineStartDepthOne(t *testing.T) {
 		if _, err := seq.Submit(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(arr.ID), nArg}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := seq.Drain(); err != nil {
+		if err := seq.FlushWindow(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := seq.Drain(); err != nil {
+		t.Fatal(err)
 	}
 	if got := seq.DispatcherJobs(); got != 10 {
 		t.Fatalf("no launch stream: dispatcher handled %d of 10 launches, want all", got)
@@ -249,7 +252,7 @@ func TestInlineStartHandsRemainderInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, fab, ids := newStreamSystem(t, pin, Options{Pipeline: true, PipelineDepth: depth, OptimizeWindow: 8})
+	ctl, fab, ids := newStreamSystem(t, pin, Options{PipelineDepth: depth, OptimizeWindow: 8})
 	nArg := ScalarRef(float64(ppElems))
 	for _, id := range ids[:2] {
 		if _, err := ctl.Launch(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(id), nArg}}); err != nil {

@@ -29,16 +29,18 @@
 // virtual times — therefore do not depend on who works through the FIFO;
 // TestPipelineMatchesSerial checks that over random DAGs and policies.
 //
-// Who works through it is all Options.Pipeline decides. Without it the
-// submitter runs its own window under the work lock before
-// flushWindowLocked returns, so Submit returns a resolved Pending. With it
-// a dispatcher goroutine takes what the submitter does not start itself:
-// with the dispatcher idle — no window queued or being worked through,
-// nothing to redo — enqueueBatch starts the longest startable prefix on the
-// submitter's goroutine and puts it on the wire; the first job that would
-// have to wait for anything goes to the dispatcher with everything behind
-// it, and while the dispatcher has work every later window queues behind
-// it. The work lock keeps that one starter at a time (AsyncLauncher's rule).
+// Who works through it is decided by the call, not by an option. A caller
+// that is about to wait for its window — Launch, and the flush a
+// synchronizing method makes (drainLocked) — works through the whole of it
+// on its own goroutine while the dispatcher goroutine is idle (no window
+// queued or being worked through, nothing to redo), so the window has run
+// when flushWindowLocked returns. A caller that does not wait — Submit,
+// SubmitTagged, FlushWindow — starts the longest startable prefix from its
+// goroutine and puts it on the wire; the first job that would have to wait
+// for anything goes to the dispatcher goroutine with everything behind it.
+// While the dispatcher has work every later window queues behind it,
+// whoever admitted it. The work lock keeps one goroutine at a time working
+// through the FIFO, and so one starter (AsyncLauncher's rule).
 package core
 
 import (
@@ -92,9 +94,12 @@ type jobBatch struct {
 	jobs   []job
 	scheds []scheduled
 	left   atomic.Int32
-	// from is the first job left to the dispatcher goroutine; the submitter
-	// started the ones before it (enqueueBatch).
+	// from is the first job not yet worked through (runBatch): where the
+	// dispatcher goroutine takes over from the caller that admitted it.
 	from int
+	// own is set when the caller that admitted the window works through
+	// all of it because it waits for it (enqueueBatch, fail).
+	own bool
 }
 
 // pipeline is the controller's dispatch engine (see the package comment).
@@ -102,8 +107,7 @@ type pipeline struct {
 	c *Controller
 
 	// fifo carries admitted windows to the dispatcher goroutine, one channel
-	// hand-off per window; nil without Options.Pipeline, when every window is
-	// worked through by its submitter. wg waits for that goroutine.
+	// hand-off per window. wg waits for that goroutine.
 	fifo chan *jobBatch
 	wg   sync.WaitGroup
 
@@ -124,11 +128,11 @@ type pipeline struct {
 	unflushed []cluster.NodeID
 
 	// work is held by whoever is working through a window or the redo list:
-	// the dispatcher goroutine, a submitter without one, or a submitter (by
-	// try-lock, never waiting) while it starts a window's prefix itself. It
-	// guards unflushed. queued counts the windows given to the dispatcher
-	// and not yet worked through; handed, all the jobs it was ever given
-	// (Controller.DispatcherJobs).
+	// the dispatcher goroutine, or (by try-lock, never waiting) the caller
+	// that admitted a window while it works through that window or a prefix
+	// of it. It guards unflushed and jobBatch.from. queued counts the
+	// windows given to the dispatcher and not yet worked through; handed,
+	// all the jobs it was ever given (Controller.DispatcherJobs).
 	work   sync.Mutex
 	queued atomic.Int32
 	handed atomic.Int64
@@ -145,7 +149,7 @@ type pipeline struct {
 	err error
 }
 
-func newPipeline(c *Controller, async bool, depth int) *pipeline {
+func newPipeline(c *Controller, depth int) *pipeline {
 	if depth <= 0 {
 		depth = defaultPipelineDepth
 	}
@@ -159,66 +163,55 @@ func newPipeline(c *Controller, async bool, depth int) *pipeline {
 			pl.wake = make(chan struct{}, 1)
 		}
 	}
-	if async {
-		// depth windows of backlog before a submitter waits: backpressure on
-		// the scheduling stage.
-		pl.fifo = make(chan *jobBatch, depth)
-		pl.wg.Add(1)
-		go pl.batchDispatcher()
-	}
+	// depth windows of backlog before a submitter waits: backpressure on
+	// the scheduling stage.
+	pl.fifo = make(chan *jobBatch, depth)
+	pl.wg.Add(1)
+	go pl.batchDispatcher()
 	return pl
 }
 
 // enqueueBatch puts an admitted window into the FIFO. Jobs arrive with
 // their Pendings already made (Submit returned them while the CEs were
-// parked); sequence numbers are issued here, in window order. Without a
-// dispatcher goroutine the window has been worked through when this
-// returns, and the result is its first failure.
-func (pl *pipeline) enqueueBatch(b *jobBatch) error {
+// parked); sequence numbers are issued here, in window order. With the
+// dispatcher idle the caller works through what it can itself (see the
+// package comment): all of the window when it blocks on it, which has then
+// run when this returns, and otherwise the prefix it can start at once.
+func (pl *pipeline) enqueueBatch(b *jobBatch, blocking bool) {
 	pl.mu.Lock()
 	for i := range b.jobs {
 		b.jobs[i].seq = pl.submitted
 		pl.submitted++
 	}
 	pl.mu.Unlock()
-	if pl.fifo == nil {
-		pl.work.Lock()
-		pl.runBatch(b)
-		pl.quiesce()
-		pl.work.Unlock()
-		// A started launch resolves on the fabric's reader goroutine, a
-		// moment after quiesce has seen its answer.
-		var first error
-		for i := range b.jobs {
-			if _, err := b.jobs[i].p.Wait(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	// With the dispatcher idle, start what can be started from here (see the
-	// package comment). queued is read under the lock: a dispatcher that has
-	// taken a window off the channel but not the lock yet still counts.
-	if pl.al != nil && pl.work.TryLock() {
+	// Without a launch stream a caller that does not wait could start
+	// nothing. queued is read under the lock: a dispatcher that has taken a
+	// window off the channel but not the lock yet still counts.
+	if (blocking || pl.al != nil) && pl.work.TryLock() {
 		if pl.queued.Load() == 0 {
-			for b.from < len(b.jobs) && pl.tryStart(&b.jobs[b.from], false) {
-				b.from++
+			b.own = blocking
+			pl.runBatch(b, blocking)
+			if blocking {
+				// A started launch that fails is redone here, not by the
+				// dispatcher: the caller waits for it.
+				pl.quiesce()
+			} else {
+				pl.flushStarts()
 			}
-			pl.flushStarts()
 		}
 		pl.work.Unlock()
 		if b.from == len(b.jobs) {
-			return nil
+			return
 		}
 	}
 	pl.queued.Add(1)
 	pl.fifo <- b
-	return nil
 }
 
-// batchDispatcher is the goroutine behind Options.Pipeline: it works through
-// the windows in the FIFO, each from the job its submitter stopped at, and
-// through the redo list when a started launch fails with no window queued.
+// batchDispatcher is the controller's one dispatcher goroutine: it works
+// through the windows in the FIFO, each from the job its caller stopped at,
+// and through the redo list when a started launch fails with no window
+// queued.
 func (pl *pipeline) batchDispatcher() {
 	defer pl.wg.Done()
 	for {
@@ -229,7 +222,7 @@ func (pl *pipeline) batchDispatcher() {
 			}
 			pl.work.Lock()
 			pl.handed.Add(int64(len(b.jobs) - b.from))
-			pl.runBatch(b)
+			pl.runBatch(b, true)
 			// No further window queued, so about to sleep: a started launch
 			// left in a write buffer would never be answered.
 			if pl.queued.Add(-1) == 0 {
@@ -245,16 +238,21 @@ func (pl *pipeline) batchDispatcher() {
 }
 
 // runBatch works through b from b.from on: a job is started when it can
-// be and dispatched blocking — after everything in flight has been
-// answered — when it cannot. Caller holds work.
-func (pl *pipeline) runBatch(b *jobBatch) {
-	for i := b.from; i < len(b.jobs); i++ {
-		j := &b.jobs[i]
-		if !pl.tryStart(j, true) {
-			pl.quiesce()
-			pl.runJob(j)
-			pl.resolved(j)
+// be and, with wait, dispatched blocking — after everything in flight has
+// been answered — when it cannot. Without wait it stops at the first job it
+// cannot start at once, and b.from is left there. Caller holds work.
+func (pl *pipeline) runBatch(b *jobBatch, wait bool) {
+	for ; b.from < len(b.jobs); b.from++ {
+		j := &b.jobs[b.from]
+		if pl.tryStart(j, wait) {
+			continue
 		}
+		if !wait {
+			return
+		}
+		pl.quiesce()
+		pl.runJob(j)
+		pl.resolved(j)
 	}
 }
 
@@ -407,7 +405,7 @@ func (pl *pipeline) runJob(j *job) {
 	if err == nil {
 		end, err = pl.c.dispatch(j.s)
 		if err != nil {
-			pl.fail(err)
+			pl.fail(err, j.b.own)
 		}
 	} else {
 		// A prior CE failed terminally; record this one as failed too so
@@ -426,14 +424,14 @@ func (pl *pipeline) sticky() error {
 
 // fail records a terminal error. Whether it sticks — fails every CE after
 // it, refuses new ones and is what Drain and Close report — is decided
-// here and nowhere else: it does iff some Submit may already have returned
-// a Pending this error cannot reach any more, which takes a window of more
-// than one CE or a dispatcher goroutine. A window of 1 worked through by
-// its own submitter reports to that caller, who decides what happens next;
-// the controller stays usable (overwriting an array after data loss,
-// TestChaosUnrecoverableRoot).
-func (pl *pipeline) fail(err error) {
-	if pl.fifo == nil && pl.c.optWindow == 1 {
+// here and nowhere else: it does unless the failed CE's window is a window
+// of one that its own caller works through because it waits for it (own).
+// That caller is told and decides what happens next; the controller stays
+// usable (overwriting an array after data loss,
+// TestChaosUnrecoverableRoot). Anywhere else some caller may already hold
+// a Pending this error cannot reach any more.
+func (pl *pipeline) fail(err error, own bool) {
+	if own && pl.c.optWindow == 1 {
 		return
 	}
 	pl.c.mu.Lock()
@@ -455,16 +453,13 @@ func (pl *pipeline) drain() error {
 	return pl.sticky()
 }
 
-// close stops the dispatcher goroutine, if there is one, and makes further
-// submissions fail (parkLocked). The caller holds subMu and has drained.
-// Idempotent.
+// close stops the dispatcher goroutine and makes further submissions fail
+// (parkLocked). The caller holds subMu and has drained. Idempotent.
 func (pl *pipeline) close() {
 	if pl.closed {
 		return
 	}
 	pl.closed = true
-	if pl.fifo != nil {
-		close(pl.fifo)
-		pl.wg.Wait()
-	}
+	close(pl.fifo)
+	pl.wg.Wait()
 }

@@ -99,9 +99,10 @@ func ppStream(seed int64, ids []dag.ArrayID, n int) []ppOp {
 	return ops
 }
 
-// ppRun drives a stream and returns the trace with wall-clock overhead
-// zeroed (the only field allowed to differ between serial and pipelined).
-func ppRun(ctl *Controller, ids []dag.ArrayID, ops []ppOp) ([]CETrace, error) {
+// ppRun drives a stream — every launch by Submit, or with launch by Launch
+// — and returns the trace with wall-clock overhead zeroed (the only field
+// allowed to differ between the two).
+func ppRun(ctl *Controller, ids []dag.ArrayID, ops []ppOp, launch bool) ([]CETrace, error) {
 	for _, op := range ops {
 		var err error
 		switch {
@@ -109,6 +110,8 @@ func ppRun(ctl *Controller, ids []dag.ArrayID, ops []ppOp) ([]CETrace, error) {
 			_, err = ctl.HostRead(op.hostRead)
 		case op.hostWr != 0:
 			_, err = ctl.HostWrite(op.hostWr)
+		case launch:
+			_, err = ctl.Launch(op.inv)
 		default:
 			_, err = ctl.Submit(op.inv)
 		}
@@ -140,7 +143,9 @@ func (f *ensureCounter) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) err
 
 // TestPipelineMatchesSerial is the determinism property: for random CE
 // streams, seeds, and all four policies, every way of working through the
-// engine's FIFO — the submitter itself or the dispatcher goroutine, with
+// engine's FIFO — Launch, whose caller works through every window itself
+// (the reference: the dispatcher goroutine is handed nothing), or Submit,
+// which leaves the windows to the dispatcher goroutine, with
 // Options.OptimizeWindow -1, 0 or 1, all of them a window of one CE — yields
 // bit-identical placements, virtual-time traces, move totals and numerical
 // outputs. Without the optimizer passes (window ≤ 0) every array argument
@@ -149,18 +154,19 @@ func (f *ensureCounter) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) err
 // under -race this also exercises the engine's locking.
 func TestPipelineMatchesSerial(t *testing.T) {
 	type variant struct {
-		name string
-		opts Options
+		name   string
+		launch bool
+		opts   Options
 	}
-	var variants []variant // variants[0], serial at -1, is the reference
-	for _, pipelined := range []bool{false, true} {
+	var variants []variant // variants[0], Launch at -1, is the reference
+	for _, launch := range []bool{true, false} {
 		for _, window := range []int{-1, 0, 1} {
-			name := fmt.Sprintf("serial/window=%d", window)
-			if pipelined {
-				name = fmt.Sprintf("pipelined/window=%d", window)
+			name := fmt.Sprintf("submit/window=%d", window)
+			if launch {
+				name = fmt.Sprintf("launch/window=%d", window)
 			}
-			variants = append(variants, variant{name,
-				Options{Pipeline: pipelined, PipelineDepth: 8, OptimizeWindow: window}})
+			variants = append(variants, variant{name, launch,
+				Options{PipelineDepth: 8, OptimizeWindow: window}})
 		}
 	}
 	polNames := ppPolicies()
@@ -179,9 +185,14 @@ func TestPipelineMatchesSerial(t *testing.T) {
 				fab := &ensureCounter{LocalFabric: NewLocalFabric(cluster.New(cluster.PaperSpec(4)), kernels.StdRegistry(), true)}
 				ctl, ids := ppSystemOn(fab, mk(), v.opts)
 				ops := ppStream(seed, ids, 60)
-				tr, err := ppRun(ctl, ids, ops)
+				tr, err := ppRun(ctl, ids, ops, v.launch)
 				if err != nil {
 					t.Logf("%s %s: %v", name, v.name, err)
+					return false
+				}
+				if v.launch && ctl.DispatcherJobs() != 0 {
+					t.Logf("%s %s: the dispatcher goroutine was handed %d CEs, want none",
+						name, v.name, ctl.DispatcherJobs())
 					return false
 				}
 				arrayArgs := 0
@@ -322,7 +333,7 @@ func TestConcurrentFabricOrdering(t *testing.T) {
 	}
 
 	fab := newConcFabric(4)
-	ctl := NewController(fab, policy.NewRoundRobin(), Options{Pipeline: true})
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{})
 	defer ctl.Close()
 	arrs := make([]dag.ArrayID, 4)
 	for i := range arrs {
@@ -351,7 +362,7 @@ func TestConcurrentFabricOrdering(t *testing.T) {
 	// The streaming fake. The first round ships each array to its worker
 	// through the blocking path; with the workers held, every later launch
 	// is started behind its chain's previous one and stays unanswered.
-	sctl, sfab, ids := newStreamSystem(t, policy.NewRoundRobin(), Options{Pipeline: true})
+	sctl, sfab, ids := newStreamSystem(t, policy.NewRoundRobin(), Options{})
 	program(sctl, ids[:4], 0, 1)
 	if err := sctl.Drain(); err != nil {
 		t.Fatal(err)
@@ -388,7 +399,7 @@ func TestConcurrentFabricOrdering(t *testing.T) {
 // ordering of a dependency chain under concurrent dispatch.
 func TestConcurrentFabricChainOrder(t *testing.T) {
 	fab := newConcFabric(4)
-	ctl := NewController(fab, policy.NewRoundRobin(), Options{Pipeline: true})
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{})
 	defer ctl.Close()
 	arr, err := ctl.NewArray(memmodel.Float32, ppElems)
 	if err != nil {
@@ -462,7 +473,7 @@ func TestPipelineFailover(t *testing.T) {
 		victim:      cluster.NodeID(2),
 		failAfter:   5,
 	}
-	ctl := NewController(fab, policy.NewRoundRobin(), Options{Pipeline: true, Failover: true})
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{Failover: true})
 	defer ctl.Close()
 	arr, err := ctl.NewArray(memmodel.Float32, ppElems)
 	if err != nil {
@@ -506,12 +517,12 @@ func (f *refusingFabric) Launch(w cluster.NodeID, inv Invocation, ready sim.Virt
 	return f.LocalFabric.Launch(w, inv, ready)
 }
 
-// TestErrorStickiness pins pipeline.fail's rule over every way of running
-// the engine: a failed CE poisons the controller — the next Launch is
-// refused and Drain reports the failure — iff some Submit could already
-// have returned an unresolved Pending, which takes a window of more than
-// one CE or a dispatcher goroutine. A window of 1 run by its own submitter
-// reports the failure to that caller and stays usable.
+// TestErrorStickiness pins pipeline.fail's rule over both calls: a failed
+// CE poisons the controller — the next Launch is refused and Drain reports
+// the failure — unless it was launched by Launch in a window of one, which
+// its caller works through itself and is told. Through Submit (the
+// pipelined path) some caller may hold a Pending the error cannot reach any
+// more, and so may anyone in a window of more than one CE.
 func TestErrorStickiness(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
 		for _, window := range []int{-1, 1, 8} {
@@ -521,7 +532,7 @@ func TestErrorStickiness(t *testing.T) {
 					LocalFabric: NewLocalFabric(cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), false),
 					kernel:      "fill",
 				}
-				ctl := NewController(fab, policy.NewRoundRobin(), Options{Pipeline: pipelined, OptimizeWindow: window})
+				ctl := NewController(fab, policy.NewRoundRobin(), Options{OptimizeWindow: window})
 				arr, err := ctl.NewArray(memmodel.Float32, ppElems)
 				if err != nil {
 					t.Fatal(err)
@@ -531,7 +542,17 @@ func TestErrorStickiness(t *testing.T) {
 				if _, err := ctl.Launch(relu); err != nil {
 					t.Fatal(err)
 				}
-				_, err = ctl.Launch(Invocation{Kernel: "fill", Args: []ArgRef{ArrRef(arr.ID), ScalarRef(1), nArg}})
+				fill := Invocation{Kernel: "fill", Args: []ArgRef{ArrRef(arr.ID), ScalarRef(1), nArg}}
+				if pipelined {
+					var p *Pending
+					if p, err = ctl.Submit(fill); err == nil {
+						if err = ctl.FlushWindow(); err == nil {
+							_, err = p.Wait()
+						}
+					}
+				} else {
+					_, err = ctl.Launch(fill)
+				}
 				if !errors.Is(err, errRefused) {
 					t.Fatalf("refused launch returned %v", err)
 				}
@@ -551,30 +572,76 @@ func TestErrorStickiness(t *testing.T) {
 	}
 }
 
-// TestGoroutineBudget: the engine costs one goroutine with Options.Pipeline,
-// whatever the fleet size, and none without; Close gives it back.
+// TestGoroutineBudget: the engine costs one goroutine per controller,
+// whatever the fleet size; Close gives it back.
 func TestGoroutineBudget(t *testing.T) {
 	fab := NewLocalFabric(cluster.New(cluster.PaperSpec(256)), kernels.StdRegistry(), false)
 	base := runtime.NumGoroutine()
-	serial := NewController(fab, policy.NewRoundRobin(), Options{})
-	if got := runtime.NumGoroutine() - base; got != 0 {
-		t.Fatalf("a serial controller started %d goroutines, want 0", got)
-	}
-	piped := NewController(fab, policy.NewRoundRobin(), Options{Pipeline: true})
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{})
 	if got := runtime.NumGoroutine() - base; got != 1 {
-		t.Fatalf("a pipelined controller over 256 workers started %d goroutines, want 1", got)
+		t.Fatalf("a controller over 256 workers started %d goroutines, want 1", got)
 	}
-	for _, ctl := range []*Controller{serial, piped} {
-		if err := ctl.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := ctl.Close(); err != nil {
+		t.Fatal(err)
 	}
 	// Close waits for the dispatcher to return, not for the runtime to
 	// stop counting it.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != base; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Close, %d before the controllers", runtime.NumGoroutine(), base)
+			t.Fatalf("%d goroutines after Close, %d before the controller", runtime.NumGoroutine(), base)
 		}
+	}
+}
+
+// TestLaunchRunsOnItsCaller: the call, not an option, decides who works
+// through a window. Launches on an idle controller never reach the
+// dispatcher goroutine — over LocalFabric, where they run blocking, and
+// over a streaming fabric, where they are started and answered — while a
+// Submit nobody waits for leaves its window to it on a fabric without a
+// launch stream. Everything runs on one worker, so from the second Launch
+// of an array on its arguments are resident and the launch can stream.
+func TestLaunchRunsOnItsCaller(t *testing.T) {
+	const n = 16
+	pin := func() policy.Policy {
+		p, err := policy.NewVectorStep([]int{1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	local, ids := ppSystem(pin(), Options{})
+	defer local.Close()
+	stream, fab, sids := newStreamSystem(t, pin(), Options{})
+	for _, sys := range []struct {
+		name string
+		ctl  *Controller
+		ids  []dag.ArrayID
+	}{{"local", local, ids}, {"stream", stream, sids}} {
+		for i := 0; i < n; i++ {
+			if _, err := sys.ctl.Launch(Invocation{Kernel: "relu",
+				Args: []ArgRef{ArrRef(sys.ids[i%len(sys.ids)]), ScalarRef(float64(ppElems))}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := sys.ctl.DispatcherJobs(); got != 0 {
+			t.Fatalf("%s: the dispatcher goroutine was handed %d of %d Launches, want none", sys.name, got, n)
+		}
+	}
+	fab.mu.Lock()
+	starts := fab.starts
+	fab.mu.Unlock()
+	if starts == 0 {
+		t.Fatal("stream: no Launch was started on a launch stream")
+	}
+	p, err := local.Submit(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(ids[0]), ScalarRef(float64(ppElems))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := local.DispatcherJobs(); got != 1 {
+		t.Fatalf("local: the dispatcher goroutine was handed %d CEs after a Submit, want 1", got)
 	}
 }
 
@@ -583,7 +650,7 @@ func TestGoroutineBudget(t *testing.T) {
 func TestPipelineCloseSemantics(t *testing.T) {
 	clu := cluster.New(cluster.PaperSpec(2))
 	fab := NewLocalFabric(clu, kernels.StdRegistry(), false)
-	ctl := NewController(fab, policy.NewRoundRobin(), Options{Pipeline: true})
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{})
 	arr, err := ctl.NewArray(memmodel.Float32, ppElems)
 	if err != nil {
 		t.Fatal(err)

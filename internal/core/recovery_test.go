@@ -123,14 +123,14 @@ func TestChaosKillLineageRecovery(t *testing.T) {
 // accessors while the failure unfolds — the -race companion for both the
 // recovery machinery and the Failovers()/DeadWorkers() locking fix.
 func TestChaosKillRecoveryPipelined(t *testing.T) {
-	cleanCtl := NewController(numericFabric(2), policy.NewRoundRobin(), Options{Numeric: true, Pipeline: true})
+	cleanCtl := NewController(numericFabric(2), policy.NewRoundRobin(), Options{Numeric: true})
 	cleanX, cleanY := chainWorkload(t, cleanCtl)
 	cleanCtl.Close()
 
 	chaos := NewChaosFabric(numericFabric(2), ChaosOptions{
 		KillAtLaunch: map[cluster.NodeID]int{2: 3},
 	})
-	ctl := NewController(chaos, policy.NewRoundRobin(), Options{Numeric: true, Pipeline: true, Failover: true})
+	ctl := NewController(chaos, policy.NewRoundRobin(), Options{Numeric: true, Failover: true})
 	defer ctl.Close()
 
 	stop := make(chan struct{})

@@ -14,16 +14,20 @@ import (
 // off the frontier of the Global DAG and of every worker's Local DAG, so a
 // tenant that allocates, computes and frees in a loop holds no more graph
 // after 10 000 rounds than after the first few thousand — on the serial
-// path, and behind the pipeline and the optimizer window, where commits
-// reach the graph through the finished queue.
+// path (Launch), and through Submit behind the dispatcher goroutine and the
+// optimizer window, where commits reach the graph through the finished
+// queue.
 func TestFreeArrayReleasesGraphState(t *testing.T) {
-	for name, opts := range map[string]Options{
-		"serial":    {},
-		"pipelined": {Pipeline: true, OptimizeWindow: 32},
+	for name, mode := range map[string]struct {
+		window int
+		launch bool
+	}{
+		"serial":    {0, true},
+		"pipelined": {32, false},
 	} {
 		t.Run(name, func(t *testing.T) {
 			fab := NewLocalFabric(cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), false)
-			ctl := NewController(fab, policy.NewRoundRobin(), opts)
+			ctl := NewController(fab, policy.NewRoundRobin(), Options{OptimizeWindow: mode.window})
 			defer ctl.Close()
 			rounds := func(n int) {
 				t.Helper()
@@ -36,7 +40,13 @@ func TestFreeArrayReleasesGraphState(t *testing.T) {
 						{Kernel: "fill", Args: []ArgRef{ArrRef(a.ID), ScalarRef(1), ScalarRef(1024)}},
 						{Kernel: "relu", Args: []ArgRef{ArrRef(a.ID), ScalarRef(1024)}},
 					} {
-						if _, err := ctl.Submit(inv); err != nil {
+						var err error
+						if mode.launch {
+							_, err = ctl.Launch(inv)
+						} else {
+							_, err = ctl.Submit(inv)
+						}
+						if err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -15,7 +15,7 @@ func sessSystem(t *testing.T) *Controller {
 	t.Helper()
 	clu := cluster.New(cluster.PaperSpec(4))
 	fab := NewLocalFabric(clu, kernels.StdRegistry(), true)
-	ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true, Pipeline: true})
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true})
 	t.Cleanup(func() { ctl.Close() })
 	return ctl
 }

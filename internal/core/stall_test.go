@@ -96,12 +96,12 @@ func TestStallAwareSteeringBatchedWindow(t *testing.T) {
 	}
 }
 
-// TestPipelinedStallQueriesRaceFree: with Options.Pipeline the scheduler
-// asks the fabric for stall predictions while the dispatcher goroutine
-// allocates the previous CEs' arrays on the same workers. Every CE here
-// allocates a fresh 4 GiB array, large enough that PredictStall reads the
-// node's allocation total, so under -race this fails unless LocalFabric
-// serialises the two. Host memory is unbounded so min-stall-time can pile
+// TestPipelinedStallQueriesRaceFree: Submit returns before its CE runs,
+// so the scheduler asks the fabric for stall predictions while the
+// dispatcher goroutine allocates the previous CEs' arrays on the same
+// workers. Every CE here allocates a fresh 4 GiB array, large enough that
+// PredictStall reads the node's allocation total, so under -race this
+// fails unless LocalFabric serialises the two. Host memory is unbounded so min-stall-time can pile
 // every array onto one worker.
 func TestPipelinedStallQueriesRaceFree(t *testing.T) {
 	spec := cluster.PaperSpec(4)
@@ -109,7 +109,7 @@ func TestPipelinedStallQueriesRaceFree(t *testing.T) {
 		spec.Workers[i].HostMemory = 1 << 50
 	}
 	fab := NewLocalFabric(cluster.New(spec), kernels.StdRegistry(), false)
-	ctl := NewController(fab, policy.NewMinStallTime(), Options{Pipeline: true})
+	ctl := NewController(fab, policy.NewMinStallTime(), Options{})
 	const n = int64(1 << 30) // 4 GiB of Float32
 	for i := 0; i < 400; i++ {
 		x, err := ctl.NewArray(memmodel.Float32, n)

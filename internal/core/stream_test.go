@@ -247,48 +247,46 @@ func newStreamSystem(t *testing.T, pol policy.Policy, opts Options) (*Controller
 }
 
 // TestStreamedDispatchMatchesSerial: random programs through the window
-// and the streamed engine — worked through by the dispatcher goroutine and
-// by the submitter itself, at a pipeline depth small enough that the depth
-// wait and its flush run constantly — leave every array identical to the
-// in-process controller's, never exceed the depth per worker, and never
-// call the blocking Launch with a stream busy.
+// and the streamed engine — worked through by the dispatcher goroutine and,
+// at every synchronization point, by the caller itself, at a pipeline depth
+// small enough that the depth wait and its flush run constantly — leave
+// every array identical to the in-process controller's, never exceed the
+// depth per worker, and never call the blocking Launch with a stream busy.
 func TestStreamedDispatchMatchesSerial(t *testing.T) {
 	const depth = 3
-	for _, pipelined := range []bool{true, false} {
-		starts := 0
-		for seed := int64(1); seed <= 6; seed++ {
-			for name, mk := range ppPolicies() {
-				serial, sIDs := ppSystem(mk(), Options{})
-				ops := ppStream(seed, sIDs, 80)
-				if _, err := ppRun(serial, sIDs, ops); err != nil {
-					t.Fatalf("%s seed %d serial: %v", name, seed, err)
-				}
-				ctl, fab, ids := newStreamSystem(t, mk(),
-					Options{Pipeline: pipelined, PipelineDepth: depth, OptimizeWindow: 16})
-				if _, err := ppRun(ctl, ids, ops); err != nil {
-					t.Fatalf("%s seed %d streamed (pipelined=%v): %v", name, seed, pipelined, err)
-				}
-				want, got := readAll(t, serial, sIDs), readAll(t, ctl, ids)
-				for i := range want {
-					for j := range want[i] {
-						if got[i][j] != want[i][j] {
-							t.Fatalf("%s seed %d (pipelined=%v): array %d elem %d = %v, want %v",
-								name, seed, pipelined, i, j, got[i][j], want[i][j])
-						}
+	starts := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		for name, mk := range ppPolicies() {
+			serial, sIDs := ppSystem(mk(), Options{})
+			ops := ppStream(seed, sIDs, 80)
+			if _, err := ppRun(serial, sIDs, ops, true); err != nil {
+				t.Fatalf("%s seed %d serial: %v", name, seed, err)
+			}
+			ctl, fab, ids := newStreamSystem(t, mk(),
+				Options{PipelineDepth: depth, OptimizeWindow: 16})
+			if _, err := ppRun(ctl, ids, ops, false); err != nil {
+				t.Fatalf("%s seed %d streamed: %v", name, seed, err)
+			}
+			want, got := readAll(t, serial, sIDs), readAll(t, ctl, ids)
+			for i := range want {
+				for j := range want[i] {
+					if got[i][j] != want[i][j] {
+						t.Fatalf("%s seed %d: array %d elem %d = %v, want %v",
+							name, seed, i, j, got[i][j], want[i][j])
 					}
 				}
-				fab.mu.Lock()
-				if fab.maxInFlight > depth {
-					t.Fatalf("%s seed %d (pipelined=%v): %d launches in flight on one worker, depth %d",
-						name, seed, pipelined, fab.maxInFlight, depth)
-				}
-				starts += fab.starts
-				fab.mu.Unlock()
 			}
+			fab.mu.Lock()
+			if fab.maxInFlight > depth {
+				t.Fatalf("%s seed %d: %d launches in flight on one worker, depth %d",
+					name, seed, fab.maxInFlight, depth)
+			}
+			starts += fab.starts
+			fab.mu.Unlock()
 		}
-		if starts == 0 {
-			t.Fatalf("pipelined=%v: nothing was streamed: the property held vacuously", pipelined)
-		}
+	}
+	if starts == 0 {
+		t.Fatal("nothing was streamed: the property held vacuously")
 	}
 }
 
@@ -334,7 +332,7 @@ func TestStreamedFailureReplaysInOrder(t *testing.T) {
 	serial, sIDs := ppSystem(pin(), Options{})
 	program(serial, sIDs)
 
-	ctl, fab, ids := newStreamSystem(t, pin(), Options{Pipeline: true, OptimizeWindow: 32,
+	ctl, fab, ids := newStreamSystem(t, pin(), Options{OptimizeWindow: 32,
 		Retry: RetryPolicy{Attempts: 1, Backoff: 1}})
 	fab.mu.Lock()
 	fab.breakAt[1] = 7 // the 7th streamed launch on worker 1, 13 more behind it
@@ -386,7 +384,7 @@ func TestWrappersDoNotForwardAsyncLauncher(t *testing.T) {
 	if _, ok := wrapped.(AsyncLauncher); ok {
 		t.Fatal("ChaosFabric forwards AsyncLauncher")
 	}
-	ctl := NewController(wrapped, policy.NewRoundRobin(), Options{Numeric: true, Pipeline: true, OptimizeWindow: 8})
+	ctl := NewController(wrapped, policy.NewRoundRobin(), Options{Numeric: true, OptimizeWindow: 8})
 	defer ctl.Close()
 	arr, err := ctl.NewArray(memmodel.Float32, ppElems)
 	if err != nil {

@@ -132,34 +132,37 @@ type prefetchPlan struct {
 func (c *Controller) SubmitTagged(inv Invocation, stats *OptCounters, tenant any) (*Pending, error) {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
-	return c.parkLocked(inv, stats, tenant)
+	return c.parkLocked(inv, stats, tenant, false)
 }
 
 // FlushWindow forces the parked window to admit and dispatch without
-// waiting for it to fill. Gateways call this at the end of a drain round
-// so tenant streams shorter than the window never stall; Drain, Close,
-// and every synchronizing controller method flush implicitly.
+// waiting for it to fill, and returns without waiting for it to run.
+// Gateways call this at the end of a drain round so tenant streams shorter
+// than the window never stall; Drain, Close, and every synchronizing
+// controller method flush implicitly.
 func (c *Controller) FlushWindow() error {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
 	defer c.sweepLocked()
-	return c.flushWindowLocked()
+	return c.flushWindowLocked(false)
 }
 
-// drainLocked flushes the window and waits until every submitted CE has
+// drainLocked flushes the window — its caller waits, so works through it
+// itself when it can (pipeline.go) — and waits until every submitted CE has
 // dispatched. Caller holds subMu.
 func (c *Controller) drainLocked() error {
 	defer c.sweepLocked()
-	ferr := c.flushWindowLocked()
+	ferr := c.flushWindowLocked(true)
 	if err := c.pipe.drain(); err != nil {
 		return err
 	}
 	return ferr
 }
 
-// parkLocked validates an invocation and parks it in the window,
-// flushing when full. Caller holds subMu.
-func (c *Controller) parkLocked(inv Invocation, stats *OptCounters, tenant any) (*Pending, error) {
+// parkLocked validates an invocation and parks it in the window, flushing
+// when full — and at once when the caller blocks on the CE. Caller holds
+// subMu.
+func (c *Controller) parkLocked(inv Invocation, stats *OptCounters, tenant any, blocking bool) (*Pending, error) {
 	if c.pipe.closed {
 		return nil, fmt.Errorf("core: controller closed")
 	}
@@ -177,8 +180,8 @@ func (c *Controller) parkLocked(inv Invocation, stats *OptCounters, tenant any) 
 	e.pend.done = make(chan struct{})
 	e.p = &e.pend
 	c.win = append(c.win, e)
-	if len(c.win) >= c.optWindow {
-		if err := c.flushWindowLocked(); err != nil {
+	if blocking || len(c.win) >= c.optWindow {
+		if err := c.flushWindowLocked(blocking); err != nil {
 			return e.p, err
 		}
 	}
@@ -202,11 +205,11 @@ func failWindow(entries []*winEntry, err error) {
 // engine: the optimizer passes rewrite the batch, phase A inserts every CE
 // into the DAG, phase B evaluates the policy for all of them against the
 // frozen membership snapshot, phase C applies lineage and membership
-// prediction in window order. Caller holds subMu. The returned error is
-// the sticky error, an admission failure, or — without Options.Pipeline,
-// when the window has run by the time this returns — its first dispatch
-// error; otherwise dispatch errors surface on Pendings and Drain.
-func (c *Controller) flushWindowLocked() error {
+// prediction in window order. blocking says the caller waits for the
+// window, and so works through it itself when it can (pipeline.go). Caller
+// holds subMu. The returned error is the sticky error or an admission
+// failure; dispatch errors surface on Pendings and Drain.
+func (c *Controller) flushWindowLocked(blocking bool) error {
 	entries := c.win
 	c.win = nil
 	if len(entries) == 0 {
@@ -236,7 +239,7 @@ func (c *Controller) flushWindowLocked() error {
 	}
 	if err != nil {
 		c.mu.Unlock()
-		c.pipe.fail(err) // no-op when err is the sticky error already
+		c.pipe.fail(err, blocking) // no-op when err is the sticky error already
 		failWindow(ws, err)
 		return err
 	}
@@ -326,7 +329,8 @@ func (c *Controller) flushWindowLocked() error {
 	for i := range ws {
 		b.jobs[i] = job{s: &scheds[i], p: ws[i].p, followers: ws[i].followers, b: b}
 	}
-	return c.pipe.enqueueBatch(b)
+	c.pipe.enqueueBatch(b, blocking)
+	return nil
 }
 
 // dataViewKey hashes (FNV-1a) the sequence of array arguments that

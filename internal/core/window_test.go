@@ -23,12 +23,12 @@ const winConsSrc = `__global__ void wmadd(float *o, const float *u, const float 
 }`
 
 // newWindowSystem builds a numeric controller with the optimizer window.
-func newWindowSystem(t testing.TB, workers, window int, pipeline bool) *Controller {
+func newWindowSystem(t testing.TB, workers, window int) *Controller {
 	t.Helper()
 	clu := cluster.New(cluster.PaperSpec(workers))
 	fab := NewLocalFabric(clu, kernels.StdRegistry(), true)
 	return NewController(fab, policy.NewRoundRobin(),
-		Options{Numeric: true, Pipeline: pipeline, OptimizeWindow: window})
+		Options{Numeric: true, OptimizeWindow: window})
 }
 
 // seedArray fills an array with deterministic values and versions it.
@@ -108,7 +108,7 @@ func TestWindowFusionBitIdentical(t *testing.T) {
 	defer plain.Close()
 	wantS, wantO := runChain(t, plain, false)
 
-	ctl := newWindowSystem(t, 2, 8, true)
+	ctl := newWindowSystem(t, 2, 8)
 	defer ctl.Close()
 	gotS, gotO := runChain(t, ctl, true)
 
@@ -122,10 +122,11 @@ func TestWindowFusionBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWindowSerialLaunch: with Pipeline off, Launch parks and flushes a
-// one-deep window inline and still behaves like the blocking call.
+// TestWindowSerialLaunch: Launch parks and flushes its window at once,
+// works through it on its own goroutine and still behaves like the
+// blocking call.
 func TestWindowSerialLaunch(t *testing.T) {
-	ctl := newWindowSystem(t, 2, 4, false)
+	ctl := newWindowSystem(t, 2, 4)
 	defer ctl.Close()
 	gotS, gotO := runChain(t, ctl, false)
 
@@ -144,7 +145,7 @@ func TestWindowSerialLaunch(t *testing.T) {
 // flush on Drain (and on HostRead), never stall, and resolve every
 // Pending.
 func TestWindowPartialFlush(t *testing.T) {
-	ctl := newWindowSystem(t, 2, 32, true)
+	ctl := newWindowSystem(t, 2, 32)
 	defer ctl.Close()
 	const n = int64(1 << 10)
 	var pendings []*Pending
@@ -179,7 +180,7 @@ func TestWindowPartialFlush(t *testing.T) {
 // second CE's shared operand — predicted and then confirmed resident —
 // skips its per-argument fabric round trip entirely.
 func TestWindowCoalescingAndMoveElimination(t *testing.T) {
-	ctl := newWindowSystem(t, 1, 8, true)
+	ctl := newWindowSystem(t, 1, 8)
 	defer ctl.Close()
 	const n = int64(1 << 20) // 4 MiB per array
 	x, err := ctl.NewArray(memmodel.Float32, n)

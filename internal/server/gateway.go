@@ -3,24 +3,24 @@
 // onto a control plane of one or more core.Controller shards sharing a
 // worker fleet (DESIGN.md §5.8).
 //
-// Each connection gets a core.ControllerSession on exactly one shard —
-// a private array namespace, an array-byte quota, and per-tenant
-// counters. Routing is pluggable (RouteFunc); the sharded plane
-// (internal/shard) supplies a seeded consistent-hash ring so a
-// restarted gateway routes identically. Who admits a launch (DESIGN.md
-// §5.5): the tenant's own serve goroutine, when nobody on the shard is
-// waiting for admission — the tenant has nothing queued, the shard has no
-// backlog, the tenant is under its in-flight cap and holds a rate token,
-// and the controller is pipelined, so Submit only schedules. Otherwise the
-// serve goroutine enqueues the launch on the tenant's bounded queue and
-// the owning shard's weighted-round-robin drain goroutine feeds that
-// shard's controller, so one chatty tenant cannot starve the rest, and a
-// tenant at its in-flight cap simply waits its turn. Each shard drains
-// independently — no lock, condvar or credit pool is shared between
-// drains, which is what makes aggregate admission scale with the shard
-// count. Synchronous operations (allocate, read, write, free, build,
-// elapsed) run on the serve goroutine after the tenant's queue has
-// flushed, so each session observes its own program order.
+// Each connection gets a core.ControllerSession on exactly one shard — a
+// private array namespace, an array-byte quota, and per-tenant counters.
+// Routing is pluggable (RouteFunc); the sharded plane (internal/shard)
+// supplies a seeded consistent-hash ring so a restarted gateway routes
+// identically. Who admits a launch (DESIGN.md §5.5): the tenant's own serve
+// goroutine, when nobody on the shard is waiting for admission — the tenant
+// has nothing queued, the shard has no backlog, and the tenant is under its
+// in-flight cap and holds a rate token; Submit only schedules, so admitting
+// there never waits for a launch to run. Otherwise the serve goroutine
+// enqueues the launch on the tenant's bounded queue and the owning shard's
+// weighted-round-robin drain goroutine feeds that shard's controller, so
+// one chatty tenant cannot starve the rest, and a tenant at its in-flight
+// cap simply waits its turn. Each shard drains independently — no lock,
+// condvar or credit pool is shared between drains, which is what makes
+// aggregate admission scale with the shard count. Synchronous operations
+// (allocate, read, write, free, build, elapsed) run on the serve goroutine
+// after the tenant's queue has flushed, so each session observes its own
+// program order.
 //
 // The session channel is a FIFO pipeline (DESIGN.md §5.5): a client
 // streams launches without waiting for their acks, up to QueueDepth
@@ -100,10 +100,6 @@ var errShutDown = errors.New("server: gateway is shut down")
 type shardState struct {
 	idx int
 	ctl *core.Controller
-	// inline allows admission on serve goroutines: the controller is
-	// pipelined, so Submit only schedules. A serial controller dispatches on
-	// its caller, and every launch goes through the queue.
-	inline bool
 	// backlog counts launches queued or mid-admission in the drain loop,
 	// summed over the shard's tenants (each tenant's share is its queued):
 	// what the shed thresholds compare against, and zero when nobody is
@@ -178,7 +174,7 @@ func NewSharded(ctls []*core.Controller, route RouteFunc, addr string, opt Optio
 		done:  make(chan struct{}),
 	}
 	for i, ctl := range ctls {
-		sh := &shardState{idx: i, ctl: ctl, inline: ctl.Pipelined(), sessions: make(map[uint64]*tenant)}
+		sh := &shardState{idx: i, ctl: ctl, sessions: make(map[uint64]*tenant)}
 		sh.drainCond.L = &sh.mu
 		g.shards = append(g.shards, sh)
 	}
@@ -466,16 +462,16 @@ func (g *Gateway) serve(conn *transport.SessionConn) {
 // handleLaunch admits one launch, or enqueues it for the drain loop to
 // admit. It admits when there is nothing to arbitrate: the tenant has no
 // launch queued or mid-admission (so issue order holds), no tenant of the
-// shard has, the tenant is under its in-flight cap and holds a rate token,
-// and the controller is pipelined. Every other launch takes the queue, as
-// if nothing were ever admitted here. The reply acknowledges
-// the launch and, for a rate-limited tenant out-running its token bucket,
-// piggybacks a backpressure advisory; submission failures surface as the
-// session's sticky error. With shedding enabled, a launch that finds the
-// shard's aggregate backlog over the tenant class's threshold — or that
-// follows a shed launch of its session (shedding) — is refused with
-// core.ErrShedded instead of enqueued: a retryable refusal, not a sticky
-// one. It reports whether the launch was shed.
+// shard has, and the tenant is under its in-flight cap and holds a rate
+// token. Every other launch takes the queue, as if nothing were ever
+// admitted here. The reply acknowledges the launch and, for a rate-limited
+// tenant out-running its token bucket, piggybacks a backpressure advisory;
+// submission failures surface as the session's sticky error. With shedding
+// enabled, a launch that finds the shard's aggregate backlog over the
+// tenant class's threshold — or that follows a shed launch of its session
+// (shedding) — is refused with core.ErrShedded instead of enqueued: a
+// retryable refusal, not a sticky one. It reports whether the launch was
+// shed.
 func (g *Gateway) handleLaunch(t *tenant, req *transport.SessionRequest, resp *transport.SessionResponse, shedding bool) bool {
 	sh := t.shard
 	class := max(t.sess.Limits().Class, 0)
@@ -503,7 +499,7 @@ func (g *Gateway) handleLaunch(t *tenant, req *transport.SessionRequest, resp *t
 	}
 	inline := false
 	t.mu.Lock()
-	if sh.inline && t.queued == 0 && sh.backlog.Load() == 0 && t.capRoomLocked() {
+	if t.queued == 0 && sh.backlog.Load() == 0 && t.capRoomLocked() {
 		if inline, _ = t.rateRoomLocked(now); inline {
 			t.takeTokenLocked()
 		}

@@ -45,7 +45,7 @@ func gwSystemN(t testing.TB, workers int, chaos *core.ChaosOptions) *core.Contro
 	t.Helper()
 	clu := cluster.New(cluster.PaperSpec(workers))
 	var fab core.Fabric = core.NewLocalFabric(clu, kernels.StdRegistry(), true)
-	opts := core.Options{Numeric: true, Pipeline: true, OptimizeWindow: 32}
+	opts := core.Options{Numeric: true, OptimizeWindow: 32}
 	if chaos != nil {
 		fab = core.NewChaosFabric(fab, *chaos)
 		opts.Failover = true

@@ -56,7 +56,7 @@ func kernelSystem(t *testing.T, f *kernelFabric) *core.Controller {
 	local := core.NewLocalFabric(cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), true)
 	f.Fabric, f.KernelBuilder = local, local
 	ctl := core.NewController(f, policy.NewRoundRobin(),
-		core.Options{Numeric: true, Pipeline: true, OptimizeWindow: 32})
+		core.Options{Numeric: true, OptimizeWindow: 32})
 	t.Cleanup(func() { ctl.Close() })
 	return ctl
 }
@@ -88,7 +88,7 @@ func TestInlineAdmitDepthOne(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = fab.Close() })
 	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium),
-		core.Options{Numeric: true, Pipeline: true, OptimizeWindow: 32})
+		core.Options{Numeric: true, OptimizeWindow: 32})
 	t.Cleanup(func() { ctl.Close() })
 	g := gwStart(t, ctl, Options{})
 	sh := g.shards[0]

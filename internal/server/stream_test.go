@@ -27,12 +27,13 @@ import (
 	"grout/internal/workloads"
 )
 
-// gatedSystem builds a non-pipelined numeric controller whose every
-// fabric Launch waits for open(): the drain's Submit wedges inside the
-// fabric, so a tenant's backlog builds deterministically — one launch
-// popped and stuck, the rest in its queue. Set up arrays before the
-// first launch; the wedged Submit holds the controller. Callers defer
-// open(): the gateway's Close (a Cleanup) waits for the wedged drain.
+// gatedSystem builds a numeric controller whose every fabric Launch waits
+// for open(). Run behind a gateway whose sessions are capped at one launch
+// in flight (wedgeLimits), a tenant's backlog builds deterministically: its
+// first launch is admitted and sticks in the gate, and the rest wait in its
+// queue. Set up arrays before the first launch: every synchronizing call
+// waits for the stuck one. Callers defer open(): the gateway's Close (a
+// Cleanup) waits for the stuck launch.
 func gatedSystem(t *testing.T) (ctl *core.Controller, open func()) {
 	t.Helper()
 	gate := make(chan struct{})
@@ -46,6 +47,10 @@ func gatedSystem(t *testing.T) (ctl *core.Controller, open func()) {
 	t.Cleanup(func() { ctl.Close() })
 	return ctl, open
 }
+
+// wedgeLimits caps a session at one launch in flight: with gatedSystem the
+// one admitted launch holds the cap until the gate opens.
+var wedgeLimits = core.SessionLimits{MaxInflightCEs: 1}
 
 // gwTenant digs a tenant out of the gateway.
 func gwTenant(t *testing.T, g *Gateway, name string) *tenant {
@@ -172,8 +177,8 @@ func TestSessionStreamQuietClient(t *testing.T) {
 	})
 }
 
-// (c) The launch window: with the gateway's drain wedged, the gateway
-// acks one launch per queue slot plus the one its drain popped, then
+// (c) The launch window: with the tenant's one admitted launch wedged,
+// the gateway acks one launch per queue slot plus the admitted one, then
 // blocks on the next; the client may run QueueDepth launches past the
 // last ack and blocks in Launch on the one after — and everything
 // resumes when the drain does.
@@ -182,7 +187,7 @@ func TestSessionStreamWindow(t *testing.T) {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
 			ctl, open := gatedSystem(t)
 			defer open()
-			g := gwStart(t, ctl, Options{QueueDepth: depth})
+			g := gwStart(t, ctl, Options{QueueDepth: depth, Limits: wedgeLimits})
 			c := gwDial(t, g, "windowed")
 			a := trafficArray(t, c)
 			acked, free := depth+1, depth // what the gateway takes, what the window adds
@@ -302,7 +307,7 @@ func TestSessionStreamSeveredConnection(t *testing.T) {
 	const depth = 4
 	ctl, open := gatedSystem(t)
 	defer open()
-	g := gwStart(t, ctl, Options{QueueDepth: depth})
+	g := gwStart(t, ctl, Options{QueueDepth: depth, Limits: wedgeLimits})
 	baseline := runtime.NumGoroutine()
 	c := gwDial(t, g, "severed")
 	a := trafficArray(t, c)
@@ -335,7 +340,7 @@ func TestSessionStreamSeveredConnection(t *testing.T) {
 	if unacked, _ := c.inFlight(); unacked != 0 {
 		t.Fatalf("%d launches still counted in flight on a dead connection", unacked)
 	}
-	open() // the session's teardown waits for the launch wedged in the drain
+	open() // the session's teardown waits for the launch wedged in the gate
 	_ = c.Close()
 	eventually(t, 5*time.Second, "goroutines back to baseline", func() bool {
 		return runtime.NumGoroutine() <= baseline

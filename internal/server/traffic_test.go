@@ -127,22 +127,25 @@ func TestGatewayBackpressurePacesClient(t *testing.T) {
 // wire and says how long the prefix is; it is retryable (never sticky);
 // and the per-class shed series reach /metrics.
 func TestGatewayShedsByClass(t *testing.T) {
-	// The drain's Submit blocks inside the fabric, so the backlog builds
-	// deterministically.
+	// Each tenant's first launch sticks in the gate and holds its one
+	// in-flight slot, so the backlog builds deterministically.
 	ctl, open := gatedSystem(t)
 	defer open()
 	g := gwStart(t, ctl, Options{
 		ShedDepth: 2,
+		Limits:    wedgeLimits, // class 0
 		LimitsFor: func(tenant string) (core.SessionLimits, bool) {
 			if strings.HasPrefix(tenant, "vip") {
-				return core.SessionLimits{Class: 1}, true
+				lim := wedgeLimits
+				lim.Class = 1
+				return lim, true
 			}
-			return core.SessionLimits{}, false // class 0
+			return core.SessionLimits{}, false
 		},
 	})
-	// All controller-touching setup happens BEFORE the launch storm: the
-	// gated controller's non-pipelined Submit blocks holding its lock,
-	// so once the drain wedges, only enqueue-side paths stay responsive.
+	// All controller-touching setup happens BEFORE the launch storm: once a
+	// launch is stuck in the gate every synchronizing call waits for it, so
+	// only enqueue-side paths stay responsive.
 	low := gwDial(t, g, "steerage")
 	la := trafficArray(t, low) // all ones
 	acc, err := low.NewArray(memmodel.Float32, gwElems)
@@ -156,9 +159,10 @@ func TestGatewayShedsByClass(t *testing.T) {
 	va := trafficArray(t, vip)
 
 	// Launch i adds 2^i to acc, so acc spells out which launches ran. The
-	// class-0 threshold is ShedDepth*(0+1)=2 and the drain is wedged in
-	// the gate: launches 0 and 1 queue, launch 2 is shed, and so is
-	// everything the client has in flight behind it.
+	// class-0 threshold is ShedDepth*(0+1)=2: launch 0 is admitted and
+	// sticks in the gate, launches 1 and 2 queue behind the in-flight cap,
+	// launch 3 is shed, and so is everything the client has in flight
+	// behind it.
 	const storm = 10
 	var shedErr error
 	issued := 0
@@ -177,7 +181,7 @@ func TestGatewayShedsByClass(t *testing.T) {
 	}
 	eventually(t, 5*time.Second, "the gateway answers the class-1 launch", acked(vip))
 
-	// Only now unwedge the drain — a launch returning says nothing about
+	// Only now open the gate — a launch returning says nothing about
 	// the gateway having seen it. The shed counters are cumulative, so
 	// the accounting checks below still see the storm. One synchronizing
 	// call reports whatever refusals no Launch got to report, and ends
@@ -192,8 +196,8 @@ func TestGatewayShedsByClass(t *testing.T) {
 	if !errors.Is(shedErr, core.ErrShedded) || !errors.As(shedErr, &shed) {
 		t.Fatalf("class-0 launch storm got %v, want a ShedError wrapping ErrShedded", shedErr)
 	}
-	if shed.Accepted != 2 {
-		t.Fatalf("shed error counts %d accepted launches, want 2: %v", shed.Accepted, shedErr)
+	if shed.Accepted != 3 {
+		t.Fatalf("shed error counts %d accepted launches, want 3: %v", shed.Accepted, shedErr)
 	}
 	if err := low.HostRead(acc); err != nil {
 		t.Fatalf("read after shed: %v (one synchronizing call must clear the shedding)", err)

@@ -145,7 +145,7 @@ func TestRetireLongRunSurvivesWorkerKill(t *testing.T) {
 	}
 	defer fab.Close()
 	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium), core.Options{
-		Numeric: true, Pipeline: true, OptimizeWindow: 32, Failover: true})
+		Numeric: true, OptimizeWindow: 32, Failover: true})
 	defer ctl.Close()
 
 	var pend []*core.Pending

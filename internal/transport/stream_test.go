@@ -230,7 +230,7 @@ func TestStreamedMatchesSerialAndBlocking(t *testing.T) {
 		p2p   int
 	}
 	roundRobin := map[int64]moves{1: {69632, 53}, 2: {73728, 57}, 3: {80896, 63}, 4: {79872, 61}}
-	windowed := core.Options{Numeric: true, Pipeline: true, OptimizeWindow: 32}
+	windowed := core.Options{Numeric: true, OptimizeWindow: 32}
 	var streamed int64
 	for seed := int64(1); seed <= 4; seed++ {
 		ops := genStream(seed, nArr, nOps)
@@ -318,7 +318,7 @@ func residentArrays(t *testing.T, ctl *core.Controller, nArr int) {
 func stalledProgram(t *testing.T, fab *TCPFabric, workers []*WorkerServer, opts core.Options,
 	nArr int, launches []core.Invocation, minInFlight int) (*core.Controller, []*core.Pending, func()) {
 	t.Helper()
-	opts.Numeric, opts.Pipeline, opts.OptimizeWindow = true, true, 32
+	opts.Numeric, opts.OptimizeWindow = true, 32
 	ctl := core.NewController(fab, firstAlive{}, opts)
 	t.Cleanup(func() { _ = ctl.Close() })
 	residentArrays(t, ctl, nArr)

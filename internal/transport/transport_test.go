@@ -525,11 +525,16 @@ func TestWorkerConcurrentClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.Runtime().ArrayCount(); got != clients {
-		t.Fatalf("arrays = %d, want %d", got, clients)
+	// Read under the worker's lock: the socket replies order the writes
+	// before these reads, but the race detector cannot see that.
+	w.mu.Lock()
+	arrays, launched := w.Runtime().ArrayCount(), len(w.Runtime().Records())
+	w.mu.Unlock()
+	if arrays != clients {
+		t.Fatalf("arrays = %d, want %d", arrays, clients)
 	}
-	if got := len(w.Runtime().Records()); got != clients*20 {
-		t.Fatalf("kernels = %d, want %d", got, clients*20)
+	if launched != clients*20 {
+		t.Fatalf("kernels = %d, want %d", launched, clients*20)
 	}
 }
 
@@ -556,7 +561,7 @@ func TestPipelinedDispatchOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = fab.Close() })
 	ctl := core.NewController(fab, policy.NewRoundRobin(),
-		core.Options{Numeric: true, Pipeline: true, PipelineDepth: 4})
+		core.Options{Numeric: true, PipelineDepth: 4})
 	defer ctl.Close()
 
 	const n = int64(128)

@@ -53,7 +53,7 @@ func runDifferential(t *testing.T, w *Workload, optimize bool) ([][]byte, string
 	t.Helper()
 	clu := cluster.New(cluster.PaperSpec(4))
 	fab := core.NewLocalFabric(clu, kernels.StdRegistry(), true)
-	opts := core.Options{Numeric: true, Pipeline: true}
+	opts := core.Options{Numeric: true}
 	if optimize {
 		opts.OptimizeWindow = 16
 	}

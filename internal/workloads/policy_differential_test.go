@@ -34,7 +34,7 @@ func runPolicyDifferential(t *testing.T, w *Workload, prefetch, evict string) ([
 		}
 	}
 	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium),
-		core.Options{Numeric: true, Pipeline: true})
+		core.Options{Numeric: true})
 	defer ctl.Close()
 
 	s := &AsyncGrout{Ctl: ctl}

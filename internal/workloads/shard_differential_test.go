@@ -33,7 +33,7 @@ func newDiffPlane(t *testing.T, shards int, chaos *core.ChaosOptions) *shard.Pla
 		NewPolicy: func(int) (policy.Policy, error) {
 			return policy.NewMinTransferTime(policy.Medium), nil
 		},
-		Core: core.Options{Numeric: true, Pipeline: true, OptimizeWindow: 16},
+		Core: core.Options{Numeric: true, OptimizeWindow: 16},
 	}
 	if chaos != nil {
 		opts.Core.Failover = true

@@ -159,8 +159,7 @@ func uvmSweepCell(cfg UVMSweepConfig, w *Workload, factor float64, workers int, 
 			return UVMSweepPoint{}, err
 		}
 	}
-	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium),
-		core.Options{Pipeline: true})
+	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium), core.Options{})
 	defer ctl.Close()
 
 	s := &AsyncGrout{Ctl: ctl}

@@ -11,7 +11,8 @@
 #   4b. -race -run <list>      the concurrency-critical tests by name, so a rename cannot drop them
 #                              from the race gate (chaos/recovery, streamed launches, sessions,
 #                              peer links, depth-1 admission, one engine, FIFO bulk, typed kernels,
-#                              TestPipelinedStallQueriesRaceFree, TestWrapperFidelity)
+#                              TestLaunchRunsOnItsCaller, TestPipelinedStallQueriesRaceFree,
+#                              TestWrapperFidelity)
 #   5.  fuzz                   compiled engine vs interpreter, fusion, session/lease frame codecs,
 #                              worker serve loop: short budgets, corpora persist
 #   6.  -bench -benchtime=1x   micro-benchmark and UVMBench smoke: still compile and complete
@@ -45,8 +46,8 @@ go test -race ./internal/core/... ./internal/dag/... ./internal/grcuda/... \
 echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos)"
 go test -race -run 'TestShardDifferential' ./internal/workloads/
 
-echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + worker-to-worker + depth-1 + one-engine + FIFO bulk + typed-kernel + fabric-wrapper suite (lineage replay, deadlines, write-off, stream replay, session stream, peer links, inline admission and start, window-of-1 equivalence, stickiness, goroutine budget, serialised transfers, chunk-stream validation, launch argument checks, canonical NaN stores, counted-loop steps, per-partition allocation, stall queries vs dispatch, wrapper fidelity)"
-go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|ParkedWindow|SyncReportsDispatchFailure|PipelineMatchesSerial|ConcurrentFabricOrdering|ErrorStickiness|GoroutineBudget|ConcurrentBulkTransfersSerialise|ChunkStreamValidation|RejectedReceiveKeepsStreamInSync|BulkSever|PingNotBlocked|LaunchArgumentChecks|CanonicalNaNStores|CountedLoopStepAccounting|LaunchAllocsFlat|UVMKernelsDifferential|PipelinedStallQueriesRaceFree|WrapperFidelity' \
+echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + worker-to-worker + depth-1 + one-engine + FIFO bulk + typed-kernel + fabric-wrapper suite (lineage replay, deadlines, write-off, stream replay, session stream, peer links, inline admission and start, window-of-1 equivalence, launch on its caller, stickiness, goroutine budget, serialised transfers, chunk-stream validation, launch argument checks, canonical NaN stores, counted-loop steps, per-partition allocation, stall queries vs dispatch, wrapper fidelity)"
+go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|ParkedWindow|SyncReportsDispatchFailure|PipelineMatchesSerial|LaunchRunsOnItsCaller|ConcurrentFabricOrdering|ErrorStickiness|GoroutineBudget|ConcurrentBulkTransfersSerialise|ChunkStreamValidation|RejectedReceiveKeepsStreamInSync|BulkSever|PingNotBlocked|LaunchArgumentChecks|CanonicalNaNStores|CountedLoopStepAccounting|LaunchAllocsFlat|UVMKernelsDifferential|PipelinedStallQueriesRaceFree|WrapperFidelity' \
     ./internal/core/ ./internal/transport/ ./internal/shard/ ./internal/bench/ ./internal/server/ ./internal/minicuda/
 
 echo "== differential fuzz (compiled engine vs interpreter, 10s)"

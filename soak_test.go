@@ -53,7 +53,7 @@ func soak(b *testing.B) {
 		workers = append(workers, w)
 		addrs = append(addrs, w.Addr())
 	}
-	remote, err := Connect(addrs, Config{Policy: "min-transfer-time", Pipeline: true})
+	remote, err := Connect(addrs, Config{Policy: "min-transfer-time"})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func collectArrays(t *testing.T, s workloads.Session) map[dag.ArrayID][]float64 
 
 func runEmbedded(t *testing.T, w *workloads.Workload) map[dag.ArrayID][]float64 {
 	t.Helper()
-	c, err := NewSimulatedCluster(Config{Workers: 2, Policy: "min-transfer-time", Numeric: true, Pipeline: true})
+	c, err := NewSimulatedCluster(Config{Workers: 2, Policy: "min-transfer-time", Numeric: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func runTCP(t *testing.T, w *workloads.Workload) map[dag.ArrayID][]float64 {
 
 func runGateway(t *testing.T, w *workloads.Workload) map[dag.ArrayID][]float64 {
 	t.Helper()
-	c, err := NewSimulatedCluster(Config{Workers: 2, Policy: "min-transfer-time", Numeric: true, Pipeline: true})
+	c, err := NewSimulatedCluster(Config{Workers: 2, Policy: "min-transfer-time", Numeric: true})
 	if err != nil {
 		t.Fatal(err)
 	}
