@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 5, 6a, 6b, 7, 8, 9, fusion, ablation, scaling, whatif, oversub, uvmbench, recovery or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1, 5, 6a, 6b, 7, 8, 9, window, ablation, scaling, whatif, oversub, uvmbench, recovery or all")
 	ces := flag.Int("ces", 512, "CE stream length for Fig 9's overhead measurement and the recovery figure's chain")
 	runWL := flag.String("run", "", "run one workload instead of a figure: bs, mle, cg, mv, images, deep, or a UVMBench one (kmeans, logreg, conv, bfs, pagerank, spmv, triad, stencil2d)")
 	size := flag.String("size", "32GiB", "footprint for -run")
@@ -113,8 +113,8 @@ func main() {
 				"nodes ->", "%.1f", bench.Fig9(*ces))
 		})
 	}
-	if sel("fusion") {
-		run("fusion", func() {
+	if sel("window") {
+		run("window", func() {
 			bench.PrintSeries(os.Stdout,
 				"Optimizer window: caller-blocked wall-clock per CE (µs) — serial vs pipelined vs pipelined+opt",
 				"nodes ->", "%.1f", bench.Fig9Compare(*ces))
@@ -209,7 +209,7 @@ func main() {
 		})
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "unknown figure %q (want 1, 5, 6a, 6b, 7, 8, 9, fusion, ablation, scaling, whatif, oversub, uvmbench, recovery or all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "unknown figure %q (want 1, 5, 6a, 6b, 7, 8, 9, window, ablation, scaling, whatif, oversub, uvmbench, recovery or all)\n", *fig)
 		os.Exit(2)
 	}
 }

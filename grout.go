@@ -104,9 +104,9 @@ type Config struct {
 	Pipeline bool
 	// OptimizeWindow sizes the controller's lookahead optimizer window
 	// (DESIGN.md §5.6): submissions park until the window fills (or a
-	// synchronization point flushes it), then the whole batch runs
-	// through kernel fusion, transfer coalescing, redundant-move
-	// elimination, and one batched policy evaluation. 0 picks the
+	// synchronization point flushes it), then the whole batch is placed
+	// by one batched policy evaluation, and dispatch skips the moves the
+	// window proved redundant. 0 picks the
 	// default (DefaultOptimizeWindow); negative turns the passes off and
 	// admits every CE by itself (a window of one).
 	OptimizeWindow int
@@ -137,8 +137,8 @@ type Config struct {
 
 // DefaultOptimizeWindow is the lookahead window size used when
 // Config.OptimizeWindow is zero: large enough to amortize the batched
-// policy evaluation and find fusion chains, small enough that parked
-// work never waits long for a synchronization point.
+// policy evaluation, small enough that parked work never waits long for a
+// synchronization point.
 const DefaultOptimizeWindow = 32
 
 // optimizeWindow maps the Config convention (0 = default, negative =

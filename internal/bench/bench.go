@@ -322,8 +322,8 @@ func Fig9(cesPerRun int) []Series {
 // stream is blocked per submission — Launch for the serial path
 // (scheduling + dispatch on the caller), Submit for the pipelined one
 // (scheduling only; dispatch overlaps with later admissions), and Submit
-// behind the lookahead optimizer window (batched scheduling, fusion,
-// transfer coalescing). Three series per policy — "<policy>/serial",
+// behind the lookahead optimizer window (batched placement, move
+// elimination). Three series per policy — "<policy>/serial",
 // "<policy>/pipelined" and "<policy>/pipelined+opt" — in microseconds
 // per CE.
 func Fig9Compare(cesPerRun int) []Series {

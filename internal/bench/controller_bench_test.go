@@ -89,7 +89,7 @@ func BenchmarkControllerSubmitThroughput(b *testing.B) {
 			}
 		})
 		// pipelined admission alone, and pipelined admission behind the
-		// lookahead optimizer window (fusion, coalescing, batched policy).
+		// lookahead optimizer window (batched placement, move elimination).
 		pipeOpts := []struct {
 			name string
 			opts core.Options

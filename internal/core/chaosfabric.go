@@ -57,7 +57,7 @@ type ChaosOptions struct {
 }
 
 // ChaosFabric wraps an inner Fabric with the fault schedule. It follows
-// Fabric's wrapper rule: the four fast paths forward through their
+// Fabric's wrapper rule: the three fast paths forward through their
 // helpers, so a fault-free ChaosFabric is the inner fabric's program, and
 // AsyncLauncher is not forwarded — faults are injected per blocking call,
 // so the controller must take the blocking Launch path through it.
@@ -178,20 +178,6 @@ func (f *ChaosFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 		return 0, err
 	}
 	return f.inner.MoveArray(id, src, dst, srcReady, srcBuf, dstBuf)
-}
-
-// MoveArrays implements BulkMover: the bulk frame counts as one move
-// against the sever schedule and one SlowLink delay, like the single wire
-// operation it models, whether or not the inner fabric coalesces it.
-func (f *ChaosFabric) MoveArrays(dst cluster.NodeID, ids []dag.ArrayID,
-	srcReady sim.VirtualTime, bufs []*kernels.Buffer) (sim.VirtualTime, error) {
-	if f.nextMove() {
-		return 0, fmt.Errorf("chaos: bulk transfer of %d arrays severed mid-chunk: %w", len(ids), ErrTransient)
-	}
-	if err := f.checkWorker(dst); err != nil {
-		return 0, err
-	}
-	return MoveArrays(f.inner, dst, ids, srcReady, bufs)
 }
 
 // Launch implements Fabric and is where kill/hang schedules trigger.

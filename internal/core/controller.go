@@ -15,7 +15,6 @@ import (
 	"grout/internal/kernels"
 	"grout/internal/memmodel"
 	"grout/internal/minicuda"
-	"grout/internal/optimizer"
 	"grout/internal/policy"
 	"grout/internal/ring"
 	"grout/internal/sim"
@@ -160,9 +159,8 @@ type Options struct {
 	// queued for the dispatcher before a submitter waits (default 64).
 	PipelineDepth int
 	// OptimizeWindow, when positive, parks up to that many admitted CEs
-	// in a lookahead window and runs the optimizer passes — kernel
-	// fusion, transfer coalescing, redundant-move elimination, batched
-	// policy evaluation — over the whole batch before dispatch (see
+	// in a lookahead window and runs the optimizer passes — move
+	// elimination and batched placement — over the whole batch (see
 	// window.go and DESIGN.md §5.6). Zero or negative disables the
 	// passes: every CE is admitted and dispatched by itself, a window of
 	// one. Synchronization points (Drain, HostRead/HostWrite, FreeArray,
@@ -338,14 +336,12 @@ type Controller struct {
 	// The window (window.go): win holds the parked entries, at most
 	// optWindow ≥ 1 of them (guarded by subMu); windowed records that
 	// Options.OptimizeWindow asked for the optimizer passes — of which
-	// only pass 3, trusting the membership prediction to skip an argument's
-	// fabric round trip, could otherwise act on a window of one. bulkMover
-	// caches the fabric's optional coalescing interface; optStats
-	// aggregates controller-wide optimizer counters.
+	// only move elimination, trusting the membership prediction to skip an
+	// argument's fabric round trip, could otherwise act on a window of one.
+	// optStats aggregates controller-wide optimizer counters.
 	optWindow int
 	windowed  bool
 	win       []*winEntry
-	bulkMover BulkMover
 	// stallPred caches the fabric's optional oversubscription predictor;
 	// nil when the fabric cannot see into worker memory (TCP transport),
 	// which degrades stall-aware policies to transfer-time ranking.
@@ -356,9 +352,6 @@ type Controller struct {
 	// (guarded by mu; policies may not retain them past AssignBatch).
 	winReqs  []policy.Request
 	winNodes []policy.NodeInfo
-	// winPlaced is planPrefetchLocked's reusable op scratch (guarded by
-	// mu; PlanPrefetch copies what it keeps).
-	winPlaced []optimizer.PlacedOp
 	// winViews dedupes identical data views within one window's batched
 	// policy evaluation: view-key → first window index (guarded by mu).
 	winViews map[uint64]int
@@ -414,7 +407,6 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 		c.lineage = make(map[lineageKey]*producerRec)
 	}
 	c.optWindow, c.windowed = max(1, opts.OptimizeWindow), opts.OptimizeWindow > 0
-	c.bulkMover, _ = fabric.(BulkMover)
 	c.stallPred, _ = fabric.(StallPredictor)
 	if opts.Retry.Jitter > 0 {
 		seed := opts.Retry.Seed
@@ -754,21 +746,19 @@ type scheduled struct {
 	// never reads the arrays map unlocked.
 	arrs []*GlobalArray
 	// stats is the submitting session's optimizer counter block (nil for
-	// the direct client); prefetch, if set, is the transfer-coalescing
-	// plan this CE leads (window.go).
-	stats    *OptCounters
-	prefetch *prefetchPlan
+	// the direct client).
+	stats *OptCounters
 }
 
 // validate checks an invocation against the kernel registry and returns
-// its definition and argument metadata.
-func (c *Controller) validate(inv Invocation) (*kernels.Def, []memmodel.Access, error) {
+// its argument accesses.
+func (c *Controller) validate(inv Invocation) ([]memmodel.Access, error) {
 	def, ok := c.reg.Lookup(inv.Kernel)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: unknown kernel %q", inv.Kernel)
+		return nil, fmt.Errorf("core: unknown kernel %q", inv.Kernel)
 	}
 	if len(inv.Args) != len(def.Sig.Params) {
-		return nil, nil, fmt.Errorf("core: %s wants %d arguments, got %d",
+		return nil, fmt.Errorf("core: %s wants %d arguments, got %d",
 			inv.Kernel, len(def.Sig.Params), len(inv.Args))
 	}
 	if cap(c.metasBuf) < len(inv.Args) {
@@ -778,21 +768,21 @@ func (c *Controller) validate(inv Invocation) (*kernels.Def, []memmodel.Access, 
 	for i, a := range inv.Args {
 		if a.IsArray {
 			if !def.Sig.Params[i].Pointer {
-				return nil, nil, fmt.Errorf("core: %s argument %d must be a scalar", inv.Kernel, i)
+				return nil, fmt.Errorf("core: %s argument %d must be a scalar", inv.Kernel, i)
 			}
 			arr, ok := c.arrays[a.Array]
 			if !ok {
-				return nil, nil, fmt.Errorf("core: %s references unknown array %d", inv.Kernel, a.Array)
+				return nil, fmt.Errorf("core: %s references unknown array %d", inv.Kernel, a.Array)
 			}
 			metas[i] = kernels.ArgMeta{IsBuffer: true, Len: arr.Len}
 		} else {
 			if def.Sig.Params[i].Pointer {
-				return nil, nil, fmt.Errorf("core: %s argument %d must be an array", inv.Kernel, i)
+				return nil, fmt.Errorf("core: %s argument %d must be an array", inv.Kernel, i)
 			}
 			metas[i] = kernels.ArgMeta{Scalar: a.Scalar}
 		}
 	}
-	return def, def.Access(metas), nil
+	return def.Access(metas), nil
 }
 
 // skipOldBytes reports whether argument i's old contents never move: a
@@ -905,7 +895,7 @@ func (c *Controller) predictMembership(s *scheduled) {
 // scheduling with dispatch.
 func (c *Controller) Launch(inv Invocation) (sim.VirtualTime, error) {
 	c.subMu.Lock()
-	p, err := c.parkLocked(inv, nil, nil, true)
+	p, err := c.parkLocked(inv, nil, true)
 	c.subMu.Unlock()
 	if err != nil {
 		return 0, err
@@ -921,7 +911,7 @@ func (c *Controller) Launch(inv Invocation) (sim.VirtualTime, error) {
 func (c *Controller) Submit(inv Invocation) (*Pending, error) {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
-	return c.parkLocked(inv, nil, nil, false)
+	return c.parkLocked(inv, nil, false)
 }
 
 // Pending is a submitted CE whose dispatch may still be in flight.
@@ -988,14 +978,6 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 	var moved memmodel.Bytes
 	var p2p int
 	retries, recoveries := 0, 0
-
-	// Pass 2: this CE leads a coalesced bulk move — ship the run's
-	// controller-resident inputs in one fabric operation before the
-	// per-argument path walks them.
-	var pfMoved memmodel.Bytes
-	if s.prefetch != nil {
-		pfMoved = c.bulkPrefetch(s)
-	}
 	for {
 		// A job scheduled before a failover may carry a target that has
 		// since been written off; reassign before touching the fabric.
@@ -1081,7 +1063,7 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 	}
 
 	c.mu.Lock()
-	c.commitLocked(s, target, ready, end, moved+pfMoved, p2p)
+	c.commitLocked(s, target, ready, end, moved, p2p)
 	c.mu.Unlock()
 	return end, nil
 }
@@ -1188,11 +1170,11 @@ func (c *Controller) depReady(s *scheduled) sim.VirtualTime {
 
 // streamableLocked reports whether s can be started on its target's
 // control stream right now, without waiting for anything (pipeline.go's
-// streamed dispatch): the target is alive, s leads no coalesced prefetch,
-// every DAG ancestor has committed or is itself started on the same target
-// and not yet answered (inflight — the worker runs its channel in order,
-// so it runs first), and the registry holds a copy of every array argument
-// on the target. Caller holds mu.
+// streamed dispatch): the target is alive, every DAG ancestor has
+// committed or is itself started on the same target and not yet answered
+// (inflight — the worker runs its channel in order, so it runs first),
+// and the registry holds a copy of every array argument on the target.
+// Caller holds mu.
 //
 // Why that is enough: the registry describes the last committed version.
 // An uncommitted writer of an argument is a RAW/WAW ancestor, so it is
@@ -1200,7 +1182,7 @@ func (c *Controller) depReady(s *scheduled) sim.VirtualTime {
 // target) or on another worker, which fails the ancestor test; an
 // uncommitted reader elsewhere is a WAR ancestor and fails it too.
 func (c *Controller) streamableLocked(s *scheduled, inflight map[dag.CEID]cluster.NodeID) bool {
-	if c.dead[s.target] || s.prefetch != nil {
+	if c.dead[s.target] {
 		return false
 	}
 	for _, a := range s.ancestors {
@@ -1270,11 +1252,11 @@ func (c *Controller) ensureArgs(target cluster.NodeID, s *scheduled, usePredicti
 			ready = t
 		}
 		if up && c.windowed && usePrediction && s.upAtSched[i] && target == s.target {
-			// Pass 3: the window predicted a fresh replica here and the
-			// authoritative registry confirms it, so the per-argument
-			// fabric round trip is redundant. A worker only ever appears in
-			// upToDate after an EnsureArray reached it, so skipping the
-			// allocation call is safe.
+			// Move elimination: the window predicted a fresh replica here
+			// and the authoritative registry confirms it, so the
+			// per-argument fabric round trip is redundant. A worker only
+			// ever appears in upToDate after an EnsureArray reached it, so
+			// skipping the allocation call is safe.
 			c.countEliminatedMove(s)
 			continue
 		}

@@ -49,14 +49,14 @@ type Invocation struct {
 
 // Fabric is the Controller's view of the worker fleet and interconnect.
 //
-// The optional fast paths BulkEstimator, StallPredictor, BulkMover and
-// KernelBuilder each have one default, written once in the helpers of the
-// same names below (EstimateTransferAll, PredictStall, MoveArrays,
-// BuildKernel); callers go through a helper rather than asserting the
-// interface. The wrapper rule: a fabric that wraps another implements all
-// four and forwards each through its helper, so wrapping never changes
-// what the controller sees, and forwards neither ConcurrentDispatcher nor
-// AsyncLauncher, whose absence selects the serial, blocking path.
+// The optional fast paths BulkEstimator, StallPredictor and KernelBuilder
+// each have one default, written once in the helpers of the same names
+// below (EstimateTransferAll, PredictStall, BuildKernel); callers go
+// through a helper rather than asserting the interface. The wrapper rule:
+// a fabric that wraps another implements all three and forwards each
+// through its helper, so wrapping never changes what the controller sees,
+// and forwards neither ConcurrentDispatcher nor AsyncLauncher, whose
+// absence selects the serial, blocking path.
 type Fabric interface {
 	// Workers lists the worker node IDs.
 	Workers() []cluster.NodeID
@@ -113,15 +113,10 @@ type StallPredictor interface {
 		pattern memmodel.Pattern) sim.VirtualTime
 }
 
-// BulkMover is an optional Fabric fast path for the window optimizer's
-// transfer coalescing (DESIGN.md §5.6): ship several controller-resident
-// arrays to one worker as a single bulk operation instead of len(ids)
-// individual moves. bufs[i] is the controller payload for ids[i] (nil in
-// cost-only mode). Every array must already be ensured on dst. The move
-// may not start before srcReady; the returned time is when the whole
-// bulk frame has arrived. A bare fabric that cannot do better than a
-// per-array loop should not implement this — the controller then plans no
-// coalescing — while a wrapper always does, forwarding through MoveArrays.
+// BulkMover ships several controller-resident arrays to one worker as a
+// single bulk operation.
+//
+// Deprecated: uncalled; kept for benchmark/seams.go.
 type BulkMover interface {
 	MoveArrays(dst cluster.NodeID, ids []dag.ArrayID, srcReady sim.VirtualTime,
 		bufs []*kernels.Buffer) (sim.VirtualTime, error)
@@ -280,9 +275,9 @@ func (f *LocalFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 }
 
 // MoveArrays implements BulkMover: one cluster transfer of the summed
-// size carries every array, so the per-transfer fixed cost (latency,
-// scheduling slot) is paid once per bulk frame instead of once per
-// array — the coalescing win the window optimizer plans for.
+// size carries every array.
+//
+// Deprecated: uncalled; kept for benchmark/seams.go.
 func (f *LocalFabric) MoveArrays(dst cluster.NodeID, ids []dag.ArrayID,
 	srcReady sim.VirtualTime, bufs []*kernels.Buffer) (sim.VirtualTime, error) {
 	f.mu.Lock()
@@ -455,24 +450,6 @@ func PredictStall(f Fabric, w cluster.NodeID, add, working memmodel.Bytes,
 		return sp.PredictStall(w, add, working, pattern)
 	}
 	return 0
-}
-
-// MoveArrays ships ids from the controller to dst as f's BulkMover frame,
-// or as one MoveArray per array, returning the latest arrival.
-func MoveArrays(f Fabric, dst cluster.NodeID, ids []dag.ArrayID,
-	srcReady sim.VirtualTime, bufs []*kernels.Buffer) (sim.VirtualTime, error) {
-	if bm, ok := f.(BulkMover); ok {
-		return bm.MoveArrays(dst, ids, srcReady, bufs)
-	}
-	var at sim.VirtualTime
-	for i, id := range ids {
-		t, err := f.MoveArray(id, cluster.ControllerID, dst, srcReady, bufs[i], nil)
-		if err != nil {
-			return 0, err
-		}
-		at = max(at, t)
-	}
-	return at, nil
 }
 
 // BuildKernel broadcasts a runtime-compiled kernel through f's

@@ -71,19 +71,8 @@ type job struct {
 	s   *scheduled
 	seq uint64
 	p   *Pending
-	// followers are the Pendings of CEs the window optimizer fused into
-	// this one; they resolve with the same end time and error.
-	followers []*Pending
 	// b is the window the job arrived in.
 	b *jobBatch
-}
-
-// finish resolves the job's Pending and every follower.
-func (j *job) finish(end sim.VirtualTime, err error) {
-	j.p.resolve(end, err)
-	for _, f := range j.followers {
-		f.resolve(end, err)
-	}
 }
 
 // jobBatch is one admitted window on its way through the FIFO. scheds is
@@ -361,7 +350,7 @@ func (pl *pipeline) launchDone(j *job, end sim.VirtualTime, err error) {
 			}
 		}
 	}
-	j.finish(end, nil)
+	j.p.resolve(end, nil)
 	pl.resolved(j)
 }
 
@@ -396,9 +385,8 @@ func (pl *pipeline) quiesce() {
 }
 
 // runJob dispatches one CE blocking (or fails it with the sticky error)
-// and resolves its Pending and any fusion followers. Everything before it
-// in the FIFO has committed or failed: the caller holds work and has
-// quiesced.
+// and resolves its Pending. Everything before it in the FIFO has committed
+// or failed: the caller holds work and has quiesced.
 func (pl *pipeline) runJob(j *job) {
 	err := pl.sticky()
 	var end = j.p.end
@@ -412,7 +400,7 @@ func (pl *pipeline) runJob(j *job) {
 		// it counts as finished.
 		pl.c.commitError(j.s)
 	}
-	j.finish(end, err)
+	j.p.resolve(end, err)
 }
 
 // sticky reads the first terminal error under the controller lock.

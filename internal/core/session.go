@@ -82,13 +82,10 @@ type SessionStats struct {
 	// LaunchesShed counts launches the gateway refused with ErrShedded
 	// (recorded via NoteShed; they never reach the controller).
 	LaunchesShed int64
-	// Optimizer-window counters (window.go): producer CEs fused away,
-	// transfers coalesced into bulk frames, and moves skipped because the
-	// target already held a fresh replica. All zero while the
-	// controller's OptimizeWindow is off.
-	FusedCEs           int64
-	CoalescedTransfers int64
-	EliminatedMoves    int64
+	// EliminatedMoves counts the session's argument moves the optimizer
+	// window skipped because the target already held a fresh replica
+	// (window.go). Zero while the controller's OptimizeWindow is off.
+	EliminatedMoves int64
 }
 
 // admSampleCap bounds the per-session admission-wait reservoir. Beyond
@@ -123,8 +120,7 @@ type ControllerSession struct {
 	err    error
 	closed bool
 
-	// opt aggregates the optimizer window's per-tenant counters; the
-	// session pointer doubles as the tenant tag fusion isolates on. Not
+	// opt aggregates the optimizer window's per-tenant counters. Not
 	// under mu — the counters are atomics bumped from dispatcher
 	// goroutines.
 	opt OptCounters
@@ -276,7 +272,7 @@ func (s *ControllerSession) Submit(inv Invocation) (*Pending, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
-	p, err := s.ctl.SubmitTagged(tinv, &s.opt, s)
+	p, err := s.ctl.SubmitTagged(tinv, &s.opt)
 	if err != nil {
 		s.mu.Lock()
 		s.admitted++
@@ -372,18 +368,16 @@ func (s *ControllerSession) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return SessionStats{
-		Admitted:           s.admitted,
-		Completed:          s.completed,
-		Aborted:            s.aborted,
-		Inflight:           s.inflight,
-		Arrays:             len(s.arrays),
-		ArrayBytes:         s.bytes,
-		AdmissionWait:      s.admWait,
-		AdmissionWaitP99:   quantileLocked(s.admSamples, 0.99),
-		LaunchesShed:       s.shed,
-		FusedCEs:           opt.FusedCEs,
-		CoalescedTransfers: opt.CoalescedTransfers,
-		EliminatedMoves:    opt.EliminatedMoves,
+		Admitted:         s.admitted,
+		Completed:        s.completed,
+		Aborted:          s.aborted,
+		Inflight:         s.inflight,
+		Arrays:           len(s.arrays),
+		ArrayBytes:       s.bytes,
+		AdmissionWait:    s.admWait,
+		AdmissionWaitP99: quantileLocked(s.admSamples, 0.99),
+		LaunchesShed:     s.shed,
+		EliminatedMoves:  opt.EliminatedMoves,
 	}
 }
 
@@ -486,7 +480,7 @@ func (s *ControllerSession) BuildKernel(src, signature string) (*kernels.Def, er
 }
 
 // Elapsed waits until every CE this session submitted has dispatched —
-// the optimizer window is flushed first, so parked and fused ones count —
+// the optimizer window is flushed first, so parked ones count —
 // and reports the shared cluster's virtual clock as of then. It is the
 // session's synchronization point, not the fleet's: unlike
 // Controller.Elapsed it neither waits for other sessions' CEs nor holds

@@ -4,45 +4,35 @@
 // a synchronization point flushes it) the whole batch is admitted by
 // flushWindowLocked — the one scheduling stage — and handed to the dispatch
 // engine (pipeline.go). The window holds max(1, Options.OptimizeWindow)
-// CEs. With Options.OptimizeWindow > 0 the batch also runs through the
-// optimizer passes:
+// CEs. With Options.OptimizeWindow > 0 two optimizer passes act on it:
 //
-//  1. Kernel fusion (internal/optimizer.FusePass): elementwise
-//     producer→consumer chains collapse into one fused CE before the DAG
-//     ever sees them, eliminating the intermediate's materialization —
-//     and, when the window proves the intermediate dead, its transfer.
-//  2. Transfer coalescing (optimizer.PlanPrefetch): the controller→worker
-//     moves of a consecutive same-target run ship as one bulk fabric
-//     operation when the leader CE dispatches.
-//  3. Redundant-move elimination: dispatch consults the authoritative
-//     replica registry before issuing the per-argument EnsureArray round
-//     trip, skipping fabric traffic for replicas the window's lineage
-//     already placed.
-//  4. Batched policy evaluation: every window CE's placement request is
-//     built against one frozen membership snapshot, so the per-array
+//  1. Move elimination: dispatch consults the authoritative replica
+//     registry before issuing the per-argument EnsureArray round trip,
+//     skipping fabric traffic for replicas the window's lineage already
+//     placed.
+//  2. Batched placement: every window CE's placement request is built
+//     against one frozen membership snapshot, so the per-array
 //     transfer-estimate vectors refresh at most once per window instead
 //     of once per CE.
 //
-// A window of one has nothing to fuse, coalesce or batch: phases A–C below
-// are then exactly Algorithm 1's per-CE admission, and without
-// Options.OptimizeWindow pass 3 is off too.
+// A window of one has nothing to batch: phases A–C below are then exactly
+// Algorithm 1's per-CE admission, and without Options.OptimizeWindow move
+// elimination is off too.
 //
-// Equivalence to one-by-one admission: all rewrites happen before the
-// batch is admitted to the DAG and before it enters the engine's FIFO, so
-// the guarantee of pipeline.go — when a CE is dispatched every earlier one
-// has committed or failed — carries over to the rewritten window
-// unchanged. Within the window, fusion legality (optimizer package) proves
-// the fused CE equivalent to its parts, and phases A–C apply lineage and
-// membership prediction in window order exactly as one-by-one admission
-// would. Only the *policy inputs* differ: phase B deliberately evaluates
-// every placement against the pre-window membership view (the snapshot),
-// so placements may differ from a window of one's — outputs never do,
-// because dispatch re-validates every move against authoritative replica
-// state.
+// Equivalence to one-by-one admission: the window admits its CEs to the
+// DAG unchanged and in submission order before they enter the engine's
+// FIFO, so the guarantee of pipeline.go — when a CE is dispatched every
+// earlier one has committed or failed — holds for a window as for a single
+// CE, and phases A–C apply lineage and membership prediction in window
+// order exactly as one-by-one admission would. Only the *policy inputs*
+// differ: phase B deliberately evaluates every placement against the
+// pre-window membership view (the snapshot), so placements may differ from
+// a window of one's — outputs never do, because dispatch re-validates
+// every move against authoritative replica state.
 //
-// Tenancy: fusion never crosses a tenant tag (optimizer.FusePass), but
-// placement packs CEs from different tenants onto shared workers under
-// whatever policy weights are active — the window is one shared batch.
+// Tenancy: placement packs CEs from different tenants onto shared workers
+// under whatever policy weights are active — the window is one shared
+// batch.
 package core
 
 import (
@@ -50,26 +40,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"grout/internal/cluster"
-	"grout/internal/dag"
-	"grout/internal/kernels"
 	"grout/internal/memmodel"
-	"grout/internal/minicuda"
-	"grout/internal/optimizer"
 	"grout/internal/policy"
-	"grout/internal/sim"
 )
 
 // OptCounters aggregates the optimizer's work. Sessions pass one to
 // SubmitTagged for per-tenant accounting; the controller keeps a global
-// one. Atomics, because dispatch-side passes (coalescing, move
-// elimination) bump them off the submitter's goroutine.
+// one. Atomic, because move elimination bumps it on the dispatch side,
+// off the submitter's goroutine.
 type OptCounters struct {
-	// FusedCEs counts producer CEs absorbed into fused kernels.
-	FusedCEs atomic.Int64
-	// CoalescedTransfers counts controller→worker moves that rode a bulk
-	// frame instead of going out individually.
-	CoalescedTransfers atomic.Int64
 	// EliminatedMoves counts argument transfers skipped because the
 	// target already held a fresh replica the window predicted.
 	EliminatedMoves atomic.Int64
@@ -77,18 +56,16 @@ type OptCounters struct {
 
 // OptStats is a point-in-time snapshot of OptCounters.
 type OptStats struct {
-	FusedCEs           int64
+	// Deprecated: always zero; the window no longer fuses kernels.
+	FusedCEs int64
+	// Deprecated: always zero; the window no longer coalesces transfers.
 	CoalescedTransfers int64
 	EliminatedMoves    int64
 }
 
 // Snapshot reads the counters.
 func (o *OptCounters) Snapshot() OptStats {
-	return OptStats{
-		FusedCEs:           o.FusedCEs.Load(),
-		CoalescedTransfers: o.CoalescedTransfers.Load(),
-		EliminatedMoves:    o.EliminatedMoves.Load(),
-	}
+	return OptStats{EliminatedMoves: o.EliminatedMoves.Load()}
 }
 
 // OptStats reports the controller-wide optimizer counters.
@@ -97,42 +74,22 @@ func (c *Controller) OptStats() OptStats { return c.optStats.Snapshot() }
 // winEntry is one parked, validated, not-yet-admitted CE.
 type winEntry struct {
 	inv  Invocation
-	def  *kernels.Def
 	accs []memmodel.Access
-	// p resolves when the CE (or the fused CE that absorbed it)
-	// dispatches; made at park time since Submit returns before flush.
-	// On parked entries it points at pend — one allocation instead of
-	// two on the per-CE admission path; fused entries borrow the
-	// consumer's.
-	p    *Pending
+	// pend resolves when the CE dispatches; made at park time since
+	// Submit returns before flush, and held by value — one allocation
+	// instead of two on the per-CE admission path.
 	pend Pending
-	// followers are absorbed producers' Pendings (set on fused entries).
-	followers []*Pending
 	// stats is the submitting session's counter block (nil for the
 	// direct embedded client).
 	stats *OptCounters
-	// tenant isolates fusion (compared with ==); nil is the direct
-	// embedded client.
-	tenant any
 }
 
-// prefetchPlan is a transfer-coalescing plan attached to a run leader's
-// scheduled record: ship these arrays to target in one bulk move when
-// the leader dispatches. A hint only — bulkPrefetch re-validates every
-// array against the authoritative registry and silently degrades to the
-// regular per-argument path.
-type prefetchPlan struct {
-	target cluster.NodeID
-	arrs   []*GlobalArray
-	stats  *OptCounters
-}
-
-// SubmitTagged is Submit carrying a tenant tag and a per-tenant counter
-// block for the optimizer passes.
-func (c *Controller) SubmitTagged(inv Invocation, stats *OptCounters, tenant any) (*Pending, error) {
+// SubmitTagged is Submit carrying a per-tenant counter block for the
+// optimizer passes.
+func (c *Controller) SubmitTagged(inv Invocation, stats *OptCounters) (*Pending, error) {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
-	return c.parkLocked(inv, stats, tenant, false)
+	return c.parkLocked(inv, stats, false)
 }
 
 // FlushWindow forces the parked window to admit and dispatch without
@@ -162,74 +119,51 @@ func (c *Controller) drainLocked() error {
 // parkLocked validates an invocation and parks it in the window, flushing
 // when full — and at once when the caller blocks on the CE. Caller holds
 // subMu.
-func (c *Controller) parkLocked(inv Invocation, stats *OptCounters, tenant any, blocking bool) (*Pending, error) {
+func (c *Controller) parkLocked(inv Invocation, stats *OptCounters, blocking bool) (*Pending, error) {
 	if c.pipe.closed {
 		return nil, fmt.Errorf("core: controller closed")
 	}
 	if err := c.pipe.sticky(); err != nil {
 		return nil, err
 	}
-	def, accs, err := c.validate(inv)
+	accs, err := c.validate(inv)
 	if err != nil {
 		return nil, err
 	}
-	e := &winEntry{
-		inv: inv, def: def, accs: accs,
-		stats: stats, tenant: tenant,
-	}
+	e := &winEntry{inv: inv, accs: accs, stats: stats}
 	e.pend.done = make(chan struct{})
-	e.p = &e.pend
 	c.win = append(c.win, e)
 	if blocking || len(c.win) >= c.optWindow {
 		if err := c.flushWindowLocked(blocking); err != nil {
-			return e.p, err
+			return &e.pend, err
 		}
 	}
-	return e.p, nil
+	return &e.pend, nil
 }
 
-// failWindow resolves every entry's Pending (and followers) with err.
-// Nothing here has been admitted to the DAG, so there is no CE state to
-// unwind.
+// failWindow resolves every entry's Pending with err. Nothing here has
+// been admitted to the DAG, so there is no CE state to unwind.
 func failWindow(entries []*winEntry, err error) {
 	for _, e := range entries {
-		e.p.resolve(0, err)
-		for _, f := range e.followers {
-			f.resolve(0, err)
-		}
+		e.pend.resolve(0, err)
 	}
 }
 
 // flushWindowLocked admits the parked window — the scheduling stage, the
 // timed section of the paper's Figure 9 — and hands it to the dispatch
-// engine: the optimizer passes rewrite the batch, phase A inserts every CE
-// into the DAG, phase B evaluates the policy for all of them against the
-// frozen membership snapshot, phase C applies lineage and membership
-// prediction in window order. blocking says the caller waits for the
+// engine: phase A inserts every CE into the DAG, phase B evaluates the
+// policy for all of them against the frozen membership snapshot, phase C
+// applies lineage and membership prediction in window order. blocking says the caller waits for the
 // window, and so works through it itself when it can (pipeline.go). Caller
 // holds subMu. The returned error is the sticky error or an admission
 // failure; dispatch errors surface on Pendings and Drain.
 func (c *Controller) flushWindowLocked(blocking bool) error {
-	entries := c.win
+	ws := c.win
 	c.win = nil
-	if len(entries) == 0 {
+	n := len(ws)
+	if n == 0 {
 		return nil
 	}
-
-	// Pass 1: kernel fusion. Worth attempting only when at least two
-	// entries carry the compiler's elementwise descriptor.
-	ws := entries
-	fusable := 0
-	for _, e := range entries {
-		if e.def.Fusion != nil {
-			fusable++
-		}
-	}
-	if fusable >= 2 {
-		ws = c.fuseWindowLocked(entries)
-	}
-
-	n := len(ws)
 
 	c.mu.Lock()
 	err := c.pipe.err
@@ -255,7 +189,7 @@ func (c *Controller) flushWindowLocked(blocking bool) error {
 		s.stats = e.stats
 	}
 
-	// Phase B: batched policy evaluation. Membership (and thus every
+	// Phase B: batched placement. Membership (and thus every
 	// per-array estimate cache) is frozen across the loop — no
 	// predictions are applied between evaluations — so refreshEst runs
 	// at most once per distinct array per window, and two CEs over the
@@ -317,17 +251,12 @@ func (c *Controller) flushWindowLocked(blocking bool) error {
 	}
 	c.schedTime += dur
 	c.schedCEs += n
-
-	// Pass 2: transfer-coalescing plans, attached to run leaders.
-	if c.bulkMover != nil && n > 1 {
-		c.planPrefetchLocked(ws, scheds)
-	}
 	c.mu.Unlock()
 
 	b := &jobBatch{jobs: make([]job, n), scheds: scheds}
 	b.left.Store(int32(n))
 	for i := range ws {
-		b.jobs[i] = job{s: &scheds[i], p: ws[i].p, followers: ws[i].followers, b: b}
+		b.jobs[i] = job{s: &scheds[i], p: &ws[i].pend, b: b}
 	}
 	c.pipe.enqueueBatch(b, blocking)
 	return nil
@@ -389,8 +318,8 @@ func (c *Controller) getSchedSlab(n int) []scheduled {
 // putSchedSlab resets a fully dispatched slab and parks it for reuse.
 // The reset happens here — where the window's last job resolved, off the
 // scheduling stage's critical path — and keeps the per-CE scratch slices'
-// capacity, while zeroing every other field so flushWindowLocked's
-// conditional writes (prefetch above all) can't see stale state.
+// capacity, while zeroing every other field, so a parked slab pins no CE,
+// invocation or array and the next admission starts from a clean record.
 func (c *Controller) putSchedSlab(s []scheduled) {
 	for i := range s {
 		sc := &s[i]
@@ -405,223 +334,8 @@ func (c *Controller) putSchedSlab(s []scheduled) {
 	c.schedSlabMu.Unlock()
 }
 
-// fuseWindowLocked runs the fusion pass and maps the rewritten ops back
-// to window entries. Caller holds subMu (the arrays map and registry are
-// stable under it).
-func (c *Controller) fuseWindowLocked(entries []*winEntry) []*winEntry {
-	ops := make([]*optimizer.Op, len(entries))
-	for i, e := range entries {
-		args := make([]optimizer.Arg, len(e.inv.Args))
-		for k, a := range e.inv.Args {
-			if a.IsArray {
-				// validate accepted the entry, so the array exists.
-				arr := c.arrays[a.Array]
-				args[k] = optimizer.Arg{Array: uint64(a.Array), Meta: kernels.ArgMeta{IsBuffer: true, Len: arr.Len}}
-			} else {
-				args[k] = optimizer.Arg{Meta: kernels.ArgMeta{Scalar: a.Scalar}}
-			}
-		}
-		ops[i] = &optimizer.Op{
-			Def: e.def, Grid: e.inv.Grid, Block: e.inv.Block,
-			Args: args, Tenant: e.tenant, Ref: e,
-		}
-	}
-	res := optimizer.FusePass(ops, c.compileFused)
-	if res.Fused == 0 {
-		return entries
-	}
-	out := make([]*winEntry, len(res.Ops))
-	for i, op := range res.Ops {
-		e := op.Ref.(*winEntry)
-		if len(op.Absorbed) == 0 {
-			out[i] = e
-			continue
-		}
-		args := make([]ArgRef, len(op.Args))
-		metas := make([]kernels.ArgMeta, len(op.Args))
-		for k, a := range op.Args {
-			metas[k] = a.Meta
-			if a.Meta.IsBuffer {
-				args[k] = ArrRef(dag.ArrayID(a.Array))
-			} else {
-				args[k] = ScalarRef(a.Meta.Scalar)
-			}
-		}
-		fe := &winEntry{
-			inv:  Invocation{Kernel: op.Def.Name, Grid: op.Grid, Block: op.Block, Args: args},
-			def:  op.Def,
-			accs: op.Def.Access(metas),
-			p:    e.p, stats: e.stats, tenant: e.tenant,
-			followers: e.followers,
-		}
-		for _, ref := range op.Absorbed {
-			pe := ref.(*winEntry)
-			fe.followers = append(fe.followers, pe.p)
-			fe.followers = append(fe.followers, pe.followers...)
-		}
-		fused := int64(len(op.Absorbed))
-		c.optStats.FusedCEs.Add(fused)
-		if fe.stats != nil {
-			fe.stats.FusedCEs.Add(fused)
-		}
-		out[i] = fe
-	}
-	return out
-}
-
-// compileFused is the optimizer's Compiler: fused source goes through
-// the shared compile cache (keyed on the fused source hash), registers
-// with the controller, and broadcasts to the fabric — a BuildKernel that
-// does not drain. Safe against in-flight dispatchers because the
-// registry is internally locked and fabric kernel builds touch no
-// timeline state.
-func (c *Controller) compileFused(src string) (*kernels.Def, error) {
-	key := minicuda.CacheKey(src, "")
-	var def *kernels.Def
-	if name, ok := c.reg.CachedSource(key); ok {
-		if d, ok := c.reg.Lookup(name); ok {
-			def = d
-		}
-	}
-	if def == nil {
-		d, err := minicuda.Compile(src, "")
-		if err != nil {
-			return nil, err
-		}
-		if def, err = c.reg.LookupOrRegister(d); err != nil {
-			return nil, err
-		}
-		c.reg.CacheSource(key, def.Name)
-	}
-	if err := BuildKernel(c.fabric, src, ""); err != nil {
-		return nil, err
-	}
-	return def, nil
-}
-
-// planPrefetchLocked computes coalescing plans for the admitted window
-// and attaches each to its run leader. Caller holds mu (and subMu).
-func (c *Controller) planPrefetchLocked(ws []*winEntry, scheds []scheduled) {
-	if cap(c.winPlaced) < len(scheds) {
-		c.winPlaced = make([]optimizer.PlacedOp, len(scheds))
-	}
-	placed := c.winPlaced[:len(scheds)]
-	for i := range scheds {
-		s := &scheds[i]
-		po := &placed[i]
-		po.Target = s.target
-		po.Needs, po.Writes = po.Needs[:0], po.Writes[:0]
-		for k, a := range s.inv.Args {
-			if !a.IsArray {
-				continue
-			}
-			if s.accs[k].Mode.Writes() {
-				po.Writes = append(po.Writes, uint64(a.Array))
-			}
-			if skipOldBytes(s.accs, k) || s.upAtSched[k] {
-				continue
-			}
-			po.Needs = append(po.Needs, uint64(a.Array))
-		}
-	}
-	for _, plan := range optimizer.PlanPrefetch(placed) {
-		pf := &prefetchPlan{target: plan.Target, stats: ws[plan.Leader].stats}
-		for _, id := range plan.Arrays {
-			if arr := c.arrays[dag.ArrayID(id)]; arr != nil {
-				pf.arrs = append(pf.arrs, arr)
-			}
-		}
-		if len(pf.arrs) >= 2 {
-			scheds[plan.Leader].prefetch = pf
-		}
-	}
-}
-
-// bulkPrefetch executes a run leader's coalescing plan: every planned
-// array whose fresh bytes sit on the controller and not yet on the
-// target ships in one bulk fabric move. Purely opportunistic — any
-// filter or fabric failure degrades to the regular per-argument path,
-// and registration re-checks the committed version so a concurrent
-// writer (concurrent-dispatch fabrics) can never be resurrected by a
-// stale payload. Returns the bytes it moved.
-func (c *Controller) bulkPrefetch(s *scheduled) memmodel.Bytes {
-	pf := s.prefetch
-	s.prefetch = nil // one shot, even across failover retries
-	bm := c.bulkMover
-	if bm == nil {
-		return 0
-	}
-
-	var (
-		ids      []dag.ArrayID
-		arrs     []*GlobalArray
-		cvers    []uint64
-		bufs     []*kernels.Buffer
-		srcReady sim.VirtualTime
-	)
-	c.mu.Lock()
-	if c.dead[pf.target] {
-		c.mu.Unlock()
-		return 0
-	}
-	for _, arr := range pf.arrs {
-		if _, up := arr.upToDate[pf.target]; up {
-			continue // already resident
-		}
-		t, up := arr.upToDate[cluster.ControllerID]
-		if !up {
-			continue // not controller-resident: per-op path picks a source
-		}
-		ids = append(ids, arr.ID)
-		arrs = append(arrs, arr)
-		cvers = append(cvers, arr.cver)
-		bufs = append(bufs, arr.Buf)
-		if t > srcReady {
-			srcReady = t
-		}
-	}
-	c.mu.Unlock()
-	if len(ids) < 2 {
-		return 0
-	}
-
-	for _, arr := range arrs {
-		if err := c.fabric.EnsureArray(pf.target, arr.ArrayMeta); err != nil {
-			return 0
-		}
-	}
-	arrival, err := bm.MoveArrays(pf.target, ids, srcReady, bufs)
-	if err != nil {
-		return 0
-	}
-
-	var moved memmodel.Bytes
-	shipped := 0
-	c.mu.Lock()
-	if !c.dead[pf.target] {
-		for k, arr := range arrs {
-			if arr.cver != cvers[k] {
-				continue // overwritten since planning: payload is stale
-			}
-			c.registerCopy(arr, pf.target, arrival, true)
-			shipped++
-			moved += arr.size
-		}
-		if shipped > 0 && arrival > c.elapsed {
-			c.elapsed = arrival
-		}
-	}
-	c.mu.Unlock()
-	if shipped >= 2 {
-		c.optStats.CoalescedTransfers.Add(int64(shipped))
-		if pf.stats != nil {
-			pf.stats.CoalescedTransfers.Add(int64(shipped))
-		}
-	}
-	return moved
-}
-
-// countEliminatedMove records a pass-3 skip on both counter blocks.
+// countEliminatedMove records a move-elimination skip on both counter
+// blocks.
 func (c *Controller) countEliminatedMove(s *scheduled) {
 	c.optStats.EliminatedMoves.Add(1)
 	if s.stats != nil {

@@ -81,8 +81,8 @@ func (b *Buffer) At(i int) float64 {
 // sign/payload propagates through `NaN + NaN` is codegen-dependent, and
 // the same source expression can yield different NaN bits in different
 // closures. Canonicalizing at the store boundary restores CUDA's
-// determinism: it is what lets the fusion fuzzer and the optimizer
-// differential gate compare buffers bit-for-bit. RawBytes paths stay
+// determinism: it is what lets the engine differential fuzzer and the
+// window differential gate compare buffers bit-for-bit. RawBytes paths stay
 // untouched — transfers are memcpys and must preserve bytes exactly.
 var (
 	canonNaN32 = math.Float32frombits(0x7fffffff)

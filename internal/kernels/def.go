@@ -63,13 +63,6 @@ type Def struct {
 	// CostOfLaunch prices a launch with its configuration; when nil,
 	// CostOf (or the default) is used.
 	CostOfLaunch func(grid, block int, meta []ArgMeta) Cost
-	// Fusion, when non-nil, carries the compiler's fusion descriptor for
-	// this kernel: proof that the body has the canonical elementwise
-	// shape the optimizer's kernel-fusion pass can combine. The concrete
-	// type belongs to the compiler (minicuda.Elementwise); this package
-	// only transports it, so native kernels and other front ends can
-	// leave it nil.
-	Fusion any
 }
 
 // Cost prices a launch, applying the default when CostOf is nil.

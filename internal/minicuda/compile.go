@@ -198,11 +198,6 @@ func buildDef(k *Kernel, signature string, opts EngineOpts) (*kernels.Def, error
 			return runLaunch(kcopy, grid, block, args, opts.MaxThreadSteps)
 		},
 	}
-	// A non-nil check before assigning keeps Fusion a clean nil interface
-	// for non-elementwise kernels (a typed nil would read as "fusable").
-	if ew := ElementwiseOf(k); ew != nil {
-		def.Fusion = ew
-	}
 	return def, nil
 }
 

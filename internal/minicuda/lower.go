@@ -468,6 +468,12 @@ func (sc *scope) lowerForCond(st *ForStmt) (func(*env) bool, counted) {
 	return lowerBinop(c.Op, l, r, c.Pos).boolFn(), counted{}
 }
 
+// isIdent reports whether x is the identifier name.
+func isIdent(x Expr, name string) bool {
+	id, ok := x.(*IdentExpr)
+	return ok && id.Name == name
+}
+
 // arith applies one of + - * / to two floats.
 func arith(op byte, a, b float64) float64 {
 	switch op {

@@ -137,6 +137,52 @@ __global__ void nansum(float *c, double *d, int n) {
 	}
 	check(t, "interp sum", argsI, 1, 1)
 	check(t, "partitioned sum", argsP, 1, 1)
+
+	// A NaN made from a loaded element (sqrtf of a negative), held in a
+	// float local and stored; then read back through fabsf and sqrtf and
+	// stored again. Neither store may let a sign or payload through.
+	const producerSrc = `
+__global__ void k0(float *w, const float *r0, const float *r1, float a, int n) {
+	int i = blockIdx.x * blockDim.x + threadIdx.x;
+	if (i < n) { float t = (sqrtf(r0[i]) - sqrtf(r0[i])); w[i] = t - (a + r0[i]); }
+}`
+	const consumerSrc = `
+__global__ void k1(float *w, const float *r0, const float *r1, float a, int n) {
+	int i = blockIdx.x * blockDim.x + threadIdx.x;
+	if (i < n) { float t = sqrtf(fabsf(r0[i])); w[i] = t + r0[i]; }
+}`
+	kp, progP := mustLower(t, producerSrc)
+	kc, progC := mustLower(t, consumerSrc)
+	for _, compiled := range []bool{false, true} {
+		neg := kernels.NewBuffer(memmodel.Float32, 3)
+		for j := 0; j < 3; j++ {
+			neg.Set(j, -float64(j+1))
+		}
+		w0, w1 := kernels.NewBuffer(memmodel.Float32, 3), kernels.NewBuffer(memmodel.Float32, 3)
+		argsP := []kernels.Arg{kernels.BufArg(w0), kernels.BufArg(neg), kernels.BufArg(neg),
+			kernels.ScalarArg(1.5), kernels.ScalarArg(3)}
+		argsC := []kernels.Arg{kernels.BufArg(w1), kernels.BufArg(w0), kernels.BufArg(neg),
+			kernels.ScalarArg(-0.5), kernels.ScalarArg(3)}
+		name := "interp"
+		if compiled {
+			name = "compiled"
+			if err := progP.launch(1, 4, argsP, EngineOpts{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := progC.launch(1, 4, argsC, EngineOpts{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if err := runLaunch(kp, 1, 4, argsP, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := runLaunch(kc, 1, 4, argsC, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, name+" loaded-NaN store", argsP[:1], 3, 0)
+		check(t, name+" fabsf-of-NaN store", argsC[:1], 3, 0)
+	}
 }
 
 // TestCountedLoopStepAccounting: a counted loop charges the loop test and

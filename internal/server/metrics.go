@@ -205,10 +205,6 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 			func(t TenantStats) string { return fmt.Sprintf("%g", t.AdmissionWait.Seconds()) }},
 		{"grout_gateway_admission_wait_p99_seconds", "99th-percentile admission wait.", "gauge",
 			func(t TenantStats) string { return fmt.Sprintf("%g", t.AdmissionWaitP99.Seconds()) }},
-		{"grout_gateway_fused_ces_total", "Producer CEs absorbed into fused kernels by the optimizer window.", "counter",
-			func(t TenantStats) string { return fmt.Sprintf("%d", t.FusedCEs) }},
-		{"grout_gateway_coalesced_transfers_total", "Operand moves that rode a bulk frame instead of going out individually.", "counter",
-			func(t TenantStats) string { return fmt.Sprintf("%d", t.CoalescedTransfers) }},
 		{"grout_gateway_eliminated_moves_total", "Argument transfers skipped because the target already held a fresh replica.", "counter",
 			func(t TenantStats) string { return fmt.Sprintf("%d", t.EliminatedMoves) }},
 	}

@@ -282,7 +282,7 @@ func (p *Plane) Close() error {
 // partition: Workers (the placement universe) reports only the
 // partition, while data-path operations go to the embedded fleet fabric —
 // a lease replica lives on a foreign worker, and recovery re-ships from
-// it over the same wires. It follows core.Fabric's wrapper rule: the four
+// it over the same wires. It follows core.Fabric's wrapper rule: the three
 // fast paths forward through their core helpers, and neither
 // core.ConcurrentDispatcher nor core.AsyncLauncher is forwarded.
 type PartitionFabric struct {
@@ -324,12 +324,6 @@ func (f *PartitionFabric) EstimateTransferAll(src cluster.NodeID, n memmodel.Byt
 func (f *PartitionFabric) PredictStall(w cluster.NodeID, add, working memmodel.Bytes,
 	pattern memmodel.Pattern) sim.VirtualTime {
 	return core.PredictStall(f.Fabric, w, add, working, pattern)
-}
-
-// MoveArrays implements core.BulkMover.
-func (f *PartitionFabric) MoveArrays(dst cluster.NodeID, ids []dag.ArrayID,
-	srcReady sim.VirtualTime, bufs []*kernels.Buffer) (sim.VirtualTime, error) {
-	return core.MoveArrays(f.Fabric, dst, ids, srcReady, bufs)
 }
 
 // BuildKernel implements core.KernelBuilder.

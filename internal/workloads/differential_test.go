@@ -3,10 +3,10 @@ package workloads
 // The optimizer differential gate: every suite workload, submitted as a
 // stream through AsyncGrout, must produce bit-identical array contents
 // (and identical error text) with the controller's lookahead optimizer
-// window on and off. The window rewrites admission — fusing CEs,
-// coalescing and eliminating transfers, and evaluating the policy
-// against a frozen snapshot, which legitimately changes placements — so
-// this is the property that proves the rewrites never change results.
+// window on and off. The window changes admission — eliminating
+// transfers, and evaluating the policy against a frozen snapshot, which
+// legitimately changes placements — so this is the property that proves
+// those changes never change results.
 
 import (
 	"bytes"

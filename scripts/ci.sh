@@ -13,7 +13,7 @@
 #                              peer links, depth-1 admission, one engine, FIFO bulk, typed kernels,
 #                              TestLaunchRunsOnItsCaller, TestPipelinedStallQueriesRaceFree,
 #                              TestWrapperFidelity)
-#   5.  fuzz                   compiled engine vs interpreter, fusion, session/lease frame codecs,
+#   5.  fuzz                   compiled engine vs interpreter, session/lease frame codecs,
 #                              worker serve loop: short budgets, corpora persist
 #   6.  -bench -benchtime=1x   micro-benchmark and UVMBench smoke: still compile and complete
 #                              (numbers come from scripts/bench.sh)
@@ -36,11 +36,11 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (core, dag, grcuda, ring, transport, minicuda, kernels, server, optimizer, gpusim, policy, shard)"
+echo "== go test -race (core, dag, grcuda, ring, transport, minicuda, kernels, server, gpusim, policy, shard)"
 go test -race ./internal/core/... ./internal/dag/... ./internal/grcuda/... \
     ./internal/ring/... ./internal/transport/... \
     ./internal/minicuda/... ./internal/kernels/... ./internal/server/... \
-    ./internal/optimizer/... ./internal/gpusim/... ./internal/policy/... \
+    ./internal/gpusim/... ./internal/policy/... \
     ./internal/shard/...
 
 echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos)"
@@ -50,12 +50,8 @@ echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + wo
 go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|ParkedWindow|SyncReportsDispatchFailure|PipelineMatchesSerial|LaunchRunsOnItsCaller|ConcurrentFabricOrdering|ErrorStickiness|GoroutineBudget|ConcurrentBulkTransfersSerialise|ChunkStreamValidation|RejectedReceiveKeepsStreamInSync|BulkSever|PingNotBlocked|LaunchArgumentChecks|CanonicalNaNStores|CountedLoopStepAccounting|LaunchAllocsFlat|UVMKernelsDifferential|PipelinedStallQueriesRaceFree|WrapperFidelity' \
     ./internal/core/ ./internal/transport/ ./internal/shard/ ./internal/bench/ ./internal/server/ ./internal/minicuda/
 
-echo "== differential fuzz (compiled engine vs interpreter, 10s)"
-go test -run FuzzDifferential -fuzz FuzzDifferential -fuzztime 10s \
-    ./internal/minicuda/
-
-echo "== fusion fuzz (fused kernel vs separate launches, 10s)"
-go test -run FuzzFusion -fuzz FuzzFusion -fuzztime 10s \
+echo "== differential fuzz (compiled engine vs interpreter, 20s)"
+go test -run FuzzDifferential -fuzz FuzzDifferential -fuzztime 20s \
     ./internal/minicuda/
 
 echo "== session-frame codec fuzz (5s per direction)"
