@@ -33,14 +33,12 @@ type GlobalArray struct {
 	// authoritative registry, written as CEs actually dispatch.
 	upToDate map[cluster.NodeID]sim.VirtualTime
 	// member is the scheduler's membership view of upToDate: the same
-	// key set, but updated at scheduling time. It runs ahead of upToDate
+	// node set, but updated at scheduling time. It runs ahead of upToDate
 	// by the CEs admitted and not yet dispatched, reflecting their
 	// post-dispatch locations — exactly the view the next scheduling
-	// decision needs.
-	member map[cluster.NodeID]struct{}
-	// mask mirrors member as a NodeID-indexed bitmap so the O(workers)
-	// scheduling loop avoids per-cell map lookups.
-	mask []bool
+	// decision needs. Indexed by NodeID, so the O(workers) scheduling
+	// loop reads it without map lookups.
+	member []bool
 	// gen invalidates est: it advances whenever member changes.
 	gen uint64
 	// ver is the array's write version on the scheduler's timeline: it
@@ -80,31 +78,48 @@ type GlobalArray struct {
 	size memmodel.Bytes
 }
 
-// maskHas reports membership via the bitmap.
-func (g *GlobalArray) maskHas(n cluster.NodeID) bool {
-	return int(n) < len(g.mask) && g.mask[n]
+// isMember reports whether n is in the membership view.
+func (g *GlobalArray) isMember(n cluster.NodeID) bool {
+	return int(n) < len(g.member) && g.member[n]
 }
 
-func (g *GlobalArray) maskSet(n cluster.NodeID) {
-	if int(n) >= len(g.mask) {
+// addMember puts n in the membership view and reports whether it was new.
+func (g *GlobalArray) addMember(n cluster.NodeID) bool {
+	if int(n) >= len(g.member) {
 		grown := make([]bool, int(n)+1)
-		copy(grown, g.mask)
-		g.mask = grown
+		copy(grown, g.member)
+		g.member = grown
 	}
-	g.mask[n] = true
+	added := !g.member[n]
+	g.member[n] = true
+	return added
 }
 
-func (g *GlobalArray) maskClearAll() {
-	for i := range g.mask {
-		g.mask[i] = false
+// dropMember takes n out of the membership view and reports whether it
+// was there.
+func (g *GlobalArray) dropMember(n cluster.NodeID) bool {
+	if !g.isMember(n) {
+		return false
 	}
+	g.member[n] = false
+	return true
+}
+
+// clearMembers empties the membership view.
+func (g *GlobalArray) clearMembers() { clear(g.member) }
+
+// hasMembers reports whether any node is in the membership view.
+func (g *GlobalArray) hasMembers() bool {
+	for _, in := range g.member {
+		if in {
+			return true
+		}
+	}
+	return false
 }
 
 // UpToDateOn reports whether node n holds a valid copy (scheduler view).
-func (g *GlobalArray) UpToDateOn(n cluster.NodeID) bool {
-	_, ok := g.member[n]
-	return ok
-}
+func (g *GlobalArray) UpToDateOn(n cluster.NodeID) bool { return g.isMember(n) }
 
 // ReadyAt reports when node n's copy became valid (0, false if stale).
 func (g *GlobalArray) ReadyAt(n cluster.NodeID) (sim.VirtualTime, bool) {
@@ -112,11 +127,13 @@ func (g *GlobalArray) ReadyAt(n cluster.NodeID) (sim.VirtualTime, bool) {
 	return t, ok
 }
 
-// Locations lists the nodes holding valid copies.
+// Locations lists the nodes holding valid copies, in node-ID order.
 func (g *GlobalArray) Locations() []cluster.NodeID {
-	out := make([]cluster.NodeID, 0, len(g.member))
-	for n := range g.member {
-		out = append(out, n)
+	var out []cluster.NodeID
+	for n, in := range g.member {
+		if in {
+			out = append(out, cluster.NodeID(n))
+		}
 	}
 	return out
 }
@@ -318,6 +335,9 @@ type Controller struct {
 	roster map[cluster.NodeID]bool
 	// alive caches the live worker list; nil means rebuild.
 	alive []cluster.NodeID
+	// memberLen is a new array's membership length: one past the highest
+	// node ID of the fleet at construction, so the view need not grow.
+	memberLen int
 
 	// reqNodes is the reusable buildRequest scratch buffer. Policies may
 	// not retain Request.Nodes past Assign.
@@ -341,7 +361,7 @@ type Controller struct {
 	// optStats aggregates controller-wide optimizer counters.
 	optWindow int
 	windowed  bool
-	win       []*winEntry
+	win       []winEntry
 	// stallPred caches the fabric's optional oversubscription predictor;
 	// nil when the fabric cannot see into worker memory (TCP transport),
 	// which degrades stall-aware policies to transfer-time ranking.
@@ -355,11 +375,6 @@ type Controller struct {
 	// winViews dedupes identical data views within one window's batched
 	// policy evaluation: view-key → first window index (guarded by mu).
 	winViews map[uint64]int
-	// schedSlabs recycles the window's scheduled slabs: whoever resolves a
-	// window's last job returns its slab. Own mutex — recycling must not
-	// contend with the scheduling stage's locks.
-	schedSlabMu sync.Mutex
-	schedSlabs  [][]scheduled
 
 	// totals
 	movedBytes memmodel.Bytes
@@ -405,6 +420,10 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 	}
 	if opts.Failover {
 		c.lineage = make(map[lineageKey]*producerRec)
+	}
+	c.memberLen = int(cluster.ControllerID) + 1
+	for _, w := range fabric.Workers() {
+		c.memberLen = max(c.memberLen, int(w)+1)
 	}
 	c.optWindow, c.windowed = max(1, opts.OptimizeWindow), opts.OptimizeWindow > 0
 	c.stallPred, _ = fabric.(StallPredictor)
@@ -470,11 +489,7 @@ func (c *Controller) markDead(w cluster.NodeID) {
 	c.failovers++
 	for _, arr := range c.arrays {
 		delete(arr.upToDate, w)
-		if _, ok := arr.member[w]; ok {
-			delete(arr.member, w)
-			if int(w) < len(arr.mask) {
-				arr.mask[w] = false
-			}
+		if arr.dropMember(w) {
 			arr.gen++
 		}
 	}
@@ -608,10 +623,10 @@ func (c *Controller) NewArray(kind memmodel.ElemKind, n int64) (*GlobalArray, er
 	arr := &GlobalArray{
 		ArrayMeta: grcuda.ArrayMeta{ID: id, Kind: kind, Len: n},
 		upToDate:  map[cluster.NodeID]sim.VirtualTime{cluster.ControllerID: 0},
-		member:    map[cluster.NodeID]struct{}{cluster.ControllerID: {}},
+		member:    make([]bool, c.memberLen),
 		gen:       1,
 	}
-	arr.maskSet(cluster.ControllerID)
+	arr.addMember(cluster.ControllerID)
 	arr.size = arr.Bytes()
 	if c.numeric {
 		arr.Buf = kernels.NewBuffer(kind, int(n))
@@ -707,8 +722,8 @@ func (c *Controller) refreshEst(arr *GlobalArray, workers []cluster.NodeID) {
 	// excluded, and a target that is its own source is already handled by
 	// the UpToDate branch).
 	haveWorkerSrc := false
-	for n := range arr.member {
-		if n.IsWorker() && !c.dead[n] {
+	for i, in := range arr.member {
+		if n := cluster.NodeID(i); in && n.IsWorker() && !c.dead[n] {
 			haveWorkerSrc = true
 			merge(n)
 		}
@@ -864,21 +879,18 @@ func (c *Controller) predictMembership(s *scheduled) {
 		}
 		arr := c.arrays[a.Array]
 		s.arrs[i] = arr
-		_, up := arr.member[s.target]
+		up := arr.isMember(s.target)
 		s.upAtSched[i] = up
 		if !up && !skipOldBytes(s.accs, i) {
-			arr.member[s.target] = struct{}{}
-			arr.maskSet(s.target)
+			arr.addMember(s.target)
 			arr.gen++
 		}
 	}
 	for i, a := range s.inv.Args {
 		if a.IsArray && s.accs[i].Mode.Writes() {
 			arr := c.arrays[a.Array]
-			clear(arr.member)
-			arr.maskClearAll()
-			arr.member[s.target] = struct{}{}
-			arr.maskSet(s.target)
+			arr.clearMembers()
+			arr.addMember(s.target)
 			arr.gen++
 		}
 	}
@@ -916,28 +928,47 @@ func (c *Controller) Submit(inv Invocation) (*Pending, error) {
 
 // Pending is a submitted CE whose dispatch may still be in flight.
 type Pending struct {
-	done chan struct{}
-	end  sim.VirtualTime
-	err  error
-	// mu guards resolved and hooks (OnDone may race resolve).
+	end sim.VirtualTime
+	err error
+	// mu guards resolved, hooks and done (OnDone, Wait and Done may race
+	// resolve). done is made by the first Wait or Done that finds the CE
+	// unresolved: most CEs are never waited on one by one, and they cost
+	// no channel.
 	mu       sync.Mutex
 	resolved bool
 	hooks    []func(sim.VirtualTime, error)
+	done     chan struct{}
 }
+
+// closedDone is what Done returns for a resolved Pending.
+var closedDone = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // resolve is the one way a Pending completes: it records the outcome, runs
 // the OnDone hooks on the calling goroutine, then releases the waiters —
-// so whoever returns from Wait finds every hook's effect in place.
+// so whoever returns from Wait finds every hook's effect in place. A hook
+// registered while the hooks run joins them.
 func (p *Pending) resolve(end sim.VirtualTime, err error) {
 	p.mu.Lock()
-	p.end, p.err, p.resolved = end, err, true
-	hooks := p.hooks
-	p.hooks = nil
-	p.mu.Unlock()
-	for _, fn := range hooks {
-		fn(end, err)
+	p.end, p.err = end, err
+	for len(p.hooks) > 0 {
+		hooks := p.hooks
+		p.hooks = nil
+		p.mu.Unlock()
+		for _, fn := range hooks {
+			fn(end, err)
+		}
+		p.mu.Lock()
 	}
-	close(p.done)
+	p.resolved = true
+	done := p.done
+	p.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
 }
 
 // OnDone registers fn to run with the CE's outcome when it resolves — on
@@ -957,12 +988,36 @@ func (p *Pending) OnDone(fn func(end sim.VirtualTime, err error)) {
 
 // Wait blocks until the CE has dispatched and returns its completion time.
 func (p *Pending) Wait() (sim.VirtualTime, error) {
-	<-p.done
-	return p.end, p.err
+	p.mu.Lock()
+	if p.resolved {
+		end, err := p.end, p.err
+		p.mu.Unlock()
+		return end, err
+	}
+	done := p.waitChanLocked()
+	p.mu.Unlock()
+	<-done
+	return p.end, p.err // written before done was closed
 }
 
 // Done returns a channel closed when the CE has dispatched.
-func (p *Pending) Done() <-chan struct{} { return p.done }
+func (p *Pending) Done() <-chan struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.resolved {
+		return closedDone
+	}
+	return p.waitChanLocked()
+}
+
+// waitChanLocked returns the channel resolve closes, making it on first
+// use. Caller holds mu and has seen the Pending unresolved.
+func (p *Pending) waitChanLocked() chan struct{} {
+	if p.done == nil {
+		p.done = make(chan struct{})
+	}
+	return p.done
+}
 
 // dispatch runs the untimed half of Algorithm 1 for a scheduled CE: issue
 // the data movements, forward the CE, and commit the results. Its one
@@ -1386,9 +1441,9 @@ func (c *Controller) buildRequestInto(ce *dag.CE, args []ArgRef, accs []memmodel
 		if arr.estAgen != arr.gen || arr.estDgen != c.deadGen {
 			c.refreshEst(arr, workers)
 		}
-		est, mask, size := arr.est, arr.mask, arr.size
+		est, member, size := arr.est, arr.member, arr.size
 		for wi, w := range workers {
-			if int(w) < len(mask) && mask[w] {
+			if int(w) < len(member) && member[w] {
 				nodes[wi].UpToDate += size
 			} else {
 				nodes[wi].Transfer += size
@@ -1512,9 +1567,7 @@ func (c *Controller) HostRead(id dag.ArrayID) (sim.VirtualTime, error) {
 		// lockstep with the authoritative one and gains the copy too.
 		c.registerCopy(arr, cluster.ControllerID, arrival, true)
 		arr.hostVer = arr.cver
-		if _, ok := arr.member[cluster.ControllerID]; !ok {
-			arr.member[cluster.ControllerID] = struct{}{}
-			arr.maskSet(cluster.ControllerID)
+		if arr.addMember(cluster.ControllerID) {
 			arr.gen++
 		}
 		c.movedBytes += arr.size
@@ -1567,10 +1620,8 @@ func (c *Controller) HostWrite(id dag.ArrayID) (sim.VirtualTime, error) {
 	ce, depReady := c.addHostCE("host-write", dag.Access{Array: id, Mode: memmodel.Write})
 	clear(arr.upToDate)
 	arr.upToDate[cluster.ControllerID] = depReady
-	clear(arr.member)
-	arr.maskClearAll()
-	arr.member[cluster.ControllerID] = struct{}{}
-	arr.maskSet(cluster.ControllerID)
+	arr.clearMembers()
+	arr.addMember(cluster.ControllerID)
 	arr.gen++
 	// A host write starts a new root version: host data has no producer
 	// record, but the controller's buffer keeps holding it even after

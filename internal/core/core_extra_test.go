@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -390,6 +392,54 @@ func TestGanttAndDescribe(t *testing.T) {
 	}
 	if !strings.Contains(e.String(), "no CEs") {
 		t.Fatalf("empty gantt output: %q", e.String())
+	}
+}
+
+// A Pending makes its channel only for a waiter that finds it unresolved:
+// Wait, Done and OnDone from several goroutines racing resolve all see the
+// outcome, and a Pending resolved before anyone asks answers without one.
+func TestPendingLazyChannel(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		p := new(Pending)
+		var wg sync.WaitGroup
+		var hooked atomic.Int32
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				switch g % 3 {
+				case 0:
+					if end, err := p.Wait(); end != 9 || err != nil {
+						t.Errorf("Wait = %v, %v", end, err)
+					}
+				case 1:
+					<-p.Done()
+					if end, _ := p.Wait(); end != 9 {
+						t.Errorf("Wait after Done = %v", end)
+					}
+				default:
+					p.OnDone(func(end sim.VirtualTime, _ error) {
+						if end == 9 {
+							hooked.Add(1)
+						}
+					})
+				}
+			}(g)
+		}
+		p.resolve(9, nil)
+		wg.Wait()
+		if hooked.Load() != 1 {
+			t.Fatalf("round %d: hook ran %d times", round, hooked.Load())
+		}
+	}
+	done := new(Pending)
+	done.resolve(3, nil)
+	if end, err := done.Wait(); end != 3 || err != nil {
+		t.Fatalf("Wait on a resolved Pending = %v, %v", end, err)
+	}
+	<-done.Done()
+	if done.done != nil {
+		t.Fatal("a Pending resolved before anyone waited made a channel")
 	}
 }
 

@@ -186,19 +186,14 @@ func (c *Controller) RetireWorker(w cluster.NodeID) error {
 			// Migration failed: treat w's copy as lost and let lineage
 			// recompute the array on the survivors below.
 			delete(arr.upToDate, w)
-			delete(arr.member, w)
-			if int(w) < len(arr.mask) {
-				arr.mask[w] = false
-			}
+			arr.dropMember(w)
 			arr.gen++
 			lost = append(lost, arr.ID)
 			c.mu.Unlock()
 			continue
 		}
 		arr.upToDate[e.dst] = at
-		if _, ok := arr.member[e.dst]; !ok {
-			arr.member[e.dst] = struct{}{}
-			arr.maskSet(e.dst)
+		if arr.addMember(e.dst) {
 			arr.gen++
 		}
 		if at > c.elapsed {
@@ -216,11 +211,7 @@ func (c *Controller) RetireWorker(w cluster.NodeID) error {
 	for _, e := range plan {
 		arr := e.arr
 		delete(arr.upToDate, w)
-		if _, ok := arr.member[w]; ok {
-			delete(arr.member, w)
-			if int(w) < len(arr.mask) {
-				arr.mask[w] = false
-			}
+		if arr.dropMember(w) {
 			arr.gen++
 		}
 	}

@@ -146,9 +146,8 @@ func (c *Controller) recoverArrays(ids []dag.ArrayID) error {
 			// replaying the producer chain. Subsequent dispatches pull
 			// it worker→worker; no controller bounce, no replay.
 			arr.upToDate[arr.leaseNode] = arr.leaseAt
-			if len(arr.member) == 0 {
-				arr.member[arr.leaseNode] = struct{}{}
-				arr.maskSet(arr.leaseNode)
+			if !arr.hasMembers() {
+				arr.addMember(arr.leaseNode)
 				arr.gen++
 			}
 			c.recoveries++
@@ -285,9 +284,8 @@ func (c *Controller) executeRecovery(plan *recoveryPlan) error {
 		// The membership view belongs to the scheduler's timeline; only
 		// repair it where the loss emptied it, so admitted-but-undispatched
 		// predictions stay intact.
-		if len(arr.member) == 0 {
-			arr.member[l.node] = struct{}{}
-			arr.maskSet(l.node)
+		if !arr.hasMembers() {
+			arr.addMember(l.node)
 			arr.gen++
 		}
 		if l.t > c.elapsed {

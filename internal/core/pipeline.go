@@ -75,14 +75,17 @@ type job struct {
 	b *jobBatch
 }
 
-// jobBatch is one admitted window on its way through the FIFO. scheds is
-// the jobs' backing slab, recycled once the last job of the window has
-// resolved — a streamed job's *scheduled lives until its answer arrives,
-// past runBatch's loop — and left counts the jobs still unresolved.
+// jobBatch is one admitted window on its way through the FIFO; scheds is
+// the jobs' backing slab. The batch is recycled (putBatch) once two holds
+// are released: the last job of the window has resolved — a streamed
+// job's *scheduled lives until its answer arrives, past runBatch's loop —
+// and whoever worked through the window is done with it. left counts the
+// jobs still unresolved.
 type jobBatch struct {
 	jobs   []job
 	scheds []scheduled
 	left   atomic.Int32
+	holds  atomic.Int32
 	// from is the first job not yet worked through (runBatch): where the
 	// dispatcher goroutine takes over from the caller that admitted it.
 	from int
@@ -190,6 +193,7 @@ func (pl *pipeline) enqueueBatch(b *jobBatch, blocking bool) {
 		}
 		pl.work.Unlock()
 		if b.from == len(b.jobs) {
+			pl.release(b)
 			return
 		}
 	}
@@ -212,6 +216,7 @@ func (pl *pipeline) batchDispatcher() {
 			pl.work.Lock()
 			pl.handed.Add(int64(len(b.jobs) - b.from))
 			pl.runBatch(b, true)
+			pl.release(b)
 			// No further window queued, so about to sleep: a started launch
 			// left in a write buffer would never be answered.
 			if pl.queued.Add(-1) == 0 {
@@ -246,7 +251,7 @@ func (pl *pipeline) runBatch(b *jobBatch, wait bool) {
 }
 
 // resolved accounts one finished job of a window; the last one completes
-// the window and recycles its slab.
+// the window and releases its hold on it.
 func (pl *pipeline) resolved(j *job) {
 	b := j.b
 	if b.left.Add(-1) != 0 {
@@ -256,7 +261,14 @@ func (pl *pipeline) resolved(j *job) {
 	pl.completed += uint64(len(b.jobs))
 	pl.drainCond.Broadcast()
 	pl.mu.Unlock()
-	pl.c.putSchedSlab(b.scheds)
+	pl.release(b)
+}
+
+// release drops one of b's two holds; the second recycles it.
+func (pl *pipeline) release(b *jobBatch) {
+	if b.holds.Add(-1) == 0 {
+		putBatch(b)
+	}
 }
 
 // tryStart starts j on its target's stream if streamableLocked allows it

@@ -37,6 +37,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,14 +72,15 @@ func (o *OptCounters) Snapshot() OptStats {
 // OptStats reports the controller-wide optimizer counters.
 func (c *Controller) OptStats() OptStats { return c.optStats.Snapshot() }
 
-// winEntry is one parked, validated, not-yet-admitted CE.
+// winEntry is one parked, validated, not-yet-admitted CE. The window holds
+// entries by value and keeps its storage across flushes.
 type winEntry struct {
 	inv  Invocation
 	accs []memmodel.Access
 	// pend resolves when the CE dispatches; made at park time since
-	// Submit returns before flush, and held by value — one allocation
-	// instead of two on the per-CE admission path.
-	pend Pending
+	// Submit returns it before the flush. It is the one allocation the
+	// admission of a CE makes for its caller.
+	pend *Pending
 	// stats is the submitting session's counter block (nil for the
 	// direct embedded client).
 	stats *OptCounters
@@ -130,22 +132,21 @@ func (c *Controller) parkLocked(inv Invocation, stats *OptCounters, blocking boo
 	if err != nil {
 		return nil, err
 	}
-	e := &winEntry{inv: inv, accs: accs, stats: stats}
-	e.pend.done = make(chan struct{})
-	c.win = append(c.win, e)
+	pend := new(Pending)
+	c.win = append(c.win, winEntry{inv: inv, accs: accs, pend: pend, stats: stats})
 	if blocking || len(c.win) >= c.optWindow {
 		if err := c.flushWindowLocked(blocking); err != nil {
-			return &e.pend, err
+			return pend, err
 		}
 	}
-	return &e.pend, nil
+	return pend, nil
 }
 
 // failWindow resolves every entry's Pending with err. Nothing here has
 // been admitted to the DAG, so there is no CE state to unwind.
-func failWindow(entries []*winEntry, err error) {
-	for _, e := range entries {
-		e.pend.resolve(0, err)
+func failWindow(entries []winEntry, err error) {
+	for i := range entries {
+		entries[i].pend.resolve(0, err)
 	}
 }
 
@@ -159,11 +160,16 @@ func failWindow(entries []*winEntry, err error) {
 // failure; dispatch errors surface on Pendings and Drain.
 func (c *Controller) flushWindowLocked(blocking bool) error {
 	ws := c.win
-	c.win = nil
 	n := len(ws)
 	if n == 0 {
 		return nil
 	}
+	// Nothing parks while the window flushes (both hold subMu): the
+	// entries are read in place and the storage kept for the next window.
+	defer func() {
+		clear(ws)
+		c.win = ws[:0]
+	}()
 
 	c.mu.Lock()
 	err := c.pipe.err
@@ -179,7 +185,8 @@ func (c *Controller) flushWindowLocked(blocking bool) error {
 	}
 
 	schedStart := time.Now()
-	scheds := c.getSchedSlab(n)
+	b := getBatch(n, c.optWindow)
+	scheds := b.scheds
 
 	// Phase A: DAG admission in window order.
 	for i, e := range ws {
@@ -253,10 +260,8 @@ func (c *Controller) flushWindowLocked(blocking bool) error {
 	c.schedCEs += n
 	c.mu.Unlock()
 
-	b := &jobBatch{jobs: make([]job, n), scheds: scheds}
-	b.left.Store(int32(n))
 	for i := range ws {
-		b.jobs[i] = job{s: &scheds[i], p: &ws[i].pend, b: b}
+		b.jobs[i] = job{s: &scheds[i], p: ws[i].pend, b: b}
 	}
 	c.pipe.enqueueBatch(b, blocking)
 	return nil
@@ -301,37 +306,68 @@ func sameDataView(a, b *scheduled) bool {
 	}
 }
 
-// getSchedSlab pops a recycled scheduled slab (or allocates one with the
-// full window's capacity, so every slab fits every later window).
-func (c *Controller) getSchedSlab(n int) []scheduled {
-	c.schedSlabMu.Lock()
-	if k := len(c.schedSlabs); k > 0 && cap(c.schedSlabs[k-1]) >= n {
-		s := c.schedSlabs[k-1]
-		c.schedSlabs = c.schedSlabs[:k-1]
-		c.schedSlabMu.Unlock()
-		return s[:n]
-	}
-	c.schedSlabMu.Unlock()
-	return make([]scheduled, n, max(n, c.optWindow))
+// freeBatches recycles admitted windows, jobs and scheduled records
+// together. It is shared by every controller, so short-lived controllers —
+// a sweep runs one per cell — reuse each other's windows too. It keeps at
+// most maxFreeBatches: two controllers' worth of outstanding windows at
+// the default depth (a full FIFO, the window its dispatcher works through
+// and the one its submitter holds), so a controller's steady state never
+// runs the list dry. Unlike
+// a sync.Pool it keeps what it is given — a pool drops its contents at
+// every collection, and a random share of them under the race detector —
+// so a warmed controller's admission allocates the same under -race as
+// without (TestSubmitAllocBudget).
+var freeBatches struct {
+	sync.Mutex
+	list []*jobBatch
 }
 
-// putSchedSlab resets a fully dispatched slab and parks it for reuse.
-// The reset happens here — where the window's last job resolved, off the
-// scheduling stage's critical path — and keeps the per-CE scratch slices'
-// capacity, while zeroing every other field, so a parked slab pins no CE,
-// invocation or array and the next admission starts from a clean record.
-func (c *Controller) putSchedSlab(s []scheduled) {
-	for i := range s {
-		sc := &s[i]
+const maxFreeBatches = 2 * defaultPipelineDepth
+
+// getBatch returns a window of n jobs over n zeroed scheduled records
+// (whose scratch slices keep their capacity), with both holds taken.
+// window is the controller's window size, so a recycled batch fits every
+// later window of it.
+func getBatch(n, window int) *jobBatch {
+	var b *jobBatch
+	freeBatches.Lock()
+	if k := len(freeBatches.list); k > 0 {
+		b = freeBatches.list[k-1]
+		freeBatches.list[k-1] = nil
+		freeBatches.list = freeBatches.list[:k-1]
+	}
+	freeBatches.Unlock()
+	if b == nil {
+		b = new(jobBatch)
+	}
+	if cap(b.jobs) < n {
+		size := max(n, window)
+		b.jobs, b.scheds = make([]job, n, size), make([]scheduled, n, size)
+	}
+	b.jobs, b.scheds = b.jobs[:n], b.scheds[:n]
+	b.left.Store(int32(n))
+	b.holds.Store(2)
+	return b
+}
+
+// putBatch resets a finished window and parks it for reuse. It keeps the
+// per-CE scratch slices' capacity while zeroing every other field, so a
+// parked batch pins no CE, invocation, Pending or array and the next
+// admission starts from a clean record.
+func putBatch(b *jobBatch) {
+	for i := range b.scheds {
+		sc := &b.scheds[i]
 		arrs := sc.arrs[:0]
 		clear(arrs[:cap(arrs)]) // no retained array pointers
 		*sc = scheduled{upAtSched: sc.upAtSched[:0], outVers: sc.outVers[:0], arrs: arrs}
 	}
-	c.schedSlabMu.Lock()
-	if len(c.schedSlabs) < 4 {
-		c.schedSlabs = append(c.schedSlabs, s)
+	clear(b.jobs)
+	b.from, b.own = 0, false
+	freeBatches.Lock()
+	if len(freeBatches.list) < maxFreeBatches {
+		freeBatches.list = append(freeBatches.list, b)
 	}
-	c.schedSlabMu.Unlock()
+	freeBatches.Unlock()
 }
 
 // countEliminatedMove records a move-elimination skip on both counter

@@ -15,6 +15,11 @@
 // epoch-stamped marks on the vertices plus reusable scratch buffers
 // instead of per-call maps, and redundancy is resolved with one shared
 // backward traversal per Add rather than one DFS per candidate pair.
+// Vertices, per-array state, owner records and the first storage of every
+// adjacency, reader and access list come from per-graph chunked slabs
+// (slab.go), so even a short-lived graph — a sweep cell's few dozen CEs,
+// which never reach the retirement horizon and so never recycle — pays a
+// handful of allocations, not several per CE.
 //
 // The graph holds a CE only while something can still depend on it. Its
 // owner reports each CE complete (Complete); a complete vertex that is off
@@ -84,9 +89,11 @@ type Vertex struct {
 	candMark uint64
 	seenMark uint64
 
-	// own backs CE for CEs made by NewCE: one allocation per CE, and one
-	// object to recycle.
+	// own backs CE for CEs made by NewCE: one slab slot per CE, and one
+	// object to recycle. g is the graph the vertex belongs to (Record's
+	// slab).
 	own CE
+	g   *Graph
 
 	// Retirement state. refs counts the frontier slots naming the vertex
 	// (lastWriter or readers entry, per array); pending counts its children
@@ -166,6 +173,13 @@ const RetireHorizon = 4096
 // one wide fan-out does not pin its slices in the free list.
 const maxPooledEdges = 64
 
+// firstListCap is the least capacity a fresh child, reader or access list
+// takes from its slab: two, an output and an input, so a recycled CE of
+// the commonest kernels fits the next one's accesses without making every
+// held vertex bigger. A list that outgrows it moves to the heap, as append
+// does, and a recycled vertex keeps what it grew to.
+const firstListCap = 2
+
 // Graph is the CE dependency DAG. The zero value is not usable; call New.
 type Graph struct {
 	vertices map[CEID]*Vertex
@@ -189,15 +203,33 @@ type Graph struct {
 	// path performs no per-call slice or map allocation.
 	scratchCands []*Vertex
 	scratchStack []*Vertex
-	// scratchSplice is retire's merge buffer.
+	// scratchSplice is retire's merge buffer. scratchStates holds the
+	// array states Add's candidate pass looked up, for its frontier pass.
 	scratchSplice []*Vertex
+	scratchStates []*arrayState
+
+	// The slabs (slab.go). A list takes slab storage only while it has no
+	// capacity of its own — a fresh vertex's or array's first — so chunks
+	// are carved while the graph grows and recycling takes over after.
+	// freeArrays holds dropped arrays' states for reuse; records is
+	// Record's slab, of the owner's record type.
+	vertexSlab slab[Vertex]
+	arraySlab  slab[arrayState]
+	edgeSlab   slab[*Vertex]
+	accessSlab slab[Access]
+	freeArrays []*arrayState
+	records    any
 }
+
+// mapHint sizes a new graph's maps: a sweep cell's graph of a few dozen
+// CEs and arrays never rehashes, and a stream grows past it once.
+const mapHint = 64
 
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		vertices: make(map[CEID]*Vertex),
-		arrays:   make(map[ArrayID]*arrayState),
+		vertices: make(map[CEID]*Vertex, mapHint),
+		arrays:   make(map[ArrayID]*arrayState, mapHint),
 		nextID:   1,
 		horizon:  RetireHorizon,
 	}
@@ -241,11 +273,15 @@ func (g *Graph) NewCE(label string, accesses []Access, payload any) *CE {
 		v, g.free[n-1] = g.free[n-1], nil
 		g.free = g.free[:n-1]
 	} else {
-		v = new(Vertex)
+		v = g.vertexSlab.one()
+		v.g = g
 	}
 	ce := &v.own
 	v.CE, ce.v = ce, v
 	ce.ID, ce.Label = g.nextID, label
+	if cap(ce.Accesses) == 0 {
+		ce.Accesses = g.accessSlab.take(max(len(accesses), firstListCap))
+	}
 	ce.Accesses = append(ce.Accesses[:0], accesses...)
 	if payload != nil {
 		ce.Payload = payload
@@ -255,16 +291,25 @@ func (g *Graph) NewCE(label string, accesses []Access, payload any) *CE {
 }
 
 // Record returns the owner's per-CE record of type T for a CE fresh from
-// NewCE, zeroed: the one a recycled CE still carries, or a new one, which it
-// hangs on ce.Payload. Read it back with ce.Payload.(*T).
+// NewCE, zeroed: the one a recycled CE still carries, or a new one from the
+// graph's record slab, which it hangs on ce.Payload. Read it back with
+// ce.Payload.(*T). The slab holds one record type: a graph whose owner
+// keeps one kind of record (the controller, a worker runtime) allocates a
+// chunk per many CEs.
 func Record[T any](ce *CE) *T {
 	rec, ok := ce.Payload.(*T)
 	if ok {
 		*rec = *new(T)
-	} else {
-		rec = new(T)
-		ce.Payload = rec
+		return rec
 	}
+	g := ce.v.g
+	recs, ok := g.records.(*slab[T])
+	if !ok {
+		recs = new(slab[T])
+		g.records = recs
+	}
+	rec = recs.one()
+	ce.Payload = rec
 	return rec
 }
 
@@ -282,7 +327,8 @@ func (g *Graph) Add(ce *CE) []*Vertex {
 	}
 	v := ce.v
 	if v == nil { // a CE built by hand rather than by NewCE
-		v = &Vertex{CE: ce}
+		v = g.vertexSlab.one()
+		v.CE, v.g = ce, g
 		ce.v = v
 	}
 	g.epoch++
@@ -296,8 +342,10 @@ func (g *Graph) Add(ce *CE) []*Vertex {
 			cands = append(cands, c)
 		}
 	}
+	states := g.scratchStates[:0]
 	for _, acc := range ce.Accesses {
 		st := g.arrays[acc.Array]
+		states = append(states, st)
 		if st == nil {
 			continue
 		}
@@ -356,8 +404,14 @@ func (g *Graph) Add(ce *CE) []*Vertex {
 	// addEdges: the filtered candidates become the vertex's parent list
 	// (already sorted ascending).
 	if len(cands) > 0 {
+		if cap(v.parents) == 0 {
+			v.parents = g.edgeSlab.take(len(cands))
+		}
 		v.parents = append(v.parents[:0], cands...)
 		for _, p := range cands {
+			if cap(p.children) == 0 {
+				p.children = g.edgeSlab.take(firstListCap)
+			}
 			p.children = append(p.children, v)
 			p.pending++
 		}
@@ -369,11 +423,15 @@ func (g *Graph) Add(ce *CE) []*Vertex {
 
 	// updateFrontier: refresh per-array live accessors. A vertex a write
 	// displaces loses that frontier slot and may become retirable.
-	for _, acc := range ce.Accesses {
-		st := g.arrays[acc.Array]
+	for i, acc := range ce.Accesses {
+		st := states[i]
 		if st == nil {
-			st = new(arrayState)
-			g.arrays[acc.Array] = st
+			// New to the graph — unless an earlier access of this CE
+			// named the array too and made its state already.
+			if st = g.arrays[acc.Array]; st == nil {
+				st = g.newArrayState()
+				g.arrays[acc.Array] = st
+			}
 		}
 		if acc.Mode.Writes() {
 			g.releaseReaders(st)
@@ -386,11 +444,15 @@ func (g *Graph) Add(ce *CE) []*Vertex {
 			// Only v is appended during this Add, so a second read of
 			// the same array can only find v as the last entry.
 			if n := len(st.readers); n == 0 || st.readers[n-1] != v {
+				if cap(st.readers) == 0 {
+					st.readers = g.edgeSlab.take(firstListCap)
+				}
 				st.readers = append(st.readers, v)
 				v.refs++
 			}
 		}
 	}
+	g.scratchStates = states[:0] // the states stay the graph's; nothing to clear
 	g.sweep()
 
 	return v.parents
@@ -423,7 +485,23 @@ func (g *Graph) DropArray(id ArrayID) {
 	delete(g.arrays, id)
 	g.releaseReaders(st)
 	g.release(st.lastWriter)
+	st.lastWriter, st.readers = nil, pooled(st.readers)
+	if len(g.freeArrays) < RetireHorizon { // as many as the vertex free list
+		g.freeArrays = append(g.freeArrays, st)
+	}
 	g.sweep()
+}
+
+// newArrayState returns an empty array state: a dropped array's, whose
+// reader list keeps its storage, or a fresh one from the slab.
+func (g *Graph) newArrayState() *arrayState {
+	if n := len(g.freeArrays); n > 0 {
+		st := g.freeArrays[n-1]
+		g.freeArrays[n-1] = nil
+		g.freeArrays = g.freeArrays[:n-1]
+		return st
+	}
+	return g.arraySlab.one()
 }
 
 // Complete records that ce has finished: its owner will not ask for it by
@@ -490,7 +568,7 @@ func (g *Graph) retire(v *Vertex) {
 		return // a burst retired more than a stream will reuse; let it go
 	}
 	accs, payload := v.own.Accesses, v.own.Payload
-	*v = Vertex{parents: pooled(v.parents), children: pooled(v.children)}
+	*v = Vertex{parents: pooled(v.parents), children: pooled(v.children), g: g}
 	v.own.Accesses, v.own.Payload = accs[:0], payload
 	g.free = append(g.free, v)
 }

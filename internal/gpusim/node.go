@@ -3,7 +3,6 @@ package gpusim
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"grout/internal/memmodel"
 	"grout/internal/sim"
@@ -60,17 +59,30 @@ type LaunchResult struct {
 	Pressure      float64
 }
 
-// Node is a simulated multi-GPU server with UVM-managed memory.
+// Node is a simulated multi-GPU server with UVM-managed memory. It is
+// driven by one caller at a time.
 type Node struct {
-	spec      NodeSpec
-	devices   []*Device
-	allocs    map[AllocID]*alloc
+	spec    NodeSpec
+	devices []*Device
+	allocs  map[AllocID]*alloc
+	// live lists the allocations in no particular order, for the walks
+	// that visit them all (victim selection); alloc.slot indexes it.
+	live      []*alloc
 	allocated memmodel.Bytes
 	nextID    AllocID
 	// prefetch and evict are the node's memory-management policies; the
 	// defaults reproduce the pre-policy simulator bit for bit.
 	prefetch PrefetchPolicy
 	evict    EvictionPolicy
+
+	// The launch step's storage, reused by every launch so that a launch
+	// allocates nothing: plans holds the launch's argument plans; epoch
+	// advances once per launch, and an allocation whose planMark equals
+	// it is a plan member (read-mostly arguments excepted), so membership
+	// needs no set; victims is evictVictims' heap.
+	plans   []argPlan
+	epoch   uint64
+	victims []victim
 }
 
 // NewNode builds a node from its specification, with the baseline
@@ -165,9 +177,16 @@ func (n *Node) Alloc(size memmodel.Bytes) (AllocID, error) {
 	}
 	id := n.nextID
 	n.nextID++
-	n.allocs[id] = newAlloc(id, size, len(n.devices))
-	n.allocated += size
+	n.insert(newAlloc(id, size, len(n.devices)))
 	return id, nil
+}
+
+// insert registers a new allocation.
+func (n *Node) insert(a *alloc) {
+	a.slot = len(n.live)
+	n.live = append(n.live, a)
+	n.allocs[a.id] = a
+	n.allocated += a.size
 }
 
 // AllocWithID creates an allocation under a caller-chosen ID (used by the
@@ -183,8 +202,7 @@ func (n *Node) AllocWithID(id AllocID, size memmodel.Bytes) error {
 		return fmt.Errorf("%w: %v + %v > %v", ErrHostMemoryExhausted,
 			n.allocated, size, n.spec.HostMemory)
 	}
-	n.allocs[id] = newAlloc(id, size, len(n.devices))
-	n.allocated += size
+	n.insert(newAlloc(id, size, len(n.devices)))
 	if id >= n.nextID {
 		n.nextID = id + 1
 	}
@@ -202,6 +220,10 @@ func (n *Node) Free(id AllocID) error {
 	}
 	n.allocated -= a.size
 	delete(n.allocs, id)
+	last := n.live[len(n.live)-1]
+	n.live[a.slot], last.slot = last, a.slot
+	n.live[len(n.live)-1] = nil
+	n.live = n.live[:len(n.live)-1]
 	return nil
 }
 
@@ -290,8 +312,8 @@ func (n *Node) Launch(dev, streamIdx int, k KernelCost, args []ArgBinding, ready
 	}
 
 	var working int64
-	for _, p := range plans {
-		working += p.touched
+	for i := range plans {
+		working += plans[i].touched
 	}
 	capacity := d.CapacityPages()
 
@@ -315,7 +337,8 @@ func (n *Node) Launch(dev, streamIdx int, k KernelCost, args []ArgBinding, ready
 	// Ask the prefetch policy what share of each plan's traffic it moves
 	// ahead of the access front, and how far that shifts the collapse
 	// threshold. Decisions see the allocation's online fault history.
-	for _, p := range plans {
+	for i := range plans {
+		p := &plans[i]
 		p.dec = n.prefetch.Decide(p.view(pressure)).normalize()
 	}
 
@@ -367,7 +390,8 @@ func (n *Node) Launch(dev, streamIdx int, k KernelCost, args []ArgBinding, ready
 	// Feed the online history ring: what each allocation's launch looked
 	// like to the fault engine. Recorded under every policy — the ring is
 	// observability; it never changes baseline costs.
-	for _, p := range plans {
+	for i := range plans {
+		p := &plans[i]
 		p.a.hist.record(FaultRecord{
 			Time:    interval.End,
 			Device:  dev,
@@ -390,22 +414,26 @@ func (n *Node) Launch(dev, streamIdx int, k KernelCost, args []ArgBinding, ready
 }
 
 // buildPlans validates bindings and computes per-allocation touch/miss
-// figures against the target device.
-func (n *Node) buildPlans(dev int, args []ArgBinding) ([]*argPlan, error) {
-	byAlloc := make(map[AllocID]*argPlan)
-	var order []*argPlan
+// figures against the target device, one plan per allocation in order of
+// first binding. The plans live in the node's slab: valid until the next
+// launch.
+func (n *Node) buildPlans(dev int, args []ArgBinding) ([]argPlan, error) {
+	plans := n.plans[:0]
 	for _, b := range args {
 		a, ok := n.allocs[b.Alloc]
 		if !ok {
 			return nil, fmt.Errorf("gpusim: launch references unknown allocation %d", b.Alloc)
 		}
 		acc := b.Access.Normalize()
-		p, seen := byAlloc[b.Alloc]
-		if !seen {
-			p = &argPlan{a: a, access: acc, peerDev: hostLocation}
-			byAlloc[b.Alloc] = p
-			order = append(order, p)
+		// A kernel binds a handful of arrays: a scan beats a map.
+		i := 0
+		for i < len(plans) && plans[i].a != a {
+			i++
+		}
+		if i == len(plans) {
+			plans = append(plans, argPlan{a: a, access: acc, peerDev: hostLocation})
 		} else {
+			p := &plans[i]
 			// Merge: widen the mode, keep the costlier pattern, the
 			// larger fraction and the larger pass count.
 			if acc.Mode.Writes() && !p.access.Mode.Writes() {
@@ -426,7 +454,9 @@ func (n *Node) buildPlans(dev int, args []ArgBinding) ([]*argPlan, error) {
 			}
 		}
 	}
-	for _, p := range order {
+	n.plans = plans
+	for i := range plans {
+		p := &plans[i]
 		p.touched = p.access.TouchedPages(p.a.size)
 		hits := p.a.residentOn[dev]
 		if hits > p.touched {
@@ -452,7 +482,7 @@ func (n *Node) buildPlans(dev int, args []ArgBinding) ([]*argPlan, error) {
 		}
 		p.missHost = miss
 	}
-	return order, nil
+	return plans, nil
 }
 
 // allocationPressure is the node-level oversubscription factor: live UVM
@@ -473,7 +503,7 @@ const residentTolerance = 1.02
 // is the byte-weighted mean of the per-pattern thresholds, so a kernel
 // dominated by a dense sweep tolerates more oversubscription than one
 // dominated by random access.
-func (n *Node) classify(plans []*argPlan, pressure float64) Regime {
+func (n *Node) classify(plans []argPlan, pressure float64) Regime {
 	if pressure <= residentTolerance {
 		return Resident
 	}
@@ -486,9 +516,10 @@ func (n *Node) classify(plans []*argPlan, pressure float64) Regime {
 // weightedThreshold is the byte-weighted mean of the per-pattern collapse
 // thresholds over the kernel's arguments, each scaled by the prefetch
 // policy's threshold shift (1 under the baseline).
-func weightedThreshold(plans []*argPlan) float64 {
+func weightedThreshold(plans []argPlan) float64 {
 	var weighted, total float64
-	for _, p := range plans {
+	for i := range plans {
+		p := &plans[i]
 		w := float64(p.touched)
 		weighted += w * collapseThreshold(p.access.Pattern) * p.dec.ThresholdScale
 		total += w
@@ -505,7 +536,7 @@ func weightedThreshold(plans []*argPlan) float64 {
 // with compute (zero under the baseline, whose demand paging serializes
 // everything); prefetched is the byte share of migrated carried by that
 // overlap, so the caller does not book it on the copy engine twice.
-func (n *Node) memoryCost(d *Device, plans []*argPlan, regime Regime, working, capacity int64, pressure float64) (memTime, overlap sim.VirtualTime, migrated, prefetched, evicted memmodel.Bytes) {
+func (n *Node) memoryCost(d *Device, plans []argPlan, regime Regime, working, capacity int64, pressure float64) (memTime, overlap sim.VirtualTime, migrated, prefetched, evicted memmodel.Bytes) {
 	overflow := working - capacity
 	if overflow < 0 {
 		overflow = 0
@@ -518,7 +549,8 @@ func (n *Node) memoryCost(d *Device, plans []*argPlan, regime Regime, working, c
 			stormPenalty = pressure / w
 		}
 	}
-	for _, p := range plans {
+	for i := range plans {
+		p := &plans[i]
 		eff := batchEfficiency(p.access.Pattern)
 		passes := int64(p.access.Passes)
 		writes := p.access.Mode.Writes()
@@ -591,8 +623,9 @@ func (n *Node) memoryCost(d *Device, plans []*argPlan, regime Regime, working, c
 
 // allPreferredHere reports whether every argument allocation is advised to
 // prefer the launch device (the hand-tuned prefetch scenario).
-func (n *Node) allPreferredHere(plans []*argPlan, dev int) bool {
-	for _, p := range plans {
+func (n *Node) allPreferredHere(plans []argPlan, dev int) bool {
+	for i := range plans {
+		p := &plans[i]
 		if p.a.advise != AdvisePreferredLocation || p.a.preferred != dev {
 			return false
 		}
@@ -605,16 +638,19 @@ func (n *Node) allPreferredHere(plans []*argPlan, dev int) bool {
 // allocations in the eviction policy's victim order first), dirty bits
 // reflect write accesses, and the policy's retention decision governs how
 // much of its share each plan keeps behind the access front.
-func (n *Node) applyResidency(d *Device, plans []*argPlan, working, capacity int64, regime Regime, pressure float64, now sim.VirtualTime) {
+func (n *Node) applyResidency(d *Device, plans []argPlan, working, capacity int64, regime Regime, pressure float64, now sim.VirtualTime) {
 	dev := d.index
-	inPlan := make(map[AllocID]bool, len(plans))
-	var planned int64
-	for _, p := range plans {
+	// Mark the plan members and sum what they want and already hold.
+	n.epoch++
+	var planned, held int64
+	for i := range plans {
+		p := &plans[i]
 		if p.a.advise == AdviseReadMostly && !p.access.Mode.Writes() {
 			continue // read-duplicated: does not claim residency
 		}
-		inPlan[p.a.id] = true
+		p.a.planMark = n.epoch
 		planned += p.touched
+		held += p.a.residentOn[dev]
 	}
 
 	// Evict bystanders until the plan's resident target fits.
@@ -622,18 +658,19 @@ func (n *Node) applyResidency(d *Device, plans []*argPlan, working, capacity int
 	if target > capacity {
 		target = capacity
 	}
-	bystanders := d.residentPages - n.residentOfPlans(dev, inPlan)
-	free := capacity - bystanders - n.residentOfPlans(dev, inPlan)
-	need := target - n.residentOfPlans(dev, inPlan)
+	bystanders := d.residentPages - held
+	free := capacity - bystanders - held
+	need := target - held
 	if need > free {
-		n.evictVictims(d, inPlan, need-free, now)
+		n.evictVictims(d, need-free, now)
 	}
 
 	// Distribute residency among plan allocations. If everything fits
 	// each keeps its touched set; otherwise they share capacity
 	// proportionally (the cycling steady state). The eviction policy may
 	// scale a plan's share down — self-eviction behind a dense front.
-	for _, p := range plans {
+	for i := range plans {
+		p := &plans[i]
 		if p.a.advise == AdviseReadMostly && !p.access.Mode.Writes() {
 			p.a.lastUse[dev] = now
 			continue
@@ -655,15 +692,6 @@ func (n *Node) applyResidency(d *Device, plans []*argPlan, working, capacity int
 		d.pagesMigratedIn += p.missHost + p.missPeer
 		p.a.checkInvariants()
 	}
-}
-
-// residentOfPlans sums current device residency of the plan allocations.
-func (n *Node) residentOfPlans(dev int, inPlan map[AllocID]bool) int64 {
-	var sum int64
-	for id := range inPlan {
-		sum += n.allocs[id].residentOn[dev]
-	}
-	return sum
 }
 
 // setResident adjusts an allocation's residency on a device. When pages
@@ -720,55 +748,98 @@ func (n *Node) setResident(d *Device, a *alloc, pages int64) {
 	d.residentPages += moved
 }
 
-// evictVictims evicts up to need pages of bystander allocations (not in
-// the current plan), in the eviction policy's victim order — least
-// recently used first under the baseline. Pinned allocations
+// victim is an eviction candidate with its order key, computed once.
+type victim struct {
+	a       *alloc
+	rank    float64
+	lastUse sim.VirtualTime
+}
+
+// before is the victim order: the policy's rank, then least recently
+// used, then allocation ID. The ID makes it a strict total order, so the
+// victims evicted do not depend on the order they were gathered in.
+func (v *victim) before(w *victim) bool {
+	if v.rank != w.rank {
+		return v.rank < w.rank
+	}
+	if v.lastUse != w.lastUse {
+		return v.lastUse < w.lastUse
+	}
+	return v.a.id < w.a.id
+}
+
+// evictVictims evicts up to need pages of bystander allocations (not
+// marked as members of the current plan), in the eviction policy's victim
+// order — least recently used first under the baseline. Pinned allocations
 // (AdvisePreferredLocation on this device) and plan members are never
 // victims regardless of policy: the node enforces that invariant here so
 // a buggy policy cannot break it. Dirty pages count as write-backs.
-func (n *Node) evictVictims(d *Device, inPlan map[AllocID]bool, need int64, now sim.VirtualTime) {
+//
+// Candidates are ranked once and popped from a heap, so a launch that
+// needs one victim's pages pays for one pop, not a sort of every resident
+// allocation.
+func (n *Node) evictVictims(d *Device, need int64, now sim.VirtualTime) {
 	dev := d.index
-	type victim struct {
-		a    *alloc
-		view VictimView
-	}
-	var victims []victim
-	for _, a := range n.allocs {
-		if inPlan[a.id] || a.residentOn[dev] == 0 {
+	h := n.victims[:0]
+	for _, a := range n.live {
+		if a.planMark == n.epoch || a.residentOn[dev] == 0 {
 			continue
 		}
 		if a.advise == AdvisePreferredLocation && a.preferred == dev {
 			continue // pinned
 		}
-		victims = append(victims, victim{a: a, view: VictimView{
+		h = append(h, victim{a: a, lastUse: a.lastUse[dev], rank: n.evict.Rank(VictimView{
 			Alloc:    a.id,
 			LastUse:  a.lastUse[dev],
 			Resident: a.residentOn[dev],
 			Dirty:    a.dirtyOn[dev],
 			Hist:     &a.hist,
-		}})
+		})})
 	}
-	sort.Slice(victims, func(i, j int) bool {
-		return n.evict.Less(victims[i].view, victims[j].view)
-	})
-	for _, v := range victims {
-		if need <= 0 {
-			return
-		}
-		take := v.a.residentOn[dev]
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for need > 0 && len(h) > 0 {
+		a := h[0].a
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		siftDown(h, 0)
+
+		take := a.residentOn[dev]
 		if take > need {
 			take = need
 		}
-		dirtyDrop := v.a.dirtyOn[dev]
-		v.a.residentOn[dev] -= take
-		if v.a.dirtyOn[dev] > v.a.residentOn[dev] {
-			d.pagesWrittenBack += dirtyDrop - v.a.residentOn[dev]
-			v.a.dirtyOn[dev] = v.a.residentOn[dev]
+		dirtyDrop := a.dirtyOn[dev]
+		a.residentOn[dev] -= take
+		if a.dirtyOn[dev] > a.residentOn[dev] {
+			d.pagesWrittenBack += dirtyDrop - a.residentOn[dev]
+			a.dirtyOn[dev] = a.residentOn[dev]
 		}
 		d.residentPages -= take
 		d.pagesEvicted += take
 		need -= take
-		v.a.checkInvariants()
+		a.checkInvariants()
+	}
+	clear(h[:cap(h)]) // hold no allocation past the launch
+	n.victims = h[:0]
+}
+
+// siftDown restores the min-heap property (by victim order) below i.
+func siftDown(h []victim, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l].before(&h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(&h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
 }
 

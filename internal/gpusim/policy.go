@@ -195,10 +195,11 @@ type EvictionPolicy interface {
 	// lower values self-evict behind the access front, freeing capacity
 	// for allocations that will actually re-hit it.
 	Retention(view PlanView, regime Regime) float64
-	// Less orders eviction victims: pages of a are evicted before pages
-	// of b. Must be a strict weak ordering; ties on every signal should
-	// fall back to VictimView.Alloc for determinism.
-	Less(a, b VictimView) bool
+	// Rank orders eviction victims: pages of a lower-ranked allocation
+	// are evicted first. The node asks once per candidate per eviction and
+	// breaks equal ranks by least recent use, then by lower allocation ID,
+	// so the victim order is deterministic whatever the policy.
+	Rank(v VictimView) float64
 }
 
 // clampRetention keeps policy output in [0,1].
@@ -281,12 +282,8 @@ func (lruEviction) Name() string { return "lru" }
 
 func (lruEviction) Retention(PlanView, Regime) float64 { return 1 }
 
-func (lruEviction) Less(a, b VictimView) bool {
-	if a.LastUse != b.LastUse {
-		return a.LastUse < b.LastUse
-	}
-	return a.Alloc < b.Alloc
-}
+// Rank is flat: the node's least-recently-used tie-break decides.
+func (lruEviction) Rank(VictimView) float64 { return 0 }
 
 // streamEviction self-evicts behind dense access fronts: a single-pass
 // sweep's pages are dead the moment the front passes them, so retaining
@@ -306,16 +303,8 @@ func (streamEviction) Retention(v PlanView, regime Regime) float64 {
 	return 1
 }
 
-func (streamEviction) Less(a, b VictimView) bool {
-	as, bs := denseShareOf(a.Hist), denseShareOf(b.Hist)
-	if as != bs {
-		return as > bs // sweep-dominated allocations evict first
-	}
-	if a.LastUse != b.LastUse {
-		return a.LastUse < b.LastUse
-	}
-	return a.Alloc < b.Alloc
-}
+// Rank puts sweep-dominated allocations first.
+func (streamEviction) Rank(v VictimView) float64 { return -denseShareOf(v.Hist) }
 
 // workingSetEviction keeps hot random-access working sets pinned: victim
 // ordering evicts the least-frequently-launched allocations first, and
@@ -332,16 +321,8 @@ func (workingSetEviction) Retention(v PlanView, regime Regime) float64 {
 	return 0.5
 }
 
-func (workingSetEviction) Less(a, b VictimView) bool {
-	af, bf := launchesOf(a.Hist), launchesOf(b.Hist)
-	if af != bf {
-		return af < bf // cold allocations evict first
-	}
-	if a.LastUse != b.LastUse {
-		return a.LastUse < b.LastUse
-	}
-	return a.Alloc < b.Alloc
-}
+// Rank puts cold (least frequently launched) allocations first.
+func (workingSetEviction) Rank(v VictimView) float64 { return float64(launchesOf(v.Hist)) }
 
 func denseShareOf(h *AllocHistory) float64 {
 	if h == nil {

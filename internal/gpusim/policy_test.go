@@ -291,7 +291,9 @@ func TestEvictVictimsSkipsPinnedAndPlan(t *testing.T) {
 			byBefore := n.ResidentPagesOf(bystander, 0)
 
 			need := byBefore / 2
-			n.evictVictims(d, map[AllocID]bool{planMember: true}, need, 0)
+			n.epoch++
+			n.allocs[planMember].planMark = n.epoch
+			n.evictVictims(d, need, 0)
 
 			if got := n.ResidentPagesOf(pinned, 0); got != pinnedBefore {
 				t.Errorf("pinned pages evicted: %d -> %d", pinnedBefore, got)

@@ -78,15 +78,20 @@ type alloc struct {
 	// hist is the online fault/reuse history ring feeding adaptive
 	// prefetch and eviction policies.
 	hist AllocHistory
+	// slot is the allocation's index in Node.live; planMark equals
+	// Node.epoch while it is a member of the launch in progress.
+	slot     int
+	planMark uint64
 }
 
 func newAlloc(id AllocID, size memmodel.Bytes, devices int) *alloc {
+	counts := make([]int64, 2*devices)
 	return &alloc{
 		id:         id,
 		size:       size,
 		pages:      size.Pages(),
-		residentOn: make([]int64, devices),
-		dirtyOn:    make([]int64, devices),
+		residentOn: counts[:devices:devices],
+		dirtyOn:    counts[devices:],
 		lastUse:    make([]sim.VirtualTime, devices),
 		preferred:  hostLocation,
 	}

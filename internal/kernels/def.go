@@ -224,11 +224,19 @@ func (r *Registry) Names() []string {
 	return names
 }
 
+// stdDefs is the native kernel library, built (its signatures parsed) once
+// per process. A Def is immutable once built, so every StdRegistry shares
+// these read-only; what a registry adds or replaces stays in its own map.
+var stdDefs = sync.OnceValue(stdlib)
+
 // StdRegistry returns a fresh registry pre-loaded with the native kernel
 // library (the "pre-compiled kernels" path of the paper's buildkernel).
+// Registries are independent: a kernel registered in one is absent from
+// every other.
 func StdRegistry() *Registry {
-	r := NewRegistry()
-	for _, d := range stdlib() {
+	defs := stdDefs()
+	r := &Registry{defs: make(map[string]*Def, len(defs)), srcCache: make(map[string]string)}
+	for _, d := range defs {
 		if err := r.Register(d); err != nil {
 			panic(err) // stdlib duplicates are a programming error
 		}

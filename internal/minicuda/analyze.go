@@ -1,6 +1,7 @@
 package minicuda
 
 import (
+	"grout/internal/kernels"
 	"grout/internal/memmodel"
 )
 
@@ -58,7 +59,30 @@ type analysis struct {
 	access []memmodel.Access
 	// ops estimates per-thread operation count given the scalar
 	// arguments (loop bounds are often scalar parameters).
-	ops func(scalarOf func(name string) (float64, bool)) float64
+	ops func(args scalarArgs) float64
+}
+
+// scalarArgs resolves a launch's scalar parameters by name: the kernel's
+// parameters beside the launch's argument metadata. It is passed by value,
+// so pricing a launch allocates nothing.
+type scalarArgs struct {
+	params []Param
+	meta   []kernels.ArgMeta
+	// looked, when set, records that the estimate consulted an argument.
+	looked *bool
+}
+
+// lookup returns the value of the named scalar parameter.
+func (a scalarArgs) lookup(name string) (float64, bool) {
+	if a.looked != nil {
+		*a.looked = true
+	}
+	for i, p := range a.params {
+		if p.Name == name && !p.Pointer && i < len(a.meta) {
+			return a.meta[i].Scalar, true
+		}
+	}
+	return 0, false
 }
 
 // analyzer walks the kernel body.
@@ -385,8 +409,19 @@ func isBlockBase(e Expr) bool {
 // opsEstimator builds a per-thread operation-count estimate. Loops whose
 // bound is a scalar parameter multiply by that parameter's runtime value;
 // loops with constant bounds multiply by the constant; anything else uses
-// a fixed factor.
-func opsEstimator(k *Kernel) func(scalarOf func(string) (float64, bool)) float64 {
+// a fixed factor. A kernel with no loop bounded by a scalar parameter has
+// one estimate for every launch, worked out here once.
+func opsEstimator(k *Kernel) func(args scalarArgs) float64 {
+	est := opsWalker(k)
+	var looked bool
+	if ops := est(scalarArgs{looked: &looked}); !looked {
+		return func(scalarArgs) float64 { return ops }
+	}
+	return est
+}
+
+// opsWalker is opsEstimator's walk over the kernel body, run per estimate.
+func opsWalker(k *Kernel) func(args scalarArgs) float64 {
 	const unknownLoopFactor = 8
 	scalarParams := make(map[string]bool)
 	for _, p := range k.Params {
@@ -399,7 +434,7 @@ func opsEstimator(k *Kernel) func(scalarOf func(string) (float64, bool)) float64
 	// acyclic by construction).
 	funcOps := make(map[string]float64, len(k.funcs))
 
-	var countStmts func(stmts []Stmt, scalarOf func(string) (float64, bool)) float64
+	var countStmts func(stmts []Stmt, args scalarArgs) float64
 	var countExpr func(e Expr) float64
 
 	countExpr = func(e Expr) float64 {
@@ -432,7 +467,7 @@ func opsEstimator(k *Kernel) func(scalarOf func(string) (float64, bool)) float64
 		}
 	}
 
-	loopTrips := func(f *ForStmt, scalarOf func(string) (float64, bool)) float64 {
+	loopTrips := func(f *ForStmt, args scalarArgs) float64 {
 		cond, ok := f.Cond.(*BinaryExpr)
 		if !ok {
 			return unknownLoopFactor
@@ -448,7 +483,7 @@ func opsEstimator(k *Kernel) func(scalarOf func(string) (float64, bool)) float64
 			}
 		case *IdentExpr:
 			if scalarParams[b.Name] {
-				if v, ok := scalarOf(b.Name); ok && v > 0 {
+				if v, ok := args.lookup(b.Name); ok && v > 0 {
 					return v
 				}
 			}
@@ -456,7 +491,7 @@ func opsEstimator(k *Kernel) func(scalarOf func(string) (float64, bool)) float64
 		return unknownLoopFactor
 	}
 
-	countStmts = func(stmts []Stmt, scalarOf func(string) (float64, bool)) float64 {
+	countStmts = func(stmts []Stmt, args scalarArgs) float64 {
 		var n float64
 		for _, s := range stmts {
 			switch st := s.(type) {
@@ -474,13 +509,13 @@ func opsEstimator(k *Kernel) func(scalarOf func(string) (float64, bool)) float64
 			case *IfStmt:
 				n += countExpr(st.Cond)
 				// Both branches may run across threads; average them.
-				n += (countStmts(st.Then, scalarOf) + countStmts(st.Else, scalarOf)) / 2
+				n += (countStmts(st.Then, args) + countStmts(st.Else, args)) / 2
 			case *ForStmt:
-				trips := loopTrips(st, scalarOf)
-				body := countStmts(st.Body, scalarOf) + 2 // cond+post
+				trips := loopTrips(st, args)
+				body := countStmts(st.Body, args) + 2 // cond+post
 				n += trips * body
 			case *WhileStmt:
-				n += unknownLoopFactor * (countStmts(st.Body, scalarOf) + 1)
+				n += unknownLoopFactor * (countStmts(st.Body, args) + 1)
 			case *ExprStmt:
 				n += countExpr(st.X)
 			case *ReturnStmt:
@@ -492,7 +527,7 @@ func opsEstimator(k *Kernel) func(scalarOf func(string) (float64, bool)) float64
 		return n
 	}
 
-	return func(scalarOf func(string) (float64, bool)) float64 {
+	return func(args scalarArgs) float64 {
 		// Resolve helper costs bottom-up each evaluation (loop bounds may
 		// reference scalar parameters).
 		for name := range funcOps {
@@ -514,12 +549,12 @@ func opsEstimator(k *Kernel) func(scalarOf func(string) (float64, bool)) float64
 					}
 				}
 				if ready {
-					funcOps[name] = countStmts(f.Body, scalarOf)
+					funcOps[name] = countStmts(f.Body, args)
 					progress = true
 				}
 			}
 		}
-		ops := countStmts(k.Body, scalarOf)
+		ops := countStmts(k.Body, args)
 		if ops < 1 {
 			ops = 1
 		}

@@ -162,19 +162,6 @@ func buildDef(k *Kernel, signature string, opts EngineOpts) (*kernels.Def, error
 		}
 	}
 
-	// scalarOf resolves a scalar parameter's runtime value from argument
-	// metadata, for loop-bound-dependent cost estimates.
-	scalarOf := func(meta []kernels.ArgMeta) func(string) (float64, bool) {
-		return func(name string) (float64, bool) {
-			for i, p := range kcopy.Params {
-				if p.Name == name && !p.Pointer && i < len(meta) {
-					return meta[i].Scalar, true
-				}
-			}
-			return 0, false
-		}
-	}
-
 	def := &kernels.Def{
 		Name: k.Name,
 		Sig:  sig,
@@ -185,7 +172,7 @@ func buildDef(k *Kernel, signature string, opts EngineOpts) (*kernels.Def, error
 			}
 			return kernels.Cost{
 				Elements:      threads,
-				OpsPerElement: an.ops(scalarOf(meta)),
+				OpsPerElement: an.ops(scalarArgs{params: kcopy.Params, meta: meta}),
 			}
 		},
 		AccessOf: func(meta []kernels.ArgMeta) []memmodel.Access {
