@@ -60,7 +60,6 @@ func main() {
 	level := flag.String("level", "medium", "exploration level for online policies")
 	partitions := flag.Int("partitions", 4, "portfolio partitions (CEs)")
 	elems := flag.Int("elems", 4096, "options per partition")
-	optWindow := flag.Int("optimize-window", 0, "lookahead optimizer window in CEs (0 = 32 default; negative = passes off, every CE admitted by itself; DESIGN.md §5.6)")
 	failover := flag.Bool("failover", false, "survive worker failures: reroute CEs and replay lost arrays from lineage (DESIGN.md §5.4)")
 	retries := flag.Int("retries", 0, "retry a transiently-failing worker this many times before writing it off")
 	retryBackoff := flag.Duration("retry-backoff", 0, "base retry delay, doubling per attempt (0 = 50ms default)")
@@ -75,8 +74,7 @@ func main() {
 	}
 	cfg := grout.Config{
 		Policy: *policyName, Level: *level,
-		OptimizeWindow: *optWindow,
-		Failover:       *failover, RetryAttempts: *retries, RetryBackoff: *retryBackoff,
+		Failover: *failover, RetryAttempts: *retries, RetryBackoff: *retryBackoff,
 		DialTimeout: *dialTimeout, CallTimeout: *callTimeout, ChunkTimeout: *chunkTimeout,
 	}
 

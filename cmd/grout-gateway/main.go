@@ -61,7 +61,6 @@ func main() {
 	shedDepth := flag.Int("shed-depth", 0, "class-0 shed threshold in queued launches per shard (0 disables shedding)")
 	queueDepth := flag.Int("queue-depth", 0, "per-session launch queue depth (0 = 64 default, negative = 1)")
 	failover := flag.Bool("failover", true, "survive worker failures via lineage recovery")
-	optWindow := flag.Int("optimize-window", 0, "lookahead optimizer window in CEs (0 = 32 default; negative = passes off, every CE admitted by itself; DESIGN.md §5.6)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "grout-gateway: ", log.LstdFlags)
@@ -73,11 +72,10 @@ func main() {
 	}
 
 	cfg := grout.Config{
-		Policy:         *pol,
-		Level:          *level,
-		Numeric:        true,
-		Failover:       *failover,
-		OptimizeWindow: *optWindow,
+		Policy:   *pol,
+		Level:    *level,
+		Numeric:  true,
+		Failover: *failover,
 	}
 	if *shards < 1 {
 		logger.Fatal("-shards must be positive")

@@ -116,7 +116,7 @@ func main() {
 	if sel("window") {
 		run("window", func() {
 			bench.PrintSeries(os.Stdout,
-				"Optimizer window: caller-blocked wall-clock per CE (µs) — serial vs pipelined vs pipelined+opt",
+				"Submission paths: caller-blocked wall-clock per CE (µs) — serial vs pipelined",
 				"nodes ->", "%.1f", bench.Fig9Compare(*ces))
 		})
 	}

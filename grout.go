@@ -102,13 +102,8 @@ type Config struct {
 	// after the scheduling decision, and Launch, HostRead and HostWrite
 	// wait where required (DESIGN.md §5.1).
 	Pipeline bool
-	// OptimizeWindow sizes the controller's lookahead optimizer window
-	// (DESIGN.md §5.6): submissions park until the window fills (or a
-	// synchronization point flushes it), then the whole batch is placed
-	// by one batched policy evaluation, and dispatch skips the moves the
-	// window proved redundant. 0 picks the
-	// default (DefaultOptimizeWindow); negative turns the passes off and
-	// admits every CE by itself (a window of one).
+	// Deprecated: ignored; every CE is admitted by itself (DESIGN.md
+	// §5.6).
 	OptimizeWindow int
 	// Failover makes the Controller survive worker failures: failed CEs
 	// reroute to survivors, and arrays whose only copy died are
@@ -135,31 +130,16 @@ type Config struct {
 	ChunkTimeout time.Duration
 }
 
-// DefaultOptimizeWindow is the lookahead window size used when
-// Config.OptimizeWindow is zero: large enough to amortize the batched
-// policy evaluation, small enough that parked work never waits long for a
-// synchronization point.
+// DefaultOptimizeWindow was the lookahead window's default size.
+//
+// Deprecated: unused; Config.OptimizeWindow is ignored.
 const DefaultOptimizeWindow = 32
-
-// optimizeWindow maps the Config convention (0 = default, negative =
-// disabled) onto core.Options' (positive = on, else off).
-func (c Config) optimizeWindow() int {
-	switch {
-	case c.OptimizeWindow < 0:
-		return 0
-	case c.OptimizeWindow == 0:
-		return DefaultOptimizeWindow
-	default:
-		return c.OptimizeWindow
-	}
-}
 
 // coreOptions builds the controller options shared by both deployments.
 func (c Config) coreOptions(numeric bool) core.Options {
 	opts := core.Options{
-		Numeric:        numeric,
-		OptimizeWindow: c.optimizeWindow(),
-		Failover:       c.Failover,
+		Numeric:  numeric,
+		Failover: c.Failover,
 		Retry: core.RetryPolicy{
 			Attempts: c.RetryAttempts,
 			Backoff:  c.RetryBackoff,

@@ -321,11 +321,9 @@ func Fig9(cesPerRun int) []Series {
 // stream: for each policy and node count, the wall-clock time the CE
 // stream is blocked per submission — Launch for the serial path
 // (scheduling + dispatch on the caller), Submit for the pipelined one
-// (scheduling only; dispatch overlaps with later admissions), and Submit
-// behind the lookahead optimizer window (batched placement, move
-// elimination). Three series per policy — "<policy>/serial",
-// "<policy>/pipelined" and "<policy>/pipelined+opt" — in microseconds
-// per CE.
+// (scheduling only; dispatch overlaps with later admissions). Two series
+// per policy — "<policy>/serial" and "<policy>/pipelined" — in
+// microseconds per CE.
 func Fig9Compare(cesPerRun int) []Series {
 	if cesPerRun <= 0 {
 		cesPerRun = 512
@@ -340,19 +338,17 @@ func Fig9Compare(cesPerRun int) []Series {
 	}
 	modes := []struct {
 		suffix string
-		window int
 		launch bool
 	}{
-		{"/serial", 0, true},
-		{"/pipelined", 0, false},
-		{"/pipelined+opt", 32, false},
+		{"/serial", true},
+		{"/pipelined", false},
 	}
 	var out []Series
 	for _, name := range names {
 		for _, mode := range modes {
 			s := Series{Name: name + mode.suffix}
 			for _, nodes := range Fig9NodeCounts {
-				us := submitWallClockProbe(nodes, cesPerRun, mk(name), mode.window, mode.launch)
+				us := submitWallClockProbe(nodes, cesPerRun, mk(name), mode.launch)
 				s.Points = append(s.Points, Point{X: float64(nodes), Value: us})
 			}
 			out = append(out, s)
@@ -365,10 +361,10 @@ func Fig9Compare(cesPerRun int) []Series {
 // caller is blocked submitting the Fig. 9 stream (the final drain is not
 // part of the per-CE admission cost and is excluded): by Launch, which
 // waits for each CE, or by Submit, which does not.
-func submitWallClockProbe(nodes, ces int, pol policy.Policy, window int, launch bool) float64 {
+func submitWallClockProbe(nodes, ces int, pol policy.Policy, launch bool) float64 {
 	clu := cluster.New(cluster.PaperSpec(nodes))
 	fab := core.NewLocalFabric(clu, kernels.StdRegistry(), false)
-	ctl := core.NewController(fab, pol, core.Options{OptimizeWindow: window})
+	ctl := core.NewController(fab, pol, core.Options{})
 	defer ctl.Close()
 	const arrays = 16
 	ids := make([]core.ArgRef, arrays)

@@ -30,13 +30,9 @@ func throughputCases() []throughputCase {
 // streamController builds the Fig. 9 probe system: a paper-spec cluster of
 // the given size and 16 × 16 MiB framework arrays.
 func streamController(nodes int, pol policy.Policy) (*core.Controller, []core.ArgRef) {
-	return streamControllerOpts(nodes, pol, core.Options{})
-}
-
-func streamControllerOpts(nodes int, pol policy.Policy, opts core.Options) (*core.Controller, []core.ArgRef) {
 	clu := cluster.New(cluster.PaperSpec(nodes))
 	fab := core.NewLocalFabric(clu, kernels.StdRegistry(), false)
-	ctl := core.NewController(fab, pol, opts)
+	ctl := core.NewController(fab, pol, core.Options{})
 	const arrays = 16
 	const elems = int64(16 * memmodel.MiB / 4)
 	ids := make([]core.ArgRef, arrays)
@@ -88,43 +84,31 @@ func BenchmarkControllerSubmitThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
-		// pipelined admission alone, and pipelined admission behind the
-		// lookahead optimizer window (batched placement, move elimination).
-		pipeOpts := []struct {
-			name string
-			opts core.Options
-		}{
-			{"pipelined", core.Options{}},
-			{"pipelined+opt", core.Options{OptimizeWindow: 32}},
-		}
-		for _, po := range pipeOpts {
-			opts := po.opts
-			b.Run(tc.name+"/"+po.name, func(b *testing.B) {
-				b.ReportAllocs()
-				ctl, ids := streamControllerOpts(tc.nodes, tc.pol(), opts)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i > 0 && i%resetEvery == 0 {
-						b.StopTimer()
-						if err := ctl.Close(); err != nil {
-							b.Fatal(err)
-						}
-						ctl, ids = streamControllerOpts(tc.nodes, tc.pol(), opts)
-						b.StartTimer()
-					}
-					if _, err := ctl.Submit(fig9Invocation(ids, i)); err != nil {
+		b.Run(tc.name+"/pipelined", func(b *testing.B) {
+			b.ReportAllocs()
+			ctl, ids := streamController(tc.nodes, tc.pol())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%resetEvery == 0 {
+					b.StopTimer()
+					if err := ctl.Close(); err != nil {
 						b.Fatal(err)
 					}
+					ctl, ids = streamController(tc.nodes, tc.pol())
+					b.StartTimer()
 				}
-				if err := ctl.Drain(); err != nil {
+				if _, err := ctl.Submit(fig9Invocation(ids, i)); err != nil {
 					b.Fatal(err)
 				}
-				b.StopTimer()
-				if err := ctl.Close(); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
+			}
+			if err := ctl.Drain(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := ctl.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

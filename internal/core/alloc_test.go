@@ -7,9 +7,9 @@ import (
 	"grout/internal/policy"
 )
 
-// What admitting and dispatching one CE may allocate on a warmed window-1
-// controller over a cost-only LocalFabric. The window keeps its storage,
-// admitted windows are recycled, a Pending's channel is only made for a CE
+// What admitting and dispatching one CE may allocate on a warmed
+// controller over a cost-only LocalFabric. Admitted jobs are recycled, a
+// Pending's channel is only made for a CE
 // someone waits on singly, and the DAGs and the UVM launch step allocate
 // nothing; what is left is the Pending the caller owns. A built kernel
 // (the sweep's mini-CUDA programs) adds nothing to it. A stdlib kernel

@@ -7,7 +7,7 @@ package core
 // synchronization points — over one shared controller, and its results
 // must be bit-identical to the same chain mirrored on host buffers. The
 // tenants launch by Launch (serial: each caller works through its own
-// windows) or by Submit (pipelined: the dispatcher goroutine does). Run
+// CEs) or by Submit (pipelined: the dispatcher goroutine does). Run
 // with -race (ci.sh's core sweep does).
 
 import (

@@ -172,16 +172,10 @@ type Options struct {
 	// follows from that (pipeline.go).
 	Pipeline bool
 	// PipelineDepth bounds the launches one worker may have started and
-	// not yet answered on a streaming fabric, and the admitted windows
-	// queued for the dispatcher before a submitter waits (default 64).
+	// not yet answered on a streaming fabric, and the admitted CEs queued
+	// for the dispatcher before a submitter waits (default 64).
 	PipelineDepth int
-	// OptimizeWindow, when positive, parks up to that many admitted CEs
-	// in a lookahead window and runs the optimizer passes — move
-	// elimination and batched placement — over the whole batch (see
-	// window.go and DESIGN.md §5.6). Zero or negative disables the
-	// passes: every CE is admitted and dispatched by itself, a window of
-	// one. Synchronization points (Drain, HostRead/HostWrite, FreeArray,
-	// SetPolicy, BuildKernel, Close, FlushWindow) flush a partial window.
+	// Deprecated: ignored; every CE is admitted by itself (admit.go).
 	OptimizeWindow int
 	// Workers, when non-nil, restricts the controller's initial scheduling
 	// membership to this subset of the fabric's fleet; the rest of the
@@ -266,7 +260,7 @@ func (p RetryPolicy) delay(n int, rng *rand.Rand) time.Duration {
 // submission order (the order that defines the schedule). Dispatch-side
 // state is guarded separately by mu: the dispatch stage — the controller's
 // one dispatcher goroutine, which Close stops, or a Launch working through
-// its own window — runs concurrently behind the submission lock.
+// its own CE — runs concurrently behind the submission lock.
 // Synchronizing operations (HostRead, HostWrite, FreeArray, SetPolicy,
 // BuildKernel, Drain and the drained readers) drain the pipeline under
 // subMu and therefore act as global barriers across all submitting
@@ -353,28 +347,10 @@ type Controller struct {
 	// pipe is the dispatch engine (pipeline.go).
 	pipe *pipeline
 
-	// The window (window.go): win holds the parked entries, at most
-	// optWindow ≥ 1 of them (guarded by subMu); windowed records that
-	// Options.OptimizeWindow asked for the optimizer passes — of which
-	// only move elimination, trusting the membership prediction to skip an
-	// argument's fabric round trip, could otherwise act on a window of one.
-	// optStats aggregates controller-wide optimizer counters.
-	optWindow int
-	windowed  bool
-	win       []winEntry
 	// stallPred caches the fabric's optional oversubscription predictor;
 	// nil when the fabric cannot see into worker memory (TCP transport),
 	// which degrades stall-aware policies to transfer-time ranking.
 	stallPred StallPredictor
-	optStats  OptCounters
-	// winReqs/winNodes are the batched policy evaluation's scratch —
-	// every request of a window alive at once, reused across windows
-	// (guarded by mu; policies may not retain them past AssignBatch).
-	winReqs  []policy.Request
-	winNodes []policy.NodeInfo
-	// winViews dedupes identical data views within one window's batched
-	// policy evaluation: view-key → first window index (guarded by mu).
-	winViews map[uint64]int
 
 	// totals
 	movedBytes memmodel.Bytes
@@ -425,7 +401,6 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 	for _, w := range fabric.Workers() {
 		c.memberLen = max(c.memberLen, int(w)+1)
 	}
-	c.optWindow, c.windowed = max(1, opts.OptimizeWindow), opts.OptimizeWindow > 0
 	c.stallPred, _ = fabric.(StallPredictor)
 	if opts.Retry.Jitter > 0 {
 		seed := opts.Retry.Seed
@@ -439,9 +414,8 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 	return c
 }
 
-// Close drains — the window is flushed first, so parked CEs still run —
-// stops the dispatcher and reports the first terminal error, if any. Later
-// submissions fail. Idempotent.
+// Close drains, stops the dispatcher and reports the first terminal error,
+// if any. Later submissions fail. Idempotent.
 func (c *Controller) Close() error {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
@@ -450,8 +424,8 @@ func (c *Controller) Close() error {
 	return err
 }
 
-// Drain flushes the optimizer window, waits until every submitted CE has
-// dispatched, and reports the first terminal error, if any.
+// Drain waits until every submitted CE has dispatched and reports the first
+// terminal error, if any.
 func (c *Controller) Drain() error {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
@@ -533,8 +507,8 @@ func (c *Controller) DeadWorkers() []cluster.NodeID {
 func (c *Controller) Policy() policy.Policy { return c.pol }
 
 // DispatcherJobs counts the CEs left to the dispatcher goroutine: those
-// the caller that admitted their window did not work through itself — on a
-// fabric without AsyncLauncher every CE of a window nobody waited for.
+// the caller that admitted them did not work through itself — on a fabric
+// without AsyncLauncher every CE nobody waited for.
 func (c *Controller) DispatcherJobs() int { return int(c.pipe.handed.Load()) }
 
 // SetPolicy swaps the inter-node policy (between workloads). It drains
@@ -745,11 +719,6 @@ type scheduled struct {
 	inv       Invocation
 	accs      []memmodel.Access
 	target    cluster.NodeID
-	// upAtSched[i] records, for array argument i, whether the target
-	// already held (or was already scheduled to receive) a valid copy
-	// when this CE was admitted — the dispatch stage waits for that copy
-	// instead of issuing a redundant move.
-	upAtSched []bool
 	// outVers[j] is the version recordLineage assigned to the j-th
 	// written array argument; commit publishes these as cver so aborted
 	// CEs (which bump ver but never commit) cannot desynchronize the
@@ -760,9 +729,6 @@ type scheduled struct {
 	// scalars), captured at admission under mu so the dispatch stage
 	// never reads the arrays map unlocked.
 	arrs []*GlobalArray
-	// stats is the submitting session's optimizer counter block (nil for
-	// the direct client).
-	stats *OptCounters
 }
 
 // validate checks an invocation against the kernel registry and returns
@@ -849,8 +815,8 @@ func (c *Controller) retireLocked() {
 	c.liveCEs.Store(int64(c.graph.Live()))
 }
 
-// sweepLocked is retireLocked at a synchronising point (a drain, a window
-// flush, Close), where no admission is about to do it. Caller holds subMu.
+// sweepLocked is retireLocked at a synchronising point (a drain, Close),
+// where no admission is about to do it. Caller holds subMu.
 func (c *Controller) sweepLocked() {
 	c.mu.Lock()
 	c.retireLocked()
@@ -862,15 +828,11 @@ func (c *Controller) sweepLocked() {
 // arrays collapse to it. This is what keeps scheduling decisions the same
 // however far dispatch lags behind.
 func (c *Controller) predictMembership(s *scheduled) {
-	if cap(s.upAtSched) < len(s.inv.Args) {
-		s.upAtSched = make([]bool, len(s.inv.Args))
-	}
 	if cap(s.arrs) < len(s.inv.Args) {
 		s.arrs = make([]*GlobalArray, len(s.inv.Args))
 	}
 	// Only array-argument slots are written and read; stale scratch in
 	// scalar slots is never consulted.
-	s.upAtSched = s.upAtSched[:len(s.inv.Args)]
 	s.arrs = s.arrs[:len(s.inv.Args)]
 	for i, a := range s.inv.Args {
 		if !a.IsArray {
@@ -879,9 +841,7 @@ func (c *Controller) predictMembership(s *scheduled) {
 		}
 		arr := c.arrays[a.Array]
 		s.arrs[i] = arr
-		up := arr.isMember(s.target)
-		s.upAtSched[i] = up
-		if !up && !skipOldBytes(s.accs, i) {
+		if !arr.isMember(s.target) && !skipOldBytes(s.accs, i) {
 			arr.addMember(s.target)
 			arr.gen++
 		}
@@ -901,13 +861,11 @@ func (c *Controller) predictMembership(s *scheduled) {
 // movements are issued (controller→worker or P2P), and the CE is forwarded
 // to the Worker's intra-node scheduler. Returns the CE's completion time.
 //
-// Launch is a synchronous call, so there is nothing to look ahead at: it
-// flushes the window it parked in and, with the dispatcher idle, works
-// through that window on its own goroutine. Use Submit to overlap
-// scheduling with dispatch.
+// Launch is a synchronous call: with the dispatcher idle it dispatches the
+// CE on its own goroutine. Use Submit to overlap scheduling with dispatch.
 func (c *Controller) Launch(inv Invocation) (sim.VirtualTime, error) {
 	c.subMu.Lock()
-	p, err := c.parkLocked(inv, nil, true)
+	p, err := c.admitLocked(inv, true)
 	c.subMu.Unlock()
 	if err != nil {
 		return 0, err
@@ -915,15 +873,14 @@ func (c *Controller) Launch(inv Invocation) (sim.VirtualTime, error) {
 	return p.Wait()
 }
 
-// Submit admits a kernel CE: it validates and parks it, and a full window
-// is admitted and handed to the dispatch engine (pipeline.go). It returns
-// as soon as that is done, having started what it could start at once.
-// Validation errors surface here; dispatch errors surface on the returned
-// Pending (and on Drain).
+// Submit admits a kernel CE and hands it to the dispatch engine
+// (pipeline.go). It returns as soon as that is done, having started the CE
+// if it could start at once. Validation errors surface here; dispatch
+// errors surface on the returned Pending (and on Drain).
 func (c *Controller) Submit(inv Invocation) (*Pending, error) {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
-	return c.parkLocked(inv, nil, false)
+	return c.admitLocked(inv, false)
 }
 
 // Pending is a submitted CE whose dispatch may still be in flight.
@@ -1028,7 +985,6 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 	depReady := c.depReady(s)
 
 	target := s.target
-	firstTry := true
 	var end, ready sim.VirtualTime
 	var moved memmodel.Bytes
 	var p2p int
@@ -1045,11 +1001,10 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 			}
 			req := c.buildRequest(s.ce, s.inv.Args, s.accs)
 			target = c.pol.Assign(req)
-			firstTry = false
 		}
 		c.mu.Unlock()
 
-		transferReady, m, p, err := c.ensureArgs(target, s, firstTry)
+		transferReady, m, p, err := c.ensureArgs(target, s)
 		if err == nil {
 			ready = sim.Max(depReady, transferReady)
 			moved, p2p = m, p
@@ -1064,7 +1019,6 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 		if retries < c.retry.Attempts && IsTransient(err) {
 			retries++
 			time.Sleep(c.retryDelay(retries))
-			firstTry = false
 			continue
 		}
 		if errorIsDataLoss(err) {
@@ -1075,7 +1029,6 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 			if c.failover && recoveries < maxRecoveryRounds {
 				recoveries++
 				if rerr := c.recoverLoss(err); rerr == nil {
-					firstTry = false
 					continue
 				} else {
 					err = rerr
@@ -1108,13 +1061,10 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 			c.commitError(s)
 			return 0, fmt.Errorf("core: no workers left after failover: %w", err)
 		}
-		// Reschedule on the survivors. After a failover the schedule-time
-		// membership prediction is void; the retry works from the
-		// authoritative registry alone (firstTry=false).
+		// Reschedule on the survivors, from the authoritative registry.
 		req := c.buildRequest(s.ce, s.inv.Args, s.accs)
 		target = c.pol.Assign(req)
 		c.mu.Unlock()
-		firstTry = false
 	}
 
 	c.mu.Lock()
@@ -1288,13 +1238,11 @@ func (c *Controller) streamedReadyLocked(s *scheduled) (ready sim.VirtualTime, o
 // ensureArgs issues the data movements Algorithm 1 requires: every array
 // parameter that is not up to date on the target is shipped from its best
 // source. Write-only full overwrites skip the transfer but still allocate.
-// usePrediction (first dispatch attempt only) lets the schedule-time
-// membership prediction stand in for the per-argument fabric round trip
-// where the registry confirms it. The registry is final for this CE: every
+// The registry is final for this CE: every
 // earlier CE has committed or failed, so a copy that is absent now — the
 // delivery was rerouted by a dead-worker redispatch or lineage recovery —
 // never arrives, and a fresh move from the survivors replaces it.
-func (c *Controller) ensureArgs(target cluster.NodeID, s *scheduled, usePrediction bool) (ready sim.VirtualTime, moved memmodel.Bytes, p2p int, err error) {
+func (c *Controller) ensureArgs(target cluster.NodeID, s *scheduled) (ready sim.VirtualTime, moved memmodel.Bytes, p2p int, err error) {
 	for i, a := range s.inv.Args {
 		if !a.IsArray {
 			continue
@@ -1305,15 +1253,6 @@ func (c *Controller) ensureArgs(target cluster.NodeID, s *scheduled, usePredicti
 		c.mu.Unlock()
 		if up && t > ready {
 			ready = t
-		}
-		if up && c.windowed && usePrediction && s.upAtSched[i] && target == s.target {
-			// Move elimination: the window predicted a fresh replica here
-			// and the authoritative registry confirms it, so the
-			// per-argument fabric round trip is redundant. A worker only
-			// ever appears in upToDate after an EnsureArray reached it, so
-			// skipping the allocation call is safe.
-			c.countEliminatedMove(s)
-			continue
 		}
 		if err := c.fabric.EnsureArray(target, arr.ArrayMeta); err != nil {
 			return 0, 0, 0, err
@@ -1401,15 +1340,7 @@ func (c *Controller) buildRequest(ce *dag.CE, args []ArgRef, accs []memmodel.Acc
 	if cap(c.reqNodes) < len(workers) {
 		c.reqNodes = make([]policy.NodeInfo, len(workers))
 	}
-	return c.buildRequestInto(ce, args, accs, c.reqNodes[:len(workers)], workers)
-}
-
-// buildRequestInto is buildRequest writing into caller-owned node
-// storage, so the window's batched policy evaluation can hold every
-// request of a window alive at once (the scratch-based path cannot).
-// Caller holds mu; len(nodes) == len(workers).
-func (c *Controller) buildRequestInto(ce *dag.CE, args []ArgRef, accs []memmodel.Access,
-	nodes []policy.NodeInfo, workers []cluster.NodeID) policy.Request {
+	nodes := c.reqNodes[:len(workers)]
 	req := policy.Request{CE: ce, Nodes: nodes}
 	if !c.pol.NeedsDataView() {
 		// Static policies only need the candidate list.

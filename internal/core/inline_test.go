@@ -2,8 +2,8 @@ package core
 
 // Tests for the two hand-offs a depth-1 step no longer takes in this
 // package (DESIGN.md §5.5, §5.11): a session's Elapsed synchronizes that
-// session only, and the goroutine that flushes a window starts its
-// launches itself while the batch dispatcher is idle — and only then.
+// session only, and the goroutine that admits a CE starts its launch
+// itself while the dispatcher is idle — and only then.
 
 import (
 	"sync"
@@ -51,8 +51,7 @@ func returnsWithin(d time.Duration, fn func()) bool {
 
 // settleDispatcher launches relu on id, which must be resident on its
 // worker, until a launch is started by its submitter. A blocking launch
-// resolves a moment before the batch dispatcher lets go of its window, so
-// the launch right behind one may still be handed to it; once one is not,
+// resolves a moment before the dispatcher lets go of its job, so the launch right behind one may still be handed to it; once one is not,
 // the dispatcher is idle and stays so until it is handed something.
 func settleDispatcher(t *testing.T, ctl *Controller, id dag.ArrayID) {
 	t.Helper()
@@ -66,13 +65,13 @@ func settleDispatcher(t *testing.T, ctl *Controller, id dag.ArrayID) {
 			return
 		}
 	}
-	t.Fatal("the batch dispatcher never went idle")
+	t.Fatal("the dispatcher never went idle")
 }
 
 // TestSessionScopedSync: a session's Elapsed returns while another
 // session's CE is stuck in the fabric — Controller.Elapsed, which it used
-// to be, does not — yet waits for every CE of its own, here three still
-// parked in the optimizer window that dispatch behind the stuck CE.
+// to be, does not — yet waits for every CE of its own, here three queued
+// behind the stuck CE.
 func TestSessionScopedSync(t *testing.T) {
 	const n = 64
 	local := NewLocalFabric(cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), true)
@@ -82,7 +81,7 @@ func TestSessionScopedSync(t *testing.T) {
 		arrived: make(chan struct{}, 1),
 		gate:    make(chan struct{}),
 	}
-	ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true, OptimizeWindow: 8})
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true})
 	var open sync.Once
 	release := func() { open.Do(func() { close(fab.gate) }) }
 	t.Cleanup(func() { release(); _ = ctl.Close() })
@@ -120,9 +119,6 @@ func TestSessionScopedSync(t *testing.T) {
 	submit(a, Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(ax), nArg}})
 	a.Elapsed()
 	submit(b, Invocation{Kernel: "fill", Args: []ArgRef{ArrRef(bx), ScalarRef(1), nArg}})
-	if err := ctl.FlushWindow(); err != nil {
-		t.Fatal(err)
-	}
 	<-fab.arrived // b's CE is in the fabric, and stays there
 
 	if !returnsWithin(5*time.Second, func() { a.Elapsed() }) {
@@ -132,9 +128,8 @@ func TestSessionScopedSync(t *testing.T) {
 		t.Fatal("session b's CE got past the gate")
 	}
 
-	// a's own: a producer→consumer pair and a third CE, all parked in the
-	// window when Elapsed is called, all dispatching behind b's stuck CE
-	// (one FIFO).
+	// a's own: a producer→consumer pair and a third CE, all queued behind
+	// b's stuck CE (one FIFO) when Elapsed is called.
 	submit(a, Invocation{Kernel: "wmul", Grid: 1, Block: n,
 		Args: []ArgRef{ArrRef(as), ArrRef(ax), ScalarRef(2.5), nArg}})
 	submit(a, Invocation{Kernel: "wmadd", Grid: 1, Block: n,
@@ -164,10 +159,10 @@ func TestSessionScopedSync(t *testing.T) {
 }
 
 // TestInlineStartDepthOne: with the dispatcher idle, the goroutine that
-// flushes a window starts its launches itself — two sessions' depth-1
-// Submit+Elapsed steps over a streaming fabric never reach the batch
-// dispatcher — and on a fabric without a launch stream a window nobody
-// waits for (Submit, FlushWindow) goes to the dispatcher whole.
+// admits a CE starts its launch itself — two sessions' depth-1
+// Submit+Elapsed steps over a streaming fabric never reach the dispatcher
+// — and on a fabric without a launch stream a CE nobody waits for (Submit)
+// goes to the dispatcher.
 func TestInlineStartDepthOne(t *testing.T) {
 	const steps = 200
 	pin := func() policy.Policy {
@@ -177,7 +172,7 @@ func TestInlineStartDepthOne(t *testing.T) {
 		}
 		return p
 	}
-	ctl, fab, ids := newStreamSystem(t, pin(), Options{OptimizeWindow: 32})
+	ctl, fab, ids := newStreamSystem(t, pin(), Options{})
 	nArg := ScalarRef(float64(ppElems))
 	for _, id := range ids[:2] { // resident on the worker, by the blocking path
 		if _, err := ctl.Launch(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(id), nArg}}); err != nil {
@@ -211,7 +206,7 @@ func TestInlineStartDepthOne(t *testing.T) {
 	}
 	wg.Wait()
 	if got := ctl.DispatcherJobs() - before; got != 0 {
-		t.Fatalf("the batch dispatcher was handed %d of %d depth-1 launches, want 0", got, 2*steps)
+		t.Fatalf("the dispatcher was handed %d of %d depth-1 launches, want 0", got, 2*steps)
 	}
 	fab.mu.Lock()
 	streamed := fab.starts - streamedBefore
@@ -220,7 +215,7 @@ func TestInlineStartDepthOne(t *testing.T) {
 		t.Fatalf("%d launches streamed, want %d", streamed, 2*steps)
 	}
 
-	seq := newWindowSystem(t, 2, 32)
+	seq := newWindowSystem(t, 2)
 	defer seq.Close()
 	arr, err := seq.NewArray(memmodel.Float32, ppElems)
 	if err != nil {
@@ -228,9 +223,6 @@ func TestInlineStartDepthOne(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		if _, err := seq.Submit(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(arr.ID), nArg}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := seq.FlushWindow(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,17 +234,20 @@ func TestInlineStartDepthOne(t *testing.T) {
 	}
 }
 
-// TestInlineStartHandsRemainderInOrder: a window whose tail hits the depth
-// bound is started up to the bound by its submitter and handed over from
-// there, and while the dispatcher holds that remainder a later window
-// queues behind it even though its own launch could start at once.
+// TestInlineStartHandsRemainderInOrder: a submitter starts its CE itself
+// only while the worker is under the depth bound; the first CE past it is
+// handed to the dispatcher, and while the dispatcher holds that CE a later
+// one queues behind it instead of overtaking it.
 func TestInlineStartHandsRemainderInOrder(t *testing.T) {
-	const depth, chain = 2, 5
+	// PipelineDepth bounds both a worker's started launches and the FIFO,
+	// so chain-depth+1 must fit in the FIFO or a Submit blocks on the held
+	// worker.
+	const depth, chain = 2, 3
 	pin, err := policy.NewVectorStep([]int{1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, fab, ids := newStreamSystem(t, pin, Options{PipelineDepth: depth, OptimizeWindow: 8})
+	ctl, fab, ids := newStreamSystem(t, pin, Options{PipelineDepth: depth})
 	nArg := ScalarRef(float64(ppElems))
 	for _, id := range ids[:2] {
 		if _, err := ctl.Launch(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(id), nArg}}); err != nil {
@@ -284,24 +279,18 @@ func TestInlineStartHandsRemainderInOrder(t *testing.T) {
 		}
 		pend = append(pend, p)
 	}
-	if err := ctl.FlushWindow(); err != nil {
-		t.Fatal(err)
-	}
-	// The submitter started up to the depth bound before FlushWindow returned.
+	// The submitters started up to the depth bound.
 	if n := started(); n != depth {
-		t.Fatalf("%d launches started by the flushing goroutine, want the depth bound %d", n, depth)
+		t.Fatalf("%d launches started by their submitters, want the depth bound %d", n, depth)
 	}
 	p, err := ctl.Submit(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(ids[1]), nArg}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pend = append(pend, p)
-	if err := ctl.FlushWindow(); err != nil {
-		t.Fatal(err)
-	}
 	time.Sleep(20 * time.Millisecond) // an overtaking start would have happened by now
 	if n := started(); n != depth {
-		t.Fatalf("%d launches started with the worker held at depth %d: a later window overtook the remainder", n, depth)
+		t.Fatalf("%d launches started with the worker held at depth %d: a later CE overtook the dispatcher's", n, depth)
 	}
 	fab.mu.Lock()
 	fab.hold = false
@@ -319,10 +308,10 @@ func TestInlineStartHandsRemainderInOrder(t *testing.T) {
 	order := append([]dag.ArrayID(nil), fab.order...)
 	fab.mu.Unlock()
 	if len(order) != chain+1 || order[chain] != ids[1] {
-		t.Fatalf("start order %v: want %d launches on array %d, then the later window's on array %d",
+		t.Fatalf("start order %v: want %d launches on array %d, then the later CE's on array %d",
 			order, chain, ids[0], ids[1])
 	}
 	if got := ctl.DispatcherJobs() - before; got != chain-depth+1 {
-		t.Fatalf("dispatcher handed %d jobs, want the remainder %d and the later window's 1", got, chain-depth)
+		t.Fatalf("dispatcher handed %d jobs, want the %d past the bound and the later CE", got, chain-depth)
 	}
 }

@@ -1,12 +1,10 @@
 // The dispatch engine (DESIGN.md §5.1, "The dispatch engine").
 //
-// Every kernel CE takes one path. Submit validates it and parks it in the
-// window (window.go); a full window — or a synchronization point — is
-// admitted as a whole by flushWindowLocked on the submitter's goroutine:
-// DAG insertion, the policy decision and the membership prediction, the
-// timed section the paper's Figure 9 measures, which never blocks on data
-// movement. The admitted window is a jobBatch, and batches are worked
-// through strictly first in, first out, one job at a time (runBatch):
+// Every kernel CE takes one path. Submit and Launch admit it on the
+// caller's goroutine (admit.go): DAG insertion, the policy decision and the
+// membership prediction, the timed section the paper's Figure 9 measures,
+// which never blocks on data movement. The admitted CE is a job, and jobs
+// are worked through strictly first in, first out (run):
 //
 //   - a job that streamableLocked accepts is started on its worker's
 //     stream (AsyncLauncher: real transports run one worker's launches in
@@ -30,17 +28,15 @@
 // TestPipelineMatchesSerial checks that over random DAGs and policies.
 //
 // Who works through it is decided by the call, not by an option. A caller
-// that is about to wait for its window — Launch, and the flush a
-// synchronizing method makes (drainLocked) — works through the whole of it
-// on its own goroutine while the dispatcher goroutine is idle (no window
-// queued or being worked through, nothing to redo), so the window has run
-// when flushWindowLocked returns. A caller that does not wait — Submit,
-// SubmitTagged, FlushWindow — starts the longest startable prefix from its
-// goroutine and puts it on the wire; the first job that would have to wait
-// for anything goes to the dispatcher goroutine with everything behind it.
-// While the dispatcher has work every later window queues behind it,
-// whoever admitted it. The work lock keeps one goroutine at a time working
-// through the FIFO, and so one starter (AsyncLauncher's rule).
+// that waits for its CE — Launch — runs it on its own goroutine while the
+// dispatcher goroutine is idle (no job queued or being worked through,
+// nothing to redo), so the CE has run when admission returns. A caller
+// that does not wait — Submit — starts its CE from its goroutine when it
+// can be started at once and puts it on the wire; a CE that would have to
+// wait for anything goes to the dispatcher goroutine. While the dispatcher
+// has work every later job queues behind it, whoever admitted it. The work
+// lock keeps one goroutine at a time working through the FIFO, and so one
+// starter (AsyncLauncher's rule).
 package core
 
 import (
@@ -62,35 +58,21 @@ type ConcurrentDispatcher interface {
 }
 
 // defaultPipelineDepth is Options.PipelineDepth's zero value: how many
-// launches one worker may have started and unanswered, and how many windows
-// the FIFO holds before a submitter waits.
+// launches one worker may have started and unanswered, and how many CEs the
+// FIFO holds before a submitter waits.
 const defaultPipelineDepth = 64
 
-// job is one scheduled CE traveling through the dispatch stage.
+// job is one admitted CE traveling through the dispatch stage. It is
+// recycled (putJob) once two holds are released: the CE has resolved — a
+// streamed job lives until its answer arrives, past run — and whoever
+// worked through it is done with it.
 type job struct {
-	s   *scheduled
-	seq uint64
-	p   *Pending
-	// b is the window the job arrived in.
-	b *jobBatch
-}
-
-// jobBatch is one admitted window on its way through the FIFO; scheds is
-// the jobs' backing slab. The batch is recycled (putBatch) once two holds
-// are released: the last job of the window has resolved — a streamed
-// job's *scheduled lives until its answer arrives, past runBatch's loop —
-// and whoever worked through the window is done with it. left counts the
-// jobs still unresolved.
-type jobBatch struct {
-	jobs   []job
-	scheds []scheduled
-	left   atomic.Int32
-	holds  atomic.Int32
-	// from is the first job not yet worked through (runBatch): where the
-	// dispatcher goroutine takes over from the caller that admitted it.
-	from int
-	// own is set when the caller that admitted the window works through
-	// all of it because it waits for it (enqueueBatch, fail).
+	s     scheduled
+	seq   uint64
+	p     *Pending
+	holds atomic.Int32
+	// own is set when the caller that admitted the job works through it
+	// because it waits for it (enqueue).
 	own bool
 }
 
@@ -98,9 +80,9 @@ type jobBatch struct {
 type pipeline struct {
 	c *Controller
 
-	// fifo carries admitted windows to the dispatcher goroutine, one channel
-	// hand-off per window. wg waits for that goroutine.
-	fifo chan *jobBatch
+	// fifo carries admitted jobs to the dispatcher goroutine, one channel
+	// hand-off per job. wg waits for that goroutine.
+	fifo chan *job
 	wg   sync.WaitGroup
 
 	// Streamed launches. al is the fabric's AsyncLauncher, nil when launches
@@ -119,12 +101,12 @@ type pipeline struct {
 	wake      chan struct{}
 	unflushed []cluster.NodeID
 
-	// work is held by whoever is working through a window or the redo list:
+	// work is held by whoever is working through a job or the redo list:
 	// the dispatcher goroutine, or (by try-lock, never waiting) the caller
-	// that admitted a window while it works through that window or a prefix
-	// of it. It guards unflushed and jobBatch.from. queued counts the
-	// windows given to the dispatcher and not yet worked through; handed,
-	// all the jobs it was ever given (Controller.DispatcherJobs).
+	// that admitted a job while it works through it. It guards unflushed.
+	// queued counts the jobs given to the dispatcher and not yet worked
+	// through; handed, all the jobs it was ever given
+	// (Controller.DispatcherJobs).
 	work   sync.Mutex
 	queued atomic.Int32
 	handed atomic.Int64
@@ -155,34 +137,31 @@ func newPipeline(c *Controller, depth int) *pipeline {
 			pl.wake = make(chan struct{}, 1)
 		}
 	}
-	// depth windows of backlog before a submitter waits: backpressure on
-	// the scheduling stage.
-	pl.fifo = make(chan *jobBatch, depth)
+	// depth jobs of backlog before a submitter waits: backpressure on the
+	// scheduling stage.
+	pl.fifo = make(chan *job, depth)
 	pl.wg.Add(1)
-	go pl.batchDispatcher()
+	go pl.dispatchLoop()
 	return pl
 }
 
-// enqueueBatch puts an admitted window into the FIFO. Jobs arrive with
-// their Pendings already made (Submit returned them while the CEs were
-// parked); sequence numbers are issued here, in window order. With the
-// dispatcher idle the caller works through what it can itself (see the
-// package comment): all of the window when it blocks on it, which has then
-// run when this returns, and otherwise the prefix it can start at once.
-func (pl *pipeline) enqueueBatch(b *jobBatch, blocking bool) {
+// enqueue puts an admitted job into the FIFO and issues its sequence
+// number. With the dispatcher idle the caller works it itself (see the
+// package comment): to completion when it blocks on it, which has then run
+// when this returns, and otherwise when it can start it at once.
+func (pl *pipeline) enqueue(j *job, blocking bool) {
 	pl.mu.Lock()
-	for i := range b.jobs {
-		b.jobs[i].seq = pl.submitted
-		pl.submitted++
-	}
+	j.seq = pl.submitted
+	pl.submitted++
 	pl.mu.Unlock()
 	// Without a launch stream a caller that does not wait could start
 	// nothing. queued is read under the lock: a dispatcher that has taken a
-	// window off the channel but not the lock yet still counts.
+	// job off the channel but not the lock yet still counts.
 	if (blocking || pl.al != nil) && pl.work.TryLock() {
+		ran := false
 		if pl.queued.Load() == 0 {
-			b.own = blocking
-			pl.runBatch(b, blocking)
+			j.own = blocking
+			ran = pl.run(j, blocking)
 			if blocking {
 				// A started launch that fails is redone here, not by the
 				// dispatcher: the caller waits for it.
@@ -192,32 +171,31 @@ func (pl *pipeline) enqueueBatch(b *jobBatch, blocking bool) {
 			}
 		}
 		pl.work.Unlock()
-		if b.from == len(b.jobs) {
-			pl.release(b)
+		if ran {
+			pl.release(j)
 			return
 		}
 	}
 	pl.queued.Add(1)
-	pl.fifo <- b
+	pl.fifo <- j
 }
 
-// batchDispatcher is the controller's one dispatcher goroutine: it works
-// through the windows in the FIFO, each from the job its caller stopped at,
-// and through the redo list when a started launch fails with no window
-// queued.
-func (pl *pipeline) batchDispatcher() {
+// dispatchLoop is the controller's one dispatcher goroutine: it works
+// through the jobs in the FIFO, and through the redo list when a started
+// launch fails with no job queued.
+func (pl *pipeline) dispatchLoop() {
 	defer pl.wg.Done()
 	for {
 		select {
-		case b, ok := <-pl.fifo:
+		case j, ok := <-pl.fifo:
 			if !ok {
 				return
 			}
 			pl.work.Lock()
-			pl.handed.Add(int64(len(b.jobs) - b.from))
-			pl.runBatch(b, true)
-			pl.release(b)
-			// No further window queued, so about to sleep: a started launch
+			pl.handed.Add(1)
+			pl.run(j, true)
+			pl.release(j)
+			// No further job queued, so about to sleep: a started launch
 			// left in a write buffer would never be answered.
 			if pl.queued.Add(-1) == 0 {
 				pl.flushStarts()
@@ -231,43 +209,36 @@ func (pl *pipeline) batchDispatcher() {
 	}
 }
 
-// runBatch works through b from b.from on: a job is started when it can
-// be and, with wait, dispatched blocking — after everything in flight has
-// been answered — when it cannot. Without wait it stops at the first job it
-// cannot start at once, and b.from is left there. Caller holds work.
-func (pl *pipeline) runBatch(b *jobBatch, wait bool) {
-	for ; b.from < len(b.jobs); b.from++ {
-		j := &b.jobs[b.from]
-		if pl.tryStart(j, wait) {
-			continue
-		}
-		if !wait {
-			return
-		}
-		pl.quiesce()
-		pl.runJob(j)
-		pl.resolved(j)
+// run works through j: it is started when it can be and, with wait,
+// dispatched blocking — after everything in flight has been answered —
+// when it cannot. Without wait, a job that cannot start at once is left
+// alone and run reports false. Caller holds work.
+func (pl *pipeline) run(j *job, wait bool) bool {
+	if pl.tryStart(j, wait) {
+		return true
 	}
+	if !wait {
+		return false
+	}
+	pl.quiesce()
+	pl.runJob(j)
+	pl.resolved(j)
+	return true
 }
 
-// resolved accounts one finished job of a window; the last one completes
-// the window and releases its hold on it.
+// resolved accounts one finished job and releases its hold on it.
 func (pl *pipeline) resolved(j *job) {
-	b := j.b
-	if b.left.Add(-1) != 0 {
-		return
-	}
 	pl.mu.Lock()
-	pl.completed += uint64(len(b.jobs))
+	pl.completed++
 	pl.drainCond.Broadcast()
 	pl.mu.Unlock()
-	pl.release(b)
+	pl.release(j)
 }
 
-// release drops one of b's two holds; the second recycles it.
-func (pl *pipeline) release(b *jobBatch) {
-	if b.holds.Add(-1) == 0 {
-		putBatch(b)
+// release drops one of j's two holds; the second recycles it.
+func (pl *pipeline) release(j *job) {
+	if j.holds.Add(-1) == 0 {
+		putJob(j)
 	}
 }
 
@@ -280,7 +251,7 @@ func (pl *pipeline) tryStart(j *job, wait bool) bool {
 	if pl.al == nil {
 		return false
 	}
-	c, s := pl.c, j.s
+	c, s := pl.c, &j.s
 	c.mu.Lock()
 	for {
 		if pl.err != nil || len(pl.redo) > 0 || !c.streamableLocked(s, pl.inflight) {
@@ -316,7 +287,7 @@ func (pl *pipeline) tryStart(j *job, wait bool) bool {
 }
 
 // flushStarts puts every started launch on the wire. It runs before
-// anything that can block — the dispatcher sleeping for the next window,
+// anything that can block — the dispatcher sleeping for the next job,
 // waiting out the depth bound, quiescing — and when a submitter is done
 // starting. Caller holds work.
 func (pl *pipeline) flushStarts() {
@@ -329,12 +300,10 @@ func (pl *pipeline) flushStarts() {
 }
 
 // launchDone receives a started launch's answer on the fabric's reader
-// goroutine. Success commits the CE — no data moved, every replica the
-// window predicted counted as an eliminated move, as ensureArgs would —
-// and resolves it. Failure, or success behind a failed ancestor (the
+// goroutine. Success commits the CE — no data moved — and resolves it. Failure, or success behind a failed ancestor (the
 // launch ran without its effect), puts the job on the redo list.
 func (pl *pipeline) launchDone(j *job, end sim.VirtualTime, err error) {
-	c, s := pl.c, j.s
+	c, s := pl.c, &j.s
 	c.mu.Lock()
 	delete(pl.inflight, s.ce.ID)
 	pl.flying[s.target]--
@@ -355,13 +324,6 @@ func (pl *pipeline) launchDone(j *job, end sim.VirtualTime, err error) {
 	}
 	c.commitLocked(s, s.target, ready, end, 0, 0)
 	c.mu.Unlock()
-	if c.windowed {
-		for i, a := range s.inv.Args {
-			if a.IsArray && s.upAtSched[i] {
-				c.countEliminatedMove(s)
-			}
-		}
-	}
 	j.p.resolve(end, nil)
 	pl.resolved(j)
 }
@@ -403,14 +365,14 @@ func (pl *pipeline) runJob(j *job) {
 	err := pl.sticky()
 	var end = j.p.end
 	if err == nil {
-		end, err = pl.c.dispatch(j.s)
+		end, err = pl.c.dispatch(&j.s)
 		if err != nil {
-			pl.fail(err, j.b.own)
+			pl.fail(err, j.own)
 		}
 	} else {
 		// A prior CE failed terminally; record this one as failed too so
 		// it counts as finished.
-		pl.c.commitError(j.s)
+		pl.c.commitError(&j.s)
 	}
 	j.p.resolve(end, err)
 }
@@ -424,14 +386,13 @@ func (pl *pipeline) sticky() error {
 
 // fail records a terminal error. Whether it sticks — fails every CE after
 // it, refuses new ones and is what Drain and Close report — is decided
-// here and nowhere else: it does unless the failed CE's window is a window
-// of one that its own caller works through because it waits for it (own).
-// That caller is told and decides what happens next; the controller stays
+// here and nowhere else: it does unless the failed CE is one that its own
+// caller works through because it waits for it (own). That caller is told and decides what happens next; the controller stays
 // usable (overwriting an array after data loss,
 // TestChaosUnrecoverableRoot). Anywhere else some caller may already hold
 // a Pending this error cannot reach any more.
 func (pl *pipeline) fail(err error, own bool) {
-	if own && pl.c.optWindow == 1 {
+	if own {
 		return
 	}
 	pl.c.mu.Lock()
@@ -454,7 +415,7 @@ func (pl *pipeline) drain() error {
 }
 
 // close stops the dispatcher goroutine and makes further submissions fail
-// (parkLocked). The caller holds subMu and has drained. Idempotent.
+// (admitLocked). The caller holds subMu and has drained. Idempotent.
 func (pl *pipeline) close() {
 	if pl.closed {
 		return

@@ -143,14 +143,12 @@ func (f *ensureCounter) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) err
 
 // TestPipelineMatchesSerial is the determinism property: for random CE
 // streams, seeds, and all four policies, every way of working through the
-// engine's FIFO — Launch, whose caller works through every window itself
-// (the reference: the dispatcher goroutine is handed nothing), or Submit,
-// which leaves the windows to the dispatcher goroutine, with
-// Options.OptimizeWindow -1, 0 or 1, all of them a window of one CE — yields
+// engine's FIFO — Launch, whose caller works through every CE itself (the
+// reference: the dispatcher goroutine is handed nothing), or Submit, which
+// leaves the CEs to the dispatcher goroutine, with the deprecated
+// Options.OptimizeWindow at 0 or 32, which must change nothing — yields
 // bit-identical placements, virtual-time traces, move totals and numerical
-// outputs. Without the optimizer passes (window ≤ 0) every array argument
-// of every launch costs one EnsureArray and no move is counted as
-// eliminated; with them (window 1) each argument is one or the other. Run
+// outputs. Every array argument of every launch costs one EnsureArray. Run
 // under -race this also exercises the engine's locking.
 func TestPipelineMatchesSerial(t *testing.T) {
 	type variant struct {
@@ -158,9 +156,9 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		launch bool
 		opts   Options
 	}
-	var variants []variant // variants[0], Launch at -1, is the reference
+	var variants []variant // variants[0], Launch at 0, is the reference
 	for _, launch := range []bool{true, false} {
-		for _, window := range []int{-1, 0, 1} {
+		for _, window := range []int{0, 32} {
 			name := fmt.Sprintf("submit/window=%d", window)
 			if launch {
 				name = fmt.Sprintf("launch/window=%d", window)
@@ -203,10 +201,9 @@ func TestPipelineMatchesSerial(t *testing.T) {
 						}
 					}
 				}
-				elim := int(ctl.OptStats().EliminatedMoves)
-				if fab.ensures+elim != arrayArgs || (v.opts.OptimizeWindow <= 0 && elim != 0) {
-					t.Logf("%s seed %d %s: %d EnsureArray calls + %d eliminated moves for %d array arguments",
-						name, seed, v.name, fab.ensures, elim, arrayArgs)
+				if fab.ensures != arrayArgs || ctl.OptStats() != (OptStats{}) {
+					t.Logf("%s seed %d %s: %d EnsureArray calls for %d array arguments, optimizer counters %+v",
+						name, seed, v.name, fab.ensures, arrayArgs, ctl.OptStats())
 					return false
 				}
 				got := outcome{traces: tr, elapsed: ctl.Elapsed(), moved: ctl.MovedBytes(), p2p: ctl.P2PMoves()}
@@ -519,14 +516,14 @@ func (f *refusingFabric) Launch(w cluster.NodeID, inv Invocation, ready sim.Virt
 
 // TestErrorStickiness pins pipeline.fail's rule over both calls: a failed
 // CE poisons the controller — the next Launch is refused and Drain reports
-// the failure — unless it was launched by Launch in a window of one, which
-// its caller works through itself and is told. Through Submit (the
-// pipelined path) some caller may hold a Pending the error cannot reach any
-// more, and so may anyone in a window of more than one CE.
+// the failure — unless it was launched by Launch, whose caller works
+// through it itself and is told. Through Submit (the pipelined path) some
+// caller may hold a Pending the error cannot reach any more. The deprecated
+// window field changes nothing.
 func TestErrorStickiness(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
-		for _, window := range []int{-1, 1, 8} {
-			sticks := pipelined || window > 1
+		for _, window := range []int{-1, 1} {
+			sticks := pipelined
 			t.Run(fmt.Sprintf("pipelined=%v/window=%d", pipelined, window), func(t *testing.T) {
 				fab := &refusingFabric{
 					LocalFabric: NewLocalFabric(cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), false),
@@ -546,9 +543,7 @@ func TestErrorStickiness(t *testing.T) {
 				if pipelined {
 					var p *Pending
 					if p, err = ctl.Submit(fill); err == nil {
-						if err = ctl.FlushWindow(); err == nil {
-							_, err = p.Wait()
-						}
+						_, err = p.Wait()
 					}
 				} else {
 					_, err = ctl.Launch(fill)
@@ -594,10 +589,10 @@ func TestGoroutineBudget(t *testing.T) {
 }
 
 // TestLaunchRunsOnItsCaller: the call, not an option, decides who works
-// through a window. Launches on an idle controller never reach the
+// through a CE. Launches on an idle controller never reach the
 // dispatcher goroutine — over LocalFabric, where they run blocking, and
 // over a streaming fabric, where they are started and answered — while a
-// Submit nobody waits for leaves its window to it on a fabric without a
+// Submit nobody waits for leaves its CE to it on a fabric without a
 // launch stream. Everything runs on one worker, so from the second Launch
 // of an array on its arguments are resident and the launch can stream.
 func TestLaunchRunsOnItsCaller(t *testing.T) {

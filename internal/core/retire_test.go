@@ -14,20 +14,13 @@ import (
 // off the frontier of the Global DAG and of every worker's Local DAG, so a
 // tenant that allocates, computes and frees in a loop holds no more graph
 // after 10 000 rounds than after the first few thousand — on the serial
-// path (Launch), and through Submit behind the dispatcher goroutine and the
-// optimizer window, where commits reach the graph through the finished
-// queue.
+// path (Launch), and through Submit behind the dispatcher goroutine, where
+// commits reach the graph through the finished queue.
 func TestFreeArrayReleasesGraphState(t *testing.T) {
-	for name, mode := range map[string]struct {
-		window int
-		launch bool
-	}{
-		"serial":    {0, true},
-		"pipelined": {32, false},
-	} {
+	for name, launch := range map[string]bool{"serial": true, "pipelined": false} {
 		t.Run(name, func(t *testing.T) {
 			fab := NewLocalFabric(cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), false)
-			ctl := NewController(fab, policy.NewRoundRobin(), Options{OptimizeWindow: mode.window})
+			ctl := NewController(fab, policy.NewRoundRobin(), Options{})
 			defer ctl.Close()
 			rounds := func(n int) {
 				t.Helper()
@@ -41,7 +34,7 @@ func TestFreeArrayReleasesGraphState(t *testing.T) {
 						{Kernel: "relu", Args: []ArgRef{ArrRef(a.ID), ScalarRef(1024)}},
 					} {
 						var err error
-						if mode.launch {
+						if launch {
 							_, err = ctl.Launch(inv)
 						} else {
 							_, err = ctl.Submit(inv)

@@ -82,10 +82,6 @@ type SessionStats struct {
 	// LaunchesShed counts launches the gateway refused with ErrShedded
 	// (recorded via NoteShed; they never reach the controller).
 	LaunchesShed int64
-	// EliminatedMoves counts the session's argument moves the optimizer
-	// window skipped because the target already held a fresh replica
-	// (window.go). Zero while the controller's OptimizeWindow is off.
-	EliminatedMoves int64
 }
 
 // admSampleCap bounds the per-session admission-wait reservoir. Beyond
@@ -119,11 +115,6 @@ type ControllerSession struct {
 	// before idle is signaled so whoever WaitIdle releases sees it.
 	err    error
 	closed bool
-
-	// opt aggregates the optimizer window's per-tenant counters. Not
-	// under mu — the counters are atomics bumped from dispatcher
-	// goroutines.
-	opt OptCounters
 }
 
 // NewControllerSession opens a tenant session on ctl. The name is used
@@ -272,7 +263,7 @@ func (s *ControllerSession) Submit(inv Invocation) (*Pending, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
-	p, err := s.ctl.SubmitTagged(tinv, &s.opt)
+	p, err := s.ctl.Submit(tinv)
 	if err != nil {
 		s.mu.Lock()
 		s.admitted++
@@ -364,7 +355,6 @@ func (s *ControllerSession) WaitIdle() {
 
 // Stats snapshots the session's counters.
 func (s *ControllerSession) Stats() SessionStats {
-	opt := s.opt.Snapshot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return SessionStats{
@@ -377,7 +367,6 @@ func (s *ControllerSession) Stats() SessionStats {
 		AdmissionWait:    s.admWait,
 		AdmissionWaitP99: quantileLocked(s.admSamples, 0.99),
 		LaunchesShed:     s.shed,
-		EliminatedMoves:  opt.EliminatedMoves,
 	}
 }
 
@@ -479,14 +468,12 @@ func (s *ControllerSession) BuildKernel(src, signature string) (*kernels.Def, er
 	return s.ctl.BuildKernel(src, signature)
 }
 
-// Elapsed waits until every CE this session submitted has dispatched —
-// the optimizer window is flushed first, so parked ones count —
-// and reports the shared cluster's virtual clock as of then. It is the
+// Elapsed waits until every CE this session submitted has dispatched and
+// reports the shared cluster's virtual clock as of then. It is the
 // session's synchronization point, not the fleet's: unlike
 // Controller.Elapsed it neither waits for other sessions' CEs nor holds
 // the submission lock while it waits. The clock itself is fleet-wide.
 func (s *ControllerSession) Elapsed() sim.VirtualTime {
-	_ = s.ctl.FlushWindow() // failures surface on the CEs' Pendings, and so in Err
 	s.WaitIdle()
 	s.ctl.mu.Lock()
 	defer s.ctl.mu.Unlock()
@@ -504,10 +491,6 @@ func (s *ControllerSession) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	// Flush the optimizer window first: CEs of this session still parked
-	// there haven't started dispatching, and WaitIdle would sleep on them
-	// forever.
-	s.ctl.FlushWindow()
 	s.WaitIdle()
 	s.mu.Lock()
 	locals := make([]dag.ArrayID, 0, len(s.arrays))

@@ -16,9 +16,8 @@ import (
 // is returned. Pure transfer-time cost keeps the kernel on worker 1 (the
 // data is there, transfer cost zero); a fault-aware policy must eat the
 // network transfer and steer to idle worker 2. wrap, when non-nil, wraps
-// the fabric the controller sees; the optimizer counters are returned too.
-func runSteeringScenario(t *testing.T, pol policy.Policy, opts Options,
-	wrap func(Fabric) Fabric) (cluster.NodeID, OptStats) {
+// the fabric the controller sees.
+func runSteeringScenario(t *testing.T, pol policy.Policy, wrap func(Fabric) Fabric) cluster.NodeID {
 	t.Helper()
 	clu := cluster.New(cluster.PaperSpec(2))
 	fab := NewLocalFabric(clu, kernels.StdRegistry(), false)
@@ -26,7 +25,7 @@ func runSteeringScenario(t *testing.T, pol policy.Policy, opts Options,
 	if wrap != nil {
 		seen = wrap(fab)
 	}
-	ctl := NewController(seen, pol, opts)
+	ctl := NewController(seen, pol, Options{})
 
 	const n = int64(1 << 31) // 8 GiB of Float32
 	x, err := ctl.NewArray(memmodel.Float32, n)
@@ -37,9 +36,6 @@ func runSteeringScenario(t *testing.T, pol policy.Policy, opts Options,
 	// worker 1, making worker 1 the data holder.
 	if _, err := ctl.Launch(Invocation{Kernel: "fill",
 		Args: []ArgRef{ArrRef(x.ID), ScalarRef(1), ScalarRef(float64(n))}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctl.FlushWindow(); err != nil {
 		t.Fatal(err)
 	}
 	if !x.UpToDateOn(1) {
@@ -63,11 +59,11 @@ func runSteeringScenario(t *testing.T, pol policy.Policy, opts Options,
 	// relu writes x, so exactly the executing worker is now up to date.
 	for _, w := range fab.Workers() {
 		if x.UpToDateOn(w) {
-			return w, ctl.OptStats()
+			return w
 		}
 	}
 	t.Fatal("relu result registered on no worker")
-	return 0, OptStats{}
+	return 0
 }
 
 // TestStallAwareSteeringEndToEnd is the tentpole acceptance scenario: the
@@ -75,24 +71,11 @@ func runSteeringScenario(t *testing.T, pol policy.Policy, opts Options,
 // a launch away from the oversubscribed worker that pure transfer-time
 // cost would have chosen.
 func TestStallAwareSteeringEndToEnd(t *testing.T) {
-	if got, _ := runSteeringScenario(t, policy.NewMinTransferTime(policy.Medium), Options{}, nil); got != 1 {
+	if got := runSteeringScenario(t, policy.NewMinTransferTime(policy.Medium), nil); got != 1 {
 		t.Fatalf("min-transfer-time control pick = %v, want trapped on worker 1", got)
 	}
-	if got, _ := runSteeringScenario(t, policy.NewMinStallTime(), Options{}, nil); got != 2 {
+	if got := runSteeringScenario(t, policy.NewMinStallTime(), nil); got != 2 {
 		t.Fatalf("min-stall-time pick = %v, want steered to worker 2", got)
-	}
-}
-
-// TestStallAwareSteeringBatchedWindow exercises the same steering through
-// the optimizer window's batched policy evaluation (AssignBatch over the
-// frozen snapshot) instead of per-CE Assign.
-func TestStallAwareSteeringBatchedWindow(t *testing.T) {
-	opts := Options{OptimizeWindow: 4}
-	if got, _ := runSteeringScenario(t, policy.NewMinTransferTime(policy.Medium), opts, nil); got != 1 {
-		t.Fatalf("windowed min-transfer-time pick = %v, want trapped on worker 1", got)
-	}
-	if got, _ := runSteeringScenario(t, policy.NewMinStallTime(), opts, nil); got != 2 {
-		t.Fatalf("windowed min-stall-time pick = %v, want steered to worker 2", got)
 	}
 }
 

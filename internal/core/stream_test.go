@@ -1,6 +1,6 @@
 package core
 
-// Tests for the batch dispatcher's streamed launches against an
+// Tests for the dispatcher's streamed launches against an
 // in-process fabric that keeps AsyncLauncher's contract honestly: a
 // started launch reaches its worker only on FlushLaunches, a worker runs
 // its launches in start order, and a broken channel fails everything
@@ -56,8 +56,11 @@ type streamFabric struct {
 	order []dag.ArrayID
 	// breakAt[w] = n breaks w's channel when its n-th started launch
 	// (1-based) reaches the worker: that launch and everything queued
-	// behind it fail with a transient error, none of them having run.
+	// behind it fail with a transient error, none of them having run, and
+	// so does every later start until a blocking Launch re-establishes the
+	// channel (broken), as TCPFabric's StartLaunch, which never redials.
 	breakAt  map[cluster.NodeID]int
+	broken   map[cluster.NodeID]bool
 	started  map[cluster.NodeID]int
 	blocking []dag.ArrayID // first array of every blocking Launch, in call order
 }
@@ -67,6 +70,7 @@ func newStreamFabric(workers int) *streamFabric {
 		inner:   NewLocalFabric(cluster.New(cluster.PaperSpec(workers)), kernels.StdRegistry(), true),
 		q:       make(map[cluster.NodeID]*streamQueue),
 		breakAt: make(map[cluster.NodeID]int),
+		broken:  make(map[cluster.NodeID]bool),
 		started: make(map[cluster.NodeID]int),
 	}
 	f.cond = sync.NewCond(&f.mu)
@@ -107,6 +111,7 @@ func (f *streamFabric) serve(w cluster.NodeID, q *streamQueue) {
 			failed = append(failed, q.buffered...)
 			q.wired, q.buffered = nil, nil
 			delete(f.breakAt, w)
+			f.broken[w] = true
 			f.mu.Unlock()
 			for _, x := range failed {
 				x.done(0, fmt.Errorf("stream to worker %v broke: %w", w, ErrTransient))
@@ -132,6 +137,9 @@ func (f *streamFabric) StartLaunch(w cluster.NodeID, inv Invocation, _ sim.Virtu
 	q, ok := f.q[w]
 	if !ok {
 		return fmt.Errorf("unknown worker %v", w)
+	}
+	if f.broken[w] {
+		return fmt.Errorf("stream to worker %v is broken: %w", w, ErrTransient)
 	}
 	f.starts++
 	for _, a := range inv.Args {
@@ -200,6 +208,7 @@ func (f *streamFabric) Launch(w cluster.NodeID, inv Invocation, ready sim.Virtua
 			break
 		}
 	}
+	delete(f.broken, w)
 	return f.inner.Launch(w, inv, ready)
 }
 
@@ -246,9 +255,9 @@ func newStreamSystem(t *testing.T, pol policy.Policy, opts Options) (*Controller
 	return ctl, fab, ids
 }
 
-// TestStreamedDispatchMatchesSerial: random programs through the window
-// and the streamed engine — worked through by the dispatcher goroutine and,
-// at every synchronization point, by the caller itself, at a pipeline depth
+// TestStreamedDispatchMatchesSerial: random programs through the streamed
+// engine — worked through by the dispatcher goroutine and, while it is
+// idle, started by the submitter itself, at a pipeline depth
 // small enough that the depth wait and its flush run constantly — leave
 // every array identical to the in-process controller's, never exceed the
 // depth per worker, and never call the blocking Launch with a stream busy.
@@ -263,7 +272,7 @@ func TestStreamedDispatchMatchesSerial(t *testing.T) {
 				t.Fatalf("%s seed %d serial: %v", name, seed, err)
 			}
 			ctl, fab, ids := newStreamSystem(t, mk(),
-				Options{PipelineDepth: depth, OptimizeWindow: 16})
+				Options{PipelineDepth: depth})
 			if _, err := ppRun(ctl, ids, ops, false); err != nil {
 				t.Fatalf("%s seed %d streamed: %v", name, seed, err)
 			}
@@ -294,9 +303,10 @@ func TestStreamedDispatchMatchesSerial(t *testing.T) {
 // chain of order-sensitive launches: the broken launch and everything
 // behind it must be redone through the blocking path in submission order,
 // after everything in flight was answered, with the same result as an
-// undisturbed serial run.
+// undisturbed serial run. The worker is held while the chain is
+// submitted, so all of it is on the channel when the break comes.
 func TestStreamedFailureReplaysInOrder(t *testing.T) {
-	program := func(ctl *Controller, ids []dag.ArrayID) []*Pending {
+	program := func(ctl *Controller, ids []dag.ArrayID, submitted func()) []*Pending {
 		nArg := ScalarRef(float64(ppElems))
 		// Make both arrays resident on one worker, committed.
 		for _, id := range ids[:2] {
@@ -317,6 +327,7 @@ func TestStreamedFailureReplaysInOrder(t *testing.T) {
 			}
 			pend = append(pend, p)
 		}
+		submitted()
 		if err := ctl.Drain(); err != nil {
 			t.Fatal(err)
 		}
@@ -330,14 +341,20 @@ func TestStreamedFailureReplaysInOrder(t *testing.T) {
 		return p
 	}
 	serial, sIDs := ppSystem(pin(), Options{})
-	program(serial, sIDs)
+	program(serial, sIDs, func() {})
 
-	ctl, fab, ids := newStreamSystem(t, pin(), Options{OptimizeWindow: 32,
+	ctl, fab, ids := newStreamSystem(t, pin(), Options{
 		Retry: RetryPolicy{Attempts: 1, Backoff: 1}})
 	fab.mu.Lock()
 	fab.breakAt[1] = 7 // the 7th streamed launch on worker 1, 13 more behind it
+	fab.hold = true
 	fab.mu.Unlock()
-	pend := program(ctl, ids)
+	pend := program(ctl, ids, func() {
+		fab.mu.Lock()
+		fab.hold = false
+		fab.cond.Broadcast()
+		fab.mu.Unlock()
+	})
 	for i, p := range pend {
 		select {
 		case <-p.Done():
@@ -384,7 +401,7 @@ func TestWrappersDoNotForwardAsyncLauncher(t *testing.T) {
 	if _, ok := wrapped.(AsyncLauncher); ok {
 		t.Fatal("ChaosFabric forwards AsyncLauncher")
 	}
-	ctl := NewController(wrapped, policy.NewRoundRobin(), Options{Numeric: true, OptimizeWindow: 8})
+	ctl := NewController(wrapped, policy.NewRoundRobin(), Options{Numeric: true})
 	defer ctl.Close()
 	arr, err := ctl.NewArray(memmodel.Float32, ppElems)
 	if err != nil {

@@ -25,21 +25,15 @@ var fleetWrappers = map[string]func(core.Fabric) core.Fabric{
 
 // TestWrapperFidelity: a wrapper that adds nothing must leave the
 // controller's program unchanged. Over a LocalFabric it keeps the
-// stall-aware pick and the optimizer counters, per CE and through the
-// window; over a fabric that cannot broadcast kernels it builds and runs
+// stall-aware pick; over a fabric that cannot broadcast kernels it builds and runs
 // a kernel exactly as the bare controller does.
 func TestWrapperFidelity(t *testing.T) {
-	for _, opts := range []core.Options{{}, {OptimizeWindow: 4}} {
-		want, wantStats := core.RunSteeringScenario(t, policy.NewMinStallTime(), opts, nil)
-		if want != 2 {
-			t.Fatalf("window %d: bare min-stall-time pick = %v, want worker 2", opts.OptimizeWindow, want)
-		}
-		for name, wrap := range fleetWrappers {
-			got, stats := core.RunSteeringScenario(t, policy.NewMinStallTime(), opts, wrap)
-			if got != want || stats != wantStats {
-				t.Errorf("window %d, %s: pick %v, %+v; bare fabric %v, %+v",
-					opts.OptimizeWindow, name, got, stats, want, wantStats)
-			}
+	if want := core.RunSteeringScenario(t, policy.NewMinStallTime(), nil); want != 2 {
+		t.Fatalf("bare min-stall-time pick = %v, want worker 2", want)
+	}
+	for name, wrap := range fleetWrappers {
+		if got := core.RunSteeringScenario(t, policy.NewMinStallTime(), wrap); got != 2 {
+			t.Errorf("%s: pick %v, bare fabric 2", name, got)
 		}
 	}
 

@@ -421,6 +421,11 @@ func opsEstimator(k *Kernel) func(args scalarArgs) float64 {
 }
 
 // opsWalker is opsEstimator's walk over the kernel body, run per estimate.
+// A call to a __device__ helper costs the walk of the helper's body with the
+// same arguments (the call graph is acyclic by construction). The walk
+// keeps no state between estimates, so one compiled kernel — shared
+// process-wide through the compile cache — is priced from any number of
+// goroutines at once, and an estimate allocates nothing.
 func opsWalker(k *Kernel) func(args scalarArgs) float64 {
 	const unknownLoopFactor = 8
 	scalarParams := make(map[string]bool)
@@ -430,38 +435,34 @@ func opsWalker(k *Kernel) func(args scalarArgs) float64 {
 		}
 	}
 
-	// Pre-compute each __device__ helper's body cost (the call graph is
-	// acyclic by construction).
-	funcOps := make(map[string]float64, len(k.funcs))
-
 	var countStmts func(stmts []Stmt, args scalarArgs) float64
-	var countExpr func(e Expr) float64
+	var countExpr func(e Expr, args scalarArgs) float64
 
-	countExpr = func(e Expr) float64 {
+	countExpr = func(e Expr, args scalarArgs) float64 {
 		switch x := e.(type) {
 		case *BinaryExpr:
-			return 1 + countExpr(x.L) + countExpr(x.R)
+			return 1 + countExpr(x.L, args) + countExpr(x.R, args)
 		case *UnaryExpr:
-			return 1 + countExpr(x.X)
+			return 1 + countExpr(x.X, args)
 		case *CastExpr:
-			return countExpr(x.X)
+			return countExpr(x.X, args)
 		case *CondExpr:
-			return 1 + countExpr(x.C) + countExpr(x.T) + countExpr(x.F)
+			return 1 + countExpr(x.C, args) + countExpr(x.T, args) + countExpr(x.F, args)
 		case *CallExpr:
 			n := 4.0 // math builtins cost a few ops
-			if body, ok := funcOps[x.Name]; ok {
-				n = body + 1 // call overhead plus the helper's body
+			if f, ok := k.funcs[x.Name]; ok {
+				n = countStmts(f.Body, args) + 1 // the helper's body plus call overhead
 			}
 			for _, a := range x.Args {
 				if ad, ok := a.(*AddrExpr); ok {
-					n += countExpr(ad.X.Idx)
+					n += countExpr(ad.X.Idx, args)
 					continue
 				}
-				n += countExpr(a)
+				n += countExpr(a, args)
 			}
 			return n
 		case *IndexExpr:
-			return 1 + countExpr(x.Idx)
+			return 1 + countExpr(x.Idx, args)
 		default:
 			return 0
 		}
@@ -497,17 +498,17 @@ func opsWalker(k *Kernel) func(args scalarArgs) float64 {
 			switch st := s.(type) {
 			case *DeclStmt:
 				if st.Init != nil {
-					n += 1 + countExpr(st.Init)
+					n += 1 + countExpr(st.Init, args)
 				}
 			case *AssignStmt:
-				n += 1 + countExpr(st.Value)
+				n += 1 + countExpr(st.Value, args)
 				if ix, ok := st.Target.(*IndexExpr); ok {
-					n += countExpr(ix.Idx)
+					n += countExpr(ix.Idx, args)
 				}
 			case *IncStmt:
 				n++
 			case *IfStmt:
-				n += countExpr(st.Cond)
+				n += countExpr(st.Cond, args)
 				// Both branches may run across threads; average them.
 				n += (countStmts(st.Then, args) + countStmts(st.Else, args)) / 2
 			case *ForStmt:
@@ -517,10 +518,10 @@ func opsWalker(k *Kernel) func(args scalarArgs) float64 {
 			case *WhileStmt:
 				n += unknownLoopFactor * (countStmts(st.Body, args) + 1)
 			case *ExprStmt:
-				n += countExpr(st.X)
+				n += countExpr(st.X, args)
 			case *ReturnStmt:
 				if st.Value != nil {
-					n += countExpr(st.Value)
+					n += countExpr(st.Value, args)
 				}
 			}
 		}
@@ -528,32 +529,6 @@ func opsWalker(k *Kernel) func(args scalarArgs) float64 {
 	}
 
 	return func(args scalarArgs) float64 {
-		// Resolve helper costs bottom-up each evaluation (loop bounds may
-		// reference scalar parameters).
-		for name := range funcOps {
-			delete(funcOps, name)
-		}
-		progress := true
-		for progress && len(funcOps) < len(k.funcs) {
-			progress = false
-			for name, f := range k.funcs {
-				if _, done := funcOps[name]; done {
-					continue
-				}
-				ready := true
-				for _, callee := range calledNames(f.Body) {
-					if _, isFunc := k.funcs[callee]; isFunc {
-						if _, done := funcOps[callee]; !done {
-							ready = false
-						}
-					}
-				}
-				if ready {
-					funcOps[name] = countStmts(f.Body, args)
-					progress = true
-				}
-			}
-		}
 		ops := countStmts(k.Body, args)
 		if ops < 1 {
 			ops = 1

@@ -304,3 +304,42 @@ __global__ void k(float *y, int n) { y[0] = f(1.0); }`
 		t.Fatalf("valid device-function break rejected: %v", err)
 	}
 }
+
+// TestOpsEstimateAllocFree: the estimate of a kernel that calls a
+// __device__ helper inside a loop bounded by a scalar parameter follows
+// that bound into the helper, is worked out again for every launch —
+// walking the helper without any per-kernel scratch, so a shared Def can
+// be priced from many goroutines — and allocates nothing doing so.
+func TestOpsEstimateAllocFree(t *testing.T) {
+	def := compile(t, `
+__device__ float horner(float x, int terms) {
+    float s = 0.0;
+    for (int j = 0; j < terms; j++) {
+        s = s * x + 1.0;
+    }
+    return s;
+}
+__global__ void series(float *y, const float *x, int terms, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        float acc = 0.0;
+        for (int k = 0; k < terms; k++) {
+            acc = acc + horner(x[i], terms);
+        }
+        y[i] = acc;
+    }
+}`, "")
+	metas := func(terms float64) []kernels.ArgMeta {
+		return []kernels.ArgMeta{{IsBuffer: true, Len: 64}, {IsBuffer: true, Len: 64},
+			{Scalar: terms}, {Scalar: 64}}
+	}
+	m4, m8 := metas(4), metas(8)
+	c4, c8 := def.CostLaunch(1, 64, m4).OpsPerElement, def.CostLaunch(1, 64, m8).OpsPerElement
+	// terms loops over a helper that loops terms times: quadratic.
+	if c8 <= 3*c4 {
+		t.Fatalf("ops per element %v at terms=4, %v at terms=8: the helper's loop bound was not followed", c4, c8)
+	}
+	if a := testing.AllocsPerRun(100, func() { def.CostLaunch(1, 64, m8) }); a != 0 {
+		t.Fatalf("pricing a launch allocates %v times", a)
+	}
+}

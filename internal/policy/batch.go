@@ -2,30 +2,16 @@ package policy
 
 import "grout/internal/cluster"
 
-// BatchAssigner is an optional Policy extension used by the controller's
-// lookahead optimizer window (DESIGN.md §5.6): place a whole window of
-// CEs in one call instead of one Assign per CE.
+// BatchAssigner places several CEs in one call, exactly as len(reqs)
+// sequential Assign calls would.
 //
-// Snapshot contract: every request in the batch is built against the
-// same frozen data-location view — the membership state as of the start
-// of the window. Implementations must not assume that an earlier
-// request's placement (or the write collapse it will cause) is visible
-// in a later request's NodeInfo; the controller applies all membership
-// predictions after the batch returns, in window order. This is what
-// lets the per-array transfer-estimate vectors be computed once per
-// window: the view cannot change mid-batch.
-//
-// The returned slice has one worker per request, in order. Policies
-// whose per-request state advances (round-robin cursors) must advance it
-// exactly as len(reqs) sequential Assign calls would, so batch and
-// per-CE admission interleave consistently.
+// Deprecated: the controller admits every CE by itself and never calls
+// it; it is kept, with the implementations below, for benchmark/seams.go.
 type BatchAssigner interface {
 	AssignBatch(reqs []Request) []cluster.NodeID
 }
 
-// AssignBatch implements BatchAssigner: the min-transfer-time scan runs
-// per request, but the expensive part — the data views — was built once
-// against the window snapshot by the caller.
+// AssignBatch implements BatchAssigner.
 func (p *MinTransferTime) AssignBatch(reqs []Request) []cluster.NodeID {
 	out := make([]cluster.NodeID, len(reqs))
 	for i, req := range reqs {

@@ -16,9 +16,9 @@ import (
 )
 
 // Restricted wraps an inner Policy, constraining assignments to an
-// allowed worker set. It forwards the optional extensions the controller
-// probes for (BatchAssigner, StallAware), so wrapping loses no fast
-// paths. Like all policies it is not safe for concurrent use.
+// allowed worker set. It forwards the optional extension the controller
+// probes for (StallAware), so wrapping loses no stall view. Like all
+// policies it is not safe for concurrent use.
 type Restricted struct {
 	inner   Policy
 	allowed map[cluster.NodeID]struct{}
@@ -102,56 +102,4 @@ func (p *Restricted) Assign(req Request) cluster.NodeID {
 		return p.clampRR()
 	}
 	return w
-}
-
-// AssignBatch implements BatchAssigner, forwarding to the inner policy's
-// batch path when it has one so the window optimizer keeps its single
-// call per window.
-func (p *Restricted) AssignBatch(reqs []Request) []cluster.NodeID {
-	ba, ok := p.inner.(BatchAssigner)
-	if !ok {
-		out := make([]cluster.NodeID, len(reqs))
-		for i, req := range reqs {
-			out[i] = p.Assign(req)
-		}
-		return out
-	}
-	// Filtering may reuse scratch per request, so narrow each request
-	// into its own slice for the batch call. A request whose every
-	// candidate was filtered still needs one for the inner policy's
-	// Assign contract; its answer is overridden below.
-	narrowed := make([]Request, len(reqs))
-	empty := make([]bool, len(reqs))
-	for i, req := range reqs {
-		n := 0
-		for _, ni := range req.Nodes {
-			if _, ok := p.allowed[ni.ID]; ok {
-				n++
-			}
-		}
-		if n == len(req.Nodes) && n > 0 {
-			narrowed[i] = req
-			continue
-		}
-		keep := make([]NodeInfo, 0, n+1)
-		for _, ni := range req.Nodes {
-			if _, ok := p.allowed[ni.ID]; ok {
-				keep = append(keep, ni)
-			}
-		}
-		if len(keep) == 0 {
-			keep = append(keep, NodeInfo{ID: p.order[0]})
-			empty[i] = true
-		}
-		req.Nodes = keep
-		req.MaxUp = 0
-		narrowed[i] = req
-	}
-	out := ba.AssignBatch(narrowed)
-	for i, w := range out {
-		if _, ok := p.allowed[w]; !ok || empty[i] {
-			out[i] = p.clampRR()
-		}
-	}
-	return out
 }

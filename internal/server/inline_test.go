@@ -3,9 +3,9 @@ package server
 // Tests of the depth-1 path (DESIGN.md §5.5): a launch is admitted on its
 // tenant's serve goroutine when nobody is waiting for admission, a Sync
 // waits for its own session only, and a launch that fails at dispatch is
-// reported by the Sync that waited for it. The hazards of the new path —
-// a launch parked in the optimizer window behind an in-flight cap, the
-// flip between inline and queued admission mid-stream — are here by name.
+// reported by the Sync that waited for it. The hazards of the path — a
+// burst behind an in-flight cap, the flip between inline and queued
+// admission mid-stream — are here by name.
 // Everything runs under -race in ci.
 
 import (
@@ -55,8 +55,7 @@ func kernelSystem(t *testing.T, f *kernelFabric) *core.Controller {
 	t.Helper()
 	local := core.NewLocalFabric(cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), true)
 	f.Fabric, f.KernelBuilder = local, local
-	ctl := core.NewController(f, policy.NewRoundRobin(),
-		core.Options{Numeric: true, OptimizeWindow: 32})
+	ctl := core.NewController(f, policy.NewRoundRobin(), core.Options{Numeric: true})
 	t.Cleanup(func() { ctl.Close() })
 	return ctl
 }
@@ -87,8 +86,7 @@ func TestInlineAdmitDepthOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = fab.Close() })
-	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium),
-		core.Options{Numeric: true, OptimizeWindow: 32})
+	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium), core.Options{Numeric: true})
 	t.Cleanup(func() { ctl.Close() })
 	g := gwStart(t, ctl, Options{})
 	sh := g.shards[0]
@@ -114,7 +112,7 @@ func TestInlineAdmitDepthOne(t *testing.T) {
 		// The array's first launch ships it (blocking path, on the batch
 		// dispatcher); from then on it is resident where the policy keeps
 		// placing its launches. A blocking launch resolves a moment before
-		// the dispatcher lets go of its window, so the step right behind one
+		// the dispatcher lets go of its job, so the step right behind one
 		// may still be handed to it: warm up until a step is not.
 		for handed := -1; handed != ctl.DispatcherJobs(); {
 			handed = ctl.DispatcherJobs()
@@ -142,7 +140,7 @@ func TestInlineAdmitDepthOne(t *testing.T) {
 			all-all0, drained-drained0, tenants*steps)
 	}
 	if handed := ctl.DispatcherJobs() - handed0; handed != 0 {
-		t.Fatalf("the batch dispatcher was handed %d of %d depth-1 launches, want 0", handed, tenants*steps)
+		t.Fatalf("the dispatcher was handed %d of %d depth-1 launches, want 0", handed, tenants*steps)
 	}
 	for k, c := range clients {
 		if err := c.HostRead(1); err != nil {
@@ -201,17 +199,13 @@ func TestSessionScopedSyncThroughGateway(t *testing.T) {
 	}
 }
 
-// TestParkedWindowUnderInflightCap is the minimal case of the trap
-// TestGatewayFairnessKnobsPreserveResults also walks around: one tenant, an
-// in-flight cap of 1, a queue of 2, a window of 32, and a burst of launches
-// that arrive together (sent past the client's launch window, as a client
-// that ignores it would). The first is admitted inline and parked in the
-// window; the second finds the cap taken and queues, and so does the third;
-// the fourth finds the queue full and the serve goroutine blocks on it.
-// Unless that goroutine flushed the window when it first left a launch to
-// the drain loop, the parked launch never dispatches, the cap is never
-// returned, and the drain loop — which flushes only after a round that
-// admitted something — waits for ever.
+// TestParkedWindowUnderInflightCap: one tenant, an in-flight cap of 1, a
+// queue of 2, and a burst of launches that arrive together (sent past the
+// client's launch window, as a client that ignores it would). The first is
+// admitted inline; the second finds the cap taken and queues, and so does
+// the third; the fourth finds the queue full and the serve goroutine
+// blocks on it. The inline launch must dispatch and return the cap, so the
+// drain loop admits the rest and the burst completes.
 func TestParkedWindowUnderInflightCap(t *testing.T) {
 	const burst = 8
 	g := gwStart(t, gwSystem(t, nil), Options{
@@ -238,7 +232,7 @@ func TestParkedWindowUnderInflightCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("a launch parked in the window behind the in-flight cap was never flushed")
+		t.Fatal("a burst behind the in-flight cap never completed")
 	}
 	all, drained := g.shards[0].admissions()
 	if all != burst || drained == 0 || drained == all {

@@ -205,8 +205,6 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 			func(t TenantStats) string { return fmt.Sprintf("%g", t.AdmissionWait.Seconds()) }},
 		{"grout_gateway_admission_wait_p99_seconds", "99th-percentile admission wait.", "gauge",
 			func(t TenantStats) string { return fmt.Sprintf("%g", t.AdmissionWaitP99.Seconds()) }},
-		{"grout_gateway_eliminated_moves_total", "Argument transfers skipped because the target already held a fresh replica.", "counter",
-			func(t TenantStats) string { return fmt.Sprintf("%d", t.EliminatedMoves) }},
 	}
 	for _, m := range perTenant {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)

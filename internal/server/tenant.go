@@ -38,10 +38,6 @@ type tenant struct {
 	dropped  int64     // launches discarded (teardown or poisoned session)
 	gone     bool      // torn down; the drain loop must not submit for it
 
-	// parked is the serve goroutine's own: it has admitted launches that may
-	// still sit in the controller's optimizer window (flushParked).
-	parked bool
-
 	// Token bucket (SessionLimits.RatePerSec/Burst): tokens is the
 	// current allowance, refilled lazily from the wall clock at each
 	// check — no timer goroutine per tenant. Guarded by mu.
@@ -115,18 +111,6 @@ func (t *tenant) dropLocked() {
 	t.dropped++
 	if t.queued == 0 {
 		t.flushed.Broadcast()
-	}
-}
-
-// flushParked dispatches what the serve goroutine's own admissions left
-// in the optimizer window. The drain loop flushes after every round; a
-// serve goroutine parks launch after launch while more requests wait in
-// its read buffer, and calls this before it blocks on anything or hands a
-// launch to the drain loop. Errors surface on the launches' Pendings.
-func (t *tenant) flushParked() {
-	if t.parked {
-		t.parked = false
-		_ = t.shard.ctl.FlushWindow()
 	}
 }
 

@@ -116,7 +116,7 @@ func longRunProgram(seed int64, nArr, nOps int) (ops []streamOp, killAt int) {
 
 // TestRetireLongRunSurvivesWorkerKill runs a 50 000-CE seeded program —
 // longer than the retirement horizon and both rings many times over — on a
-// pipelined, windowed, streaming controller over three TCP workers, and
+// pipelined, streaming controller over three TCP workers, and
 // kills one worker with launches in flight. With Failover the result must
 // be bit-identical to the serial in-process run (lineage replay reaches
 // through retired vertices: producer records keep their own copy of the
@@ -145,7 +145,7 @@ func TestRetireLongRunSurvivesWorkerKill(t *testing.T) {
 	}
 	defer fab.Close()
 	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium), core.Options{
-		Numeric: true, OptimizeWindow: 32, Failover: true})
+		Numeric: true, Failover: true})
 	defer ctl.Close()
 
 	var pend []*core.Pending
@@ -175,12 +175,9 @@ func TestRetireLongRunSurvivesWorkerKill(t *testing.T) {
 		}
 		for i, op := range ops {
 			if i == killAt {
-				// Half the window is submitted. Let the first quarter
-				// commit, so the arrays really are worker-resident, and
-				// strike while the second is in flight.
-				if err := ctl.FlushWindow(); err != nil {
-					return nil, err
-				}
+				// Let all but the last 100 submitted commit, so the arrays
+				// really are worker-resident, and strike while those are
+				// in flight.
 				<-pend[len(pend)-100].Done()
 				// The victim is the worker the scheduler has placed the
 				// most sole copies on: killing it loses data for certain.

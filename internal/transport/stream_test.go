@@ -220,9 +220,9 @@ func streamPolicies() map[string]func() policy.Policy {
 // are pinned to the values measured when every push dialed its own
 // connection and cloned the array: how a push travels may change, what is
 // moved may not. The streamed run repeats at pipeline depths 1 and 2, where
-// the goroutine that flushes a window starts only its head and nearly every
-// window is split between it and the batch dispatcher (core's
-// TestInlineStartHandsRemainderInOrder pins the hand-over itself).
+// a submitter starts its launch only under the bound and the CEs past it go
+// to the dispatcher (core's TestInlineStartHandsRemainderInOrder pins the
+// hand-over itself).
 func TestStreamedMatchesSerialAndBlocking(t *testing.T) {
 	const nArr, nOps, workers = 5, 90, 3
 	type moves struct {
@@ -230,7 +230,6 @@ func TestStreamedMatchesSerialAndBlocking(t *testing.T) {
 		p2p   int
 	}
 	roundRobin := map[int64]moves{1: {69632, 53}, 2: {73728, 57}, 3: {80896, 63}, 4: {79872, 61}}
-	windowed := core.Options{Numeric: true, OptimizeWindow: 32}
 	var streamed int64
 	for seed := int64(1); seed <= 4; seed++ {
 		ops := genStream(seed, nArr, nOps)
@@ -250,9 +249,7 @@ func TestStreamedMatchesSerialAndBlocking(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer fab.Close()
-				opts := windowed
-				opts.PipelineDepth = depth
-				ctl := core.NewController(wrap(fab), mk(), opts)
+				ctl := core.NewController(wrap(fab), mk(), core.Options{Numeric: true, PipelineDepth: depth})
 				defer ctl.Close()
 				got, err := runStream(ctl, nArr, ops)
 				if err != nil {
@@ -313,12 +310,12 @@ func residentArrays(t *testing.T, ctl *core.Controller, nArr int) {
 // stalledProgram sets up the failure tests: a controller over two workers
 // placing everything on worker 1, nArr arrays made resident there, worker
 // 1 then stalled (its runtime lock held, so requests queue unanswered) and
-// the given launches submitted and flushed into the stream. It returns
+// the given launches submitted into the stream. It returns
 // once at least minInFlight of them are in flight.
 func stalledProgram(t *testing.T, fab *TCPFabric, workers []*WorkerServer, opts core.Options,
 	nArr int, launches []core.Invocation, minInFlight int) (*core.Controller, []*core.Pending, func()) {
 	t.Helper()
-	opts.Numeric, opts.OptimizeWindow = true, 32
+	opts.Numeric = true
 	ctl := core.NewController(fab, firstAlive{}, opts)
 	t.Cleanup(func() { _ = ctl.Close() })
 	residentArrays(t, ctl, nArr)
@@ -332,10 +329,6 @@ func stalledProgram(t *testing.T, fab *TCPFabric, workers []*WorkerServer, opts 
 			t.Fatal(err)
 		}
 		pend = append(pend, p)
-	}
-	if err := ctl.FlushWindow(); err != nil {
-		release()
-		t.Fatal(err)
 	}
 	waitOutstanding(t, fab, 1, minInFlight)
 	return ctl, pend, release

@@ -1,12 +1,10 @@
 package workloads
 
-// The optimizer differential gate: every suite workload, submitted as a
-// stream through AsyncGrout, must produce bit-identical array contents
-// (and identical error text) with the controller's lookahead optimizer
-// window on and off. The window changes admission — eliminating
-// transfers, and evaluating the policy against a frozen snapshot, which
-// legitimately changes placements — so this is the property that proves
-// those changes never change results.
+// The admission differential gate: every suite workload, submitted as a
+// stream through AsyncGrout (Submit, dispatch overlapping admission, with
+// the deprecated OptimizeWindow set, which must change nothing), must
+// produce bit-identical array contents (and identical error text) to the
+// same workload launched CE by CE through Grout (Launch).
 
 import (
 	"bytes"
@@ -49,26 +47,30 @@ func (r *recorder) Free(id dag.ArrayID) error {
 // runDifferential builds one workload on a fresh fleet and returns every
 // live array's final bytes (in allocation order) plus the run's error
 // text ("" for success).
-func runDifferential(t *testing.T, w *Workload, optimize bool) ([][]byte, string) {
+func runDifferential(t *testing.T, w *Workload, stream bool) ([][]byte, string) {
 	t.Helper()
 	clu := cluster.New(cluster.PaperSpec(4))
 	fab := core.NewLocalFabric(clu, kernels.StdRegistry(), true)
 	opts := core.Options{Numeric: true}
-	if optimize {
+	if stream {
 		opts.OptimizeWindow = 16
 	}
-	// min-transfer-time also exercises the batched policy path.
 	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium), opts)
 	defer ctl.Close()
 
-	s := &AsyncGrout{Ctl: ctl}
+	var s Session = &Grout{Ctl: ctl}
+	if stream {
+		s = &AsyncGrout{Ctl: ctl}
+	}
 	rec := &recorder{Session: s, live: make(map[dag.ArrayID]bool)}
 	errText := ""
 	if err := w.Build(rec, gateParams(w.Name)); err != nil {
 		errText = err.Error()
 	}
-	if err := s.Wait(); err != nil && errText == "" {
-		errText = err.Error()
+	if a, ok := s.(*AsyncGrout); ok {
+		if err := a.Wait(); err != nil && errText == "" {
+			errText = err.Error()
+		}
 	}
 	var out [][]byte
 	for _, id := range rec.order {
@@ -100,14 +102,14 @@ func TestOptimizerDifferentialSuite(t *testing.T) {
 			base, baseErr := runDifferential(t, suite[name], false)
 			opt, optErr := runDifferential(t, suite[name], true)
 			if baseErr != optErr {
-				t.Fatalf("error text diverged:\n  window off: %q\n  window on:  %q", baseErr, optErr)
+				t.Fatalf("error text diverged:\n  launched:  %q\n  submitted: %q", baseErr, optErr)
 			}
 			if len(base) != len(opt) {
 				t.Fatalf("live array count diverged: %d vs %d", len(base), len(opt))
 			}
 			for i := range base {
 				if !bytes.Equal(base[i], opt[i]) {
-					t.Fatalf("array %d of %d diverged with the optimizer window on", i, len(base))
+					t.Fatalf("array %d of %d diverged between Launch and Submit", i, len(base))
 				}
 			}
 		})

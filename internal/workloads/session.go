@@ -171,10 +171,8 @@ func (g *Grout) BuildKernel(src, signature string) (string, error) {
 func (g *Grout) Elapsed() sim.VirtualTime { return g.Ctl.Elapsed() }
 
 // AsyncGrout adapts a core.Controller to Session through Submit instead
-// of the blocking Launch, so consecutive launches actually reach the
-// controller's pipeline and lookahead optimizer window as a stream — the
-// Grout adapter's Launch-per-CE synchronization would cap every window
-// at one entry. Dispatch failures behave like a poisoned stream: the
+// of the blocking Launch, so consecutive launches reach the controller's
+// pipeline as a stream, dispatch overlapping admission. Dispatch failures behave like a poisoned stream: the
 // first one is sticky and reported by every later call and by Wait.
 // Not safe for concurrent use, like the sessions it adapts.
 type AsyncGrout struct {
@@ -188,8 +186,7 @@ type AsyncGrout struct {
 // reap(true) to wait them all out. The first error sticks.
 func (g *AsyncGrout) reap(wait bool) error {
 	if wait {
-		// Flush parked window entries first or their Pendings never
-		// resolve; Drain also surfaces pipeline errors.
+		// Drain surfaces pipeline errors.
 		if err := g.Ctl.Drain(); err != nil && g.err == nil {
 			g.err = err
 		}

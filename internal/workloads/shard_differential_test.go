@@ -23,8 +23,7 @@ import (
 )
 
 // newDiffPlane builds a plane matching runDifferential's controller
-// configuration: numeric, pipelined, optimizer window on, batched
-// min-transfer-time policy.
+// configuration: numeric, pipelined, min-transfer-time policy.
 func newDiffPlane(t *testing.T, shards int, chaos *core.ChaosOptions) *shard.Plane {
 	t.Helper()
 	opts := shard.Options{
@@ -33,7 +32,7 @@ func newDiffPlane(t *testing.T, shards int, chaos *core.ChaosOptions) *shard.Pla
 		NewPolicy: func(int) (policy.Policy, error) {
 			return policy.NewMinTransferTime(policy.Medium), nil
 		},
-		Core: core.Options{Numeric: true, OptimizeWindow: 16},
+		Core: core.Options{Numeric: true},
 	}
 	if chaos != nil {
 		opts.Core.Failover = true

@@ -66,14 +66,13 @@ baseline = {
     'DAGAdd/diamond': {'ns_per_op': 4467, 'bytes_per_op': 902,
                        'allocs_per_op': 14},
 }
-# The pipelined and optimizer-window submission paths postdate the
-# pre-fast-path tree; their speedups are computed against the same
-# case's serial baseline (the paths replace serial submission, so the
-# ratio is still per-CE admission cost, old tree vs new path).
+# The pipelined submission path postdates the pre-fast-path tree; its
+# speedup is computed against the same case's serial baseline (the path
+# replaces serial submission, so the ratio is still per-CE admission
+# cost, old tree vs new path).
 for case in ('rr-256w', 'mtt-16w', 'mtt-256w'):
-    serial = baseline[f'ControllerSubmitThroughput/{case}/serial']
-    for mode in ('pipelined', 'pipelined+opt'):
-        baseline[f'ControllerSubmitThroughput/{case}/{mode}'] = serial
+    baseline[f'ControllerSubmitThroughput/{case}/pipelined'] = \
+        baseline[f'ControllerSubmitThroughput/{case}/serial']
 
 doc = {
     'description': 'Controller fast-path micro-benchmarks (Fig. 9 synthetic '

@@ -13,7 +13,9 @@
 #                              peer links, depth-1 admission, one engine, FIFO bulk, typed kernels,
 #                              TestLaunchRunsOnItsCaller, TestPipelinedStallQueriesRaceFree,
 #                              TestWrapperFidelity, the allocation budgets, victim selection
-#                              vs a full sort, shared stdlib Defs)
+#                              vs a full sort, shared stdlib Defs, the 0-allocation op
+#                              estimate, TestSharedKernelDefsConcurrent: every shared compiled
+#                              Def priced and run from several goroutines)
 #   5.  fuzz                   compiled engine vs interpreter, session/lease frame codecs,
 #                              worker serve loop: short budgets, corpora persist
 #   6.  -bench -benchtime=1x   micro-benchmark and UVMBench smoke: still compile and complete
@@ -47,10 +49,11 @@ go test -race ./internal/core/... ./internal/dag/... ./internal/grcuda/... \
 echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos)"
 go test -race -run 'TestShardDifferential' ./internal/workloads/
 
-echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + worker-to-worker + depth-1 + one-engine + FIFO bulk + typed-kernel + fabric-wrapper + allocation-budget suite (lineage replay, deadlines, write-off, stream replay, session stream, peer links, inline admission and start, window-of-1 equivalence, launch on its caller, stickiness, goroutine budget, serialised transfers, chunk-stream validation, launch argument checks, canonical NaN stores, counted-loop steps, per-partition allocation, stall queries vs dispatch, wrapper fidelity, launch/DAG/Submit allocation budgets, heap victim selection vs full sort, shared stdlib Defs)"
-go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|ParkedWindow|SyncReportsDispatchFailure|PipelineMatchesSerial|LaunchRunsOnItsCaller|ConcurrentFabricOrdering|ErrorStickiness|GoroutineBudget|ConcurrentBulkTransfersSerialise|ChunkStreamValidation|RejectedReceiveKeepsStreamInSync|BulkSever|PingNotBlocked|LaunchArgumentChecks|CanonicalNaNStores|CountedLoopStepAccounting|LaunchAllocsFlat|UVMKernelsDifferential|PipelinedStallQueriesRaceFree|WrapperFidelity|AllocBudget|VictimSelectionMatchesFullSort|StdRegistr' \
+echo "== go test -race chaos/recovery + streamed-launch + pipelined-session + worker-to-worker + depth-1 + one-engine + FIFO bulk + typed-kernel + fabric-wrapper + allocation-budget suite (lineage replay, deadlines, write-off, stream replay, session stream, peer links, inline admission and start, Launch vs Submit equivalence, launch on its caller, stickiness, goroutine budget, serialised transfers, chunk-stream validation, launch argument checks, canonical NaN stores, counted-loop steps, per-partition allocation, stall queries vs dispatch, wrapper fidelity, launch/DAG/Submit allocation budgets, heap victim selection vs full sort, shared stdlib Defs, op-estimate allocations, shared compiled Defs priced and run concurrently)"
+go test -race -run 'Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|ParkedWindow|SyncReportsDispatchFailure|PipelineMatchesSerial|LaunchRunsOnItsCaller|ConcurrentFabricOrdering|ErrorStickiness|GoroutineBudget|ConcurrentBulkTransfersSerialise|ChunkStreamValidation|RejectedReceiveKeepsStreamInSync|BulkSever|PingNotBlocked|LaunchArgumentChecks|CanonicalNaNStores|CountedLoopStepAccounting|LaunchAllocsFlat|UVMKernelsDifferential|PipelinedStallQueriesRaceFree|WrapperFidelity|AllocBudget|VictimSelectionMatchesFullSort|StdRegistr|OpsEstimateAllocFree' \
     ./internal/core/ ./internal/transport/ ./internal/shard/ ./internal/bench/ ./internal/server/ ./internal/minicuda/ \
     ./internal/gpusim/ ./internal/dag/ ./internal/kernels/
+go test -race -run 'TestSharedKernelDefsConcurrent' ./internal/workloads/
 
 echo "== differential fuzz (compiled engine vs interpreter, 20s)"
 go test -run FuzzDifferential -fuzz FuzzDifferential -fuzztime 20s \
