@@ -5,7 +5,7 @@
 // Usage:
 //
 //	groutbench -fig all        # every figure (default)
-//	groutbench -fig 6a         # one of: 1, 6a, 6b, 7, 8, 9
+//	groutbench -fig 6a         # one figure; -h lists them
 //	groutbench -fig 9 -ces 256 # Fig 9 with a shorter CE stream
 package main
 
@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 5, 6a, 6b, 7, 8, 9, window, ablation, scaling, whatif, oversub, uvmbench, recovery or all")
+	fig := flag.String("fig", "all", "figure to regenerate: "+figNames())
 	ces := flag.Int("ces", 512, "CE stream length for Fig 9's overhead measurement and the recovery figure's chain")
 	runWL := flag.String("run", "", "run one workload instead of a figure: bs, mle, cg, mv, images, deep, or a UVMBench one (kmeans, logreg, conv, bfs, pagerank, spmv, triad, stencil2d)")
 	size := flag.String("size", "32GiB", "footprint for -run")
@@ -48,170 +48,33 @@ func main() {
 		return
 	}
 
-	run := func(name string, fn func()) {
-		start := time.Now()
-		fn()
-		fmt.Fprintf(os.Stderr, "[%s regenerated in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
 	want := strings.ToLower(*fig)
 	matched := false
-	sel := func(name string) bool {
-		if want == "all" || want == name {
-			matched = true
-			return true
+	for _, f := range bench.Figures {
+		if want != "all" && want != f.Name {
+			continue
 		}
-		return false
-	}
-
-	if sel("1") {
-		run("fig 1", func() {
-			bench.PrintSeries(os.Stdout,
-				"Fig 1: Black-Scholes execution time (s) on one node vs input size",
-				"size GiB ->", "%.2f", []bench.Series{bench.Fig1()})
-		})
-	}
-	if sel("5") {
-		run("fig 5", func() {
-			fmt.Println("Fig 5: workload CE-dependency DAGs (Graphviz DOT)")
-			dags := bench.Fig5DAGs()
-			for _, name := range []string{"mle", "cg", "mv"} {
-				fmt.Printf("// ---- %s ----\n%s\n", name, dags[name])
-			}
-		})
-	}
-	if sel("6a") {
-		run("fig 6a", func() {
-			bench.PrintSeries(os.Stdout,
-				"Fig 6a: single-node slowdown vs the 4 GiB run (GrCUDA baseline)",
-				"size GiB ->", "%.1f", bench.Fig6a())
-		})
-	}
-	if sel("6b") {
-		run("fig 6b", func() {
-			bench.PrintSeries(os.Stdout,
-				"Fig 6b: GrOUT two-node slowdown vs the 4 GiB run (vector-step)",
-				"size GiB ->", "%.1f", bench.Fig6b())
-		})
-	}
-	if sel("7") {
-		run("fig 7", func() {
-			bench.PrintSeries(os.Stdout,
-				"Fig 7: GrOUT (2 nodes) speedup over single node per oversubscription factor",
-				"factor ->", "%.2f", bench.Fig7())
-		})
-	}
-	if sel("8") {
-		run("fig 8", func() {
-			bench.PrintFig8(os.Stdout, bench.Fig8())
-		})
-	}
-	if sel("9") {
-		run("fig 9", func() {
-			bench.PrintSeries(os.Stdout,
-				"Fig 9: controller scheduling overhead per CE (wall-clock µs) vs node count",
-				"nodes ->", "%.1f", bench.Fig9(*ces))
-		})
-	}
-	if sel("window") {
-		run("window", func() {
-			bench.PrintSeries(os.Stdout,
-				"Submission paths: caller-blocked wall-clock per CE (µs) — serial vs pipelined",
-				"nodes ->", "%.1f", bench.Fig9Compare(*ces))
-		})
-	}
-	if sel("ablation") {
-		run("ablations", func() {
-			bench.PrintSeries(os.Stdout,
-				"Ablation: hand-tuned UVM (advise+prefetch) vs scale-out — BS, seconds",
-				"size GiB ->", "%.2f", bench.AblationHandTuning())
-			m, s := bench.AblationStreamOverlap(16 * memmodel.GiB)
-			fmt.Printf("Ablation: transfer/computation overlap (BS 16 GiB, 8 partitions):\n"+
-				"  multi-stream %.3fs, single-stream %.3fs -> overlap saves %.1f%%\n",
-				m.Seconds(), s.Seconds(), 100*(1-m.Seconds()/s.Seconds()))
-		})
-	}
-	if sel("whatif") {
-		run("hardware what-if", func() {
-			bench.PrintSeries(os.Stdout,
-				"What-if: BS on one node of each GPU generation (seconds)",
-				"size GiB ->", "%.2f", bench.WhatIfHardware())
-			fmt.Println("(-1 = footprint exceeds the node's host memory: allocation impossible)")
-			fmt.Println("scale-up moves the knee (V100: 32 GiB/node, A100: 80 GiB/node); it does not remove it")
-		})
-	}
-	if sel("scaling") {
-		run("strong scaling", func() {
-			var series []bench.Series
-			for _, w := range []string{"mle", "cg", "mv"} {
-				series = append(series,
-					bench.StrongScaling(w, 128*memmodel.GiB, []int{1, 2, 4, 8, 16}))
-			}
-			bench.PrintSeries(os.Stdout,
-				"Strong scaling: execution time (s) at 128 GiB vs node count",
-				"nodes ->", "%.1f", series)
-		})
-	}
-	if sel("oversub") {
-		run("oversubscription cliff", func() {
-			for _, pattern := range workloads.AllPatterns() {
-				series, pts, err := bench.FigOversub(pattern)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				bench.PrintSeries(os.Stdout, fmt.Sprintf(
-					"Oversubscription sweep (%s): modeled seconds per launch per prefetch+evict combo",
-					pattern), "factor ->", "%.2f", series)
-				factors := workloads.DefaultSweepFactors()
-				fmt.Printf("Cliff per combo (%s):\n%s\n", pattern,
-					bench.FmtOversubCliffs(pts, factors[len(factors)-1]))
-			}
-		})
-	}
-	if sel("uvmbench") {
-		run("uvmbench scale-out", func() {
-			factors := workloads.DefaultSweepFactors()
-			for _, name := range []string{"spmv", "bfs", "pagerank", "triad", "kmeans"} {
-				series, pts, err := bench.FigUVMBench(name, workloads.UVMSweepConfig{})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				bench.PrintSeries(os.Stdout, fmt.Sprintf(
-					"UVMBench %s: modeled makespan (s) vs footprint over one worker's device memory",
-					name), "factor ->", "%.2f", series)
-				fmt.Printf("Cliff per fleet size (%s):\n%s\n", name,
-					bench.FmtUVMCliffs(pts, factors[len(factors)-1]))
-			}
-		})
-	}
-	if sel("recovery") {
-		run("recovery overhead", func() {
-			rep, err := bench.RecoveryOverhead(*ces)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("Recovery: lineage replay after killing the chain tip's only holder\n"+
-				"  workload: in-place axpy chain of %d CEs over 2 workers; worker 2\n"+
-				"  killed at its launch #%d with the sole copy of the chain tip\n"+
-				"  clean run wall-clock:   %10v\n"+
-				"  faulted run wall-clock: %10v  (%d failover(s), %d array(s) recovered)\n"+
-				"  controller time inside recovery: %v\n"+
-				"  overhead vs clean: %.1f%%  (results verified bit-identical)\n",
-				rep.CEs, rep.KillAt,
-				rep.CleanWall.Round(time.Microsecond),
-				rep.FaultWall.Round(time.Microsecond),
-				rep.Failovers, rep.Recoveries,
-				rep.RecoveryTime.Round(time.Microsecond),
-				rep.OverheadPct())
-		})
+		matched = true
+		start := time.Now()
+		if err := f.Print(os.Stdout, *ces); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "[fig %s regenerated in %v]\n\n", f.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "unknown figure %q (want 1, 5, 6a, 6b, 7, 8, 9, window, ablation, scaling, whatif, oversub, uvmbench, recovery or all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "unknown figure %q (want %s)\n", *fig, figNames())
 		os.Exit(2)
 	}
+}
+
+// figNames lists the -fig values.
+func figNames() string {
+	names := make([]string, len(bench.Figures))
+	for i, f := range bench.Figures {
+		names[i] = f.Name
+	}
+	return strings.Join(names, ", ") + " or all"
 }
 
 // runOne executes a single workload configuration and reports its

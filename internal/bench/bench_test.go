@@ -377,3 +377,19 @@ func TestWhatIfHardwareMovesTheKnee(t *testing.T) {
 		t.Fatalf("A100 knee missing at 240GiB: step = %.1f", step)
 	}
 }
+
+// TestRecoveryOverhead pins the recovery figure's contract: the faulted
+// run recovers, and the recovered values are bit-identical to the clean
+// run (RecoveryOverhead errors on any mismatch).
+func TestRecoveryOverhead(t *testing.T) {
+	rep, err := RecoveryOverhead(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failovers < 1 || rep.Recoveries < 1 {
+		t.Fatalf("report = %+v, want at least one failover and recovery", rep)
+	}
+	if rep.RecoveryTime <= 0 {
+		t.Fatalf("recovery time %v, want > 0", rep.RecoveryTime)
+	}
+}

@@ -6,8 +6,8 @@ package bench
 // the footprint ladder at 1, 2 and 4 workers, per prefetch+evict combo.
 // One series per fleet size makes the paper's claim visible in a single
 // table: the 1-worker column falls off the Figure-1 cliff and the wider
-// fleets flatten it. `groutbench -fig uvmbench` prints it; the
-// BenchmarkUVMBench rows feed BENCH_workloads.json.
+// fleets flatten it. `groutbench -fig uvmbench` prints it, and the
+// figure golden pins it.
 
 import (
 	"fmt"

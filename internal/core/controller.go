@@ -543,6 +543,17 @@ func (c *Controller) Traces() []CETrace {
 	return c.traces.Slice()
 }
 
+// advanceClock moves the fleet clock to t if t is later. A host op owns
+// the drained controller under subMu, but ControllerSession.Elapsed reads
+// the clock under mu alone, so the clock is written under mu.
+func (c *Controller) advanceClock(t sim.VirtualTime) {
+	c.mu.Lock()
+	if t > c.elapsed {
+		c.elapsed = t
+	}
+	c.mu.Unlock()
+}
+
 // Elapsed reports the workload makespan in virtual time.
 func (c *Controller) Elapsed() sim.VirtualTime {
 	c.subMu.Lock()
@@ -1507,9 +1518,7 @@ func (c *Controller) HostRead(id dag.ArrayID) (sim.VirtualTime, error) {
 		end = t
 	}
 	stateOf(ce).end = end
-	if end > c.elapsed {
-		c.elapsed = end
-	}
+	c.advanceClock(end)
 	c.traces.Push(CETrace{CE: ce.ID, Label: "host-read",
 		Node: cluster.ControllerID, Start: depReady, End: end})
 	return end, nil
@@ -1562,9 +1571,7 @@ func (c *Controller) HostWrite(id dag.ArrayID) (sim.VirtualTime, error) {
 	arr.ver++
 	arr.cver = arr.ver
 	arr.hostVer = arr.ver
-	if depReady > c.elapsed {
-		c.elapsed = depReady
-	}
+	c.advanceClock(depReady)
 	c.traces.Push(CETrace{CE: ce.ID, Label: "host-write",
 		Node: cluster.ControllerID, Start: depReady, End: depReady})
 	return depReady, nil

@@ -315,3 +315,49 @@ func TestInlineStartHandsRemainderInOrder(t *testing.T) {
 		t.Fatalf("dispatcher handed %d jobs, want the %d past the bound and the later CE", got, chain-depth)
 	}
 }
+
+// A session's Elapsed reads the fleet clock under mu alone, while another
+// session's HostWrite and HostRead advance it under subMu: the host ops
+// must take mu for the clock too, or -race reports it.
+func TestSessionElapsedBesideHostOps(t *testing.T) {
+	fab := NewLocalFabric(cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), true)
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true})
+	t.Cleanup(func() { _ = ctl.Close() })
+	a := NewControllerSession(ctl, "a", SessionLimits{})
+	b := NewControllerSession(ctl, "b", SessionLimits{})
+	const n = 8
+	id, err := a.NewArray(memmodel.Float32, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := kernels.NewBuffer(memmodel.Float32, n)
+	relu := Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(id), ScalarRef(n)}}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// Each launch advances the clock, so the write and the read
+		// behind it both move c.elapsed.
+		for i := 0; i < 200; i++ {
+			if _, err := a.HostWrite(id, buf); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := a.Submit(relu); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, _, err := a.HostRead(id); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+			b.Elapsed()
+		}
+	}
+}

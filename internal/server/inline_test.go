@@ -199,14 +199,14 @@ func TestSessionScopedSyncThroughGateway(t *testing.T) {
 	}
 }
 
-// TestParkedWindowUnderInflightCap: one tenant, an in-flight cap of 1, a
+// TestBurstUnderInflightCap: one tenant, an in-flight cap of 1, a
 // queue of 2, and a burst of launches that arrive together (sent past the
 // client's launch window, as a client that ignores it would). The first is
 // admitted inline; the second finds the cap taken and queues, and so does
 // the third; the fourth finds the queue full and the serve goroutine
 // blocks on it. The inline launch must dispatch and return the cap, so the
 // drain loop admits the rest and the burst completes.
-func TestParkedWindowUnderInflightCap(t *testing.T) {
+func TestBurstUnderInflightCap(t *testing.T) {
 	const burst = 8
 	g := gwStart(t, gwSystem(t, nil), Options{
 		Limits:     core.SessionLimits{MaxInflightCEs: 1},

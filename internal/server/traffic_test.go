@@ -2,8 +2,9 @@ package server
 
 // Production-traffic gateway tests: per-tenant token-bucket rate
 // limiting, backpressure advisories and the client's adaptive pacing,
-// class-based load shedding, and teardown racing the drain loop under
-// an enqueue storm. Everything runs under -race in ci.
+// class-based load shedding, teardown racing the drain loop under an
+// enqueue storm, hostile-tenant containment and dial churn. Everything
+// runs under -race in ci.
 
 import (
 	"errors"
@@ -11,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -309,5 +312,121 @@ func TestGatewayTeardownRacesDrain(t *testing.T) {
 	c := gwDial(t, g, "after-the-storm")
 	if _, err := clientProgram(c, 0, 8); err != nil {
 		t.Fatalf("gateway unserviceable after the storm: %v", err)
+	}
+}
+
+// Hostile-tenant containment: 64 rate-limited tenants make 20 launches
+// each, with and without a tenant 0 that ignores every backpressure
+// advisory. The worst well-behaved tenant's p99 admission wait with the
+// hostile neighbor present must stay within 2× of the all-polite run.
+// Wall-clock waits on a shared box are noisy, so the rule holds for the
+// median ratio of alternating pairs.
+func TestGatewayContainsHostileTenant(t *testing.T) {
+	const tenants, launches, pairs = 64, 20, 5
+	limits := core.SessionLimits{MaxInflightCEs: 32, RatePerSec: 400, Burst: 16}
+	worstPoliteP99 := func(hostile bool) time.Duration {
+		g, err := New(gwSystem(t, nil), "127.0.0.1:0", Options{Limits: limits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		clients := make([]*Client, tenants)
+		arrays := make([]dag.ArrayID, tenants)
+		for k := range clients {
+			c, err := Dial(g.Addr(), fmt.Sprintf("t%02d", k), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetHonorBackpressure(!(hostile && k == 0))
+			clients[k], arrays[k] = c, trafficArray(t, c)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, tenants)
+		for k, c := range clients {
+			wg.Add(1)
+			go func(c *Client, a dag.ArrayID) {
+				defer wg.Done()
+				for i := 0; i < launches; i++ {
+					if err := c.Launch("relu", 0, 0, core.ArrRef(a), core.ScalarRef(gwElems)); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- c.Sync()
+			}(c, arrays[k])
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var worst time.Duration
+		for _, ts := range g.Snapshot().Tenants {
+			if hostile && ts.Name == "t00" {
+				continue // the hostile tenant's own wait is not the claim
+			}
+			worst = max(worst, ts.AdmissionWaitP99)
+		}
+		return worst
+	}
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		polite := worstPoliteP99(false)
+		hostile := worstPoliteP99(true)
+		if polite <= 0 {
+			t.Fatalf("pair %d: the all-polite run reports no admission wait, so the rate limit never bound", i)
+		}
+		ratios[i] = float64(hostile) / float64(polite)
+		t.Logf("pair %d: worst polite p99 %v all-polite, %v beside the hostile tenant", i, polite, hostile)
+	}
+	sort.Float64s(ratios)
+	if median := ratios[pairs/2]; median > 2 {
+		t.Fatalf("worst well-behaved p99 admission wait with a hostile neighbor is %.2f× the all-polite run (median of %v), want ≤ 2×",
+			median, ratios)
+	}
+}
+
+// Dial churn: repeated 32-way bursts of dial+ping+close all succeed, and
+// afterwards the gateway holds no session and no goroutine more than
+// before the first burst.
+func TestGatewayDialChurn(t *testing.T) {
+	const bursts, burst = 4, 32
+	g := gwStart(t, gwSystem(t, nil), Options{})
+	baseline := runtime.NumGoroutine()
+	for b := 0; b < bursts; b++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, burst)
+		for k := 0; k < burst; k++ {
+			wg.Add(1)
+			go func(name string) {
+				defer wg.Done()
+				c, err := Dial(g.Addr(), name, 0, 0)
+				if err != nil {
+					errs <- err
+					return
+				}
+				err = c.Ping()
+				if cerr := c.Close(); err == nil {
+					err = cerr
+				}
+				errs <- err
+			}(fmt.Sprintf("churn-%d-%02d", b, k))
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("burst %d: %v", b, err)
+			}
+		}
+	}
+	eventually(t, 5*time.Second, "sessions and goroutines back to baseline", func() bool {
+		return g.Snapshot().Active == 0 && runtime.NumGoroutine() <= baseline
+	})
+	if total := g.Snapshot().Total; total != bursts*burst {
+		t.Fatalf("gateway counted %d sessions, want %d", total, bursts*burst)
 	}
 }

@@ -122,8 +122,8 @@ func TestOversubscriptionSweepShape(t *testing.T) {
 		}
 	}
 	// Below device memory both policies are resident and identical in
-	// regime; at 1.5x the stride policy must beat the baseline >=2x (the
-	// BENCH_gpusim.json acceptance row).
+	// regime; at 1.5x the stride policy must beat the baseline >=2x
+	// (EXPERIMENTS.md's oversubscription-cliff claim).
 	if r := byKey["eager/sequential/0.5"].Regimes["resident"]; r != 4 {
 		t.Errorf("0.5x not resident: %+v", byKey["eager/sequential/0.5"])
 	}

@@ -1,7 +1,8 @@
 package workloads
 
 // The oversubscription sweep driver: the measurement harness behind
-// `groutbench -fig oversub`, BenchmarkOversubSweep and BENCH_gpusim.json.
+// `groutbench -fig oversub`, whose values internal/bench's figure golden
+// pins.
 // It runs a fixed kernel-sweep microworkload on a single simulated GPU at
 // footprints from below device memory to deep oversubscription, across
 // every access pattern and prefetch/eviction policy combination, and

@@ -1,7 +1,8 @@
 package workloads
 
 // The workload-level oversubscription sweep — the end-to-end harness
-// behind `groutbench -fig uvmbench` and BENCH_workloads.json. Where
+// behind `groutbench -fig uvmbench`, and the reference the repository
+// benchmark's oversub-sweep cells must equal. Where
 // sweep.go drives a synthetic access pattern on one simulated GPU, this
 // driver runs the *real* UVMBench-style workloads across three axes:
 //
