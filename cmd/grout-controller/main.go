@@ -64,8 +64,7 @@ func main() {
 	retries := flag.Int("retries", 0, "retry a transiently-failing worker this many times before writing it off")
 	retryBackoff := flag.Duration("retry-backoff", 0, "base retry delay, doubling per attempt (0 = 50ms default)")
 	dialTimeout := flag.Duration("dial-timeout", 0, "TCP connect deadline (0 = 5s default, negative disables)")
-	callTimeout := flag.Duration("call-timeout", 0, "control response deadline (0 = 30s default, negative disables)")
-	chunkTimeout := flag.Duration("chunk-timeout", 0, "bulk-transfer per-chunk progress deadline (0 = 30s default, negative disables)")
+	timeout := flag.Duration("timeout", 0, "progress deadline while a worker owes a control response or the next bulk chunk (0 = 30s default, negative disables)")
 	flag.Parse()
 
 	addrs := strings.Split(*workers, ",")
@@ -75,7 +74,7 @@ func main() {
 	cfg := grout.Config{
 		Policy: *policyName, Level: *level,
 		Failover: *failover, RetryAttempts: *retries, RetryBackoff: *retryBackoff,
-		DialTimeout: *dialTimeout, CallTimeout: *callTimeout, ChunkTimeout: *chunkTimeout,
+		DialTimeout: *dialTimeout, Timeout: *timeout,
 	}
 
 	// One Remote (controller + TCP fabric) per shard, over a contiguous

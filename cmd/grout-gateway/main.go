@@ -1,7 +1,7 @@
 // grout-gateway runs the multi-tenant session gateway: one controller
 // fleet shared by many concurrent client programs. Tenants connect with
 // grout.Dial (or internal/server.Dial) and get a private array
-// namespace, a weighted-fair share of the admission queue, and an
+// namespace, a fair share of the admission queue, and an
 // array-byte quota; /healthz and /metrics expose the gateway's
 // operational state.
 //
@@ -20,9 +20,11 @@
 //	grout-gateway -listen :7080 -sim-workers 8 -rate 500 -burst 32 -shed-depth 256
 //
 // Production-traffic knobs (DESIGN.md §5.9): -rate/-burst shape each
-// session's admission with a lazily refilled token bucket, -class sets
-// the load-shedding priority class, and -shed-depth arms class-based
-// shedding when a shard's admission backlog saturates. Clients dialed
+// session's admission with a lazily refilled token bucket, and
+// -shed-depth arms load shedding when a shard's admission backlog
+// saturates. Every session gets the same limits; per-tenant weights and
+// shedding classes are server.Options.LimitsFor's, for programs that
+// embed the gateway. Clients dialed
 // with grout.Dial additionally honor the gateway's backpressure
 // advisories, pacing themselves as queues run hot.
 //
@@ -54,11 +56,9 @@ func main() {
 	level := flag.String("level", "", "online policy exploration level: low, medium or high (empty = medium)")
 	maxInflight := flag.Int("max-inflight", 0, "per-session in-flight CE cap (0 = unlimited, negative = 1)")
 	quotaMiB := flag.Int("quota-mib", 0, "per-session array-byte quota in MiB (0 = unlimited)")
-	weight := flag.Int("weight", 1, "per-session weight in the round-robin drain")
 	rate := flag.Float64("rate", 0, "per-session admission rate limit in launches/sec (0 = unlimited)")
 	burst := flag.Int("burst", 0, "token-bucket burst allowance when -rate is set (0 = 16 default)")
-	class := flag.Int("class", 0, "session priority class for load shedding (higher classes shed later)")
-	shedDepth := flag.Int("shed-depth", 0, "class-0 shed threshold in queued launches per shard (0 disables shedding)")
+	shedDepth := flag.Int("shed-depth", 0, "shed threshold in queued launches per shard (0 disables shedding)")
 	queueDepth := flag.Int("queue-depth", 0, "per-session launch queue depth (0 = 64 default, negative = 1)")
 	failover := flag.Bool("failover", true, "survive worker failures via lineage recovery")
 	flag.Parse()
@@ -88,10 +88,8 @@ func main() {
 		Limits: core.SessionLimits{
 			MaxInflightCEs: *maxInflight,
 			MaxArrayBytes:  memmodel.Bytes(*quotaMiB) * memmodel.MiB,
-			Weight:         *weight,
 			RatePerSec:     *rate,
 			Burst:          *burst,
-			Class:          *class,
 		},
 		QueueDepth: *queueDepth,
 		ShedDepth:  *shedDepth,

@@ -28,7 +28,7 @@ func main() {
 	hostMem := flag.Int("host-mem", 180, "GiB of host memory")
 	name := flag.String("name", "worker", "node name in logs")
 	dialTimeout := flag.Duration("dial-timeout", 0, "deadline for dialing peer workers on push transfers (0 = 5s default, negative disables)")
-	chunkTimeout := flag.Duration("chunk-timeout", 0, "per-chunk write deadline on outgoing bulk streams, and the wait for a pushed array's acknowledgement (0 = 30s default, negative disables)")
+	timeout := flag.Duration("timeout", 0, "per-chunk write deadline on outgoing bulk streams, and the wait for a pushed array's acknowledgement (0 = 30s default, negative disables)")
 	prefetch := flag.String("prefetch", "", "UVM prefetch policy: "+strings.Join(gpusim.PrefetchPolicyNames(), ", ")+" (empty = eager)")
 	evict := flag.String("evict", "", "UVM eviction policy: "+strings.Join(gpusim.EvictionPolicyNames(), ", ")+" (empty = lru)")
 	flag.Parse()
@@ -49,10 +49,10 @@ func main() {
 	logger := log.New(os.Stderr, "grout-worker: ", log.LstdFlags)
 	srv, err := transport.NewWorkerServerOpts(*listen, spec, logger,
 		transport.ServerOptions{
-			DialTimeout:  *dialTimeout,
-			ChunkTimeout: *chunkTimeout,
-			Prefetch:     *prefetch,
-			Evict:        *evict,
+			DialTimeout: *dialTimeout,
+			Timeout:     *timeout,
+			Prefetch:    *prefetch,
+			Evict:       *evict,
 		})
 	if err != nil {
 		log.Fatal(err)

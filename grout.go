@@ -116,18 +116,17 @@ type Config struct {
 	// (fail over immediately).
 	RetryAttempts int
 	// RetryBackoff is the base retry delay, doubling per attempt up to
-	// 40× (default 50ms when retries are enabled).
+	// 2 s (default 50ms when retries are enabled). Connect's fabric then
+	// redials a broken worker link once per attempt, never on its own.
 	RetryBackoff time.Duration
 	// DialTimeout bounds TCP connection establishment for Connect (0 =
 	// 5 s default, negative disables). Ignored by simulated clusters.
 	DialTimeout time.Duration
-	// CallTimeout bounds one control round trip for Connect (0 = 30 s
-	// default, negative disables). Ignored by simulated clusters.
-	CallTimeout time.Duration
-	// ChunkTimeout bounds progress (per chunk, not total) of bulk
-	// transfers for Connect (0 = 30 s default, negative disables).
-	// Ignored by simulated clusters.
-	ChunkTimeout time.Duration
+	// Timeout is Connect's progress deadline: while a worker owes a
+	// frame — a control response, the next chunk of a transfer — it must
+	// arrive within Timeout (0 = 30 s default, negative disables). Total
+	// transfer time stays unbounded. Ignored by simulated clusters.
+	Timeout time.Duration
 }
 
 // DefaultOptimizeWindow was the lookahead window's default size.
@@ -281,11 +280,9 @@ func Connect(workerAddrs []string, cfg Config) (*Remote, error) {
 		return nil, err
 	}
 	fab, err := transport.DialWith(workerAddrs, transport.DialOptions{
-		DialTimeout:   cfg.DialTimeout,
-		CallTimeout:   cfg.CallTimeout,
-		ChunkTimeout:  cfg.ChunkTimeout,
-		RetryAttempts: cfg.RetryAttempts,
-		RetryBackoff:  cfg.RetryBackoff,
+		DialTimeout: cfg.DialTimeout,
+		Timeout:     cfg.Timeout,
+		Redial:      cfg.RetryAttempts > 0,
 	})
 	if err != nil {
 		return nil, err

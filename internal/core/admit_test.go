@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"grout/internal/cluster"
@@ -163,16 +164,21 @@ func TestWindowPartialFlush(t *testing.T) {
 	}
 }
 
-// TestWindowStickyError: submissions have already returned when they
+// TestSubmitStickyError: submissions have already returned when they
 // dispatch, so a dispatch failure must surface on the Pendings, stick, and
-// reject later submissions — the pipeline's sticky-error contract.
-func TestWindowStickyError(t *testing.T) {
+// reject later submissions — the pipeline's sticky-error contract. The
+// first launch waits at a gate until both Submits have returned, so the
+// second is admitted before the failure exists.
+func TestSubmitStickyError(t *testing.T) {
 	chaos := NewChaosFabric(numericFabric(1), ChaosOptions{
 		KillAtLaunch: map[cluster.NodeID]int{1: 1},
 	})
-	ctl := NewController(chaos, policy.NewRoundRobin(),
-		Options{Numeric: true, OptimizeWindow: 4})
-	defer ctl.Close()
+	fab := &heldFabric{Fabric: chaos, KernelBuilder: chaos, kernel: "fill",
+		arrived: make(chan struct{}, 2), gate: make(chan struct{})}
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true})
+	var open sync.Once
+	release := func() { open.Do(func() { close(fab.gate) }) }
+	defer func() { release(); _ = ctl.Close() }()
 	const n = int64(256)
 	a, err := ctl.NewArray(memmodel.Float32, n)
 	if err != nil {
@@ -187,6 +193,7 @@ func TestWindowStickyError(t *testing.T) {
 		}
 		pendings = append(pendings, p)
 	}
+	release()
 	if err := ctl.Drain(); err == nil {
 		t.Fatal("Drain succeeded over a killed worker")
 	}

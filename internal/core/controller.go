@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -210,8 +209,8 @@ type ceState struct {
 
 func stateOf(ce *dag.CE) *ceState { return ce.Payload.(*ceState) }
 
-// RetryPolicy shapes transient-failure retries: capped exponential
-// backoff with optional deterministic jitter.
+// RetryPolicy shapes transient-failure retries: exponential backoff,
+// capped at maxRetryBackoff.
 type RetryPolicy struct {
 	// Attempts is how many times a transiently failing operation retries
 	// in place before failover takes over (0 disables retries).
@@ -219,35 +218,21 @@ type RetryPolicy struct {
 	// Backoff is the first retry's delay; each further retry doubles it.
 	// Defaults to 50ms when Attempts > 0.
 	Backoff time.Duration
-	// MaxBackoff caps the doubling (default 2s).
-	MaxBackoff time.Duration
-	// Jitter subtracts a random fraction of up to Jitter (in [0,1)) from
-	// each delay, decorrelating retry storms across dispatchers.
-	Jitter float64
-	// Seed makes the jitter deterministic; 0 means seed 1.
-	Seed int64
 }
 
+// maxRetryBackoff caps RetryPolicy's doubling.
+const maxRetryBackoff = 2 * time.Second
+
 // delay computes the backoff before retry attempt n (1-based).
-func (p RetryPolicy) delay(n int, rng *rand.Rand) time.Duration {
+func (p RetryPolicy) delay(n int) time.Duration {
 	d := p.Backoff
 	if d <= 0 {
 		d = 50 * time.Millisecond
 	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	for i := 1; i < n && d < max; i++ {
+	for i := 1; i < n && d < maxRetryBackoff; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
-	if p.Jitter > 0 && rng != nil {
-		d -= time.Duration(float64(d) * p.Jitter * rng.Float64())
-	}
-	return d
+	return min(d, maxRetryBackoff)
 }
 
 // Controller is GrOUT's front end: the component user programs talk to.
@@ -286,11 +271,8 @@ type Controller struct {
 	// same loss queue here, and the second one finds the data restored.
 	recMu sync.Mutex
 
-	// retry is the transient-failure retry policy; retryRng jitters its
-	// backoff deterministically (guarded by retryMu).
-	retry    RetryPolicy
-	retryMu  sync.Mutex
-	retryRng *rand.Rand
+	// retry is the transient-failure retry policy.
+	retry RetryPolicy
 
 	// subMu serializes the submission side: Submit/Launch admissions,
 	// array allocation and release, host reads/writes, policy swaps and
@@ -402,13 +384,6 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 		c.memberLen = max(c.memberLen, int(w)+1)
 	}
 	c.stallPred, _ = fabric.(StallPredictor)
-	if opts.Retry.Jitter > 0 {
-		seed := opts.Retry.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		c.retryRng = rand.New(rand.NewSource(seed))
-	}
 	c.cond = sync.NewCond(&c.mu)
 	c.pipe = newPipeline(c, opts.PipelineDepth)
 	return c
@@ -1029,7 +1004,7 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 		// momentary stall should not cost a worker its replicas.
 		if retries < c.retry.Attempts && IsTransient(err) {
 			retries++
-			time.Sleep(c.retryDelay(retries))
+			time.Sleep(c.retry.delay(retries))
 			continue
 		}
 		if errorIsDataLoss(err) {
@@ -1087,13 +1062,6 @@ func (c *Controller) dispatch(s *scheduled) (sim.VirtualTime, error) {
 // maxRecoveryRounds bounds lineage-recovery attempts per dispatched CE:
 // each round can only fail by losing another worker mid-recovery.
 const maxRecoveryRounds = 3
-
-// retryDelay computes the n-th retry's backoff under the jitter lock.
-func (c *Controller) retryDelay(n int) time.Duration {
-	c.retryMu.Lock()
-	defer c.retryMu.Unlock()
-	return c.retry.delay(n, c.retryRng)
-}
 
 // commitLocked publishes a dispatched CE's results. Caller holds mu.
 func (c *Controller) commitLocked(s *scheduled, target cluster.NodeID, ready, end sim.VirtualTime, moved memmodel.Bytes, p2p int) {

@@ -358,16 +358,19 @@ func TestChaosTransientSeverRetried(t *testing.T) {
 }
 
 // TestRetryPolicyDelay pins the backoff curve: exponential from Backoff,
-// capped at MaxBackoff, jitter only subtracts.
+// capped at 2 s.
 func TestRetryPolicyDelay(t *testing.T) {
-	p := RetryPolicy{Attempts: 5, Backoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
-	want := []time.Duration{10, 20, 40, 40, 40}
+	p := RetryPolicy{Attempts: 10, Backoff: 250 * time.Millisecond}
+	want := []time.Duration{250, 500, 1000, 2000, 2000, 2000}
 	for i, w := range want {
-		if d := p.delay(i+1, nil); d != w*time.Millisecond {
+		if d := p.delay(i + 1); d != w*time.Millisecond {
 			t.Fatalf("delay(%d) = %v, want %v", i+1, d, w*time.Millisecond)
 		}
 	}
-	d := RetryPolicy{}.delay(1, nil)
+	if d := (RetryPolicy{Backoff: 3 * time.Second}).delay(1); d != 2*time.Second {
+		t.Fatalf("delay(1) with a 3s base = %v, want the 2s cap", d)
+	}
+	d := RetryPolicy{}.delay(1)
 	if d <= 0 {
 		t.Fatalf("zero-value policy delay = %v, want positive default", d)
 	}

@@ -76,9 +76,6 @@ type Options struct {
 	// issued. Shedding is retryable overload, not a sticky error. 0
 	// disables shedding.
 	ShedDepth int
-	// HandshakeTimeout bounds the protocol hello on accept. 0 means
-	// transport.DefaultDialTimeout, negative disables.
-	HandshakeTimeout time.Duration
 	// Logger, optional.
 	Logger *log.Logger
 }
@@ -250,7 +247,9 @@ func (g *Gateway) acceptLoop() {
 		g.wg.Add(1)
 		go func() {
 			defer g.wg.Done()
-			conn, err := transport.AcceptSession(raw, g.opt.HandshakeTimeout)
+			// A client sends its hello as soon as it has dialed, so
+			// the dial deadline bounds the wait for it too.
+			conn, err := transport.AcceptSession(raw, transport.DefaultDialTimeout)
 			if err != nil {
 				g.log.Printf("server: handshake from %s: %v", raw.RemoteAddr(), err)
 				return

@@ -14,31 +14,27 @@ import (
 	"grout/internal/sim"
 )
 
-// DialOptions tune a TCP fabric. For the three timeouts, zero selects the
+// DialOptions tune a TCP fabric. For the two timeouts, zero selects the
 // package default and a negative value disables the deadline entirely —
 // so a zero-valued DialOptions behaves safely out of the box.
 type DialOptions struct {
 	// DialTimeout bounds connection establishment (default
 	// DefaultDialTimeout).
 	DialTimeout time.Duration
-	// CallTimeout bounds the wait for the next control response — ping,
-	// launch, ensure, build, free — while any request is outstanding
-	// (default DefaultCallTimeout). A worker that accepts TCP but never
-	// answers surfaces as core.ErrTimeout instead of a hang.
-	CallTimeout time.Duration
-	// ChunkTimeout bounds *progress* on the bulk channel: each chunk of a
-	// fetch, and the acknowledgement of a sent array, must arrive within
-	// the window (default DefaultChunkTimeout). Total transfer time stays
-	// unbounded, and so does the wait for a P2P push command.
-	ChunkTimeout time.Duration
-	// RetryAttempts, when > 0, lets the fabric redial a worker whose
-	// connections broke (a transient network drop, not a dead process):
-	// an operation that finds its link broken re-establishes it up to
-	// this many times before reporting the failure.
-	RetryAttempts int
-	// RetryBackoff is the base delay between redial attempts, doubling up
-	// to 8x with each failure (default 100ms).
-	RetryBackoff time.Duration
+	// Timeout is the progress deadline: while the worker owes a frame — a
+	// control response, the next chunk of a fetch, the acknowledgement of
+	// a sent array — it must arrive within Timeout (default
+	// DefaultTimeout). A worker that accepts TCP but never answers
+	// surfaces as core.ErrTimeout instead of a hang; an idle channel never
+	// times out, and a bulk transfer gets unbounded total time as long as
+	// chunks keep arriving. The wait for a P2P push command stays
+	// unbounded.
+	Timeout time.Duration
+	// Redial lets an operation that finds its worker's link broken (a
+	// transient network drop, not a dead process) replace it with one
+	// fresh dial. The fabric never retries or sleeps itself: retrying is
+	// the controller's dispatch loop (core.RetryPolicy).
+	Redial bool
 }
 
 // link is one worker's connection set: a control channel and a bulk
@@ -77,7 +73,7 @@ func (l *link) close() error {
 // contract). Returned times are wall-clock nanoseconds since Dial.
 type TCPFabric struct {
 	addrs []string
-	// lmu guards links: redial (RetryAttempts > 0) replaces entries at
+	// lmu guards links: reconnect (DialOptions.Redial) replaces entries at
 	// runtime while concurrent dispatchers read them.
 	lmu   sync.RWMutex
 	links map[cluster.NodeID]*link
@@ -91,12 +87,10 @@ type TCPFabric struct {
 	// chunk is the outgoing chunk size: chunkBytes, smaller in tests that
 	// need many chunks.
 	chunk int
-	// Resolved timeouts/retry policy (see DialOptions).
-	dialTimeout  time.Duration
-	callTimeout  time.Duration
-	chunkTimeout time.Duration
-	retries      int
-	backoff      time.Duration
+	// Resolved options (see DialOptions).
+	dialTimeout time.Duration
+	timeout     time.Duration
+	redial      bool
 	// AssumedBandwidth (bytes/s) feeds EstimateTransfer for
 	// min-transfer-time scheduling; defaults to the paper's 500 MB/s
 	// worker NICs.
@@ -113,10 +107,6 @@ func DialWith(addrs []string, opts DialOptions) (*TCPFabric, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("transport: no worker addresses")
 	}
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
 	f := &TCPFabric{
 		addrs:            addrs,
 		links:            make(map[cluster.NodeID]*link),
@@ -124,10 +114,8 @@ func DialWith(addrs []string, opts DialOptions) (*TCPFabric, error) {
 		started:          time.Now(),
 		chunk:            chunkBytes,
 		dialTimeout:      pickTimeout(opts.DialTimeout, DefaultDialTimeout),
-		callTimeout:      pickTimeout(opts.CallTimeout, DefaultCallTimeout),
-		chunkTimeout:     pickTimeout(opts.ChunkTimeout, DefaultChunkTimeout),
-		retries:          opts.RetryAttempts,
-		backoff:          backoff,
+		timeout:          pickTimeout(opts.Timeout, DefaultTimeout),
+		redial:           opts.Redial,
 		AssumedBandwidth: 500e6,
 	}
 	for i, addr := range addrs {
@@ -153,9 +141,9 @@ func (f *TCPFabric) dialWorker(addr string) (*link, error) {
 		_ = ctrlFC.close()
 		return nil, err
 	}
-	ctrlFC.writeTimeout = f.callTimeout
-	bulkFC.writeTimeout = f.chunkTimeout
-	l := &link{ctrl: newRPCConn(ctrlFC, f.callTimeout), bulk: newRPCConn(bulkFC, f.chunkTimeout),
+	ctrlFC.writeTimeout = f.timeout
+	bulkFC.writeTimeout = f.timeout
+	l := &link{ctrl: newRPCConn(ctrlFC, f.timeout), bulk: newRPCConn(bulkFC, f.timeout),
 		ensured: make(map[dag.ArrayID]grcuda.ArrayMeta)}
 	if _, err := l.ctrl.call(&Request{Kind: MsgPing}); err != nil {
 		_ = l.close()
@@ -206,55 +194,36 @@ func (f *TCPFabric) worker(w cluster.NodeID) (*link, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: unknown worker %v", w)
 	}
-	if f.retries <= 0 || !l.broken() {
+	if !f.redial || !l.broken() {
 		return l, nil
 	}
-	return f.redial(w, l)
+	return f.reconnect(w, l)
 }
 
-// redial replaces a broken link with a fresh connection set, retrying with
-// capped exponential backoff. Concurrent dispatchers race here benignly:
-// the first to swap in a healthy link wins, the rest adopt it. A worker
-// process that actually died keeps refusing and the error propagates into
-// the Controller's failover instead.
-func (f *TCPFabric) redial(w cluster.NodeID, stale *link) (*link, error) {
-	addr := f.addrs[w-1]
-	var lastErr error
-	delay := f.backoff
-	for attempt := 0; attempt < f.retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(delay)
-			if delay < 8*f.backoff {
-				delay *= 2
-			}
-		}
-		f.lmu.RLock()
-		cur := f.links[w]
-		f.lmu.RUnlock()
-		if cur != nil && cur != stale && !cur.broken() {
-			return cur, nil // another caller already reconnected
-		}
-		nl, err := f.dialWorker(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		f.lmu.Lock()
-		cur = f.links[w]
-		if cur != nil && cur != stale && !cur.broken() {
-			f.lmu.Unlock()
-			_ = nl.close()
-			return cur, nil
-		}
-		f.links[w] = nl
-		f.lmu.Unlock()
-		if cur != nil {
-			_ = cur.close()
-		}
-		return nl, nil
+// reconnect replaces a broken link with one fresh connection set: one dial per
+// operation and no sleep, so a transient failure is retried by one loop —
+// the controller's dispatch — on one backoff curve. Concurrent dispatchers
+// race here benignly: the first to swap in a healthy link wins, the rest
+// adopt it. A worker process that actually died refuses the dial, and the
+// error propagates into the Controller's retry and failover instead.
+func (f *TCPFabric) reconnect(w cluster.NodeID, stale *link) (*link, error) {
+	nl, err := f.dialWorker(f.addrs[w-1])
+	if err != nil {
+		return nil, fmt.Errorf("transport: redial worker %v: %w", w, err)
 	}
-	return nil, fmt.Errorf("transport: worker %v unreachable after %d redial attempts: %w",
-		w, f.retries, lastErr)
+	f.lmu.Lock()
+	cur := f.links[w]
+	if cur != nil && cur != stale && !cur.broken() {
+		f.lmu.Unlock()
+		_ = nl.close()
+		return cur, nil // another caller already reconnected
+	}
+	f.links[w] = nl
+	f.lmu.Unlock()
+	if cur != nil {
+		_ = cur.close()
+	}
+	return nl, nil
 }
 
 // Workers implements core.Fabric.

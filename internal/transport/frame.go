@@ -79,14 +79,12 @@ const chunkBytes = 256 << 10
 const (
 	// DefaultDialTimeout bounds connection establishment.
 	DefaultDialTimeout = 5 * time.Second
-	// DefaultCallTimeout bounds one control round trip (ping, launch,
-	// build, ensure, free).
-	DefaultCallTimeout = 30 * time.Second
-	// DefaultChunkTimeout bounds *progress* on a bulk transfer: each
-	// chunk (or the final response) must arrive within this window, so a
-	// multi-GiB transfer gets unlimited total time while a wedged peer is
-	// detected in one window.
-	DefaultChunkTimeout = 30 * time.Second
+	// DefaultTimeout is the progress deadline: while a peer owes a frame
+	// — a control response, the next chunk of a transfer, an
+	// acknowledgement — it must arrive within this window, so a multi-GiB
+	// transfer gets unlimited total time while a wedged peer is detected
+	// in one window.
+	DefaultTimeout = 30 * time.Second
 )
 
 // pickTimeout resolves a configured timeout: zero means the default,

@@ -589,13 +589,13 @@ func TestPeerLinkTeardown(t *testing.T) {
 }
 
 // TestReceiveAckTimeout: a peer that takes every byte of a push and never
-// acknowledges costs the pusher one ChunkTimeout, typed core.ErrTimeout,
+// acknowledges costs the pusher one Timeout, typed core.ErrTimeout,
 // and the link — the next push dials again. The controller's wait for a
 // push *command* stays unbounded: the peer-to-peer transfer may take as
 // long as it makes progress.
 func TestReceiveAckTimeout(t *testing.T) {
 	const window = 300 * time.Millisecond
-	workers, _, fab := tappedFleet(t, 2, ServerOptions{ChunkTimeout: window}, DialOptions{ChunkTimeout: window / 3})
+	workers, _, fab := tappedFleet(t, 2, ServerOptions{Timeout: window}, DialOptions{Timeout: window / 3})
 	seedArray(t, fab, 1, 64<<10, 1)
 	silent := &Request{Kind: MsgPushTo, ArrayID: 1, PeerAddr: hungListener(t)}
 	var last *rpcConn
@@ -674,8 +674,7 @@ func TestP2POneChunkOneWrite(t *testing.T) {
 // redialed link all go back to the worker.
 func TestEnsureMemo(t *testing.T) {
 	const nArr, launches = 3, 30
-	workers, taps, fab := tappedFleet(t, 2, ServerOptions{},
-		DialOptions{RetryAttempts: 3, RetryBackoff: 5 * time.Millisecond})
+	workers, taps, fab := tappedFleet(t, 2, ServerOptions{}, DialOptions{Redial: true})
 	ensures := func() (n int) {
 		for _, tap := range taps {
 			n += tap.requests(MsgEnsureArray)

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,7 +118,7 @@ func hungListener(t *testing.T) string {
 func TestHungWorkerCallTimeout(t *testing.T) {
 	addr := hungListener(t)
 	start := time.Now()
-	fab, err := DialWith([]string{addr}, DialOptions{CallTimeout: 50 * time.Millisecond})
+	fab, err := DialWith([]string{addr}, DialOptions{Timeout: 50 * time.Millisecond})
 	elapsed := time.Since(start)
 	if err == nil {
 		_ = fab.Close()
@@ -146,5 +147,81 @@ func TestDialTimeoutRefusedIsTransient(t *testing.T) {
 	}
 	if !core.IsTransient(err) {
 		t.Fatalf("refused dial error = %v, want transient", err)
+	}
+}
+
+// TestRedialOncePerAttemptFailover: with redial on and three in-place
+// retries, a worker whose port accepts and hangs up is dialed at most once
+// per dispatch attempt — the controller's loop is the only retry loop, and
+// the fabric never retries or sleeps itself — before the CE fails over to
+// the survivor.
+func TestRedialOncePerAttemptFailover(t *testing.T) {
+	workers, addrs := startWorkers(t, 2)
+	fab, err := DialWith(addrs, DialOptions{Redial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fab.Close() })
+	ctl := core.NewController(fab, policy.NewRoundRobin(), core.Options{Numeric: true, Failover: true,
+		Retry: core.RetryPolicy{Attempts: 3, Backoff: time.Millisecond}})
+	t.Cleanup(func() { _ = ctl.Close() })
+
+	const n = int64(128)
+	x, _ := ctl.NewArray(memmodel.Float32, n)
+	for i := 0; i < int(n); i++ {
+		x.Buf.Set(i, float64(i))
+	}
+	if _, err := ctl.HostWrite(x.ID); err != nil {
+		t.Fatal(err)
+	}
+	relu := core.Invocation{Kernel: "relu", Args: []core.ArgRef{core.ArrRef(x.ID), core.ScalarRef(float64(n))}}
+	if _, err := ctl.Launch(relu); err != nil { // round-robin: worker 1
+		t.Fatal(err)
+	}
+	if _, err := ctl.HostRead(x.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	// Worker 1's process goes away and something else takes its port: it
+	// accepts every connection and closes it at once.
+	addr := workers[0].Addr()
+	if err := workers[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	var accepted atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			_ = c.Close()
+		}
+	}()
+
+	for i := 0; i < 2; i++ { // worker 2, then worker 1's turn
+		if _, err := ctl.Launch(relu); err != nil {
+			t.Fatalf("launch %d: %v", i, err)
+		}
+	}
+	if ctl.Failovers() != 1 {
+		t.Fatalf("failovers = %d, want 1", ctl.Failovers())
+	}
+	if got := accepted.Load(); got > 10 {
+		t.Fatalf("%d connections to the hung-up port, want at most 10 (one dial per attempt)", got)
+	}
+	if _, err := ctl.HostRead(x.ID); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < int(n); i++ {
+		if x.Buf.At(i) != float64(i) { // relu of non-negative input
+			t.Fatalf("x[%d] = %v, want %v", i, x.Buf.At(i), float64(i))
+		}
 	}
 }

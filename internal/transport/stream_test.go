@@ -442,7 +442,7 @@ func TestStreamSeverControlLinkRedials(t *testing.T) {
 			Args: []core.ArgRef{core.ArrRef(dag.ArrayID(1 + i%nArr)), core.ScalarRef(streamElems)}}
 	}
 	workers, addrs := startWorkers(t, 2)
-	fab, err := DialWith(addrs, DialOptions{RetryAttempts: 3, RetryBackoff: 5 * time.Millisecond})
+	fab, err := DialWith(addrs, DialOptions{Redial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,12 +494,12 @@ func TestStreamSeverControlLinkRedials(t *testing.T) {
 
 // TestStreamHungWorkerTimesOutRing: a worker that accepted the stream's
 // requests and never answers fails every launch in flight, in order, with
-// core.ErrTimeout within one CallTimeout — and an idle channel, however
+// core.ErrTimeout within one Timeout — and an idle channel, however
 // long it idles past the timeout, never fails.
 func TestStreamHungWorkerTimesOutRing(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	workers, addrs := startWorkers(t, 1)
-	fab, err := DialWith(addrs, DialOptions{CallTimeout: timeout})
+	fab, err := DialWith(addrs, DialOptions{Timeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,8 @@ type WorkerServer struct {
 	// pushed to, by address: at most one entry per worker of the fleet.
 	peers map[string]*peerLink
 	// P2P push deadlines (resolved from ServerOptions).
-	dialTimeout  time.Duration
-	chunkTimeout time.Duration
+	dialTimeout time.Duration
+	timeout     time.Duration
 }
 
 // peerLink is the pushing side of one worker→worker bulk channel. The
@@ -58,10 +58,10 @@ type ServerOptions struct {
 	// peer and every redial of a broken peer link (zero means
 	// DefaultDialTimeout, negative disables).
 	DialTimeout time.Duration
-	// ChunkTimeout bounds each outgoing P2P chunk write and the wait for
-	// the peer's acknowledgement after the last one (zero means
-	// DefaultChunkTimeout, negative disables).
-	ChunkTimeout time.Duration
+	// Timeout bounds each outgoing P2P chunk write and the wait for the
+	// peer's acknowledgement after the last one (zero means
+	// DefaultTimeout, negative disables).
+	Timeout time.Duration
 	// Prefetch and Evict select the node's UVM memory policies by name
 	// (gpusim.PrefetchPolicyNames / EvictionPolicyNames). Empty keeps the
 	// defaults; unknown names fail server construction rather than
@@ -93,14 +93,14 @@ func NewWorkerServerOpts(addr string, spec gpusim.NodeSpec, logger *log.Logger, 
 		}
 	}
 	w := &WorkerServer{
-		rt:           grcuda.NewRuntime(node, kernels.StdRegistry(), grcuda.Options{ExecuteNumeric: true}),
-		listener:     ln,
-		log:          logger,
-		active:       make(map[io.Closer]struct{}),
-		peers:        make(map[string]*peerLink),
-		chunk:        chunkBytes,
-		dialTimeout:  pickTimeout(opts.DialTimeout, DefaultDialTimeout),
-		chunkTimeout: pickTimeout(opts.ChunkTimeout, DefaultChunkTimeout),
+		rt:          grcuda.NewRuntime(node, kernels.StdRegistry(), grcuda.Options{ExecuteNumeric: true}),
+		listener:    ln,
+		log:         logger,
+		active:      make(map[io.Closer]struct{}),
+		peers:       make(map[string]*peerLink),
+		chunk:       chunkBytes,
+		dialTimeout: pickTimeout(opts.DialTimeout, DefaultDialTimeout),
+		timeout:     pickTimeout(opts.Timeout, DefaultTimeout),
 	}
 	go w.acceptLoop()
 	return w, nil
@@ -465,8 +465,8 @@ func (w *WorkerServer) peerClient(pl *peerLink, addr string) (bc *rpcConn, fresh
 		_ = fc.close()
 		return nil, false, fmt.Errorf("p2p push to %s: this worker is closed: %w", addr, core.ErrTransient)
 	}
-	fc.writeTimeout = w.chunkTimeout
-	pl.bc = newRPCConn(fc, w.chunkTimeout)
+	fc.writeTimeout = w.timeout
+	pl.bc = newRPCConn(fc, w.timeout)
 	return pl.bc, true, nil
 }
 

@@ -22,7 +22,8 @@
 #                              its packages: a rename that empties an alternative fails here
 #   5.  fuzz                   compiled engine vs interpreter, session/lease frame codecs,
 #                              worker serve loop: short budgets, corpora persist
-#   6.  go run ./benchmark     launch-stream, launch-sync, bulk-move at 0.1 s: output checks hold
+#   6.  go run ./benchmark     every BENCHMARK.json workload at 0.1 s (launch-stream, launch-sync,
+#                              bulk-move, numeric-apps, oversub-sweep): output checks hold
 #   7.  soak                   1M CEs through the gateway: heap, goroutines and live CEs stay flat
 #
 # Run from the repo root: ./scripts/ci.sh
@@ -96,10 +97,10 @@ go test -run '^$' -fuzz FuzzLeaseGrant -fuzztime 5s ./internal/transport/
 echo "== worker serve-loop fuzz (5s)"
 go test -run '^$' -fuzz FuzzWorkerServe -fuzztime 5s ./internal/transport/
 
-echo "== repository benchmark smoke (launch-stream, launch-sync and bulk-move, output-checked)"
-go run ./benchmark --workload launch-stream --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
-go run ./benchmark --workload launch-sync --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
-go run ./benchmark --workload bulk-move --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
+echo "== repository benchmark smoke (every workload, output-checked)"
+for w in launch-stream launch-sync bulk-move numeric-apps oversub-sweep; do
+    go run ./benchmark --workload "$w" --seconds 0.1 --trace 0 | tail -n 1 | grep -q '"correct":true'
+done
 
 echo "== soak: 1M CEs through the gateway, heap/goroutines/live CEs flat (not under -race)"
 go test -run '^$' -bench 'BenchmarkSoakBoundedState' -benchtime=1x .
