@@ -215,7 +215,7 @@ type ShardedCluster struct {
 
 // NewShardedCluster builds cfg.Shards controller shards over cfg.Workers
 // in-process simulated GPU nodes. Each shard schedules only its own
-// worker partition; cross-shard reads ride the worker P2P lease path.
+// worker partition and owns the arrays its tenants allocate.
 func NewShardedCluster(cfg Config) (*ShardedCluster, error) {
 	workers := cfg.Workers
 	if workers <= 0 {

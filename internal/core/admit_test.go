@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"grout/internal/cluster"
-	"grout/internal/kernels"
 	"grout/internal/memmodel"
 	"grout/internal/policy"
 )
@@ -13,24 +12,20 @@ import (
 // Elementwise producer→consumer pair: wmul's store feeds wmadd's second
 // parameter. Names avoid the stdlib registry ("scale" is taken by a native
 // kernel).
-const winProdSrc = `__global__ void wmul(float *s, const float *x, float a, int n) {
+const chainProdSrc = `__global__ void wmul(float *s, const float *x, float a, int n) {
 	int i = blockIdx.x * blockDim.x + threadIdx.x;
 	if (i < n) { s[i] = a * x[i]; }
 }`
 
-const winConsSrc = `__global__ void wmadd(float *o, const float *u, const float *v, float b, int n) {
+const chainConsSrc = `__global__ void wmadd(float *o, const float *u, const float *v, float b, int n) {
 	int i = blockIdx.x * blockDim.x + threadIdx.x;
 	if (i < n) { o[i] = u[i] + v[i] * b; }
 }`
 
-// newWindowSystem builds a numeric round-robin controller that sets the
-// deprecated OptimizeWindow, which must change nothing.
-func newWindowSystem(t testing.TB, workers int) *Controller {
+// newNumericController builds a numeric round-robin controller.
+func newNumericController(t testing.TB, workers int) *Controller {
 	t.Helper()
-	clu := cluster.New(cluster.PaperSpec(workers))
-	fab := NewLocalFabric(clu, kernels.StdRegistry(), true)
-	return NewController(fab, policy.NewRoundRobin(),
-		Options{Numeric: true, OptimizeWindow: 32})
+	return NewController(numericFabric(workers), policy.NewRoundRobin(), Options{Numeric: true})
 }
 
 // seedArray fills an array with deterministic values and versions it.
@@ -49,7 +44,7 @@ func seedArray(t testing.TB, ctl *Controller, arr *GlobalArray) {
 func runChain(t testing.TB, ctl *Controller, submit bool) (s, o []float64) {
 	t.Helper()
 	const n = int64(64)
-	for _, src := range []string{winProdSrc, winConsSrc} {
+	for _, src := range []string{chainProdSrc, chainConsSrc} {
 		if _, err := ctl.BuildKernel(src, ""); err != nil {
 			t.Fatal(err)
 		}
@@ -101,15 +96,15 @@ func runChain(t testing.TB, ctl *Controller, submit bool) (s, o []float64) {
 	return snapshot(sArr.Buf), snapshot(oArr.Buf)
 }
 
-// TestWindowFusionBitIdentical: a producer→consumer chain submitted
+// TestSubmitChainMatchesLaunch: a producer→consumer chain submitted
 // without waiting gives the buffers, intermediate included, bit-identical
 // to a controller launching it CE by CE.
-func TestWindowFusionBitIdentical(t *testing.T) {
+func TestSubmitChainMatchesLaunch(t *testing.T) {
 	plain := NewController(numericFabric(2), policy.NewRoundRobin(), Options{Numeric: true})
 	defer plain.Close()
 	wantS, wantO := runChain(t, plain, false)
 
-	ctl := newWindowSystem(t, 2)
+	ctl := newNumericController(t, 2)
 	defer ctl.Close()
 	gotS, gotO := runChain(t, ctl, true)
 
@@ -117,10 +112,10 @@ func TestWindowFusionBitIdentical(t *testing.T) {
 	sameValues(t, "o", gotO, wantO)
 }
 
-// TestWindowSerialLaunch: Launch works through its CE on its own goroutine
-// and still behaves like the blocking call.
-func TestWindowSerialLaunch(t *testing.T) {
-	ctl := newWindowSystem(t, 2)
+// TestLaunchChainBlocksLikeSerial: Launch works through its CE on its own
+// goroutine and still behaves like the blocking call.
+func TestLaunchChainBlocksLikeSerial(t *testing.T) {
+	ctl := newNumericController(t, 2)
 	defer ctl.Close()
 	gotS, gotO := runChain(t, ctl, false)
 
@@ -135,10 +130,10 @@ func TestWindowSerialLaunch(t *testing.T) {
 	}
 }
 
-// TestWindowPartialFlush: a few submissions, fewer than the deprecated
-// window size, dispatch by Drain, never stall, and resolve every Pending.
-func TestWindowPartialFlush(t *testing.T) {
-	ctl := newWindowSystem(t, 2)
+// TestDrainResolvesFewSubmits: a few submissions dispatch by Drain, never
+// stall, and resolve every Pending.
+func TestDrainResolvesFewSubmits(t *testing.T) {
+	ctl := newNumericController(t, 2)
 	defer ctl.Close()
 	const n = int64(1 << 10)
 	var pendings []*Pending

@@ -106,9 +106,6 @@ func (f *ChaosFabric) Injected() int {
 	return f.injected
 }
 
-// Inner exposes the wrapped fabric (tests read worker state through it).
-func (f *ChaosFabric) Inner() Fabric { return f.inner }
-
 // errDead is the terminal failure every operation on a killed worker
 // returns. Deliberately not transient: retrying a dead process in place
 // cannot help, only failover can.

@@ -54,17 +54,6 @@ type GlobalArray struct {
 	// Lineage recovery re-ships it when a chain bottoms out there.
 	// Version 0 (the zeroed NewArray state) is the zero value.
 	hostVer uint64
-	// leaseNode/leaseVer/leaseAt record a cross-shard lease replica
-	// (LeaseArray, used by internal/shard): a copy of version leaseVer
-	// exported to a worker that may lie outside this controller's fabric
-	// view. The replica is deliberately NOT in upToDate — placement never
-	// reads from it — but lineage recovery accepts it as a root, so a
-	// shard can lose every local copy and still recover worker→worker
-	// from the foreign replica (lineage.go). leased gates validity.
-	leased    bool
-	leaseNode cluster.NodeID
-	leaseVer  uint64
-	leaseAt   sim.VirtualTime
 	// est caches the per-worker best-source transfer estimates the
 	// informed policies consult, indexed by NodeID. The vector is valid
 	// while estAgen/estDgen match the array's location generation and
@@ -182,13 +171,6 @@ type Options struct {
 	// nil (the default) makes every fabric worker a member, preserving the
 	// fixed-fleet behavior.
 	Workers []cluster.NodeID
-	// ArrayIDBase offsets the controller's array-ID namespace: NewArray
-	// assigns IDs starting at ArrayIDBase+1. A sharded control plane
-	// (internal/shard) gives every shard controller a disjoint base so a
-	// cross-shard lease replica can land on a foreign worker's runtime
-	// without colliding with an ID that shard allocated itself. Zero
-	// keeps the default namespace (IDs from 1).
-	ArrayIDBase dag.ArrayID
 }
 
 // traceRing is how many per-CE trace entries a controller keeps: Traces,
@@ -366,9 +348,6 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 		dead:     make(map[cluster.NodeID]bool),
 		deadGen:  1,
 		retry:    opts.Retry,
-	}
-	if opts.ArrayIDBase > 0 {
-		c.nextArr = opts.ArrayIDBase + 1
 	}
 	if opts.Workers != nil {
 		c.roster = make(map[cluster.NodeID]bool, len(opts.Workers))
@@ -613,21 +592,13 @@ func (c *Controller) FreeArray(id dag.ArrayID) error {
 	defer c.subMu.Unlock()
 	c.drainLocked()
 	c.mu.Lock()
-	arr, ok := c.arrays[id]
+	_, ok := c.arrays[id]
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("core: free of unknown array %d", id)
 	}
 	for _, w := range c.fabric.Workers() {
 		if err := c.fabric.FreeArray(w, id); err != nil {
-			return err
-		}
-	}
-	// A cross-shard lease replica lives on a worker outside this
-	// controller's partition; the fabric delegates the free to the full
-	// fleet view, so the foreign copy is released too.
-	if arr.leased {
-		if err := c.fabric.FreeArray(arr.leaseNode, id); err != nil {
 			return err
 		}
 	}

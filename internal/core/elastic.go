@@ -227,10 +227,7 @@ func (c *Controller) RetireWorker(w cluster.NodeID) error {
 	}
 
 	// Best-effort: release the retired worker's replicas so the standby
-	// node holds no framework memory. Foreign lease replicas other
-	// shards exported onto w are NOT ours to free — they stay resident,
-	// which is what keeps cross-shard lineage roots on a retired node
-	// valid (DESIGN.md §5.9).
+	// node holds no framework memory.
 	for _, e := range plan {
 		_ = c.fabric.FreeArray(w, e.arr.ID)
 	}

@@ -85,7 +85,7 @@ func TestSessionScopedSync(t *testing.T) {
 	var open sync.Once
 	release := func() { open.Do(func() { close(fab.gate) }) }
 	t.Cleanup(func() { release(); _ = ctl.Close() })
-	for _, src := range []string{winProdSrc, winConsSrc} {
+	for _, src := range []string{chainProdSrc, chainConsSrc} {
 		if _, err := ctl.BuildKernel(src, ""); err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestInlineStartDepthOne(t *testing.T) {
 		t.Fatalf("%d launches streamed, want %d", streamed, 2*steps)
 	}
 
-	seq := newWindowSystem(t, 2)
+	seq := newNumericController(t, 2)
 	defer seq.Close()
 	arr, err := seq.NewArray(memmodel.Float32, ppElems)
 	if err != nil {

@@ -139,20 +139,6 @@ func (c *Controller) recoverArrays(ids []dag.ArrayID) error {
 		if arr == nil || len(arr.upToDate) != 0 {
 			continue
 		}
-		if arr.leased && arr.leaseVer == arr.cver && !c.dead[arr.leaseNode] &&
-			c.fabric.Healthy(arr.leaseNode) {
-			// Lease-at-tip fast path: the cross-shard replica already
-			// holds the committed version, so republish it instead of
-			// replaying the producer chain. Subsequent dispatches pull
-			// it worker→worker; no controller bounce, no replay.
-			arr.upToDate[arr.leaseNode] = arr.leaseAt
-			if !arr.hasMembers() {
-				arr.addMember(arr.leaseNode)
-				arr.gen++
-			}
-			c.recoveries++
-			continue
-		}
 		lost = append(lost, id)
 	}
 	if len(lost) == 0 {
@@ -196,9 +182,6 @@ func (c *Controller) planRecovery(ids []dag.ArrayID) (*recoveryPlan, error) {
 			if k.ver == arr.hostVer {
 				return nil // superseded, but the host buffer still holds it
 			}
-			if arr.leased && k.ver == arr.leaseVer && !c.dead[arr.leaseNode] {
-				return nil // superseded, but a cross-shard lease replica holds it
-			}
 			// A newer committed version is live somewhere; replaying the
 			// older one would clobber it. Conservatively unrecoverable.
 			return fmt.Errorf("core: array %d lost at version %d but version %d is live: %w",
@@ -209,12 +192,6 @@ func (c *Controller) planRecovery(ids []dag.ArrayID) (*recoveryPlan, error) {
 			if k.ver == arr.hostVer {
 				// Host-initialized root: the controller's buffer still
 				// holds exactly this version; replayStep re-ships it.
-				return nil
-			}
-			if arr.leased && k.ver == arr.leaseVer && !c.dead[arr.leaseNode] {
-				// Cross-shard lease root: the replica exported to a
-				// foreign worker holds exactly this version; replayStep
-				// pulls it worker→worker over the shared fabric.
 				return nil
 			}
 			// A root with no producer record whose bytes the controller
@@ -352,12 +329,6 @@ func (c *Controller) replayStep(rec *producerRec, locs map[dag.ArrayID]planLoc) 
 					// Host-written root the planner approved: the
 					// controller's buffer holds these exact bytes.
 					moves = append(moves, pendingMove{a.Array, cluster.ControllerID, 0, arr.Buf, arr.size})
-					continue
-				}
-				if arr.leased && arr.leaseVer == k.ver && !c.dead[arr.leaseNode] {
-					// Cross-shard lease root: pull the replica from the
-					// foreign worker (P2P over the shared fabric).
-					moves = append(moves, pendingMove{a.Array, arr.leaseNode, arr.leaseAt, nil, arr.size})
 					continue
 				}
 				ierr = fmt.Errorf("core: replay input array %d version %d no longer available: %w",

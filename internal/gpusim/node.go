@@ -133,17 +133,6 @@ func (n *Node) MemoryPolicies() (prefetch, evict string) {
 	return n.prefetch.Name(), n.evict.Name()
 }
 
-// History returns the fault/reuse history ring of an allocation, or nil
-// for an unknown ID. The ring stays owned by the node; callers must not
-// retain it past the allocation's Free.
-func (n *Node) History(id AllocID) *AllocHistory {
-	a, ok := n.allocs[id]
-	if !ok {
-		return nil
-	}
-	return &a.hist
-}
-
 // Spec returns the node's static specification.
 func (n *Node) Spec() NodeSpec { return n.spec }
 

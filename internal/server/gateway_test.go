@@ -496,7 +496,7 @@ const gwConsSrc = `__global__ void gwmadd(float *o, const float *u, const float 
 // Two tenants' interleaved elementwise chains compute what they should,
 // and their per-tenant counters reach the metrics surface under the right
 // labels.
-func TestGatewayOptimizerMetrics(t *testing.T) {
+func TestGatewayTenantChainMetrics(t *testing.T) {
 	// One worker makes every placement (and so the counter values)
 	// deterministic.
 	g := gwStart(t, gwSystemN(t, 1, nil), Options{})

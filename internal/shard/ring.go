@@ -3,10 +3,8 @@
 // fleet, fronted by a gateway that routes every tenant to exactly one
 // shard. Routing uses a seeded consistent-hash ring with virtual nodes
 // and bounded loads, so adding a shard remaps only ~1/N of the tenants
-// and a restarted gateway reproduces the same assignment. Cross-shard
-// reads ride the worker P2P framed path via core.Controller.LeaseArray:
-// the owning shard serves a lease and bytes move worker→worker without
-// bouncing through a controller host.
+// and a restarted gateway reproduces the same assignment. A tenant's
+// arrays live only on its shard's partition, so no array crosses shards.
 package shard
 
 import (

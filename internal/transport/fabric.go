@@ -130,26 +130,29 @@ func DialWith(addrs []string, opts DialOptions) (*TCPFabric, error) {
 	return f, nil
 }
 
-// dialWorker opens one worker's connection set and pings it.
+// dialWorker opens one worker's control channel, pings it, then opens
+// its bulk channel.
 func (f *TCPFabric) dialWorker(addr string) (*link, error) {
 	ctrlFC, err := dialFramed(addr, helloControl, f.dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	bulkFC, err := dialFramed(addr, helloBulk, f.dialTimeout)
-	if err != nil {
-		_ = ctrlFC.close()
-		return nil, err
-	}
 	ctrlFC.writeTimeout = f.timeout
-	bulkFC.writeTimeout = f.timeout
-	l := &link{ctrl: newRPCConn(ctrlFC, f.timeout), bulk: newRPCConn(bulkFC, f.timeout),
-		ensured: make(map[dag.ArrayID]grcuda.ArrayMeta)}
-	if _, err := l.ctrl.call(&Request{Kind: MsgPing}); err != nil {
-		_ = l.close()
+	ctrl := newRPCConn(ctrlFC, f.timeout)
+	// The ping proves the worker alive before the bulk channel is
+	// dialed, so a port that accepts and hangs up costs one connection.
+	if _, err := ctrl.call(&Request{Kind: MsgPing}); err != nil {
+		_ = ctrl.close()
 		return nil, fmt.Errorf("ping: %w", err)
 	}
-	return l, nil
+	bulkFC, err := dialFramed(addr, helloBulk, f.dialTimeout)
+	if err != nil {
+		_ = ctrl.close()
+		return nil, err
+	}
+	bulkFC.writeTimeout = f.timeout
+	return &link{ctrl: ctrl, bulk: newRPCConn(bulkFC, f.timeout),
+		ensured: make(map[dag.ArrayID]grcuda.ArrayMeta)}, nil
 }
 
 // Close closes all worker connections.

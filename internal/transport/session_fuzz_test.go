@@ -78,63 +78,6 @@ func sampleBackpressures() []*Backpressure {
 	}
 }
 
-// sampleLeaseGrants covers every field of the shard-lease layout.
-func sampleLeaseGrants() []*LeaseGrant {
-	return []*LeaseGrant{
-		{},
-		{Array: 7, Version: 3, Node: 2, Owner: 0, Holder: 1},
-		{Array: (1 << 40) + 12, Version: 1 << 33, Node: 15, Owner: 3, Holder: 0},
-	}
-}
-
-func TestLeaseGrantRoundTrip(t *testing.T) {
-	for i, g := range sampleLeaseGrants() {
-		p := AppendLeaseGrant(nil, g)
-		got := &LeaseGrant{}
-		if err := ParseLeaseGrant(p, got); err != nil {
-			t.Fatalf("grant %d: decode: %v", i, err)
-		}
-		if !leaseGrantEq(g, got) {
-			t.Fatalf("grant %d: round trip mismatch: %+v vs %+v", i, g, got)
-		}
-	}
-}
-
-func TestLeaseGrantRejectsTruncatedPayloads(t *testing.T) {
-	for _, g := range sampleLeaseGrants() {
-		p := AppendLeaseGrant(nil, g)
-		for cut := 0; cut < len(p); cut++ {
-			if err := ParseLeaseGrant(p[:cut], &LeaseGrant{}); err == nil {
-				t.Fatalf("lease truncation to %d of %d bytes accepted", cut, len(p))
-			}
-		}
-		if err := ParseLeaseGrant(append(append([]byte{}, p...), 0x55), &LeaseGrant{}); err == nil {
-			t.Fatalf("lease trailing garbage accepted")
-		}
-	}
-}
-
-func FuzzLeaseGrant(f *testing.F) {
-	for _, g := range sampleLeaseGrants() {
-		f.Add(AppendLeaseGrant(nil, g))
-	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g := &LeaseGrant{}
-		if err := ParseLeaseGrant(data, g); err != nil {
-			return
-		}
-		p := AppendLeaseGrant(nil, g)
-		got := &LeaseGrant{}
-		if err := ParseLeaseGrant(p, got); err != nil {
-			t.Fatalf("re-decode of re-encoded lease grant failed: %v", err)
-		}
-		if !leaseGrantEq(g, got) {
-			t.Fatalf("round trip mismatch: %+v vs %+v", g, got)
-		}
-	})
-}
-
 func TestSessionRequestRoundTrip(t *testing.T) {
 	for i, req := range sampleSessionRequests() {
 		p := appendSessionRequest(nil, req)

@@ -1,8 +1,7 @@
 package workloads
 
 // The admission differential gate: every suite workload, submitted as a
-// stream through AsyncGrout (Submit, dispatch overlapping admission, with
-// the deprecated OptimizeWindow set, which must change nothing), must
+// stream through AsyncGrout (Submit, dispatch overlapping admission), must
 // produce bit-identical array contents (and identical error text) to the
 // same workload launched CE by CE through Grout (Launch).
 
@@ -51,11 +50,7 @@ func runDifferential(t *testing.T, w *Workload, stream bool) ([][]byte, string) 
 	t.Helper()
 	clu := cluster.New(cluster.PaperSpec(4))
 	fab := core.NewLocalFabric(clu, kernels.StdRegistry(), true)
-	opts := core.Options{Numeric: true}
-	if stream {
-		opts.OptimizeWindow = 16
-	}
-	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium), opts)
+	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium), core.Options{Numeric: true})
 	defer ctl.Close()
 
 	var s Session = &Grout{Ctl: ctl}

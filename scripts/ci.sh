@@ -20,7 +20,7 @@
 #                              Def priced and run from several goroutines)
 #   4c. go test -list          every |-alternative of 4b's -run lists names at least one test in
 #                              its packages: a rename that empties an alternative fails here
-#   5.  fuzz                   compiled engine vs interpreter, session/lease frame codecs,
+#   5.  fuzz                   compiled engine vs interpreter, session frame codecs,
 #                              worker serve loop: short budgets, corpora persist
 #   6.  go run ./benchmark     every BENCHMARK.json workload at 0.1 s (launch-stream, launch-sync,
 #                              bulk-move, numeric-apps, oversub-sweep): output checks hold
@@ -90,9 +90,6 @@ echo "== session-frame codec fuzz (5s per direction)"
 go test -run '^$' -fuzz FuzzSessionRequest -fuzztime 5s ./internal/transport/
 go test -run '^$' -fuzz FuzzSessionResponse -fuzztime 5s ./internal/transport/
 go test -run '^$' -fuzz FuzzSessionBackpressure -fuzztime 5s ./internal/transport/
-
-echo "== shard-lease frame fuzz (5s)"
-go test -run '^$' -fuzz FuzzLeaseGrant -fuzztime 5s ./internal/transport/
 
 echo "== worker serve-loop fuzz (5s)"
 go test -run '^$' -fuzz FuzzWorkerServe -fuzztime 5s ./internal/transport/
