@@ -320,10 +320,11 @@ func Fig9(cesPerRun int) []Series {
 // Fig9Compare contrasts the submission paths on the Figure 9 synthetic
 // stream: for each policy and node count, the wall-clock time the CE
 // stream is blocked per submission — Launch for the serial path
-// (scheduling + dispatch on the caller), Submit for the pipelined one
-// (scheduling only; dispatch overlaps with later admissions). Two series
-// per policy — "<policy>/serial" and "<policy>/pipelined" — in
-// microseconds per CE.
+// (scheduling + dispatch of each CE on the caller), Submit for the
+// pipelined one (scheduling, plus the dispatch of a whole run queue on
+// every PipelineDepth-th Submit: LocalFabric has no launch stream, so the
+// caller that fills the queue works it through). Two series per policy —
+// "<policy>/serial" and "<policy>/pipelined" — in microseconds per CE.
 func Fig9Compare(cesPerRun int) []Series {
 	if cesPerRun <= 0 {
 		cesPerRun = 512
@@ -360,7 +361,8 @@ func Fig9Compare(cesPerRun int) []Series {
 // submitWallClockProbe measures the wall-clock microseconds per CE the
 // caller is blocked submitting the Fig. 9 stream (the final drain is not
 // part of the per-CE admission cost and is excluded): by Launch, which
-// waits for each CE, or by Submit, which does not.
+// waits for each CE, or by Submit, which does not wait for its own CE but
+// works through each run queue it fills.
 func submitWallClockProbe(nodes, ces int, pol policy.Policy, launch bool) float64 {
 	clu := cluster.New(cluster.PaperSpec(nodes))
 	fab := core.NewLocalFabric(clu, kernels.StdRegistry(), false)

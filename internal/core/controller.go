@@ -225,9 +225,10 @@ func (p RetryPolicy) delay(n int) time.Duration {
 // to call from multiple goroutines — they serialize on subMu, so
 // interleaved submissions from concurrent clients observe a single total
 // submission order (the order that defines the schedule). Dispatch-side
-// state is guarded separately by mu: the dispatch stage — the controller's
-// one dispatcher goroutine, which Close stops, or a Launch working through
-// its own CE — runs concurrently behind the submission lock.
+// state is guarded separately by mu: the dispatch stage — run by whoever
+// waits for the queued CEs (a Launch, a drain, Pending.Wait) or by the
+// controller's one dispatcher goroutine, which Close stops — runs
+// concurrently behind the submission lock.
 // Synchronizing operations (HostRead, HostWrite, FreeArray, SetPolicy,
 // BuildKernel, Drain and the drained readers) drain the pipeline under
 // subMu and therefore act as global barriers across all submitting
@@ -460,9 +461,10 @@ func (c *Controller) DeadWorkers() []cluster.NodeID {
 // Policy returns the active inter-node policy.
 func (c *Controller) Policy() policy.Policy { return c.pol }
 
-// DispatcherJobs counts the CEs left to the dispatcher goroutine: those
-// the caller that admitted them did not work through itself — on a fabric
-// without AsyncLauncher every CE nobody waited for.
+// DispatcherJobs counts the CEs the dispatcher goroutine worked through:
+// on a streaming fabric those their submitter could not start itself, on a
+// fabric without AsyncLauncher those queued when an observer (Done,
+// OnDone) woke it.
 func (c *Controller) DispatcherJobs() int { return int(c.pipe.handed.Load()) }
 
 // SetPolicy swaps the inter-node policy (between workloads). It drains
@@ -818,8 +820,10 @@ func (c *Controller) predictMembership(s *scheduled) {
 // movements are issued (controller→worker or P2P), and the CE is forwarded
 // to the Worker's intra-node scheduler. Returns the CE's completion time.
 //
-// Launch is a synchronous call: with the dispatcher idle it dispatches the
-// CE on its own goroutine. Use Submit to overlap scheduling with dispatch.
+// Launch is a synchronous call: it works the CE through on its own
+// goroutine — on a fabric without a launch stream after every CE queued
+// before it, on a streaming one when nothing is queued. Use Submit not to
+// wait for it.
 func (c *Controller) Launch(inv Invocation) (sim.VirtualTime, error) {
 	c.subMu.Lock()
 	p, err := c.admitLocked(inv, true)
@@ -831,9 +835,11 @@ func (c *Controller) Launch(inv Invocation) (sim.VirtualTime, error) {
 }
 
 // Submit admits a kernel CE and hands it to the dispatch engine
-// (pipeline.go). It returns as soon as that is done, having started the CE
-// if it could start at once. Validation errors surface here; dispatch
-// errors surface on the returned Pending (and on Drain).
+// (pipeline.go). It returns as soon as that is done: on a streaming fabric
+// having started the CE if it could start at once, on any other having
+// queued it — and worked the run through if that filled the run queue.
+// Validation errors surface here; dispatch errors surface on the returned
+// Pending (and on Drain).
 func (c *Controller) Submit(inv Invocation) (*Pending, error) {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
@@ -841,9 +847,20 @@ func (c *Controller) Submit(inv Invocation) (*Pending, error) {
 }
 
 // Pending is a submitted CE whose dispatch may still be in flight.
+//
+// Who resolves it depends on the fabric (pipeline.go). On a streaming
+// fabric the dispatcher goroutine, a fabric reader or the submitter that
+// started it does, whether anyone looks or not. On a fabric without a
+// launch stream a queued CE waits for someone to work through the run:
+// Wait does it on the caller's goroutine, and Done and OnDone wake the
+// dispatcher goroutine to do it.
 type Pending struct {
 	end sim.VirtualTime
 	err error
+	// pl is the engine whose run queue holds the CE until a caller works
+	// through it: set at admission on a fabric without a launch stream,
+	// nil otherwise.
+	pl *pipeline
 	// mu guards resolved, hooks and done (OnDone, Wait and Done may race
 	// resolve). done is made by the first Wait or Done that finds the CE
 	// unresolved: most CEs are never waited on one by one, and they cost
@@ -885,14 +902,32 @@ func (p *Pending) resolve(end sim.VirtualTime, err error) {
 	}
 }
 
+// isResolved reports whether the CE has resolved.
+func (p *Pending) isResolved() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.resolved
+}
+
+// observed wakes the dispatcher goroutine for a CE that waits in a run
+// queue: someone watches it without working through the run.
+func (p *Pending) observed() {
+	if p.pl != nil {
+		p.pl.kick()
+	}
+}
+
 // OnDone registers fn to run with the CE's outcome when it resolves — on
-// the resolving goroutine (a dispatcher or a fabric reader), or at once on
-// the caller's if it already has. fn must not block.
+// the resolving goroutine (whoever works through its run, or a fabric
+// reader), or at once on the caller's if it already has. Registering on an
+// unresolved CE wakes the dispatcher goroutine if the CE waits in a run
+// queue, so it resolves without anyone waiting. fn must not block.
 func (p *Pending) OnDone(fn func(end sim.VirtualTime, err error)) {
 	p.mu.Lock()
 	if !p.resolved {
 		p.hooks = append(p.hooks, fn)
 		p.mu.Unlock()
+		p.observed()
 		return
 	}
 	end, err := p.end, p.err
@@ -901,7 +936,12 @@ func (p *Pending) OnDone(fn func(end sim.VirtualTime, err error)) {
 }
 
 // Wait blocks until the CE has dispatched and returns its completion time.
+// If the CE waits in a run queue, the caller works through the run up to
+// it.
 func (p *Pending) Wait() (sim.VirtualTime, error) {
+	if p.pl != nil && !p.isResolved() {
+		p.pl.workThrough(p)
+	}
 	p.mu.Lock()
 	if p.resolved {
 		end, err := p.end, p.err
@@ -914,14 +954,19 @@ func (p *Pending) Wait() (sim.VirtualTime, error) {
 	return p.end, p.err // written before done was closed
 }
 
-// Done returns a channel closed when the CE has dispatched.
+// Done returns a channel closed when the CE has dispatched. Asking for it
+// on an unresolved CE wakes the dispatcher goroutine if the CE waits in a
+// run queue, as OnDone does.
 func (p *Pending) Done() <-chan struct{} {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.resolved {
+		p.mu.Unlock()
 		return closedDone
 	}
-	return p.waitChanLocked()
+	done := p.waitChanLocked()
+	p.mu.Unlock()
+	p.observed()
+	return done
 }
 
 // waitChanLocked returns the channel resolve closes, making it on first

@@ -3,8 +3,8 @@
 // Every kernel CE takes one path. Submit and Launch admit it on the
 // caller's goroutine (admit.go): DAG insertion, the policy decision and the
 // membership prediction, the timed section the paper's Figure 9 measures,
-// which never blocks on data movement. The admitted CE is a job, and jobs
-// are worked through strictly first in, first out (run):
+// which never blocks on data movement. The admitted CE is a job in the run
+// queue, and jobs are worked through strictly first in, first out (run):
 //
 //   - a job that streamableLocked accepts is started on its worker's
 //     stream (AsyncLauncher: real transports run one worker's launches in
@@ -24,19 +24,26 @@
 // order, and the membership prediction (predictMembership) gives every
 // placement decision the data-location view it would have had had each CE
 // run before the next was admitted. Schedules — placements, transfers,
-// virtual times — therefore do not depend on who works through the FIFO;
-// TestPipelineMatchesSerial checks that over random DAGs and policies.
+// virtual times — therefore do not depend on who works through the run
+// queue; TestPipelineMatchesSerial checks that over random DAGs and
+// policies.
 //
-// Who works through it is decided by the call, not by an option. A caller
-// that waits for its CE — Launch — runs it on its own goroutine while the
-// dispatcher goroutine is idle (no job queued or being worked through,
-// nothing to redo), so the CE has run when admission returns. A caller
-// that does not wait — Submit — starts its CE from its goroutine when it
-// can be started at once and puts it on the wire; a CE that would have to
-// wait for anything goes to the dispatcher goroutine. While the dispatcher
-// has work every later job queues behind it, whoever admitted it. The work
-// lock keeps one goroutine at a time working through the FIFO, and so one
-// starter (AsyncLauncher's rule).
+// Who works through it follows one rule: whoever waits works through the
+// run. On a fabric without a launch stream (no AsyncLauncher: LocalFabric,
+// the wrapping fabrics) nothing overlaps a blocking dispatch on the caller,
+// so Submit only admits and queues, and the queued CEs run on the
+// goroutine that needs them done: a Launch (its own CE is the last of the
+// run), a Submit that finds PipelineDepth jobs queued, a drain — so every
+// synchronizing method — and Pending.Wait. An observer that does not block
+// — Pending.Done, Pending.OnDone — wakes the dispatcher goroutine, which
+// works through the whole run; ControllerSession and the gateway progress
+// that way. On a streaming fabric the network overlaps what the caller
+// cannot: a Submit starts its CE from its own goroutine when the run queue
+// is empty and the CE can start at once, and a Launch runs its CE there
+// while nothing is queued; anything else queues, and the dispatcher
+// goroutine, woken on the queue's empty → non-empty edge, works it
+// through. The work lock keeps one goroutine at a time working through the
+// run, and so one starter (AsyncLauncher's rule).
 package core
 
 import (
@@ -59,7 +66,8 @@ type ConcurrentDispatcher interface {
 
 // defaultPipelineDepth is Options.PipelineDepth's zero value: how many
 // launches one worker may have started and unanswered, and how many CEs the
-// FIFO holds before a submitter waits.
+// run queue holds before a submitter works through them (no launch stream)
+// or waits for the dispatcher (streaming).
 const defaultPipelineDepth = 64
 
 // job is one admitted CE traveling through the dispatch stage. It is
@@ -71,8 +79,8 @@ type job struct {
 	seq   uint64
 	p     *Pending
 	holds atomic.Int32
-	// own is set when the caller that admitted the job works through it
-	// because it waits for it (enqueue).
+	// own is set when the caller that admitted the job waits for it and
+	// works through the run up to it (enqueue).
 	own bool
 }
 
@@ -80,39 +88,44 @@ type job struct {
 type pipeline struct {
 	c *Controller
 
-	// fifo carries admitted jobs to the dispatcher goroutine, one channel
-	// hand-off per job. wg waits for that goroutine.
-	fifo chan *job
+	// wake rouses the dispatcher goroutine: a job queued on a streaming
+	// fabric's empty run queue, an observer of a queued CE, or a failed
+	// start to redo. quit stops it; wg waits for it.
+	wake chan struct{}
+	quit chan struct{}
 	wg   sync.WaitGroup
 
 	// Streamed launches. al is the fabric's AsyncLauncher, nil when launches
 	// take the blocking path only; depth bounds one worker's
-	// started-and-unanswered launches. inflight maps every such CE to its
-	// worker, flying[w] counts them per worker, redo holds the started jobs
-	// that failed — all three guarded by c.mu, and launchDone broadcasts
-	// every change on c.cond. wake tells an idle dispatcher that redo is
-	// non-empty. unflushed lists the workers with launches still in a write
-	// buffer.
+	// started-and-unanswered launches and the run queue. inflight maps
+	// every started CE to its worker, flying[w] counts them per worker, redo
+	// holds the started jobs that failed — all three guarded by c.mu, and
+	// launchDone broadcasts every change on c.cond. unflushed lists the
+	// workers with launches still in a write buffer.
 	al        AsyncLauncher
 	depth     int
 	inflight  map[dag.CEID]cluster.NodeID
 	flying    map[cluster.NodeID]int
 	redo      []*job
-	wake      chan struct{}
 	unflushed []cluster.NodeID
 
-	// work is held by whoever is working through a job or the redo list:
-	// the dispatcher goroutine, or (by try-lock, never waiting) the caller
-	// that admitted a job while it works through it. It guards unflushed.
-	// queued counts the jobs given to the dispatcher and not yet worked
-	// through; handed, all the jobs it was ever given
-	// (Controller.DispatcherJobs).
+	// work is held by whoever is working through the run queue or the redo
+	// list: the dispatcher goroutine, a caller that waits (see the package
+	// comment) or, by try-lock, never waiting, a streaming submitter
+	// starting its own CE. It guards unflushed. handed counts the jobs the
+	// dispatcher goroutine ever worked through (Controller.DispatcherJobs).
 	work   sync.Mutex
-	queued atomic.Int32
 	handed atomic.Int64
 
-	// mu guards the submission/completion counters.
+	// mu guards the run queue and the submission/completion counters. The
+	// run queue is a ring of depth slots: qLen jobs from q[qHead] on, in
+	// submission order. room wakes a streaming submitter waiting for a
+	// slot.
 	mu        sync.Mutex
+	q         []*job
+	qHead     int
+	qLen      int
+	room      *sync.Cond
 	drainCond *sync.Cond
 	submitted uint64
 	completed uint64
@@ -127,39 +140,48 @@ func newPipeline(c *Controller, depth int) *pipeline {
 	if depth <= 0 {
 		depth = defaultPipelineDepth
 	}
-	pl := &pipeline{c: c}
+	pl := &pipeline{c: c, depth: depth, q: make([]*job, depth)}
+	pl.room = sync.NewCond(&pl.mu)
 	pl.drainCond = sync.NewCond(&pl.mu)
 	if cd, ok := c.fabric.(ConcurrentDispatcher); ok && cd.ConcurrentDispatch() {
 		if al, ok := c.fabric.(AsyncLauncher); ok {
-			pl.al, pl.depth = al, depth
+			pl.al = al
 			pl.inflight = make(map[dag.CEID]cluster.NodeID)
 			pl.flying = make(map[cluster.NodeID]int)
-			pl.wake = make(chan struct{}, 1)
 		}
 	}
-	// depth jobs of backlog before a submitter waits: backpressure on the
-	// scheduling stage.
-	pl.fifo = make(chan *job, depth)
+	pl.wake = make(chan struct{}, 1)
+	pl.quit = make(chan struct{})
 	pl.wg.Add(1)
 	go pl.dispatchLoop()
 	return pl
 }
 
-// enqueue puts an admitted job into the FIFO and issues its sequence
-// number. With the dispatcher idle the caller works it itself (see the
-// package comment): to completion when it blocks on it, which has then run
-// when this returns, and otherwise when it can start it at once.
+// enqueue numbers an admitted job and puts it in the run queue, or has the
+// caller work it (see the package comment). With blocking the caller waits
+// for the job, which has then run when this returns on a fabric without a
+// launch stream, and on a streaming one if nothing was queued before it.
 func (pl *pipeline) enqueue(j *job, blocking bool) {
 	pl.mu.Lock()
 	j.seq = pl.submitted
 	pl.submitted++
+	if pl.al == nil {
+		j.own = blocking
+		j.p.pl = pl
+		full := pl.pushLocked(j) == pl.depth
+		pl.mu.Unlock()
+		if blocking || full {
+			pl.workThrough(nil)
+		}
+		return
+	}
 	pl.mu.Unlock()
-	// Without a launch stream a caller that does not wait could start
-	// nothing. queued is read under the lock: a dispatcher that has taken a
-	// job off the channel but not the lock yet still counts.
-	if (blocking || pl.al != nil) && pl.work.TryLock() {
+	// On a launch stream a caller that does not wait starts its CE itself
+	// when it can start at once; one that waits runs it to completion. Only
+	// with the dispatcher idle: work free and nothing queued before it.
+	if pl.work.TryLock() {
 		ran := false
-		if pl.queued.Load() == 0 {
+		if pl.queueLen() == 0 {
 			j.own = blocking
 			ran = pl.run(j, blocking)
 			if blocking {
@@ -176,36 +198,110 @@ func (pl *pipeline) enqueue(j *job, blocking bool) {
 			return
 		}
 	}
-	pl.queued.Add(1)
-	pl.fifo <- j
+	pl.mu.Lock()
+	n := pl.pushLocked(j)
+	pl.mu.Unlock()
+	if n == 1 {
+		pl.kick()
+	}
 }
 
-// dispatchLoop is the controller's one dispatcher goroutine: it works
-// through the jobs in the FIFO, and through the redo list when a started
-// launch fails with no job queued.
+// pushLocked appends j to the run queue — on a streaming fabric after
+// waiting for a free slot, backpressure on the scheduling stage — and
+// reports how many jobs the queue then holds. Without a launch stream the
+// queue is never full here: the Submit that fills it works it through.
+// Caller holds mu.
+func (pl *pipeline) pushLocked(j *job) int {
+	for pl.qLen == len(pl.q) {
+		pl.room.Wait()
+	}
+	pl.q[(pl.qHead+pl.qLen)%len(pl.q)] = j
+	pl.qLen++
+	return pl.qLen
+}
+
+// pop takes the oldest job off the run queue, nil when it is empty.
+func (pl *pipeline) pop() *job {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if pl.qLen == 0 {
+		return nil
+	}
+	j := pl.q[pl.qHead]
+	pl.q[pl.qHead] = nil
+	pl.qHead = (pl.qHead + 1) % len(pl.q)
+	if pl.qLen == len(pl.q) {
+		pl.room.Broadcast()
+	}
+	pl.qLen--
+	return j
+}
+
+// queueLen reports how many jobs the run queue holds.
+func (pl *pipeline) queueLen() int {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return pl.qLen
+}
+
+// kick wakes the dispatcher goroutine; a wake already pending covers this
+// one.
+func (pl *pipeline) kick() {
+	select {
+	case pl.wake <- struct{}{}:
+	default:
+	}
+}
+
+// workThrough works through the run queue on the caller's goroutine (see
+// runQueued).
+func (pl *pipeline) workThrough(until *Pending) {
+	pl.work.Lock()
+	pl.runQueued(until, false)
+	pl.work.Unlock()
+}
+
+// runQueued works through the run queue in FIFO order until it is empty
+// or, with until, until that CE has resolved. Caller holds work.
+func (pl *pipeline) runQueued(until *Pending, dispatcher bool) {
+	for until == nil || !until.isResolved() {
+		j := pl.pop()
+		if j == nil {
+			return
+		}
+		if dispatcher {
+			pl.handed.Add(1)
+		}
+		pl.run(j, true)
+		pl.release(j)
+	}
+}
+
+// dispatchLoop is the controller's one dispatcher goroutine. Each wake it
+// works through the whole run queue, then redoes failed starts or, with
+// none, flushes what it started: about to sleep, a launch left in a write
+// buffer would never be answered.
 func (pl *pipeline) dispatchLoop() {
 	defer pl.wg.Done()
 	for {
 		select {
-		case j, ok := <-pl.fifo:
-			if !ok {
-				return
-			}
-			pl.work.Lock()
-			pl.handed.Add(1)
-			pl.run(j, true)
-			pl.release(j)
-			// No further job queued, so about to sleep: a started launch
-			// left in a write buffer would never be answered.
-			if pl.queued.Add(-1) == 0 {
+		case <-pl.quit:
+			return
+		case <-pl.wake:
+		}
+		pl.work.Lock()
+		pl.runQueued(nil, true)
+		if pl.al != nil {
+			pl.c.mu.Lock()
+			redo := len(pl.redo) > 0
+			pl.c.mu.Unlock()
+			if redo {
+				pl.quiesce()
+			} else {
 				pl.flushStarts()
 			}
-			pl.work.Unlock()
-		case <-pl.wake:
-			pl.work.Lock()
-			pl.quiesce()
-			pl.work.Unlock()
 		}
+		pl.work.Unlock()
 	}
 }
 
@@ -316,10 +412,7 @@ func (pl *pipeline) launchDone(j *job, end sim.VirtualTime, err error) {
 	if !ok {
 		pl.redo = append(pl.redo, j)
 		c.mu.Unlock()
-		select {
-		case pl.wake <- struct{}{}:
-		default: // already signalled
-		}
+		pl.kick()
 		return
 	}
 	c.commitLocked(s, s.target, ready, end, 0, 0)
@@ -403,8 +496,12 @@ func (pl *pipeline) fail(err error, own bool) {
 }
 
 // drain blocks until every submitted CE has dispatched and returns the
-// sticky error, if any.
+// sticky error, if any. Without a launch stream it works through the run
+// itself.
 func (pl *pipeline) drain() error {
+	if pl.al == nil {
+		pl.workThrough(nil)
+	}
 	pl.mu.Lock()
 	target := pl.submitted
 	for pl.completed < target {
@@ -421,6 +518,6 @@ func (pl *pipeline) close() {
 		return
 	}
 	pl.closed = true
-	close(pl.fifo)
+	close(pl.quit)
 	pl.wg.Wait()
 }

@@ -579,9 +579,10 @@ func TestGoroutineBudget(t *testing.T) {
 // TestLaunchRunsOnItsCaller: the call, not an option, decides who works
 // through a CE. Launches on an idle controller never reach the
 // dispatcher goroutine — over LocalFabric, where they run blocking, and
-// over a streaming fabric, where they are started and answered — while a
-// Submit nobody waits for leaves its CE to it on a fabric without a
-// launch stream. Everything runs on one worker, so from the second Launch
+// over a streaming fabric, where they are started and answered. On a
+// fabric without a launch stream a Submit's CE runs on whoever waits for
+// it: its caller's Wait, or the dispatcher goroutine when it is only
+// observed (Done). Everything runs on one worker, so from the second Launch
 // of an array on its arguments are resident and the launch can stream.
 func TestLaunchRunsOnItsCaller(t *testing.T) {
 	const n = 16
@@ -616,15 +617,23 @@ func TestLaunchRunsOnItsCaller(t *testing.T) {
 	if starts == 0 {
 		t.Fatal("stream: no Launch was started on a launch stream")
 	}
-	p, err := local.Submit(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(ids[0]), ScalarRef(float64(ppElems))}})
+	relu := Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(ids[0]), ScalarRef(float64(ppElems))}}
+	p, err := local.Submit(relu)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	if got := local.DispatcherJobs(); got != 0 {
+		t.Fatalf("local: the dispatcher goroutine was handed %d CEs after a Submit its caller waited for, want none", got)
+	}
+	if p, err = local.Submit(relu); err != nil {
+		t.Fatal(err)
+	}
+	<-p.Done()
 	if got := local.DispatcherJobs(); got != 1 {
-		t.Fatalf("local: the dispatcher goroutine was handed %d CEs after a Submit, want 1", got)
+		t.Fatalf("local: the dispatcher goroutine was handed %d CEs after a Submit observed through Done, want 1", got)
 	}
 }
 

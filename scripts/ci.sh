@@ -17,7 +17,9 @@
 #                              TestWrapperFidelity, the allocation budgets, victim selection
 #                              vs a full sort, shared stdlib Defs, the 0-allocation op
 #                              estimate, TestSharedKernelDefsConcurrent: every shared compiled
-#                              Def priced and run from several goroutines)
+#                              Def priced and run from several goroutines, the run queue: an observed
+#                              Submit resolves without Drain, a drained run matches Launch bit for
+#                              bit, and no queued CE is worked through twice)
 #   4c. go test -list          every |-alternative of 4b's -run lists names at least one test in
 #                              its packages: a rename that empties an alternative fails here
 #   5.  fuzz                   compiled engine vs interpreter, session frame codecs,
@@ -53,7 +55,7 @@ echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos)"
 go test -race -run 'TestShardDifferential' ./internal/workloads/
 
 # Step 4b's race lists: a -run pattern and the packages it runs in.
-RACE_RUN='Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|BurstUnderInflightCap|SyncReportsDispatchFailure|PipelineMatchesSerial|LaunchRunsOnItsCaller|ConcurrentFabricOrdering|ErrorStickiness|GoroutineBudget|ConcurrentBulkTransfersSerialise|ChunkStreamValidation|RejectedReceiveKeepsStreamInSync|BulkSever|PingNotBlocked|LaunchArgumentChecks|CanonicalNaNStores|CountedLoopStepAccounting|LaunchAllocsFlat|UVMKernelsDifferential|PipelinedStallQueriesRaceFree|WrapperFidelity|AllocBudget|VictimSelectionMatchesFullSort|StdRegistr|OpsEstimateAllocFree'
+RACE_RUN='Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|BurstUnderInflightCap|SyncReportsDispatchFailure|PipelineMatchesSerial|LaunchRunsOnItsCaller|ConcurrentFabricOrdering|ErrorStickiness|GoroutineBudget|ConcurrentBulkTransfersSerialise|ChunkStreamValidation|RejectedReceiveKeepsStreamInSync|BulkSever|PingNotBlocked|LaunchArgumentChecks|CanonicalNaNStores|CountedLoopStepAccounting|LaunchAllocsFlat|UVMKernelsDifferential|PipelinedStallQueriesRaceFree|WrapperFidelity|AllocBudget|VictimSelectionMatchesFullSort|StdRegistr|OpsEstimateAllocFree|SubmitResolvesThroughDone|SubmitResolvesThroughOnDone|RunQueueDrainMatchesLaunch|RunQueueResolvesOnce'
 RACE_PKGS="./internal/core/ ./internal/transport/ ./internal/shard/ ./internal/bench/ ./internal/server/ ./internal/minicuda/ ./internal/gpusim/ ./internal/dag/ ./internal/kernels/"
 RACE_RUN_WORKLOADS='TestSharedKernelDefsConcurrent'
 
