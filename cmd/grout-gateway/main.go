@@ -59,7 +59,6 @@ func main() {
 	rate := flag.Float64("rate", 0, "per-session admission rate limit in launches/sec (0 = unlimited)")
 	burst := flag.Int("burst", 0, "token-bucket burst allowance when -rate is set (0 = 16 default)")
 	shedDepth := flag.Int("shed-depth", 0, "shed threshold in queued launches per shard (0 disables shedding)")
-	queueDepth := flag.Int("queue-depth", 0, "per-session launch queue depth (0 = 64 default, negative = 1)")
 	failover := flag.Bool("failover", true, "survive worker failures via lineage recovery")
 	flag.Parse()
 
@@ -91,9 +90,8 @@ func main() {
 			RatePerSec:     *rate,
 			Burst:          *burst,
 		},
-		QueueDepth: *queueDepth,
-		ShedDepth:  *shedDepth,
-		Logger:     logger,
+		ShedDepth: *shedDepth,
+		Logger:    logger,
 	}
 	var g *server.Gateway
 	var cleanup func()

@@ -3,8 +3,9 @@
 // reaching the steep increase in execution time". Earlier revisions of
 // this example approximated that by restarting a fresh cluster at each
 // size; this one exercises the real mechanism (DESIGN.md §5.9): ONE
-// deployment is provisioned with the maximum fleet, only one node is
-// rostered active (grout.Config.ActiveWorkers), and a KPI loop calls
+// deployment is provisioned with the maximum fleet, every node but the
+// first is retired to the standby pool before any work is submitted
+// (Controller.RetireWorker on the fresh controller), and a KPI loop calls
 // Controller.AddWorker on the RUNNING controller — arrays stay where
 // they are, in-flight work keeps streaming, and each new node becomes a
 // scheduling candidate for the CEs admitted after the call.
@@ -44,15 +45,21 @@ func main() {
 // false) keeps the 48 GiB working set free.
 func scaleOut() {
 	clu, err := grout.NewSimulatedCluster(grout.Config{
-		Workers:       maxFleet,
-		ActiveWorkers: 1,
-		Policy:        "round-robin",
+		Workers: maxFleet,
+		Policy:  "round-robin",
 	})
 	if err != nil {
 		panic(err)
 	}
 	defer clu.Close()
 	ctl := clu.Controller
+	// Start on node 1: the rest of the fleet goes to the standby pool
+	// before anything is placed on it.
+	for w := cluster.NodeID(2); int(w) <= maxFleet; w++ {
+		if err := ctl.RetireWorker(w); err != nil {
+			panic(err)
+		}
+	}
 
 	fmt.Printf("fleet: %d nodes provisioned, %d active; working set %v (%.1fx one node's GPU memory)\n",
 		maxFleet, len(ctl.Members()), arrays*arrayBytes,
@@ -88,7 +95,7 @@ func scaleOut() {
 	}
 
 	fmt.Printf("%8s %14s %14s\n", "nodes", "round (s)", "vs KPI")
-	next := cluster.NodeID(2) // node 1 is the seed roster
+	next := cluster.NodeID(2) // node 1 is the only member at start
 	for {
 		dt := round().Seconds()
 		nodes := len(ctl.Members())

@@ -70,14 +70,10 @@ const (
 type Config struct {
 	// Workers is the number of GPU nodes (each the paper's 2×V100
 	// 16 GiB OCI shape). Default 2, as in the paper's main evaluation.
+	// Every node starts as a scheduling member; to start on fewer, retire
+	// the rest with Controller.RetireWorker before submitting anything,
+	// and Controller.AddWorker activates them live later (DESIGN.md §5.9).
 	Workers int
-	// ActiveWorkers, when positive and below Workers, rosters only the
-	// first ActiveWorkers nodes as scheduling members at start; the
-	// rest idle as a provisioned standby pool that
-	// Controller.AddWorker activates live (and RetireWorker returns
-	// nodes to) — fleet elasticity without restarting the deployment
-	// (DESIGN.md §5.9). 0 activates the whole fleet.
-	ActiveWorkers int
 	// Shards splits the simulated controller fleet into N independent
 	// shards behind one logical plane (DESIGN.md §5.8): each shard
 	// controller owns a static partition of the workers and its own
@@ -136,7 +132,7 @@ const DefaultOptimizeWindow = 32
 
 // coreOptions builds the controller options shared by both deployments.
 func (c Config) coreOptions(numeric bool) core.Options {
-	opts := core.Options{
+	return core.Options{
 		Numeric:  numeric,
 		Failover: c.Failover,
 		Retry: core.RetryPolicy{
@@ -144,13 +140,6 @@ func (c Config) coreOptions(numeric bool) core.Options {
 			Backoff:  c.RetryBackoff,
 		},
 	}
-	if c.ActiveWorkers > 0 {
-		// Worker node IDs are 1-based; roster the first ActiveWorkers.
-		for i := 1; i <= c.ActiveWorkers; i++ {
-			opts.Workers = append(opts.Workers, cluster.NodeID(i))
-		}
-	}
-	return opts
 }
 
 func (c Config) policy() (policy.Policy, error) {

@@ -322,7 +322,7 @@ func Fig9(cesPerRun int) []Series {
 // stream is blocked per submission — Launch for the serial path
 // (scheduling + dispatch of each CE on the caller), Submit for the
 // pipelined one (scheduling, plus the dispatch of a whole run queue on
-// every PipelineDepth-th Submit: LocalFabric has no launch stream, so the
+// every 64th Submit: LocalFabric has no launch stream, so the
 // caller that fills the queue works it through). Two series per policy —
 // "<policy>/serial" and "<policy>/pipelined" — in microseconds per CE.
 func Fig9Compare(cesPerRun int) []Series {

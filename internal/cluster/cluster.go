@@ -220,12 +220,6 @@ func (c *Cluster) endpointBW(id NodeID, egress bool) float64 {
 	return c.spec.WorkerNICBW
 }
 
-// EgressFreeAt reports when a node's egress NIC next frees up.
-func (c *Cluster) EgressFreeAt(id NodeID) sim.VirtualTime { return c.egress[id].FreeAt() }
-
-// IngressFreeAt reports when a node's ingress NIC next frees up.
-func (c *Cluster) IngressFreeAt(id NodeID) sim.VirtualTime { return c.ingress[id].FreeAt() }
-
 // InterconnectMatrix returns the bandwidth matrix (bytes/second) between
 // all endpoints, as GrOUT constructs at initialization (§IV-D,
 // min-transfer-time). Index 0 is the controller.

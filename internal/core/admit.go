@@ -100,7 +100,7 @@ var freeJobs struct {
 	list []*job
 }
 
-const maxFreeJobs = 4 * defaultPipelineDepth
+const maxFreeJobs = 4 * pipelineDepth
 
 // getJob returns a zeroed job (whose scheduled record's scratch slices
 // keep their capacity) with both holds taken.

@@ -6,10 +6,10 @@
 // seeded random transient faults — so the Controller's failover, lineage
 // recovery, and retry/backoff paths are testable in-process, without real
 // sockets and without flaky timing. ChaosFabric deliberately does NOT
-// implement ConcurrentDispatcher even when its inner fabric does: the
-// controller then streams nothing and issues every fabric call in
-// submission order, which makes the injection counters (and therefore each
-// run's fault schedule) exactly reproducible.
+// forward AsyncLauncher even when its inner fabric has it: the controller
+// then streams nothing and issues every fabric call in submission order,
+// which makes the injection counters (and therefore each run's fault
+// schedule) exactly reproducible.
 package core
 
 import (

@@ -109,12 +109,6 @@ func (g *GlobalArray) hasMembers() bool {
 // UpToDateOn reports whether node n holds a valid copy (scheduler view).
 func (g *GlobalArray) UpToDateOn(n cluster.NodeID) bool { return g.isMember(n) }
 
-// ReadyAt reports when node n's copy became valid (0, false if stale).
-func (g *GlobalArray) ReadyAt(n cluster.NodeID) (sim.VirtualTime, bool) {
-	t, ok := g.upToDate[n]
-	return t, ok
-}
-
 // Locations lists the nodes holding valid copies, in node-ID order.
 func (g *GlobalArray) Locations() []cluster.NodeID {
 	var out []cluster.NodeID
@@ -138,7 +132,10 @@ type CETrace struct {
 	SchedOverhd time.Duration // wall-clock controller scheduling cost
 }
 
-// Options configures a Controller.
+// Options configures a Controller. The dispatch engine's depth is the
+// constant pipelineDepth, 64 (pipeline.go), and every worker of the fabric
+// starts as a scheduling member: RetireWorker and AddWorker change the
+// membership of a running controller (elastic.go).
 type Options struct {
 	// Numeric allocates controller-side buffers and ships real data.
 	Numeric bool
@@ -159,18 +156,12 @@ type Options struct {
 	// and returns, Launch waits, and who works through the dispatch FIFO
 	// follows from that (pipeline.go).
 	Pipeline bool
-	// PipelineDepth bounds the launches one worker may have started and
-	// not yet answered on a streaming fabric, and the admitted CEs queued
-	// for the dispatcher before a submitter waits (default 64).
-	PipelineDepth int
 	// Deprecated: ignored; every CE is admitted by itself (admit.go).
 	OptimizeWindow int
-	// Workers, when non-nil, restricts the controller's initial scheduling
-	// membership to this subset of the fabric's fleet; the rest of the
-	// fleet is a standby pool AddWorker can activate later (elastic.go).
-	// nil (the default) makes every fabric worker a member, preserving the
-	// fixed-fleet behavior.
-	Workers []cluster.NodeID
+
+	// depth replaces pipelineDepth when positive: a test seam for the
+	// tests that need the bound small.
+	depth int
 }
 
 // traceRing is how many per-CE trace entries a controller keeps: Traces,
@@ -350,12 +341,6 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 		deadGen:  1,
 		retry:    opts.Retry,
 	}
-	if opts.Workers != nil {
-		c.roster = make(map[cluster.NodeID]bool, len(opts.Workers))
-		for _, w := range opts.Workers {
-			c.roster[w] = true
-		}
-	}
 	if opts.Failover {
 		c.lineage = make(map[lineageKey]*producerRec)
 	}
@@ -365,7 +350,7 @@ func NewController(fabric Fabric, pol policy.Policy, opts Options) *Controller {
 	}
 	c.stallPred, _ = fabric.(StallPredictor)
 	c.cond = sync.NewCond(&c.mu)
-	c.pipe = newPipeline(c, opts.PipelineDepth)
+	c.pipe = newPipeline(c, opts.depth)
 	return c
 }
 
@@ -1532,6 +1517,14 @@ func (c *Controller) addHostCE(label string, acc dag.Access) (ce *dag.CE, depRea
 // be mid-shipment; draining first via Drain or HostRead suffices). Like
 // HostRead it drains the dispatch pipeline first.
 func (c *Controller) HostWrite(id dag.ArrayID) (sim.VirtualTime, error) {
+	return c.hostWrite(id, nil)
+}
+
+// hostWrite is HostWrite that, given data, first copies it into the
+// array's controller buffer (numeric mode) — after the drain and under
+// subMu, so no CE is mid-shipment from the buffer being overwritten and
+// none is admitted before the write lands.
+func (c *Controller) hostWrite(id dag.ArrayID, data *kernels.Buffer) (sim.VirtualTime, error) {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
 	if err := c.drainLocked(); err != nil {
@@ -1540,6 +1533,11 @@ func (c *Controller) HostWrite(id dag.ArrayID) (sim.VirtualTime, error) {
 	arr, ok := c.arrays[id]
 	if !ok {
 		return 0, fmt.Errorf("core: host write of unknown array %d", id)
+	}
+	if data != nil && arr.Buf != nil {
+		if err := arr.Buf.SetRawBytes(0, data.RawBytes()); err != nil {
+			return 0, err
+		}
 	}
 	ce, depReady := c.addHostCE("host-write", dag.Access{Array: id, Mode: memmodel.Write})
 	clear(arr.upToDate)

@@ -3,10 +3,12 @@ package core
 // Fleet elasticity: workers join and leave a RUNNING controller.
 //
 // The fabric's worker set stays fixed at construction (the cluster's
-// bandwidth matrix is sized then), so elasticity is a membership overlay: Options.Workers seeds a
-// roster of active members, the rest of the fleet idles as a standby
-// pool, and AddWorker/RetireWorker move nodes between the two while
-// CEs stream.
+// bandwidth matrix is sized then), so elasticity is a membership overlay:
+// every worker starts as a member, the first RetireWorker materializes a
+// roster, the retired workers idle as a standby pool, and
+// AddWorker/RetireWorker move nodes between the two while CEs stream. A
+// deployment that starts small retires its standby workers on the fresh
+// controller, before anything is placed on them.
 //
 // Retirement is deliberately NOT death. markDead (failover) forgets a
 // worker's replicas and leans on lineage to recompute whatever is lost;

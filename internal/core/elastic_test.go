@@ -55,17 +55,19 @@ func elasticLaunch(t *testing.T, s *ControllerSession, bias float64) dag.ArrayID
 	return a
 }
 
-// A controller provisioned over a 4-worker fabric but rostered to 2
-// schedules only on its members; AddWorker activates a standby node for
-// every CE admitted after the call.
+// A controller provisioned over a 4-worker fabric with two workers retired
+// at start schedules only on its members; AddWorker activates a standby
+// node for every CE admitted after the call.
 func TestElasticAddWorkerGrowsPlacement(t *testing.T) {
 	clu := cluster.New(cluster.PaperSpec(4))
 	fab := NewLocalFabric(clu, kernels.StdRegistry(), true)
-	ctl := NewController(fab, policy.NewRoundRobin(), Options{
-		Numeric: true,
-		Workers: []cluster.NodeID{1, 2},
-	})
+	ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true})
 	t.Cleanup(func() { ctl.Close() })
+	for _, w := range []cluster.NodeID{3, 4} {
+		if err := ctl.RetireWorker(w); err != nil {
+			t.Fatalf("RetireWorker(%v) at start: %v", w, err)
+		}
+	}
 	s := NewControllerSession(ctl, "elastic-add", SessionLimits{})
 
 	if m := ctl.Members(); len(m) != 2 {

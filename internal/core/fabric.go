@@ -55,8 +55,8 @@ type Invocation struct {
 // through a helper rather than asserting the interface. The wrapper rule:
 // a fabric that wraps another implements all three and forwards each
 // through its helper, so wrapping never changes what the controller sees,
-// and forwards neither ConcurrentDispatcher nor AsyncLauncher, whose
-// absence selects the serial, blocking path.
+// and does not forward AsyncLauncher, whose absence selects the serial,
+// blocking path.
 type Fabric interface {
 	// Workers lists the worker node IDs.
 	Workers() []cluster.NodeID
@@ -69,8 +69,8 @@ type Fabric interface {
 	// receives the payload. The move may not start before srcReady.
 	// Returns the arrival time at dst.
 	//
-	// Concurrent-bulk contract: a fabric that declares
-	// ConcurrentDispatcher must accept MoveArray calls for *different*
+	// Concurrent-bulk contract: a fabric that is safe for concurrent use
+	// (TCPFabric, LocalFabric) must accept MoveArray calls for *different*
 	// arrays concurrently — with each other and with Launch/EnsureArray/
 	// Healthy on any worker — and may serve them in order per link, but
 	// never ahead of control traffic: a large payload must not block small
@@ -149,8 +149,8 @@ type AsyncLauncher interface {
 // safe for concurrent use: every call that touches the shared virtual
 // timelines, a worker runtime or the launch scratch holds mu, so sharded
 // controllers, and a controller's submitters and its dispatcher goroutine,
-// can share one fleet. Order is still observable, so it does not implement
-// ConcurrentDispatcher and each controller issues its calls in
+// can share one fleet. Order is still observable, so it has no launch
+// stream (AsyncLauncher) and each controller issues its calls in
 // submission order. Workers, Healthy and the transfer estimates read
 // immutable spec data and take no lock.
 type LocalFabric struct {

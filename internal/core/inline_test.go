@@ -239,7 +239,7 @@ func TestInlineStartDepthOne(t *testing.T) {
 // handed to the dispatcher, and while the dispatcher holds that CE a later
 // one queues behind it instead of overtaking it.
 func TestInlineStartHandsRemainderInOrder(t *testing.T) {
-	// PipelineDepth bounds both a worker's started launches and the FIFO,
+	// The depth bounds both a worker's started launches and the FIFO,
 	// so chain-depth+1 must fit in the FIFO or a Submit blocks on the held
 	// worker.
 	const depth, chain = 2, 3
@@ -247,7 +247,7 @@ func TestInlineStartHandsRemainderInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, fab, ids := newStreamSystem(t, pin, Options{PipelineDepth: depth})
+	ctl, fab, ids := newStreamSystem(t, pin, Options{depth: depth})
 	nArg := ScalarRef(float64(ppElems))
 	for _, id := range ids[:2] {
 		if _, err := ctl.Launch(Invocation{Kernel: "relu", Args: []ArgRef{ArrRef(id), nArg}}); err != nil {

@@ -33,7 +33,7 @@
 // the wrapping fabrics) nothing overlaps a blocking dispatch on the caller,
 // so Submit only admits and queues, and the queued CEs run on the
 // goroutine that needs them done: a Launch (its own CE is the last of the
-// run), a Submit that finds PipelineDepth jobs queued, a drain — so every
+// run), a Submit that finds pipelineDepth jobs queued, a drain — so every
 // synchronizing method — and Pending.Wait. An observer that does not block
 // — Pending.Done, Pending.OnDone — wakes the dispatcher goroutine, which
 // works through the whole run; ControllerSession and the gateway progress
@@ -56,19 +56,21 @@ import (
 	"grout/internal/sim"
 )
 
-// ConcurrentDispatcher is implemented by fabrics whose operations are
-// safe to issue from multiple goroutines at once (real transports doing
-// wall-clock I/O). Virtual-time fabrics must not implement it: their
-// shared timelines make operation order observable.
+// ConcurrentDispatcher marks fabrics whose operations are safe to issue
+// from several goroutines at once. The controller does not read it:
+// AsyncLauncher alone selects the launch stream.
+//
+// Deprecated: kept for benchmark/seams.go until the fabric contract
+// folds it into AsyncLauncher.
 type ConcurrentDispatcher interface {
 	ConcurrentDispatch() bool
 }
 
-// defaultPipelineDepth is Options.PipelineDepth's zero value: how many
-// launches one worker may have started and unanswered, and how many CEs the
-// run queue holds before a submitter works through them (no launch stream)
-// or waits for the dispatcher (streaming).
-const defaultPipelineDepth = 64
+// pipelineDepth is how many launches one worker may have started and
+// unanswered, and how many CEs the run queue holds before a submitter
+// works through them (no launch stream) or waits for the dispatcher
+// (streaming).
+const pipelineDepth = 64
 
 // job is one admitted CE traveling through the dispatch stage. It is
 // recycled (putJob) once two holds are released: the CE has resolved — a
@@ -136,19 +138,19 @@ type pipeline struct {
 	err error
 }
 
+// newPipeline builds c's dispatch engine; depth replaces pipelineDepth
+// when positive (Options.depth).
 func newPipeline(c *Controller, depth int) *pipeline {
 	if depth <= 0 {
-		depth = defaultPipelineDepth
+		depth = pipelineDepth
 	}
 	pl := &pipeline{c: c, depth: depth, q: make([]*job, depth)}
 	pl.room = sync.NewCond(&pl.mu)
 	pl.drainCond = sync.NewCond(&pl.mu)
-	if cd, ok := c.fabric.(ConcurrentDispatcher); ok && cd.ConcurrentDispatch() {
-		if al, ok := c.fabric.(AsyncLauncher); ok {
-			pl.al = al
-			pl.inflight = make(map[dag.CEID]cluster.NodeID)
-			pl.flying = make(map[cluster.NodeID]int)
-		}
+	if al, ok := c.fabric.(AsyncLauncher); ok {
+		pl.al = al
+		pl.inflight = make(map[dag.CEID]cluster.NodeID)
+		pl.flying = make(map[cluster.NodeID]int)
 	}
 	pl.wake = make(chan struct{}, 1)
 	pl.quit = make(chan struct{})

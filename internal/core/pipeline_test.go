@@ -169,7 +169,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 			var ref outcome
 			for vi, v := range variants {
 				fab := &ensureCounter{LocalFabric: NewLocalFabric(cluster.New(cluster.PaperSpec(4)), kernels.StdRegistry(), true)}
-				ctl, ids := ppSystemOn(fab, mk(), Options{PipelineDepth: 8})
+				ctl, ids := ppSystemOn(fab, mk(), Options{depth: 8})
 				ops := ppStream(seed, ids, 60)
 				tr, err := ppRun(ctl, ids, ops, v.launch)
 				if err != nil {

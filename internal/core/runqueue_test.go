@@ -111,7 +111,7 @@ func TestSubmitResolvesThroughOnDone(t *testing.T) {
 // dispatcher goroutine is handed none — and leave every buffer
 // bit-identical to the same chain run CE by CE with Launch.
 func TestRunQueueDrainMatchesLaunch(t *testing.T) {
-	const n = 3 * defaultPipelineDepth
+	const n = 3 * pipelineDepth
 	run := func(submit bool) (*Controller, [][]float64) {
 		ctl, ids := rqSystem(t, 3)
 		for i := 0; i < n; i++ {
@@ -170,7 +170,7 @@ func (f *countingFabric) Launch(w cluster.NodeID, inv Invocation, ready sim.Virt
 // resolves once with that CE's outcome: a recycled job is never worked
 // through or answered twice.
 func TestRunQueueResolvesOnce(t *testing.T) {
-	const n = 5 * defaultPipelineDepth
+	const n = 5 * pipelineDepth
 	fab := &countingFabric{LocalFabric: numericFabric(2)}
 	ctl := NewController(fab, policy.NewRoundRobin(), Options{Numeric: true})
 	defer ctl.Close()

@@ -388,10 +388,9 @@ func quantileLocked(samples []time.Duration, q float64) time.Duration {
 }
 
 // HostWrite overwrites the array's contents with data and marks the
-// controller copy authoritative. It drains first so no in-flight CE is
-// mid-shipment from the buffer being overwritten; no other tenant can
-// reference this array, so nothing new can touch it before the copy
-// lands (this session's owner is right here).
+// controller copy authoritative, in one drain: the copy lands after it,
+// under the controller's submission lock (Controller.hostWrite), so no
+// in-flight CE is mid-shipment from the buffer being overwritten.
 func (s *ControllerSession) HostWrite(local dag.ArrayID, data *kernels.Buffer) (sim.VirtualTime, error) {
 	if err := s.checkOpen(); err != nil {
 		return 0, err
@@ -407,15 +406,7 @@ func (s *ControllerSession) HostWrite(local dag.ArrayID, data *kernels.Buffer) (
 		return 0, fmt.Errorf("core: session %q: host write of array %d: got %d×%v, want %d×%v",
 			s.name, local, data.Len(), data.Kind, arr.Len, arr.Kind)
 	}
-	if err := s.ctl.Drain(); err != nil {
-		return 0, err
-	}
-	if arr.Buf != nil {
-		if err := arr.Buf.SetRawBytes(0, data.RawBytes()); err != nil {
-			return 0, err
-		}
-	}
-	return s.ctl.HostWrite(arr.ID)
+	return s.ctl.hostWrite(arr.ID, data)
 }
 
 // HostRead synchronizes the array back to the controller and returns a

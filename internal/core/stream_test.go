@@ -272,7 +272,7 @@ func TestStreamedDispatchMatchesSerial(t *testing.T) {
 				t.Fatalf("%s seed %d serial: %v", name, seed, err)
 			}
 			ctl, fab, ids := newStreamSystem(t, mk(),
-				Options{PipelineDepth: depth})
+				Options{depth: depth})
 			if _, err := ppRun(ctl, ids, ops, false); err != nil {
 				t.Fatalf("%s seed %d streamed: %v", name, seed, err)
 			}

@@ -117,33 +117,6 @@ func (v *Vertex) Children() []*Vertex {
 	return append([]*Vertex(nil), v.children...)
 }
 
-// NumParents reports the number of direct ancestors without copying.
-func (v *Vertex) NumParents() int { return len(v.parents) }
-
-// NumChildren reports the number of direct descendants without copying.
-func (v *Vertex) NumChildren() int { return len(v.children) }
-
-// EachParent visits the direct ancestors in ascending CE-ID order without
-// allocating; returning false stops the walk. This is the iteration path
-// hot loops use instead of Parents().
-func (v *Vertex) EachParent(f func(*Vertex) bool) {
-	for _, p := range v.parents {
-		if !f(p) {
-			return
-		}
-	}
-}
-
-// EachChild visits the direct descendants in ascending CE-ID order without
-// allocating; returning false stops the walk.
-func (v *Vertex) EachChild(f func(*Vertex) bool) {
-	for _, c := range v.children {
-		if !f(c) {
-			return
-		}
-	}
-}
-
 func sortedVertices(m map[CEID]*Vertex) []*Vertex {
 	out := make([]*Vertex, 0, len(m))
 	for _, v := range m {

@@ -70,7 +70,7 @@ func cachedCompile(src, signature string) (*kernels.Def, error) {
 	}
 	defCacheMu.Unlock()
 	cacheMisses.Add(1)
-	def, err := compileUncached(src, signature, EngineOpts{})
+	def, err := compileUncached(src, signature, engineOpts{})
 	if err != nil {
 		return nil, err
 	}

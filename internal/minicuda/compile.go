@@ -7,37 +7,40 @@ import (
 	"grout/internal/memmodel"
 )
 
-// Engine selects which execution engine a compiled Def uses.
-type Engine int
+// engineKind selects which execution engine a compiled Def uses.
+type engineKind int
 
 const (
-	// EngineAuto lowers the kernel to the slot-compiled program and falls
+	// engineAuto lowers the kernel to the slot-compiled program and falls
 	// back to the reference interpreter for the (rare) kernels the lowerer
-	// cannot express. The default.
-	EngineAuto Engine = iota
-	// EngineCompiled requires the slot-compiled program; compilation fails
+	// cannot express. Every Def the package hands out uses it.
+	engineAuto engineKind = iota
+	// engineCompiled requires the slot-compiled program; compilation fails
 	// if the kernel cannot be lowered.
-	EngineCompiled
-	// EngineInterp forces the reference tree-walking interpreter.
-	EngineInterp
+	engineCompiled
+	// engineInterp forces the reference tree-walking interpreter, the
+	// differential tests' reference.
+	engineInterp
 )
 
-// EngineOpts tunes kernel execution. The zero value is the default
-// configuration: auto engine, GOMAXPROCS workers for parallel-safe
-// kernels, strict (serializing) float atomics, default step budget.
-type EngineOpts struct {
-	Engine Engine
-	// Workers partitions the grid's blocks: 0 means GOMAXPROCS, 1 forces
+// engineOpts tunes kernel execution; the tests reach the other engines
+// and execution shapes through it. The zero value is what every Def the
+// package hands out uses: auto engine, GOMAXPROCS workers for
+// parallel-safe kernels, strict (serializing) float atomics, default step
+// budget.
+type engineOpts struct {
+	engine engineKind
+	// workers partitions the grid's blocks: 0 means GOMAXPROCS, 1 forces
 	// serial execution. Kernels the safety analysis cannot prove
 	// race-free always run serial regardless.
-	Workers int
-	// RelaxedAtomics allows parallel execution of kernels whose atomicAdd
+	workers int
+	// relaxedAtomics allows parallel execution of kernels whose atomicAdd
 	// accumulation order affects the result (float sums); the outcome is
 	// then hardware-like: correct up to floating-point reassociation.
-	RelaxedAtomics bool
-	// MaxThreadSteps overrides the per-thread statement budget (0 uses
-	// the default).
-	MaxThreadSteps int
+	relaxedAtomics bool
+	// maxSteps overrides the per-thread statement budget (0 uses
+	// maxThreadSteps).
+	maxSteps int
 }
 
 // Compile parses a kernel source string and returns the kernels.Def for
@@ -52,19 +55,13 @@ func Compile(src, signature string) (*kernels.Def, error) {
 	return cachedCompile(src, signature)
 }
 
-// CompileOpts compiles with explicit engine options, bypassing the cache
-// (cached Defs always use the default options).
-func CompileOpts(src, signature string, opts EngineOpts) (*kernels.Def, error) {
-	return compileUncached(src, signature, opts)
-}
-
 // RaceAnalysis reports the engine's static verdicts for the (single)
 // kernel in src. parallelSafe is the race analysis: every written buffer
 // is touched only at the thread's own global id (or through atomicAdd),
 // so block partitions may execute concurrently. orderSensitive reports
 // an atomicAdd accumulation whose interleaving changes the result (a
 // non-integer value or buffer, or a returned old value that is read),
-// which also forces serial execution unless RelaxedAtomics is set. A
+// which also forces serial execution unless relaxedAtomics is set. A
 // kernel failing either check still executes
 // correctly — it runs on the deterministic serial path, never
 // miscompiled. Workload tests use this probe to pin which path each
@@ -84,7 +81,7 @@ func RaceAnalysis(src string) (parallelSafe, orderSensitive bool, err error) {
 	return p.parallelSafe, p.orderSensitive(), nil
 }
 
-func compileUncached(src, signature string, opts EngineOpts) (*kernels.Def, error) {
+func compileUncached(src, signature string, opts engineOpts) (*kernels.Def, error) {
 	frontendRuns.Add(1)
 	ks, err := Parse(src)
 	if err != nil {
@@ -106,7 +103,7 @@ func CompileNamed(src, name, signature string) (*kernels.Def, error) {
 	}
 	for _, k := range ks {
 		if k.Name == name {
-			return buildDef(k, signature, EngineOpts{})
+			return buildDef(k, signature, engineOpts{})
 		}
 	}
 	return nil, fmt.Errorf("minicuda: kernel %q not found in source", name)
@@ -121,7 +118,7 @@ func CompileAll(src string) ([]*kernels.Def, error) {
 	}
 	defs := make([]*kernels.Def, len(ks))
 	for i, k := range ks {
-		d, err := buildDef(k, "", EngineOpts{})
+		d, err := buildDef(k, "", engineOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +129,7 @@ func CompileAll(src string) ([]*kernels.Def, error) {
 
 // buildDef assembles the kernels.Def from the parsed kernel, its static
 // analysis, and — engine permitting — its lowered program.
-func buildDef(k *Kernel, signature string, opts EngineOpts) (*kernels.Def, error) {
+func buildDef(k *Kernel, signature string, opts engineOpts) (*kernels.Def, error) {
 	sig := signatureOf(k)
 	if signature != "" {
 		declared, err := kernels.ParseSignature(signature)
@@ -149,13 +146,13 @@ func buildDef(k *Kernel, signature string, opts EngineOpts) (*kernels.Def, error
 	kcopy := k // capture
 
 	var prog *program
-	if opts.Engine != EngineInterp {
+	if opts.engine != engineInterp {
 		p, perr := lowerProgram(k)
 		if perr != nil {
-			if opts.Engine == EngineCompiled {
+			if opts.engine == engineCompiled {
 				return nil, perr
 			}
-			// EngineAuto: the reference interpreter handles the
+			// engineAuto: the reference interpreter handles the
 			// dynamic-scoping corner the lowerer bailed on.
 		} else {
 			prog = p
@@ -182,7 +179,7 @@ func buildDef(k *Kernel, signature string, opts EngineOpts) (*kernels.Def, error
 			if prog != nil {
 				return prog.launch(grid, block, args, opts)
 			}
-			return runLaunch(kcopy, grid, block, args, opts.MaxThreadSteps)
+			return runLaunch(kcopy, grid, block, args, opts.maxSteps)
 		},
 	}
 	return def, nil

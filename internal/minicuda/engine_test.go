@@ -91,7 +91,7 @@ func runDifferential(t *testing.T, k *Kernel, grid, block, n, maxSteps int) {
 	errI := runLaunch(k, grid, block, argsI, maxSteps)
 
 	argsC := cloneArgs(base)
-	errC := prog.launch(grid, block, argsC, EngineOpts{Workers: 1, MaxThreadSteps: maxSteps})
+	errC := prog.launch(grid, block, argsC, engineOpts{workers: 1, maxSteps: maxSteps})
 
 	if (errI == nil) != (errC == nil) {
 		t.Fatalf("%s: engines disagree on failure: interp=%v compiled=%v", k.Name, errI, errC)
@@ -106,7 +106,7 @@ func runDifferential(t *testing.T, k *Kernel, grid, block, n, maxSteps int) {
 
 	if prog.parallelSafe && !prog.orderSensitive() {
 		argsP := cloneArgs(base)
-		if err := prog.launch(grid, block, argsP, EngineOpts{Workers: 4, MaxThreadSteps: maxSteps}); err != nil {
+		if err := prog.launch(grid, block, argsP, engineOpts{workers: 4, maxSteps: maxSteps}); err != nil {
 			t.Fatalf("%s: parallel run failed: %v", k.Name, err)
 		}
 		buffersBitEqual(t, k.Name+" (parallel)", argsI, argsP)
@@ -304,8 +304,8 @@ __global__ void busy(float *y, int iters) {
 	// 64 blocks x 32 threads x ~3000 steps/thread ≈ 19M total statements,
 	// nearly 4x the per-thread budget of 5M.
 	grid, block, iters := 64, 32, 1000
-	for _, engine := range []Engine{EngineCompiled, EngineInterp} {
-		def, err := CompileOpts(src, "", EngineOpts{Engine: engine})
+	for _, engine := range []engineKind{engineCompiled, engineInterp} {
+		def, err := compileUncached(src, "", engineOpts{engine: engine})
 		if err != nil {
 			t.Fatalf("compile (engine %d): %v", engine, err)
 		}
@@ -330,7 +330,7 @@ __global__ void spin(float *y, int n) {
     while (n >= 0) { i++; }
     y[0] = (float) i;
 }`
-	def, err := CompileOpts(src, "", EngineOpts{Engine: EngineCompiled})
+	def, err := compileUncached(src, "", engineOpts{engine: engineCompiled})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -342,8 +342,8 @@ __global__ void spin(float *y, int n) {
 }
 
 func TestLaunchTooLarge(t *testing.T) {
-	for _, engine := range []Engine{EngineCompiled, EngineInterp} {
-		def, err := CompileOpts(saxpySrc, "", EngineOpts{Engine: engine})
+	for _, engine := range []engineKind{engineCompiled, engineInterp} {
+		def, err := compileUncached(saxpySrc, "", engineOpts{engine: engine})
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
@@ -376,7 +376,7 @@ __global__ void fsum(float *out, const float *x, int n) {
 // TestAtomicAddParallelInt: a many-block contended integer accumulation
 // under the parallel executor is exact (run with -race in CI).
 func TestAtomicAddParallelInt(t *testing.T) {
-	def, err := CompileOpts(contendedIntSrc, "", EngineOpts{Engine: EngineCompiled, Workers: 8})
+	def, err := compileUncached(contendedIntSrc, "", engineOpts{engine: engineCompiled, workers: 8})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -391,7 +391,7 @@ func TestAtomicAddParallelInt(t *testing.T) {
 	}
 }
 
-// TestAtomicAddParallelFloat: float accumulation under RelaxedAtomics
+// TestAtomicAddParallelFloat: float accumulation under relaxedAtomics
 // matches the serial sum within reassociation tolerance.
 func TestAtomicAddParallelFloat(t *testing.T) {
 	grid, block := 32, 32
@@ -403,7 +403,7 @@ func TestAtomicAddParallelFloat(t *testing.T) {
 	}
 
 	serialOut := kernels.NewBuffer(memmodel.Float32, 1)
-	defSerial, err := CompileOpts(contendedFloatSrc, "", EngineOpts{Engine: EngineCompiled, Workers: 1})
+	defSerial, err := compileUncached(contendedFloatSrc, "", engineOpts{engine: engineCompiled, workers: 1})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -413,8 +413,8 @@ func TestAtomicAddParallelFloat(t *testing.T) {
 	}
 	serial = serialOut.At(0)
 
-	defPar, err := CompileOpts(contendedFloatSrc, "", EngineOpts{
-		Engine: EngineCompiled, Workers: 8, RelaxedAtomics: true})
+	defPar, err := compileUncached(contendedFloatSrc, "", engineOpts{
+		engine: engineCompiled, workers: 8, relaxedAtomics: true})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -428,7 +428,7 @@ func TestAtomicAddParallelFloat(t *testing.T) {
 	}
 }
 
-// TestFloatAtomicsDefaultSerial: without RelaxedAtomics an order-sensitive
+// TestFloatAtomicsDefaultSerial: without relaxedAtomics an order-sensitive
 // accumulation must run on one worker so results stay deterministic.
 func TestFloatAtomicsDefaultSerial(t *testing.T) {
 	ks, err := Parse(contendedFloatSrc)
@@ -445,10 +445,10 @@ func TestFloatAtomicsDefaultSerial(t *testing.T) {
 	if !prog.orderSensitive() {
 		t.Fatalf("float accumulation not flagged order-sensitive")
 	}
-	if w := prog.workers(32, EngineOpts{}); w != 1 {
+	if w := prog.workers(32, engineOpts{}); w != 1 {
 		t.Fatalf("order-sensitive kernel got %d workers, want 1", w)
 	}
-	if w := prog.workers(32, EngineOpts{Workers: 8, RelaxedAtomics: true}); w != 8 {
+	if w := prog.workers(32, engineOpts{workers: 8, relaxedAtomics: true}); w != 8 {
 		t.Fatalf("relaxed atomics ignored: got %d workers", w)
 	}
 }
@@ -472,7 +472,7 @@ __global__ void rev(float *y, const float *x, int n) {
 	if prog.parallelSafe {
 		t.Fatalf("reverse-scatter kernel wrongly proven parallel-safe")
 	}
-	if w := prog.workers(32, EngineOpts{Workers: 8}); w != 1 {
+	if w := prog.workers(32, engineOpts{workers: 8}); w != 1 {
 		t.Fatalf("unsafe kernel got %d workers, want 1", w)
 	}
 }
@@ -492,7 +492,7 @@ func TestGidAliasRecognized(t *testing.T) {
 	if !prog.parallelSafe {
 		t.Fatalf("saxpy not proven parallel-safe")
 	}
-	if w := prog.workers(1024, EngineOpts{}); w != runtime.GOMAXPROCS(0) {
+	if w := prog.workers(1024, engineOpts{}); w != runtime.GOMAXPROCS(0) {
 		t.Fatalf("default workers = %d, want GOMAXPROCS (%d)", w, runtime.GOMAXPROCS(0))
 	}
 }
@@ -559,12 +559,12 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Fatalf("lower: %v", perr)
 	}
 	ref := mk()
-	if err := prog.launch(5, 8, ref, EngineOpts{Workers: 1}); err != nil {
+	if err := prog.launch(5, 8, ref, engineOpts{workers: 1}); err != nil {
 		t.Fatalf("serial: %v", err)
 	}
 	for _, workers := range []int{2, 3, 4, 7} {
 		got := mk()
-		if err := prog.launch(5, 8, got, EngineOpts{Workers: workers}); err != nil {
+		if err := prog.launch(5, 8, got, engineOpts{workers: workers}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		buffersBitEqual(t, "gemv", ref, got)

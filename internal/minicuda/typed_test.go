@@ -50,7 +50,7 @@ func TestLaunchArgumentChecks(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			errI := runLaunch(k, 1, 8, tc.args, 0)
-			errC := prog.launch(1, 8, tc.args, EngineOpts{})
+			errC := prog.launch(1, 8, tc.args, engineOpts{})
 			if errI == nil || errC == nil {
 				t.Fatalf("accepted: interp %v, compiled %v", errI, errC)
 			}
@@ -119,7 +119,7 @@ __global__ void nansum(float *c, double *d, int n) {
 	if err := runLaunch(k, 2, 4, argsI, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := prog.launch(2, 4, argsC, EngineOpts{Workers: 1}); err != nil {
+	if err := prog.launch(2, 4, argsC, engineOpts{workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	check(t, "interp", argsI[:2], 3, 3)
@@ -132,7 +132,7 @@ __global__ void nansum(float *c, double *d, int n) {
 	if err := runLaunch(k, 8, 8, argsI, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := prog.launch(8, 8, argsP, EngineOpts{Workers: 4, RelaxedAtomics: true}); err != nil {
+	if err := prog.launch(8, 8, argsP, engineOpts{workers: 4, relaxedAtomics: true}); err != nil {
 		t.Fatal(err)
 	}
 	check(t, "interp sum", argsI, 1, 1)
@@ -166,10 +166,10 @@ __global__ void k1(float *w, const float *r0, const float *r1, float a, int n) {
 		name := "interp"
 		if compiled {
 			name = "compiled"
-			if err := progP.launch(1, 4, argsP, EngineOpts{Workers: 1}); err != nil {
+			if err := progP.launch(1, 4, argsP, engineOpts{workers: 1}); err != nil {
 				t.Fatal(err)
 			}
-			if err := progC.launch(1, 4, argsC, EngineOpts{Workers: 1}); err != nil {
+			if err := progC.launch(1, 4, argsC, engineOpts{workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -208,7 +208,7 @@ __global__ void k(float *y, int n) {
 		argsI := []kernels.Arg{kernels.BufArg(kernels.NewBuffer(memmodel.Float32, 1)), kernels.ScalarArg(20)}
 		argsC := cloneArgs(argsI)
 		errI := runLaunch(k, 1, 1, argsI, steps)
-		errC := prog.launch(1, 1, argsC, EngineOpts{Workers: 1, MaxThreadSteps: steps})
+		errC := prog.launch(1, 1, argsC, engineOpts{workers: 1, maxSteps: steps})
 		if fmt.Sprint(errI) != fmt.Sprint(errC) {
 			t.Fatalf("budget %d:\ninterp:   %v\ncompiled: %v", steps, errI, errC)
 		}
@@ -238,7 +238,7 @@ func TestLaunchAllocsFlat(t *testing.T) {
 			allocs := func(grid int) float64 {
 				threads, args := uk.args(grid * 8)
 				return testing.AllocsPerRun(3, func() {
-					if err := prog.launch((threads+7)/8, 8, args, EngineOpts{Workers: workers}); err != nil {
+					if err := prog.launch((threads+7)/8, 8, args, engineOpts{workers: workers}); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -286,7 +286,7 @@ func TestUVMKernelsDifferential(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				got := cloneArgs(base)
-				if err := prog.launch(grid, 64, got, EngineOpts{Workers: workers}); err != nil {
+				if err := prog.launch(grid, 64, got, engineOpts{workers: workers}); err != nil {
 					t.Fatalf("compiled (workers %d): %v", workers, err)
 				}
 				buffersBitEqual(t, fmt.Sprintf("%s/workers=%d", uk.name, workers), ref, got)

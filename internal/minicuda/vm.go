@@ -75,13 +75,13 @@ type seedEntry struct {
 // concurrently. Serial execution (and each worker's own range) visits
 // threads in exactly the interpreter's order, so results are
 // deterministic; with atomics the launch stays serial unless the adds are
-// order-insensitive (integer) or the caller opts into RelaxedAtomics.
-func (p *program) launch(grid, block int, args []kernels.Arg, opts EngineOpts) error {
+// order-insensitive (integer) or the caller opts into relaxedAtomics.
+func (p *program) launch(grid, block int, args []kernels.Arg, opts engineOpts) error {
 	k := p.k
 	if err := validateLaunch(k, grid, block, args); err != nil {
 		return err
 	}
-	maxSteps := opts.MaxThreadSteps
+	maxSteps := opts.maxSteps
 	if maxSteps <= 0 {
 		maxSteps = maxThreadSteps
 	}
@@ -123,18 +123,18 @@ func (p *program) launch(grid, block int, args []kernels.Arg, opts EngineOpts) e
 	return nil
 }
 
-// workers picks the partition count for a launch. Workers==1 forces the
+// workers picks the partition count for a launch. opts.workers==1 forces the
 // serial engine; 0 means GOMAXPROCS. Unsafe kernels always run serial, as
-// do order-sensitive atomic accumulations unless RelaxedAtomics is set.
-func (p *program) workers(grid int, opts EngineOpts) int {
-	w := opts.Workers
+// do order-sensitive atomic accumulations unless relaxedAtomics is set.
+func (p *program) workers(grid int, opts engineOpts) int {
+	w := opts.workers
 	if w == 1 {
 		return 1
 	}
 	if !p.parallelSafe {
 		return 1
 	}
-	if p.orderSensitive() && !opts.RelaxedAtomics {
+	if p.orderSensitive() && !opts.relaxedAtomics {
 		return 1
 	}
 	if w <= 0 {

@@ -339,7 +339,6 @@ type ConfiguredKernel struct {
 func (ck *ConfiguredKernel) Launch(args ...any) error {
 	k := ck.handle
 	refs := make([]core.ArgRef, len(args))
-	var touched []*DeviceArray
 	for i, a := range args {
 		switch v := a.(type) {
 		case *DeviceArray:
@@ -350,7 +349,6 @@ func (ck *ConfiguredKernel) Launch(args ...any) error {
 				return err
 			}
 			refs[i] = core.ArrRef(v.id)
-			touched = append(touched, v)
 		case int:
 			refs[i] = core.ScalarRef(float64(v))
 		case int64:
@@ -388,7 +386,6 @@ func (ck *ConfiguredKernel) Launch(args ...any) error {
 			}
 		}
 	}
-	_ = touched
 	return nil
 }
 

@@ -23,7 +23,7 @@
 // program order.
 //
 // The session channel is a FIFO pipeline (DESIGN.md §5.5): a client
-// streams launches without waiting for their acks, up to QueueDepth
+// streams launches without waiting for their acks, up to DefaultQueueDepth
 // unacknowledged, and the serve loop answers into a write buffer it
 // flushes when no further request is already waiting, or when a launch
 // must wait for queue room.
@@ -48,10 +48,13 @@ import (
 	"grout/internal/transport"
 )
 
-// DefaultQueueDepth bounds a tenant's launch queue when Options doesn't.
+// DefaultQueueDepth bounds each session's launch queue, and is announced
+// to the client as its launch window; a tenant that outruns the drain loop
+// blocks on its own socket, nobody else's.
 const DefaultQueueDepth = 64
 
-// Options tune a Gateway. The zero value is serviceable.
+// Options tune a Gateway. The zero value is serviceable. A session's
+// launch queue, and so its client's launch window, is DefaultQueueDepth.
 type Options struct {
 	// Limits apply to every session (Weight < 1 becomes 1; zero fields
 	// mean unlimited, per core.SessionLimits).
@@ -61,11 +64,6 @@ type Options struct {
 	// the second return is true. Lets one gateway give different rate,
 	// quota, weight or class to different tenants.
 	LimitsFor func(tenant string) (core.SessionLimits, bool)
-	// QueueDepth bounds each session's launch queue, and is announced to
-	// the client as its launch window; a tenant that outruns the drain
-	// loop blocks on its own socket, nobody else's.
-	// 0 means DefaultQueueDepth, negative means 1.
-	QueueDepth int
 	// ShedDepth enables class-based load shedding: when a shard's
 	// aggregate queued-launch backlog reaches ShedDepth*(class+1), new
 	// launches from tenants of that priority class are refused with
@@ -78,6 +76,10 @@ type Options struct {
 	ShedDepth int
 	// Logger, optional.
 	Logger *log.Logger
+
+	// queueDepth replaces DefaultQueueDepth when positive: a test seam for
+	// the tests that need a small window.
+	queueDepth int
 }
 
 // RouteFunc picks the shard for a new tenant session: loads[s] is shard
@@ -150,10 +152,8 @@ func NewSharded(ctls []*core.Controller, route RouteFunc, addr string, opt Optio
 	if err != nil {
 		return nil, fmt.Errorf("server: listen %s: %w", addr, err)
 	}
-	if opt.QueueDepth == 0 {
-		opt.QueueDepth = DefaultQueueDepth
-	} else if opt.QueueDepth < 0 {
-		opt.QueueDepth = 1
+	if opt.queueDepth <= 0 {
+		opt.queueDepth = DefaultQueueDepth
 	}
 	logger := opt.Logger
 	if logger == nil {
@@ -303,7 +303,7 @@ func (g *Gateway) register(conn *transport.SessionConn, name string) (*tenant, e
 		conn:  conn,
 		shard: sh,
 		done:  g.done,
-		queue: make(chan queuedLaunch, g.opt.QueueDepth),
+		queue: make(chan queuedLaunch, g.opt.queueDepth),
 	}
 	t.flushed.L = &t.mu
 	if lim.RatePerSec > 0 {
@@ -386,7 +386,7 @@ func (g *Gateway) serve(conn *transport.SessionConn) {
 	resp.Shard = t.shard.idx
 	resp.ShardCount = len(g.shards)
 	// QueueCap is the client's launch window.
-	resp.BP = &transport.Backpressure{QueueCap: g.opt.QueueDepth}
+	resp.BP = &transport.Backpressure{QueueCap: g.opt.queueDepth}
 	if err := conn.Reply(reqID, resp); err != nil {
 		g.teardown(t)
 		return
@@ -413,10 +413,10 @@ func (g *Gateway) serve(conn *transport.SessionConn) {
 			resp.ShardCount = len(g.shards)
 		case transport.SessBackpressure:
 			t.mu.Lock()
-			resp.BP = t.advisoryLocked(g.opt.QueueDepth, time.Now())
+			resp.BP = t.advisoryLocked(g.opt.queueDepth, time.Now())
 			if resp.BP == nil {
 				// A poll always gets a frame, even when all is calm.
-				resp.BP = &transport.Backpressure{Queued: t.queued, QueueCap: g.opt.QueueDepth}
+				resp.BP = &transport.Backpressure{Queued: t.queued, QueueCap: g.opt.queueDepth}
 			}
 			t.mu.Unlock()
 		case transport.SessLaunch:
@@ -501,7 +501,7 @@ func (g *Gateway) handleLaunch(t *tenant, req *transport.SessionRequest, resp *t
 		t.queued++
 		sh.backlog.Add(1)
 	}
-	resp.BP = t.advisoryLocked(g.opt.QueueDepth, now)
+	resp.BP = t.advisoryLocked(g.opt.queueDepth, now)
 	t.mu.Unlock()
 	q := queuedLaunch{inv: req.Inv, at: now}
 	if inline {
@@ -692,31 +692,31 @@ func (sh *shardState) submitOne(t *tenant, q queuedLaunch) {
 // admit hands one launch to the shard's controller on the tenant's behalf,
 // from the drain loop or from the tenant's serve goroutine, and reports
 // whether the controller took it; a failure is kept by the session as its
-// sticky error (ControllerSession.Err). The launch's completion hook (it
-// runs on whichever goroutine resolves it) returns the in-flight credit and
-// wakes the drain loop if the tenant has launches waiting for that credit.
+// sticky error (ControllerSession.Err). The session counts the launch in
+// flight until it resolves. A capped tenant's launch also gets a hook that
+// wakes the drain loop when launches wait for the credit it returns: hooks
+// run in registration order, so the session has counted the launch out by
+// then.
 func (sh *shardState) admit(t *tenant, q queuedLaunch) bool {
 	t.sess.NoteAdmissionWait(time.Since(q.at))
 	p, err := t.sess.Submit(q.inv)
 	if err != nil {
 		return false
 	}
-	t.mu.Lock()
-	t.inflight++
-	t.mu.Unlock()
 	sh.mu.Lock()
 	sh.ces++
 	sh.mu.Unlock()
-	p.OnDone(func(sim.VirtualTime, error) {
-		t.mu.Lock()
-		t.inflight--
-		waiting := t.queued > 0
-		t.mu.Unlock()
-		if waiting {
-			sh.mu.Lock()
-			sh.drainCond.Broadcast()
-			sh.mu.Unlock()
-		}
-	})
+	if t.sess.Limits().MaxInflightCEs > 0 {
+		p.OnDone(func(sim.VirtualTime, error) {
+			t.mu.Lock()
+			waiting := t.queued > 0
+			t.mu.Unlock()
+			if waiting {
+				sh.mu.Lock()
+				sh.drainCond.Broadcast()
+				sh.mu.Unlock()
+			}
+		})
+	}
 	return true
 }

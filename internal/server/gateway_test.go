@@ -195,7 +195,7 @@ func TestGatewayFairnessKnobsPreserveResults(t *testing.T) {
 	want := soloBaselines(t, tenants, iters)
 	g := gwStart(t, gwSystem(t, nil), Options{
 		Limits:     core.SessionLimits{MaxInflightCEs: 1, Weight: 3},
-		QueueDepth: 2,
+		queueDepth: 2,
 	})
 	runTenants(t, g, want, iters)
 }

@@ -210,7 +210,7 @@ func TestBurstUnderInflightCap(t *testing.T) {
 	const burst = 8
 	g := gwStart(t, gwSystem(t, nil), Options{
 		Limits:     core.SessionLimits{MaxInflightCEs: 1},
-		QueueDepth: 2,
+		queueDepth: 2,
 	})
 	c := gwDial(t, g, "capped")
 	a := trafficArray(t, c)
@@ -261,7 +261,7 @@ func TestInlineAdmitOrderAcrossFlip(t *testing.T) {
 			}
 		}
 		g := gwStart(t, gwSystem(t, nil), Options{
-			QueueDepth: 1 + rng.Intn(4),
+			queueDepth: 1 + rng.Intn(4),
 			LimitsFor: func(tenant string) (core.SessionLimits, bool) {
 				l, ok := limits[tenant]
 				return l, ok

@@ -179,7 +179,7 @@ func TestSessionStreamQuietClient(t *testing.T) {
 
 // (c) The launch window: with the tenant's one admitted launch wedged,
 // the gateway acks one launch per queue slot plus the admitted one, then
-// blocks on the next; the client may run QueueDepth launches past the
+// blocks on the next; the client may run queue-depth launches past the
 // last ack and blocks in Launch on the one after — and everything
 // resumes when the drain does.
 func TestSessionStreamWindow(t *testing.T) {
@@ -187,7 +187,7 @@ func TestSessionStreamWindow(t *testing.T) {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
 			ctl, open := gatedSystem(t)
 			defer open()
-			g := gwStart(t, ctl, Options{QueueDepth: depth, Limits: wedgeLimits})
+			g := gwStart(t, ctl, Options{queueDepth: depth, Limits: wedgeLimits})
 			c := gwDial(t, g, "windowed")
 			a := trafficArray(t, c)
 			acked, free := depth+1, depth // what the gateway takes, what the window adds
@@ -237,7 +237,7 @@ func TestSessionStreamWindow(t *testing.T) {
 // more to say would never get out of it.
 func TestSessionStreamQuietClientDeepQueue(t *testing.T) {
 	const rounds, burst = 12, 400
-	g := gwStart(t, gwSystem(t, nil), Options{QueueDepth: 1024})
+	g := gwStart(t, gwSystem(t, nil), Options{queueDepth: 1024})
 	c := gwDial(t, g, "deep")
 	if c.window != maxWindow {
 		t.Fatalf("window %d for a queue depth of 1024, want it capped at %d", c.window, maxWindow)
@@ -307,7 +307,7 @@ func TestSessionStreamSeveredConnection(t *testing.T) {
 	const depth = 4
 	ctl, open := gatedSystem(t)
 	defer open()
-	g := gwStart(t, ctl, Options{QueueDepth: depth, Limits: wedgeLimits})
+	g := gwStart(t, ctl, Options{queueDepth: depth, Limits: wedgeLimits})
 	baseline := runtime.NumGoroutine()
 	c := gwDial(t, g, "severed")
 	a := trafficArray(t, c)

@@ -31,12 +31,11 @@ type tenant struct {
 
 	queue chan queuedLaunch
 
-	mu       sync.Mutex
-	flushed  sync.Cond // signaled when queued drops to 0
-	queued   int       // enqueued but not yet handed to the controller
-	inflight int       // submitted but not yet dispatched (what the cap counts)
-	dropped  int64     // launches discarded (teardown or poisoned session)
-	gone     bool      // torn down; the drain loop must not submit for it
+	mu      sync.Mutex
+	flushed sync.Cond // signaled when queued drops to 0
+	queued  int       // enqueued but not yet handed to the controller
+	dropped int64     // launches discarded (teardown or poisoned session)
+	gone    bool      // torn down; the drain loop must not submit for it
 
 	// Token bucket (SessionLimits.RatePerSec/Burst): tokens is the
 	// current allowance, refilled lazily from the wall clock at each
@@ -134,10 +133,11 @@ func (t *tenant) flush() error {
 	return t.sess.Err()
 }
 
-// capRoomLocked reports whether the tenant is under its in-flight cap.
+// capRoomLocked reports whether the tenant is under its in-flight cap,
+// which counts the session's launches not yet resolved.
 func (t *tenant) capRoomLocked() bool {
 	cap := t.sess.Limits().MaxInflightCEs
-	return cap <= 0 || t.inflight < cap
+	return cap <= 0 || t.sess.Inflight() < cap
 }
 
 // syncOp runs one synchronous operation; the tenant's queue has flushed.

@@ -257,7 +257,7 @@ func TestGatewayTeardownRacesDrain(t *testing.T) {
 	const stormers, launches = 4, 40
 	g := gwStart(t, gwSystem(t, nil), Options{
 		Limits:     core.SessionLimits{RatePerSec: 500, Burst: 1},
-		QueueDepth: 2,
+		queueDepth: 2,
 	})
 	var wg sync.WaitGroup
 	for k := 0; k < stormers; k++ {

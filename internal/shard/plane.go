@@ -22,7 +22,8 @@ import (
 	"grout/internal/sim"
 )
 
-// Options configures a Plane.
+// Options configures a Plane. Tenants are routed by a ring with the
+// default seed, virtual-node count and load slack (ring.go).
 type Options struct {
 	// Shards is the controller shard count (≥1).
 	Shards int
@@ -41,12 +42,6 @@ type Options struct {
 	// partitioning — fault-injection tests hand in core.NewChaosFabric
 	// here so every shard sees the same fault schedule.
 	Wrap func(core.Fabric) core.Fabric
-	// Seed, VNodes and Epsilon configure the routing ring (zero values
-	// take the ring defaults).
-	Seed   uint64
-	VNodes int
-	// Epsilon is the bounded-load slack (DefaultEpsilon when zero).
-	Epsilon float64
 }
 
 // Plane is a sharded control plane over one worker fleet.
@@ -72,7 +67,7 @@ func New(opts Options) (*Plane, error) {
 	if opts.Workers < opts.Shards {
 		return nil, fmt.Errorf("shard: %d workers cannot cover %d shards", opts.Workers, opts.Shards)
 	}
-	ring, err := NewRing(opts.Shards, opts.VNodes, opts.Epsilon, opts.Seed)
+	ring, err := NewRing(opts.Shards, DefaultVNodes, DefaultEpsilon, DefaultSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -151,8 +146,8 @@ func (p *Plane) Close() error {
 // partition: Workers (the placement universe) reports only the
 // partition, while data-path operations (Healthy included) go to the
 // embedded fleet fabric. It follows core.Fabric's wrapper rule: the three
-// fast paths forward through their core helpers, and neither
-// core.ConcurrentDispatcher nor core.AsyncLauncher is forwarded.
+// fast paths forward through their core helpers, and core.AsyncLauncher
+// is not forwarded.
 type PartitionFabric struct {
 	core.Fabric
 	workers []cluster.NodeID

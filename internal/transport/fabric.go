@@ -364,10 +364,10 @@ func (f *TCPFabric) FlushLaunches(w cluster.NodeID) {
 	}
 }
 
-// ConcurrentDispatch implements core.ConcurrentDispatcher: operations are
-// real I/O that queue in order per connection, and times are wall-clock,
-// not shared virtual timelines, so the controller may stream launches
-// (core.AsyncLauncher) instead of waiting for each one.
+// ConcurrentDispatch implements the deprecated core.ConcurrentDispatcher,
+// which the benchmark's traced wrapper still forwards: operations are real
+// I/O that queue in order per connection, and times are wall-clock, not
+// shared virtual timelines. The controller reads only core.AsyncLauncher.
 func (f *TCPFabric) ConcurrentDispatch() bool { return true }
 
 // EstimateTransfer implements core.Fabric using the assumed NIC bandwidth.

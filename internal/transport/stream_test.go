@@ -7,7 +7,6 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"sync"
@@ -45,15 +44,14 @@ func startWorkers(t *testing.T, n int) ([]*WorkerServer, []string) {
 }
 
 // blockingOnly shows the controller a TCP fabric without AsyncLauncher:
-// every other optional answers as TCPFabric does, so the controller takes
-// exactly the parent's blocking path.
+// the one other optional the controller reads (KernelBuilder) answers as
+// TCPFabric does, so the controller takes exactly the blocking path.
 type blockingOnly struct {
 	core.Fabric
 	core.KernelBuilder
-	core.ConcurrentDispatcher
 }
 
-func hideStream(f *TCPFabric) core.Fabric { return blockingOnly{f, f, f} }
+func hideStream(f *TCPFabric) core.Fabric { return blockingOnly{f, f} }
 
 // countedStream forwards everything and counts the launches that were
 // streamed, so an equivalence test can tell it exercised the stream.
@@ -219,10 +217,11 @@ func streamPolicies() map[string]func() policy.Policy {
 // Round-robin forces worker→worker moves; its bytes and P2P counts per seed
 // are pinned to the values measured when every push dialed its own
 // connection and cloned the array: how a push travels may change, what is
-// moved may not. The streamed run repeats at pipeline depths 1 and 2, where
-// a submitter starts its launch only under the bound and the CEs past it go
-// to the dispatcher (core's TestInlineStartHandsRemainderInOrder pins the
-// hand-over itself).
+// moved may not. A last program runs past the pipeline depth: a chain of
+// launches longer than the 64 one worker may have unanswered, all on one
+// stalled worker, so a submitter starts its launch only under the bound and
+// the CEs past it go to the dispatcher (core's
+// TestInlineStartHandsRemainderInOrder pins the hand-over itself).
 func TestStreamedMatchesSerialAndBlocking(t *testing.T) {
 	const nArr, nOps, workers = 5, 90, 3
 	type moves struct {
@@ -242,14 +241,14 @@ func TestStreamedMatchesSerialAndBlocking(t *testing.T) {
 				t.Fatalf("%s seed %d serial: %v", name, seed, err)
 			}
 
-			tcpRun := func(wrap func(*TCPFabric) core.Fabric, depth int) ([][]float64, memmodel.Bytes, int) {
+			tcpRun := func(wrap func(*TCPFabric) core.Fabric) ([][]float64, memmodel.Bytes, int) {
 				_, addrs := startWorkers(t, workers)
 				fab, err := Dial(addrs)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer fab.Close()
-				ctl := core.NewController(wrap(fab), mk(), core.Options{Numeric: true, PipelineDepth: depth})
+				ctl := core.NewController(wrap(fab), mk(), core.Options{Numeric: true})
 				defer ctl.Close()
 				got, err := runStream(ctl, nArr, ops)
 				if err != nil {
@@ -257,30 +256,65 @@ func TestStreamedMatchesSerialAndBlocking(t *testing.T) {
 				}
 				return got, ctl.MovedBytes(), ctl.P2PMoves()
 			}
-			blocking, bMoved, bP2P := tcpRun(hideStream, 0)
+			blocking, bMoved, bP2P := tcpRun(hideStream)
 			sameArrays(t, name+" blocking tcp vs serial", blocking, want)
-			for _, depth := range []int{0, 1, 2} { // 0 is the default, 64
-				var cs *countedStream
-				stream, sMoved, sP2P := tcpRun(func(f *TCPFabric) core.Fabric {
-					cs = &countedStream{TCPFabric: f}
-					return cs
-				}, depth)
-				streamed += cs.starts.Load()
+			var cs *countedStream
+			stream, sMoved, sP2P := tcpRun(func(f *TCPFabric) core.Fabric {
+				cs = &countedStream{TCPFabric: f}
+				return cs
+			})
+			streamed += cs.starts.Load()
 
-				sameArrays(t, fmt.Sprintf("%s streamed tcp (depth %d) vs serial", name, depth), stream, want)
-				if sMoved != bMoved || sP2P != bP2P {
-					t.Fatalf("%s seed %d depth %d: streamed moved %d B / %d p2p, blocking %d B / %d p2p",
-						name, seed, depth, sMoved, sP2P, bMoved, bP2P)
-				}
-				if pin := roundRobin[seed]; name == "round-robin" && (sMoved != pin.bytes || sP2P != pin.p2p) {
-					t.Fatalf("round-robin seed %d depth %d moved %d B / %d p2p, pinned %d B / %d p2p",
-						seed, depth, sMoved, sP2P, pin.bytes, pin.p2p)
-				}
+			sameArrays(t, name+" streamed tcp vs serial", stream, want)
+			if sMoved != bMoved || sP2P != bP2P {
+				t.Fatalf("%s seed %d: streamed moved %d B / %d p2p, blocking %d B / %d p2p",
+					name, seed, sMoved, sP2P, bMoved, bP2P)
+			}
+			if pin := roundRobin[seed]; name == "round-robin" && (sMoved != pin.bytes || sP2P != pin.p2p) {
+				t.Fatalf("round-robin seed %d moved %d B / %d p2p, pinned %d B / %d p2p",
+					seed, sMoved, sP2P, pin.bytes, pin.p2p)
 			}
 		}
 	}
 	if streamed == 0 {
 		t.Fatal("no launch was streamed: the property held vacuously")
+	}
+
+	// Past the depth bound: worker 1 stalls while the whole chain is
+	// submitted, so the first 64 launches fill its stream and the rest
+	// queue for the dispatcher goroutine. The chain must still match the
+	// serial run bit for bit.
+	const chainArr, chain = 4, 96
+	launches := orderedLaunches(chainArr, chain)
+	ref := core.NewController(
+		core.NewLocalFabric(cluster.New(cluster.PaperSpec(2)), kernels.StdRegistry(), true),
+		firstAlive{}, core.Options{Numeric: true})
+	t.Cleanup(func() { _ = ref.Close() })
+	residentArrays(t, ref, chainArr)
+	for _, inv := range launches {
+		if _, err := ref.Submit(inv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := readArrays(ref, chainArr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, addrs := startWorkers(t, 2)
+	fab, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fab.Close() })
+	ctl, _, release := stalledProgram(t, fab, ws, core.Options{}, chainArr, launches, 1)
+	release()
+	got, err := readArrays(ctl, chainArr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameArrays(t, "chain past the depth bound vs serial", got, want)
+	if n := ctl.DispatcherJobs(); n == 0 {
+		t.Fatalf("none of %d launches on a stalled worker went to the dispatcher: the depth bound was never hit", chain)
 	}
 }
 

@@ -538,11 +538,10 @@ func TestWorkerConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestPipelinedDispatchOverTCP drives the pipelined controller against
-// real TCP workers: TCPFabric declares ConcurrentDispatch, so per-worker
-// dispatch goroutines issue moves and launches concurrently without the
-// virtual-time sequencer. Numeric results must match the host-computed
-// expectation.
+// TestPipelinedDispatchOverTCP drives the controller against real TCP
+// workers: TCPFabric has a launch stream, so resident launches stream and
+// the round-robin moves take the blocking path between them. Numeric
+// results must match the host-computed expectation.
 func TestPipelinedDispatchOverTCP(t *testing.T) {
 	var workers []*WorkerServer
 	var addrs []string
@@ -561,7 +560,7 @@ func TestPipelinedDispatchOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = fab.Close() })
 	ctl := core.NewController(fab, policy.NewRoundRobin(),
-		core.Options{Numeric: true, PipelineDepth: 4})
+		core.Options{Numeric: true})
 	defer ctl.Close()
 
 	const n = int64(128)
