@@ -5,7 +5,8 @@
 // Controller code over real sockets.
 //
 // With -shards N the worker list is split into N contiguous partitions,
-// one independent controller shard per partition (DESIGN.md §5.8); the
+// one grout.Connect (an independent controller shard) per partition,
+// exactly as grout-gateway -shards splits it (DESIGN.md §5.8); the
 // portfolio partitions are dealt round-robin across the shards, and
 // statistics are reported per shard.
 //
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"grout"
+	"grout/internal/shard"
 )
 
 const bsKernel = `
@@ -67,35 +69,23 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "progress deadline while a worker owes a control response or the next bulk chunk (0 = 30s default, negative disables)")
 	flag.Parse()
 
-	addrs := strings.Split(*workers, ",")
-	if *shards < 1 || *shards > len(addrs) {
-		log.Fatalf("-shards %d needs between 1 and %d (the worker count)", *shards, len(addrs))
-	}
 	cfg := grout.Config{
 		Policy: *policyName, Level: *level,
 		Failover: *failover, RetryAttempts: *retries, RetryBackoff: *retryBackoff,
 		DialTimeout: *dialTimeout, Timeout: *timeout,
 	}
-
-	// One Remote (controller + TCP fabric) per shard, over a contiguous
-	// slice of the worker list; shard 0 gets any remainder.
-	remotes := make([]*grout.Remote, *shards)
-	per := len(addrs) / *shards
-	extra := len(addrs) % *shards
-	lo := 0
-	for s := range remotes {
-		n := per
-		if s < extra {
-			n++
-		}
-		r, err := grout.Connect(addrs[lo:lo+n], cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer r.Close()
-		remotes[s] = r
-		lo += n
+	addrs := strings.Split(*workers, ",")
+	remotes, _, err := shard.Build(addrs, *shards, func(_ int, part []string) (*grout.Remote, error) {
+		return grout.Connect(part, cfg)
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer func() {
+		for _, r := range remotes {
+			r.Close()
+		}
+	}()
 	fmt.Printf("connected to %d worker(s) across %d shard(s); policy %s\n",
 		len(addrs), *shards, *policyName)
 

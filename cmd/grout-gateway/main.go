@@ -7,16 +7,18 @@
 //
 // The fleet is either simulated in-process (-sim-workers, the default)
 // or real grout-worker processes (-workers addr,addr,...). With
-// -shards N (simulated fleets only) the control plane is split into N
-// controller shards behind the same gateway address: each shard owns a
-// static partition of the workers and its own drain goroutine, and
-// tenants are routed to shards by consistent hash (DESIGN.md §5.8).
+// -shards N the control plane is split into N controller shards behind
+// the same gateway address, on either fleet: each shard owns a static
+// contiguous partition of the workers and its own drain goroutine, and
+// tenants are routed to shards by consistent hash (DESIGN.md §5.8). Over
+// -workers each shard is one grout.Connect to its partition.
 //
 // Usage:
 //
 //	grout-gateway -listen :7080 -http :7081 -sim-workers 4 -policy round-robin
 //	grout-gateway -listen :7080 -sim-workers 16 -shards 4
 //	grout-gateway -listen :7080 -workers w1:7070,w2:7070 -max-inflight 16
+//	grout-gateway -listen :7080 -workers w1:7070,w2:7070,w3:7070,w4:7070 -shards 2
 //	grout-gateway -listen :7080 -sim-workers 8 -rate 500 -burst 32 -shed-depth 256
 //
 // Production-traffic knobs (DESIGN.md §5.9): -rate/-burst shape each
@@ -44,6 +46,7 @@ import (
 	"grout/internal/core"
 	"grout/internal/memmodel"
 	"grout/internal/server"
+	"grout/internal/shard"
 )
 
 func main() {
@@ -51,7 +54,7 @@ func main() {
 	httpAddr := flag.String("http", "", "address for /healthz and /metrics (empty disables)")
 	workers := flag.String("workers", "", "comma-separated grout-worker addresses (empty = simulated fleet)")
 	simWorkers := flag.Int("sim-workers", 4, "simulated workers when -workers is empty")
-	shards := flag.Int("shards", 1, "controller shards over the simulated fleet (1 = classic single controller)")
+	shards := flag.Int("shards", 1, "controller shards; the workers are split contiguously across them (1 = one controller)")
 	pol := flag.String("policy", "round-robin", "inter-node scheduling policy")
 	level := flag.String("level", "", "online policy exploration level: low, medium or high (empty = medium)")
 	maxInflight := flag.Int("max-inflight", 0, "per-session in-flight CE cap (0 = unlimited, negative = 1)")
@@ -76,13 +79,6 @@ func main() {
 		Numeric:  true,
 		Failover: *failover,
 	}
-	if *shards < 1 {
-		logger.Fatal("-shards must be positive")
-	}
-	if *shards > 1 && *workers != "" {
-		logger.Fatal("-shards requires a simulated fleet; remote fleets run one controller")
-	}
-
 	serverOpts := server.Options{
 		Limits: core.SessionLimits{
 			MaxInflightCEs: *maxInflight,
@@ -93,56 +89,46 @@ func main() {
 		ShedDepth: *shedDepth,
 		Logger:    logger,
 	}
-	var g *server.Gateway
-	var cleanup func()
-	switch {
-	case *workers != "":
+	var (
+		ctls    []*core.Controller
+		route   server.RouteFunc
+		cleanup func()
+	)
+	if *workers != "" {
 		addrs := strings.Split(*workers, ",")
-		r, err := grout.Connect(addrs, cfg)
+		remotes, ring, err := shard.Build(addrs, *shards, func(_ int, part []string) (*grout.Remote, error) {
+			return grout.Connect(part, cfg)
+		})
 		if err != nil {
 			logger.Fatal(err)
 		}
-		cleanup = func() { _ = r.Close() }
-		logger.Printf("connected to %d workers", len(addrs))
-		g, err = server.New(r.Controller, *listen, serverOpts)
-		if err != nil {
-			cleanup()
-			logger.Fatal(err)
+		for _, r := range remotes {
+			ctls = append(ctls, r.Controller)
 		}
-	case *shards > 1:
-		if *simWorkers < *shards {
-			logger.Fatalf("-shards %d needs at least %d simulated workers", *shards, *shards)
+		route = ring.Assign
+		cleanup = func() {
+			for _, r := range remotes {
+				_ = r.Close()
+			}
 		}
-		cfg.Workers = *simWorkers
-		cfg.Shards = *shards
+		logger.Printf("connected to %d workers across %d controller shards", len(addrs), *shards)
+	} else {
+		if *simWorkers < 1 {
+			logger.Fatal("-sim-workers must be positive")
+		}
+		cfg.Workers, cfg.Shards = *simWorkers, *shards
 		sc, err := grout.NewShardedCluster(cfg)
 		if err != nil {
 			logger.Fatal(err)
 		}
+		ctls, route = sc.Plane.Controllers, sc.Plane.Route
 		cleanup = func() { _ = sc.Close() }
-		logger.Printf("simulated fleet of %d workers across %d controller shards",
-			*simWorkers, *shards)
-		g, err = server.NewSharded(sc.Plane.Controllers, sc.Plane.Route, *listen, serverOpts)
-		if err != nil {
-			cleanup()
-			logger.Fatal(err)
-		}
-	default:
-		if *simWorkers < 1 {
-			logger.Fatal("-sim-workers must be positive")
-		}
-		cfg.Workers = *simWorkers
-		clu, err := grout.NewSimulatedCluster(cfg)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		cleanup = func() { _ = clu.Close() }
-		logger.Printf("simulated fleet of %d workers", *simWorkers)
-		g, err = server.New(clu.Controller, *listen, serverOpts)
-		if err != nil {
-			cleanup()
-			logger.Fatal(err)
-		}
+		logger.Printf("simulated fleet of %d workers across %d controller shards", *simWorkers, *shards)
+	}
+	g, err := server.NewSharded(ctls, route, *listen, serverOpts)
+	if err != nil {
+		cleanup()
+		logger.Fatal(err)
 	}
 	logger.Printf("serving tenant sessions on %s (policy %s)", g.Addr(), *pol)
 

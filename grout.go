@@ -74,12 +74,12 @@ type Config struct {
 	// the rest with Controller.RetireWorker before submitting anything,
 	// and Controller.AddWorker activates them live later (DESIGN.md §5.9).
 	Workers int
-	// Shards splits the simulated controller fleet into N independent
-	// shards behind one logical plane (DESIGN.md §5.8): each shard
-	// controller owns a static partition of the workers and its own
-	// array-ID namespace, and tenants are routed to shards by
-	// consistent hash. 0 or 1 means the classic single controller.
-	// Only NewShardedCluster consults this field.
+	// Shards is NewShardedCluster's controller shard count, 1 to
+	// Workers (DESIGN.md §5.8): each shard controller owns a static
+	// contiguous partition of the workers and its own array-ID
+	// namespace, and tenants are routed to shards by consistent hash.
+	// Connect builds one controller; grout-gateway and grout-controller
+	// shard a remote fleet with -shards, one Connect per partition.
 	Shards int
 	// Policy is the inter-node scheduling policy name: "round-robin",
 	// "vector-step", "min-transfer-size" or "min-transfer-time".
@@ -210,12 +210,8 @@ func NewShardedCluster(cfg Config) (*ShardedCluster, error) {
 	if workers <= 0 {
 		workers = 2
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
-	}
 	p, err := shard.New(shard.Options{
-		Shards:    shards,
+		Shards:    cfg.Shards,
 		Workers:   workers,
 		NewPolicy: func(int) (policy.Policy, error) { return cfg.policy() },
 		Core:      cfg.coreOptions(cfg.Numeric),

@@ -1,14 +1,20 @@
 package grout
 
 import (
+	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"grout/internal/core"
+	"grout/internal/dag"
 	"grout/internal/gpusim"
 	"grout/internal/memmodel"
 	"grout/internal/server"
 	"grout/internal/transport"
+	"grout/internal/workloads"
 )
 
 const squareSrc = `
@@ -206,5 +212,117 @@ func TestDialGateway(t *testing.T) {
 	}
 	if got := sess.Buffer(id).At(7); got != 0 {
 		t.Fatalf("relu result = %v, want 0", got)
+	}
+}
+
+// gatewayRun runs one suite workload as one gateway tenant and returns
+// the bits of every array it left live, its error text and the
+// controller's trace with the wall-clock scheduling cost zeroed.
+func gatewayRun(t *testing.T, g *server.Gateway, ctl *core.Controller, w *workloads.Workload) ([][]uint64, string, []core.CETrace) {
+	t.Helper()
+	sess, err := Dial(g.Addr(), "tenant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	rec := &arrayRecorder{GatewayClient: sess}
+	errText := ""
+	if err := w.Build(rec, workloads.Params{Footprint: 256 * memmodel.KiB, Blocks: 2}); err != nil {
+		errText = err.Error()
+	}
+	var out [][]uint64
+	for _, id := range rec.ids {
+		if err := sess.HostRead(id); err != nil {
+			if errText == "" {
+				errText = err.Error()
+			}
+			continue
+		}
+		buf := sess.Buffer(id)
+		bits := make([]uint64, buf.Len())
+		for i := range bits {
+			bits[i] = math.Float64bits(buf.At(i))
+		}
+		out = append(out, bits)
+	}
+	traces := ctl.Traces()
+	for i := range traces {
+		traces[i].SchedOverhd = 0
+	}
+	return out, errText, traces
+}
+
+// arrayRecorder records the arrays a workload allocates and still holds.
+type arrayRecorder struct {
+	*GatewayClient
+	ids []dag.ArrayID
+}
+
+func (r *arrayRecorder) NewArray(kind memmodel.ElemKind, n int64) (dag.ArrayID, error) {
+	id, err := r.GatewayClient.NewArray(kind, n)
+	if err == nil {
+		r.ids = append(r.ids, id)
+	}
+	return id, err
+}
+
+func (r *arrayRecorder) Free(id dag.ArrayID) error {
+	err := r.GatewayClient.Free(id)
+	if err == nil {
+		r.ids = slices.DeleteFunc(r.ids, func(x dag.ArrayID) bool { return x == id })
+	}
+	return err
+}
+
+// grout-gateway serves a simulated fleet as a 1-shard NewShardedCluster
+// when -shards is 1, where it served NewSimulatedCluster behind
+// server.New: every suite workload through it must keep its array bits,
+// error text, placements and modeled times.
+func TestGatewayOneShardPlaneMatchesSimulatedCluster(t *testing.T) {
+	suite := workloads.FullSuite()
+	names := make([]string, 0, len(suite))
+	for name := range suite {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, pol := range []string{"round-robin", "min-transfer-time"} {
+		for _, name := range names {
+			t.Run(pol+"/"+name, func(t *testing.T) {
+				cfg := Config{Workers: 4, Policy: pol, Numeric: true, Failover: true}
+				clu, err := NewSimulatedCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer clu.Close()
+				g, err := server.New(clu.Controller, "127.0.0.1:0", server.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer g.Close()
+				want, wantErr, wantTraces := gatewayRun(t, g, clu.Controller, suite[name])
+
+				cfg.Shards = 1
+				sc, err := NewShardedCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sc.Close()
+				sg, err := server.NewSharded(sc.Plane.Controllers, sc.Plane.Route, "127.0.0.1:0", server.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sg.Close()
+				got, gotErr, gotTraces := gatewayRun(t, sg, sc.Plane.Controllers[0], suite[name])
+
+				if gotErr != wantErr || !reflect.DeepEqual(got, want) {
+					t.Fatalf("1-shard plane diverged: error %q vs %q, arrays equal %v",
+						gotErr, wantErr, reflect.DeepEqual(got, want))
+				}
+				if len(wantTraces) == 0 || !reflect.DeepEqual(gotTraces, wantTraces) {
+					t.Fatalf("1-shard plane's %d CE traces differ from the cluster's %d",
+						len(gotTraces), len(wantTraces))
+				}
+			})
+		}
 	}
 }

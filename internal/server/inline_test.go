@@ -22,6 +22,7 @@ import (
 	"grout/internal/gpusim"
 	"grout/internal/kernels"
 	"grout/internal/policy"
+	"grout/internal/shard"
 	"grout/internal/sim"
 	"grout/internal/transport"
 )
@@ -66,14 +67,44 @@ func (sh *shardState) admissions() (all, drained int64) {
 	return sh.ces, sh.drained.Load()
 }
 
-// TestInlineAdmitDepthOne: two tenants' Launch+Sync steps through a
-// pipelined controller over the TCP fabric are admitted on their serve
-// goroutines and started by them — the drain loop admits none and the batch
-// dispatcher is handed none — and compute what they should.
+// TestInlineAdmitDepthOne: tenants' Launch+Sync steps through pipelined
+// controllers over the TCP fabric are admitted on their serve goroutines
+// and started by them — no shard's drain loop admits any and no shard's
+// batch dispatcher is handed any — and compute what they should. The
+// gateway is built as grout-gateway -workers builds it (shard.Build, one
+// TCP fabric per partition): one controller over two workers, and two
+// shards over four with two tenants each.
 func TestInlineAdmitDepthOne(t *testing.T) {
-	const tenants, steps = 2, 200
+	for _, tc := range []struct {
+		name                     string
+		workers, shards, tenants int
+	}{
+		{"one controller", 2, 1, 2},
+		{"two TCP shards", 4, 2, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) { inlineAdmitDepthOne(t, tc.workers, tc.shards, tc.tenants) })
+	}
+}
+
+// tcpShard is one shard of a gateway over TCP workers: a controller over
+// a TCP fabric of its own, as grout.Connect builds it.
+type tcpShard struct {
+	ctl *core.Controller
+	fab *transport.TCPFabric
+}
+
+func (s tcpShard) Close() error {
+	err := s.ctl.Close()
+	if ferr := s.fab.Close(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+func inlineAdmitDepthOne(t *testing.T, workers, shards, tenants int) {
+	const steps = 200
 	var addrs []string
-	for i := 0; i < 2; i++ {
+	for i := 0; i < workers; i++ {
 		w, err := transport.NewWorkerServer("127.0.0.1:0", gpusim.OCIWorkerSpec(fmt.Sprintf("w%d", i+1)), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -81,15 +112,22 @@ func TestInlineAdmitDepthOne(t *testing.T) {
 		t.Cleanup(func() { _ = w.Close() })
 		addrs = append(addrs, w.Addr())
 	}
-	fab, err := transport.Dial(addrs)
+	plane, ring, err := shard.Build(addrs, shards, func(_ int, part []string) (tcpShard, error) {
+		fab, err := transport.Dial(part)
+		if err != nil {
+			return tcpShard{}, err
+		}
+		return tcpShard{core.NewController(fab, policy.NewMinTransferTime(policy.Medium), core.Options{Numeric: true}), fab}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = fab.Close() })
-	ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium), core.Options{Numeric: true})
-	t.Cleanup(func() { ctl.Close() })
-	g := gwStart(t, ctl, Options{})
-	sh := g.shards[0]
+	ctls := make([]*core.Controller, shards)
+	for s, sh := range plane {
+		t.Cleanup(func() { _ = sh.Close() })
+		ctls[s] = sh.ctl
+	}
+	g := shardedStart(t, ctls, ring.Assign)
 
 	step := func(c *Client, n int) error {
 		for i := 0; i < n; i++ {
@@ -103,8 +141,14 @@ func TestInlineAdmitDepthOne(t *testing.T) {
 		return nil
 	}
 	clients := make([]*Client, tenants)
+	served := make([]int, shards)
 	for k := range clients {
 		clients[k] = gwDial(t, g, fmt.Sprintf("sync-%d", k))
+		s, _, err := clients[k].ShardInfo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		served[s]++
 		a := trafficArray(t, clients[k])
 		if a != 1 {
 			t.Fatalf("first array has id %d", a)
@@ -114,15 +158,21 @@ func TestInlineAdmitDepthOne(t *testing.T) {
 		// placing its launches. A blocking launch resolves a moment before
 		// the dispatcher lets go of its job, so the step right behind one
 		// may still be handed to it: warm up until a step is not.
-		for handed := -1; handed != ctl.DispatcherJobs(); {
-			handed = ctl.DispatcherJobs()
+		for handed := -1; handed != ctls[s].DispatcherJobs(); {
+			handed = ctls[s].DispatcherJobs()
 			if err := step(clients[k], 2); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	all0, drained0 := sh.admissions()
-	handed0 := ctl.DispatcherJobs()
+	all0, drained0, handed0 := make([]int64, shards), make([]int64, shards), make([]int, shards)
+	for s, sh := range g.shards {
+		if served[s] == 0 {
+			t.Fatalf("shard %d serves none of the %d tenants", s, tenants)
+		}
+		all0[s], drained0[s] = sh.admissions()
+		handed0[s] = ctls[s].DispatcherJobs()
+	}
 	var wg sync.WaitGroup
 	for _, c := range clients {
 		wg.Add(1)
@@ -134,13 +184,16 @@ func TestInlineAdmitDepthOne(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	all, drained := sh.admissions()
-	if all-all0 != tenants*steps || drained != drained0 {
-		t.Fatalf("%d launches admitted, %d of them by the drain loop; want %d and 0",
-			all-all0, drained-drained0, tenants*steps)
-	}
-	if handed := ctl.DispatcherJobs() - handed0; handed != 0 {
-		t.Fatalf("the dispatcher was handed %d of %d depth-1 launches, want 0", handed, tenants*steps)
+	for s, sh := range g.shards {
+		all, drained := sh.admissions()
+		if want := int64(served[s] * steps); all-all0[s] != want || drained != drained0[s] {
+			t.Fatalf("shard %d: %d launches admitted, %d of them by the drain loop; want %d and 0",
+				s, all-all0[s], drained-drained0[s], want)
+		}
+		if handed := ctls[s].DispatcherJobs() - handed0[s]; handed != 0 {
+			t.Fatalf("shard %d: the dispatcher was handed %d of %d depth-1 launches, want 0",
+				s, handed, served[s]*steps)
+		}
 	}
 	for k, c := range clients {
 		if err := c.HostRead(1); err != nil {

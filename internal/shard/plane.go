@@ -1,14 +1,14 @@
 package shard
 
-// plane.go assembles the sharded control plane: one simulated worker
-// fleet and N core.Controller shards, each owning a static contiguous
-// partition of it outright — its arrays, its retirements and its
-// recovery roots. The gateway (internal/server) holds a Plane and routes
-// tenants with Route; everything here is also usable directly from
-// tests. The shards share the fleet's core.LocalFabric (or its
-// fault-injection wrapper) directly: the fabric serialises its own
-// data-path calls, which models one shared physical interconnect under a
-// scaled-out control plane.
+// plane.go assembles the simulated sharded control plane: one simulated
+// worker fleet and N core.Controller shards, each owning a static
+// contiguous partition of it outright — its arrays, its retirements and
+// its recovery roots. Build splits it as it splits a remote fleet. The
+// gateway (internal/server) holds a Plane and routes tenants with Route;
+// everything here is also usable directly from tests. The shards share
+// the fleet's core.LocalFabric (or its fault-injection wrapper)
+// directly: the fabric serialises its own data-path calls, which models
+// one shared physical interconnect under a scaled-out control plane.
 
 import (
 	"fmt"
@@ -25,11 +25,10 @@ import (
 // Options configures a Plane. Tenants are routed by a ring with the
 // default seed, virtual-node count and load slack (ring.go).
 type Options struct {
-	// Shards is the controller shard count (≥1).
+	// Shards is the controller shard count, 1 to Workers.
 	Shards int
 	// Workers is the total fleet size, split contiguously across shards
-	// (the first Workers mod Shards partitions get one extra worker).
-	// Every shard must own at least one worker.
+	// by Build.
 	Workers int
 	// NewPolicy builds shard s's scheduling policy. Policies keep
 	// internal state, so each shard needs its own instance. nil defaults
@@ -61,16 +60,6 @@ type Plane struct {
 // fabrics, and one controller per shard with a placement policy clamped
 // to its partition.
 func New(opts Options) (*Plane, error) {
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
-	if opts.Workers < opts.Shards {
-		return nil, fmt.Errorf("shard: %d workers cannot cover %d shards", opts.Workers, opts.Shards)
-	}
-	ring, err := NewRing(opts.Shards, DefaultVNodes, DefaultEpsilon, DefaultSeed)
-	if err != nil {
-		return nil, err
-	}
 	reg := opts.Core.Registry
 	if reg == nil {
 		reg = kernels.StdRegistry()
@@ -82,36 +71,24 @@ func New(opts Options) (*Plane, error) {
 	}
 	workers := append([]cluster.NodeID(nil), full.Workers()...)
 	sort.Slice(workers, func(i, j int) bool { return workers[i] < workers[j] })
-
-	p := &Plane{
-		ring:    ring,
-		Cluster: clu,
-		parts:   make([][]cluster.NodeID, opts.Shards),
+	newPolicy := opts.NewPolicy
+	if newPolicy == nil {
+		newPolicy = func(int) (policy.Policy, error) { return policy.NewRoundRobin(), nil }
 	}
-	per, extra := len(workers)/opts.Shards, len(workers)%opts.Shards
-	lo := 0
-	for s := 0; s < opts.Shards; s++ {
-		hi := lo + per
-		if s < extra {
-			hi++
-		}
-		p.parts[s] = workers[lo:hi:hi]
-		lo = hi
-	}
-	for s := 0; s < opts.Shards; s++ {
-		var pol policy.Policy
-		if opts.NewPolicy != nil {
-			pol, err = opts.NewPolicy(s)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d policy: %w", s, err)
-			}
-		} else {
-			pol = policy.NewRoundRobin()
+	p := &Plane{Cluster: clu}
+	var err error
+	p.Controllers, p.ring, err = Build(workers, opts.Shards, func(s int, part []cluster.NodeID) (*core.Controller, error) {
+		p.parts = append(p.parts, part)
+		pol, err := newPolicy(s)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d policy: %w", s, err)
 		}
 		co := opts.Core
 		co.Registry = reg
-		p.Controllers = append(p.Controllers, core.NewController(
-			NewPartitionFabric(full, p.parts[s]), policy.Restrict(pol, p.parts[s]), co))
+		return core.NewController(NewPartitionFabric(full, part), policy.Restrict(pol, part), co), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -147,7 +124,8 @@ func (p *Plane) Close() error {
 // partition, while data-path operations (Healthy included) go to the
 // embedded fleet fabric. It follows core.Fabric's wrapper rule: the three
 // fast paths forward through their core helpers, and core.AsyncLauncher
-// is not forwarded.
+// is not forwarded. Only the simulated fleet uses it: a remote plane
+// connects each partition as a fabric of its own.
 type PartitionFabric struct {
 	core.Fabric
 	workers []cluster.NodeID

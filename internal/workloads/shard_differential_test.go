@@ -11,6 +11,7 @@ package workloads
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -18,8 +19,10 @@ import (
 	"grout/internal/cluster"
 	"grout/internal/core"
 	"grout/internal/dag"
+	"grout/internal/gpusim"
 	"grout/internal/policy"
 	"grout/internal/shard"
+	"grout/internal/transport"
 )
 
 // newDiffPlane builds a plane matching runDifferential's controller
@@ -80,6 +83,19 @@ func runOnShard(ctl *core.Controller, w *Workload) ([][]byte, string) {
 
 func shardDifferential(t *testing.T, chaos func() *core.ChaosOptions) {
 	t.Helper()
+	forEachSuiteWorkload(t, func(t *testing.T, w *Workload) {
+		var baseChaos, shardChaos *core.ChaosOptions
+		if chaos != nil {
+			baseChaos, shardChaos = chaos(), chaos()
+		}
+		diffShards(t, w, newDiffPlane(t, 1, baseChaos).Controllers[0], newDiffPlane(t, 4, shardChaos).Controllers)
+	})
+}
+
+// forEachSuiteWorkload runs f as one subtest per suite workload, in name
+// order.
+func forEachSuiteWorkload(t *testing.T, f func(t *testing.T, w *Workload)) {
+	t.Helper()
 	suite := FullSuite()
 	names := make([]string, 0, len(suite))
 	for name := range suite {
@@ -87,48 +103,95 @@ func shardDifferential(t *testing.T, chaos func() *core.ChaosOptions) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			var baseChaos, shardChaos *core.ChaosOptions
-			if chaos != nil {
-				baseChaos, shardChaos = chaos(), chaos()
-			}
-			base := newDiffPlane(t, 1, baseChaos)
-			want, wantErr := runOnShard(base.Controllers[0], suite[name])
-
-			p := newDiffPlane(t, 4, shardChaos)
-			type result struct {
-				out     [][]byte
-				errText string
-			}
-			results := make([]result, p.Shards())
-			var wg sync.WaitGroup
-			for s := 0; s < p.Shards(); s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					out, errText := runOnShard(p.Controllers[s], suite[name])
-					results[s] = result{out, errText}
-				}(s)
-			}
-			wg.Wait()
-
-			for s, r := range results {
-				if r.errText != wantErr {
-					t.Fatalf("shard %d error text diverged:\n  1-shard: %q\n  4-shard: %q",
-						s, wantErr, r.errText)
-				}
-				if len(r.out) != len(want) {
-					t.Fatalf("shard %d live array count diverged: %d vs %d", s, len(r.out), len(want))
-				}
-				for i := range want {
-					if !bytes.Equal(want[i], r.out[i]) {
-						t.Fatalf("shard %d: array %d of %d diverged from the 1-shard run",
-							s, i, len(want))
-					}
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { f(t, suite[name]) })
 	}
+}
+
+// diffShards runs w on base, then on every shard of a plane at once, and
+// demands each shard's arrays and error text equal base's.
+func diffShards(t *testing.T, w *Workload, base *core.Controller, shards []*core.Controller) {
+	t.Helper()
+	want, wantErr := runOnShard(base, w)
+	type result struct {
+		out     [][]byte
+		errText string
+	}
+	results := make([]result, len(shards))
+	var wg sync.WaitGroup
+	for s, ctl := range shards {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			out, errText := runOnShard(ctl, w)
+			results[s] = result{out, errText}
+		}(s)
+	}
+	wg.Wait()
+
+	for s, r := range results {
+		if r.errText != wantErr {
+			t.Fatalf("shard %d error text diverged:\n  1-shard: %q\n  %d-shard: %q",
+				s, wantErr, len(shards), r.errText)
+		}
+		if len(r.out) != len(want) {
+			t.Fatalf("shard %d live array count diverged: %d vs %d", s, len(r.out), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(want[i], r.out[i]) {
+				t.Fatalf("shard %d: array %d of %d diverged from the 1-shard run",
+					s, i, len(want))
+			}
+		}
+	}
+}
+
+// tcpShard is one shard of a plane over in-process TCP workers: a
+// controller over a TCP fabric of its own, as grout.Connect builds it.
+type tcpShard struct {
+	ctl *core.Controller
+	fab *transport.TCPFabric
+}
+
+func (s tcpShard) Close() error {
+	err := s.ctl.Close()
+	if ferr := s.fab.Close(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// newTCPPlane starts four in-process TCP workers and builds a plane of
+// shards over them through shard.Build, as grout-gateway and
+// grout-controller build theirs, with runDifferential's controller
+// configuration.
+func newTCPPlane(t *testing.T, shards int) []*core.Controller {
+	t.Helper()
+	addrs := make([]string, 4)
+	for i := range addrs {
+		w, err := transport.NewWorkerServer("127.0.0.1:0", gpusim.OCIWorkerSpec(fmt.Sprintf("w%d", i+1)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = w.Close() })
+		addrs[i] = w.Addr()
+	}
+	plane, _, err := shard.Build(addrs, shards, func(_ int, part []string) (tcpShard, error) {
+		fab, err := transport.Dial(part)
+		if err != nil {
+			return tcpShard{}, err
+		}
+		ctl := core.NewController(fab, policy.NewMinTransferTime(policy.Medium), core.Options{Numeric: true})
+		return tcpShard{ctl, fab}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctls := make([]*core.Controller, len(plane))
+	for s, sh := range plane {
+		t.Cleanup(func() { _ = sh.Close() })
+		ctls[s] = sh.ctl
+	}
+	return ctls
 }
 
 // Every suite workload, run on all four shards at once, is bit-identical
@@ -144,5 +207,15 @@ func TestShardDifferentialSuite(t *testing.T) {
 func TestShardDifferentialSuiteUnderChaos(t *testing.T) {
 	shardDifferential(t, func() *core.ChaosOptions {
 		return &core.ChaosOptions{KillAtLaunch: map[cluster.NodeID]int{1: 2}, Seed: 42}
+	})
+}
+
+// The same identity over real sockets: 2 shards over 4 in-process TCP
+// workers, each shard streaming over a TCP fabric of its own, against 1
+// shard over 4 workers of the same shape (a fresh fleet per plane: both
+// planes number their arrays from the same first ID).
+func TestShardDifferentialSuiteTCP(t *testing.T) {
+	forEachSuiteWorkload(t, func(t *testing.T, w *Workload) {
+		diffShards(t, w, newTCPPlane(t, 1)[0], newTCPPlane(t, 2))
 	})
 }

@@ -9,7 +9,8 @@
 #                              paper figure's values equal internal/bench/testdata/figures.golden
 #                              exactly, and EXPERIMENTS.md's figure tables equal the printers
 #   4.  go test -race          the concurrent packages (core … shard) under the race detector
-#   4a. -race TestShardDifferential*   4 shards vs 1 stay bit-identical, incl. chaos
+#   4a. -race TestShardDifferential*   4 simulated shards vs 1 stay bit-identical, incl. chaos, and
+#                              2 shards vs 1 over 4 in-process TCP workers, built by shard.Build
 #   4b. -race -run <list>      the concurrency-critical tests by name, so a rename cannot drop them
 #                              from the race gate (chaos/recovery, streamed launches, sessions,
 #                              peer links, depth-1 admission, one engine, FIFO bulk, typed kernels,
@@ -20,8 +21,8 @@
 #                              Def priced and run from several goroutines, the run queue: an observed
 #                              Submit resolves without Drain, a drained run matches Launch bit for
 #                              bit, and no queued CE is worked through twice)
-#   4c. go test -list          every |-alternative of 4b's -run lists names at least one test in
-#                              its packages: a rename that empties an alternative fails here
+#   4c. go test -list          every |-alternative of 4a's and 4b's -run lists names at least one
+#                              test in its packages: a rename that empties an alternative fails here
 #   5.  fuzz                   compiled engine vs interpreter, session frame codecs,
 #                              worker serve loop: short budgets, corpora persist
 #   6.  go run ./benchmark     every BENCHMARK.json workload at 0.1 s (launch-stream, launch-sync,
@@ -51,8 +52,11 @@ go test -race ./internal/core/... ./internal/dag/... ./internal/grcuda/... \
     ./internal/gpusim/... ./internal/policy/... \
     ./internal/shard/...
 
-echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos)"
-go test -race -run 'TestShardDifferential' ./internal/workloads/
+# Step 4a's shard differentials, one alternative per test.
+SHARD_RUN='TestShardDifferentialSuite$|TestShardDifferentialSuiteUnderChaos|TestShardDifferentialSuiteTCP'
+
+echo "== go test -race sharded-plane differential (4 shards vs 1, incl. chaos; 2 TCP shards vs 1)"
+go test -race -run "$SHARD_RUN" ./internal/workloads/
 
 # Step 4b's race lists: a -run pattern and the packages it runs in.
 RACE_RUN='Chaos|Recovery|Failover|HungWorker|DialTimeout|Stream|ChannelCoalesces|BufferedFramesLeaveWhole|WrappersDoNotForward|SharedRegistry|SessionStream|GatewayShedsByClass|GatewayBackpressurePacesClient|CloseWhileSyncParkedBehindQueue|P2P|PeerLink|EnsureMemo|ReceiveAck|SessionScopedSync|InlineAdmit|InlineStart|BurstUnderInflightCap|SyncReportsDispatchFailure|PipelineMatchesSerial|LaunchRunsOnItsCaller|ConcurrentFabricOrdering|ErrorStickiness|GoroutineBudget|ConcurrentBulkTransfersSerialise|ChunkStreamValidation|RejectedReceiveKeepsStreamInSync|BulkSever|PingNotBlocked|LaunchArgumentChecks|CanonicalNaNStores|CountedLoopStepAccounting|LaunchAllocsFlat|UVMKernelsDifferential|PipelinedStallQueriesRaceFree|WrapperFidelity|AllocBudget|VictimSelectionMatchesFullSort|StdRegistr|OpsEstimateAllocFree|SubmitResolvesThroughDone|SubmitResolvesThroughOnDone|RunQueueDrainMatchesLaunch|RunQueueResolvesOnce'
@@ -83,6 +87,7 @@ require_tests() {
 }
 require_tests "$RACE_RUN" $RACE_PKGS
 require_tests "$RACE_RUN_WORKLOADS" ./internal/workloads/
+require_tests "$SHARD_RUN" ./internal/workloads/
 
 echo "== differential fuzz (compiled engine vs interpreter, 20s)"
 go test -run FuzzDifferential -fuzz FuzzDifferential -fuzztime 20s \
